@@ -1,7 +1,7 @@
 """Prefix-trie indexing and querying of workflow provenance execution paths."""
 
 from .bench import BenchRow, InsufficientData, loglog_slope, run_bench, run_bench_naive, write_csv
-from .canonical import CanonicalSequence, SubsequenceWindow, compare_pairs, ngrams, sequence
+from .canonical import CanonicalSequence, SubsequenceWindow, ngrams, sequence
 from .graph import (
     CyclicInput,
     GraphError,

@@ -80,17 +80,3 @@ def ngrams(seq: CanonicalSequence | Sequence[str], n: int) -> SubsequenceWindow:
     windows = tuple(items[i : i + n] for i in range(len(items) - n + 1))
     return SubsequenceWindow(n, windows)
 
-
-def compare_pairs(a: tuple[str, str], b: tuple[str, str]) -> int:
-    """Three-way product-order comparison of identifier pairs.
-
-    Returns -1, 0, or 1.  First components decide; equal firsts fall back
-    to the second components.  This coincides with Python's native tuple
-    ordering and pins down the edge/choice ordering used by deterministic
-    traversals.
-    """
-    if a[0] != b[0]:
-        return -1 if a[0] < b[0] else 1
-    if a[1] != b[1]:
-        return -1 if a[1] < b[1] else 1
-    return 0

@@ -83,6 +83,10 @@ def cmd_index(args: argparse.Namespace) -> int:
     out_dir = Path(args.out).resolve().parent
     fd, tmp_name = tempfile.mkstemp(prefix=".provtrie-", dir=out_dir)
     try:
+        # mkstemp creates the file 0600; give the index the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             save(trie, fh)
         os.replace(tmp_name, args.out)
@@ -265,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (GraphError, TrieError, IngestError, EmptyDepth, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too large: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -12,11 +12,16 @@ never carry the same label from one node.
 A match is scored by the product of per-step conditional probabilities,
 each step contributing (times this step was taken) / (times the current
 node was visited).
+
+``q1`` and ``q2_suggest`` share one depth-first enumerator with an
+explicit stack over one step lookup, ``_steps``; ``count_paths`` is a
+frontier DP that never materializes a path.  Nothing recurses, so the
+interpreter's recursion limit bounds no pattern or run length.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .trie import Trie, TrieMode, TrieNode
 
@@ -63,30 +68,55 @@ class PathMatch:
     likelihood: float
 
 
-def _step(node: TrieNode, label: str, follow_cycles: bool) -> tuple[TrieNode, float] | None:
-    child = node.children.get(label)
+def _steps(node: TrieNode, want: str | None, follow_cycles: bool) -> list[tuple[str, TrieNode, int]]:
+    """Every step out of ``node`` labelled ``want`` (None: any label).
+
+    Each step is (label, next node, times taken); its probability is
+    ``taken / node.freq``.  Child and cycle-edge steps are both listed
+    when ``follow_cycles`` is set, in no particular order.
+    """
+    if want is None:
+        steps = []
+        for label, child in node.children.items():
+            steps.append((label, child, child.entry_count))
+        if follow_cycles:
+            for label, edge in node.cycles.items():
+                steps.append((label, edge.target, edge.count))
+        return steps
+    child = node.children.get(want)
     if child is not None:
-        return child, child.entry_count / node.freq
+        return [(want, child, child.entry_count)]
     if follow_cycles:
-        edge = node.cycles.get(label)
+        edge = node.cycles.get(want)
         if edge is not None:
-            return edge.target, edge.count / node.freq
-    return None
+            return [(want, edge.target, edge.count)]
+    return []
 
 
-def _transitions(node: TrieNode, follow_cycles: bool) -> Iterator[tuple[str, TrieNode, float]]:
-    """All outgoing steps of a node in label order, with step probabilities."""
-    if follow_cycles and node.cycles:
-        labels = sorted(set(node.children) | set(node.cycles))
-    else:
-        labels = sorted(node.children)
-    for label in labels:
-        child = node.children.get(label)
-        if child is not None:
-            yield label, child, child.entry_count / node.freq
+def _walks(
+    start: TrieNode, labels: Sequence[str | None], follow_cycles: bool
+) -> list[tuple[TrieNode, tuple[str, ...], float]]:
+    """Every traversal from ``start`` taking one step per position of the
+    nonempty ``labels``, as (end node, step labels, likelihood), unordered.
+
+    The stack holds the untried siblings along one branch.  Likelihood
+    multiplies the step probabilities from the start outwards.
+    """
+    last = len(labels) - 1
+    out: list[tuple[TrieNode, tuple[str, ...], float]] = []
+    stack: list[tuple[int, TrieNode, tuple[str, ...], float]] = [(0, start, (), 1.0)]
+    while stack:
+        i, node, path, likelihood = stack.pop()
+        freq = node.freq
+        steps = _steps(node, labels[i], follow_cycles)
+        if i == last:
+            for label, nxt, taken in steps:
+                out.append((nxt, path + (label,), likelihood * (taken / freq)))
         else:
-            edge = node.cycles[label]
-            yield label, edge.target, edge.count / node.freq
+            i += 1
+            for label, nxt, taken in steps:
+                stack.append((i, nxt, path + (label,), likelihood * (taken / freq)))
+    return out
 
 
 def locate(trie: Trie, labels: Sequence[str]) -> tuple[TrieNode | None, int]:
@@ -97,17 +127,17 @@ def locate(trie: Trie, labels: Sequence[str]) -> tuple[TrieNode | None, int]:
     """
     follow_cycles = trie.mode is TrieMode.DG
     node = trie.root
-    visited = 0
-    for label in labels:
-        step = _step(node, label, follow_cycles)
-        if step is None:
+    for visited, label in enumerate(labels):
+        steps = _steps(node, label, follow_cycles)
+        if not steps:
             return None, visited
-        node = step[0]
-        visited += 1
-    return node, visited
+        node = steps[0][1]
+    return node, len(labels)
 
 
-def _check_strict(trie: Trie, strict: bool) -> None:
+def _check_q1(trie: Trie, pattern: QueryPattern, strict: bool) -> None:
+    if pattern.terminal is None:
+        raise ValueError("q1 patterns require a terminal identifier")
     if strict and trie.n != 0:
         raise ValueError("strict terminal matching applies to whole-sequence indexes only (n=0)")
 
@@ -121,34 +151,12 @@ def q1(trie: Trie, pattern: QueryPattern, strict: bool = False) -> list[PathMatc
     list), not an error.  With ``strict`` (whole-sequence indexes only)
     the final node must additionally have ended an inserted sequence.
     """
-    if pattern.terminal is None:
-        raise ValueError("q1 patterns require a terminal identifier")
-    _check_strict(trie, strict)
-    labels = pattern.labels()
-    follow_cycles = trie.mode is TrieMode.DG
-    matches: list[PathMatch] = []
-    path: list[str] = []
-
-    def walk(node: TrieNode, i: int, likelihood: float) -> None:
-        if i == len(labels):
-            if strict and node.terminal_count == 0:
-                return
-            matches.append(PathMatch(tuple(path), node.freq, likelihood))
-            return
-        want = labels[i]
-        if want is None:
-            for label, nxt, p in _transitions(node, follow_cycles):
-                path.append(label)
-                walk(nxt, i + 1, likelihood * p)
-                path.pop()
-        else:
-            step = _step(node, want, follow_cycles)
-            if step is not None:
-                path.append(want)
-                walk(step[0], i + 1, likelihood * step[1])
-                path.pop()
-
-    walk(trie.root, 0, 1.0)
+    _check_q1(trie, pattern, strict)
+    matches = [
+        PathMatch(path, node.freq, likelihood)
+        for node, path, likelihood in _walks(trie.root, pattern.labels(), trie.mode is TrieMode.DG)
+        if not strict or node.terminal_count
+    ]
     matches.sort(key=lambda m: (-m.likelihood, m.path))
     return matches
 
@@ -156,43 +164,33 @@ def q1(trie: Trie, pattern: QueryPattern, strict: bool = False) -> list[PathMatc
 def count_paths(trie: Trie, pattern: QueryPattern, strict: bool = False) -> int:
     """Number of q1 matches, computed without materializing them.
 
-    Counts label sequences by memoizing on (node, pattern position):
-    lookup from any node is label-deterministic, so distinct label
-    sequences correspond one-to-one to distinct traversals and the counts
-    compose.
+    A frontier DP: for each pattern position it maps every reachable node
+    to the number of traversals arriving there.  Lookup from any node is
+    label-deterministic, so distinct label sequences correspond
+    one-to-one to distinct traversals and the counts compose.
     """
-    if pattern.terminal is None:
-        raise ValueError("q1 patterns require a terminal identifier")
-    _check_strict(trie, strict)
-    labels = pattern.labels()
-    total = len(labels)
+    _check_q1(trie, pattern, strict)
     follow_cycles = trie.mode is TrieMode.DG
-    memo: dict[tuple[int, int], int] = {}
-
-    def count(node: TrieNode, i: int) -> int:
-        if i == total:
-            if strict and node.terminal_count == 0:
-                return 0
-            return 1
-        key = (id(node), i)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        want = labels[i]
-        if want is None:
-            result = 0
-            for child in node.children.values():
-                result += count(child, i + 1)
-            if follow_cycles:
-                for edge in node.cycles.values():
-                    result += count(edge.target, i + 1)
-        else:
-            step = _step(node, want, follow_cycles)
-            result = count(step[0], i + 1) if step is not None else 0
-        memo[key] = result
-        return result
-
-    return count(trie.root, 0)
+    frontier: dict[TrieNode, int] = {trie.root: 1}
+    for want in pattern.labels():
+        reached: dict[TrieNode, int] = {}
+        get = reached.get
+        for node, ways in frontier.items():
+            if want is None:
+                for child in node.children.values():
+                    reached[child] = get(child, 0) + ways
+                if follow_cycles:
+                    for edge in node.cycles.values():
+                        reached[edge.target] = get(edge.target, 0) + ways
+                continue
+            nxt = node.children.get(want)
+            if nxt is None and follow_cycles:
+                edge = node.cycles.get(want)
+                nxt = edge.target if edge is not None else None
+            if nxt is not None:
+                reached[nxt] = get(nxt, 0) + ways
+        frontier = reached
+    return sum(ways for node, ways in frontier.items() if not strict or node.terminal_count)
 
 
 def q2_suggest(
@@ -215,20 +213,10 @@ def q2_suggest(
     cursor, _ = locate(trie, prefix)
     if cursor is None:
         return []
-    follow_cycles = trie.mode is TrieMode.DG
-    results: list[tuple[tuple[str, ...], float]] = []
-    labels: list[str] = []
-
-    def walk(node: TrieNode, left: int, likelihood: float) -> None:
-        if left == 0:
-            results.append((tuple(labels), likelihood))
-            return
-        for label, nxt, p in _transitions(node, follow_cycles):
-            labels.append(label)
-            walk(nxt, left - 1, likelihood * p)
-            labels.pop()
-
-    walk(cursor, ahead, 1.0)
+    results = [
+        (path, likelihood)
+        for _, path, likelihood in _walks(cursor, [None] * ahead, trie.mode is TrieMode.DG)
+    ]
     results.sort(key=lambda r: (-r[1], r[0]))
     return results[:top]
 

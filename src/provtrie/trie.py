@@ -400,13 +400,15 @@ class Trie:
             raise FormatVersionMismatch(f"format_version {version!r}, supported: {FORMAT_VERSION}")
         try:
             mode = TrieMode(doc["mode"])
-            n = int(doc["n"])
-            sequence_count = int(doc["sequence_count"])
+            n = doc["n"]
+            sequence_count = doc["sequence_count"]
             node_records = doc["nodes"]
             cycle_records = doc["cycle_edges"]
             stat_records = doc["depth_stats"]
         except (KeyError, ValueError, TypeError) as exc:
             raise CorruptDocument(f"malformed header: {exc}") from None
+        if type(n) is not int or type(sequence_count) is not int or n < 0:
+            raise CorruptDocument("header counts must be non-negative integers")
 
         trie = cls(mode, n)
         trie.sequence_count = sequence_count
@@ -415,15 +417,20 @@ class Trie:
             for rec in node_records:
                 idx = rec["node_index"]
                 parent_idx = rec["parent_index"]
-                if idx != len(nodes):
-                    raise CorruptDocument(f"node records out of order at index {idx}")
+                freq = rec["freq"]
+                terminal_count = rec["terminal_count"]
+                depth = rec["depth"]
+                if type(idx) is not int or idx != len(nodes):
+                    raise CorruptDocument(f"node records out of order at index {idx!r}")
+                if type(freq) is not int or type(terminal_count) is not int or type(depth) is not int:
+                    raise CorruptDocument(f"non-integer statistic on node {idx}")
                 if parent_idx is None:
                     if nodes:
                         raise CorruptDocument("multiple root records")
                     node = trie.root
                 else:
-                    if not 0 <= parent_idx < len(nodes):
-                        raise CorruptDocument(f"parent {parent_idx} not before node {idx}")
+                    if type(parent_idx) is not int or not 0 <= parent_idx < len(nodes):
+                        raise CorruptDocument(f"parent {parent_idx!r} not before node {idx}")
                     parent = nodes[parent_idx]
                     rid = rec["id"]
                     if not isinstance(rid, str) or not rid:
@@ -432,26 +439,36 @@ class Trie:
                         raise CorruptDocument(f"duplicate child {rid!r} under node {parent_idx}")
                     node = TrieNode(rid, parent.depth + 1, parent)
                     parent.children[rid] = node
-                node.freq = int(rec["freq"])
-                node.terminal_count = int(rec["terminal_count"])
-                node.entry_count = 0 if parent_idx is None else node.freq
-                if int(rec["depth"]) != node.depth:
+                node.freq = freq
+                node.terminal_count = terminal_count
+                node.entry_count = 0 if parent_idx is None else freq
+                if depth != node.depth:
                     raise CorruptDocument(f"depth mismatch on node {idx}")
-                if node.freq < 0 or node.terminal_count < 0:
+                if freq < 0 or terminal_count < 0:
                     raise CorruptDocument(f"negative statistic on node {idx}")
                 nodes.append(node)
             for rec in cycle_records:
-                src = nodes[rec["from_index"]]
-                dst = nodes[rec["to_index"]]
-                count = int(rec["count"])
+                src_idx = rec["from_index"]
+                dst_idx = rec["to_index"]
+                count = rec["count"]
+                if type(src_idx) is not int or type(dst_idx) is not int or type(count) is not int:
+                    raise CorruptDocument("non-integer field in a cycle-edge record")
+                if src_idx < 0 or dst_idx < 0:  # an index past the end raises IndexError below
+                    raise CorruptDocument(f"negative node index in cycle-edge {src_idx} -> {dst_idx}")
+                src = nodes[src_idx]
+                dst = nodes[dst_idx]
                 if dst.id is None:
                     raise CorruptDocument("cycle-edge into the root")
                 if dst.id in src.cycles:
-                    raise CorruptDocument(f"duplicate cycle-edge from node {rec['from_index']}")
+                    raise CorruptDocument(f"duplicate cycle-edge from node {src_idx}")
                 src.cycles[dst.id] = CycleEdge(dst, count)
                 dst.entry_count -= count
             for rec in stat_records:
-                trie.depth_stats.bump(int(rec["depth"]), rec["id"], int(rec["cum_freq"]))
+                depth = rec["depth"]
+                cum_freq = rec["cum_freq"]
+                if type(depth) is not int or type(cum_freq) is not int:
+                    raise CorruptDocument("non-integer field in a depth statistics record")
+                trie.depth_stats.bump(depth, rec["id"], cum_freq)
         except CorruptDocument:
             raise
         except (KeyError, IndexError, ValueError, TypeError) as exc:

@@ -8,9 +8,10 @@ comparison.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from provtrie.graph import GraphKind, ProvGraph
+from provtrie.query import PathMatch, QueryPattern
 from provtrie.trie import Trie, TrieMode, TrieNode
 
 
@@ -137,3 +138,152 @@ def all_node_freqs(trie: Trie) -> dict[tuple[str, ...], tuple[int, int, int]]:
 
     go(trie.root, ())
     return out
+
+
+# ---- recursive reference queries ---------------------------------------------
+#
+# The original recursive walks of the query engine, kept verbatim (apart
+# from their names) as the exactness reference for the iterative core:
+# results must agree to the bit, order included.
+
+
+def _step(node: TrieNode, label: str, follow_cycles: bool) -> tuple[TrieNode, float] | None:
+    child = node.children.get(label)
+    if child is not None:
+        return child, child.entry_count / node.freq
+    if follow_cycles:
+        edge = node.cycles.get(label)
+        if edge is not None:
+            return edge.target, edge.count / node.freq
+    return None
+
+
+def _transitions(node: TrieNode, follow_cycles: bool) -> Iterator[tuple[str, TrieNode, float]]:
+    """All outgoing steps of a node in label order, with step probabilities."""
+    if follow_cycles and node.cycles:
+        labels = sorted(set(node.children) | set(node.cycles))
+    else:
+        labels = sorted(node.children)
+    for label in labels:
+        child = node.children.get(label)
+        if child is not None:
+            yield label, child, child.entry_count / node.freq
+        else:
+            edge = node.cycles[label]
+            yield label, edge.target, edge.count / node.freq
+
+
+def _locate(trie: Trie, labels: Sequence[str]) -> tuple[TrieNode | None, int]:
+    follow_cycles = trie.mode is TrieMode.DG
+    node = trie.root
+    visited = 0
+    for label in labels:
+        step = _step(node, label, follow_cycles)
+        if step is None:
+            return None, visited
+        node = step[0]
+        visited += 1
+    return node, visited
+
+
+def _check_strict(trie: Trie, strict: bool) -> None:
+    if strict and trie.n != 0:
+        raise ValueError("strict terminal matching applies to whole-sequence indexes only (n=0)")
+
+
+def recursive_q1(trie: Trie, pattern: QueryPattern, strict: bool = False) -> list[PathMatch]:
+    if pattern.terminal is None:
+        raise ValueError("q1 patterns require a terminal identifier")
+    _check_strict(trie, strict)
+    labels = pattern.labels()
+    follow_cycles = trie.mode is TrieMode.DG
+    matches: list[PathMatch] = []
+    path: list[str] = []
+
+    def walk(node: TrieNode, i: int, likelihood: float) -> None:
+        if i == len(labels):
+            if strict and node.terminal_count == 0:
+                return
+            matches.append(PathMatch(tuple(path), node.freq, likelihood))
+            return
+        want = labels[i]
+        if want is None:
+            for label, nxt, p in _transitions(node, follow_cycles):
+                path.append(label)
+                walk(nxt, i + 1, likelihood * p)
+                path.pop()
+        else:
+            step = _step(node, want, follow_cycles)
+            if step is not None:
+                path.append(want)
+                walk(step[0], i + 1, likelihood * step[1])
+                path.pop()
+
+    walk(trie.root, 0, 1.0)
+    matches.sort(key=lambda m: (-m.likelihood, m.path))
+    return matches
+
+
+def recursive_count_paths(trie: Trie, pattern: QueryPattern, strict: bool = False) -> int:
+    if pattern.terminal is None:
+        raise ValueError("q1 patterns require a terminal identifier")
+    _check_strict(trie, strict)
+    labels = pattern.labels()
+    total = len(labels)
+    follow_cycles = trie.mode is TrieMode.DG
+    memo: dict[tuple[int, int], int] = {}
+
+    def count(node: TrieNode, i: int) -> int:
+        if i == total:
+            if strict and node.terminal_count == 0:
+                return 0
+            return 1
+        key = (id(node), i)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        want = labels[i]
+        if want is None:
+            result = 0
+            for child in node.children.values():
+                result += count(child, i + 1)
+            if follow_cycles:
+                for edge in node.cycles.values():
+                    result += count(edge.target, i + 1)
+        else:
+            step = _step(node, want, follow_cycles)
+            result = count(step[0], i + 1) if step is not None else 0
+        memo[key] = result
+        return result
+
+    return count(trie.root, 0)
+
+
+def recursive_q2_suggest(
+    trie: Trie, prefix: Sequence[str], ahead: int, top: int
+) -> list[tuple[tuple[str, ...], float]]:
+    if not prefix:
+        raise ValueError("suggestion prefix must be nonempty")
+    if ahead < 1:
+        raise ValueError(f"lookahead must be >= 1, got {ahead}")
+    if top < 1:
+        raise ValueError(f"result limit must be >= 1, got {top}")
+    cursor, _ = _locate(trie, prefix)
+    if cursor is None:
+        return []
+    follow_cycles = trie.mode is TrieMode.DG
+    results: list[tuple[tuple[str, ...], float]] = []
+    labels: list[str] = []
+
+    def walk(node: TrieNode, left: int, likelihood: float) -> None:
+        if left == 0:
+            results.append((tuple(labels), likelihood))
+            return
+        for label, nxt, p in _transitions(node, follow_cycles):
+            labels.append(label)
+            walk(nxt, left - 1, likelihood * p)
+            labels.pop()
+
+    walk(cursor, ahead, 1.0)
+    results.sort(key=lambda r: (-r[1], r[0]))
+    return results[:top]

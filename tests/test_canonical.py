@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from provtrie.canonical import CanonicalSequence, compare_pairs, ngrams, sequence
+from provtrie.canonical import CanonicalSequence, ngrams, sequence
 from provtrie.graph import CyclicInput, GraphKind, ProvGraph
 from provtrie.oracle import iter_topological_orders
 
@@ -139,27 +139,6 @@ def test_ngrams_rejects_zero_window():
 def test_ngrams_window_count(items, n):
     win = ngrams(items, n)
     assert len(win.windows) == max(1, len(items) - n + 1)
-
-
-@pytest.mark.parametrize(
-    "a,b,expected",
-    [
-        (("a", "z"), ("b", "a"), -1),
-        (("a", "b"), ("a", "b"), 0),
-        (("a", "c"), ("a", "b"), 1),
-    ],
-)
-def test_compare_pairs(a, b, expected):
-    assert compare_pairs(a, b) == expected
-
-
-@given(
-    a=st.tuples(st.sampled_from("abc"), st.sampled_from("abc")),
-    b=st.tuples(st.sampled_from("abc"), st.sampled_from("abc")),
-)
-def test_compare_pairs_matches_tuple_order(a, b):
-    expected = -1 if a < b else (1 if a > b else 0)
-    assert compare_pairs(a, b) == expected
 
 
 def test_disconnected_components_interleave_lexicographically():

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ import pytest
 
 from provtrie.cli import main
 from provtrie.graph import gen_clique
+from provtrie.oracle import clique_walk_count
 from provtrie.query import QueryPattern, count_paths
 from provtrie.trie import Trie, TrieMode, load
 
@@ -49,11 +52,16 @@ def test_gen_clique_invalid_size(capsys):
 
 def test_index_whole_sequence_linear_trace(linear_trace_file, tmp_path, capsys):
     out = tmp_path / "trie.json"
-    rc = main(["index", str(linear_trace_file), "--out", str(out)])
+    umask = os.umask(0o027)
+    try:
+        rc = main(["index", str(linear_trace_file), "--out", str(out)])
+    finally:
+        os.umask(umask)
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["traces\t1", "sequences\t1", "nodes\t5"]
     assert load(out).node_count == 5
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
 
 
 def test_index_with_window_three(linear_trace_file, tmp_path, capsys):
@@ -82,12 +90,28 @@ def test_index_missing_input_leaves_no_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_index_too_deep_for_the_dg_builder_is_an_error(tmp_path, capsys):
+    chain = {
+        "trace_id": "chain-1500",
+        "nodes": [{"id": f"urn:c{i}"} for i in range(1500)],
+        "edges": [{"from": f"urn:c{i}", "to": f"urn:c{i+1}"} for i in range(1499)],
+    }
+    trace = tmp_path / "chain.json"
+    trace.write_text(json.dumps(chain), encoding="utf-8")
+    out = tmp_path / "trie.json"
+    rc = main(["index", str(trace), "--mode", "dg", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [trace]
+
+
 def test_index_dg_clique_and_query_counts(clique4_file, tmp_path, capsys):
     out = tmp_path / "k4.json"
     rc = main(["index", str(clique4_file), "--mode", "dg", "--out", str(out)])
     assert rc == 0
     capsys.readouterr()
-    for wildcards, expected in [(1, "2"), (2, "7"), (6, "547")]:
+    for wildcards, expected in [(1, "2"), (2, "7"), (6, "547"), (1200, str(clique_walk_count(4, 1201)))]:
         rc = main(
             ["query", str(out), "--start", ":r0", "--end", ":r1", "--wildcards", str(wildcards), "--count-only"]
         )

@@ -168,6 +168,39 @@ def test_corrupt_cycle_target_not_ancestor():
         Trie.from_document(doc)
 
 
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        (("n",), "0"),
+        (("n",), -1),
+        (("sequence_count",), 2.0),
+        (("nodes", 1, "node_index"), True),
+        (("nodes", 2, "parent_index"), True),
+        (("nodes", 1, "freq"), "3"),
+        (("nodes", 1, "terminal_count"), 1.9),
+        (("nodes", 3, "terminal_count"), True),
+        (("nodes", 2, "depth"), 2.0),
+        (("cycle_edges", 0, "from_index"), -2),
+        (("cycle_edges", 0, "to_index"), -3),
+        (("cycle_edges", 0, "to_index"), 4),
+        (("cycle_edges", 0, "count"), "1"),
+        (("depth_stats", 0, "depth"), True),
+        (("depth_stats", 0, "cum_freq"), 3.0),
+    ],
+)
+def test_corrupt_inexact_or_out_of_range_integer(where, value):
+    # nodes: root, a, a/b (cycle-edge back to a), a/b/c
+    doc = insert_all(TrieMode.DG, [["a", "b", "a"], ["a", "b", "c"]]).to_document()
+    Trie.from_document(copy.deepcopy(doc))
+    *parents, key = where
+    rec = doc
+    for part in parents:
+        rec = rec[part]
+    rec[key] = value
+    with pytest.raises(CorruptDocument):
+        Trie.from_document(doc)
+
+
 def test_load_rejects_non_json():
     with pytest.raises(CorruptDocument):
         load(io.StringIO("this is not a document"))

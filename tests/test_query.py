@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from provtrie.canonical import ngrams
 from provtrie.graph import gen_clique
-from provtrie.oracle import enumerate_walks
+from provtrie.oracle import clique_walk_count, enumerate_walks
 from provtrie.query import (
     EmptyDepth,
     QueryPattern,
@@ -18,7 +18,14 @@ from provtrie.query import (
 )
 from provtrie.trie import Trie, TrieMode
 
-from helpers import insert_all, prefix_match_oracle, random_dg
+from helpers import (
+    insert_all,
+    prefix_match_oracle,
+    random_dg,
+    recursive_count_paths,
+    recursive_q1,
+    recursive_q2_suggest,
+)
 
 FIGURE_SEQUENCES = [
     ["N1", "N2", "N1"],
@@ -202,6 +209,61 @@ def test_locate_visit_budget():
     node, visited = locate(t, ["a", "x"])
     assert node is None
     assert visited <= 2
+
+
+def _criterion_04_corpora():
+    """The DAG corpora and random DGs of acceptance criterion 4, same seed."""
+    rng = random.Random(0xC4)
+    alphabet_pool = [f"urn:r{i:02d}" for i in range(12)]
+    for _ in range(200):
+        alphabet = rng.sample(alphabet_pool, rng.randint(1, 12))
+        corpus = [
+            [rng.choice(alphabet) for _ in range(rng.randint(1, 8))]
+            for _ in range(rng.randint(1, 20))
+        ]
+        n = rng.choice([0, 0, 2, 3, 4])
+        trie = Trie(TrieMode.DAG, n=n)
+        for seq in corpus:
+            for window in ngrams(seq, n).windows if n else [seq]:
+                trie.insert(window)
+        yield trie, alphabet
+    for _ in range(50):
+        g = random_dg(rng, max_nodes=8)
+        trie = Trie(TrieMode.DG)
+        trie.index_graph_dg(g)
+        yield trie, list(g.node_ids)
+
+
+def test_iterative_core_equals_recursive_reference():
+    for trie, alphabet in _criterion_04_corpora():
+        for start in alphabet:
+            for end in alphabet:
+                for wildcards in range(5):
+                    pattern = QueryPattern((start,), wildcards, end)
+                    assert q1(trie, pattern) == recursive_q1(trie, pattern)
+                    assert count_paths(trie, pattern) == recursive_count_paths(trie, pattern)
+                    if trie.n == 0:
+                        assert q1(trie, pattern, strict=True) == recursive_q1(trie, pattern, strict=True)
+                        assert count_paths(trie, pattern, strict=True) == recursive_count_paths(
+                            trie, pattern, strict=True
+                        )
+            for ahead in range(1, 4):
+                assert q2_suggest(trie, [start], ahead, 5) == recursive_q2_suggest(trie, [start], ahead, 5)
+
+
+def test_deep_clique_count_under_default_recursion_limit(k4_trie):
+    pattern = QueryPattern((":r0",), 1200, ":r1")
+    assert count_paths(k4_trie, pattern) == clique_walk_count(4, 1201)
+
+
+def test_deep_run_queries_under_default_recursion_limit():
+    run = [f"s{i:04d}" for i in range(1500)]
+    t = insert_all(TrieMode.DAG, [run])
+    pattern = QueryPattern((run[0],), 1498, run[-1])
+    matches = q1(t, pattern)
+    assert [(m.path, m.freq, m.likelihood) for m in matches] == [(tuple(run), 1, 1.0)]
+    assert count_paths(t, pattern, strict=True) == 1
+    assert q2_suggest(t, run[:1], ahead=1499, top=5) == [(tuple(run[1:]), 1.0)]
 
 
 @given(corpus=corpora, n=st.sampled_from([0, 2, 3]), data=st.data())
