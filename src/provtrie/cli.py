@@ -1,7 +1,8 @@
 """Command-line interface: index, query, suggest, stats, gen-clique, oracle, bench.
 
 Machine-readable line output on stdout, diagnostics on stderr.  Exit
-codes: 0 success, 1 input/data error, 2 usage error.  The environment
+codes: 0 success (also when the reader closes stdout early), 1 input/data
+error, 2 usage error.  The environment
 variable PROVTRIE_PREDICATE_MAP may point at a predicate map file that
 replaces the built-in edge-mapping rules for RDF input.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from .bench import run_bench, run_bench_naive, write_csv
@@ -80,19 +80,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         else:
             trie.index_graph_dg(g)
         traces += 1
-    out_dir = Path(args.out).resolve().parent
-    fd, tmp_name = tempfile.mkstemp(prefix=".provtrie-", dir=out_dir)
-    try:
-        # mkstemp creates the file 0600; give the index the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            save(trie, fh)
-        os.replace(tmp_name, args.out)
-    except BaseException:
-        os.unlink(tmp_name)
-        raise
+    save(trie, args.out)
     print(f"traces\t{traces}")
     print(f"sequences\t{trie.sequence_count}")
     print(f"nodes\t{trie.node_count}")
@@ -266,7 +254,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`) and has all it wanted.  Point
+        # fd 1 at devnull so that the interpreter's final flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (GraphError, TrieError, IngestError, EmptyDepth, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Any, Iterator, Sequence
@@ -240,29 +241,73 @@ class Trie:
         resulting trie accepts exactly the graph's walks: children cover
         steps to unvisited resources, cycle-edges cover revisits, so a
         query can follow arbitrarily long walks through bounded structure.
+
+        The trie is built in one pass of that DFS, with an explicit stack
+        and so without a depth limit.  The node of a simple path is created
+        (or reused) when the DFS enters the path, and each closing
+        successor records its cycle-edge at once.  A frame counts the
+        insertions through its node and the cycle arrivals at it; when the
+        frame pops these are added to the node's statistics.  The result
+        equals one ``insert_dg`` per closing insertion, also into a trie
+        that already holds sequences.
         """
         if self.mode is not TrieMode.DG:
             raise TrieModeError("index_graph_dg requires a DG-mode trie")
-        insert = self.insert_dg
+        succs_of = {v: g.successors(v) for v in g.node_ids}
+        bump = self.depth_stats.bump
+        # frame: [node, successors still to enter (last first), insertions, arrivals]
+        stack: list[list[Any]] = []
+        positions: dict[str, int] = {}  # vertex on the current path -> its frame's index
 
-        def visit(path: list[str], on_path: set[str]) -> None:
-            succs = g.successors(path[-1])
+        def enter(parent: TrieNode, vertex: str) -> None:
+            node = parent.children.get(vertex)
+            if node is None:
+                node = TrieNode(vertex, parent.depth + 1, parent)
+                parent.children[vertex] = node
+            succs = succs_of[vertex]
+            frame = [node, [], 0, 0]
+            positions[vertex] = len(stack)
+            stack.append(frame)
             if not succs:
-                insert(path)
+                node.terminal_count += 1
+                frame[2] = 1
                 return
-            for w in succs:
-                if w in on_path:
-                    insert(path + [w])
-            for w in succs:
-                if w not in on_path:
-                    path.append(w)
-                    on_path.add(w)
-                    visit(path, on_path)
-                    on_path.remove(w)
-                    path.pop()
+            opens = frame[1]
+            cycles = node.cycles
+            for w in reversed(succs):
+                pos = positions.get(w)
+                if pos is None:
+                    opens.append(w)
+                    continue
+                target = stack[pos]
+                edge = cycles.get(w)
+                if edge is None:
+                    cycles[w] = CycleEdge(target[0], 1)
+                else:
+                    edge.count += 1
+                target[3] += 1
+                frame[2] += 1
 
+        total = 0
         for start in g.node_ids:
-            visit([start], {start})
+            enter(self.root, start)
+            while stack:
+                node, opens, ins, arrivals = stack[-1]
+                if opens:
+                    enter(node, opens.pop())
+                    continue
+                stack.pop()
+                del positions[node.id]
+                node.entry_count += ins
+                node.freq += ins + arrivals
+                node.terminal_count += arrivals
+                bump(node.depth, node.id, ins + arrivals)
+                if stack:
+                    stack[-1][2] += ins
+                else:
+                    total += ins
+        self.root.freq += total
+        self.sequence_count += total
 
     # ---- inspection ----------------------------------------------------------
 
@@ -479,14 +524,61 @@ class Trie:
         return trie
 
 
+# records per C-encoder call in ``save``.  The encoder holds a call's whole
+# output at once: one call per record list raised the peak RSS of indexing
+# K8 by 69 MiB, and 8,192-record chunks that of a 4,000-run corpus by 4 MiB.
+_SAVE_CHUNK = 1024
+
+
+def _write_document(doc: dict[str, Any], fh: IO[str]) -> None:
+    """Write ``doc`` as ``json.dump(doc, fh, separators=(",", ":"))`` would.
+
+    ``json.dump`` streams through the pure-Python encoder.  Here the C
+    encoder writes every scalar and each chunk of ``_SAVE_CHUNK`` list
+    records; the chunks' brackets are dropped, so the bytes are the same.
+    """
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    write = fh.write
+    write("{")
+    for i, (key, value) in enumerate(doc.items()):
+        write(("," if i else "") + encode(key) + ":")
+        if isinstance(value, list):
+            write("[")
+            for start in range(0, len(value), _SAVE_CHUNK):
+                if start:
+                    write(",")
+                write(encode(value[start : start + _SAVE_CHUNK])[1:-1])
+            write("]")
+        else:
+            write(encode(value))
+    write("}")
+
+
 def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> None:
-    """Write ``trie`` to a path or text stream as a single JSON document."""
-    doc = trie.to_document()
+    """Write ``trie`` to a path or text stream as a single JSON document.
+
+    The bytes are those of ``json.dump(trie.to_document(), fh,
+    separators=(",", ":"))``, written with the C encoder in chunks.  A
+    path is written atomically: the document goes to a temporary file in
+    the target's directory (mode ``0o666 & ~umask``, as ``open`` would
+    give) that replaces the target only once it is complete, so a failed
+    save leaves an existing file as it was.
+    """
     if hasattr(sink, "write"):
-        json.dump(doc, sink, separators=(",", ":"))  # type: ignore[arg-type]
-    else:
-        with open(sink, "w", encoding="utf-8") as fh:  # type: ignore[arg-type]
-            json.dump(doc, fh, separators=(",", ":"))
+        _write_document(trie.to_document(), sink)  # type: ignore[arg-type]
+        return
+    target = os.fspath(sink)
+    fd, tmp_name = tempfile.mkstemp(prefix=".provtrie-", dir=os.path.dirname(target) or ".")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            _write_document(trie.to_document(), fh)
+        os.replace(tmp_name, target)
+    except BaseException:
+        os.unlink(tmp_name)
+        raise
 
 
 def load(source: str | os.PathLike[str] | IO[str]) -> Trie:

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence
 
 from provtrie.graph import GraphKind, ProvGraph
 from provtrie.query import PathMatch, QueryPattern
-from provtrie.trie import Trie, TrieMode, TrieNode
+from provtrie.trie import Trie, TrieMode, TrieModeError, TrieNode
 
 
 def has_cycle_dfs(g: ProvGraph) -> bool:
@@ -72,6 +72,36 @@ def insert_all(mode: TrieMode, corpus: Iterable[Sequence[str]], n: int = 0) -> T
     for seq in corpus:
         add(seq)
     return trie
+
+
+def insert_based_index_graph_dg(trie: Trie, g: ProvGraph) -> None:
+    """The original DG builder: one ``insert_dg`` per closing insertion.
+
+    Kept verbatim (as a function of the trie) as the exactness reference
+    for ``Trie.index_graph_dg``, which builds the same trie in one pass.
+    """
+    if trie.mode is not TrieMode.DG:
+        raise TrieModeError("index_graph_dg requires a DG-mode trie")
+    insert = trie.insert_dg
+
+    def visit(path: list[str], on_path: set[str]) -> None:
+        succs = g.successors(path[-1])
+        if not succs:
+            insert(path)
+            return
+        for w in succs:
+            if w in on_path:
+                insert(path + [w])
+        for w in succs:
+            if w not in on_path:
+                path.append(w)
+                on_path.add(w)
+                visit(path, on_path)
+                on_path.remove(w)
+                path.pop()
+
+    for start in g.node_ids:
+        visit([start], {start})
 
 
 def prefix_match_oracle(

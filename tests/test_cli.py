@@ -90,7 +90,7 @@ def test_index_missing_input_leaves_no_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_index_too_deep_for_the_dg_builder_is_an_error(tmp_path, capsys):
+def test_input_too_deep_for_the_walk_oracle_is_an_error(tmp_path, capsys):
     chain = {
         "trace_id": "chain-1500",
         "nodes": [{"id": f"urn:c{i}"} for i in range(1500)],
@@ -98,12 +98,11 @@ def test_index_too_deep_for_the_dg_builder_is_an_error(tmp_path, capsys):
     }
     trace = tmp_path / "chain.json"
     trace.write_text(json.dumps(chain), encoding="utf-8")
-    out = tmp_path / "trie.json"
-    rc = main(["index", str(trace), "--mode", "dg", "--out", str(out)])
+    rc = main(["oracle", "--input", str(trace), "--start", "urn:c0", "--end", "urn:c1499", "--steps", "1499"])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
-    assert not out.exists()
-    assert list(tmp_path.iterdir()) == [trace]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input too large: RecursionError")
 
 
 def test_index_dg_clique_and_query_counts(clique4_file, tmp_path, capsys):
@@ -350,3 +349,18 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+def test_closed_stdout_ends_the_command_quietly(clique4_file):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "provtrie", "oracle", "--input", str(clique4_file)]
+        + ["--start", ":r0", "--end", ":r1", "--steps", "9", "--enumerate"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline().strip() == ",".join([":r0", ":r1"] * 5)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0
+    assert err == ""

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import random
 
 import pytest
 
@@ -218,3 +219,63 @@ def test_document_is_deterministic():
     save(a, buf_a)
     save(b, buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
+
+
+def _json_dump_bytes(trie: Trie) -> str:
+    buf = io.StringIO()
+    json.dump(trie.to_document(), buf, separators=(",", ":"))
+    return buf.getvalue()
+
+
+def _dg_clique(size: int) -> Trie:
+    t = Trie(TrieMode.DG)
+    t.index_graph_dg(gen_clique(size))
+    return t
+
+
+def _dag_random(seed: int) -> Trie:
+    rng = random.Random(seed)
+    return insert_all(TrieMode.DAG, [rng.choices("abcdef", k=rng.randint(1, 10)) for _ in range(600)])
+
+
+SAVE_CASES = {
+    **{f"dg-k{size}": lambda size=size: _dg_clique(size) for size in range(2, 8)},
+    "dag-random": lambda: _dag_random(3),
+    "dag-figure": lambda: insert_all(TrieMode.DAG, FIGURE_SEQUENCES, n=3),
+    "dg-no-cycle-edges": lambda: insert_all(TrieMode.DG, [["a"], ["a", "b"]]),
+    "empty-records": lambda: Trie(TrieMode.DG),
+}
+
+
+@pytest.mark.parametrize("make", SAVE_CASES.values(), ids=SAVE_CASES.keys())
+def test_save_bytes_equal_json_dump(make):
+    trie = make()
+    buf = io.StringIO()
+    save(trie, buf)
+    assert buf.getvalue() == _json_dump_bytes(trie)
+
+
+def test_save_to_path_bytes_equal_json_dump(tmp_path):
+    trie = _dg_clique(4)
+    path = tmp_path / "k4.trie"
+    save(trie, path)
+    assert path.read_text(encoding="utf-8") == _json_dump_bytes(trie)
+
+
+def test_failed_save_leaves_existing_file(tmp_path, monkeypatch):
+    path = tmp_path / "index.trie"
+    save(insert_all(TrieMode.DAG, FIGURE_SEQUENCES), path)
+    before = path.read_bytes()
+
+    to_document = Trie.to_document
+
+    def unencodable(self):  # fails after part of the document is written
+        doc = to_document(self)
+        doc["depth_stats"].append(object())
+        return doc
+
+    monkeypatch.setattr(Trie, "to_document", unencodable)
+    with pytest.raises(TypeError):
+        save(insert_all(TrieMode.DAG, [["x"]]), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["index.trie"]

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,14 @@ from provtrie.oracle import enumerate_walks
 from provtrie.query import QueryPattern, count_paths
 from provtrie.trie import EmptySequence, Trie, TrieMode, TrieModeError
 
-from helpers import all_node_freqs, insert_all, random_dg, walk_conservation_report
+from helpers import (
+    all_node_freqs,
+    insert_all,
+    insert_based_index_graph_dg,
+    random_dag,
+    random_dg,
+    walk_conservation_report,
+)
 
 FIGURE_SEQUENCES = [
     ["N1", "N2", "N1"],
@@ -175,6 +183,51 @@ def test_index_graph_dg_edge_projection_equals_graph():
             for edge in node.cycles.values():
                 projected.add((node.id, edge.target.id))
         assert projected == set(g.edge_set())
+
+
+def test_one_pass_dg_builder_equals_insert_based_reference():
+    rng = random.Random(0xD6)
+    names = [f"urn:n{i:02d}" for i in range(8)]  # the generators' identifiers
+    for case in range(300):
+        graphs = [random_dg(rng) if rng.random() < 0.7 else random_dag(rng) for _ in range(rng.randint(1, 3))]
+        prefill = [[rng.choice(names) for _ in range(rng.randint(1, 6))] for _ in range(rng.choice([0, 0, 3]))]
+        built, reference = Trie(TrieMode.DG), Trie(TrieMode.DG)
+        for seq in prefill:
+            built.insert_dg(seq)
+            reference.insert_dg(seq)
+        for g in graphs:
+            built.index_graph_dg(g)
+            insert_based_index_graph_dg(reference, g)
+        built.check_invariants()
+        assert built.to_document() == reference.to_document(), case
+    for size in range(2, 8):
+        built, reference = Trie(TrieMode.DG), Trie(TrieMode.DG)
+        built.index_graph_dg(gen_clique(size))
+        insert_based_index_graph_dg(reference, gen_clique(size))
+        assert built.to_document() == reference.to_document(), size
+
+
+def test_dg_builder_has_no_depth_limit():
+    n = 300
+    g = ProvGraph(GraphKind.DG)
+    for i in range(n):
+        g.add_node(f"urn:c{i:03d}")
+    for i in range(n - 1):
+        g.add_edge(f"urn:c{i:03d}", f"urn:c{i + 1:03d}")
+    t = Trie(TrieMode.DG)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    # lowered only: a builder that recurses once per step cannot finish
+    sys.setrecursionlimit(min(limit, depth + 100))
+    try:
+        t.index_graph_dg(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert t.node_count == n * (n + 1) // 2 == 45_150
+    assert t.sequence_count == n
+    t.check_invariants()
 
 
 def test_reinserting_known_sequence_adds_no_nodes():
