@@ -80,10 +80,10 @@ def cmd_index(args: argparse.Namespace) -> int:
         else:
             trie.index_graph_dg(g)
         traces += 1
-    save(trie, args.out)
+    nodes = save(trie, args.out)
     print(f"traces\t{traces}")
     print(f"sequences\t{trie.sequence_count}")
-    print(f"nodes\t{trie.node_count}")
+    print(f"nodes\t{nodes}")
     return 0
 
 

@@ -1,9 +1,10 @@
 """Ground truth by brute force: walk enumeration and closed-form counts.
 
 Everything here is deliberately slow and direct.  The walk enumerator
-recurses over the raw adjacency structure, the topological-order
-enumerator tries every frontier choice, and the clique count is the
-closed form evaluated in exact integer arithmetic.  These are the
+expands every walk over the raw adjacency structure on an explicit stack,
+with no memo; the topological-order enumerator tries every frontier
+choice; and the clique count is the closed form evaluated in exact
+integer arithmetic.  These are the
 independent references the trie index is checked against; none of them
 share code with it.
 """
@@ -42,8 +43,9 @@ class WalkSet:
 def enumerate_walks(g: ProvGraph, start: str, end: str, m: int) -> WalkSet:
     """Exhaustively enumerate all walks of exactly ``m`` edges start -> end.
 
-    Vertex repetition is allowed.  Output order is lexicographic (the
-    recursion expands successors in sorted order).
+    Vertex repetition is allowed.  Output order is lexicographic: an
+    explicit stack of partial walks expands successors in sorted order,
+    so a walk of any length needs no recursion.
     """
     if start not in g:
         raise MissingNode(f"walk start {start!r} is not in the graph")
@@ -52,27 +54,23 @@ def enumerate_walks(g: ProvGraph, start: str, end: str, m: int) -> WalkSet:
     if m < 1:
         raise ValueError(f"walk length must be >= 1, got {m}")
     walks: list[tuple[str, ...]] = []
-    path = [start]
-
-    def go(v: str, left: int) -> None:
-        if left == 1:
-            if g.has_edge(v, end):
-                walks.append(tuple(path) + (end,))
-            return
-        for w in g.successors(v):
-            path.append(w)
-            go(w, left - 1)
-            path.pop()
-
-    go(start, m)
+    stack = [(start,)]
+    while stack:
+        walk = stack.pop()
+        if len(walk) == m:
+            if g.has_edge(walk[-1], end):
+                walks.append(walk + (end,))
+        else:
+            stack.extend(walk + (w,) for w in reversed(g.successors(walk[-1])))
     return WalkSet(tuple(walks), m)
 
 
 def count_walks(g: ProvGraph, start: str, end: str, m: int) -> int:
     """Number of walks of exactly ``m`` edges start -> end.
 
-    Same recursion as ``enumerate_walks`` but nothing is materialized,
-    which keeps large counts timeable without large allocations.
+    Same brute-force expansion as ``enumerate_walks``, but the stack holds
+    (vertex, edges left) pairs and nothing is materialized, which keeps
+    large counts timeable without large allocations.
     """
     if start not in g:
         raise MissingNode(f"walk start {start!r} is not in the graph")
@@ -80,13 +78,15 @@ def count_walks(g: ProvGraph, start: str, end: str, m: int) -> int:
         raise MissingNode(f"walk end {end!r} is not in the graph")
     if m < 1:
         raise ValueError(f"walk length must be >= 1, got {m}")
-
-    def go(v: str, left: int) -> int:
+    total = 0
+    stack = [(start, m)]
+    while stack:
+        v, left = stack.pop()
         if left == 1:
-            return 1 if g.has_edge(v, end) else 0
-        return sum(go(w, left - 1) for w in g.successors(v))
-
-    return go(start, m)
+            total += g.has_edge(v, end)
+        else:
+            stack.extend((w, left - 1) for w in g.successors(v))
+    return total
 
 
 def clique_walk_count(n: int, m: int) -> int:

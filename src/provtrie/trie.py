@@ -33,6 +33,12 @@ equality exactly when nothing terminated or cycled away from the parent.
 Statistics are also aggregated per depth (identifier -> cumulative
 frequency) for most-probable-at-level queries.
 
+Persistence (``save``/``load``) stores each fact once, as parallel
+columns: per non-root node its parent index, identifier, ``freq`` and
+``terminal_count``; per cycle-edge its source, target and count.  Depths,
+entry counts, the root's statistics and the per-depth table all follow
+from these and are rebuilt in the loader's single pass.
+
 Concurrency: single writer, many readers.  Insertion needs exclusive
 access; a trie that is not being mutated can be queried from any number
 of threads.
@@ -48,7 +54,7 @@ from typing import IO, Any, Iterator, Sequence
 
 from .graph import ProvGraph
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class TrieError(Exception):
@@ -385,119 +391,109 @@ class Trie:
     # ---- persistence ---------------------------------------------------------------
 
     def to_document(self) -> dict[str, Any]:
-        """Self-describing document tree; see ``save``.
+        """Columnar document tree; see ``save``.
 
-        Nodes appear in pre-order with children in label order, so the
-        document is a canonical form: equal documents iff structurally
-        equal tries.  ``prob`` is never stored; it is recomputed from the
-        frequency fields on load.
+        The header (``format_version``, ``mode``, ``n``, ``sequence_count``)
+        is followed by parallel arrays.  ``parent``, ``id``, ``freq`` and
+        ``terminal_count`` hold one entry per non-root node, in pre-order
+        with children in label order; ``cycle_from``, ``cycle_to`` and
+        ``cycle_count`` hold one entry per cycle-edge, by source node in
+        that order and then by label.  Node indices count the root as 0.
+        The document is a canonical form: equal documents iff structurally
+        equal tries.  Only what cannot be derived is stored: depths, entry
+        counts, the root's statistics, the per-depth table and ``prob``
+        are recomputed on load.
         """
+        parent: list[int] = []
+        ids: list[str] = []
+        freq: list[int] = []
+        terminal_count: list[int] = []
+        cycle_from: list[int] = []
+        cycle_to: list[int] = []
+        cycle_count: list[int] = []
         index: dict[int, int] = {}
-        nodes: list[dict[str, Any]] = []
-        cycle_edges: list[dict[str, int]] = []
         for node in self.iter_nodes():
-            idx = len(nodes)
-            index[id(node)] = idx
-            nodes.append(
-                {
-                    "node_index": idx,
-                    "parent_index": None if node.parent is None else index[id(node.parent)],
-                    "id": node.id,
-                    "freq": node.freq,
-                    "terminal_count": node.terminal_count,
-                    "depth": node.depth,
-                }
-            )
-        for node in self.iter_nodes():
+            idx = index[id(node)] = len(index)
+            if idx:
+                parent.append(index[id(node.parent)])
+                ids.append(node.id)  # type: ignore[arg-type]
+                freq.append(node.freq)
+                terminal_count.append(node.terminal_count)
             for label in sorted(node.cycles):
                 edge = node.cycles[label]
-                cycle_edges.append(
-                    {
-                        "from_index": index[id(node)],
-                        "to_index": index[id(edge.target)],
-                        "count": edge.count,
-                    }
-                )
-        stats = [
-            {"depth": depth, "id": rid, "cum_freq": freq}
-            for depth in self.depth_stats.depths()
-            for rid, freq in sorted(self.depth_stats.per_depth[depth].items())
-            if freq
-        ]
+                cycle_from.append(idx)
+                cycle_to.append(index[id(edge.target)])  # an ancestor, so already numbered
+                cycle_count.append(edge.count)
         return {
             "format_version": FORMAT_VERSION,
             "mode": self.mode.value,
             "n": self.n,
             "sequence_count": self.sequence_count,
-            "nodes": nodes,
-            "cycle_edges": cycle_edges,
-            "depth_stats": stats,
+            "parent": parent,
+            "id": ids,
+            "freq": freq,
+            "terminal_count": terminal_count,
+            "cycle_from": cycle_from,
+            "cycle_to": cycle_to,
+            "cycle_count": cycle_count,
         }
 
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "Trie":
-        """Rebuild a trie from a document, validating every invariant."""
+        """Rebuild a trie from a document, validating every invariant.
+
+        One pass over the node arrays derives each depth from the parent's,
+        sets ``entry_count`` to ``freq`` and rebuilds the per-depth table;
+        one pass over the cycle-edge arrays subtracts each edge's count from
+        its target's ``entry_count``.  Then ``check_invariants`` runs.
+        """
         try:
             version = doc["format_version"]
         except (TypeError, KeyError):
             raise CorruptDocument("missing format_version header") from None
-        if version != FORMAT_VERSION:
+        if type(version) is not int or version != FORMAT_VERSION:
             raise FormatVersionMismatch(f"format_version {version!r}, supported: {FORMAT_VERSION}")
         try:
             mode = TrieMode(doc["mode"])
             n = doc["n"]
             sequence_count = doc["sequence_count"]
-            node_records = doc["nodes"]
-            cycle_records = doc["cycle_edges"]
-            stat_records = doc["depth_stats"]
+            node_columns = [doc["parent"], doc["id"], doc["freq"], doc["terminal_count"]]
+            cycle_columns = [doc["cycle_from"], doc["cycle_to"], doc["cycle_count"]]
         except (KeyError, ValueError, TypeError) as exc:
             raise CorruptDocument(f"malformed header: {exc}") from None
-        if type(n) is not int or type(sequence_count) is not int or n < 0:
+        if type(n) is not int or type(sequence_count) is not int or n < 0 or sequence_count < 0:
             raise CorruptDocument("header counts must be non-negative integers")
+        if any(type(column) is not list for column in node_columns + cycle_columns):
+            raise CorruptDocument("node and cycle-edge columns must be arrays")
 
         trie = cls(mode, n)
         trie.sequence_count = sequence_count
-        nodes: list[TrieNode] = []
+        trie.root.freq = sequence_count
+        bump = trie.depth_stats.bump
+        nodes = [trie.root]
         try:
-            for rec in node_records:
-                idx = rec["node_index"]
-                parent_idx = rec["parent_index"]
-                freq = rec["freq"]
-                terminal_count = rec["terminal_count"]
-                depth = rec["depth"]
-                if type(idx) is not int or idx != len(nodes):
-                    raise CorruptDocument(f"node records out of order at index {idx!r}")
-                if type(freq) is not int or type(terminal_count) is not int or type(depth) is not int:
+            for parent_idx, rid, freq, terminal_count in zip(*node_columns, strict=True):
+                idx = len(nodes)
+                if type(parent_idx) is not int or not 0 <= parent_idx < idx:
+                    raise CorruptDocument(f"parent {parent_idx!r} not before node {idx}")
+                if type(freq) is not int or type(terminal_count) is not int:
                     raise CorruptDocument(f"non-integer statistic on node {idx}")
-                if parent_idx is None:
-                    if nodes:
-                        raise CorruptDocument("multiple root records")
-                    node = trie.root
-                else:
-                    if type(parent_idx) is not int or not 0 <= parent_idx < len(nodes):
-                        raise CorruptDocument(f"parent {parent_idx!r} not before node {idx}")
-                    parent = nodes[parent_idx]
-                    rid = rec["id"]
-                    if not isinstance(rid, str) or not rid:
-                        raise CorruptDocument(f"bad identifier on node {idx}")
-                    if rid in parent.children:
-                        raise CorruptDocument(f"duplicate child {rid!r} under node {parent_idx}")
-                    node = TrieNode(rid, parent.depth + 1, parent)
-                    parent.children[rid] = node
-                node.freq = freq
+                if freq < 1 or terminal_count < 0:
+                    raise CorruptDocument(f"statistic out of range on node {idx}")
+                if not isinstance(rid, str) or not rid:
+                    raise CorruptDocument(f"bad identifier on node {idx}")
+                parent = nodes[parent_idx]
+                if rid in parent.children:
+                    raise CorruptDocument(f"duplicate child {rid!r} under node {parent_idx}")
+                node = TrieNode(rid, parent.depth + 1, parent)
+                parent.children[rid] = node
+                node.freq = node.entry_count = freq
                 node.terminal_count = terminal_count
-                node.entry_count = 0 if parent_idx is None else freq
-                if depth != node.depth:
-                    raise CorruptDocument(f"depth mismatch on node {idx}")
-                if freq < 0 or terminal_count < 0:
-                    raise CorruptDocument(f"negative statistic on node {idx}")
+                bump(node.depth, rid, freq)
                 nodes.append(node)
-            for rec in cycle_records:
-                src_idx = rec["from_index"]
-                dst_idx = rec["to_index"]
-                count = rec["count"]
+            for src_idx, dst_idx, count in zip(*cycle_columns, strict=True):
                 if type(src_idx) is not int or type(dst_idx) is not int or type(count) is not int:
-                    raise CorruptDocument("non-integer field in a cycle-edge record")
+                    raise CorruptDocument("non-integer field in a cycle-edge")
                 if src_idx < 0 or dst_idx < 0:  # an index past the end raises IndexError below
                     raise CorruptDocument(f"negative node index in cycle-edge {src_idx} -> {dst_idx}")
                 src = nodes[src_idx]
@@ -508,65 +504,28 @@ class Trie:
                     raise CorruptDocument(f"duplicate cycle-edge from node {src_idx}")
                 src.cycles[dst.id] = CycleEdge(dst, count)
                 dst.entry_count -= count
-            for rec in stat_records:
-                depth = rec["depth"]
-                cum_freq = rec["cum_freq"]
-                if type(depth) is not int or type(cum_freq) is not int:
-                    raise CorruptDocument("non-integer field in a depth statistics record")
-                trie.depth_stats.bump(depth, rec["id"], cum_freq)
-        except CorruptDocument:
-            raise
-        except (KeyError, IndexError, ValueError, TypeError) as exc:
-            raise CorruptDocument(f"malformed record: {exc}") from None
-        if not nodes:
-            raise CorruptDocument("document has no root record")
+        except ValueError as exc:  # from zip(strict=True)
+            raise CorruptDocument(f"columns of unequal length: {exc}") from None
+        except IndexError:
+            raise CorruptDocument("cycle-edge node index past the end") from None
         trie.check_invariants()
         return trie
 
 
-# records per C-encoder call in ``save``.  The encoder holds a call's whole
-# output at once: one call per record list raised the peak RSS of indexing
-# K8 by 69 MiB, and 8,192-record chunks that of a 4,000-run corpus by 4 MiB.
-_SAVE_CHUNK = 1024
-
-
-def _write_document(doc: dict[str, Any], fh: IO[str]) -> None:
-    """Write ``doc`` as ``json.dump(doc, fh, separators=(",", ":"))`` would.
-
-    ``json.dump`` streams through the pure-Python encoder.  Here the C
-    encoder writes every scalar and each chunk of ``_SAVE_CHUNK`` list
-    records; the chunks' brackets are dropped, so the bytes are the same.
-    """
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    write = fh.write
-    write("{")
-    for i, (key, value) in enumerate(doc.items()):
-        write(("," if i else "") + encode(key) + ":")
-        if isinstance(value, list):
-            write("[")
-            for start in range(0, len(value), _SAVE_CHUNK):
-                if start:
-                    write(",")
-                write(encode(value[start : start + _SAVE_CHUNK])[1:-1])
-            write("]")
-        else:
-            write(encode(value))
-    write("}")
-
-
-def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> None:
+def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:
     """Write ``trie`` to a path or text stream as a single JSON document.
 
-    The bytes are those of ``json.dump(trie.to_document(), fh,
-    separators=(",", ":"))``, written with the C encoder in chunks.  A
-    path is written atomically: the document goes to a temporary file in
+    The text is ``json.dumps(trie.to_document(), separators=(",", ":"))``.
+    A path is written atomically: the document goes to a temporary file in
     the target's directory (mode ``0o666 & ~umask``, as ``open`` would
     give) that replaces the target only once it is complete, so a failed
-    save leaves an existing file as it was.
+    save leaves an existing file as it was.  Returns the number of
+    non-root nodes written.
     """
     if hasattr(sink, "write"):
-        _write_document(trie.to_document(), sink)  # type: ignore[arg-type]
-        return
+        doc = trie.to_document()
+        sink.write(json.dumps(doc, separators=(",", ":")))  # type: ignore[union-attr]
+        return len(doc["parent"])
     target = os.fspath(sink)
     fd, tmp_name = tempfile.mkstemp(prefix=".provtrie-", dir=os.path.dirname(target) or ".")
     try:
@@ -574,11 +533,12 @@ def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
-            _write_document(trie.to_document(), fh)
+            nodes = save(trie, fh)
         os.replace(tmp_name, target)
     except BaseException:
         os.unlink(tmp_name)
         raise
+    return nodes
 
 
 def load(source: str | os.PathLike[str] | IO[str]) -> Trie:

@@ -90,7 +90,7 @@ def test_index_missing_input_leaves_no_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_input_too_deep_for_the_walk_oracle_is_an_error(tmp_path, capsys):
+def test_walk_oracle_has_no_depth_limit(tmp_path, capsys):
     chain = {
         "trace_id": "chain-1500",
         "nodes": [{"id": f"urn:c{i}"} for i in range(1500)],
@@ -99,6 +99,14 @@ def test_input_too_deep_for_the_walk_oracle_is_an_error(tmp_path, capsys):
     trace = tmp_path / "chain.json"
     trace.write_text(json.dumps(chain), encoding="utf-8")
     rc = main(["oracle", "--input", str(trace), "--start", "urn:c0", "--end", "urn:c1499", "--steps", "1499"])
+    assert rc == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+def test_input_too_deep_for_the_json_decoder_is_an_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    rc = main(["query", str(deep), "--start", "a", "--end", "b"])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -151,6 +159,17 @@ def test_query_corrupt_trie_file(tmp_path, capsys):
     rc = main(["query", str(bad), "--start", "a", "--end", "b", "--count-only"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_query_version_1_trie_file_is_an_error(tmp_path, capsys):
+    old = tmp_path / "v1.json"
+    old.write_text(
+        json.dumps({"format_version": 1, "mode": "dag", "n": 0, "sequence_count": 0, "nodes": []}),
+        encoding="utf-8",
+    )
+    rc = main(["query", str(old), "--start", "a", "--end", "b", "--count-only"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: format_version 1, supported: 2")
 
 
 def test_suggest_deterministic_chain(linear_trace_file, tmp_path, capsys):
