@@ -50,6 +50,8 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
+from operator import attrgetter, ge
 from typing import IO, Any, Iterator, Sequence
 
 from .graph import ProvGraph
@@ -90,6 +92,10 @@ class CycleEdge:
     count: int
 
 
+_entry_count = attrgetter("entry_count")
+_count = attrgetter("count")
+
+
 class TrieNode:
     """One trie node; the edge label from its parent is ``id`` (root: None)."""
 
@@ -119,9 +125,6 @@ class TrieNode:
 
     def children_sorted(self) -> list["TrieNode"]:
         return [self.children[label] for label in sorted(self.children)]
-
-    def cycle_out_total(self) -> int:
-        return sum(edge.count for edge in self.cycles.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TrieNode {self.id!r} depth={self.depth} freq={self.freq}>"
@@ -328,7 +331,13 @@ class Trie:
     @property
     def node_count(self) -> int:
         """Number of non-root nodes."""
-        return sum(1 for _ in self.iter_nodes()) - 1
+        count = 0
+        stack = [self.root]
+        while stack:
+            children = stack.pop().children
+            count += len(children)
+            stack.extend(children.values())
+        return count
 
     def find(self, labels: Sequence[str]) -> TrieNode | None:
         """Follow child edges only (no cycle-edges) from the root."""
@@ -346,43 +355,72 @@ class Trie:
 
         Checks, at every node: parent/depth wiring, the conservation law,
         sibling probability sums, cycle-edge targets (same identifier, on
-        the root path), and that the per-depth table equals a recount.
+        the root path), and that the per-depth table equals a recount.  In
+        DG mode the identifiers along every root path must be unique.
+
+        One explicit-stack pre-order walk, children unsorted, visits each
+        node once and sums its child entries and cycle-edge counts once.
+        The walk keeps the current root path (by depth) and, in DG mode, a
+        map from identifier to the node on that path, so a cycle-edge's
+        target is an ancestor iff the map holds it under the edge's label:
+        one lookup, not a walk up the parent chain.
         """
+        dag = self.mode is TrieMode.DAG
         recount: dict[int, dict[str, int]] = {}
-        for node in self.iter_nodes():
-            if node is not self.root:
-                if node.parent is None or node.parent.children.get(node.id) is not node:  # type: ignore[arg-type]
+        path: list[TrieNode] = []  # path[d]: the node at walk depth d on the current root path
+        on_path: dict[str, TrieNode] = {}  # DG: identifier -> the node on the current root path
+        stack: list[tuple[TrieNode, int]] = [(self.root, 0)]
+        while stack:
+            node, d = stack.pop()
+            while len(path) > d:
+                dropped = path.pop()
+                if not dag:
+                    del on_path[dropped.id]  # type: ignore[arg-type]
+            freq = node.freq
+            if d:
+                parent = path[-1]
+                rid: str = node.id  # type: ignore[assignment]
+                if node.parent is not parent or parent.children.get(rid) is not node:
                     raise CorruptDocument(f"broken parent link at {node!r}")
-                if node.depth != node.parent.depth + 1:
+                if node.depth != parent.depth + 1:
                     raise CorruptDocument(f"bad depth at {node!r}")
-                if not (0 <= node.entry_count <= node.freq):
+                if not (0 <= node.entry_count <= freq):
                     raise CorruptDocument(f"entry count out of range at {node!r}")
-                if self.mode is TrieMode.DAG and node.entry_count != node.freq:
-                    raise CorruptDocument(f"cycle arrivals on DAG-mode node {node!r}")
-                level = recount.setdefault(node.depth, {})
-                level[node.id] = level.get(node.id, 0) + node.freq  # type: ignore[index]
-            if self.mode is TrieMode.DAG and node.cycles:
-                raise CorruptDocument(f"cycle-edges on DAG-mode node {node!r}")
-            descend_total = sum(c.entry_count for c in node.children.values())
-            if node.freq != node.terminal_count + descend_total + node.cycle_out_total():
+                if dag:
+                    if node.entry_count != freq:
+                        raise CorruptDocument(f"cycle arrivals on DAG-mode node {node!r}")
+                else:
+                    if rid in on_path:
+                        raise CorruptDocument(f"identifier repeats on the root path at {node!r}")
+                    on_path[rid] = node
+                level = recount.get(node.depth)
+                if level is None:
+                    level = recount[node.depth] = {}
+                level[rid] = level.get(rid, 0) + freq
+            path.append(node)
+            children = node.children
+            cycles = node.cycles
+            descend_total = sum(map(_entry_count, children.values()))
+            cycle_out_total = 0
+            if cycles:
+                if dag:
+                    raise CorruptDocument(f"cycle-edges on DAG-mode node {node!r}")
+                cycle_out_total = sum(map(_count, cycles.values()))
+            if freq != node.terminal_count + descend_total + cycle_out_total:
                 raise CorruptDocument(f"conservation violated at {node!r}")
-            if node.freq:
-                sibling_sum = sum(c.entry_count for c in node.children.values()) / node.freq
-                expected = (node.freq - node.terminal_count - node.cycle_out_total()) / node.freq
-                if abs(sibling_sum - expected) > 1e-12 or sibling_sum > 1.0 + 1e-12:
-                    raise CorruptDocument(f"sibling probabilities inconsistent at {node!r}")
-            for label, edge in node.cycles.items():
-                if label in node.children:
+            # given conservation, (freq - terminal - cycled) / freq is exactly this share
+            if freq and descend_total / freq > 1.0 + 1e-12:
+                raise CorruptDocument(f"sibling probabilities inconsistent at {node!r}")
+            for label, edge in cycles.items():
+                if label in children:
                     raise CorruptDocument(f"cycle-edge label shadows a child at {node!r}")
                 if edge.target.id != label:
                     raise CorruptDocument(f"cycle-edge label mismatch at {node!r}")
                 if edge.count < 1:
                     raise CorruptDocument(f"cycle-edge without traversals at {node!r}")
-                anc = node
-                while anc is not None and anc is not edge.target:
-                    anc = anc.parent
-                if anc is None:
+                if on_path.get(label) is not edge.target:
                     raise CorruptDocument(f"cycle-edge target not an ancestor at {node!r}")
+            stack.extend(zip(children.values(), repeat(d + 1)))
         if self.root.freq != self.sequence_count:
             raise CorruptDocument("root frequency does not match the sequence count")
         if {d: t for d, t in self.depth_stats.per_depth.items() if t} != recount:
@@ -442,10 +480,16 @@ class Trie:
     def from_document(cls, doc: dict[str, Any]) -> "Trie":
         """Rebuild a trie from a document, validating every invariant.
 
-        One pass over the node arrays derives each depth from the parent's,
-        sets ``entry_count`` to ``freq`` and rebuilds the per-depth table;
-        one pass over the cycle-edge arrays subtracts each edge's count from
-        its target's ``entry_count``.  Then ``check_invariants`` runs.
+        Whole columns are checked first, each in one pass in C: lengths,
+        element types (exact ints, nonempty strings) and value ranges
+        (``freq`` at least 1, ``terminal_count`` non-negative, every parent
+        an earlier node, every cycle-edge end a node, no target the root).
+        Then one pass over the node arrays derives each depth from the
+        parent's, sets ``entry_count`` to ``freq`` and rebuilds the
+        per-depth table; one pass over the cycle-edge arrays subtracts each
+        edge's count from its target's ``entry_count``.  These passes check
+        only what needs the structure: no duplicate child, no duplicate
+        cycle-edge.  Then ``check_invariants`` runs.
         """
         try:
             version = doc["format_version"]
@@ -465,49 +509,51 @@ class Trie:
             raise CorruptDocument("header counts must be non-negative integers")
         if any(type(column) is not list for column in node_columns + cycle_columns):
             raise CorruptDocument("node and cycle-edge columns must be arrays")
+        parents, ids, freqs, terminal_counts = node_columns
+        sources, targets, counts = cycle_columns
+        if len({len(column) for column in node_columns}) != 1:
+            raise CorruptDocument("node columns of unequal length")
+        if len({len(column) for column in cycle_columns}) != 1:
+            raise CorruptDocument("cycle-edge columns of unequal length")
+        if any(set(map(type, column)) - {int} for column in (parents, freqs, terminal_counts, *cycle_columns)):
+            raise CorruptDocument("non-integer statistic or node index")
+        if set(map(type, ids)) - {str} or "" in ids:
+            raise CorruptDocument("identifiers must be nonempty strings")
+        if parents and (min(parents) < 0 or any(map(ge, parents, range(1, len(parents) + 1)))):
+            idx = next(i for i, p in enumerate(parents, 1) if not 0 <= p < i)
+            raise CorruptDocument(f"parent {parents[idx - 1]} not before node {idx}")
+        if freqs and (min(freqs) < 1 or min(terminal_counts) < 0):
+            raise CorruptDocument("node statistic out of range")
+        if sources:
+            if min(sources) < 0 or min(targets) < 0:
+                raise CorruptDocument("negative node index in a cycle-edge")
+            if max(sources) > len(parents) or max(targets) > len(parents):
+                raise CorruptDocument("cycle-edge node index past the end")
+            if 0 in targets:
+                raise CorruptDocument("cycle-edge into the root")
 
         trie = cls(mode, n)
         trie.sequence_count = sequence_count
         trie.root.freq = sequence_count
         bump = trie.depth_stats.bump
         nodes = [trie.root]
-        try:
-            for parent_idx, rid, freq, terminal_count in zip(*node_columns, strict=True):
-                idx = len(nodes)
-                if type(parent_idx) is not int or not 0 <= parent_idx < idx:
-                    raise CorruptDocument(f"parent {parent_idx!r} not before node {idx}")
-                if type(freq) is not int or type(terminal_count) is not int:
-                    raise CorruptDocument(f"non-integer statistic on node {idx}")
-                if freq < 1 or terminal_count < 0:
-                    raise CorruptDocument(f"statistic out of range on node {idx}")
-                if not isinstance(rid, str) or not rid:
-                    raise CorruptDocument(f"bad identifier on node {idx}")
-                parent = nodes[parent_idx]
-                if rid in parent.children:
-                    raise CorruptDocument(f"duplicate child {rid!r} under node {parent_idx}")
-                node = TrieNode(rid, parent.depth + 1, parent)
-                parent.children[rid] = node
-                node.freq = node.entry_count = freq
-                node.terminal_count = terminal_count
-                bump(node.depth, rid, freq)
-                nodes.append(node)
-            for src_idx, dst_idx, count in zip(*cycle_columns, strict=True):
-                if type(src_idx) is not int or type(dst_idx) is not int or type(count) is not int:
-                    raise CorruptDocument("non-integer field in a cycle-edge")
-                if src_idx < 0 or dst_idx < 0:  # an index past the end raises IndexError below
-                    raise CorruptDocument(f"negative node index in cycle-edge {src_idx} -> {dst_idx}")
-                src = nodes[src_idx]
-                dst = nodes[dst_idx]
-                if dst.id is None:
-                    raise CorruptDocument("cycle-edge into the root")
-                if dst.id in src.cycles:
-                    raise CorruptDocument(f"duplicate cycle-edge from node {src_idx}")
-                src.cycles[dst.id] = CycleEdge(dst, count)
-                dst.entry_count -= count
-        except ValueError as exc:  # from zip(strict=True)
-            raise CorruptDocument(f"columns of unequal length: {exc}") from None
-        except IndexError:
-            raise CorruptDocument("cycle-edge node index past the end") from None
+        for parent_idx, rid, freq, terminal_count in zip(parents, ids, freqs, terminal_counts):
+            parent = nodes[parent_idx]
+            if rid in parent.children:
+                raise CorruptDocument(f"duplicate child {rid!r} under node {parent_idx}")
+            node = TrieNode(rid, parent.depth + 1, parent)
+            parent.children[rid] = node
+            node.freq = node.entry_count = freq
+            node.terminal_count = terminal_count
+            bump(node.depth, rid, freq)
+            nodes.append(node)
+        for src_idx, dst_idx, count in zip(sources, targets, counts):
+            dst = nodes[dst_idx]
+            cycles = nodes[src_idx].cycles
+            if dst.id in cycles:
+                raise CorruptDocument(f"duplicate cycle-edge from node {src_idx}")
+            cycles[dst.id] = CycleEdge(dst, count)  # type: ignore[index]
+            dst.entry_count -= count
         trie.check_invariants()
         return trie
 

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence
 
 from provtrie.graph import GraphKind, ProvGraph
 from provtrie.query import PathMatch, QueryPattern
-from provtrie.trie import Trie, TrieMode, TrieModeError, TrieNode
+from provtrie.trie import CorruptDocument, Trie, TrieMode, TrieModeError, TrieNode
 
 
 def has_cycle_dfs(g: ProvGraph) -> bool:
@@ -102,6 +102,59 @@ def insert_based_index_graph_dg(trie: Trie, g: ProvGraph) -> None:
 
     for start in g.node_ids:
         visit([start], {start})
+
+
+def walk_up_check_invariants(trie: Trie) -> None:
+    """The original ``Trie.check_invariants``: a sorted pre-order walk that
+    tests each cycle-edge target by walking the parent chain up from its
+    source.
+
+    Kept verbatim (as a function of the trie, with the removed
+    ``TrieNode.cycle_out_total`` written out) as the reference for the
+    one-walk checker.  It does not test that identifiers along a DG root
+    path are unique; the one-walk checker does.
+    """
+    self = trie
+    recount: dict[int, dict[str, int]] = {}
+    for node in self.iter_nodes():
+        if node is not self.root:
+            if node.parent is None or node.parent.children.get(node.id) is not node:  # type: ignore[arg-type]
+                raise CorruptDocument(f"broken parent link at {node!r}")
+            if node.depth != node.parent.depth + 1:
+                raise CorruptDocument(f"bad depth at {node!r}")
+            if not (0 <= node.entry_count <= node.freq):
+                raise CorruptDocument(f"entry count out of range at {node!r}")
+            if self.mode is TrieMode.DAG and node.entry_count != node.freq:
+                raise CorruptDocument(f"cycle arrivals on DAG-mode node {node!r}")
+            level = recount.setdefault(node.depth, {})
+            level[node.id] = level.get(node.id, 0) + node.freq  # type: ignore[index]
+        if self.mode is TrieMode.DAG and node.cycles:
+            raise CorruptDocument(f"cycle-edges on DAG-mode node {node!r}")
+        cycle_out_total = sum(edge.count for edge in node.cycles.values())
+        descend_total = sum(c.entry_count for c in node.children.values())
+        if node.freq != node.terminal_count + descend_total + cycle_out_total:
+            raise CorruptDocument(f"conservation violated at {node!r}")
+        if node.freq:
+            sibling_sum = sum(c.entry_count for c in node.children.values()) / node.freq
+            expected = (node.freq - node.terminal_count - cycle_out_total) / node.freq
+            if abs(sibling_sum - expected) > 1e-12 or sibling_sum > 1.0 + 1e-12:
+                raise CorruptDocument(f"sibling probabilities inconsistent at {node!r}")
+        for label, edge in node.cycles.items():
+            if label in node.children:
+                raise CorruptDocument(f"cycle-edge label shadows a child at {node!r}")
+            if edge.target.id != label:
+                raise CorruptDocument(f"cycle-edge label mismatch at {node!r}")
+            if edge.count < 1:
+                raise CorruptDocument(f"cycle-edge without traversals at {node!r}")
+            anc = node
+            while anc is not None and anc is not edge.target:
+                anc = anc.parent
+            if anc is None:
+                raise CorruptDocument(f"cycle-edge target not an ancestor at {node!r}")
+    if self.root.freq != self.sequence_count:
+        raise CorruptDocument("root frequency does not match the sequence count")
+    if {d: t for d, t in self.depth_stats.per_depth.items() if t} != recount:
+        raise CorruptDocument("per-depth statistics do not match a recount")
 
 
 def prefix_match_oracle(

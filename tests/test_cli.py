@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import os
 import stat
@@ -383,3 +385,65 @@ def test_closed_stdout_ends_the_command_quietly(clique4_file):
     err = proc.stderr.read()
     assert proc.wait() == 0
     assert err == ""
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: flushing raises ``BrokenPipeError``."""
+
+    def __init__(self, fd: int) -> None:
+        super().__init__()
+        self.fd = fd
+
+    def fileno(self) -> int:
+        return self.fd
+
+    def flush(self) -> None:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_state(request):
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["oracle", "--clique", "4", "--steps", "2"], 0),
+        (["query", "missing.trie", "--start", "a", "--end", "b"], 1),
+        (["oracle", "--steps", "2"], 2),  # the command's own usage check
+        (["query"], 2),  # the argument parser's
+    ],
+    ids=["ok", "error", "command-usage", "parser-usage"],
+)
+def test_main_restores_the_gc_state(gc_state, argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert gc.isenabled() is gc_state
+
+
+def test_main_restores_the_gc_state_after_a_closed_stdout(gc_state, tmp_path, monkeypatch):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(fd))
+        assert main(["oracle", "--clique", "4", "--steps", "2"]) == 0
+    finally:
+        os.close(fd)
+    assert gc.isenabled() is gc_state
+
+
+def test_commands_run_with_the_gc_paused(monkeypatch, capsys):
+    seen = []
+
+    def clique_walk_count_spy(size, steps):
+        seen.append(gc.isenabled())
+        return clique_walk_count(size, steps)
+
+    monkeypatch.setattr("provtrie.cli.clique_walk_count", clique_walk_count_spy)
+    gc.enable()
+    assert main(["oracle", "--clique", "4", "--steps", "2"]) == 0
+    assert seen == [False]
+    assert gc.isenabled()

@@ -223,6 +223,40 @@ def test_corrupt_cycle_edge_into_the_root():
         Trie.from_document(doc)
 
 
+@pytest.mark.parametrize("rid", ["", 1, None, ["N1"]])
+def test_corrupt_identifier_not_a_nonempty_string(rid):
+    doc = _tampered(lambda d: d["id"].__setitem__(3, rid))
+    with pytest.raises(CorruptDocument, match="identifier"):
+        Trie.from_document(doc)
+
+
+def test_corrupt_dg_identifier_repeats_on_the_root_path():
+    doc = {
+        "format_version": 2,
+        "mode": "dg",
+        "n": 0,
+        "sequence_count": 1,
+        "parent": [0, 1],
+        "id": ["a", "a"],
+        "freq": [1, 1],
+        "terminal_count": [0, 1],
+        "cycle_from": [],
+        "cycle_to": [],
+        "cycle_count": [],
+    }
+    with pytest.raises(CorruptDocument, match="repeats on the root path"):
+        Trie.from_document(doc)
+    # in a DAG trie a repeated identifier is just a deeper node
+    assert Trie.from_document({**doc, "mode": "dag"}).node_count == 2
+
+
+def test_dg_self_loops_round_trip():
+    t = insert_all(TrieMode.DG, [["a", "a", "b", "b", "a"]])
+    a = t.root.children["a"]
+    assert a.cycles["a"].target is a and a.children["b"].cycles["b"].target is a.children["b"]
+    assert roundtrip(t).to_document() == t.to_document()
+
+
 def test_check_invariants_rejects_hand_bumped_depth_stats():
     t = insert_all(TrieMode.DAG, FIGURE_SEQUENCES)
     t.check_invariants()

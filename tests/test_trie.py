@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from provtrie.graph import GraphKind, ProvGraph, gen_clique
 from provtrie.oracle import enumerate_walks
 from provtrie.query import QueryPattern, count_paths
-from provtrie.trie import EmptySequence, Trie, TrieMode, TrieModeError
+from provtrie.trie import CorruptDocument, CycleEdge, EmptySequence, Trie, TrieMode, TrieModeError, TrieNode
 
 from helpers import (
     all_node_freqs,
@@ -17,6 +17,7 @@ from helpers import (
     random_dag,
     random_dg,
     walk_conservation_report,
+    walk_up_check_invariants,
 )
 
 FIGURE_SEQUENCES = [
@@ -318,3 +319,147 @@ def test_dag_depth_totals_count_long_enough_sequences(corpus):
     for depth in t.depth_stats.depths():
         shorter = sum(1 for seq in corpus if len(seq) < depth)
         assert t.depth_stats.total(depth) == t.root.freq - shorter
+
+
+def test_check_invariants_rejects_a_repeated_dg_identifier():
+    t = insert_all(TrieMode.DG, [["a", "b"]])
+    b = t.root.children["a"].children["b"]
+    # a child of b labelled like its grandparent; every statistic balances
+    repeat = TrieNode("a", b.depth + 1, b)
+    b.children["a"] = repeat
+    repeat.freq = repeat.entry_count = repeat.terminal_count = 1
+    b.terminal_count = 0
+    t.depth_stats.bump(repeat.depth, "a")
+    walk_up_check_invariants(t)  # the reference has no such rule
+    with pytest.raises(CorruptDocument, match="repeats on the root path"):
+        t.check_invariants()
+
+
+def _dag_walks(rng: random.Random, g: ProvGraph, count: int) -> list[list[str]]:
+    walks = []
+    for _ in range(count):
+        walk = [rng.choice(g.node_ids)]
+        while g.successors(walk[-1]) and rng.random() < 0.8:
+            walk.append(rng.choice(g.successors(walk[-1])))
+        walks.append(walk)
+    return walks
+
+
+def _tamper(trie: Trie, how: str, rng: random.Random) -> bool:
+    """Damage ``trie`` in memory; False when it has nothing to damage that way."""
+    nodes = list(trie.iter_nodes())
+    inner = nodes[1:]
+    sources = [node for node in nodes if node.cycles]
+    if how == "bump a freq":
+        rng.choice(nodes).freq += 1
+    elif how == "retarget a cycle-edge to a non-ancestor":
+        if not sources:
+            return False
+        node = rng.choice(sources)
+        edge = node.cycles[rng.choice(sorted(node.cycles))]
+        # a node with the edge's label elsewhere in the trie, so that only the ancestor test can fail
+        elsewhere = [other for other in inner if other.id == edge.target.id and other is not edge.target]
+        edge.target = rng.choice(elsewhere or inner)
+    elif how == "break a depth":
+        if not inner:
+            return False
+        rng.choice(inner).depth += rng.choice([-1, 1])
+    elif how == "repoint a parent":
+        if not inner:
+            return False
+        node = rng.choice(inner)
+        node.parent = rng.choice([other for other in nodes if other is not node.parent])
+    elif how == "add a cycle-edge in DAG mode":
+        if trie.mode is not TrieMode.DAG or not inner:
+            return False
+        node = rng.choice(inner)
+        node.cycles[node.id] = CycleEdge(node, 1)  # type: ignore[index]
+        node.terminal_count -= 1
+        node.freq += 1
+    elif how == "zero an edge count":
+        if not sources:
+            return False
+        node = rng.choice(sources)
+        edge = node.cycles[rng.choice(sorted(node.cycles))]
+        node.terminal_count += edge.count  # conservation still holds
+        edge.count = 0
+    elif how == "hand-bump depth_stats":
+        if not inner:
+            return False
+        node = rng.choice(inner)
+        trie.depth_stats.bump(node.depth, node.id, rng.choice([-1, 1]))  # type: ignore[arg-type]
+    elif how == "repeat an ancestor's identifier":
+        # a leaf without cycle-edges has none coming in either
+        leaves = [node for node in inner if node.depth >= 2 and not node.children and not node.cycles]
+        if trie.mode is not TrieMode.DG or not leaves:
+            return False
+        node = rng.choice(leaves)
+        parent = ancestor = node.parent
+        while ancestor.parent.parent is not None and rng.random() < 0.5:
+            ancestor = ancestor.parent
+        level = trie.depth_stats.per_depth[node.depth]
+        level[node.id] -= node.freq
+        if not level[node.id]:
+            del level[node.id]
+        del parent.children[node.id]
+        node.id = ancestor.id
+        parent.children[node.id] = node
+        trie.depth_stats.bump(node.depth, node.id, node.freq)
+    else:  # pragma: no cover
+        raise AssertionError(how)
+    return True
+
+
+TAMPERINGS = [
+    "bump a freq",
+    "retarget a cycle-edge to a non-ancestor",
+    "break a depth",
+    "repoint a parent",
+    "add a cycle-edge in DAG mode",
+    "zero an edge count",
+    "hand-bump depth_stats",
+    "repeat an ancestor's identifier",
+]
+
+
+def test_one_walk_checker_agrees_with_the_walk_up_reference():
+    rng = random.Random(0xC3)
+    documents = []
+    for _ in range(40):
+        for g in (random_dg(rng), random_dag(rng)):
+            t = Trie(TrieMode.DG)
+            t.index_graph_dg(g)
+            documents.append(t.to_document())
+        documents.append(insert_all(TrieMode.DAG, _dag_walks(rng, random_dag(rng), 12)).to_document())
+    for size in range(2, 7):
+        t = Trie(TrieMode.DG)
+        t.index_graph_dg(gen_clique(size))
+        documents.append(t.to_document())
+    outcomes = {how: set() for how in TAMPERINGS}
+    for doc in documents:
+        clean = Trie.from_document(doc)
+        walk_up_check_invariants(clean)
+        clean.check_invariants()
+        for how in TAMPERINGS:
+            for _ in range(2):
+                trie = Trie.from_document(doc)
+                if not _tamper(trie, how, rng):
+                    continue
+                try:
+                    walk_up_check_invariants(trie)
+                    reference = "pass"
+                except CorruptDocument:
+                    reference = "raise"
+                try:
+                    trie.check_invariants()
+                    one_walk = "pass"
+                except CorruptDocument as exc:
+                    one_walk = "repeat" if "repeats on the root path" in str(exc) else "raise"
+                if one_walk == "repeat" and reference == "pass":
+                    assert trie.mode is TrieMode.DG
+                else:
+                    assert one_walk == reference, (how, doc)
+                outcomes[how].add((reference, one_walk))
+    # every tampering was applied and caught; only the new rule tells the two apart
+    assert all(("raise", "raise") in seen or ("raise", "repeat") in seen for seen in outcomes.values()), outcomes
+    assert ("pass", "repeat") in outcomes["repeat an ancestor's identifier"]
