@@ -48,7 +48,6 @@ from .query import (
 )
 from .trie import (
     CorruptDocument,
-    DepthStats,
     EmptySequence,
     FormatVersionMismatch,
     Trie,

@@ -6,7 +6,7 @@ error, 2 usage error.  The environment
 variable PROVTRIE_PREDICATE_MAP may point at a predicate map file that
 replaces the built-in edge-mapping rules for RDF input.  Commands run with
 the cyclic garbage collector paused, since what they build lives until
-the process exits.
+the process exits; ``python -m provtrie`` leaves it off until then.
 """
 from __future__ import annotations
 
@@ -109,9 +109,9 @@ def cmd_suggest(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     trie = load(args.trie)
-    depths = [args.depth] if args.depth is not None else list(trie.depth_stats.depths())
+    depths = [args.depth] if args.depth is not None else sorted(trie.depth_stats)
     for depth in depths:
-        table = trie.depth_stats.at(depth)
+        table = trie.depth_stats.get(depth, {})
         for rid, freq in sorted(table.items(), key=lambda kv: (-kv[1], kv[0])):
             print(f"{depth}\t{rid}\t{freq}")
     return 0
@@ -279,7 +279,3 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if gc_was_enabled:
             gc.enable()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

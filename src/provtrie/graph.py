@@ -170,11 +170,6 @@ class ProvGraph:
             raise MissingNode(f"{rid!r} is not in the graph")
         return len(self._pred[rid])
 
-    def out_degree(self, rid: str) -> int:
-        if rid not in self._succ:
-            raise MissingNode(f"{rid!r} is not in the graph")
-        return len(self._succ[rid])
-
     def edges(self) -> Iterator[tuple[str, str]]:
         """All edges as (src, dst) pairs, in sorted pair order."""
         for src in sorted(self._succ):

@@ -68,47 +68,45 @@ class PathMatch:
     likelihood: float
 
 
-def _steps(node: TrieNode, want: str | None, follow_cycles: bool) -> list[tuple[str, TrieNode, int]]:
-    """Every step out of ``node`` labelled ``want`` (None: any label).
-
-    Each step is (label, next node, times taken); its probability is
-    ``taken / node.freq``.  Child and cycle-edge steps are both listed
-    when ``follow_cycles`` is set, in no particular order.
-    """
+def _steps(trie: Trie, node: int, want: str | None, follow_cycles: bool) -> list[tuple[str, int, int]]:
+    """Every step out of ``node`` labelled ``want`` (None: any label), as
+    (label, next node, times taken) in no particular order, with cycle-edges
+    when ``follow_cycles`` is set; its probability is taken / freq[node]."""
+    entry = trie.entry
     if want is None:
         steps = []
-        for label, child in node.children.items():
-            steps.append((label, child, child.entry_count))
+        for label, child in trie.children[node].items():
+            steps.append((label, child, entry[child]))
         if follow_cycles:
-            for label, edge in node.cycles.items():
-                steps.append((label, edge.target, edge.count))
+            cycle_to, cycle_count = trie.cycle_to, trie.cycle_count
+            for label, edge in trie.cycles[node].items():
+                steps.append((label, cycle_to[edge], cycle_count[edge]))
         return steps
-    child = node.children.get(want)
+    child = trie.children[node].get(want)
     if child is not None:
-        return [(want, child, child.entry_count)]
+        return [(want, child, entry[child])]
     if follow_cycles:
-        edge = node.cycles.get(want)
+        edge = trie.cycles[node].get(want)
         if edge is not None:
-            return [(want, edge.target, edge.count)]
+            return [(want, trie.cycle_to[edge], trie.cycle_count[edge])]
     return []
 
 
 def _walks(
-    start: TrieNode, labels: Sequence[str | None], follow_cycles: bool
-) -> list[tuple[TrieNode, tuple[str, ...], float]]:
+    trie: Trie, start: int, labels: Sequence[str | None], follow_cycles: bool
+) -> list[tuple[int, tuple[str, ...], float]]:
     """Every traversal from ``start`` taking one step per position of the
     nonempty ``labels``, as (end node, step labels, likelihood), unordered.
-
-    The stack holds the untried siblings along one branch.  Likelihood
-    multiplies the step probabilities from the start outwards.
-    """
+    The stack holds the untried siblings along one branch; likelihood
+    multiplies the step probabilities from the start outwards."""
     last = len(labels) - 1
-    out: list[tuple[TrieNode, tuple[str, ...], float]] = []
-    stack: list[tuple[int, TrieNode, tuple[str, ...], float]] = [(0, start, (), 1.0)]
+    freqs = trie.freq
+    out: list[tuple[int, tuple[str, ...], float]] = []
+    stack: list[tuple[int, int, tuple[str, ...], float]] = [(0, start, (), 1.0)]
     while stack:
         i, node, path, likelihood = stack.pop()
-        freq = node.freq
-        steps = _steps(node, labels[i], follow_cycles)
+        freq = freqs[node]
+        steps = _steps(trie, node, labels[i], follow_cycles)
         if i == last:
             for label, nxt, taken in steps:
                 out.append((nxt, path + (label,), likelihood * (taken / freq)))
@@ -120,19 +118,17 @@ def _walks(
 
 
 def locate(trie: Trie, labels: Sequence[str]) -> tuple[TrieNode | None, int]:
-    """Position the cursor at a fully anchored label path.
-
-    Returns (node, nodes visited); node is None when the path is absent.
-    The visit count is bounded by len(labels): one lookup per symbol.
-    """
+    """Position the cursor at a fully anchored label path: (node view,
+    nodes visited), the node None when the path is absent.  One lookup per
+    symbol, so the visit count is at most len(labels)."""
     follow_cycles = trie.mode is TrieMode.DG
-    node = trie.root
+    node = 0
     for visited, label in enumerate(labels):
-        steps = _steps(node, label, follow_cycles)
+        steps = _steps(trie, node, label, follow_cycles)
         if not steps:
             return None, visited
         node = steps[0][1]
-    return node, len(labels)
+    return trie.node(node), len(labels)
 
 
 def _check_q1(trie: Trie, pattern: QueryPattern, strict: bool) -> None:
@@ -152,10 +148,11 @@ def q1(trie: Trie, pattern: QueryPattern, strict: bool = False) -> list[PathMatc
     the final node must additionally have ended an inserted sequence.
     """
     _check_q1(trie, pattern, strict)
+    freq, terminal = trie.freq, trie.terminal
     matches = [
-        PathMatch(path, node.freq, likelihood)
-        for node, path, likelihood in _walks(trie.root, pattern.labels(), trie.mode is TrieMode.DG)
-        if not strict or node.terminal_count
+        PathMatch(path, freq[node], likelihood)
+        for node, path, likelihood in _walks(trie, 0, pattern.labels(), trie.mode is TrieMode.DG)
+        if not strict or terminal[node]
     ]
     matches.sort(key=lambda m: (-m.likelihood, m.path))
     return matches
@@ -171,26 +168,29 @@ def count_paths(trie: Trie, pattern: QueryPattern, strict: bool = False) -> int:
     """
     _check_q1(trie, pattern, strict)
     follow_cycles = trie.mode is TrieMode.DG
-    frontier: dict[TrieNode, int] = {trie.root: 1}
+    children, cycles, cycle_to = trie.children, trie.cycles, trie.cycle_to
+    frontier: dict[int, int] = {0: 1}
     for want in pattern.labels():
-        reached: dict[TrieNode, int] = {}
+        reached: dict[int, int] = {}
         get = reached.get
         for node, ways in frontier.items():
             if want is None:
-                for child in node.children.values():
+                for child in children[node].values():
                     reached[child] = get(child, 0) + ways
                 if follow_cycles:
-                    for edge in node.cycles.values():
-                        reached[edge.target] = get(edge.target, 0) + ways
+                    for edge in cycles[node].values():
+                        target = cycle_to[edge]
+                        reached[target] = get(target, 0) + ways
                 continue
-            nxt = node.children.get(want)
+            nxt = children[node].get(want)
             if nxt is None and follow_cycles:
-                edge = node.cycles.get(want)
-                nxt = edge.target if edge is not None else None
+                edge = cycles[node].get(want)
+                nxt = cycle_to[edge] if edge is not None else None
             if nxt is not None:
                 reached[nxt] = get(nxt, 0) + ways
         frontier = reached
-    return sum(ways for node, ways in frontier.items() if not strict or node.terminal_count)
+    terminal = trie.terminal
+    return sum(ways for node, ways in frontier.items() if not strict or terminal[node])
 
 
 def q2_suggest(
@@ -215,7 +215,7 @@ def q2_suggest(
         return []
     results = [
         (path, likelihood)
-        for _, path, likelihood in _walks(cursor, [None] * ahead, trie.mode is TrieMode.DG)
+        for _, path, likelihood in _walks(trie, cursor.index, [None] * ahead, trie.mode is TrieMode.DG)
     ]
     results.sort(key=lambda r: (-r[1], r[0]))
     return results[:top]
@@ -229,8 +229,8 @@ def most_probable_at_depth(trie: Trie, depth: int) -> tuple[str, int, float]:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    table = trie.depth_stats.at(depth)
+    table = trie.depth_stats.get(depth)
     if not table:
         raise EmptyDepth(f"no node at depth {depth}")
     rid, freq = min(table.items(), key=lambda kv: (-kv[1], kv[0]))
-    return rid, freq, freq / trie.depth_stats.total(depth)
+    return rid, freq, freq / sum(table.values())

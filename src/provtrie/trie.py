@@ -5,39 +5,36 @@ tree; every node carries occurrence statistics that are updated online
 during insertion, so frequent-pattern and next-step queries need no
 separate counting pass.
 
-Two modes exist:
+Two modes exist.  DAG mode is a plain prefix tree: each distinct prefix
+is one node.  DG mode folds repetition back into the tree: when the next
+symbol matches a node already on the current root-to-cursor path, a
+cycle-edge from the cursor to that ancestor is recorded and the cursor
+jumps back up.  Identifiers along a DG root path are therefore unique, so
+a label from any node is one child or one cycle-edge, never both.
 
-* DAG mode is a plain prefix tree: each distinct prefix is one node,
-  repeated identifiers within a sequence simply create deeper nodes.
-* DG mode folds repetition back into the tree: when the next symbol
-  matches a node already on the current root-to-cursor path, no new node
-  is created; instead a cycle-edge from the cursor to that ancestor is
-  recorded and the cursor jumps back up.  Along any root path of a DG
-  trie identifiers are therefore unique, which makes label lookup from
-  any node unambiguous (a label is either one child or one cycle-edge,
-  never both).
+Per node: ``freq`` counts every traversal arrival (descents plus
+cycle-edge arrivals), ``entry`` the descents, ``terminal`` the insertions
+ending there.  Each arrival is followed by exactly one of descend / cycle
+/ terminate: ``freq == terminal + sum(child entry) + sum(cycle counts
+out)``.  A child's conditional probability is ``entry / parent freq``.
+``depth_stats`` maps depth -> identifier -> cumulative frequency.
 
-Per node: ``freq`` counts every traversal arrival (descents from the
-parent plus cycle-edge arrivals), ``entry_count`` only the descents,
-``terminal_count`` the insertions ending exactly there.  Each arrival is
-followed by exactly one of descend / cycle / terminate, which gives the
-conservation law
+Layout: a node is an ``int``, the root is 0; parents are numbered before
+their children (online: in creation order; loaded: breadth-first, so that
+siblings sit side by side).  Node data lives in parallel lists: ``parent``
+(root: -1), ``id`` (root: None), ``freq``, ``entry``, ``terminal``,
+``depth``, ``children`` (label -> child) and ``cycles`` (label -> edge);
+edge data in ``cycle_to`` and ``cycle_count``.  The cyclic garbage
+collector tracks none of these ints, strings and dicts.  ``Trie.root``
+and ``Trie.node(i)`` give a read-only ``TrieNode`` view, one per index.
 
-    freq == terminal_count + sum(child.entry_count) + sum(cycle counts out)
+``check_invariants`` tests ancestry as a pre-order interval: with
+pre-order positions ``pos`` and subtree sizes, ``t`` is ``s`` or an
+ancestor of ``s`` exactly when ``pos[t] <= pos[s] < pos[t] + size[t]``
+(Dietz 1982; the region encoding of Zhang et al., SIGMOD 2001).
 
-checked by ``Trie.check_invariants``.  The conditional probability of a
-child is ``entry_count / parent.freq`` (in DAG mode ``entry_count`` and
-``freq`` coincide), so sibling probabilities sum to at most 1, with
-equality exactly when nothing terminated or cycled away from the parent.
-
-Statistics are also aggregated per depth (identifier -> cumulative
-frequency) for most-probable-at-level queries.
-
-Persistence (``save``/``load``) stores each fact once, as parallel
-columns: per non-root node its parent index, identifier, ``freq`` and
-``terminal_count``; per cycle-edge its source, target and count.  Depths,
-entry counts, the root's statistics and the per-depth table all follow
-from these and are rebuilt in the loader's single pass.
+``save``/``load`` store each fact once, as parallel columns in canonical
+pre-order (see ``Trie.to_document``).
 
 Concurrency: single writer, many readers.  Insertion needs exclusive
 access; a trie that is not being mutated can be queried from any number
@@ -48,11 +45,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from enum import Enum
-from itertools import repeat
-from operator import attrgetter, ge
-from typing import IO, Any, Iterator, Sequence
+from itertools import compress, count, islice, repeat
+from operator import add, ge, gt, ne
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import ProvGraph
 
@@ -84,70 +81,69 @@ class TrieMode(Enum):
     DG = "dg"
 
 
-@dataclass(slots=True)
-class CycleEdge:
-    """Back edge to an ancestor carrying the repeated identifier."""
-
-    target: "TrieNode"
-    count: int
-
-
-_entry_count = attrgetter("entry_count")
-_count = attrgetter("count")
+def _column(name: str, doc: str) -> property:
+    return property(lambda view: getattr(view.trie, name)[view.index], doc=doc)
 
 
 class TrieNode:
-    """One trie node; the edge label from its parent is ``id`` (root: None)."""
+    """Read-only view of node ``index`` of ``trie``; get one from ``Trie.node``."""
 
-    __slots__ = ("id", "depth", "parent", "freq", "entry_count", "terminal_count", "children", "cycles")
+    __slots__ = ("trie", "index")
 
-    def __init__(self, rid: str | None, depth: int, parent: "TrieNode | None") -> None:
-        self.id = rid
-        self.depth = depth
-        self.parent = parent
-        self.freq = 0
-        self.entry_count = 0
-        self.terminal_count = 0
-        self.children: dict[str, TrieNode] = {}
-        self.cycles: dict[str, CycleEdge] = {}
+    def __init__(self, trie: "Trie", index: int) -> None:
+        self.trie = trie
+        self.index = index
 
-    @property
-    def prob(self) -> float:
-        """Conditional probability of stepping into this node from its parent."""
-        if self.parent is None:
-            return 1.0
-        return self.entry_count / self.parent.freq
+    id = _column("id", "Edge label from the parent (root: None).")
+    freq = _column("freq", "Traversal arrivals: descents plus cycle-edge arrivals.")
+    entry_count = _column("entry", "Descents from the parent.")
+    terminal_count = _column("terminal", "Insertions that ended here.")
+    depth = _column("depth", "Edges from the root.")
 
     @property
-    def cycle_edges(self) -> tuple["TrieNode", ...]:
-        """Targets of this node's cycle-edges, in label order."""
-        return tuple(self.cycles[label].target for label in sorted(self.cycles))
+    def parent(self) -> "TrieNode | None":
+        index = self.trie.parent[self.index]
+        return None if index < 0 else self.trie.node(index)
 
-    def children_sorted(self) -> list["TrieNode"]:
-        return [self.children[label] for label in sorted(self.children)]
+    @property
+    def children(self) -> Mapping[str, "TrieNode"]:
+        return _Labels(self.trie.children[self.index], self.trie.node)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<TrieNode {self.id!r} depth={self.depth} freq={self.freq}>"
+    @property
+    def cycles(self) -> Mapping[str, "CycleStep"]:
+        trie = self.trie
+        return _Labels(trie.cycles[self.index], lambda e: CycleStep(trie.node(trie.cycle_to[e]), trie.cycle_count[e]))
 
 
-@dataclass
-class DepthStats:
-    """Cumulative identifier frequencies per depth level."""
+class _Labels(Mapping):
+    """Label -> view, read live from one node's child or cycle-edge map."""
 
-    per_depth: dict[int, dict[str, int]] = field(default_factory=dict)
+    __slots__ = ("_indices", "_view")
 
-    def bump(self, depth: int, rid: str, amount: int = 1) -> None:
-        level = self.per_depth.setdefault(depth, {})
-        level[rid] = level.get(rid, 0) + amount
+    def __init__(self, indices: dict[str, int], view: Callable[[int], Any]) -> None:
+        self._indices = indices
+        self._view = view
 
-    def at(self, depth: int) -> dict[str, int]:
-        return dict(self.per_depth.get(depth, {}))
+    def __getitem__(self, label: str) -> Any:
+        return self._view(self._indices[label])
 
-    def total(self, depth: int) -> int:
-        return sum(self.per_depth.get(depth, {}).values())
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._indices)
 
-    def depths(self) -> tuple[int, ...]:
-        return tuple(sorted(self.per_depth))
+    def __len__(self) -> int:
+        return len(self._indices)
+
+
+class CycleStep(NamedTuple):
+    """A cycle-edge as seen from its source: the ancestor it returns to, times taken."""
+
+    target: TrieNode
+    count: int
+
+
+def _first(flags: Iterable[Any], start: int = 0) -> int | None:
+    """Position of the first true flag, counting from ``start``; None if there is none."""
+    return next(compress(count(start), flags), None)
 
 
 class Trie:
@@ -158,39 +154,60 @@ class Trie:
             raise ValueError(f"window length must be >= 0, got {n}")
         self.mode = mode
         self.n = n
-        self.root = TrieNode(None, 0, None)
-        self.depth_stats = DepthStats()
         self.sequence_count = 0
+        self.parent, self.id = [-1], [None]
+        self.freq, self.entry, self.terminal, self.depth = [0], [0], [0], [0]
+        self.children: list[dict[str, int]] = [{}]
+        self.cycles: list[dict[str, int]] = [{}]
+        self.cycle_to, self.cycle_count = [], []  # per cycle-edge: its target, times taken
+        self.depth_stats: dict[int, dict[str, int]] = {}
+        self._views: dict[int, TrieNode] = {}
+        self.root = self.node(0)
+
+    def node(self, index: int) -> TrieNode:
+        """The read-only view of node ``index``: the same object on every call."""
+        view = self._views.get(index)
+        if view is None:  # setdefault: concurrent readers still share one view
+            view = self._views.setdefault(index, TrieNode(self, index))
+        return view
 
     # ---- insertion ---------------------------------------------------------
+
+    def _add_node(self, parent: int, rid: str) -> int:
+        node = len(self.id)
+        self.parent.append(parent)
+        self.id.append(rid)
+        self.freq.append(0)
+        self.entry.append(0)
+        self.terminal.append(0)
+        self.depth.append(self.depth[parent] + 1)
+        self.children.append({})
+        self.cycles.append({})
+        self.children[parent][rid] = node
+        return node
+
+    def _take_cycle(self, source: int, label: str, target: int) -> None:
+        """Count one traversal of a cycle-edge, recording the edge the first time."""
+        edges = self.cycles[source]
+        edge = edges.get(label)
+        if edge is None:
+            edges[label] = len(self.cycle_to)
+            self.cycle_to.append(target)
+            self.cycle_count.append(1)
+        else:
+            self.cycle_count[edge] += 1
 
     def insert(self, seq: Sequence[str]) -> None:
         """Insert one sequence (DAG mode).
 
         Walks down from the root consuming symbols, creating children as
-        needed; bumps ``freq`` along the way and ``terminal_count`` at the
-        final node.  Statistics are final after the call: no rebuild pass
-        exists or is needed.
+        needed; bumps ``freq`` along the way and ``terminal`` at the final
+        node.  Statistics are final after the call: no rebuild pass exists
+        or is needed.
         """
         if self.mode is not TrieMode.DAG:
             raise TrieModeError("insert requires a DAG-mode trie; use insert_dg")
-        symbols = list(seq)
-        if not symbols:
-            raise EmptySequence("cannot insert an empty sequence")
-        bump = self.depth_stats.bump
-        node = self.root
-        node.freq += 1
-        for sym in symbols:
-            child = node.children.get(sym)
-            if child is None:
-                child = TrieNode(sym, node.depth + 1, node)
-                node.children[sym] = child
-            child.freq += 1
-            child.entry_count += 1
-            bump(child.depth, sym)
-            node = child
-        node.terminal_count += 1
-        self.sequence_count += 1
+        self._insert(seq, fold=False)
 
     def insert_dg(self, seq: Sequence[str]) -> None:
         """Insert one sequence (DG mode), folding repeats into cycle-edges.
@@ -204,39 +221,38 @@ class Trie:
         """
         if self.mode is not TrieMode.DG:
             raise TrieModeError("insert_dg requires a DG-mode trie; use insert")
+        self._insert(seq, fold=True)
+
+    def _insert(self, seq: Sequence[str], fold: bool) -> None:
         symbols = list(seq)
         if not symbols:
             raise EmptySequence("cannot insert an empty sequence")
-        bump = self.depth_stats.bump
-        self.root.freq += 1
-        path: list[TrieNode] = [self.root]
-        positions: dict[str, int] = {}
+        children, freq, entry, stats = self.children, self.freq, self.entry, self.depth_stats
+        freq[0] += 1
+        path = [0]  # the root path down to the cursor
+        positions: dict[str, int] = {}  # when folding: identifier -> its place on the path
         for sym in symbols:
-            cursor = path[-1]
-            pos = positions.get(sym)
+            pos = positions.get(sym) if fold else None
             if pos is None:
-                child = cursor.children.get(sym)
+                child = children[path[-1]].get(sym)
                 if child is None:
-                    child = TrieNode(sym, cursor.depth + 1, cursor)
-                    cursor.children[sym] = child
-                child.freq += 1
-                child.entry_count += 1
-                bump(child.depth, sym)
-                positions[sym] = len(path)
+                    child = self._add_node(path[-1], sym)
+                freq[child] += 1
+                entry[child] += 1
+                level = stats.setdefault(len(path), {})
+                level[sym] = level.get(sym, 0) + 1
+                if fold:
+                    positions[sym] = len(path)
                 path.append(child)
             else:
-                ancestor = path[pos]
-                edge = cursor.cycles.get(sym)
-                if edge is None:
-                    cursor.cycles[sym] = CycleEdge(ancestor, 1)
-                else:
-                    edge.count += 1
-                ancestor.freq += 1
-                bump(ancestor.depth, sym)
+                self._take_cycle(path[-1], sym, path[pos])
+                freq[path[pos]] += 1
+                level = stats.setdefault(pos, {})
+                level[sym] = level.get(sym, 0) + 1
                 for dropped in path[pos + 1 :]:
-                    del positions[dropped.id]  # type: ignore[index]
+                    del positions[self.id[dropped]]  # type: ignore[index]
                 del path[pos + 1 :]
-        path[-1].terminal_count += 1
+        self.terminal[path[-1]] += 1
         self.sequence_count += 1
 
     def index_graph_dg(self, g: ProvGraph) -> None:
@@ -251,246 +267,212 @@ class Trie:
         steps to unvisited resources, cycle-edges cover revisits, so a
         query can follow arbitrarily long walks through bounded structure.
 
-        The trie is built in one pass of that DFS, with an explicit stack
-        and so without a depth limit.  The node of a simple path is created
-        (or reused) when the DFS enters the path, and each closing
-        successor records its cycle-edge at once.  A frame counts the
-        insertions through its node and the cycle arrivals at it; when the
-        frame pops these are added to the node's statistics.  The result
-        equals one ``insert_dg`` per closing insertion, also into a trie
-        that already holds sequences.
+        One explicit-stack pass of that DFS builds the trie: a path's node
+        is created or reused on entry, a closing successor records its
+        cycle-edge at once, and a frame's insertions and cycle arrivals join
+        its node's statistics when it pops; as one ``insert_dg`` per closing
+        insertion would, also into a trie that already holds sequences.
         """
         if self.mode is not TrieMode.DG:
             raise TrieModeError("index_graph_dg requires a DG-mode trie")
         succs_of = {v: g.successors(v) for v in g.node_ids}
-        bump = self.depth_stats.bump
+        children, ids, freq, entry, terminal = self.children, self.id, self.freq, self.entry, self.terminal
+        depth, stats, take_cycle = self.depth, self.depth_stats, self._take_cycle
         # frame: [node, successors still to enter (last first), insertions, arrivals]
         stack: list[list[Any]] = []
         positions: dict[str, int] = {}  # vertex on the current path -> its frame's index
 
-        def enter(parent: TrieNode, vertex: str) -> None:
-            node = parent.children.get(vertex)
+        def enter(parent: int, vertex: str) -> None:
+            node = children[parent].get(vertex)
             if node is None:
-                node = TrieNode(vertex, parent.depth + 1, parent)
-                parent.children[vertex] = node
+                node = self._add_node(parent, vertex)
             succs = succs_of[vertex]
             frame = [node, [], 0, 0]
             positions[vertex] = len(stack)
             stack.append(frame)
             if not succs:
-                node.terminal_count += 1
+                terminal[node] += 1
                 frame[2] = 1
                 return
             opens = frame[1]
-            cycles = node.cycles
             for w in reversed(succs):
                 pos = positions.get(w)
                 if pos is None:
                     opens.append(w)
                     continue
                 target = stack[pos]
-                edge = cycles.get(w)
-                if edge is None:
-                    cycles[w] = CycleEdge(target[0], 1)
-                else:
-                    edge.count += 1
+                take_cycle(node, w, target[0])
                 target[3] += 1
                 frame[2] += 1
 
         total = 0
         for start in g.node_ids:
-            enter(self.root, start)
+            enter(0, start)
             while stack:
                 node, opens, ins, arrivals = stack[-1]
                 if opens:
                     enter(node, opens.pop())
                     continue
                 stack.pop()
-                del positions[node.id]
-                node.entry_count += ins
-                node.freq += ins + arrivals
-                node.terminal_count += arrivals
-                bump(node.depth, node.id, ins + arrivals)
+                del positions[ids[node]]  # type: ignore[arg-type]
+                entry[node] += ins
+                freq[node] += ins + arrivals
+                terminal[node] += arrivals
+                level = stats.setdefault(depth[node], {})
+                level[ids[node]] = level.get(ids[node], 0) + ins + arrivals  # type: ignore[index]
                 if stack:
                     stack[-1][2] += ins
                 else:
                     total += ins
-        self.root.freq += total
+        freq[0] += total
         self.sequence_count += total
 
-    # ---- inspection ----------------------------------------------------------
-
-    def iter_nodes(self) -> Iterator[TrieNode]:
-        """All nodes in pre-order, children in label order; root first."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children_sorted()))
-
-    @property
-    def node_count(self) -> int:
-        """Number of non-root nodes."""
-        count = 0
-        stack = [self.root]
-        while stack:
-            children = stack.pop().children
-            count += len(children)
-            stack.extend(children.values())
-        return count
-
-    def find(self, labels: Sequence[str]) -> TrieNode | None:
-        """Follow child edges only (no cycle-edges) from the root."""
-        node = self.root
-        for label in labels:
-            node = node.children.get(label)  # type: ignore[assignment]
-            if node is None:
-                return None
-        return node
-
     # ---- invariants ------------------------------------------------------------
+
+    def _per_depth(self) -> dict[int, dict[str, int]]:
+        """The per-depth table recounted from the node columns."""
+        table: dict[int, dict[str, int]] = {}
+        for depth, rid, freq in islice(zip(self.depth, self.id, self.freq), 1, None):
+            level = table.setdefault(depth, {})
+            level[rid] = level.get(rid, 0) + freq  # type: ignore[index]
+        return table
+
+    def _preorder(self) -> tuple[list[int], list[int], list[int]]:
+        """Nodes in a pre-order (children in index order), each node's position
+        in it, and one past the last position of its subtree: parents precede
+        their children, so one pass up gives subtree sizes, one down positions."""
+        parent, total = self.parent, len(self.parent)
+        size = [1] * total
+        for node in range(total - 1, 0, -1):
+            size[parent[node]] += size[node]
+        pos, free = [0] * total, [1] * total  # free: where a node's next child goes
+        for node, up in zip(count(1), islice(parent, 1, None)):
+            pos[node] = at = free[up]
+            free[up] = at + size[node]
+            free[node] = at + 1
+        order = [0] * total
+        for node, at in enumerate(pos):
+            order[at] = node
+        return order, pos, list(map(add, pos, size))
 
     def check_invariants(self) -> None:
         """Verify structure and statistics; raise ``CorruptDocument`` on failure.
 
-        Checks, at every node: parent/depth wiring, the conservation law,
-        sibling probability sums, cycle-edge targets (same identifier, on
-        the root path), and that the per-depth table equals a recount.  In
-        DG mode the identifiers along every root path must be unique.
-
-        One explicit-stack pre-order walk, children unsorted, visits each
-        node once and sums its child entries and cycle-edge counts once.
-        The walk keeps the current root path (by depth) and, in DG mode, a
-        map from identifier to the node on that path, so a cycle-edge's
-        target is an ancestor iff the map holds it under the edge's label:
-        one lookup, not a walk up the parent chain.
+        Checks parent/depth wiring, entry ranges, conservation, sibling
+        probability sums, cycle-edges (label equal to the target's
+        identifier and no child's, count at least 1, target an ancestor),
+        the root's frequency and the per-depth table, in passes over whole
+        columns.  DAG mode has no cycle-edges or arrivals.  In DG mode root
+        paths repeat no identifier: subtrees nest, so it suffices to compare
+        each node with the previous one in pre-order that has its identifier.
         """
+        parent, ids, freq, entry, depth = self.parent, self.id, self.freq, self.entry, self.depth
+        children, cycles, cycle_to, cycle_count = self.children, self.cycles, self.cycle_to, self.cycle_count
         dag = self.mode is TrieMode.DAG
-        recount: dict[int, dict[str, int]] = {}
-        path: list[TrieNode] = []  # path[d]: the node at walk depth d on the current root path
-        on_path: dict[str, TrieNode] = {}  # DG: identifier -> the node on the current root path
-        stack: list[tuple[TrieNode, int]] = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            while len(path) > d:
-                dropped = path.pop()
-                if not dag:
-                    del on_path[dropped.id]  # type: ignore[arg-type]
-            freq = node.freq
-            if d:
-                parent = path[-1]
-                rid: str = node.id  # type: ignore[assignment]
-                if node.parent is not parent or parent.children.get(rid) is not node:
-                    raise CorruptDocument(f"broken parent link at {node!r}")
-                if node.depth != parent.depth + 1:
-                    raise CorruptDocument(f"bad depth at {node!r}")
-                if not (0 <= node.entry_count <= freq):
-                    raise CorruptDocument(f"entry count out of range at {node!r}")
-                if dag:
-                    if node.entry_count != freq:
-                        raise CorruptDocument(f"cycle arrivals on DAG-mode node {node!r}")
-                else:
-                    if rid in on_path:
-                        raise CorruptDocument(f"identifier repeats on the root path at {node!r}")
-                    on_path[rid] = node
-                level = recount.get(node.depth)
-                if level is None:
-                    level = recount[node.depth] = {}
-                level[rid] = level.get(rid, 0) + freq
-            path.append(node)
-            children = node.children
-            cycles = node.cycles
-            descend_total = sum(map(_entry_count, children.values()))
-            cycle_out_total = 0
-            if cycles:
-                if dag:
-                    raise CorruptDocument(f"cycle-edges on DAG-mode node {node!r}")
-                cycle_out_total = sum(map(_count, cycles.values()))
-            if freq != node.terminal_count + descend_total + cycle_out_total:
-                raise CorruptDocument(f"conservation violated at {node!r}")
-            # given conservation, (freq - terminal - cycled) / freq is exactly this share
-            if freq and descend_total / freq > 1.0 + 1e-12:
-                raise CorruptDocument(f"sibling probabilities inconsistent at {node!r}")
-            for label, edge in cycles.items():
-                if label in children:
-                    raise CorruptDocument(f"cycle-edge label shadows a child at {node!r}")
-                if edge.target.id != label:
-                    raise CorruptDocument(f"cycle-edge label mismatch at {node!r}")
-                if edge.count < 1:
-                    raise CorruptDocument(f"cycle-edge without traversals at {node!r}")
-                if on_path.get(label) is not edge.target:
-                    raise CorruptDocument(f"cycle-edge target not an ancestor at {node!r}")
-            stack.extend(zip(children.values(), repeat(d + 1)))
-        if self.root.freq != self.sequence_count:
+        descended = [0] * len(ids)
+        for node, up, rid, arrivals, entered, level in islice(zip(count(), parent, ids, freq, entry, depth), 1, None):
+            if not 0 <= up < node or children[up].get(rid) != node:  # type: ignore[arg-type]
+                raise CorruptDocument(f"broken parent link at node {node}")
+            if level != depth[up] + 1:
+                raise CorruptDocument(f"bad depth at node {node}")
+            if not 0 <= entered <= arrivals:
+                raise CorruptDocument(f"entry count out of range at node {node}")
+            if dag and entered != arrivals:
+                raise CorruptDocument(f"cycle arrivals on DAG-mode node {node}")
+            descended[up] += entered
+        if sum(map(len, children)) != len(ids) - 1:
+            raise CorruptDocument("a child map lists a node that is not its child")
+        if dag and any(cycles):
+            raise CorruptDocument(f"cycle-edges on DAG-mode node {_first(cycles)}")
+        order, pos, end = ([], [], []) if dag else self._preorder()  # DAG mode has no edges to test
+        cycled = [0] * len(ids)
+        for source, out, kids in zip(count(), cycles, children):
+            if not out:
+                continue
+            if not kids.keys().isdisjoint(out):
+                raise CorruptDocument(f"cycle-edge label shadows a child at node {source}")
+            here, taken = pos[source], 0
+            for label, edge in out.items():
+                target = cycle_to[edge]
+                if ids[target] != label:
+                    raise CorruptDocument(f"cycle-edge label mismatch at node {source}")
+                if not pos[target] <= here < end[target]:
+                    raise CorruptDocument(f"cycle-edge target not an ancestor at node {source}")
+                taken += cycle_count[edge]
+            cycled[source] = taken
+        if sum(map(len, cycles)) != len(cycle_to):
+            raise CorruptDocument("a cycle-edge is in no node's map")
+        if cycle_count and min(cycle_count) < 1:
+            raise CorruptDocument(f"cycle-edge {cycle_count.index(min(cycle_count))} without traversals")
+        at = _first(map(ne, freq, map(add, map(add, self.terminal, descended), cycled)))
+        if at is not None:
+            raise CorruptDocument(f"conservation violated at node {at}")
+        # given conservation, (freq - terminal - cycled) / freq is exactly this share
+        at = _first(map(gt, descended, freq))
+        if at is not None:
+            raise CorruptDocument(f"sibling probabilities inconsistent at node {at}")
+        if not dag:
+            last: dict[str, int] = {}  # identifier -> the latest node in pre-order carrying it
+            for node in islice(order, 1, None):
+                rid = ids[node]
+                before = last.get(rid)  # type: ignore[arg-type]
+                if before is not None and pos[node] < end[before]:
+                    raise CorruptDocument(f"identifier repeats on the root path at node {node}")
+                last[rid] = node  # type: ignore[index]
+        if freq[0] != self.sequence_count:
             raise CorruptDocument("root frequency does not match the sequence count")
-        if {d: t for d, t in self.depth_stats.per_depth.items() if t} != recount:
+        if {d: t for d, t in self.depth_stats.items() if t} != self._per_depth():
             raise CorruptDocument("per-depth statistics do not match a recount")
 
     # ---- persistence ---------------------------------------------------------------
 
     def to_document(self) -> dict[str, Any]:
-        """Columnar document tree; see ``save``.
-
-        The header (``format_version``, ``mode``, ``n``, ``sequence_count``)
-        is followed by parallel arrays.  ``parent``, ``id``, ``freq`` and
-        ``terminal_count`` hold one entry per non-root node, in pre-order
-        with children in label order; ``cycle_from``, ``cycle_to`` and
-        ``cycle_count`` hold one entry per cycle-edge, by source node in
-        that order and then by label.  Node indices count the root as 0.
-        The document is a canonical form: equal documents iff structurally
-        equal tries.  Only what cannot be derived is stored: depths, entry
-        counts, the root's statistics, the per-depth table and ``prob``
-        are recomputed on load.
-        """
-        parent: list[int] = []
-        ids: list[str] = []
-        freq: list[int] = []
-        terminal_count: list[int] = []
-        cycle_from: list[int] = []
-        cycle_to: list[int] = []
-        cycle_count: list[int] = []
-        index: dict[int, int] = {}
-        for node in self.iter_nodes():
-            idx = index[id(node)] = len(index)
-            if idx:
-                parent.append(index[id(node.parent)])
-                ids.append(node.id)  # type: ignore[arg-type]
-                freq.append(node.freq)
-                terminal_count.append(node.terminal_count)
-            for label in sorted(node.cycles):
-                edge = node.cycles[label]
-                cycle_from.append(idx)
-                cycle_to.append(index[id(edge.target)])  # an ancestor, so already numbered
-                cycle_count.append(edge.count)
+        """Columnar document tree: a header (``format_version``, ``mode``,
+        ``n``, ``sequence_count``) and parallel arrays, ``parent``, ``id``,
+        ``freq`` and ``terminal_count`` per non-root node in pre-order with
+        children in label order (the root is node 0), ``cycle_from``,
+        ``cycle_to`` and ``cycle_count`` per cycle-edge, by source in that
+        order, then by label.  Equal documents iff structurally equal tries."""
+        children, cycles = self.children, self.cycles
+        order: list[int] = []  # nodes in canonical pre-order
+        edges: list[int] = []  # cycle-edges in canonical order, and their sources
+        sources: list[int] = []
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            kids, out = children[node], cycles[node]
+            if kids:
+                stack.extend(map(kids.__getitem__, sorted(kids, reverse=True)))
+            if out:
+                edges += map(out.__getitem__, sorted(out))
+                sources += repeat(node, len(out))
+        renumber = [0] * len(order)
+        for k, node in enumerate(order):
+            renumber[node] = k
+        nodes = order[1:]
         return {
             "format_version": FORMAT_VERSION,
             "mode": self.mode.value,
             "n": self.n,
             "sequence_count": self.sequence_count,
-            "parent": parent,
-            "id": ids,
-            "freq": freq,
-            "terminal_count": terminal_count,
-            "cycle_from": cycle_from,
-            "cycle_to": cycle_to,
-            "cycle_count": cycle_count,
+            "parent": list(map(renumber.__getitem__, map(self.parent.__getitem__, nodes))),
+            "id": list(map(self.id.__getitem__, nodes)),
+            "freq": list(map(self.freq.__getitem__, nodes)),
+            "terminal_count": list(map(self.terminal.__getitem__, nodes)),
+            "cycle_from": list(map(renumber.__getitem__, sources)),
+            "cycle_to": list(map(renumber.__getitem__, map(self.cycle_to.__getitem__, edges))),
+            "cycle_count": list(map(self.cycle_count.__getitem__, edges)),
         }
 
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "Trie":
-        """Rebuild a trie from a document, validating every invariant.
-
-        Whole columns are checked first, each in one pass in C: lengths,
-        element types (exact ints, nonempty strings) and value ranges
-        (``freq`` at least 1, ``terminal_count`` non-negative, every parent
-        an earlier node, every cycle-edge end a node, no target the root).
-        Then one pass over the node arrays derives each depth from the
-        parent's, sets ``entry_count`` to ``freq`` and rebuilds the
-        per-depth table; one pass over the cycle-edge arrays subtracts each
-        edge's count from its target's ``entry_count``.  These passes check
-        only what needs the structure: no duplicate child, no duplicate
-        cycle-edge.  Then ``check_invariants`` runs.
-        """
+        """Rebuild a trie from a document, validating every invariant.  Whole
+        columns are checked first, in C: lengths, exact ints and nonempty
+        strings, ``freq`` at least 1, ``terminal_count`` non-negative, every
+        parent an earlier node, every cycle-edge end a non-root node.  The
+        columns then become the trie's, renumbered breadth-first, one pass
+        each fills the child and cycle-edge maps, and ``check_invariants`` runs."""
         try:
             version = doc["format_version"]
         except (TypeError, KeyError):
@@ -525,35 +507,54 @@ class Trie:
         if freqs and (min(freqs) < 1 or min(terminal_counts) < 0):
             raise CorruptDocument("node statistic out of range")
         if sources:
-            if min(sources) < 0 or min(targets) < 0:
+            lowest = min(targets)
+            if min(sources) < 0 or lowest < 0:
                 raise CorruptDocument("negative node index in a cycle-edge")
             if max(sources) > len(parents) or max(targets) > len(parents):
                 raise CorruptDocument("cycle-edge node index past the end")
-            if 0 in targets:
+            if lowest == 0:
                 raise CorruptDocument("cycle-edge into the root")
 
+        # a caller that hands the document over (load does) gets its columns freed as they are used
+        del doc, node_columns, cycle_columns
+        depth = [0] * (len(parents) + 1)
+        for node, parent in zip(count(1), parents):
+            depth[node] = depth[parent] + 1
+        # breadth-first numbering: a query step then touches far fewer cache lines
+        nodes = list(range(len(depth)))  # one int object per node index, shared by all columns
+        order = sorted(nodes, key=depth.__getitem__)
+        place = [0] * len(depth)
+        for node, at in zip(nodes, order):
+            place[at] = node
+        labels, entry, cycles = [None, *ids], [0, *freqs], [{} for _ in nodes]
+        for edge, source, target, taken in zip(count(), sources, targets, counts):
+            cycles[source][labels[target]] = edge  # type: ignore[index]
+            entry[target] -= taken
+        if sum(map(len, cycles)) != len(sources):
+            keys = map(labels.__getitem__, targets)
+            at = _first(map(ne, map(dict.get, map(cycles.__getitem__, sources), keys), count()))
+            raise CorruptDocument(f"duplicate cycle-edge from node {sources[at]}")  # type: ignore[index]
         trie = cls(mode, n)
         trie.sequence_count = sequence_count
-        trie.root.freq = sequence_count
-        bump = trie.depth_stats.bump
-        nodes = [trie.root]
-        for parent_idx, rid, freq, terminal_count in zip(parents, ids, freqs, terminal_counts):
-            parent = nodes[parent_idx]
-            if rid in parent.children:
-                raise CorruptDocument(f"duplicate child {rid!r} under node {parent_idx}")
-            node = TrieNode(rid, parent.depth + 1, parent)
-            parent.children[rid] = node
-            node.freq = node.entry_count = freq
-            node.terminal_count = terminal_count
-            bump(node.depth, rid, freq)
-            nodes.append(node)
-        for src_idx, dst_idx, count in zip(sources, targets, counts):
-            dst = nodes[dst_idx]
-            cycles = nodes[src_idx].cycles
-            if dst.id in cycles:
-                raise CorruptDocument(f"duplicate cycle-edge from node {src_idx}")
-            cycles[dst.id] = CycleEdge(dst, count)  # type: ignore[index]
-            dst.entry_count -= count
+        trie.cycle_to = list(map(place.__getitem__, targets))
+        trie.cycle_count = list(counts)
+        del sources, targets, counts
+        trie.cycles = list(map(cycles.__getitem__, order))
+        trie.parent = [-1, *map(place.__getitem__, map([-1, *parents].__getitem__, islice(order, 1, None)))]
+        trie.id = list(map(labels.__getitem__, order))
+        trie.freq = list(map([sequence_count, *freqs].__getitem__, order))
+        trie.entry = list(map(entry.__getitem__, order))
+        trie.terminal = list(map([0, *terminal_counts].__getitem__, order))
+        trie.depth = list(map(depth.__getitem__, order))
+        del ids, freqs, terminal_counts, labels, entry, cycles, depth, place
+        trie.children = children = [{} for _ in nodes]
+        for node, parent, rid in zip(islice(nodes, 1, None), islice(trie.parent, 1, None), islice(trie.id, 1, None)):
+            children[parent][rid] = node  # type: ignore[index]
+        if sum(map(len, children)) != len(parents):
+            pairs = zip(count(1), islice(trie.parent, 1, None), islice(trie.id, 1, None))
+            at = next(node for node, parent, rid in pairs if children[parent][rid] != node)  # type: ignore[index]
+            raise CorruptDocument(f"duplicate child {trie.id[at]!r} under node {parents[order[at] - 1]}")
+        trie.depth_stats = trie._per_depth()
         trie.check_invariants()
         return trie
 
@@ -587,8 +588,7 @@ def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:
     return nodes
 
 
-def load(source: str | os.PathLike[str] | IO[str]) -> Trie:
-    """Read a trie from a path or text stream written by ``save``."""
+def _read(source: str | os.PathLike[str] | IO[str]) -> dict[str, Any]:
     if hasattr(source, "read"):
         text = source.read()  # type: ignore[union-attr]
     else:
@@ -600,4 +600,10 @@ def load(source: str | os.PathLike[str] | IO[str]) -> Trie:
         raise CorruptDocument(f"not a valid document: {exc}") from None
     if not isinstance(doc, dict):
         raise CorruptDocument("document root must be an object")
-    return Trie.from_document(doc)
+    return doc
+
+
+def load(source: str | os.PathLike[str] | IO[str]) -> Trie:
+    """Read a trie from a path or text stream written by ``save``."""
+    # no local keeps the text or the document: the loader frees the columns as it goes
+    return Trie.from_document(_read(source))

@@ -13,7 +13,9 @@ from provtrie.cli import main
 from provtrie.graph import gen_clique
 from provtrie.oracle import clique_walk_count
 from provtrie.query import QueryPattern, count_paths
-from provtrie.trie import Trie, TrieMode, load
+from provtrie.trie import Trie, TrieMode, load, save
+
+from helpers import find, node_count
 
 DATA = Path(__file__).parent / "data"
 
@@ -62,7 +64,7 @@ def test_index_whole_sequence_linear_trace(linear_trace_file, tmp_path, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["traces\t1", "sequences\t1", "nodes\t5"]
-    assert load(out).node_count == 5
+    assert node_count(load(out)) == 5
     assert stat.S_IMODE(out.stat().st_mode) == 0o640
 
 
@@ -319,7 +321,7 @@ def test_predicate_map_override(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert "nodes\t2" in capsys.readouterr().out
     trie = load(out)
-    assert trie.find(["urn:x", "urn:y"]) is not None
+    assert find(trie, ["urn:x", "urn:y"]) is not None
 
 
 def test_index_reads_stdin(tmp_path, capsys, monkeypatch):
@@ -329,7 +331,7 @@ def test_index_reads_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(LINEAR_TRACE)))
     rc = main(["index", "-", "--out", str(out)])
     assert rc == 0
-    assert load(out).node_count == 5
+    assert node_count(load(out)) == 5
 
 
 def test_persistence_transparency(clique4_file, tmp_path, capsys):
@@ -447,3 +449,39 @@ def test_commands_run_with_the_gc_paused(monkeypatch, capsys):
     assert main(["oracle", "--clique", "4", "--steps", "2"]) == 0
     assert seen == [False]
     assert gc.isenabled()
+
+
+# Runs ``python -m provtrie ARGS`` in this process and reports on stderr, as
+# JSON, the exit code and the full collections that started after main()
+# returned.  The allocations afterwards would start some if the collector
+# were back on.
+GC_AFTER_MAIN = r"""
+import gc, json, runpy, sys
+after_main = []
+returned = False
+
+def watch(phase, info):
+    if returned and phase == "start" and info["generation"] == 2:
+        after_main.append(info)
+
+gc.callbacks.append(watch)
+sys.argv = ["provtrie", *sys.argv[1:]]
+try:
+    runpy.run_module("provtrie", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+returned = True
+junk = [[] for _ in range(200_000)]
+print(json.dumps({"code": code, "full_collections": len(after_main)}), file=sys.stderr)
+"""
+
+
+def test_module_entry_point_keeps_the_collector_off_after_main(tmp_path):
+    trie = Trie(TrieMode.DG)
+    trie.index_graph_dg(gen_clique(5))
+    path = tmp_path / "k5.trie"
+    save(trie, path)
+    argv = ["query", str(path), "--start", ":r0", "--end", ":r1", "--wildcards", "3", "--count-only"]
+    res = subprocess.run([sys.executable, "-c", GC_AFTER_MAIN, *argv], capture_output=True, text=True, timeout=120)
+    assert res.stdout == f"{clique_walk_count(5, 4)}\n"
+    assert json.loads(res.stderr.splitlines()[-1]) == {"code": 0, "full_collections": 0}

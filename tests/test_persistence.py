@@ -1,4 +1,5 @@
 import copy
+import gc
 import io
 import json
 import random
@@ -18,7 +19,7 @@ from provtrie.trie import (
     save,
 )
 
-from helpers import all_node_freqs, insert_all
+from helpers import all_node_freqs, find, insert_all, node_count, prob
 
 HEADER_KEYS = ["format_version", "mode", "n", "sequence_count"]
 NODE_COLUMNS = ["parent", "id", "freq", "terminal_count"]
@@ -47,18 +48,18 @@ def test_empty_trie_roundtrip():
     assert doc["parent"] == [] and doc["cycle_from"] == []
     back = roundtrip(t)
     assert back.to_document() == doc
-    assert back.node_count == 0
+    assert node_count(back) == 0
 
 
 def test_reference_trie_roundtrip():
     t = insert_all(TrieMode.DAG, FIGURE_SEQUENCES)
     back = roundtrip(t)
-    assert back.node_count == 7
+    assert node_count(back) == 7
     assert back.to_document() == t.to_document()
     assert all_node_freqs(back) == all_node_freqs(t)
     # probabilities recompute identically from the stored frequencies
     for path, (freq, entry, terminal) in all_node_freqs(t).items():
-        node = back.find(path)
+        node = find(back, path)
         assert node is not None and node.freq == freq
 
 
@@ -70,7 +71,7 @@ def test_dg_trie_roundtrip_with_cycles():
     assert b.cycles["a"].count == 2
     # descent counts (and therefore probabilities) survive the round trip
     assert back.root.children["a"].entry_count == t.root.children["a"].entry_count
-    assert abs(b.prob - t.root.children["a"].children["b"].prob) < 1e-12
+    assert abs(prob(b) - prob(t.root.children["a"].children["b"])) < 1e-12
     back.check_invariants()
 
 
@@ -247,7 +248,7 @@ def test_corrupt_dg_identifier_repeats_on_the_root_path():
     with pytest.raises(CorruptDocument, match="repeats on the root path"):
         Trie.from_document(doc)
     # in a DAG trie a repeated identifier is just a deeper node
-    assert Trie.from_document({**doc, "mode": "dag"}).node_count == 2
+    assert node_count(Trie.from_document({**doc, "mode": "dag"})) == 2
 
 
 def test_dg_self_loops_round_trip():
@@ -260,7 +261,7 @@ def test_dg_self_loops_round_trip():
 def test_check_invariants_rejects_hand_bumped_depth_stats():
     t = insert_all(TrieMode.DAG, FIGURE_SEQUENCES)
     t.check_invariants()
-    t.depth_stats.bump(1, "N1", 123)
+    t.depth_stats[1]["N1"] += 123
     with pytest.raises(CorruptDocument, match="per-depth"):
         t.check_invariants()
 
@@ -355,10 +356,13 @@ def _fuzz_bases() -> list[dict]:
 
 FUZZ_BASES = _fuzz_bases()
 
-# small ints can land on valid-looking indices and counts
+# small ints can land on valid-looking indices and counts; the empty list
+# and dict are built afresh per draw, since a mutation may append to them
 JUNK = st.one_of(
     st.integers(min_value=-2, max_value=8),
-    st.sampled_from([-(2**70), 2**70, True, False, 0.5, 2.0, None, "", "a", ":r1", [], {}]),
+    st.sampled_from([-(2**70), 2**70, True, False, 0.5, 2.0, None, "", "a", ":r1"]),
+    st.builds(list),
+    st.builds(dict),
 )
 
 
@@ -450,14 +454,14 @@ SAVE_CASES = {
 def test_save_bytes_equal_json_dump(make):
     trie = make()
     buf = io.StringIO()
-    assert save(trie, buf) == trie.node_count
+    assert save(trie, buf) == node_count(trie)
     assert buf.getvalue() == _json_dump_bytes(trie)
 
 
 def test_save_to_path_bytes_equal_json_dump(tmp_path):
     trie = _dg_clique(4)
     path = tmp_path / "k4.trie"
-    assert save(trie, path) == trie.node_count
+    assert save(trie, path) == node_count(trie)
     assert path.read_text(encoding="utf-8") == _json_dump_bytes(trie)
 
 
@@ -478,3 +482,24 @@ def test_failed_save_leaves_existing_file(tmp_path, monkeypatch):
         save(insert_all(TrieMode.DAG, [["x"]]), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["index.trie"]
+
+
+def test_loading_adds_few_gc_tracked_objects(tmp_path):
+    # the node and edge columns hold only ints, strings and dicts of them,
+    # which the cyclic collector does not track, so loading tracks no
+    # object per node or per cycle-edge
+    trie = _dg_clique(6)
+    assert (node_count(trie), len(trie.to_document()["cycle_to"])) == (1956, 7830)
+    path = tmp_path / "k6.trie"
+    save(trie, path)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        loaded = load(path)
+        added = len(gc.get_objects()) - before
+    finally:
+        if was:
+            gc.enable()
+    assert loaded.to_document() == trie.to_document()
+    assert added < 100, added

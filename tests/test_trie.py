@@ -1,5 +1,8 @@
+import copy
+import json
 import random
 import sys
+from typing import Any, Callable, Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +11,19 @@ from hypothesis import strategies as st
 from provtrie.graph import GraphKind, ProvGraph, gen_clique
 from provtrie.oracle import enumerate_walks
 from provtrie.query import QueryPattern, count_paths
-from provtrie.trie import CorruptDocument, CycleEdge, EmptySequence, Trie, TrieMode, TrieModeError, TrieNode
+from provtrie.trie import CorruptDocument, EmptySequence, Trie, TrieMode, TrieModeError
 
 from helpers import (
+    CycleEdge,
+    ObjectNode,
+    ObjectTrie,
     all_node_freqs,
+    cycle_edges,
     insert_all,
     insert_based_index_graph_dg,
+    iter_nodes,
+    node_count,
+    prob,
     random_dag,
     random_dg,
     walk_conservation_report,
@@ -35,7 +45,7 @@ corpora = st.lists(sequences, min_size=1, max_size=10)
 
 def test_dag_insert_reference_structure():
     t = insert_all(TrieMode.DAG, FIGURE_SEQUENCES)
-    assert t.node_count == 7
+    assert node_count(t) == 7
     assert t.sequence_count == 5
     assert t.root.freq == 5
 
@@ -63,7 +73,7 @@ def test_dag_insert_repeated_sequence():
     t.insert(["a"])
     node = t.root.children["a"]
     assert node.freq == 2
-    assert node.prob == 1.0
+    assert prob(node) == 1.0
     assert node.terminal_count == 2
 
 
@@ -71,8 +81,8 @@ def test_dag_insert_sibling_probabilities():
     t = insert_all(TrieMode.DAG, [["a", "b"], ["a", "c"]])
     a = t.root.children["a"]
     assert a.freq == 2
-    assert a.children["b"].prob == 0.5
-    assert a.children["c"].prob == 0.5
+    assert prob(a.children["b"]) == 0.5
+    assert prob(a.children["c"]) == 0.5
 
 
 def test_insert_rejects_empty_sequence():
@@ -94,10 +104,10 @@ def test_insert_mode_checks():
 def test_dg_insert_folds_repeat_into_cycle_edge():
     t = Trie(TrieMode.DG)
     t.insert_dg(["N1", "N2", "N1"])
-    assert t.node_count == 2  # no second N1 node
+    assert node_count(t) == 2  # no second N1 node
     n1 = t.root.children["N1"]
     n2 = n1.children["N2"]
-    assert [target.id for target in n2.cycle_edges] == ["N1"]
+    assert [target.id for target in cycle_edges(n2)] == ["N1"]
     assert n2.cycles["N1"].target is n1
     assert n1.freq == 2  # one descent, one cycle arrival
     assert n1.terminal_count == 1  # the sequence ends back on N1
@@ -109,7 +119,7 @@ def test_dg_insert_without_repeats_matches_dag_shape():
     dag = insert_all(TrieMode.DAG, corpus)
     dg = insert_all(TrieMode.DG, corpus)
     assert all_node_freqs(dag) == all_node_freqs(dg)
-    assert all(not node.cycles for node in dg.iter_nodes())
+    assert all(not node.cycles for node in iter_nodes(dg))
 
 
 def test_dg_cycle_edges_recorded_once_with_counts():
@@ -126,7 +136,7 @@ def test_dg_self_reference():
     t = Trie(TrieMode.DG)
     t.insert_dg(["a", "a", "a"])
     a = t.root.children["a"]
-    assert t.node_count == 1
+    assert node_count(t) == 1
     assert a.cycles["a"].target is a
     assert a.cycles["a"].count == 2
     t.check_invariants()
@@ -176,7 +186,7 @@ def test_index_graph_dg_edge_projection_equals_graph():
         t = Trie(TrieMode.DG)
         t.index_graph_dg(g)
         projected = set()
-        for node in t.iter_nodes():
+        for node in iter_nodes(t):
             if node.id is None:
                 continue
             for child in node.children.values():
@@ -226,22 +236,22 @@ def test_dg_builder_has_no_depth_limit():
         t.index_graph_dg(g)
     finally:
         sys.setrecursionlimit(limit)
-    assert t.node_count == n * (n + 1) // 2 == 45_150
+    assert node_count(t) == n * (n + 1) // 2 == 45_150
     assert t.sequence_count == n
     t.check_invariants()
 
 
 def test_reinserting_known_sequence_adds_no_nodes():
     t = insert_all(TrieMode.DAG, [["a", "b", "c"]])
-    before = t.node_count
+    before = node_count(t)
     t.insert(["a", "b", "c"])
-    assert t.node_count == before
+    assert node_count(t) == before
 
 
 def test_node_count_bounded_by_symbols_inserted():
     corpus = [["a", "b"], ["a", "b", "c"], ["a", "d"]]
     t = insert_all(TrieMode.DAG, corpus)
-    assert t.node_count <= sum(len(s) for s in corpus)
+    assert node_count(t) <= sum(len(s) for s in corpus)
 
 
 @given(corpus=corpora)
@@ -308,29 +318,38 @@ def test_incremental_insert_locality(corpus, extra):
 def test_depth_stats_track_cycle_arrivals():
     t = Trie(TrieMode.DG)
     t.insert_dg(["a", "b", "a"])
-    assert t.depth_stats.at(1) == {"a": 2}
-    assert t.depth_stats.at(2) == {"b": 1}
+    assert t.depth_stats[1] == {"a": 2}
+    assert t.depth_stats[2] == {"b": 1}
 
 
 @given(corpus=corpora)
 @settings(max_examples=50, deadline=None)
 def test_dag_depth_totals_count_long_enough_sequences(corpus):
     t = insert_all(TrieMode.DAG, corpus)
-    for depth in t.depth_stats.depths():
+    for depth in sorted(t.depth_stats):
         shorter = sum(1 for seq in corpus if len(seq) < depth)
-        assert t.depth_stats.total(depth) == t.root.freq - shorter
+        assert sum(t.depth_stats[depth].values()) == t.root.freq - shorter
 
 
 def test_check_invariants_rejects_a_repeated_dg_identifier():
-    t = insert_all(TrieMode.DG, [["a", "b"]])
-    b = t.root.children["a"].children["b"]
     # a child of b labelled like its grandparent; every statistic balances
-    repeat = TrieNode("a", b.depth + 1, b)
+    reference = ObjectTrie(TrieMode.DG)
+    reference.insert_dg(["a", "b"])
+    b = reference.root.children["a"].children["b"]
+    repeat = ObjectNode("a", b.depth + 1, b)
     b.children["a"] = repeat
     repeat.freq = repeat.entry_count = repeat.terminal_count = 1
     b.terminal_count = 0
-    t.depth_stats.bump(repeat.depth, "a")
-    walk_up_check_invariants(t)  # the reference has no such rule
+    reference.depth_stats.bump(repeat.depth, "a")
+    walk_up_check_invariants(reference)  # the reference has no such rule
+    with pytest.raises(CorruptDocument, match="repeats on the root path"):
+        reference.check_invariants()
+    t = insert_all(TrieMode.DG, [["a", "b"]])
+    b = t.root.children["a"].children["b"].index
+    node = t._add_node(b, "a")
+    t.freq[node] = t.entry[node] = t.terminal[node] = 1
+    t.terminal[b] = 0
+    t.depth_stats[3] = {"a": 1}
     with pytest.raises(CorruptDocument, match="repeats on the root path"):
         t.check_invariants()
 
@@ -345,66 +364,101 @@ def _dag_walks(rng: random.Random, g: ProvGraph, count: int) -> list[list[str]]:
     return walks
 
 
-def _tamper(trie: Trie, how: str, rng: random.Random) -> bool:
-    """Damage ``trie`` in memory; False when it has nothing to damage that way."""
-    nodes = list(trie.iter_nodes())
-    inner = nodes[1:]
-    sources = [node for node in nodes if node.cycles]
+def _tamper(trie: Trie, reference: ObjectTrie, how: str, rng: random.Random) -> bool:
+    """Damage both tries the same way in memory; False when they have nothing to damage that way.
+
+    Both were loaded from one document; ``nodes[k]`` and ``trie`` node
+    ``at[k]`` are the ``k``-th node in canonical pre-order.
+    """
+    nodes = list(reference.iter_nodes())
+    at = [view.index for view in iter_nodes(trie)]
+    inner = range(1, len(nodes))
+    sources = [k for k, node in enumerate(nodes) if node.cycles]
     if how == "bump a freq":
-        rng.choice(nodes).freq += 1
+        i = rng.randrange(len(nodes))
+        nodes[i].freq += 1
+        trie.freq[at[i]] += 1
     elif how == "retarget a cycle-edge to a non-ancestor":
         if not sources:
             return False
-        node = rng.choice(sources)
-        edge = node.cycles[rng.choice(sorted(node.cycles))]
+        i = rng.choice(sources)
+        label = rng.choice(sorted(nodes[i].cycles))
+        edge = trie.cycles[at[i]][label]
         # a node with the edge's label elsewhere in the trie, so that only the ancestor test can fail
-        elsewhere = [other for other in inner if other.id == edge.target.id and other is not edge.target]
-        edge.target = rng.choice(elsewhere or inner)
+        elsewhere = [j for j in inner if nodes[j].id == label and at[j] != trie.cycle_to[edge]]
+        j = rng.choice(elsewhere or inner)
+        nodes[i].cycles[label].target = nodes[j]
+        trie.cycle_to[edge] = at[j]
     elif how == "break a depth":
         if not inner:
             return False
-        rng.choice(inner).depth += rng.choice([-1, 1])
+        i, delta = rng.choice(inner), rng.choice([-1, 1])
+        nodes[i].depth += delta
+        trie.depth[at[i]] += delta
     elif how == "repoint a parent":
         if not inner:
             return False
-        node = rng.choice(inner)
-        node.parent = rng.choice([other for other in nodes if other is not node.parent])
+        i = rng.choice(inner)
+        j = rng.choice([j for j, other in enumerate(nodes) if other is not nodes[i].parent])
+        nodes[i].parent = nodes[j]
+        trie.parent[at[i]] = at[j]
     elif how == "add a cycle-edge in DAG mode":
         if trie.mode is not TrieMode.DAG or not inner:
             return False
-        node = rng.choice(inner)
+        i = rng.choice(inner)
+        node = nodes[i]
         node.cycles[node.id] = CycleEdge(node, 1)  # type: ignore[index]
         node.terminal_count -= 1
         node.freq += 1
+        trie.cycles[at[i]][trie.id[at[i]]] = len(trie.cycle_to)  # type: ignore[index]
+        trie.cycle_to.append(at[i])
+        trie.cycle_count.append(1)
+        trie.terminal[at[i]] -= 1
+        trie.freq[at[i]] += 1
     elif how == "zero an edge count":
         if not sources:
             return False
-        node = rng.choice(sources)
-        edge = node.cycles[rng.choice(sorted(node.cycles))]
-        node.terminal_count += edge.count  # conservation still holds
+        i = rng.choice(sources)
+        label = rng.choice(sorted(nodes[i].cycles))
+        edge = nodes[i].cycles[label]
+        nodes[i].terminal_count += edge.count  # conservation still holds
         edge.count = 0
+        trie.terminal[at[i]] += trie.cycle_count[trie.cycles[at[i]][label]]
+        trie.cycle_count[trie.cycles[at[i]][label]] = 0
     elif how == "hand-bump depth_stats":
         if not inner:
             return False
-        node = rng.choice(inner)
-        trie.depth_stats.bump(node.depth, node.id, rng.choice([-1, 1]))  # type: ignore[arg-type]
+        i, delta = rng.choice(inner), rng.choice([-1, 1])
+        reference.depth_stats.bump(nodes[i].depth, nodes[i].id, delta)  # type: ignore[arg-type]
+        level = trie.depth_stats.setdefault(trie.depth[at[i]], {})
+        level[trie.id[at[i]]] = level.get(trie.id[at[i]], 0) + delta  # type: ignore[index]
     elif how == "repeat an ancestor's identifier":
         # a leaf without cycle-edges has none coming in either
-        leaves = [node for node in inner if node.depth >= 2 and not node.children and not node.cycles]
+        leaves = [i for i in inner if nodes[i].depth >= 2 and not nodes[i].children and not nodes[i].cycles]
         if trie.mode is not TrieMode.DG or not leaves:
             return False
-        node = rng.choice(leaves)
+        i = rng.choice(leaves)
+        node = nodes[i]
         parent = ancestor = node.parent
         while ancestor.parent.parent is not None and rng.random() < 0.5:
             ancestor = ancestor.parent
-        level = trie.depth_stats.per_depth[node.depth]
+        level = reference.depth_stats.per_depth[node.depth]
         level[node.id] -= node.freq
         if not level[node.id]:
             del level[node.id]
         del parent.children[node.id]
         node.id = ancestor.id
         parent.children[node.id] = node
-        trie.depth_stats.bump(node.depth, node.id, node.freq)
+        reference.depth_stats.bump(node.depth, node.id, node.freq)
+        level = trie.depth_stats[trie.depth[at[i]]]
+        level[trie.id[at[i]]] -= trie.freq[at[i]]  # type: ignore[index]
+        if not level[trie.id[at[i]]]:  # type: ignore[index]
+            del level[trie.id[at[i]]]  # type: ignore[arg-type]
+        del trie.children[trie.parent[at[i]]][trie.id[at[i]]]  # type: ignore[arg-type]
+        trie.id[at[i]] = ancestor.id
+        trie.children[trie.parent[at[i]]][ancestor.id] = at[i]  # type: ignore[index]
+        level = trie.depth_stats.setdefault(trie.depth[at[i]], {})
+        level[ancestor.id] = level.get(ancestor.id, 0) + trie.freq[at[i]]  # type: ignore[index]
     else:  # pragma: no cover
         raise AssertionError(how)
     return True
@@ -422,8 +476,7 @@ TAMPERINGS = [
 ]
 
 
-def test_one_walk_checker_agrees_with_the_walk_up_reference():
-    rng = random.Random(0xC3)
+def _checker_documents(rng: random.Random) -> list[dict]:
     documents = []
     for _ in range(40):
         for g in (random_dg(rng), random_dag(rng)):
@@ -435,31 +488,180 @@ def test_one_walk_checker_agrees_with_the_walk_up_reference():
         t = Trie(TrieMode.DG)
         t.index_graph_dg(gen_clique(size))
         documents.append(t.to_document())
+    return documents
+
+
+def _verdict(check, trie_or_doc) -> str:
+    try:
+        check(trie_or_doc)
+    except CorruptDocument as exc:
+        return "repeat" if "repeats on the root path" in str(exc) else "raise"
+    return "pass"
+
+
+def test_one_walk_checker_agrees_with_the_walk_up_reference():
+    rng = random.Random(0xC3)
     outcomes = {how: set() for how in TAMPERINGS}
-    for doc in documents:
-        clean = Trie.from_document(doc)
-        walk_up_check_invariants(clean)
+    for doc in _checker_documents(rng):
+        clean, reference = Trie.from_document(doc), ObjectTrie.from_document(doc)
+        walk_up_check_invariants(reference)
+        reference.check_invariants()
         clean.check_invariants()
         for how in TAMPERINGS:
             for _ in range(2):
-                trie = Trie.from_document(doc)
-                if not _tamper(trie, how, rng):
+                trie, reference = Trie.from_document(doc), ObjectTrie.from_document(doc)
+                if not _tamper(trie, reference, how, rng):
                     continue
-                try:
-                    walk_up_check_invariants(trie)
-                    reference = "pass"
-                except CorruptDocument:
-                    reference = "raise"
-                try:
-                    trie.check_invariants()
-                    one_walk = "pass"
-                except CorruptDocument as exc:
-                    one_walk = "repeat" if "repeats on the root path" in str(exc) else "raise"
-                if one_walk == "repeat" and reference == "pass":
+                walk_up = _verdict(walk_up_check_invariants, reference)
+                columns = _verdict(Trie.check_invariants, trie)
+                # the one-walk object checker has every rule the column checker has
+                assert columns == _verdict(ObjectTrie.check_invariants, reference), (how, doc)
+                if columns == "repeat" and walk_up == "pass":
                     assert trie.mode is TrieMode.DG
                 else:
-                    assert one_walk == reference, (how, doc)
-                outcomes[how].add((reference, one_walk))
-    # every tampering was applied and caught; only the new rule tells the two apart
+                    assert columns == walk_up, (how, doc)
+                outcomes[how].add((walk_up, columns))
+    # every tampering was applied and caught; only the DG rule tells the walk-up reference apart
     assert all(("raise", "raise") in seen or ("raise", "repeat") in seen for seen in outcomes.values()), outcomes
     assert ("pass", "repeat") in outcomes["repeat an ancestor's identifier"]
+
+
+def _tamper_document(doc: dict, how: str, rng: random.Random) -> bool:
+    """Damage a document in place; False when it has nothing to damage that way.
+
+    Column position ``k`` holds node ``k + 1``.
+    """
+    parents, ids, nodes = doc["parent"], doc["id"], len(doc["parent"])
+    edges = len(doc["cycle_to"])
+    if how == "bump a freq":
+        if not nodes:
+            return False
+        doc["freq"][rng.randrange(nodes)] += 1
+    elif how == "retarget a cycle-edge to a non-ancestor":
+        if not edges:
+            return False
+        e = rng.randrange(edges)
+        target = doc["cycle_to"][e]
+        elsewhere = [k + 1 for k, rid in enumerate(ids) if rid == ids[target - 1] and k + 1 != target]
+        doc["cycle_to"][e] = rng.choice(elsewhere or range(1, nodes + 1))
+    elif how == "repoint a parent":
+        if nodes < 2:
+            return False
+        k = rng.randrange(1, nodes)
+        parents[k] = rng.choice([p for p in range(k + 1) if p != parents[k]])
+    elif how == "add a cycle-edge in DAG mode":
+        if doc["mode"] != "dag" or not nodes:
+            return False
+        k = rng.randrange(nodes)
+        doc["cycle_from"].append(k + 1)
+        doc["cycle_to"].append(k + 1)
+        doc["cycle_count"].append(1)
+        doc["terminal_count"][k] -= 1
+        doc["freq"][k] += 1
+    elif how == "zero an edge count":
+        if not edges:
+            return False
+        e = rng.randrange(edges)
+        doc["terminal_count"][doc["cycle_from"][e] - 1] += doc["cycle_count"][e]  # conservation still holds
+        doc["cycle_count"][e] = 0
+    elif how == "repeat an ancestor's identifier":
+        # a leaf without cycle-edges has none coming in either
+        busy = {*parents, *doc["cycle_from"], *doc["cycle_to"]}
+        leaves = [k for k in range(nodes) if k + 1 not in busy and parents[k]]
+        if doc["mode"] != "dg" or not leaves:
+            return False
+        k = rng.choice(leaves)
+        ancestors = []
+        above = parents[parents[k] - 1]
+        while above:
+            ancestors.append(above)
+            above = parents[above - 1]
+        if not ancestors:
+            return False
+        ids[k] = ids[rng.choice(ancestors) - 1]
+    else:  # pragma: no cover
+        raise AssertionError(how)
+    return True
+
+
+DOCUMENT_TAMPERINGS = [
+    "bump a freq",
+    "retarget a cycle-edge to a non-ancestor",
+    "repoint a parent",
+    "add a cycle-edge in DAG mode",
+    "zero an edge count",
+    "repeat an ancestor's identifier",
+]
+
+
+def test_column_loader_agrees_with_the_object_loader_on_tampered_documents():
+    rng = random.Random(0xD0C)
+    outcomes = {how: set() for how in DOCUMENT_TAMPERINGS}
+    for doc in _checker_documents(rng):
+        for how in DOCUMENT_TAMPERINGS:
+            for _ in range(2):
+                tampered = copy.deepcopy(doc)
+                if not _tamper_document(tampered, how, rng):
+                    continue
+                columns = _verdict(Trie.from_document, tampered)
+                assert columns == _verdict(ObjectTrie.from_document, tampered), (how, tampered)
+                outcomes[how].add(columns)
+    assert all(seen - {"pass"} for seen in outcomes.values()), outcomes
+    assert "repeat" in outcomes["repeat an ancestor's identifier"]
+
+
+def _differential_tries(rng: random.Random) -> Iterator[tuple[str, Callable[[Any], None]]]:
+    """Builds to run on both a ``Trie`` and an ``ObjectTrie``: (mode, build)."""
+    names = [f"urn:n{i:02d}" for i in range(8)]  # the generators' identifiers
+    for _ in range(40):
+        g = random_dg(rng) if rng.random() < 0.7 else random_dag(rng)
+        yield "dg", lambda t, g=g: t.index_graph_dg(g)
+    for size in range(2, 7):
+        yield "dg", lambda t, size=size: t.index_graph_dg(gen_clique(size))
+    for _ in range(40):
+        runs = [[rng.choice(names) for _ in range(rng.randint(1, 8))] for _ in range(rng.randint(1, 6))]
+        g = random_dg(rng)
+
+        def mixed(t, runs=runs, g=g):
+            for run in runs[:2]:
+                t.insert_dg(run)
+            t.index_graph_dg(g)
+            for run in runs[2:]:
+                t.insert_dg(run)
+
+        yield "dg", mixed
+    for n in (0, 2, 3):
+        for _ in range(20):
+            walks = _dag_walks(rng, random_dag(rng), 12)
+
+            def windows(t, walks=walks, n=n):
+                for walk in walks:
+                    for start in range(max(1, len(walk) - n + 1) if n else 1):
+                        t.insert(walk[start : start + n] if n else walk)
+
+            yield "dag", windows
+
+
+def test_documents_are_byte_identical_to_the_object_trie():
+    for mode, build in _differential_tries(random.Random(0xB17E)):
+        trie, reference = Trie(TrieMode(mode)), ObjectTrie(TrieMode(mode))
+        build(trie)
+        build(reference)
+        trie.check_invariants()
+        text = json.dumps(trie.to_document(), separators=(",", ":"))
+        assert text == json.dumps(reference.to_document(), separators=(",", ":"))
+        assert json.dumps(Trie.from_document(json.loads(text)).to_document(), separators=(",", ":")) == text
+
+
+def test_views_are_interned_and_read_the_columns():
+    t = insert_all(TrieMode.DG, [["a", "b", "a"], ["a", "c"]])
+    a = t.root.children["a"]
+    assert t.root is t.root and t.root.children["a"] is a and t.node(a.index) is a
+    assert a.children["b"].parent is a and a.parent is t.root and t.root.parent is None
+    assert a.children["b"].cycles["a"].target is a
+    assert sorted(a.children) == ["b", "c"] and "b" in a.children and "a" not in a.children
+    assert [child.id for child in a.children.values()] == ["b", "c"]
+    t.insert_dg(["a", "b", "a"])  # views read the live columns
+    assert a.freq == 5 and a.children["b"].cycles["a"].count == 2
+    with pytest.raises(AttributeError):
+        a.freq = 0
