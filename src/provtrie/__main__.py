@@ -1,7 +1,4 @@
-import gc
-
-from .cli import main
+from .cli import entry
 
 if __name__ == "__main__":
-    gc.disable()  # what a command built lives until exit: no collection after main() either
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -6,7 +6,8 @@ error, 2 usage error.  The environment
 variable PROVTRIE_PREDICATE_MAP may point at a predicate map file that
 replaces the built-in edge-mapping rules for RDF input.  Commands run with
 the cyclic garbage collector paused, since what they build lives until
-the process exits; ``python -m provtrie`` leaves it off until then.
+the process exits; ``entry``, behind ``provtrie`` and ``python -m
+provtrie``, leaves it off until then.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import run_bench, run_bench_naive, write_csv
+from .bench import BenchAborted, run_bench, run_bench_naive, write_csv
 from .canonical import ngrams, sequence
 from .graph import GraphError, GraphKind, ProvGraph, gen_clique
 from .ingest import IngestError, PredicateMap, TraceDocument, parse_ntriples, triples_to_graph
@@ -162,6 +163,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"usage error: unknown engine(s): {','.join(sorted(unknown)) or '(none)'}", file=sys.stderr)
         return 2
     g, trace_id = _load_graph(args.input, args.format, GraphKind.DG)
+    for flag, rid in (("--start", args.start), ("--end", args.end)):
+        if rid not in g:
+            print(f"error: {flag} {rid!r} is not in the graph", file=sys.stderr)
+            return 1
     dataset = args.dataset or trace_id
     rows = []
     if "trie" in engines:
@@ -270,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         # fd 1 at devnull so that the interpreter's final flush cannot raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (GraphError, TrieError, IngestError, EmptyDepth, ValueError, ArithmeticError, OSError) as exc:
+    except (GraphError, TrieError, IngestError, BenchAborted, EmptyDepth, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RecursionError, MemoryError) as exc:
@@ -279,3 +284,9 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if gc_was_enabled:
             gc.enable()
+
+
+def entry() -> int:
+    """The process entry point, ``main`` with the collector left off until exit."""
+    gc.disable()  # what a command built lives until exit: no collection after main() either
+    return main()

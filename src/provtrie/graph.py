@@ -148,19 +148,11 @@ class ProvGraph:
             raise MissingNode(f"{rid!r} is not in the graph")
         return self._roles[rid]
 
-    def roles(self) -> dict[str, Role | None]:
-        return dict(self._roles)
-
     def successors(self, rid: str) -> tuple[str, ...]:
         """Successors of ``rid``, sorted."""
         if rid not in self._succ:
             raise MissingNode(f"{rid!r} is not in the graph")
         return tuple(sorted(self._succ[rid]))
-
-    def predecessors(self, rid: str) -> tuple[str, ...]:
-        if rid not in self._pred:
-            raise MissingNode(f"{rid!r} is not in the graph")
-        return tuple(sorted(self._pred[rid]))
 
     def has_edge(self, src: str, dst: str) -> bool:
         return src in self._succ and dst in self._succ[src]

@@ -199,6 +199,8 @@ class TraceDocument:
             raise SchemaError(f"trace document missing field {exc}") from None
         if not isinstance(trace_id, str) or not trace_id:
             raise SchemaError("trace_id must be a nonempty string")
+        if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
+            raise SchemaError("nodes and edges must be arrays")
         nodes: list[tuple[str, Role | None]] = []
         seen: set[str] = set()
         for rec in raw_nodes:
@@ -212,7 +214,7 @@ class TraceDocument:
             if role_name is None:
                 role = None
             else:
-                role = _ROLE_NAMES.get(role_name)
+                role = _ROLE_NAMES.get(role_name) if isinstance(role_name, str) else None
                 if role is None:
                     raise SchemaError(f"unknown role {role_name!r} on node {rid!r}")
             if rid in seen:
@@ -225,7 +227,7 @@ class TraceDocument:
                 src, dst = rec["from"], rec["to"]
             except (TypeError, KeyError):
                 raise SchemaError("edge records need 'from' and 'to' fields") from None
-            if src not in seen or dst not in seen:
+            if not isinstance(src, str) or not isinstance(dst, str) or src not in seen or dst not in seen:
                 raise SchemaError(f"edge {src!r} -> {dst!r} references an undeclared node")
             edges.append((src, dst))
         return cls(trace_id, tuple(nodes), tuple(edges))

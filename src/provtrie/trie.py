@@ -20,13 +20,15 @@ out)``.  A child's conditional probability is ``entry / parent freq``.
 ``depth_stats`` maps depth -> identifier -> cumulative frequency.
 
 Layout: a node is an ``int``, the root is 0; parents are numbered before
-their children (online: in creation order; loaded: breadth-first, so that
-siblings sit side by side).  Node data lives in parallel lists: ``parent``
-(root: -1), ``id`` (root: None), ``freq``, ``entry``, ``terminal``,
-``depth``, ``children`` (label -> child) and ``cycles`` (label -> edge);
-edge data in ``cycle_to`` and ``cycle_count``.  The cyclic garbage
-collector tracks none of these ints, strings and dicts.  ``Trie.root``
-and ``Trie.node(i)`` give a read-only ``TrieNode`` view, one per index.
+their children (online: in creation order; loaded: in document order,
+which ``to_document`` writes breadth-first, so that siblings sit side by
+side).  Node data lives in parallel lists: ``parent`` (root: -1), ``id``
+(root: None), ``freq``, ``entry``, ``terminal``, ``depth``, ``children``
+(label -> child) and ``cycles`` (label -> edge); edge data in
+``cycle_to`` and ``cycle_count``; ``sequence_count`` is the root's
+``freq``.  The cyclic garbage collector tracks none of these ints,
+strings and dicts.  ``Trie.root`` and ``Trie.node(i)`` give a read-only
+``TrieNode`` view, one per index.
 
 ``check_invariants`` tests ancestry as a pre-order interval: with
 pre-order positions ``pos`` and subtree sizes, ``t`` is ``s`` or an
@@ -34,7 +36,7 @@ ancestor of ``s`` exactly when ``pos[t] <= pos[s] < pos[t] + size[t]``
 (Dietz 1982; the region encoding of Zhang et al., SIGMOD 2001).
 
 ``save``/``load`` store each fact once, as parallel columns in canonical
-pre-order (see ``Trie.to_document``).
+breadth-first order (see ``Trie.to_document``).
 
 Concurrency: single writer, many readers.  Insertion needs exclusive
 access; a trie that is not being mutated can be queried from any number
@@ -154,7 +156,6 @@ class Trie:
             raise ValueError(f"window length must be >= 0, got {n}")
         self.mode = mode
         self.n = n
-        self.sequence_count = 0
         self.parent, self.id = [-1], [None]
         self.freq, self.entry, self.terminal, self.depth = [0], [0], [0], [0]
         self.children: list[dict[str, int]] = [{}]
@@ -163,6 +164,11 @@ class Trie:
         self.depth_stats: dict[int, dict[str, int]] = {}
         self._views: dict[int, TrieNode] = {}
         self.root = self.node(0)
+
+    @property
+    def sequence_count(self) -> int:
+        """Sequences inserted: every insertion arrives at the root once."""
+        return self.freq[0]
 
     def node(self, index: int) -> TrieNode:
         """The read-only view of node ``index``: the same object on every call."""
@@ -253,7 +259,6 @@ class Trie:
                     del positions[self.id[dropped]]  # type: ignore[index]
                 del path[pos + 1 :]
         self.terminal[path[-1]] += 1
-        self.sequence_count += 1
 
     def index_graph_dg(self, g: ProvGraph) -> None:
         """Index every bounded walk of a directed graph (DG mode).
@@ -325,7 +330,6 @@ class Trie:
                 else:
                     total += ins
         freq[0] += total
-        self.sequence_count += total
 
     # ---- invariants ------------------------------------------------------------
 
@@ -360,11 +364,11 @@ class Trie:
 
         Checks parent/depth wiring, entry ranges, conservation, sibling
         probability sums, cycle-edges (label equal to the target's
-        identifier and no child's, count at least 1, target an ancestor),
-        the root's frequency and the per-depth table, in passes over whole
-        columns.  DAG mode has no cycle-edges or arrivals.  In DG mode root
-        paths repeat no identifier: subtrees nest, so it suffices to compare
-        each node with the previous one in pre-order that has its identifier.
+        identifier and no child's, count at least 1, target an ancestor)
+        and the per-depth table, in passes over whole columns.  DAG mode
+        has no cycle-edges or arrivals.  In DG mode root paths repeat no
+        identifier: subtrees nest, so it suffices to compare each node with
+        the previous one in pre-order that has its identifier.
         """
         parent, ids, freq, entry, depth = self.parent, self.id, self.freq, self.entry, self.depth
         children, cycles, cycle_to, cycle_count = self.children, self.cycles, self.cycle_to, self.cycle_count
@@ -419,8 +423,6 @@ class Trie:
                 if before is not None and pos[node] < end[before]:
                     raise CorruptDocument(f"identifier repeats on the root path at node {node}")
                 last[rid] = node  # type: ignore[index]
-        if freq[0] != self.sequence_count:
-            raise CorruptDocument("root frequency does not match the sequence count")
         if {d: t for d, t in self.depth_stats.items() if t} != self._per_depth():
             raise CorruptDocument("per-depth statistics do not match a recount")
 
@@ -429,21 +431,18 @@ class Trie:
     def to_document(self) -> dict[str, Any]:
         """Columnar document tree: a header (``format_version``, ``mode``,
         ``n``, ``sequence_count``) and parallel arrays, ``parent``, ``id``,
-        ``freq`` and ``terminal_count`` per non-root node in pre-order with
+        ``freq`` and ``terminal_count`` per non-root node breadth-first with
         children in label order (the root is node 0), ``cycle_from``,
         ``cycle_to`` and ``cycle_count`` per cycle-edge, by source in that
         order, then by label.  Equal documents iff structurally equal tries."""
         children, cycles = self.children, self.cycles
-        order: list[int] = []  # nodes in canonical pre-order
+        order = [0]  # nodes in canonical order: level by level, children in label order
         edges: list[int] = []  # cycle-edges in canonical order, and their sources
         sources: list[int] = []
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            order.append(node)
+        for node in order:
             kids, out = children[node], cycles[node]
             if kids:
-                stack.extend(map(kids.__getitem__, sorted(kids, reverse=True)))
+                order += map(kids.__getitem__, sorted(kids))
             if out:
                 edges += map(out.__getitem__, sorted(out))
                 sources += repeat(node, len(out))
@@ -470,9 +469,10 @@ class Trie:
         """Rebuild a trie from a document, validating every invariant.  Whole
         columns are checked first, in C: lengths, exact ints and nonempty
         strings, ``freq`` at least 1, ``terminal_count`` non-negative, every
-        parent an earlier node, every cycle-edge end a non-root node.  The
-        columns then become the trie's, renumbered breadth-first, one pass
-        each fills the child and cycle-edge maps, and ``check_invariants`` runs."""
+        parent an earlier node, every cycle-edge end a non-root node.  Node k
+        of the document is then node k of the trie: copies of the columns
+        become the trie's, one pass each derives depths and fills the child
+        and cycle-edge maps, and ``check_invariants`` runs."""
         try:
             version = doc["format_version"]
         except (TypeError, KeyError):
@@ -517,16 +517,17 @@ class Trie:
 
         # a caller that hands the document over (load does) gets its columns freed as they are used
         del doc, node_columns, cycle_columns
-        depth = [0] * (len(parents) + 1)
-        for node, parent in zip(count(1), parents):
-            depth[node] = depth[parent] + 1
-        # breadth-first numbering: a query step then touches far fewer cache lines
-        nodes = list(range(len(depth)))  # one int object per node index, shared by all columns
-        order = sorted(nodes, key=depth.__getitem__)
-        place = [0] * len(depth)
-        for node, at in zip(nodes, order):
-            place[at] = node
-        labels, entry, cycles = [None, *ids], [0, *freqs], [{} for _ in nodes]
+        trie = cls(mode, n)
+        trie.parent = parent = [-1, *parents]
+        trie.id = labels = [None, *ids]
+        trie.freq = [sequence_count, *freqs]
+        trie.terminal = [0, *terminal_counts]
+        trie.entry = entry = [0, *freqs]
+        del parents, ids, freqs, terminal_counts
+        trie.depth = depth = [0] * len(parent)
+        for node, up in zip(count(1), islice(parent, 1, None)):
+            depth[node] = depth[up] + 1
+        trie.cycles = cycles = [{} for _ in parent]
         for edge, source, target, taken in zip(count(), sources, targets, counts):
             cycles[source][labels[target]] = edge  # type: ignore[index]
             entry[target] -= taken
@@ -534,26 +535,15 @@ class Trie:
             keys = map(labels.__getitem__, targets)
             at = _first(map(ne, map(dict.get, map(cycles.__getitem__, sources), keys), count()))
             raise CorruptDocument(f"duplicate cycle-edge from node {sources[at]}")  # type: ignore[index]
-        trie = cls(mode, n)
-        trie.sequence_count = sequence_count
-        trie.cycle_to = list(map(place.__getitem__, targets))
-        trie.cycle_count = list(counts)
+        trie.cycle_to, trie.cycle_count = targets.copy(), counts.copy()
         del sources, targets, counts
-        trie.cycles = list(map(cycles.__getitem__, order))
-        trie.parent = [-1, *map(place.__getitem__, map([-1, *parents].__getitem__, islice(order, 1, None)))]
-        trie.id = list(map(labels.__getitem__, order))
-        trie.freq = list(map([sequence_count, *freqs].__getitem__, order))
-        trie.entry = list(map(entry.__getitem__, order))
-        trie.terminal = list(map([0, *terminal_counts].__getitem__, order))
-        trie.depth = list(map(depth.__getitem__, order))
-        del ids, freqs, terminal_counts, labels, entry, cycles, depth, place
-        trie.children = children = [{} for _ in nodes]
-        for node, parent, rid in zip(islice(nodes, 1, None), islice(trie.parent, 1, None), islice(trie.id, 1, None)):
-            children[parent][rid] = node  # type: ignore[index]
-        if sum(map(len, children)) != len(parents):
-            pairs = zip(count(1), islice(trie.parent, 1, None), islice(trie.id, 1, None))
-            at = next(node for node, parent, rid in pairs if children[parent][rid] != node)  # type: ignore[index]
-            raise CorruptDocument(f"duplicate child {trie.id[at]!r} under node {parents[order[at] - 1]}")
+        trie.children = children = [{} for _ in parent]
+        for node, up, rid in islice(zip(count(), parent, labels), 1, None):
+            children[up][rid] = node  # type: ignore[index]
+        if sum(map(len, children)) != len(parent) - 1:
+            pairs = islice(zip(count(), parent, labels), 1, None)
+            at = next(node for node, up, rid in pairs if children[up][rid] != node)  # type: ignore[index]
+            raise CorruptDocument(f"duplicate child {labels[at]!r} under node {parent[at]}")
         trie.depth_stats = trie._per_depth()
         trie.check_invariants()
         return trie

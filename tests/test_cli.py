@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -290,6 +291,28 @@ def test_bench_rejects_unknown_engine(clique4_file, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("engine", ["trie", "naive"])
+@pytest.mark.parametrize("flag", ["--start", "--end"])
+def test_bench_rejects_an_endpoint_outside_the_graph(clique4_file, capsys, engine, flag):
+    ends = {"--start": ":r0", "--end": ":r1", flag: ":r9"}
+    rc = main(["bench", str(clique4_file), *[x for item in ends.items() for x in item], "--engines", engine])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {flag} ':r9' is not in the graph"]
+
+
+def test_main_reports_an_aborted_bench(clique4_file, capsys, monkeypatch):
+    def failing_count(g, start, end, steps):
+        raise KeyError(start)
+
+    monkeypatch.setattr("provtrie.bench.count_walks", failing_count)
+    rc = main(["bench", str(clique4_file), "--start", ":r0", "--end", ":r1", "--engines", "naive"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: query with 1 wildcards failed")
+
+
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
@@ -451,12 +474,12 @@ def test_commands_run_with_the_gc_paused(monkeypatch, capsys):
     assert gc.isenabled()
 
 
-# Runs ``python -m provtrie ARGS`` in this process and reports on stderr, as
-# JSON, the exit code and the full collections that started after main()
-# returned.  The allocations afterwards would start some if the collector
-# were back on.
+# Runs provtrie with ARGS in this process, started by LAUNCH, and reports on
+# stderr, as JSON, the exit code and the full collections that started after
+# main() returned.  The allocations afterwards would start some if the
+# collector were back on.
 GC_AFTER_MAIN = r"""
-import gc, json, runpy, sys
+import gc, importlib, json, runpy, sys
 after_main = []
 returned = False
 
@@ -467,7 +490,7 @@ def watch(phase, info):
 gc.callbacks.append(watch)
 sys.argv = ["provtrie", *sys.argv[1:]]
 try:
-    runpy.run_module("provtrie", run_name="__main__", alter_sys=True)
+    LAUNCH
 except SystemExit as exc:
     code = exc.code
 returned = True
@@ -476,12 +499,24 @@ print(json.dumps({"code": code, "full_collections": len(after_main)}), file=sys.
 """
 
 
-def test_module_entry_point_keeps_the_collector_off_after_main(tmp_path):
+def _full_collections_after_main(tmp_path, launch: str) -> None:
     trie = Trie(TrieMode.DG)
     trie.index_graph_dg(gen_clique(5))
     path = tmp_path / "k5.trie"
     save(trie, path)
     argv = ["query", str(path), "--start", ":r0", "--end", ":r1", "--wildcards", "3", "--count-only"]
-    res = subprocess.run([sys.executable, "-c", GC_AFTER_MAIN, *argv], capture_output=True, text=True, timeout=120)
+    script = GC_AFTER_MAIN.replace("LAUNCH", launch)
+    res = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120)
     assert res.stdout == f"{clique_walk_count(5, 4)}\n"
     assert json.loads(res.stderr.splitlines()[-1]) == {"code": 0, "full_collections": 0}
+
+
+def test_module_entry_point_keeps_the_collector_off_after_main(tmp_path):
+    _full_collections_after_main(tmp_path, 'runpy.run_module("provtrie", run_name="__main__", alter_sys=True)')
+
+
+def test_console_script_keeps_the_collector_off_after_main(tmp_path):
+    # the function a console-script wrapper imports and passes to sys.exit
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, name = pyproject["project"]["scripts"]["provtrie"].partition(":")
+    _full_collections_after_main(tmp_path, f"sys.exit(importlib.import_module({module!r}).{name}())")

@@ -1,10 +1,14 @@
+import copy
+import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from provtrie.canonical import sequence
-from provtrie.graph import CyclicInput, GraphKind, Role, SelfLoopInDag
+from provtrie.graph import CyclicInput, GraphError, GraphKind, Role, SelfLoopInDag
 from provtrie.ingest import (
     Direction,
     IngestError,
@@ -168,6 +172,75 @@ def test_trace_document_schema_errors():
         TraceDocument.from_json({"trace_id": "x", "nodes": [{"id": "urn:a"}, {"id": "urn:a"}], "edges": []})
     with pytest.raises(SchemaError):
         TraceDocument.from_json("not json at all {")
+    # shapes that once escaped as TypeError
+    for doc in [
+        {"trace_id": "x", "nodes": 5, "edges": []},
+        {"trace_id": "x", "nodes": [{"id": "urn:a"}], "edges": 7},
+        {"trace_id": "x", "nodes": [{"id": "urn:a", "role": ["input"]}], "edges": []},
+        {"trace_id": "x", "nodes": [{"id": "urn:a"}], "edges": [{"from": ["urn:a"], "to": "urn:a"}]},
+    ]:
+        with pytest.raises(SchemaError):
+            TraceDocument.from_json(doc)
+        with pytest.raises(SchemaError):
+            TraceDocument.from_json(json.dumps(doc))
+
+
+FUZZ_TRACE = {
+    "trace_id": "fuzz",
+    "nodes": [{"id": "urn:a", "role": "input"}, {"id": "urn:b", "role": "process"}, {"id": "urn:c"}],
+    "edges": [{"from": "urn:a", "to": "urn:b"}, {"from": "urn:b", "to": "urn:c"}, {"from": "urn:c", "to": "urn:b"}],
+}
+
+# the empty list and dict are built afresh per draw, since a mutation may append to them
+TRACE_JUNK = st.one_of(
+    st.integers(min_value=-2, max_value=3),
+    st.sampled_from([2**70, True, None, 0.5, "", "urn:a", "urn:z", "input", "wizard"]),
+    st.builds(list),
+    st.builds(dict),
+    st.builds(lambda: ["urn:a"]),
+    st.builds(lambda: {"id": "urn:a"}),
+)
+
+
+def _containers(value, found):
+    """Every list and dict inside ``value``, ``value`` included."""
+    if isinstance(value, (list, dict)):
+        found.append(value)
+        for inner in value.values() if isinstance(value, dict) else value:
+            _containers(inner, found)
+    return found
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_mutated_trace_document_raises_only_schema_and_graph_errors(data):
+    doc = copy.deepcopy(FUZZ_TRACE)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        target = data.draw(st.sampled_from(_containers(doc, [])))
+        keys = sorted(target) if isinstance(target, dict) else list(range(len(target)))
+        op = data.draw(st.sampled_from(["replace", "drop", "add"] if keys else ["add"]))
+        if op == "add":
+            value = data.draw(TRACE_JUNK)
+            if isinstance(target, dict):
+                target[data.draw(st.sampled_from(["id", "role", "from", "to", "extra"]))] = value
+            else:
+                target.append(value)
+        else:
+            key = data.draw(st.sampled_from(keys))
+            if op == "drop":
+                del target[key]
+            else:
+                target[key] = data.draw(TRACE_JUNK)
+    source = json.dumps(doc) if data.draw(st.booleans()) else doc
+    try:
+        trace = TraceDocument.from_json(source)
+    except SchemaError:
+        return
+    for kind in GraphKind:
+        try:
+            trace.to_graph(kind)
+        except GraphError:
+            pass
 
 
 def test_load_trace_document_fills_roles(tmp_path):

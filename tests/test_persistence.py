@@ -19,7 +19,7 @@ from provtrie.trie import (
     save,
 )
 
-from helpers import all_node_freqs, find, insert_all, node_count, prob
+from helpers import ObjectTrie, all_node_freqs, find, insert_all, node_count, prob
 
 HEADER_KEYS = ["format_version", "mode", "n", "sequence_count"]
 NODE_COLUMNS = ["parent", "id", "freq", "terminal_count"]
@@ -140,8 +140,12 @@ def _tampered(mutate):
     return doc
 
 
+# the figure trie breadth-first: 1 N1, 2 N5, 3 N1/N2, 4 N1/N3, 5 N1/N4,
+# 6 N1/N2/N1, 7 N1/N2/N3; column position k holds node k + 1
+
+
 def test_corrupt_child_freq_exceeds_parent():
-    doc = _tampered(lambda d: d["freq"].__setitem__(1, 99))
+    doc = _tampered(lambda d: d["freq"].__setitem__(2, 99))  # N1/N2
     with pytest.raises(CorruptDocument):
         Trie.from_document(doc)
 
@@ -152,15 +156,15 @@ def test_corrupt_missing_header():
 
 
 def _child_before_parent(doc):
-    # nodes 1 (N1) and 2 (its child N2) trade places; parent indices follow
+    # nodes 1 (N1) and 3 (its child N2) trade places; parent indices follow
     for key in NODE_COLUMNS:
-        doc[key][0], doc[key][1] = doc[key][1], doc[key][0]
-    doc["parent"] = [{1: 2, 2: 1}.get(p, p) for p in doc["parent"]]
+        doc[key][0], doc[key][2] = doc[key][2], doc[key][0]
+    doc["parent"] = [{1: 3, 3: 1}.get(p, p) for p in doc["parent"]]
 
 
 def test_corrupt_nodes_out_of_order():
     doc = _tampered(_child_before_parent)
-    assert doc["parent"][:2] == [2, 0]
+    assert doc["parent"][:3] == [3, 0, 0]
     with pytest.raises(CorruptDocument, match="not before node 1"):
         Trie.from_document(doc)
 
@@ -193,7 +197,7 @@ def test_corrupt_columns_of_unequal_length(column, change):
 
 def test_corrupt_cycle_edge_in_dag_document():
     def add_edge(d):
-        d["cycle_from"].append(2)
+        d["cycle_from"].append(3)  # N1/N2 back to its parent N1
         d["cycle_to"].append(1)
         d["cycle_count"].append(1)
 
@@ -203,7 +207,7 @@ def test_corrupt_cycle_edge_in_dag_document():
 
 
 def test_corrupt_duplicate_child():
-    doc = _tampered(lambda d: d["id"].__setitem__(6, "N1"))  # N5 renamed to its sibling N1
+    doc = _tampered(lambda d: d["id"].__setitem__(1, "N1"))  # N5 renamed to its sibling N1
     with pytest.raises(CorruptDocument, match="duplicate child"):
         Trie.from_document(doc)
 
@@ -482,6 +486,34 @@ def test_failed_save_leaves_existing_file(tmp_path, monkeypatch):
         save(insert_all(TrieMode.DAG, [["x"]]), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["index.trie"]
+
+
+def test_documents_list_nodes_breadth_first_with_children_in_label_order():
+    doc = insert_all(TrieMode.DAG, FIGURE_SEQUENCES).to_document()
+    assert doc["id"] == ["N1", "N5", "N2", "N3", "N4", "N1", "N3"]
+    assert doc["parent"] == [0, 0, 1, 1, 1, 3, 3]
+    doc = insert_all(TrieMode.DG, [["b", "a", "b"], ["a", "b", "a"], ["a", "c", "a"]]).to_document()
+    assert (doc["id"], doc["parent"]) == (["a", "b", "b", "c", "a"], [0, 0, 1, 1, 2])
+    # by source, then label; targets are ancestors
+    assert (doc["cycle_from"], doc["cycle_to"], doc["cycle_count"]) == ([3, 4, 5], [1, 1, 2], [1, 1, 1])
+
+
+@pytest.mark.parametrize("order", ["breadth-first", "pre-order"])
+def test_loader_keeps_document_order_and_shares_no_list(order):
+    trie = _dg_clique(4)
+    trie.insert_dg([":r3", ":r2", ":r3", ":r0"])
+    doc = trie.to_document() if order == "breadth-first" else ObjectTrie.from_document(trie.to_document()).to_document()
+    before = copy.deepcopy(doc)
+    loaded = Trie.from_document(doc)
+    # node k of the document is node k of the trie
+    assert loaded.parent[1:] == doc["parent"] and loaded.id[1:] == doc["id"]
+    assert loaded.freq[1:] == doc["freq"] and loaded.terminal[1:] == doc["terminal_count"]
+    assert loaded.cycle_to == doc["cycle_to"] and loaded.cycle_count == doc["cycle_count"]
+    assert [edge for out in loaded.cycles for edge in out.values()] == list(range(len(doc["cycle_to"])))
+    # later changes to the trie leave the document alone
+    loaded.insert_dg([":r3", ":r2", ":r3", ":r1"])
+    assert loaded.sequence_count == doc["sequence_count"] + 1
+    assert doc == before
 
 
 def test_loading_adds_few_gc_tracked_objects(tmp_path):
