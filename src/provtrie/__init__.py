@@ -22,7 +22,6 @@ from .ingest import (
     PredicateMap,
     SchemaError,
     TraceDocument,
-    load_trace_document,
     parse_ntriples,
     triples_to_graph,
 )
@@ -32,7 +31,6 @@ from .oracle import (
     all_pairs_clique_count,
     clique_walk_count,
     count_walks,
-    enumerate_topological_orders,
     enumerate_walks,
     iter_topological_orders,
 )

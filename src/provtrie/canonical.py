@@ -24,7 +24,6 @@ class CanonicalSequence:
     """A linearized graph: every node exactly once, edges respected."""
 
     items: tuple[str, ...]
-    source: str | None = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -38,7 +37,7 @@ class SubsequenceWindow:
     windows: tuple[tuple[str, ...], ...]
 
 
-def sequence(g: ProvGraph, source: str | None = None) -> CanonicalSequence:
+def sequence(g: ProvGraph) -> CanonicalSequence:
     """Lexicographically smallest topological order of ``g``.
 
     Kahn frontier with lexicographic-minimum selection: repeatedly emit
@@ -60,7 +59,7 @@ def sequence(g: ProvGraph, source: str | None = None) -> CanonicalSequence:
                 heapq.heappush(frontier, nxt)
     if len(out) != g.node_count:
         raise CyclicInput("graph has a cycle; cannot linearize")
-    return CanonicalSequence(tuple(out), source)
+    return CanonicalSequence(tuple(out))
 
 
 def ngrams(seq: CanonicalSequence | Sequence[str], n: int) -> SubsequenceWindow:

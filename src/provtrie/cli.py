@@ -72,9 +72,9 @@ def cmd_index(args: argparse.Namespace) -> int:
     trie = Trie(mode, n=args.ngram)
     traces = 0
     for path in args.inputs:
-        g, trace_id = _load_graph(path, args.format, kind)
+        g, _ = _load_graph(path, args.format, kind)
         if mode is TrieMode.DAG:
-            seq = sequence(g, source=trace_id)
+            seq = sequence(g)
             if not seq.items:
                 print(f"note: {path}: empty trace, nothing to index", file=sys.stderr)
                 continue
@@ -92,8 +92,10 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    trie = load(args.trie)
     pattern = QueryPattern((args.start,), args.wildcards, args.end)
+    if args.limit < 0:
+        raise ValueError(f"match limit must be >= 0, got {args.limit}")
+    trie = load(args.trie)
     if args.count_only:
         print(count_paths(trie, pattern, strict=args.strict))
     else:
@@ -109,6 +111,8 @@ def cmd_suggest(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    if args.depth is not None and args.depth < 1:
+        raise ValueError(f"depth must be >= 1, got {args.depth}")
     trie = load(args.trie)
     depths = [args.depth] if args.depth is not None else sorted(trie.depth_stats)
     for depth in depths:

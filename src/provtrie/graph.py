@@ -168,9 +168,6 @@ class ProvGraph:
             for dst in sorted(self._succ[src]):
                 yield (src, dst)
 
-    def edge_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset((u, v) for u, vs in self._succ.items() for v in vs)
-
     # ---- validation --------------------------------------------------------
 
     def validate_dag(self) -> bool:

@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Any, Iterable
+from typing import Any, Iterable
 
 from .graph import CyclicInput, GraphKind, ProvGraph, Role
 
@@ -233,15 +233,6 @@ class TraceDocument:
         return cls(trace_id, tuple(nodes), tuple(edges))
 
     @classmethod
-    def load(cls, source: str | IO[str]) -> "TraceDocument":
-        if hasattr(source, "read"):
-            text = source.read()  # type: ignore[union-attr]
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        return cls.from_json(text)
-
-    @classmethod
     def from_graph(cls, g: ProvGraph, trace_id: str) -> "TraceDocument":
         nodes = tuple((rid, g.role_of(rid)) for rid in g.node_ids)
         return cls(trace_id, nodes, tuple(g.edges()))
@@ -266,8 +257,3 @@ class TraceDocument:
         if kind is GraphKind.DAG and not g.validate_dag():
             raise CyclicInput(f"trace {self.trace_id!r} is cyclic; cannot build a DAG")
         return g
-
-
-def load_trace_document(source: str | IO[str], kind: GraphKind = GraphKind.DAG) -> ProvGraph:
-    """Load a trace document into a graph, inferring any missing roles."""
-    return TraceDocument.load(source).to_graph(kind).infer_roles()

@@ -145,8 +145,3 @@ def iter_topological_orders(g: ProvGraph) -> Iterator[tuple[str, ...]]:
             chosen.pop()
 
     yield from go(avail)
-
-
-def enumerate_topological_orders(g: ProvGraph) -> list[tuple[str, ...]]:
-    """All linear extensions of ``g`` as a list (see ``iter_topological_orders``)."""
-    return list(iter_topological_orders(g))

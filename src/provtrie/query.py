@@ -4,10 +4,11 @@ per-depth frequent-pattern lookup.
 All queries are read-only and root-anchored: a pattern matches indexed
 label sequences from their beginning (mid-run matching is obtained by
 building the index from n-gram windows instead).  A wildcard stands for
-exactly one arbitrary identifier.  In DG mode traversal follows both
-child edges and cycle-edges, so matches may loop through cyclic
-structure; label lookup stays unambiguous because the two edge kinds can
-never carry the same label from one node.
+exactly one arbitrary identifier.  Traversal follows both child edges
+and cycle-edges, so in DG mode matches may loop through cyclic structure
+(a DAG-mode trie holds no cycle-edge: ``insert`` never records one and
+``check_invariants`` rejects one); label lookup stays unambiguous because
+the two edge kinds can never carry the same label from one node.
 
 A match is scored by the product of per-step conditional probabilities,
 each step contributing (times this step was taken) / (times the current
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .trie import Trie, TrieMode, TrieNode
+from .trie import Trie, TrieNode
 
 
 class EmptyDepth(Exception):
@@ -32,31 +33,23 @@ class EmptyDepth(Exception):
 
 @dataclass(frozen=True)
 class QueryPattern:
-    """Anchored prefix, a number of single-step wildcards, optional terminal."""
+    """Anchored prefix, a number of single-step wildcards, then a terminal."""
 
     prefix: tuple[str, ...]
-    wildcards: int = 0
-    terminal: str | None = None
+    wildcards: int
+    terminal: str
 
     def __post_init__(self) -> None:
         if not self.prefix:
             raise ValueError("pattern prefix must be nonempty")
         if self.wildcards < 0:
             raise ValueError(f"wildcard count must be >= 0, got {self.wildcards}")
-        if self.terminal is not None and not self.terminal:
-            raise ValueError("terminal must be a nonempty identifier when present")
-
-    @property
-    def total_length(self) -> int:
-        return len(self.prefix) + self.wildcards + (1 if self.terminal is not None else 0)
+        if not self.terminal:
+            raise ValueError("terminal must be a nonempty identifier")
 
     def labels(self) -> list[str | None]:
         """Pattern positions in order; None marks a wildcard."""
-        out: list[str | None] = list(self.prefix)
-        out.extend([None] * self.wildcards)
-        if self.terminal is not None:
-            out.append(self.terminal)
-        return out
+        return list(self.prefix) + [None] * self.wildcards + [self.terminal]
 
 
 @dataclass(frozen=True)
@@ -68,33 +61,31 @@ class PathMatch:
     likelihood: float
 
 
-def _steps(trie: Trie, node: int, want: str | None, follow_cycles: bool) -> list[tuple[str, int, int]]:
-    """Every step out of ``node`` labelled ``want`` (None: any label), as
-    (label, next node, times taken) in no particular order, with cycle-edges
-    when ``follow_cycles`` is set; its probability is taken / freq[node]."""
+def _steps(trie: Trie, node: int, want: str | None) -> list[tuple[str, int, int]]:
+    """Every step out of ``node`` labelled ``want`` (None: any label), child
+    or cycle-edge, as (label, next node, times taken) in no particular
+    order; its probability is taken / freq[node]."""
     entry = trie.entry
     if want is None:
         steps = []
         for label, child in trie.children[node].items():
             steps.append((label, child, entry[child]))
-        if follow_cycles:
+        out = trie.cycles[node]
+        if out:  # most nodes have no cycle-edge, and in DAG mode none has
             cycle_to, cycle_count = trie.cycle_to, trie.cycle_count
-            for label, edge in trie.cycles[node].items():
+            for label, edge in out.items():
                 steps.append((label, cycle_to[edge], cycle_count[edge]))
         return steps
     child = trie.children[node].get(want)
     if child is not None:
         return [(want, child, entry[child])]
-    if follow_cycles:
-        edge = trie.cycles[node].get(want)
-        if edge is not None:
-            return [(want, trie.cycle_to[edge], trie.cycle_count[edge])]
+    edge = trie.cycles[node].get(want)
+    if edge is not None:
+        return [(want, trie.cycle_to[edge], trie.cycle_count[edge])]
     return []
 
 
-def _walks(
-    trie: Trie, start: int, labels: Sequence[str | None], follow_cycles: bool
-) -> list[tuple[int, tuple[str, ...], float]]:
+def _walks(trie: Trie, start: int, labels: Sequence[str | None]) -> list[tuple[int, tuple[str, ...], float]]:
     """Every traversal from ``start`` taking one step per position of the
     nonempty ``labels``, as (end node, step labels, likelihood), unordered.
     The stack holds the untried siblings along one branch; likelihood
@@ -106,7 +97,7 @@ def _walks(
     while stack:
         i, node, path, likelihood = stack.pop()
         freq = freqs[node]
-        steps = _steps(trie, node, labels[i], follow_cycles)
+        steps = _steps(trie, node, labels[i])
         if i == last:
             for label, nxt, taken in steps:
                 out.append((nxt, path + (label,), likelihood * (taken / freq)))
@@ -121,19 +112,16 @@ def locate(trie: Trie, labels: Sequence[str]) -> tuple[TrieNode | None, int]:
     """Position the cursor at a fully anchored label path: (node view,
     nodes visited), the node None when the path is absent.  One lookup per
     symbol, so the visit count is at most len(labels)."""
-    follow_cycles = trie.mode is TrieMode.DG
     node = 0
     for visited, label in enumerate(labels):
-        steps = _steps(trie, node, label, follow_cycles)
+        steps = _steps(trie, node, label)
         if not steps:
             return None, visited
         node = steps[0][1]
     return trie.node(node), len(labels)
 
 
-def _check_q1(trie: Trie, pattern: QueryPattern, strict: bool) -> None:
-    if pattern.terminal is None:
-        raise ValueError("q1 patterns require a terminal identifier")
+def _check_q1(trie: Trie, strict: bool) -> None:
     if strict and trie.n != 0:
         raise ValueError("strict terminal matching applies to whole-sequence indexes only (n=0)")
 
@@ -147,11 +135,11 @@ def q1(trie: Trie, pattern: QueryPattern, strict: bool = False) -> list[PathMatc
     list), not an error.  With ``strict`` (whole-sequence indexes only)
     the final node must additionally have ended an inserted sequence.
     """
-    _check_q1(trie, pattern, strict)
+    _check_q1(trie, strict)
     freq, terminal = trie.freq, trie.terminal
     matches = [
         PathMatch(path, freq[node], likelihood)
-        for node, path, likelihood in _walks(trie, 0, pattern.labels(), trie.mode is TrieMode.DG)
+        for node, path, likelihood in _walks(trie, 0, pattern.labels())
         if not strict or terminal[node]
     ]
     matches.sort(key=lambda m: (-m.likelihood, m.path))
@@ -166,8 +154,7 @@ def count_paths(trie: Trie, pattern: QueryPattern, strict: bool = False) -> int:
     label-deterministic, so distinct label sequences correspond
     one-to-one to distinct traversals and the counts compose.
     """
-    _check_q1(trie, pattern, strict)
-    follow_cycles = trie.mode is TrieMode.DG
+    _check_q1(trie, strict)
     children, cycles, cycle_to = trie.children, trie.cycles, trie.cycle_to
     frontier: dict[int, int] = {0: 1}
     for want in pattern.labels():
@@ -177,13 +164,14 @@ def count_paths(trie: Trie, pattern: QueryPattern, strict: bool = False) -> int:
             if want is None:
                 for child in children[node].values():
                     reached[child] = get(child, 0) + ways
-                if follow_cycles:
-                    for edge in cycles[node].values():
+                out = cycles[node]
+                if out:
+                    for edge in out.values():
                         target = cycle_to[edge]
                         reached[target] = get(target, 0) + ways
                 continue
             nxt = children[node].get(want)
-            if nxt is None and follow_cycles:
+            if nxt is None:
                 edge = cycles[node].get(want)
                 nxt = cycle_to[edge] if edge is not None else None
             if nxt is not None:
@@ -215,7 +203,7 @@ def q2_suggest(
         return []
     results = [
         (path, likelihood)
-        for _, path, likelihood in _walks(trie, cursor.index, [None] * ahead, trie.mode is TrieMode.DG)
+        for _, path, likelihood in _walks(trie, cursor.index, [None] * ahead)
     ]
     results.sort(key=lambda r: (-r[1], r[0]))
     return results[:top]

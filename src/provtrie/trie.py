@@ -23,8 +23,8 @@ Layout: a node is an ``int``, the root is 0; parents are numbered before
 their children (online: in creation order; loaded: in document order,
 which ``to_document`` writes breadth-first, so that siblings sit side by
 side).  Node data lives in parallel lists: ``parent`` (root: -1), ``id``
-(root: None), ``freq``, ``entry``, ``terminal``, ``depth``, ``children``
-(label -> child) and ``cycles`` (label -> edge); edge data in
+(root: None), ``freq``, ``entry``, ``terminal``, ``children`` (label ->
+child) and ``cycles`` (label -> edge); edge data in
 ``cycle_to`` and ``cycle_count``; ``sequence_count`` is the root's
 ``freq``.  The cyclic garbage collector tracks none of these ints,
 strings and dicts.  ``Trie.root`` and ``Trie.node(i)`` give a read-only
@@ -100,7 +100,6 @@ class TrieNode:
     freq = _column("freq", "Traversal arrivals: descents plus cycle-edge arrivals.")
     entry_count = _column("entry", "Descents from the parent.")
     terminal_count = _column("terminal", "Insertions that ended here.")
-    depth = _column("depth", "Edges from the root.")
 
     @property
     def parent(self) -> "TrieNode | None":
@@ -157,7 +156,7 @@ class Trie:
         self.mode = mode
         self.n = n
         self.parent, self.id = [-1], [None]
-        self.freq, self.entry, self.terminal, self.depth = [0], [0], [0], [0]
+        self.freq, self.entry, self.terminal = [0], [0], [0]
         self.children: list[dict[str, int]] = [{}]
         self.cycles: list[dict[str, int]] = [{}]
         self.cycle_to, self.cycle_count = [], []  # per cycle-edge: its target, times taken
@@ -186,7 +185,6 @@ class Trie:
         self.freq.append(0)
         self.entry.append(0)
         self.terminal.append(0)
-        self.depth.append(self.depth[parent] + 1)
         self.children.append({})
         self.cycles.append({})
         self.children[parent][rid] = node
@@ -282,7 +280,7 @@ class Trie:
             raise TrieModeError("index_graph_dg requires a DG-mode trie")
         succs_of = {v: g.successors(v) for v in g.node_ids}
         children, ids, freq, entry, terminal = self.children, self.id, self.freq, self.entry, self.terminal
-        depth, stats, take_cycle = self.depth, self.depth_stats, self._take_cycle
+        stats, take_cycle = self.depth_stats, self._take_cycle
         # frame: [node, successors still to enter (last first), insertions, arrivals]
         stack: list[list[Any]] = []
         positions: dict[str, int] = {}  # vertex on the current path -> its frame's index
@@ -323,7 +321,7 @@ class Trie:
                 entry[node] += ins
                 freq[node] += ins + arrivals
                 terminal[node] += arrivals
-                level = stats.setdefault(depth[node], {})
+                level = stats.setdefault(len(stack) + 1, {})  # the popped frame's depth
                 level[ids[node]] = level.get(ids[node], 0) + ins + arrivals  # type: ignore[index]
                 if stack:
                     stack[-1][2] += ins
@@ -334,9 +332,12 @@ class Trie:
     # ---- invariants ------------------------------------------------------------
 
     def _per_depth(self) -> dict[int, dict[str, int]]:
-        """The per-depth table recounted from the node columns."""
+        """The per-depth table recounted from the node columns; parents are
+        numbered first, so one pass derives every depth."""
+        depths = [0] * len(self.parent)
         table: dict[int, dict[str, int]] = {}
-        for depth, rid, freq in islice(zip(self.depth, self.id, self.freq), 1, None):
+        for node, up, rid, freq in islice(zip(count(), self.parent, self.id, self.freq), 1, None):
+            depths[node] = depth = depths[up] + 1
             level = table.setdefault(depth, {})
             level[rid] = level.get(rid, 0) + freq  # type: ignore[index]
         return table
@@ -362,7 +363,7 @@ class Trie:
     def check_invariants(self) -> None:
         """Verify structure and statistics; raise ``CorruptDocument`` on failure.
 
-        Checks parent/depth wiring, entry ranges, conservation, sibling
+        Checks parent wiring, entry ranges, conservation, sibling
         probability sums, cycle-edges (label equal to the target's
         identifier and no child's, count at least 1, target an ancestor)
         and the per-depth table, in passes over whole columns.  DAG mode
@@ -370,15 +371,13 @@ class Trie:
         identifier: subtrees nest, so it suffices to compare each node with
         the previous one in pre-order that has its identifier.
         """
-        parent, ids, freq, entry, depth = self.parent, self.id, self.freq, self.entry, self.depth
+        parent, ids, freq, entry = self.parent, self.id, self.freq, self.entry
         children, cycles, cycle_to, cycle_count = self.children, self.cycles, self.cycle_to, self.cycle_count
         dag = self.mode is TrieMode.DAG
         descended = [0] * len(ids)
-        for node, up, rid, arrivals, entered, level in islice(zip(count(), parent, ids, freq, entry, depth), 1, None):
+        for node, up, rid, arrivals, entered in islice(zip(count(), parent, ids, freq, entry), 1, None):
             if not 0 <= up < node or children[up].get(rid) != node:  # type: ignore[arg-type]
                 raise CorruptDocument(f"broken parent link at node {node}")
-            if level != depth[up] + 1:
-                raise CorruptDocument(f"bad depth at node {node}")
             if not 0 <= entered <= arrivals:
                 raise CorruptDocument(f"entry count out of range at node {node}")
             if dag and entered != arrivals:
@@ -471,8 +470,8 @@ class Trie:
         strings, ``freq`` at least 1, ``terminal_count`` non-negative, every
         parent an earlier node, every cycle-edge end a non-root node.  Node k
         of the document is then node k of the trie: copies of the columns
-        become the trie's, one pass each derives depths and fills the child
-        and cycle-edge maps, and ``check_invariants`` runs."""
+        become the trie's, one pass each fills the child and cycle-edge maps
+        and recounts the per-depth table, and ``check_invariants`` runs."""
         try:
             version = doc["format_version"]
         except (TypeError, KeyError):
@@ -524,9 +523,6 @@ class Trie:
         trie.terminal = [0, *terminal_counts]
         trie.entry = entry = [0, *freqs]
         del parents, ids, freqs, terminal_counts
-        trie.depth = depth = [0] * len(parent)
-        for node, up in zip(count(1), islice(parent, 1, None)):
-            depth[node] = depth[up] + 1
         trie.cycles = cycles = [{} for _ in parent]
         for edge, source, target, taken in zip(count(), sources, targets, counts):
             cycles[source][labels[target]] = edge  # type: ignore[index]

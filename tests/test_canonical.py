@@ -45,11 +45,6 @@ def test_sequence_cyclic_input():
         sequence(g)
 
 
-def test_sequence_carries_source():
-    g = _graph([":a"], [])
-    assert sequence(g, source="trace-1").source == "trace-1"
-
-
 def test_sequence_matches_enumeration_minimum_on_fixed_random_dag():
     rng = random.Random(20260810)
     g = random_dag(rng, max_nodes=10, p=0.35)

@@ -149,6 +149,29 @@ def test_query_match_lines_and_limit(clique4_file, tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["query", "--start", ":r0", "--end", ":r1", "--limit", "-3"], "match limit must be >= 0, got -3"),
+        (["query", "--start", ":r0", "--end", ":r1", "--wildcards", "-1"], "wildcard count must be >= 0, got -1"),
+        (["suggest", "--prefix", ":r0", "--top", "0"], "result limit must be >= 1, got 0"),
+        (["suggest", "--prefix", ":r0", "--ahead", "0"], "lookahead must be >= 1, got 0"),
+        (["stats", "--depth", "0"], "depth must be >= 1, got 0"),
+        (["stats", "--depth", "-1"], "depth must be >= 1, got -1"),
+    ],
+    ids=["limit", "wildcards", "top", "ahead", "depth-zero", "depth-negative"],
+)
+def test_out_of_range_counts_are_errors(argv, message, clique4_file, tmp_path, capsys):
+    out = tmp_path / "k4.json"
+    main(["index", str(clique4_file), "--mode", "dg", "--out", str(out)])
+    capsys.readouterr()
+    command, *options = argv
+    assert main([command, str(out), *options]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_query_zero_matches_is_success(linear_trace_file, tmp_path, capsys):
     out = tmp_path / "trie.json"
     main(["index", str(linear_trace_file), "--out", str(out)])

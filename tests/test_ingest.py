@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from provtrie.canonical import sequence
+from provtrie.cli import _load_graph
 from provtrie.graph import CyclicInput, GraphError, GraphKind, Role, SelfLoopInDag
 from provtrie.ingest import (
     Direction,
@@ -16,7 +17,6 @@ from provtrie.ingest import (
     PredicateMap,
     SchemaError,
     TraceDocument,
-    load_trace_document,
     parse_ntriples,
     triples_to_graph,
 )
@@ -102,7 +102,7 @@ def test_direction_reversal_reverses_edges():
     triples = [(f"urn:s{i}", "urn:p", f"urn:o{i}") for i in range(5)]
     fwd = triples_to_graph(triples, PredicateMap({"urn:p": Direction.S2O}))
     rev = triples_to_graph(triples, PredicateMap({"urn:p": Direction.O2S}), kind=GraphKind.DG)
-    assert {(v, u) for u, v in fwd.edge_set()} == rev.edge_set()
+    assert {(v, u) for u, v in fwd.edges()} == set(rev.edges())
 
 
 def test_cyclic_triples_rejected_for_dag():
@@ -250,7 +250,8 @@ def test_load_trace_document_fills_roles(tmp_path):
         '"edges": [{"from": "urn:a", "to": "urn:b"}]}',
         encoding="utf-8",
     )
-    g = load_trace_document(str(path))
+    g, trace_id = _load_graph(str(path), "trace", GraphKind.DAG)
+    assert trace_id == "t"
     assert g.role_of("urn:a") is Role.INPUT
     assert g.role_of("urn:b") is Role.OUTPUT
 
