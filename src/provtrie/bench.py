@@ -46,6 +46,16 @@ class BenchRow:
     trials: int
 
 
+def check_protocol(max_wildcards: int, trials: int, warmup: int) -> None:
+    """Raise ``ValueError`` unless the budgets and trial counts can run a series."""
+    if max_wildcards < 1:
+        raise ValueError(f"max_wildcards must be >= 1, got {max_wildcards}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+
+
 def _timed_rows(
     run_query,
     dataset: str,
@@ -54,12 +64,7 @@ def _timed_rows(
     trials: int,
     warmup: int,
 ) -> list[BenchRow]:
-    if max_wildcards < 1:
-        raise ValueError(f"max_wildcards must be >= 1, got {max_wildcards}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    check_protocol(max_wildcards, trials, warmup)
     rows: list[BenchRow] = []
     for m in range(1, max_wildcards + 1):
         try:

@@ -17,12 +17,12 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import BenchAborted, run_bench, run_bench_naive, write_csv
+from .bench import BenchAborted, check_protocol, run_bench, run_bench_naive, write_csv
 from .canonical import ngrams, sequence
 from .graph import GraphError, GraphKind, ProvGraph, gen_clique
 from .ingest import IngestError, PredicateMap, TraceDocument, parse_ntriples, triples_to_graph
 from .oracle import all_pairs_clique_count, clique_walk_count, count_walks, enumerate_walks
-from .query import EmptyDepth, PathMatch, QueryPattern, count_paths, q1, q2_suggest
+from .query import EmptyDepth, PathMatch, QueryPattern, check_suggestion, count_paths, q1, q2_suggest
 from .trie import Trie, TrieError, TrieMode, load, save
 
 PREDICATE_MAP_ENV = "PROVTRIE_PREDICATE_MAP"
@@ -57,9 +57,7 @@ def _load_graph(path: str, fmt: str, kind: GraphKind) -> tuple[ProvGraph, str]:
 
 
 def _print_matches(matches: list[PathMatch], limit: int) -> None:
-    if limit > 0:
-        matches = matches[:limit]
-    for m in matches:
+    for m in matches[: limit or None]:  # limit 0: all
         print(f"{','.join(m.path)}\t{m.freq}\t{m.likelihood:.6f}")
 
 
@@ -68,11 +66,10 @@ def cmd_index(args: argparse.Namespace) -> int:
     if mode is TrieMode.DG and args.ngram:
         print("usage error: --ngram applies to --mode dag only", file=sys.stderr)
         return 2
-    kind = GraphKind.DAG if mode is TrieMode.DAG else GraphKind.DG
     trie = Trie(mode, n=args.ngram)
     traces = 0
     for path in args.inputs:
-        g, _ = _load_graph(path, args.format, kind)
+        g, _ = _load_graph(path, args.format, mode)
         if mode is TrieMode.DAG:
             seq = sequence(g)
             if not seq.items:
@@ -104,6 +101,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_suggest(args: argparse.Namespace) -> int:
+    check_suggestion(args.prefix, args.ahead, args.top)
     trie = load(args.trie)
     for completion, likelihood in q2_suggest(trie, args.prefix, args.ahead, args.top):
         print(f"{','.join(completion)}\t{likelihood:.6f}")
@@ -166,6 +164,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if unknown or not engines:
         print(f"usage error: unknown engine(s): {','.join(sorted(unknown)) or '(none)'}", file=sys.stderr)
         return 2
+    check_protocol(args.max_wildcards, args.trials, args.warmup)
+    if "naive" in engines and args.naive_max_wildcards < 1:
+        raise ValueError(f"naive_max_wildcards must be >= 1, got {args.naive_max_wildcards}")
     g, trace_id = _load_graph(args.input, args.format, GraphKind.DG)
     for flag, rid in (("--start", args.start), ("--end", args.end)):
         if rid not in g:

@@ -181,6 +181,16 @@ def count_paths(trie: Trie, pattern: QueryPattern, strict: bool = False) -> int:
     return sum(ways for node, ways in frontier.items() if not strict or terminal[node])
 
 
+def check_suggestion(prefix: Sequence[str], ahead: int, top: int) -> None:
+    """Raise ``ValueError`` unless ``q2_suggest`` can take these arguments."""
+    if not prefix:
+        raise ValueError("suggestion prefix must be nonempty")
+    if ahead < 1:
+        raise ValueError(f"lookahead must be >= 1, got {ahead}")
+    if top < 1:
+        raise ValueError(f"result limit must be >= 1, got {top}")
+
+
 def q2_suggest(
     trie: Trie, prefix: Sequence[str], ahead: int, top: int
 ) -> list[tuple[tuple[str, ...], float]]:
@@ -192,12 +202,7 @@ def q2_suggest(
     steps.  Returns at most ``top`` results, likelihood descending with
     lexicographic tie-break; an absent prefix yields no suggestions.
     """
-    if not prefix:
-        raise ValueError("suggestion prefix must be nonempty")
-    if ahead < 1:
-        raise ValueError(f"lookahead must be >= 1, got {ahead}")
-    if top < 1:
-        raise ValueError(f"result limit must be >= 1, got {top}")
+    check_suggestion(prefix, ahead, top)
     cursor, _ = locate(trie, prefix)
     if cursor is None:
         return []

@@ -46,14 +46,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections.abc import Mapping
-from enum import Enum
 from itertools import compress, count, islice, repeat
 from operator import add, ge, gt, ne
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .graph import ProvGraph
+from .graph import GraphKind, ProvGraph
 
 FORMAT_VERSION = 2
 
@@ -78,9 +76,7 @@ class CorruptDocument(TrieError):
     """A structural or statistical invariant does not hold."""
 
 
-class TrieMode(Enum):
-    DAG = "dag"
-    DG = "dg"
+TrieMode = GraphKind  # a trie's mode is the kind of graph it indexes: one enum, two names
 
 
 def _column(name: str, doc: str) -> property:
@@ -363,10 +359,12 @@ class Trie:
     def check_invariants(self) -> None:
         """Verify structure and statistics; raise ``CorruptDocument`` on failure.
 
-        Checks parent wiring, entry ranges, conservation, sibling
-        probability sums, cycle-edges (label equal to the target's
-        identifier and no child's, count at least 1, target an ancestor)
-        and the per-depth table, in passes over whole columns.  DAG mode
+        Owns every rule, for loaded and in-memory tries alike, in passes over
+        whole columns: non-root ``freq`` >= 1 and ``terminal`` >= 0, parent
+        wiring (no duplicate child), entry ranges, conservation, sibling
+        probability sums, cycle-edges (target below the root, label equal
+        to the target's identifier and no child's, one map entry each,
+        count >= 1, target an ancestor) and the per-depth table.  DAG mode
         has no cycle-edges or arrivals.  In DG mode root paths repeat no
         identifier: subtrees nest, so it suffices to compare each node with
         the previous one in pre-order that has its identifier.
@@ -374,10 +372,13 @@ class Trie:
         parent, ids, freq, entry = self.parent, self.id, self.freq, self.entry
         children, cycles, cycle_to, cycle_count = self.children, self.cycles, self.cycle_to, self.cycle_count
         dag = self.mode is TrieMode.DAG
+        if min(islice(freq, 1, None), default=1) < 1 or min(self.terminal) < 0:
+            raise CorruptDocument("node statistic out of range")
         descended = [0] * len(ids)
         for node, up, rid, arrivals, entered in islice(zip(count(), parent, ids, freq, entry), 1, None):
             if not 0 <= up < node or children[up].get(rid) != node:  # type: ignore[arg-type]
-                raise CorruptDocument(f"broken parent link at node {node}")
+                what = "duplicate child" if 0 <= up < node and rid in children[up] else "broken parent link"
+                raise CorruptDocument(f"{what} at node {node}: {rid!r} under node {up}")
             if not 0 <= entered <= arrivals:
                 raise CorruptDocument(f"entry count out of range at node {node}")
             if dag and entered != arrivals:
@@ -387,6 +388,8 @@ class Trie:
             raise CorruptDocument("a child map lists a node that is not its child")
         if dag and any(cycles):
             raise CorruptDocument(f"cycle-edges on DAG-mode node {_first(cycles)}")
+        if cycle_to and min(cycle_to) < 1:
+            raise CorruptDocument(f"cycle-edge {cycle_to.index(min(cycle_to))} into the root or a negative node index")
         order, pos, end = ([], [], []) if dag else self._preorder()  # DAG mode has no edges to test
         cycled = [0] * len(ids)
         for source, out, kids in zip(count(), cycles, children):
@@ -404,7 +407,7 @@ class Trie:
                 taken += cycle_count[edge]
             cycled[source] = taken
         if sum(map(len, cycles)) != len(cycle_to):
-            raise CorruptDocument("a cycle-edge is in no node's map")
+            raise CorruptDocument("duplicate cycle-edge, or a cycle-edge in no node's map")
         if cycle_count and min(cycle_count) < 1:
             raise CorruptDocument(f"cycle-edge {cycle_count.index(min(cycle_count))} without traversals")
         at = _first(map(ne, freq, map(add, map(add, self.terminal, descended), cycled)))
@@ -465,13 +468,13 @@ class Trie:
 
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "Trie":
-        """Rebuild a trie from a document, validating every invariant.  Whole
-        columns are checked first, in C: lengths, exact ints and nonempty
-        strings, ``freq`` at least 1, ``terminal_count`` non-negative, every
-        parent an earlier node, every cycle-edge end a non-root node.  Node k
-        of the document is then node k of the trie: copies of the columns
-        become the trie's, one pass each fills the child and cycle-edge maps
-        and recounts the per-depth table, and ``check_invariants`` runs."""
+        """Rebuild a trie from a document.  The loader checks only the shape it
+        needs to build safely: header and column types, ``n`` >= 0, column
+        lengths, nonempty string identifiers, parents before children,
+        cycle-edge sources >= 0 and ends within the node count.  Node k of the
+        document is then node k of the trie: copies of the columns become the
+        trie's, one pass each fills the child and cycle-edge maps and recounts
+        the per-depth table, and ``check_invariants`` checks every rule."""
         try:
             version = doc["format_version"]
         except (TypeError, KeyError):
@@ -486,8 +489,8 @@ class Trie:
             cycle_columns = [doc["cycle_from"], doc["cycle_to"], doc["cycle_count"]]
         except (KeyError, ValueError, TypeError) as exc:
             raise CorruptDocument(f"malformed header: {exc}") from None
-        if type(n) is not int or type(sequence_count) is not int or n < 0 or sequence_count < 0:
-            raise CorruptDocument("header counts must be non-negative integers")
+        if type(n) is not int or type(sequence_count) is not int or n < 0:
+            raise CorruptDocument("header counts must be integers, and n non-negative")
         if any(type(column) is not list for column in node_columns + cycle_columns):
             raise CorruptDocument("node and cycle-edge columns must be arrays")
         parents, ids, freqs, terminal_counts = node_columns
@@ -503,16 +506,8 @@ class Trie:
         if parents and (min(parents) < 0 or any(map(ge, parents, range(1, len(parents) + 1)))):
             idx = next(i for i, p in enumerate(parents, 1) if not 0 <= p < i)
             raise CorruptDocument(f"parent {parents[idx - 1]} not before node {idx}")
-        if freqs and (min(freqs) < 1 or min(terminal_counts) < 0):
-            raise CorruptDocument("node statistic out of range")
-        if sources:
-            lowest = min(targets)
-            if min(sources) < 0 or lowest < 0:
-                raise CorruptDocument("negative node index in a cycle-edge")
-            if max(sources) > len(parents) or max(targets) > len(parents):
-                raise CorruptDocument("cycle-edge node index past the end")
-            if lowest == 0:
-                raise CorruptDocument("cycle-edge into the root")
+        if sources and min(sources) < 0:
+            raise CorruptDocument("negative node index in a cycle-edge source")
 
         # a caller that hands the document over (load does) gets its columns freed as they are used
         del doc, node_columns, cycle_columns
@@ -524,22 +519,17 @@ class Trie:
         trie.entry = entry = [0, *freqs]
         del parents, ids, freqs, terminal_counts
         trie.cycles = cycles = [{} for _ in parent]
-        for edge, source, target, taken in zip(count(), sources, targets, counts):
-            cycles[source][labels[target]] = edge  # type: ignore[index]
-            entry[target] -= taken
-        if sum(map(len, cycles)) != len(sources):
-            keys = map(labels.__getitem__, targets)
-            at = _first(map(ne, map(dict.get, map(cycles.__getitem__, sources), keys), count()))
-            raise CorruptDocument(f"duplicate cycle-edge from node {sources[at]}")  # type: ignore[index]
+        try:  # a negative target indexes from the end; check_invariants rejects it
+            for edge, source, target, taken in zip(count(), sources, targets, counts):
+                cycles[source][labels[target]] = edge  # type: ignore[index]
+                entry[target] -= taken
+        except IndexError:
+            raise CorruptDocument("cycle-edge node index outside the trie") from None
         trie.cycle_to, trie.cycle_count = targets.copy(), counts.copy()
         del sources, targets, counts
         trie.children = children = [{} for _ in parent]
         for node, up, rid in islice(zip(count(), parent, labels), 1, None):
             children[up][rid] = node  # type: ignore[index]
-        if sum(map(len, children)) != len(parent) - 1:
-            pairs = islice(zip(count(), parent, labels), 1, None)
-            at = next(node for node, up, rid in pairs if children[up][rid] != node)  # type: ignore[index]
-            raise CorruptDocument(f"duplicate child {labels[at]!r} under node {parent[at]}")
         trie.depth_stats = trie._per_depth()
         trie.check_invariants()
         return trie
@@ -549,23 +539,21 @@ def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:
     """Write ``trie`` to a path or text stream as a single JSON document.
 
     The text is ``json.dumps(trie.to_document(), separators=(",", ":"))``.
-    A path is written atomically: the document goes to a temporary file in
-    the target's directory (mode ``0o666 & ~umask``, as ``open`` would
-    give) that replaces the target only once it is complete, so a failed
-    save leaves an existing file as it was.  Returns the number of
-    non-root nodes written.
+    A path is written atomically: the document goes to a new temporary file
+    in the target's directory (mode ``0o666`` less the umask, applied by the
+    kernel as for ``open``) that replaces the target only once it is
+    complete, so a failed save leaves an existing file as it was.  Returns
+    the number of non-root nodes written.
     """
     if hasattr(sink, "write"):
         doc = trie.to_document()
         sink.write(json.dumps(doc, separators=(",", ":")))  # type: ignore[union-attr]
         return len(doc["parent"])
     target = os.fspath(sink)
-    fd, tmp_name = tempfile.mkstemp(prefix=".provtrie-", dir=os.path.dirname(target) or ".")
+    tmp_name = os.path.join(os.path.dirname(target), f".provtrie-{os.urandom(8).hex()}")
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
             nodes = save(trie, fh)
         os.replace(tmp_name, target)
     except BaseException:

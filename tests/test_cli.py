@@ -149,7 +149,7 @@ def test_query_match_lines_and_limit(clique4_file, tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1
 
 
-@pytest.mark.parametrize(
+OUT_OF_RANGE_COUNTS = pytest.mark.parametrize(
     "argv, message",
     [
         (["query", "--start", ":r0", "--end", ":r1", "--limit", "-3"], "match limit must be >= 0, got -3"),
@@ -161,6 +161,9 @@ def test_query_match_lines_and_limit(clique4_file, tmp_path, capsys):
     ],
     ids=["limit", "wildcards", "top", "ahead", "depth-zero", "depth-negative"],
 )
+
+
+@OUT_OF_RANGE_COUNTS
 def test_out_of_range_counts_are_errors(argv, message, clique4_file, tmp_path, capsys):
     out = tmp_path / "k4.json"
     main(["index", str(clique4_file), "--mode", "dg", "--out", str(out)])
@@ -170,6 +173,43 @@ def test_out_of_range_counts_are_errors(argv, message, clique4_file, tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@OUT_OF_RANGE_COUNTS
+def test_out_of_range_counts_are_rejected_before_the_trie_is_read(argv, message, tmp_path, capsys):
+    command, *options = argv
+    assert main([command, str(tmp_path / "no-such.trie"), *options]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_query_strict_keeps_only_matches_that_end_a_sequence(linear_trace_file, tmp_path, capsys):
+    out = tmp_path / "trie.json"
+    main(["index", str(linear_trace_file), "--out", str(out)])
+    capsys.readouterr()
+    query = ["query", str(out), "--start", "urn:s0"]
+    for end, wildcards, loose, strict in [("urn:s4", "3", 1, 1), ("urn:s3", "2", 1, 0)]:
+        pattern = ["--end", end, "--wildcards", wildcards]
+        assert main([*query, *pattern, "--count-only"]) == 0
+        assert main([*query, *pattern, "--count-only", "--strict"]) == 0
+        assert capsys.readouterr().out == f"{loose}\n{strict}\n"
+    assert main([*query, "--end", "urn:s4", "--wildcards", "3", "--strict"]) == 0
+    assert capsys.readouterr().out == "urn:s0,urn:s1,urn:s2,urn:s3,urn:s4\t1\t1.000000\n"
+    assert main([*query, "--end", "urn:s3", "--wildcards", "2", "--strict"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("count_only", [[], ["--count-only"]], ids=["matches", "count"])
+def test_query_strict_on_an_ngram_index_is_an_error(count_only, linear_trace_file, tmp_path, capsys):
+    out = tmp_path / "trie.json"
+    main(["index", str(linear_trace_file), "--ngram", "2", "--out", str(out)])
+    capsys.readouterr()
+    rc = main(["query", str(out), "--start", "urn:s0", "--end", "urn:s1", "--strict", *count_only])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: strict terminal matching applies to whole-sequence indexes only (n=0)\n"
 
 
 def test_query_zero_matches_is_success(linear_trace_file, tmp_path, capsys):
@@ -323,6 +363,28 @@ def test_bench_rejects_an_endpoint_outside_the_graph(clique4_file, capsys, engin
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {flag} ':r9' is not in the graph"]
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--trials", "0"], "trials must be >= 1, got 0"),
+        (["--max-wildcards", "0"], "max_wildcards must be >= 1, got 0"),
+        (["--warmup", "-1"], "warmup must be >= 0, got -1"),
+        (["--engines", "trie,naive", "--naive-max-wildcards", "0"], "naive_max_wildcards must be >= 1, got 0"),
+    ],
+    ids=["trials", "max-wildcards", "warmup", "naive-max-wildcards"],
+)
+def test_bench_rejects_out_of_range_counts_before_building(options, message, clique4_file, capsys, monkeypatch):
+    def no_build(self, g):
+        raise AssertionError("the trie was built before the counts were checked")
+
+    monkeypatch.setattr(Trie, "index_graph_dg", no_build)
+    rc = main(["bench", str(clique4_file), "--start", ":r0", "--end", ":r1", *options])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_main_reports_an_aborted_bench(clique4_file, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import copy
 import gc
 import io
 import json
+import os
 import random
 
 import pytest
@@ -310,6 +311,34 @@ def test_corrupt_cycle_target_not_ancestor():
         Trie.from_document(doc)
 
 
+def _add_unreached_leaf(doc: dict) -> None:
+    # a child of N1/N2/N3 with freq 0: conservation still holds
+    for key, value in zip(NODE_COLUMNS, [7, "N6", 0, 0]):
+        doc[key].append(value)
+
+
+def _dg_aba() -> dict:
+    # nodes: root, a, a/b; one cycle-edge a/b -> a
+    return insert_all(TrieMode.DG, [["a", "b", "a"]]).to_document()
+
+
+# documents of a valid shape that break one rule each
+RULE_BREAKERS = {
+    "leaf-without-traversals": (lambda: _tampered(_add_unreached_leaf), "out of range"),
+    "negative-terminal": (lambda: {**_dg_aba(), "terminal_count": [1, -1], "cycle_count": [2]}, "out of range"),
+    "cycle-edge-into-the-root": (lambda: {**_dg_aba(), "cycle_to": [0]}, "into the root"),
+    "negative-cycle-target": (lambda: {**_dg_aba(), "cycle_to": [-1]}, "negative node index"),
+}
+
+
+@pytest.mark.parametrize("make, message", RULE_BREAKERS.values(), ids=RULE_BREAKERS.keys())
+def test_the_loader_checks_shape_and_leaves_the_rules_to_check_invariants(make, message, monkeypatch):
+    with pytest.raises(CorruptDocument, match=message):
+        Trie.from_document(make())
+    monkeypatch.setattr(Trie, "check_invariants", lambda self: None)
+    Trie.from_document(make())  # the shape is sound, so the loader builds it
+
+
 # pytest names these cases by position: append new ones at the end
 @pytest.mark.parametrize(
     "where, value",
@@ -486,6 +515,19 @@ def test_failed_save_leaves_existing_file(tmp_path, monkeypatch):
         save(insert_all(TrieMode.DAG, [["x"]]), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["index.trie"]
+
+
+def test_save_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # another thread's file created while the umask is swapped out would get none
+    def no_umask(mask):
+        raise AssertionError("save changed the process umask")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    trie = _dg_clique(3)
+    path = tmp_path / "k3.trie"
+    assert save(trie, path) == node_count(trie)
+    assert path.read_text(encoding="utf-8") == _json_dump_bytes(trie)
+    assert [p.name for p in tmp_path.iterdir()] == ["k3.trie"]
 
 
 def test_documents_list_nodes_breadth_first_with_children_in_label_order():

@@ -354,6 +354,53 @@ def test_check_invariants_rejects_a_repeated_dg_identifier():
         t.check_invariants()
 
 
+def _negative_terminal() -> Trie:
+    t = insert_all(TrieMode.DG, [["a", "b", "a"]])
+    b = t.root.children["a"].children["b"].index
+    t.terminal[b] = -1
+    t.cycle_count[t.cycles[b]["a"]] += 1  # b's freq still balances: -1 + 0 + 2
+    return t
+
+
+def _leaf_without_traversals() -> Trie:
+    t = insert_all(TrieMode.DAG, [["a", "b"], ["a", "c"]])
+    a = t.root.children["a"].index
+    b = t.children[a]["b"]
+    t.freq[b] = t.entry[b] = t.terminal[b] = 0
+    t.terminal[a] += 1  # b's one traversal now ends at a
+    t.depth_stats[2]["b"] = 0
+    return t
+
+
+def _cycle_edge_into_the_root() -> Trie:
+    t = insert_all(TrieMode.DG, [["a", "b", "a"]])
+    b = t.root.children["a"].children["b"].index
+    edge = t.cycles[b].pop("a")
+    t.cycles[b][None] = edge  # type: ignore[index]  # the root's identifier
+    t.cycle_to[edge] = 0
+    return t
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_negative_terminal, "out of range"),
+        (_leaf_without_traversals, "out of range"),
+        (_cycle_edge_into_the_root, "into the root"),
+    ],
+    ids=["negative-terminal", "leaf-without-traversals", "cycle-edge-into-the-root"],
+)
+def test_check_invariants_owns_the_rules_the_loader_used_to_hold(make, message):
+    # every other statistic balances: only the one rule can fail
+    with pytest.raises(CorruptDocument, match=message):
+        make().check_invariants()
+
+
+def test_trie_mode_is_the_graph_kind():
+    assert TrieMode is GraphKind
+    assert Trie(TrieMode("dg")).mode is GraphKind.DG
+
+
 def _dag_walks(rng: random.Random, g: ProvGraph, count: int) -> list[list[str]]:
     walks = []
     for _ in range(count):
