@@ -44,16 +44,17 @@ def sequence(g: ProvGraph) -> CanonicalSequence:
     the smallest identifier whose unemitted predecessors are exhausted.
     Disconnected components interleave under the same global rule.  An
     empty graph yields the empty sequence; a cyclic edge relation raises
-    ``CyclicInput``.
+    ``CyclicInput``.  The heap alone orders the output, so nodes and
+    successors are read unsorted.
     """
-    indeg = {rid: g.in_degree(rid) for rid in g.node_ids}
+    indeg, succ = g._kahn_start()
     frontier = [rid for rid, d in indeg.items() if d == 0]
     heapq.heapify(frontier)
     out: list[str] = []
     while frontier:
         rid = heapq.heappop(frontier)
         out.append(rid)
-        for nxt in g.successors(rid):
+        for nxt in succ[rid]:
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
                 heapq.heappush(frontier, nxt)

@@ -41,14 +41,15 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_graph(path: str, fmt: str, kind: GraphKind) -> tuple[ProvGraph, str]:
-    """Load one trace file; returns the graph and a trace identifier."""
+def _load_graph(path: str, fmt: str, kind: GraphKind, pmap: PredicateMap | None = None) -> tuple[ProvGraph, str]:
+    """Load one trace file; returns the graph and a trace identifier.  RDF
+    input maps predicates with ``pmap``, read from the environment if None."""
     text = _read_text(path)
     if fmt == "ntriples":
         parsed = parse_ntriples(text)
         if parsed.skipped_literals:
             print(f"note: {path}: skipped {parsed.skipped_literals} literal statement(s)", file=sys.stderr)
-        g = triples_to_graph(parsed.triples, _predicate_map(), kind)
+        g = triples_to_graph(parsed.triples, pmap if pmap is not None else _predicate_map(), kind)
         g.infer_roles()
         trace_id = Path(path).stem if path != "-" else "stdin"
         return g, trace_id
@@ -67,9 +68,10 @@ def cmd_index(args: argparse.Namespace) -> int:
         print("usage error: --ngram applies to --mode dag only", file=sys.stderr)
         return 2
     trie = Trie(mode, n=args.ngram)
+    pmap = _predicate_map() if args.format == "ntriples" else None  # one read for all inputs
     traces = 0
     for path in args.inputs:
-        g, _ = _load_graph(path, args.format, mode)
+        g, _ = _load_graph(path, args.format, mode, pmap)
         if mode is TrieMode.DAG:
             seq = sequence(g)
             if not seq.items:

@@ -176,17 +176,22 @@ class ProvGraph:
         Kahn-style peeling of zero in-degree nodes; pure, no mutation;
         independent of the declared ``kind``.
         """
-        indeg = {rid: len(preds) for rid, preds in self._pred.items()}
+        indeg, succ = self._kahn_start()
         frontier = [rid for rid, d in indeg.items() if d == 0]
         emitted = 0
         while frontier:
             rid = frontier.pop()
             emitted += 1
-            for nxt in self._succ[rid]:
+            for nxt in succ[rid]:
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
                     frontier.append(nxt)
         return emitted == len(self._roles)
+
+    def _kahn_start(self) -> tuple[dict[str, int], dict[str, set[str]]]:
+        """What a Kahn pass reads: a fresh in-degree dict to count down and
+        the successor sets themselves, unsorted and not to be changed."""
+        return {rid: len(preds) for rid, preds in self._pred.items()}, self._succ
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProvGraph):

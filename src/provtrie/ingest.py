@@ -103,9 +103,10 @@ class ParsedTriples:
 
 _IRI = r"<([^<>\s]*)>"
 _BLANK = r"(_:[^\s<>]+)"
-_LITERAL = r'"(?:[^"\\]|\\.)*"(?:@[A-Za-z][A-Za-z0-9\-]*|\^\^<[^<>\s]*>)?'
-_RESOURCE_LINE = re.compile(rf"^\s*(?:{_IRI}|{_BLANK})\s+{_IRI}\s+(?:{_IRI}|{_BLANK})\s*\.\s*$")
-_LITERAL_LINE = re.compile(rf"^\s*(?:{_IRI}|{_BLANK})\s+{_IRI}\s+{_LITERAL}\s*\.\s*$")
+# unrolled "(?:[^"\\]|\\.)*": the same strings, without one alternation per character
+_LITERAL = r'("[^"\\]*(?:\\.[^"\\]*)*"(?:@[A-Za-z][A-Za-z0-9\-]*|\^\^<[^<>\s]*>)?)'
+# groups: subject IRI | blank, predicate, object IRI | blank | literal
+_LINE = re.compile(rf"\s*(?:{_IRI}|{_BLANK})\s+{_IRI}\s+(?:{_IRI}|{_BLANK}|{_LITERAL})\s*\.\s*")
 
 
 def parse_ntriples(source: str | Iterable[str]) -> ParsedTriples:
@@ -113,30 +114,29 @@ def parse_ntriples(source: str | Iterable[str]) -> ParsedTriples:
 
     Every input line is classified as a triple, comment, blank line, or
     skipped literal statement; anything else raises
-    ``NTriplesSyntaxError`` with the line number.
+    ``NTriplesSyntaxError`` with the line number.  A statement line takes
+    one match; only a line that fails it is stripped and classified.
     """
     lines = source.splitlines() if isinstance(source, str) else source
+    fullmatch = _LINE.fullmatch
     triples: list[tuple[str, str, str]] = []
     skipped = 0
     for lineno, raw in enumerate(lines, 1):
-        line = raw.rstrip("\n")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        match = _RESOURCE_LINE.match(line)
-        if match:
-            subj = match.group(1) if match.group(1) is not None else match.group(2)
-            obj = match.group(4) if match.group(4) is not None else match.group(5)
-            triples.append((subj, match.group(3), obj))
-            continue
-        if _LITERAL_LINE.match(line):
+        match = fullmatch(raw)
+        if match is None:
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if not stripped.endswith("."):
+                raise NTriplesSyntaxError(lineno, "missing terminal '.'")
+            if raw.count("<") != raw.count(">"):
+                raise NTriplesSyntaxError(lineno, "unbalanced angle brackets")
+            raise NTriplesSyntaxError(lineno, f"malformed statement: {stripped[:80]!r}")
+        subj, subj_blank, pred, obj, obj_blank, literal = match.groups()
+        if literal is not None:
             skipped += 1
-            continue
-        if not stripped.endswith("."):
-            raise NTriplesSyntaxError(lineno, "missing terminal '.'")
-        if line.count("<") != line.count(">"):
-            raise NTriplesSyntaxError(lineno, "unbalanced angle brackets")
-        raise NTriplesSyntaxError(lineno, f"malformed statement: {stripped[:80]!r}")
+        else:
+            triples.append((subj_blank if subj is None else subj, pred, obj_blank if obj is None else obj))
     return ParsedTriples(tuple(triples), skipped)
 
 

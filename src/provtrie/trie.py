@@ -48,7 +48,7 @@ import json
 import os
 from collections.abc import Mapping
 from itertools import compress, count, islice, repeat
-from operator import add, ge, gt, ne
+from operator import add, ge, gt, ne, sub
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import GraphKind, ProvGraph
@@ -361,13 +361,15 @@ class Trie:
 
         Owns every rule, for loaded and in-memory tries alike, in passes over
         whole columns: non-root ``freq`` >= 1 and ``terminal`` >= 0, parent
-        wiring (no duplicate child), entry ranges, conservation, sibling
-        probability sums, cycle-edges (target below the root, label equal
-        to the target's identifier and no child's, one map entry each,
-        count >= 1, target an ancestor) and the per-depth table.  DAG mode
-        has no cycle-edges or arrivals.  In DG mode root paths repeat no
-        identifier: subtrees nest, so it suffices to compare each node with
-        the previous one in pre-order that has its identifier.
+        wiring (no duplicate child), entry ranges, a non-root node's arrivals
+        (``freq - entry``) equal to the counts of the cycle-edges into it,
+        conservation, sibling probability sums, cycle-edges (target below
+        the root, label equal to the target's identifier and no child's, one
+        map entry each, count >= 1, target an ancestor) and the per-depth
+        table.  DAG mode has no cycle-edges, so no arrivals.  In DG mode
+        root paths repeat no identifier: subtrees nest, so it suffices to
+        compare each node with the previous one in pre-order that has its
+        identifier.
         """
         parent, ids, freq, entry = self.parent, self.id, self.freq, self.entry
         children, cycles, cycle_to, cycle_count = self.children, self.cycles, self.cycle_to, self.cycle_count
@@ -381,8 +383,6 @@ class Trie:
                 raise CorruptDocument(f"{what} at node {node}: {rid!r} under node {up}")
             if not 0 <= entered <= arrivals:
                 raise CorruptDocument(f"entry count out of range at node {node}")
-            if dag and entered != arrivals:
-                raise CorruptDocument(f"cycle arrivals on DAG-mode node {node}")
             descended[up] += entered
         if sum(map(len, children)) != len(ids) - 1:
             raise CorruptDocument("a child map lists a node that is not its child")
@@ -391,7 +391,7 @@ class Trie:
         if cycle_to and min(cycle_to) < 1:
             raise CorruptDocument(f"cycle-edge {cycle_to.index(min(cycle_to))} into the root or a negative node index")
         order, pos, end = ([], [], []) if dag else self._preorder()  # DAG mode has no edges to test
-        cycled = [0] * len(ids)
+        cycled, arrived = [0] * len(ids), [0] * len(ids)
         for source, out, kids in zip(count(), cycles, children):
             if not out:
                 continue
@@ -404,12 +404,18 @@ class Trie:
                     raise CorruptDocument(f"cycle-edge label mismatch at node {source}")
                 if not pos[target] <= here < end[target]:
                     raise CorruptDocument(f"cycle-edge target not an ancestor at node {source}")
-                taken += cycle_count[edge]
+                traversals = cycle_count[edge]
+                taken += traversals
+                arrived[target] += traversals
             cycled[source] = taken
         if sum(map(len, cycles)) != len(cycle_to):
             raise CorruptDocument("duplicate cycle-edge, or a cycle-edge in no node's map")
         if cycle_count and min(cycle_count) < 1:
             raise CorruptDocument(f"cycle-edge {cycle_count.index(min(cycle_count))} without traversals")
+        arrived[0] = freq[0] - entry[0]  # the root's freq counts insertions, not arrivals
+        at = _first(map(ne, map(sub, freq, entry), arrived))
+        if at is not None:
+            raise CorruptDocument(f"cycle arrivals do not match the cycle-edges into node {at}")
         at = _first(map(ne, freq, map(add, map(add, self.terminal, descended), cycled)))
         if at is not None:
             raise CorruptDocument(f"conservation violated at node {at}")

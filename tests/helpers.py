@@ -8,12 +8,14 @@ comparison.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter, ge
 from typing import Any, Iterable, Iterator, Sequence
 
 from provtrie.graph import GraphKind, ProvGraph
+from provtrie.ingest import NTriplesSyntaxError, ParsedTriples
 from provtrie.query import PathMatch, QueryPattern
 from provtrie.trie import (
     FORMAT_VERSION,
@@ -758,6 +760,51 @@ def all_node_freqs(trie: Trie) -> dict[tuple[str, ...], tuple[int, int, int]]:
 
     go(trie.root, ())
     return out
+
+
+# ---- the two-pattern N-Triples parser --------------------------------------------
+#
+# ``parse_ntriples`` as it was before one pattern matched every statement
+# line, kept verbatim apart from the names as the reference for the
+# parser's differential fuzz test in ``tests/test_ingest.py``.
+
+_IRI = r"<([^<>\s]*)>"
+_BLANK = r"(_:[^\s<>]+)"
+_LITERAL = r'"(?:[^"\\]|\\.)*"(?:@[A-Za-z][A-Za-z0-9\-]*|\^\^<[^<>\s]*>)?'
+_RESOURCE_LINE = re.compile(rf"^\s*(?:{_IRI}|{_BLANK})\s+{_IRI}\s+(?:{_IRI}|{_BLANK})\s*\.\s*$")
+_LITERAL_LINE = re.compile(rf"^\s*(?:{_IRI}|{_BLANK})\s+{_IRI}\s+{_LITERAL}\s*\.\s*$")
+
+
+def two_pattern_parse_ntriples(source: str | Iterable[str]) -> ParsedTriples:
+    """Parse the supported N-Triples subset from a string or line iterable.
+
+    Every input line is classified as a triple, comment, blank line, or
+    skipped literal statement; anything else raises
+    ``NTriplesSyntaxError`` with the line number.
+    """
+    lines = source.splitlines() if isinstance(source, str) else source
+    triples: list[tuple[str, str, str]] = []
+    skipped = 0
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.rstrip("\n")
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        match = _RESOURCE_LINE.match(line)
+        if match:
+            subj = match.group(1) if match.group(1) is not None else match.group(2)
+            obj = match.group(4) if match.group(4) is not None else match.group(5)
+            triples.append((subj, match.group(3), obj))
+            continue
+        if _LITERAL_LINE.match(line):
+            skipped += 1
+            continue
+        if not stripped.endswith("."):
+            raise NTriplesSyntaxError(lineno, "missing terminal '.'")
+        if line.count("<") != line.count(">"):
+            raise NTriplesSyntaxError(lineno, "unbalanced angle brackets")
+        raise NTriplesSyntaxError(lineno, f"malformed statement: {stripped[:80]!r}")
+    return ParsedTriples(tuple(triples), skipped)
 
 
 # ---- recursive reference queries ---------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from provtrie.cli import main
 from provtrie.graph import gen_clique
+from provtrie.ingest import PredicateMap
 from provtrie.oracle import clique_walk_count
 from provtrie.query import QueryPattern, count_paths
 from provtrie.trie import Trie, TrieMode, load, save
@@ -430,6 +431,38 @@ def test_predicate_map_override(tmp_path, capsys, monkeypatch):
     assert "nodes\t2" in capsys.readouterr().out
     trie = load(out)
     assert find(trie, ["urn:x", "urn:y"]) is not None
+
+
+def test_index_reads_the_predicate_map_once(tmp_path, capsys, monkeypatch):
+    reads = []
+    from_file = PredicateMap.from_file
+
+    def counted(cls, path):
+        reads.append(path)
+        return from_file(path)
+
+    monkeypatch.setattr(PredicateMap, "from_file", classmethod(counted))
+    monkeypatch.setenv("PROVTRIE_PREDICATE_MAP", str(DATA / "custom_predmap.txt"))
+    inputs = []
+    for k in range(3):
+        inputs.append(tmp_path / f"run{k}.nt")
+        inputs[-1].write_text(f"<urn:x{k}> <urn:vocab:feeds> <urn:y> .\n", encoding="utf-8")
+    rc = main(["index", *map(str, inputs), "--format", "ntriples", "--out", str(tmp_path / "trie.json")])
+    assert rc == 0
+    assert "traces\t3" in capsys.readouterr().out
+    assert reads == [str(DATA / "custom_predmap.txt")]
+
+
+def test_trace_index_does_not_read_the_predicate_map(tmp_path, capsys, monkeypatch, linear_trace_file):
+    monkeypatch.setenv("PROVTRIE_PREDICATE_MAP", str(tmp_path / "missing-map.txt"))
+    rc = main(["index", str(linear_trace_file), str(linear_trace_file), "--out", str(tmp_path / "trie.json")])
+    assert rc == 0
+    assert "traces\t2" in capsys.readouterr().out
+    # the same variable breaks an RDF index, so the map path really is broken
+    nt = tmp_path / "run.nt"
+    nt.write_text("<urn:x> <urn:vocab:feeds> <urn:y> .\n", encoding="utf-8")
+    assert main(["index", str(nt), "--format", "ntriples", "--out", str(tmp_path / "rdf.json")]) == 1
+    assert "missing-map.txt" in capsys.readouterr().err
 
 
 def test_index_reads_stdin(tmp_path, capsys, monkeypatch):

@@ -21,6 +21,8 @@ from provtrie.ingest import (
     triples_to_graph,
 )
 
+from helpers import two_pattern_parse_ntriples
+
 DATA = Path(__file__).parent / "data"
 PROV = "http://www.w3.org/ns/prov#"
 
@@ -296,3 +298,74 @@ def test_parser_totality_on_random_valid_lines():
     result = parse_ntriples("\n".join(lines))
     assert len(result.triples) == expected_triples
     assert result.skipped_literals == expected_skips
+
+
+# Pieces of N-Triples lines, valid and not, for the differential fuzz below.
+# ASCII and Unicode whitespace; in a str source \n, \x0b, \x0c and \x1c also end a line
+NT_SPACE = st.sampled_from([" ", "\t", "\n", "\x0b", "\x0c", "\xa0", "\u2003", "\u3000", "\x1c", "  "])
+NT_SPACES = st.lists(NT_SPACE, max_size=2).map("".join)
+NT_SEP = st.lists(NT_SPACE, min_size=1, max_size=2).map("".join)
+NT_GAP = st.one_of(NT_SEP, st.just(""))
+NT_IRI = st.sampled_from(["<urn:a>", "<>", "<urn:b#c>"])
+NT_NODE = st.one_of(NT_IRI, st.sampled_from(["_:b0", "_:b0."]))
+NT_LITERAL = st.tuples(
+    st.sampled_from(
+        ['"x"', '""', '"a \\"b\\" c"', '"\\\\"', '"t\\tn\\n"', '"<>"', '"two\nlines"', '"a\\\nb"', '"open', '"a\\"']
+    ),
+    st.sampled_from(["", "@en", "@en-GB", "@1a", "@", "^^<urn:type>", "^^<>", "^^urn:type"]),
+).map("".join)
+NT_BROKEN = st.sampled_from(["<urn:a", "urn:a>", "<u rn>", "_:", "'x'", "", "<<urn:a>>"])
+NT_DOT = st.sampled_from([".", ".", " .", "\t. ", "..", "", " . #", ". ."])
+NT_HEAD = st.tuples(NT_SPACES, NT_NODE, NT_SEP, NT_IRI, NT_SEP).map("".join)  # subject and predicate
+NT_DAMAGED = st.tuples(
+    NT_SPACES,
+    st.one_of(NT_NODE, NT_BROKEN),
+    NT_GAP,
+    st.one_of(NT_IRI, NT_BROKEN),
+    NT_GAP,
+    st.one_of(NT_NODE, NT_LITERAL, NT_BROKEN),
+    NT_DOT,
+    NT_SPACES,
+).map("".join)
+NT_TOKEN = st.one_of(
+    NT_SPACE, NT_NODE, NT_LITERAL, NT_BROKEN, NT_DOT, st.sampled_from(["#", "<", ">", '"', "\\", "@", "^^", "word"])
+)
+NT_LINE = st.one_of(
+    st.tuples(NT_HEAD, NT_NODE, NT_DOT, NT_SPACES).map("".join),
+    st.tuples(NT_HEAD, NT_LITERAL, NT_DOT, NT_SPACES).map("".join),
+    NT_DAMAGED,
+    st.lists(NT_TOKEN, max_size=8).map("".join),
+    st.sampled_from(["", "# comment", "  # indented comment", "#", " \t "]),
+)
+# line separators of str.splitlines
+NT_LINE_BREAK = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028", "\u2029", "\x0b", "\x1e"])
+
+
+def _parse_outcome(parse, source):
+    try:
+        return parse(source)
+    except NTriplesSyntaxError as exc:
+        return (str(exc), exc.line_number)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_parser_agrees_with_the_two_pattern_reference(data):
+    lines = data.draw(st.lists(NT_LINE, max_size=8))
+    shape = data.draw(st.sampled_from(["str", "list", "iterator"]))
+    if shape == "str":
+        breaks = data.draw(st.lists(NT_LINE_BREAK, min_size=len(lines), max_size=len(lines)))
+        text = "".join(line + end for line, end in zip(lines, breaks))
+        if breaks and data.draw(st.booleans()):
+            text = text[: -len(breaks[-1])]
+        sources = (text, text)
+    else:
+        # file lines: each ends in "\n", the last perhaps not
+        file_lines = [line + "\n" for line in lines]
+        if file_lines and data.draw(st.booleans()):
+            file_lines[-1] = lines[-1]
+        sources = (list(file_lines), list(file_lines)) if shape == "list" else (iter(file_lines), iter(file_lines))
+    new, reference = sources
+    assert _parse_outcome(parse_ntriples, new) == _parse_outcome(two_pattern_parse_ntriples, reference)
+    for line in lines:  # the first error above hides the lines after it
+        assert _parse_outcome(parse_ntriples, [line]) == _parse_outcome(two_pattern_parse_ntriples, [line])

@@ -396,6 +396,34 @@ def test_check_invariants_owns_the_rules_the_loader_used_to_hold(make, message):
         make().check_invariants()
 
 
+def _traversal_moved_onto_a_cycle_edge() -> Trie:
+    t = insert_all(TrieMode.DG, [["a", "b", "a"], ["a", "b"]])
+    b = t.root.children["a"].children["b"].index
+    t.terminal[b] -= 1
+    t.cycle_count[t.cycles[b]["a"]] += 1  # b still balances: 0 + 0 + 2
+    return t
+
+
+def _dag_entry_below_freq() -> Trie:
+    t = insert_all(TrieMode.DAG, [["a", "b"]])
+    a = t.root.children["a"].index
+    t.entry[t.children[a]["b"]] -= 1
+    t.terminal[a] += 1  # a still balances: 1 + 0 + 0
+    return t
+
+
+@pytest.mark.parametrize(
+    "make", [_traversal_moved_onto_a_cycle_edge, _dag_entry_below_freq], ids=["dg-cycle-edge", "dag-entry"]
+)
+def test_check_invariants_matches_arrivals_to_the_cycle_edges_into_a_node(make):
+    # every other statistic balances; the trie's own document is refused on load, so its check must fail too
+    t = make()
+    with pytest.raises(CorruptDocument, match="cycle arrivals"):
+        t.check_invariants()
+    with pytest.raises(CorruptDocument):
+        Trie.from_document(t.to_document())
+
+
 def test_trie_mode_is_the_graph_kind():
     assert TrieMode is GraphKind
     assert Trie(TrieMode("dg")).mode is GraphKind.DG
