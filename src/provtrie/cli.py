@@ -22,7 +22,7 @@ from .canonical import ngrams, sequence
 from .graph import GraphError, GraphKind, ProvGraph, gen_clique
 from .ingest import IngestError, PredicateMap, TraceDocument, parse_ntriples, triples_to_graph
 from .oracle import all_pairs_clique_count, clique_walk_count, count_walks, enumerate_walks
-from .query import EmptyDepth, PathMatch, QueryPattern, check_suggestion, count_paths, q1, q2_suggest
+from .query import EmptyDepth, PathMatch, QueryPattern, check_limit, check_suggestion, count_paths, q1, q2_suggest
 from .trie import Trie, TrieError, TrieMode, load, save
 
 PREDICATE_MAP_ENV = "PROVTRIE_PREDICATE_MAP"
@@ -57,8 +57,8 @@ def _load_graph(path: str, fmt: str, kind: GraphKind, pmap: PredicateMap | None 
     return doc.to_graph(kind).infer_roles(), doc.trace_id
 
 
-def _print_matches(matches: list[PathMatch], limit: int) -> None:
-    for m in matches[: limit or None]:  # limit 0: all
+def _print_matches(matches: list[PathMatch]) -> None:
+    for m in matches:
         print(f"{','.join(m.path)}\t{m.freq}\t{m.likelihood:.6f}")
 
 
@@ -92,13 +92,12 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     pattern = QueryPattern((args.start,), args.wildcards, args.end)
-    if args.limit < 0:
-        raise ValueError(f"match limit must be >= 0, got {args.limit}")
+    check_limit(args.limit)
     trie = load(args.trie)
     if args.count_only:
         print(count_paths(trie, pattern, strict=args.strict))
     else:
-        _print_matches(q1(trie, pattern, strict=args.strict), args.limit)
+        _print_matches(q1(trie, pattern, strict=args.strict, limit=args.limit))
     return 0
 
 

@@ -14,15 +14,26 @@ A match is scored by the product of per-step conditional probabilities,
 each step contributing (times this step was taken) / (times the current
 node was visited).
 
-``q1`` and ``q2_suggest`` share one depth-first enumerator with an
-explicit stack over one step lookup, ``_steps``; ``count_paths`` is a
-frontier DP that never materializes a path.  Nothing recurses, so the
-interpreter's recursion limit bounds no pattern or run length.
+``q1`` without a limit runs ``_walks``, a depth-first enumerator with an
+explicit stack, over every match and sorts the result.  ``q2_suggest``,
+and ``q1`` with a limit, run ``_best_first``, a uniform-cost search
+(Dijkstra 1959; A* with h = 0, Hart, Nilsson & Raphael 1968) that yields
+traversals in result order and is stopped after k.  In a trie that
+passes ``check_invariants`` a step probability is at most 1, so a
+likelihood multiplied from the start outwards never rises along a path,
+in floating point too, and a path sorts before its extensions: the first
+k traversals are exactly the first k of the sorted enumeration, to the
+bit and in the same tie order.  Both step as ``_steps`` lists steps.
+``count_paths`` is a frontier DP that never materializes a path.
+Nothing recurses, so the interpreter's recursion limit bounds no pattern
+or run length.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from heapq import heappop, heappush
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .trie import Trie, TrieNode
 
@@ -108,6 +119,38 @@ def _walks(trie: Trie, start: int, labels: Sequence[str | None]) -> list[tuple[i
     return out
 
 
+def _best_first(trie: Trie, start: int, labels: Sequence[str | None]) -> Iterator[tuple[int, tuple[str, ...], float]]:
+    """Every traversal ``_walks`` finds, lazily, likelihood descending with
+    ties broken by step labels.  The heap holds partial traversals keyed
+    (-likelihood, step labels, node): an extension never sorts before its
+    prefix, so a complete traversal is popped only after every one that
+    sorts before it.  Lookup is label-deterministic, so one label tuple
+    names one traversal and the key never compares nodes."""
+    last = len(labels)
+    freqs, entry, children, cycles = trie.freq, trie.entry, trie.children, trie.cycles
+    heap: list[tuple[float, tuple[str, ...], int]] = [(-1.0, (), start)]
+    while heap:
+        neg, path, node = heappop(heap)
+        i = len(path)
+        if i == last:
+            yield node, path, -neg
+            continue
+        # (-l) * p is -(l * p) to the bit: the likelihood _walks computes
+        freq, want = freqs[node], labels[i]
+        if want is not None:
+            for label, nxt, taken in _steps(trie, node, want):
+                heappush(heap, (neg * (taken / freq), path + (label,), nxt))
+            continue
+        # a wildcard, as _steps would list it: inline, since every suggestion step is one
+        for label, child in children[node].items():
+            heappush(heap, (neg * (entry[child] / freq), path + (label,), child))
+        out = cycles[node]
+        if out:
+            cycle_to, cycle_count = trie.cycle_to, trie.cycle_count
+            for label, edge in out.items():
+                heappush(heap, (neg * (cycle_count[edge] / freq), path + (label,), cycle_to[edge]))
+
+
 def locate(trie: Trie, labels: Sequence[str]) -> tuple[TrieNode | None, int]:
     """Position the cursor at a fully anchored label path: (node view,
     nodes visited), the node None when the path is absent.  One lookup per
@@ -126,7 +169,13 @@ def _check_q1(trie: Trie, strict: bool) -> None:
         raise ValueError("strict terminal matching applies to whole-sequence indexes only (n=0)")
 
 
-def q1(trie: Trie, pattern: QueryPattern, strict: bool = False) -> list[PathMatch]:
+def check_limit(limit: int) -> None:
+    """Raise ``ValueError`` unless ``q1`` can take this match limit."""
+    if limit < 0:
+        raise ValueError(f"match limit must be >= 0, got {limit}")
+
+
+def q1(trie: Trie, pattern: QueryPattern, strict: bool = False, limit: int = 0) -> list[PathMatch]:
     """All distinct root-anchored label sequences matching the pattern.
 
     The result set is exact and complete; only the pattern is
@@ -134,9 +183,17 @@ def q1(trie: Trie, pattern: QueryPattern, strict: bool = False) -> list[PathMatc
     broken by path.  An unknown first anchor is a no-match result (empty
     list), not an error.  With ``strict`` (whole-sequence indexes only)
     the final node must additionally have ended an inserted sequence.
+    A ``limit`` above 0 returns the first ``limit`` matches of that list,
+    found by a best-first search that stops there; 0 returns them all.
     """
+    check_limit(limit)
     _check_q1(trie, strict)
     freq, terminal = trie.freq, trie.terminal
+    if limit:
+        ranked = _best_first(trie, 0, pattern.labels())
+        if strict:
+            ranked = (walk for walk in ranked if terminal[walk[0]])
+        return [PathMatch(path, freq[node], likelihood) for node, path, likelihood in islice(ranked, limit)]
     matches = [
         PathMatch(path, freq[node], likelihood)
         for node, path, likelihood in _walks(trie, 0, pattern.labels())
@@ -196,22 +253,19 @@ def q2_suggest(
 ) -> list[tuple[tuple[str, ...], float]]:
     """Most likely length-``ahead`` continuations of ``prefix``.
 
-    Enumerates every continuation reachable from the prefix cursor and
-    scores it by the product of step probabilities; the maximization is
-    exact over all bounded continuations, not a greedy chain of argmax
-    steps.  Returns at most ``top`` results, likelihood descending with
-    lexicographic tie-break; an absent prefix yields no suggestions.
+    Scores each continuation reachable from the prefix cursor by the
+    product of step probabilities; the maximization is exact over all
+    bounded continuations, not a greedy chain of argmax steps.  Returns at
+    most ``top`` results, likelihood descending with lexicographic
+    tie-break, from a best-first search that stops after ``top``; an
+    absent prefix yields no suggestions.
     """
     check_suggestion(prefix, ahead, top)
     cursor, _ = locate(trie, prefix)
     if cursor is None:
         return []
-    results = [
-        (path, likelihood)
-        for _, path, likelihood in _walks(trie, cursor.index, [None] * ahead)
-    ]
-    results.sort(key=lambda r: (-r[1], r[0]))
-    return results[:top]
+    ranked = _best_first(trie, cursor.index, [None] * ahead)
+    return [(path, likelihood) for _, path, likelihood in islice(ranked, top)]
 
 
 def most_probable_at_depth(trie: Trie, depth: int) -> tuple[str, int, float]:

@@ -359,17 +359,24 @@ class Trie:
     def check_invariants(self) -> None:
         """Verify structure and statistics; raise ``CorruptDocument`` on failure.
 
-        Owns every rule, for loaded and in-memory tries alike, in passes over
-        whole columns: non-root ``freq`` >= 1 and ``terminal`` >= 0, parent
-        wiring (no duplicate child), entry ranges, a non-root node's arrivals
-        (``freq - entry``) equal to the counts of the cycle-edges into it,
-        conservation, sibling probability sums, cycle-edges (target below
+        Owns every rule, for loaded and in-memory tries alike: the rules of
+        ``_check_structure``, then the per-depth table against a recount.
+        """
+        self._check_structure()
+        if {d: t for d, t in self.depth_stats.items() if t} != self._per_depth():
+            raise CorruptDocument("per-depth statistics do not match a recount")
+
+    def _check_structure(self) -> None:
+        """Every rule but the per-depth table's, in passes over whole columns:
+        non-root ``freq`` >= 1 and ``terminal`` >= 0, parent wiring (no
+        duplicate child), entry ranges, a non-root node's arrivals (``freq -
+        entry``) equal to the counts of the cycle-edges into it,
+        conservation, sibling probability sums and cycle-edges (target below
         the root, label equal to the target's identifier and no child's, one
-        map entry each, count >= 1, target an ancestor) and the per-depth
-        table.  DAG mode has no cycle-edges, so no arrivals.  In DG mode
-        root paths repeat no identifier: subtrees nest, so it suffices to
-        compare each node with the previous one in pre-order that has its
-        identifier.
+        map entry each, count >= 1, target an ancestor).  DAG mode has no
+        cycle-edges, so no arrivals.  In DG mode root paths repeat no
+        identifier: subtrees nest, so it suffices to compare each node with
+        the previous one in pre-order that has its identifier.
         """
         parent, ids, freq, entry = self.parent, self.id, self.freq, self.entry
         children, cycles, cycle_to, cycle_count = self.children, self.cycles, self.cycle_to, self.cycle_count
@@ -431,8 +438,6 @@ class Trie:
                 if before is not None and pos[node] < end[before]:
                     raise CorruptDocument(f"identifier repeats on the root path at node {node}")
                 last[rid] = node  # type: ignore[index]
-        if {d: t for d, t in self.depth_stats.items() if t} != self._per_depth():
-            raise CorruptDocument("per-depth statistics do not match a recount")
 
     # ---- persistence ---------------------------------------------------------------
 
@@ -479,8 +484,10 @@ class Trie:
         lengths, nonempty string identifiers, parents before children,
         cycle-edge sources >= 0 and ends within the node count.  Node k of the
         document is then node k of the trie: copies of the columns become the
-        trie's, one pass each fills the child and cycle-edge maps and recounts
-        the per-depth table, and ``check_invariants`` checks every rule."""
+        trie's, one pass each fills the child and cycle-edge maps,
+        ``_check_structure`` checks every other rule, and one more pass counts
+        the per-depth table, which therefore matches a recount by
+        construction."""
         try:
             version = doc["format_version"]
         except (TypeError, KeyError):
@@ -525,7 +532,7 @@ class Trie:
         trie.entry = entry = [0, *freqs]
         del parents, ids, freqs, terminal_counts
         trie.cycles = cycles = [{} for _ in parent]
-        try:  # a negative target indexes from the end; check_invariants rejects it
+        try:  # a negative target indexes from the end; _check_structure rejects it
             for edge, source, target, taken in zip(count(), sources, targets, counts):
                 cycles[source][labels[target]] = edge  # type: ignore[index]
                 entry[target] -= taken
@@ -536,8 +543,8 @@ class Trie:
         trie.children = children = [{} for _ in parent]
         for node, up, rid in islice(zip(count(), parent, labels), 1, None):
             children[up][rid] = node  # type: ignore[index]
+        trie._check_structure()
         trie.depth_stats = trie._per_depth()
-        trie.check_invariants()
         return trie
 
 

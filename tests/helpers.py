@@ -438,10 +438,13 @@ class ObjectTrie:
     def check_invariants(self) -> None:
         """Verify structure and statistics; raise ``CorruptDocument`` on failure.
 
-        Checks, at every node: parent/depth wiring, the conservation law,
+        Checks, at every node: ``freq`` >= 1 below the root and
+        ``terminal_count`` >= 0, parent/depth wiring, the conservation law,
         sibling probability sums, cycle-edge targets (same identifier, on
-        the root path), and that the per-depth table equals a recount.  In
-        DG mode the identifiers along every root path must be unique.
+        the root path), arrivals (``freq - entry_count`` below the root)
+        equal to the counts of the cycle-edges into the node, and that the
+        per-depth table equals a recount.  In DG mode the identifiers along
+        every root path must be unique.
 
         One explicit-stack pre-order walk, children unsorted, visits each
         node once and sums its child entries and cycle-edge counts once.
@@ -454,6 +457,8 @@ class ObjectTrie:
         recount: dict[int, dict[str, int]] = {}
         path: list[ObjectNode] = []  # path[d]: the node at walk depth d on the current root path
         on_path: dict[str, ObjectNode] = {}  # DG: identifier -> the node on the current root path
+        arrived: dict[ObjectNode, int] = {}  # cycle-edge target -> the counts of the edges into it
+        inner: list[ObjectNode] = []  # the nodes below the root, to match against ``arrived`` once it is complete
         stack: list[tuple[ObjectNode, int]] = [(self.root, 0)]
         while stack:
             node, d = stack.pop()
@@ -462,22 +467,24 @@ class ObjectTrie:
                 if not dag:
                     del on_path[dropped.id]  # type: ignore[arg-type]
             freq = node.freq
+            if node.terminal_count < 0:
+                raise CorruptDocument(f"node statistic out of range at {node!r}")
             if d:
                 parent = path[-1]
                 rid: str = node.id  # type: ignore[assignment]
+                if freq < 1:
+                    raise CorruptDocument(f"node statistic out of range at {node!r}")
                 if node.parent is not parent or parent.children.get(rid) is not node:
                     raise CorruptDocument(f"broken parent link at {node!r}")
                 if node.depth != parent.depth + 1:
                     raise CorruptDocument(f"bad depth at {node!r}")
                 if not (0 <= node.entry_count <= freq):
                     raise CorruptDocument(f"entry count out of range at {node!r}")
-                if dag:
-                    if node.entry_count != freq:
-                        raise CorruptDocument(f"cycle arrivals on DAG-mode node {node!r}")
-                else:
+                if not dag:
                     if rid in on_path:
                         raise CorruptDocument(f"identifier repeats on the root path at {node!r}")
                     on_path[rid] = node
+                inner.append(node)
                 level = recount.get(node.depth)
                 if level is None:
                     level = recount[node.depth] = {}
@@ -505,7 +512,11 @@ class ObjectTrie:
                     raise CorruptDocument(f"cycle-edge without traversals at {node!r}")
                 if on_path.get(label) is not edge.target:
                     raise CorruptDocument(f"cycle-edge target not an ancestor at {node!r}")
+                arrived[edge.target] = arrived.get(edge.target, 0) + edge.count
             stack.extend(zip(children.values(), repeat(d + 1)))
+        for node in inner:  # DAG mode has no cycle-edges, so there every entry count is the freq
+            if node.freq - node.entry_count != arrived.get(node, 0):
+                raise CorruptDocument(f"cycle arrivals do not match the cycle-edges into {node!r}")
         if self.root.freq != self.sequence_count:
             raise CorruptDocument("root frequency does not match the sequence count")
         if {d: t for d, t in self.depth_stats.per_depth.items() if t} != recount:

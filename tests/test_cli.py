@@ -2,10 +2,11 @@ import gc
 import io
 import json
 import os
+import random
+import re
 import stat
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from provtrie.cli import main
 from provtrie.graph import gen_clique
 from provtrie.ingest import PredicateMap
 from provtrie.oracle import clique_walk_count
-from provtrie.query import QueryPattern, count_paths
+from provtrie.query import QueryPattern, count_paths, q1
 from provtrie.trie import Trie, TrieMode, load, save
 
 from helpers import find, node_count
@@ -148,6 +149,54 @@ def test_query_match_lines_and_limit(clique4_file, tmp_path, capsys):
     rc = main(["query", str(out), "--start", ":r0", "--end", ":r1", "--wildcards", "1", "--limit", "1"])
     assert rc == 0
     assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+def _branching_run_files(tmp_path: Path) -> list[str]:
+    """40 DAG runs from urn:a through 2-5 distinct others: shared prefixes, tied likelihoods."""
+    rng = random.Random(5)
+    pool = [f"urn:{c}" for c in "bcdefg"]
+    paths = []
+    for k in range(40):
+        run = ["urn:a", *rng.sample(pool, rng.randint(2, 5))]
+        doc = {
+            "trace_id": f"run-{k}",
+            "nodes": [{"id": rid} for rid in run],
+            "edges": [{"from": u, "to": v} for u, v in zip(run, run[1:])],
+        }
+        path = tmp_path / f"run-{k}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("mode", ["dag", "dg"])
+def test_query_limit_prints_the_head_of_the_unlimited_output(mode, clique4_file, tmp_path, capsys):
+    out = tmp_path / "trie.json"
+    if mode == "dag":
+        inputs, start, end, wildcards = _branching_run_files(tmp_path), "urn:a", "urn:b", "2"
+    else:
+        inputs, start, end, wildcards = [str(clique4_file)], ":r0", ":r1", "3"
+    assert main(["index", *inputs, "--mode", mode, "--out", str(out)]) == 0
+    capsys.readouterr()
+    query = ["query", str(out), "--start", start, "--end", end, "--wildcards", wildcards]
+    for strict in ([], ["--strict"]):
+        assert main([*query, *strict, "--limit", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        assert len(lines) >= 2
+        for limit in range(1, len(lines) + 2):
+            assert main([*query, *strict, "--limit", str(limit)]) == 0
+            assert capsys.readouterr().out == "".join(lines[:limit]), (strict, limit)
+
+
+def test_a_negative_limit_is_the_same_error_in_the_library(linear_trace_file, tmp_path, capsys):
+    out = tmp_path / "trie.json"
+    main(["index", str(linear_trace_file), "--out", str(out)])
+    capsys.readouterr()
+    assert main(["query", str(out), "--start", "urn:s0", "--end", "urn:s1", "--limit", "-1"]) == 1
+    err = capsys.readouterr().err
+    with pytest.raises(ValueError) as raised:
+        q1(load(out), QueryPattern(("urn:s0",), 0, "urn:s1"), limit=-1)
+    assert err == f"error: {raised.value}\n"
 
 
 OUT_OF_RANGE_COUNTS = pytest.mark.parametrize(
@@ -635,6 +684,8 @@ def test_module_entry_point_keeps_the_collector_off_after_main(tmp_path):
 
 def test_console_script_keeps_the_collector_off_after_main(tmp_path):
     # the function a console-script wrapper imports and passes to sys.exit
-    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
-    module, _, name = pyproject["project"]["scripts"]["provtrie"].partition(":")
+    # read with a pattern, not tomllib, which Python 3.10 lacks
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    module, _, name = re.search(r'^provtrie = "([^"]+)"$', scripts, re.M).group(1).partition(":")
     _full_collections_after_main(tmp_path, f"sys.exit(importlib.import_module({module!r}).{name}())")

@@ -10,6 +10,7 @@ from provtrie.oracle import clique_walk_count, enumerate_walks
 from provtrie.query import (
     EmptyDepth,
     QueryPattern,
+    _steps,
     count_paths,
     locate,
     most_probable_at_depth,
@@ -21,6 +22,7 @@ from provtrie.trie import Trie, TrieMode
 from helpers import (
     insert_all,
     prefix_match_oracle,
+    random_dag,
     random_dg,
     recursive_count_paths,
     recursive_q1,
@@ -333,3 +335,72 @@ def test_q2_ranking_invariant_under_frequency_scaling(corpus, c):
     assert [completion for completion, _ in r1] == [completion for completion, _ in r2]
     for (_, p1), (_, p2) in zip(r1, r2):
         assert p1 == pytest.approx(p2, abs=1e-12)
+
+
+# ---- best-first top-k against the full enumeration -----------------------------
+
+
+def _ranked_trie(kind: str, seed: int) -> Trie:
+    """A DG trie of a random graph or a clique (K3-K6: many tied likelihoods),
+    or a trie of random runs in either mode."""
+    rng = random.Random(seed)
+    if kind == "clique":
+        trie = Trie(TrieMode.DG)
+        trie.index_graph_dg(gen_clique(rng.randint(3, 6)))
+        return trie
+    if kind in ("random dg", "random dag"):
+        trie = Trie(TrieMode.DG)
+        trie.index_graph_dg(random_dg(rng, max_nodes=6) if kind == "random dg" else random_dag(rng, max_nodes=7))
+        return trie
+    alphabet = [f"urn:r{i}" for i in range(rng.randint(1, 5))]
+    runs = [[rng.choice(alphabet) for _ in range(rng.randint(1, 7))] for _ in range(rng.randint(1, 25))]
+    return insert_all(TrieMode.DAG if kind == "dag runs" else TrieMode.DG, runs)
+
+
+ranked_tries = st.builds(
+    _ranked_trie, st.sampled_from(["clique", "random dg", "random dag", "dag runs", "dg runs"]), st.integers(0, 10_000)
+)
+
+
+def _identifiers(trie: Trie) -> list[str]:
+    return sorted(set(trie.id[1:])) or ["absent"]  # type: ignore[arg-type]
+
+
+@given(trie=ranked_tries, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_best_first_suggestions_equal_the_full_enumeration(trie, data):
+    ids = _identifiers(trie)
+    prefix = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=2))
+    ahead = data.draw(st.integers(1, 4))
+    for top in range(1, 51):
+        # tuples compare their likelihoods with ==: equal to the bit, order and ties included
+        assert q2_suggest(trie, prefix, ahead, top) == recursive_q2_suggest(trie, prefix, ahead, top)
+
+
+@given(trie=ranked_tries, strict=st.booleans(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_q1_limit_returns_the_head_of_the_full_list(trie, strict, data):
+    ids = _identifiers(trie)
+    pattern = QueryPattern(
+        (data.draw(st.sampled_from(ids)),), data.draw(st.integers(0, 4)), data.draw(st.sampled_from(ids))
+    )
+    full = recursive_q1(trie, pattern, strict=strict)
+    assert q1(trie, pattern, strict=strict, limit=0) == full
+    for limit in range(1, 51):
+        assert q1(trie, pattern, strict=strict, limit=limit) == full[:limit]
+
+
+def test_q1_rejects_a_negative_limit():
+    t = insert_all(TrieMode.DAG, [["a", "b"]])
+    with pytest.raises(ValueError, match="match limit must be >= 0, got -1"):
+        q1(t, QueryPattern(("a",), 0, "b"), limit=-1)
+
+
+@given(trie=ranked_tries)
+@settings(max_examples=100, deadline=None)
+def test_every_step_probability_of_a_loaded_trie_is_at_most_one(trie):
+    # the premise of the best-first search: likelihoods never rise along a path
+    loaded = Trie.from_document(trie.to_document())
+    for node, freq in enumerate(loaded.freq):
+        for _, _, taken in _steps(loaded, node, None):
+            assert 0 < taken / freq <= 1

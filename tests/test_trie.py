@@ -533,6 +533,48 @@ def _tamper(trie: Trie, reference: ObjectTrie, how: str, rng: random.Random) -> 
         trie.children[trie.parent[at[i]]][ancestor.id] = at[i]  # type: ignore[index]
         level = trie.depth_stats.setdefault(node.depth, {})
         level[ancestor.id] = level.get(ancestor.id, 0) + trie.freq[at[i]]  # type: ignore[index]
+    elif how == "zero a leaf's freq":
+        # a leaf without cycle-edges has none coming in either: its freq is its terminal count
+        leaves = [i for i in inner if not nodes[i].children and not nodes[i].cycles]
+        if not leaves:
+            return False
+        i = rng.choice(leaves)
+        node, taken = nodes[i], nodes[i].freq
+        node.freq = node.entry_count = node.terminal_count = 0
+        node.parent.terminal_count += taken  # the parent still balances
+        reference.depth_stats.bump(node.depth, node.id, -taken)  # type: ignore[arg-type]
+        trie.freq[at[i]] = trie.entry[at[i]] = trie.terminal[at[i]] = 0
+        trie.terminal[trie.parent[at[i]]] += taken
+        trie.depth_stats[node.depth][trie.id[at[i]]] -= taken  # type: ignore[index]
+    elif how == "make a terminal count negative":
+        # move one more than the source's terminal count onto a cycle-edge to a proper ancestor
+        edges = [(i, label) for i in sources for label, edge in nodes[i].cycles.items() if edge.target is not nodes[i]]
+        if not edges:
+            return False
+        i, label = rng.choice(edges)
+        node, edge = nodes[i], nodes[i].cycles[label]
+        moved = node.terminal_count + 1
+        node.terminal_count -= moved
+        edge.count += moved
+        edge.target.freq += moved  # the new arrivals end there: the target still balances
+        edge.target.terminal_count += moved
+        reference.depth_stats.bump(edge.target.depth, label, moved)
+        e = trie.cycles[at[i]][label]
+        trie.terminal[at[i]] -= moved
+        trie.cycle_count[e] += moved
+        trie.freq[trie.cycle_to[e]] += moved
+        trie.terminal[trie.cycle_to[e]] += moved
+        trie.depth_stats[edge.target.depth][label] += moved
+    elif how == "move a descent into the parent's terminal":
+        # the node keeps its freq, so it has one arrival more than its cycle-edges in bring
+        descended = [i for i in inner if nodes[i].entry_count >= 1]
+        if not descended:
+            return False
+        i = rng.choice(descended)
+        nodes[i].entry_count -= 1
+        nodes[i].parent.terminal_count += 1  # the parent still balances
+        trie.entry[at[i]] -= 1
+        trie.terminal[trie.parent[at[i]]] += 1
     else:  # pragma: no cover
         raise AssertionError(how)
     return True
@@ -547,7 +589,14 @@ TAMPERINGS = [
     "zero an edge count",
     "hand-bump depth_stats",
     "repeat an ancestor's identifier",
+    "zero a leaf's freq",
+    "make a terminal count negative",
+    "move a descent into the parent's terminal",
 ]
+
+# each breaks one rule alone, a rule the walk-up reference lacks: non-root freq >= 1,
+# terminal >= 0 and arrivals equal to the cycle-edges in (in DG mode; in DAG mode it has that one)
+WALK_UP_LACKS = {"zero a leaf's freq", "make a terminal count negative", "move a descent into the parent's terminal"}
 
 
 def _checker_documents(rng: random.Random) -> list[dict]:
@@ -594,12 +643,19 @@ def test_one_walk_checker_agrees_with_the_walk_up_reference():
                 assert columns == one_walk, (how, doc)
                 if columns == "repeat" and walk_up == "pass":
                     assert trie.mode is TrieMode.DG
+                elif how in WALK_UP_LACKS and walk_up == "pass":
+                    assert columns == "raise", (how, doc)
                 else:
                     assert columns == walk_up, (how, doc)
                 outcomes[how].add((walk_up, columns))
-    # every tampering was applied and caught; only the DG rule tells the walk-up reference apart
-    assert all(("raise", "raise") in seen or ("raise", "repeat") in seen for seen in outcomes.values()), outcomes
+    # every tampering was applied and caught; only the rules the walk-up reference lacks tell it apart
+    assert all(
+        ("raise", "raise") in seen or ("raise", "repeat") in seen
+        for how, seen in outcomes.items()
+        if how not in WALK_UP_LACKS
+    ), outcomes
     assert ("pass", "repeat") in outcomes["repeat an ancestor's identifier"]
+    assert all(("pass", "raise") in outcomes[how] for how in WALK_UP_LACKS), outcomes
 
 
 def _tamper_document(doc: dict, how: str, rng: random.Random) -> bool:
