@@ -12,11 +12,10 @@ an index built from the windows can answer queries that start mid-run.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import CyclicInput, ProvGraph
+from .graph import ProvGraph
 
 
 @dataclass(frozen=True)
@@ -40,27 +39,12 @@ class SubsequenceWindow:
 def sequence(g: ProvGraph) -> CanonicalSequence:
     """Lexicographically smallest topological order of ``g``.
 
-    Kahn frontier with lexicographic-minimum selection: repeatedly emit
-    the smallest identifier whose unemitted predecessors are exhausted.
     Disconnected components interleave under the same global rule.  An
     empty graph yields the empty sequence; a cyclic edge relation raises
-    ``CyclicInput``.  The heap alone orders the output, so nodes and
-    successors are read unsorted.
+    ``CyclicInput``.  The graph computes the order once and keeps it, so
+    after a DAG builder's ``validate_dag`` this runs no second pass.
     """
-    indeg, succ = g._kahn_start()
-    frontier = [rid for rid, d in indeg.items() if d == 0]
-    heapq.heapify(frontier)
-    out: list[str] = []
-    while frontier:
-        rid = heapq.heappop(frontier)
-        out.append(rid)
-        for nxt in succ[rid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(frontier, nxt)
-    if len(out) != g.node_count:
-        raise CyclicInput("graph has a cycle; cannot linearize")
-    return CanonicalSequence(tuple(out))
+    return CanonicalSequence(g._topological_order())
 
 
 def ngrams(seq: CanonicalSequence | Sequence[str], n: int) -> SubsequenceWindow:

@@ -10,11 +10,13 @@ Resource identifiers are compared with plain string ordering; that
 ordering is the single tie-breaking rule used by every deterministic
 traversal in this package.  Identifiers are never normalized (no case
 folding, no percent-decoding), so two spellings of the same URI are two
-different resources.
+different resources.  A graph stores one adjacency and owns the one
+topological sort that ``validate_dag`` and ``canonical.sequence`` read.
 """
 from __future__ import annotations
 
 from enum import Enum
+from heapq import heapify, heappop, heappush
 from typing import Iterator
 
 
@@ -56,20 +58,23 @@ class GraphKind(Enum):
 class ProvGraph:
     """Directed graph of resources with role typing.
 
-    Construction is single-threaded; once built, a graph is treated as
-    read-only and may be shared freely across threads.  Node and edge
-    insertion are idempotent, so replaying the same construction calls
-    always yields an equal graph.
+    Stored per node: role, successor set and in-degree count.  The
+    topological order is computed on first request and kept in one slot
+    that a new node or edge clears.  Construction is single-threaded; a
+    built graph is read-only and safe to share across threads, since its
+    lazily filled slot only ever receives equal values.  Insertion is
+    idempotent: replaying the construction calls yields an equal graph.
     """
 
-    __slots__ = ("kind", "_roles", "_succ", "_pred", "_edge_count")
+    __slots__ = ("kind", "_roles", "_succ", "_indeg", "_edge_count", "_order")
 
     def __init__(self, kind: GraphKind = GraphKind.DAG) -> None:
         self.kind = kind
         self._roles: dict[str, Role | None] = {}
         self._succ: dict[str, set[str]] = {}
-        self._pred: dict[str, set[str]] = {}
+        self._indeg: dict[str, int] = {}
         self._edge_count = 0
+        self._order: tuple[str, ...] | None = None
 
     # ---- construction ----------------------------------------------------
 
@@ -92,7 +97,8 @@ class ProvGraph:
             raise RoleConflict(f"{rid!r} already has role {current.value}, got {role.value}")
         self._roles[rid] = role
         self._succ[rid] = set()
-        self._pred[rid] = set()
+        self._indeg[rid] = 0
+        self._order = None
 
     def add_edge(self, src: str, dst: str) -> None:
         """Add the directed edge src -> dst (set semantics, idempotent)."""
@@ -104,8 +110,9 @@ class ProvGraph:
             raise SelfLoopInDag(f"self-loop on {src!r} not allowed in a DAG")
         if dst not in self._succ[src]:
             self._succ[src].add(dst)
-            self._pred[dst].add(src)
+            self._indeg[dst] += 1
             self._edge_count += 1
+            self._order = None
 
     def infer_roles(self) -> "ProvGraph":
         """Assign roles to untyped nodes from their degrees.
@@ -117,7 +124,7 @@ class ProvGraph:
         for rid, role in self._roles.items():
             if role is not None:
                 continue
-            if not self._pred[rid]:
+            if not self._indeg[rid]:
                 self._roles[rid] = Role.INPUT
             elif not self._succ[rid]:
                 self._roles[rid] = Role.OUTPUT
@@ -158,9 +165,9 @@ class ProvGraph:
         return src in self._succ and dst in self._succ[src]
 
     def in_degree(self, rid: str) -> int:
-        if rid not in self._pred:
+        if rid not in self._indeg:
             raise MissingNode(f"{rid!r} is not in the graph")
-        return len(self._pred[rid])
+        return self._indeg[rid]
 
     def edges(self) -> Iterator[tuple[str, str]]:
         """All edges as (src, dst) pairs, in sorted pair order."""
@@ -171,27 +178,34 @@ class ProvGraph:
     # ---- validation --------------------------------------------------------
 
     def validate_dag(self) -> bool:
-        """True iff the edge relation admits a topological order.
+        """True iff the edge relation admits a topological order, any ``kind``."""
+        try:
+            self._topological_order()
+        except CyclicInput:
+            return False
+        return True
 
-        Kahn-style peeling of zero in-degree nodes; pure, no mutation;
-        independent of the declared ``kind``.
-        """
-        indeg, succ = self._kahn_start()
-        frontier = [rid for rid, d in indeg.items() if d == 0]
-        emitted = 0
-        while frontier:
-            rid = frontier.pop()
-            emitted += 1
-            for nxt in succ[rid]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    frontier.append(nxt)
-        return emitted == len(self._roles)
-
-    def _kahn_start(self) -> tuple[dict[str, int], dict[str, set[str]]]:
-        """What a Kahn pass reads: a fresh in-degree dict to count down and
-        the successor sets themselves, unsorted and not to be changed."""
-        return {rid: len(preds) for rid, preds in self._pred.items()}, self._succ
+    def _topological_order(self) -> tuple[str, ...]:
+        """Lexicographically smallest topological order (Kahn, CACM 1962):
+        always emit the smallest identifier whose predecessors are emitted.
+        The heap alone orders it, so nodes and successors are read unsorted.
+        A cyclic edge relation raises ``CyclicInput``."""
+        if self._order is None:
+            indeg, succ = self._indeg.copy(), self._succ
+            frontier = [rid for rid, d in indeg.items() if not d]
+            heapify(frontier)
+            out: list[str] = []
+            while frontier:
+                rid = heappop(frontier)
+                out.append(rid)
+                for nxt in succ[rid]:
+                    indeg[nxt] -= 1
+                    if not indeg[nxt]:
+                        heappush(frontier, nxt)
+            if len(out) != len(indeg):
+                raise CyclicInput("graph has a cycle; cannot linearize")
+            self._order = tuple(out)
+        return self._order
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProvGraph):

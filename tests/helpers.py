@@ -7,6 +7,7 @@ comparison.
 """
 from __future__ import annotations
 
+import heapq
 import random
 import re
 from dataclasses import dataclass, field
@@ -45,6 +46,25 @@ def has_cycle_dfs(g: ProvGraph) -> bool:
         return False
 
     return any(visit(u) for u in g.node_ids if color[u] == WHITE)
+
+
+def reference_sequence(g: ProvGraph) -> tuple[str, ...] | None:
+    """Lexicographically smallest topological order from the public
+    ``edges()``/``successors()`` alone, or None when the graph is cyclic."""
+    indeg = dict.fromkeys(g.node_ids, 0)
+    for _, dst in g.edges():
+        indeg[dst] += 1
+    frontier = [rid for rid, d in indeg.items() if d == 0]
+    heapq.heapify(frontier)
+    out = []
+    while frontier:
+        rid = heapq.heappop(frontier)
+        out.append(rid)
+        for nxt in g.successors(rid):
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                heapq.heappush(frontier, nxt)
+    return tuple(out) if len(out) == len(indeg) else None
 
 
 def random_dag(rng: random.Random, max_nodes: int = 10, p: float | None = None) -> ProvGraph:

@@ -97,6 +97,55 @@ def test_index_missing_input_leaves_no_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+LOOP_INPUTS = pytest.mark.parametrize(
+    "name, text, options, message",
+    [
+        (
+            "loop.nt",
+            "<urn:a> <http://www.w3.org/ns/prov#used> <urn:b> .\n"
+            "<urn:b> <http://www.w3.org/ns/prov#used> <urn:a> .\n",
+            ["--format", "ntriples"],
+            "triples describe a cyclic graph; cannot build a DAG",
+        ),
+        (
+            "loop.json",
+            json.dumps(
+                {
+                    "trace_id": "loop",
+                    "nodes": [{"id": "urn:a"}, {"id": "urn:b"}],
+                    "edges": [{"from": "urn:a", "to": "urn:b"}, {"from": "urn:b", "to": "urn:a"}],
+                }
+            ),
+            [],
+            "trace 'loop' is cyclic; cannot build a DAG",
+        ),
+    ],
+    ids=["ntriples", "trace"],
+)
+
+
+@LOOP_INPUTS
+def test_index_refuses_a_cyclic_run_in_dag_mode(name, text, options, message, tmp_path, capsys):
+    src = tmp_path / name
+    src.write_text(text, encoding="utf-8")
+    out = tmp_path / "trie.json"
+    assert main(["index", str(src), *options, "--mode", "dag", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@LOOP_INPUTS
+def test_index_accepts_a_cyclic_run_in_dg_mode(name, text, options, message, tmp_path, capsys):
+    src = tmp_path / name
+    src.write_text(text, encoding="utf-8")
+    out = tmp_path / "trie.json"
+    assert main(["index", str(src), *options, "--mode", "dg", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists()
+
+
 def test_walk_oracle_has_no_depth_limit(tmp_path, capsys):
     chain = {
         "trace_id": "chain-1500",

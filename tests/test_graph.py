@@ -1,10 +1,14 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import provtrie.graph
+from provtrie.canonical import sequence
 from provtrie.graph import (
+    CyclicInput,
     GraphKind,
     InvalidSize,
     MissingNode,
@@ -15,7 +19,11 @@ from provtrie.graph import (
     gen_clique,
 )
 
-from helpers import has_cycle_dfs, random_dag
+from provtrie.ingest import PROV, parse_ntriples, triples_to_graph
+
+from helpers import has_cycle_dfs, random_dag, random_dg, reference_sequence
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_add_node_construction():
@@ -207,3 +215,107 @@ def test_construction_replay_is_identity(seed):
     for src, dst in g.edges():
         h.add_edge(src, dst)
     assert h == g
+    # __eq__ ignores in-degrees, so a double count on a repeated edge must
+    # show here: each node's count is its number of distinct predecessors
+    for v in h.node_ids:
+        assert h.in_degree(v) == sum(h.has_edge(u, v) for u in h.node_ids)
+
+
+def _chain(kind=GraphKind.DAG):
+    g = ProvGraph(kind)
+    for rid in (":a", ":b", ":c"):
+        g.add_node(rid)
+    g.add_edge(":a", ":b")
+    g.add_edge(":b", ":c")
+    return g
+
+
+def test_an_edge_that_closes_a_cycle_clears_the_stored_order():
+    g = _chain()
+    assert sequence(g).items == (":a", ":b", ":c")
+    g.add_edge(":c", ":a")
+    with pytest.raises(CyclicInput):
+        sequence(g)
+    assert not g.validate_dag()
+
+
+def test_a_node_added_after_sequence_appears_in_the_next_order():
+    g = _chain()
+    assert sequence(g).items == (":a", ":b", ":c")
+    g.add_node(":0")
+    assert sequence(g).items == (":0", ":a", ":b", ":c")
+    g.add_edge(":c", ":0")
+    assert sequence(g).items == (":a", ":b", ":c", ":0")
+
+
+def test_repeated_construction_calls_keep_the_stored_order():
+    g = _chain()
+    order = sequence(g).items
+    g.add_node(":b")
+    g.add_node(":b", Role.PROCESS)
+    g.add_edge(":a", ":b")
+    assert g._order is order
+
+
+def _random_run_ntriples(seed):
+    g = random_dag(random.Random(seed), max_nodes=30, p=0.2)
+    # wasDerivedFrom points from the derived resource back to its source
+    return "".join(f"<{dst}> <{PROV}wasDerivedFrom> <{src}> .\n" for src, dst in g.edges())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [(DATA / f"trace{i}.nt").read_text(encoding="utf-8") for i in (1, 2, 3)]
+    + [_random_run_ntriples(seed) for seed in (1, 2, 3)],
+    ids=["trace1", "trace2", "trace3", "random1", "random2", "random3"],
+)
+def test_a_dag_run_is_linearized_by_one_kahn_pass(text, monkeypatch):
+    pops = []
+    heappop = provtrie.graph.heappop
+
+    def counted(heap):
+        pops.append(1)
+        return heappop(heap)
+
+    monkeypatch.setattr(provtrie.graph, "heappop", counted)
+    g = triples_to_graph(parse_ntriples(text).triples).infer_roles()
+    seq = sequence(g)
+    assert g.node_count > 1
+    assert len(pops) == g.node_count == len(seq)
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_sequence_matches_the_reference_kahn_on_larger_dags(seed):
+    g = random_dag(random.Random(seed), max_nodes=60)
+    assert sequence(g).items == reference_sequence(g)
+    assert g.validate_dag()
+
+
+@given(seed=st.integers(0, 10_000), max_nodes=st.integers(2, 30))
+@settings(max_examples=150, deadline=None)
+def test_validate_dag_agrees_with_the_back_edge_oracle_on_random_digraphs(seed, max_nodes):
+    g = random_dg(random.Random(seed), max_nodes=max_nodes)
+    cyclic = has_cycle_dfs(g)
+    assert g.validate_dag() == (not cyclic)
+    reference = reference_sequence(g)
+    assert (reference is None) == cyclic
+    if cyclic:
+        with pytest.raises(CyclicInput):
+            sequence(g)
+    else:
+        assert sequence(g).items == reference
+
+
+@given(seed=st.integers(0, 10_000), acyclic=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_inferred_roles_match_the_roles_derived_from_edges(seed, acyclic):
+    rng = random.Random(seed)
+    g = random_dag(rng, max_nodes=60) if acyclic else random_dg(rng, max_nodes=30)
+    edges = list(g.edges())
+    has_pred = {dst for _, dst in edges}
+    has_succ = {src for src, _ in edges}
+    g.infer_roles()
+    for rid in g.node_ids:
+        expected = Role.INPUT if rid not in has_pred else Role.OUTPUT if rid not in has_succ else Role.PROCESS
+        assert g.role_of(rid) is expected
