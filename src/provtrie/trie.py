@@ -48,7 +48,7 @@ import json
 import os
 from collections.abc import Mapping
 from itertools import compress, count, islice, repeat
-from operator import add, ge, gt, ne, sub
+from operator import add, ge, ne, sub
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import GraphKind, ProvGraph
@@ -227,6 +227,8 @@ class Trie:
         symbols = list(seq)
         if not symbols:
             raise EmptySequence("cannot insert an empty sequence")
+        if set(map(type, symbols)) - {str} or "" in symbols:  # the loader's rule, before any change
+            raise ValueError("resource identifier must be a nonempty string")
         children, freq, entry, stats = self.children, self.freq, self.entry, self.depth_stats
         freq[0] += 1
         path = [0]  # the root path down to the cursor
@@ -327,17 +329,6 @@ class Trie:
 
     # ---- invariants ------------------------------------------------------------
 
-    def _per_depth(self) -> dict[int, dict[str, int]]:
-        """The per-depth table recounted from the node columns; parents are
-        numbered first, so one pass derives every depth."""
-        depths = [0] * len(self.parent)
-        table: dict[int, dict[str, int]] = {}
-        for node, up, rid, freq in islice(zip(count(), self.parent, self.id, self.freq), 1, None):
-            depths[node] = depth = depths[up] + 1
-            level = table.setdefault(depth, {})
-            level[rid] = level.get(rid, 0) + freq  # type: ignore[index]
-        return table
-
     def _preorder(self) -> tuple[list[int], list[int], list[int]]:
         """Nodes in a pre-order (children in index order), each node's position
         in it, and one past the last position of its subtree: parents precede
@@ -360,30 +351,32 @@ class Trie:
         """Verify structure and statistics; raise ``CorruptDocument`` on failure.
 
         Owns every rule, for loaded and in-memory tries alike: the rules of
-        ``_check_structure``, then the per-depth table against a recount.
+        ``_check_structure``, then ``depth_stats`` against its recount.
         """
-        self._check_structure()
-        if {d: t for d, t in self.depth_stats.items() if t} != self._per_depth():
+        if {d: t for d, t in self.depth_stats.items() if t} != self._check_structure():
             raise CorruptDocument("per-depth statistics do not match a recount")
 
-    def _check_structure(self) -> None:
+    def _check_structure(self) -> dict[int, dict[str, int]]:
         """Every rule but the per-depth table's, in passes over whole columns:
         non-root ``freq`` >= 1 and ``terminal`` >= 0, parent wiring (no
         duplicate child), entry ranges, a non-root node's arrivals (``freq -
         entry``) equal to the counts of the cycle-edges into it,
-        conservation, sibling probability sums and cycle-edges (target below
-        the root, label equal to the target's identifier and no child's, one
-        map entry each, count >= 1, target an ancestor).  DAG mode has no
-        cycle-edges, so no arrivals.  In DG mode root paths repeat no
+        conservation and cycle-edges (target below the root, label equal to
+        the target's identifier and no child's, one map entry each, count >=
+        1, target an ancestor); as terminal and cycle counts are >= 0,
+        conservation keeps a node's descents within its ``freq``.  DAG mode
+        has no cycle-edges, so no arrivals.  In DG mode root paths repeat no
         identifier: subtrees nest, so it suffices to compare each node with
-        the previous one in pre-order that has its identifier.
+        the previous one in pre-order that has its identifier.  Returns the
+        per-depth table that the node pass, parents first, recounts.
         """
         parent, ids, freq, entry = self.parent, self.id, self.freq, self.entry
         children, cycles, cycle_to, cycle_count = self.children, self.cycles, self.cycle_to, self.cycle_count
         dag = self.mode is TrieMode.DAG
         if min(islice(freq, 1, None), default=1) < 1 or min(self.terminal) < 0:
             raise CorruptDocument("node statistic out of range")
-        descended = [0] * len(ids)
+        descended, depth = [0] * len(ids), [0] * len(ids)
+        table: dict[int, dict[str, int]] = {}
         for node, up, rid, arrivals, entered in islice(zip(count(), parent, ids, freq, entry), 1, None):
             if not 0 <= up < node or children[up].get(rid) != node:  # type: ignore[arg-type]
                 what = "duplicate child" if 0 <= up < node and rid in children[up] else "broken parent link"
@@ -391,6 +384,9 @@ class Trie:
             if not 0 <= entered <= arrivals:
                 raise CorruptDocument(f"entry count out of range at node {node}")
             descended[up] += entered
+            depth[node] = d = depth[up] + 1
+            level = table.setdefault(d, {})
+            level[rid] = level.get(rid, 0) + arrivals  # type: ignore[index]
         if sum(map(len, children)) != len(ids) - 1:
             raise CorruptDocument("a child map lists a node that is not its child")
         if dag and any(cycles):
@@ -426,10 +422,6 @@ class Trie:
         at = _first(map(ne, freq, map(add, map(add, self.terminal, descended), cycled)))
         if at is not None:
             raise CorruptDocument(f"conservation violated at node {at}")
-        # given conservation, (freq - terminal - cycled) / freq is exactly this share
-        at = _first(map(gt, descended, freq))
-        if at is not None:
-            raise CorruptDocument(f"sibling probabilities inconsistent at node {at}")
         if not dag:
             last: dict[str, int] = {}  # identifier -> the latest node in pre-order carrying it
             for node in islice(order, 1, None):
@@ -438,6 +430,7 @@ class Trie:
                 if before is not None and pos[node] < end[before]:
                     raise CorruptDocument(f"identifier repeats on the root path at node {node}")
                 last[rid] = node  # type: ignore[index]
+        return table
 
     # ---- persistence ---------------------------------------------------------------
 
@@ -484,10 +477,9 @@ class Trie:
         lengths, nonempty string identifiers, parents before children,
         cycle-edge sources >= 0 and ends within the node count.  Node k of the
         document is then node k of the trie: copies of the columns become the
-        trie's, one pass each fills the child and cycle-edge maps,
-        ``_check_structure`` checks every other rule, and one more pass counts
-        the per-depth table, which therefore matches a recount by
-        construction."""
+        trie's, one pass each fills the child and cycle-edge maps, and
+        ``_check_structure`` checks every other rule; the per-depth table it
+        recounts becomes the trie's, which therefore passes that rule too."""
         try:
             version = doc["format_version"]
         except (TypeError, KeyError):
@@ -543,8 +535,7 @@ class Trie:
         trie.children = children = [{} for _ in parent]
         for node, up, rid in islice(zip(count(), parent, labels), 1, None):
             children[up][rid] = node  # type: ignore[index]
-        trie._check_structure()
-        trie.depth_stats = trie._per_depth()
+        trie.depth_stats = trie._check_structure()
         return trie
 
 
@@ -564,14 +555,19 @@ def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:
         return len(doc["parent"])
     target = os.fspath(sink)
     tmp_name = os.path.join(os.path.dirname(target), f".provtrie-{os.urandom(8).hex()}")
-    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            nodes = save(trie, fh)
-        os.replace(tmp_name, target)
-    except BaseException:
-        os.unlink(tmp_name)
-        raise
+        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                nodes = save(trie, fh)
+            os.replace(tmp_name, target)
+        except BaseException:
+            os.unlink(tmp_name)
+            raise
+    except OSError as exc:  # name the file the caller asked for, not the temporary one
+        if exc.filename != tmp_name:
+            raise
+        raise OSError(exc.errno, exc.strerror, target) from None
     return nodes
 
 

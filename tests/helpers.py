@@ -11,7 +11,7 @@ import heapq
 import random
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, islice, repeat
 from operator import attrgetter, ge
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -136,6 +136,23 @@ def insert_based_index_graph_dg(trie: Trie, g: ProvGraph) -> None:
 
     for start in g.node_ids:
         visit([start], {start})
+
+
+def reference_per_depth(trie: Trie) -> dict[int, dict[str, int]]:
+    """The per-depth table recounted from the node columns; parents are
+    numbered first, so one pass derives every depth.
+
+    ``Trie._per_depth`` kept verbatim (as a function of the trie) as the
+    reference for the recount that ``Trie._check_structure``'s node pass
+    now returns.
+    """
+    depths = [0] * len(trie.parent)
+    table: dict[int, dict[str, int]] = {}
+    for node, up, rid, freq in islice(zip(count(), trie.parent, trie.id, trie.freq), 1, None):
+        depths[node] = depth = depths[up] + 1
+        level = table.setdefault(depth, {})
+        level[rid] = level.get(rid, 0) + freq  # type: ignore[index]
+    return table
 
 
 # ---- node accessors ------------------------------------------------------------

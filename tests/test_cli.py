@@ -515,6 +515,14 @@ def test_ntriples_index_end_to_end(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_a_failed_save_names_the_target_not_a_temporary_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["index", str(DATA / "trace1.nt"), "--format", "ntriples", "--out", "missing/x.trie"])
+    assert rc == 1
+    assert capsys.readouterr().err.endswith("\nerror: [Errno 2] No such file or directory: 'missing/x.trie'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_predicate_map_override(tmp_path, capsys, monkeypatch):
     nt = tmp_path / "custom.nt"
     nt.write_text("<urn:x> <urn:vocab:feeds> <urn:y> .\n", encoding="utf-8")

@@ -517,6 +517,20 @@ def test_failed_save_leaves_existing_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["index.trie"]
 
 
+def test_failed_save_names_the_target(tmp_path):
+    trie = insert_all(TrieMode.DAG, FIGURE_SEQUENCES)
+    missing = tmp_path / "missing" / "index.trie"
+    with pytest.raises(FileNotFoundError) as raised:  # the temporary file cannot be created
+        save(trie, missing)
+    assert raised.value.filename == str(missing)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    with pytest.raises(IsADirectoryError) as raised:  # the temporary file cannot replace the target
+        save(trie, taken)
+    assert raised.value.filename == str(taken)
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"] and not any(taken.iterdir())
+
+
 def test_save_leaves_the_process_umask_alone(tmp_path, monkeypatch):
     # another thread's file created while the umask is swapped out would get none
     def no_umask(mask):

@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import random
 import sys
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from provtrie.graph import GraphKind, ProvGraph, gen_clique
 from provtrie.oracle import enumerate_walks
 from provtrie.query import QueryPattern, count_paths
-from provtrie.trie import CorruptDocument, EmptySequence, Trie, TrieMode, TrieModeError
+from provtrie.trie import CorruptDocument, EmptySequence, Trie, TrieMode, TrieModeError, load, save
 
 from helpers import (
     CycleEdge,
@@ -26,6 +27,7 @@ from helpers import (
     prob,
     random_dag,
     random_dg,
+    reference_per_depth,
     walk_conservation_report,
     walk_up_check_invariants,
 )
@@ -90,6 +92,18 @@ def test_insert_rejects_empty_sequence():
         Trie(TrieMode.DAG).insert([])
     with pytest.raises(EmptySequence):
         Trie(TrieMode.DG).insert_dg([])
+
+
+@pytest.mark.parametrize("mode", [TrieMode.DAG, TrieMode.DG])
+@pytest.mark.parametrize("seq", [[""], [None], [1], ["a", ""], ["a", "b", 1]], ids=repr)
+def test_insert_refuses_identifiers_that_load_refuses(mode, seq):
+    t = insert_all(mode, [["a", "b", "a"], ["a", "c"]])
+    before, stats = t.to_document(), copy.deepcopy(t.depth_stats)
+    add = t.insert if mode is TrieMode.DAG else t.insert_dg
+    with pytest.raises(ValueError, match="resource identifier must be a nonempty string"):
+        add(seq)
+    assert t.to_document() == before and t.depth_stats == stats
+    t.check_invariants()
 
 
 def test_insert_mode_checks():
@@ -329,6 +343,55 @@ def test_dag_depth_totals_count_long_enough_sequences(corpus):
     for depth in sorted(t.depth_stats):
         shorter = sum(1 for seq in corpus if len(seq) < depth)
         assert sum(t.depth_stats[depth].values()) == t.root.freq - shorter
+
+
+def _dg_index(g: ProvGraph) -> Trie:
+    t = Trie(TrieMode.DG)
+    t.index_graph_dg(g)
+    return t
+
+
+recount_builds = st.one_of(
+    st.randoms(use_true_random=False).map(lambda rng: _dg_index(random_dg(rng))),
+    st.randoms(use_true_random=False).map(lambda rng: _dg_index(random_dag(rng))),
+    st.integers(2, 6).map(lambda size: _dg_index(gen_clique(size))),
+    corpora.map(lambda corpus: insert_all(TrieMode.DAG, corpus)),
+    corpora.map(lambda corpus: insert_all(TrieMode.DG, corpus)),
+)
+
+
+@given(trie=recount_builds)
+@settings(max_examples=150, deadline=None)
+def test_the_checker_node_pass_recounts_the_per_depth_table(trie):
+    buf = io.StringIO()
+    save(trie, buf)
+    buf.seek(0)
+    loaded = load(buf)
+    live = {d: level for d, level in trie.depth_stats.items() if level}
+    for t in (trie, loaded):
+        table = t._check_structure()
+        assert table == reference_per_depth(t)
+        assert table == live
+    assert loaded.depth_stats == live
+
+
+@pytest.mark.parametrize(
+    "mode, corpus", [(TrieMode.DAG, [["a", "b"], ["a"]]), (TrieMode.DG, [["a", "b", "a"]])], ids=["dag", "dg"]
+)
+def test_children_sharing_more_than_the_parent_freq_are_still_caught(mode, corpus):
+    # descents past the parent's freq: conservation catches it, so no separate sibling rule is needed
+    t = insert_all(mode, corpus)
+    a = t.children[0]["a"]
+    b = t.children[a]["b"]
+    t.entry[b] += t.freq[a]
+    t.freq[b] += t.freq[a]
+    assert t.entry[b] > t.freq[a]
+    with pytest.raises(CorruptDocument, match="conservation"):
+        t.check_invariants()
+    doc = t.to_document()
+    assert doc["freq"][b - 1] > doc["freq"][a - 1]  # nodes a and b are the document's first two
+    with pytest.raises(CorruptDocument):
+        load(io.StringIO(json.dumps(doc)))
 
 
 def test_check_invariants_rejects_a_repeated_dg_identifier():
