@@ -36,7 +36,8 @@ ancestor of ``s`` exactly when ``pos[t] <= pos[s] < pos[t] + size[t]``
 (Dietz 1982; the region encoding of Zhang et al., SIGMOD 2001).
 
 ``save``/``load`` store each fact once, as parallel columns in canonical
-breadth-first order (see ``Trie.to_document``).
+breadth-first order, with per-node child and cycle-edge counts in place of
+parent and source indices (LOUDS; see ``Trie.to_document``).
 
 Concurrency: single writer, many readers.  Insertion needs exclusive
 access; a trie that is not being mutated can be queried from any number
@@ -47,13 +48,13 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Mapping
-from itertools import compress, count, islice, repeat
-from operator import add, ge, ne, sub
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, lt, ne, sub
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import GraphKind, ProvGraph
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class TrieError(Exception):
@@ -224,6 +225,8 @@ class Trie:
         self._insert(seq, fold=True)
 
     def _insert(self, seq: Sequence[str], fold: bool) -> None:
+        if isinstance(seq, str):  # list() would split it into one-character identifiers
+            raise TypeError("insert takes a sequence of identifiers, not one string")
         symbols = list(seq)
         if not symbols:
             raise EmptySequence("cannot insert an empty sequence")
@@ -436,22 +439,23 @@ class Trie:
 
     def to_document(self) -> dict[str, Any]:
         """Columnar document tree: a header (``format_version``, ``mode``,
-        ``n``, ``sequence_count``) and parallel arrays, ``parent``, ``id``,
-        ``freq`` and ``terminal_count`` per non-root node breadth-first with
-        children in label order (the root is node 0), ``cycle_from``,
-        ``cycle_to`` and ``cycle_count`` per cycle-edge, by source in that
-        order, then by label.  Equal documents iff structurally equal tries."""
+        ``n``, ``sequence_count``) and parallel arrays over the nodes
+        breadth-first, children in label order, the root as node 0:
+        ``child_count`` and ``cycle_out`` per node, ``id``, ``freq`` and
+        ``terminal_count`` per non-root node, ``cycle_to`` and ``cycle_count``
+        per cycle-edge, by source, then by label.  Node k's children are the
+        next ``child_count[k]`` nodes, its cycle-edges the next ``cycle_out[k]``
+        edges: the level-order degree sequence of LOUDS (Jacobson 1989).
+        Equal documents iff structurally equal tries."""
         children, cycles = self.children, self.cycles
         order = [0]  # nodes in canonical order: level by level, children in label order
-        edges: list[int] = []  # cycle-edges in canonical order, and their sources
-        sources: list[int] = []
+        edges: list[int] = []  # cycle-edges in canonical order
         for node in order:
             kids, out = children[node], cycles[node]
             if kids:
                 order += map(kids.__getitem__, sorted(kids))
             if out:
                 edges += map(out.__getitem__, sorted(out))
-                sources += repeat(node, len(out))
         renumber = [0] * len(order)
         for k, node in enumerate(order):
             renumber[node] = k
@@ -461,11 +465,11 @@ class Trie:
             "mode": self.mode.value,
             "n": self.n,
             "sequence_count": self.sequence_count,
-            "parent": list(map(renumber.__getitem__, map(self.parent.__getitem__, nodes))),
+            "child_count": list(map(len, map(children.__getitem__, order))),
             "id": list(map(self.id.__getitem__, nodes)),
             "freq": list(map(self.freq.__getitem__, nodes)),
             "terminal_count": list(map(self.terminal.__getitem__, nodes)),
-            "cycle_from": list(map(renumber.__getitem__, sources)),
+            "cycle_out": list(map(len, map(cycles.__getitem__, order))),
             "cycle_to": list(map(renumber.__getitem__, map(self.cycle_to.__getitem__, edges))),
             "cycle_count": list(map(self.cycle_count.__getitem__, edges)),
         }
@@ -474,12 +478,14 @@ class Trie:
     def from_document(cls, doc: dict[str, Any]) -> "Trie":
         """Rebuild a trie from a document.  The loader checks only the shape it
         needs to build safely: header and column types, ``n`` >= 0, column
-        lengths, nonempty string identifiers, parents before children,
-        cycle-edge sources >= 0 and ends within the node count.  Node k of the
-        document is then node k of the trie: copies of the columns become the
-        trie's, one pass each fills the child and cycle-edge maps, and
-        ``_check_structure`` checks every other rule; the per-depth table it
-        recounts becomes the trie's, which therefore passes that rule too."""
+        lengths (degree columns: one count per node), nonempty string
+        identifiers, counts >= 0 summing to the node and cycle-edge counts,
+        parents before children (the first j child counts sum to at least
+        j).  Node k of the document is then node k of the trie: copies of the
+        columns become the trie's, the child counts expand into parents, one
+        pass each fills the child and cycle-edge maps, and ``_check_structure``
+        checks every other rule; the per-depth table it recounts becomes the
+        trie's, which therefore passes that rule too."""
         try:
             version = doc["format_version"]
         except (TypeError, KeyError):
@@ -490,48 +496,56 @@ class Trie:
             mode = TrieMode(doc["mode"])
             n = doc["n"]
             sequence_count = doc["sequence_count"]
-            node_columns = [doc["parent"], doc["id"], doc["freq"], doc["terminal_count"]]
-            cycle_columns = [doc["cycle_from"], doc["cycle_to"], doc["cycle_count"]]
+            node_columns = [doc["id"], doc["freq"], doc["terminal_count"]]
+            child_count, cycle_out = degree_columns = [doc["child_count"], doc["cycle_out"]]
+            cycle_columns = [doc["cycle_to"], doc["cycle_count"]]
         except (KeyError, ValueError, TypeError) as exc:
             raise CorruptDocument(f"malformed header: {exc}") from None
         if type(n) is not int or type(sequence_count) is not int or n < 0:
             raise CorruptDocument("header counts must be integers, and n non-negative")
-        if any(type(column) is not list for column in node_columns + cycle_columns):
+        if any(type(column) is not list for column in node_columns + degree_columns + cycle_columns):
             raise CorruptDocument("node and cycle-edge columns must be arrays")
-        parents, ids, freqs, terminal_counts = node_columns
-        sources, targets, counts = cycle_columns
+        ids, freqs, terminal_counts = node_columns
+        targets, counts = cycle_columns
         if len({len(column) for column in node_columns}) != 1:
             raise CorruptDocument("node columns of unequal length")
         if len({len(column) for column in cycle_columns}) != 1:
             raise CorruptDocument("cycle-edge columns of unequal length")
-        if any(set(map(type, column)) - {int} for column in (parents, freqs, terminal_counts, *cycle_columns)):
-            raise CorruptDocument("non-integer statistic or node index")
+        if len(child_count) != len(ids) + 1 or len(cycle_out) != len(ids) + 1:
+            raise CorruptDocument("degree columns need one count per node, the root included")
+        if any(set(map(type, column)) - {int} for column in (freqs, terminal_counts, *degree_columns, *cycle_columns)):
+            raise CorruptDocument("non-integer statistic, count or node index")
         if set(map(type, ids)) - {str} or "" in ids:
             raise CorruptDocument("identifiers must be nonempty strings")
-        if parents and (min(parents) < 0 or any(map(ge, parents, range(1, len(parents) + 1)))):
-            idx = next(i for i, p in enumerate(parents, 1) if not 0 <= p < i)
-            raise CorruptDocument(f"parent {parents[idx - 1]} not before node {idx}")
-        if sources and min(sources) < 0:
-            raise CorruptDocument("negative node index in a cycle-edge source")
+        if min(child_count) < 0 or min(cycle_out) < 0:
+            raise CorruptDocument("negative child or cycle-edge count")
+        if sum(child_count) != len(ids) or sum(cycle_out) != len(targets):
+            raise CorruptDocument("child or cycle-edge counts do not sum to the node or cycle-edge count")
+        at = _first(map(lt, accumulate(child_count), range(1, len(child_count))))
+        if at is not None:
+            raise CorruptDocument(f"parent not before node {at + 1}")
 
         # a caller that hands the document over (load does) gets its columns freed as they are used
-        del doc, node_columns, cycle_columns
+        del doc, node_columns, degree_columns, cycle_columns
         trie = cls(mode, n)
-        trie.parent = parent = [-1, *parents]
+        trie.parent = parent = [-1, *chain.from_iterable(map(repeat, count(), child_count))]
         trie.id = labels = [None, *ids]
         trie.freq = [sequence_count, *freqs]
         trie.terminal = [0, *terminal_counts]
         trie.entry = entry = [0, *freqs]
-        del parents, ids, freqs, terminal_counts
+        del child_count, ids, freqs, terminal_counts
         trie.cycles = cycles = [{} for _ in parent]
+        # each source repeated for its edges, skipping nodes without any; zip pulls it only
+        # after a target, so a trie without cycle-edges (every DAG trie) never reads cycle_out
+        sources = chain.from_iterable(map(repeat, compress(count(), cycle_out), filter(None, cycle_out)))
         try:  # a negative target indexes from the end; _check_structure rejects it
-            for edge, source, target, taken in zip(count(), sources, targets, counts):
+            for edge, target, taken, source in zip(count(), targets, counts, sources):
                 cycles[source][labels[target]] = edge  # type: ignore[index]
                 entry[target] -= taken
         except IndexError:
-            raise CorruptDocument("cycle-edge node index outside the trie") from None
+            raise CorruptDocument("cycle-edge target outside the trie") from None
         trie.cycle_to, trie.cycle_count = targets.copy(), counts.copy()
-        del sources, targets, counts
+        del cycle_out, sources, targets, counts
         trie.children = children = [{} for _ in parent]
         for node, up, rid in islice(zip(count(), parent, labels), 1, None):
             children[up][rid] = node  # type: ignore[index]
@@ -552,7 +566,7 @@ def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:
     if hasattr(sink, "write"):
         doc = trie.to_document()
         sink.write(json.dumps(doc, separators=(",", ":")))  # type: ignore[union-attr]
-        return len(doc["parent"])
+        return len(doc["id"])
     target = os.fspath(sink)
     tmp_name = os.path.join(os.path.dirname(target), f".provtrie-{os.urandom(8).hex()}")
     try:

@@ -12,7 +12,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from itertools import count, islice, repeat
-from operator import attrgetter, ge
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from provtrie.graph import GraphKind, ProvGraph
@@ -155,6 +155,53 @@ def reference_per_depth(trie: Trie) -> dict[int, dict[str, int]]:
     return table
 
 
+def format2_document(trie: Trie) -> dict[str, Any]:
+    """The trie as a format 2 document, whose ``parent`` and ``cycle_from``
+    columns hold a parent per node and a source per cycle-edge.
+
+    ``Trie.to_document`` as it was before degree columns replaced those two,
+    kept verbatim (as a function of the trie) as the fixture for refusing
+    format 2 and as the reference for the loader's expansion of the degree
+    columns.
+    """
+    self = trie
+    children, cycles = self.children, self.cycles
+    order = [0]  # nodes in canonical order: level by level, children in label order
+    edges: list[int] = []  # cycle-edges in canonical order, and their sources
+    sources: list[int] = []
+    for node in order:
+        kids, out = children[node], cycles[node]
+        if kids:
+            order += map(kids.__getitem__, sorted(kids))
+        if out:
+            edges += map(out.__getitem__, sorted(out))
+            sources += repeat(node, len(out))
+    renumber = [0] * len(order)
+    for k, node in enumerate(order):
+        renumber[node] = k
+    nodes = order[1:]
+    return {
+        "format_version": 2,
+        "mode": self.mode.value,
+        "n": self.n,
+        "sequence_count": self.sequence_count,
+        "parent": list(map(renumber.__getitem__, map(self.parent.__getitem__, nodes))),
+        "id": list(map(self.id.__getitem__, nodes)),
+        "freq": list(map(self.freq.__getitem__, nodes)),
+        "terminal_count": list(map(self.terminal.__getitem__, nodes)),
+        "cycle_from": list(map(renumber.__getitem__, sources)),
+        "cycle_to": list(map(renumber.__getitem__, map(self.cycle_to.__getitem__, edges))),
+        "cycle_count": list(map(self.cycle_count.__getitem__, edges)),
+    }
+
+
+def expand_degrees(counts: Sequence[int]) -> list[int]:
+    """Node k once for each of its ``counts[k]`` children or cycle-edges: a
+    degree column turned into a parent per node after the root, or a source
+    per cycle-edge."""
+    return [k for k, times in enumerate(counts) for _ in range(times)]
+
+
 # ---- node accessors ------------------------------------------------------------
 #
 # Read-only helpers over the node API (``children``, ``cycles``, ``freq``,
@@ -202,8 +249,11 @@ def cycle_edges(node: Any) -> tuple[Any, ...]:
 # The package's trie before it became index-addressed, kept verbatim apart
 # from the names (``ObjectTrie``, ``ObjectNode``) as the reference for the
 # column trie: its builders, its document writer and loader, and its
-# one-walk checker.  ``tests/test_trie.py`` requires byte-identical
-# documents and equal checker verdicts from both.
+# one-walk checker.  The writer and loader moved to format 3 with their own
+# per-node loops, a queue and a running parent, so that the column
+# loader's expansion of the degree columns has an independent reference.
+# ``tests/test_trie.py`` requires byte-identical documents and equal
+# checker verdicts from both.
 
 
 @dataclass(slots=True)
@@ -565,46 +615,49 @@ class ObjectTrie:
         """Columnar document tree; see ``save``.
 
         The header (``format_version``, ``mode``, ``n``, ``sequence_count``)
-        is followed by parallel arrays.  ``parent``, ``id``, ``freq`` and
-        ``terminal_count`` hold one entry per non-root node, in pre-order
-        with children in label order; ``cycle_from``, ``cycle_to`` and
-        ``cycle_count`` hold one entry per cycle-edge, by source node in
-        that order and then by label.  Node indices count the root as 0.
-        The document is a canonical form: equal documents iff structurally
-        equal tries.  Only what cannot be derived is stored: depths, entry
-        counts, the root's statistics, the per-depth table and ``prob``
-        are recomputed on load.
+        is followed by parallel arrays, nodes breadth-first with children in
+        label order.  ``child_count`` and ``cycle_out`` hold one entry per
+        node, root included; ``id``, ``freq`` and ``terminal_count`` one per
+        non-root node; ``cycle_to`` and ``cycle_count`` one per cycle-edge,
+        by source node in that order and then by label.  Node indices count
+        the root as 0.  The document is a canonical form: equal documents iff
+        structurally equal tries.  Only what cannot be derived is stored:
+        parents, depths, entry counts, the root's statistics, the per-depth
+        table and ``prob`` are recomputed on load.
         """
-        parent: list[int] = []
+        child_count: list[int] = []
         ids: list[str] = []
         freq: list[int] = []
         terminal_count: list[int] = []
-        cycle_from: list[int] = []
+        cycle_out: list[int] = []
         cycle_to: list[int] = []
         cycle_count: list[int] = []
         index: dict[int, int] = {}
-        for node in self.iter_nodes():
-            idx = index[id(node)] = len(index)
-            if idx:
-                parent.append(index[id(node.parent)])
+        queue = [self.root]
+        for node in queue:  # grows as it goes: level by level
+            index[id(node)] = len(index)
+            kids = node.children_sorted()
+            child_count.append(len(kids))
+            cycle_out.append(len(node.cycles))
+            if node is not self.root:
                 ids.append(node.id)  # type: ignore[arg-type]
                 freq.append(node.freq)
                 terminal_count.append(node.terminal_count)
             for label in sorted(node.cycles):
                 edge = node.cycles[label]
-                cycle_from.append(idx)
                 cycle_to.append(index[id(edge.target)])  # an ancestor, so already numbered
                 cycle_count.append(edge.count)
+            queue.extend(kids)
         return {
             "format_version": FORMAT_VERSION,
             "mode": self.mode.value,
             "n": self.n,
             "sequence_count": self.sequence_count,
-            "parent": parent,
+            "child_count": child_count,
             "id": ids,
             "freq": freq,
             "terminal_count": terminal_count,
-            "cycle_from": cycle_from,
+            "cycle_out": cycle_out,
             "cycle_to": cycle_to,
             "cycle_count": cycle_count,
         }
@@ -615,13 +668,16 @@ class ObjectTrie:
 
         Whole columns are checked first, each in one pass in C: lengths,
         element types (exact ints, nonempty strings) and value ranges
-        (``freq`` at least 1, ``terminal_count`` non-negative, every parent
-        an earlier node, every cycle-edge end a node, no target the root).
-        Then one pass over the node arrays derives each depth from the
-        parent's, sets ``entry_count`` to ``freq`` and rebuilds the
-        per-depth table; one pass over the cycle-edge arrays subtracts each
-        edge's count from its target's ``entry_count``.  These passes check
-        only what needs the structure: no duplicate child, no duplicate
+        (``freq`` at least 1, ``terminal_count`` and the degree counts
+        non-negative, every cycle-edge target a node other than the root,
+        the counts summing to the node and cycle-edge totals).  Then one
+        pass over the nodes hands each the next parent that has a child
+        count left, derives its depth from the parent's, sets
+        ``entry_count`` to ``freq`` and rebuilds the per-depth table; one
+        pass over the nodes' cycle-edge counts takes each node's edges in
+        turn and subtracts each edge's count from its target's
+        ``entry_count``.  These passes check only what needs the structure:
+        parents before children, no duplicate child, no duplicate
         cycle-edge.  Then ``check_invariants`` runs.
         """
         try:
@@ -634,33 +690,38 @@ class ObjectTrie:
             mode = TrieMode(doc["mode"])
             n = doc["n"]
             sequence_count = doc["sequence_count"]
-            node_columns = [doc["parent"], doc["id"], doc["freq"], doc["terminal_count"]]
-            cycle_columns = [doc["cycle_from"], doc["cycle_to"], doc["cycle_count"]]
+            node_columns = [doc["id"], doc["freq"], doc["terminal_count"]]
+            degree_columns = [doc["child_count"], doc["cycle_out"]]
+            cycle_columns = [doc["cycle_to"], doc["cycle_count"]]
         except (KeyError, ValueError, TypeError) as exc:
             raise CorruptDocument(f"malformed header: {exc}") from None
         if type(n) is not int or type(sequence_count) is not int or n < 0 or sequence_count < 0:
             raise CorruptDocument("header counts must be non-negative integers")
-        if any(type(column) is not list for column in node_columns + cycle_columns):
+        if any(type(column) is not list for column in node_columns + degree_columns + cycle_columns):
             raise CorruptDocument("node and cycle-edge columns must be arrays")
-        parents, ids, freqs, terminal_counts = node_columns
-        sources, targets, counts = cycle_columns
+        ids, freqs, terminal_counts = node_columns
+        child_count, cycle_out = degree_columns
+        targets, counts = cycle_columns
         if len({len(column) for column in node_columns}) != 1:
             raise CorruptDocument("node columns of unequal length")
         if len({len(column) for column in cycle_columns}) != 1:
             raise CorruptDocument("cycle-edge columns of unequal length")
-        if any(set(map(type, column)) - {int} for column in (parents, freqs, terminal_counts, *cycle_columns)):
-            raise CorruptDocument("non-integer statistic or node index")
+        if {len(child_count), len(cycle_out)} != {len(ids) + 1}:
+            raise CorruptDocument("degree columns of the wrong length")
+        if any(set(map(type, column)) - {int} for column in (freqs, terminal_counts, *degree_columns, *cycle_columns)):
+            raise CorruptDocument("non-integer statistic, count or node index")
         if set(map(type, ids)) - {str} or "" in ids:
             raise CorruptDocument("identifiers must be nonempty strings")
-        if parents and (min(parents) < 0 or any(map(ge, parents, range(1, len(parents) + 1)))):
-            idx = next(i for i, p in enumerate(parents, 1) if not 0 <= p < i)
-            raise CorruptDocument(f"parent {parents[idx - 1]} not before node {idx}")
         if freqs and (min(freqs) < 1 or min(terminal_counts) < 0):
             raise CorruptDocument("node statistic out of range")
-        if sources:
-            if min(sources) < 0 or min(targets) < 0:
+        if min(child_count) < 0 or min(cycle_out) < 0:
+            raise CorruptDocument("negative child or cycle-edge count")
+        if sum(child_count) != len(ids) or sum(cycle_out) != len(targets):
+            raise CorruptDocument("degree counts do not sum to the node and cycle-edge totals")
+        if targets:
+            if min(targets) < 0:
                 raise CorruptDocument("negative node index in a cycle-edge")
-            if max(sources) > len(parents) or max(targets) > len(parents):
+            if max(targets) > len(ids):
                 raise CorruptDocument("cycle-edge node index past the end")
             if 0 in targets:
                 raise CorruptDocument("cycle-edge into the root")
@@ -670,7 +731,14 @@ class ObjectTrie:
         trie.root.freq = sequence_count
         bump = trie.depth_stats.bump
         nodes = [trie.root]
-        for parent_idx, rid, freq, terminal_count in zip(parents, ids, freqs, terminal_counts):
+        parent_idx, left = 0, child_count[0]  # the node whose children come next, and how many are left
+        for rid, freq, terminal_count in zip(ids, freqs, terminal_counts):
+            while not left:
+                parent_idx += 1
+                if parent_idx == len(nodes):
+                    raise CorruptDocument(f"parent not before node {len(nodes)}")
+                left = child_count[parent_idx]
+            left -= 1
             parent = nodes[parent_idx]
             if rid in parent.children:
                 raise CorruptDocument(f"duplicate child {rid!r} under node {parent_idx}")
@@ -680,13 +748,15 @@ class ObjectTrie:
             node.terminal_count = terminal_count
             bump(node.depth, rid, freq)
             nodes.append(node)
-        for src_idx, dst_idx, count in zip(sources, targets, counts):
-            dst = nodes[dst_idx]
+        edges = zip(targets, counts)
+        for src_idx, out in enumerate(cycle_out):
             cycles = nodes[src_idx].cycles
-            if dst.id in cycles:
-                raise CorruptDocument(f"duplicate cycle-edge from node {src_idx}")
-            cycles[dst.id] = CycleEdge(dst, count)  # type: ignore[index]
-            dst.entry_count -= count
+            for dst_idx, count in islice(edges, out):
+                dst = nodes[dst_idx]
+                if dst.id in cycles:
+                    raise CorruptDocument(f"duplicate cycle-edge from node {src_idx}")
+                cycles[dst.id] = CycleEdge(dst, count)  # type: ignore[index]
+                dst.entry_count -= count
         trie.check_invariants()
         return trie
 

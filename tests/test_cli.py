@@ -18,7 +18,7 @@ from provtrie.oracle import clique_walk_count
 from provtrie.query import QueryPattern, count_paths, q1
 from provtrie.trie import Trie, TrieMode, load, save
 
-from helpers import find, node_count
+from helpers import find, format2_document, node_count
 
 DATA = Path(__file__).parent / "data"
 
@@ -336,7 +336,31 @@ def test_query_version_1_trie_file_is_an_error(tmp_path, capsys):
     )
     rc = main(["query", str(old), "--start", "a", "--end", "b", "--count-only"])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: format_version 1, supported: 2")
+    assert capsys.readouterr().err.startswith("error: format_version 1, supported: 3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["query", "--start", ":r0", "--end", ":r1", "--count-only"], ["suggest", "--prefix", ":r0"], ["stats"]],
+    ids=["query", "suggest", "stats"],
+)
+def test_format_2_trie_file_is_an_error_without_a_traceback(tmp_path, argv):
+    trie = Trie(TrieMode.DG)
+    trie.index_graph_dg(gen_clique(4))
+    old = tmp_path / "k4-format2.trie"
+    old.write_text(json.dumps(format2_document(trie), separators=(",", ":")), encoding="utf-8")
+    command, *options = argv
+    proc = subprocess.run(
+        [sys.executable, "-m", "provtrie", command, str(old), *options], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: format_version 2, supported: 3\n")
+
+
+def test_k4_document_is_the_committed_golden_file(clique4_file, tmp_path, capsys):
+    # the bytes of a format 3 document, pinned: CI also compares its installed console script's output
+    out = tmp_path / "k4.trie"
+    assert main(["index", str(clique4_file), "--mode", "dg", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "k4-dg.trie").read_bytes()
 
 
 def test_suggest_deterministic_chain(linear_trace_file, tmp_path, capsys):

@@ -20,11 +20,12 @@ from provtrie.trie import (
     save,
 )
 
-from helpers import ObjectTrie, all_node_freqs, find, insert_all, node_count, prob
+from helpers import ObjectTrie, all_node_freqs, expand_degrees, find, format2_document, insert_all, node_count, prob
 
 HEADER_KEYS = ["format_version", "mode", "n", "sequence_count"]
-NODE_COLUMNS = ["parent", "id", "freq", "terminal_count"]
-CYCLE_COLUMNS = ["cycle_from", "cycle_to", "cycle_count"]
+NODE_COLUMNS = ["id", "freq", "terminal_count"]
+DEGREE_COLUMNS = ["child_count", "cycle_out"]
+CYCLE_COLUMNS = ["cycle_to", "cycle_count"]
 
 FIGURE_SEQUENCES = [
     ["N1", "N2", "N1"],
@@ -46,7 +47,7 @@ def test_empty_trie_roundtrip():
     t = Trie(TrieMode.DAG)
     doc = t.to_document()
     assert doc["sequence_count"] == 0
-    assert doc["parent"] == [] and doc["cycle_from"] == []
+    assert doc["id"] == [] and doc["child_count"] == doc["cycle_out"] == [0]
     back = roundtrip(t)
     assert back.to_document() == doc
     assert node_count(back) == 0
@@ -95,22 +96,23 @@ def test_roundtrip_through_file(tmp_path):
 def test_header_fields_present():
     t = insert_all(TrieMode.DAG, [["a", "b"]], n=2)
     doc = t.to_document()
-    assert list(doc) == [*HEADER_KEYS, *NODE_COLUMNS, *CYCLE_COLUMNS]
-    assert doc["format_version"] == 2
+    assert list(doc) == [*HEADER_KEYS, "child_count", *NODE_COLUMNS, "cycle_out", *CYCLE_COLUMNS]
+    assert doc["format_version"] == 3
     assert doc["mode"] == "dag"
     assert doc["n"] == 2
     assert doc["sequence_count"] == 1
-    # the root (index 0) is implicit: one entry per non-root node
-    assert doc["parent"] == [0, 1]
+    # one degree entry per node, the root (index 0) included; one statistic per non-root node
+    assert doc["child_count"] == [1, 1, 0]
     assert doc["id"] == ["a", "b"]
     assert doc["freq"] == [1, 1]
     assert doc["terminal_count"] == [0, 1]
-    assert doc["cycle_from"] == doc["cycle_to"] == doc["cycle_count"] == []
+    assert doc["cycle_out"] == [0, 0, 0]
+    assert doc["cycle_to"] == doc["cycle_count"] == []
 
 
 def test_format_version_mismatch():
     doc = insert_all(TrieMode.DAG, [["a"]]).to_document()
-    doc["format_version"] = 3
+    doc["format_version"] = 4
     with pytest.raises(FormatVersionMismatch):
         Trie.from_document(doc)
 
@@ -135,6 +137,14 @@ def test_version_1_document_is_a_version_mismatch():
         load(io.StringIO(json.dumps(doc)))
 
 
+def test_format_2_document_is_a_version_mismatch():
+    # format 2: a parent per non-root node and a source per cycle-edge, in place of the degree columns
+    trie = insert_all(TrieMode.DG, [["a", "b", "a"], ["a", "b", "c"]])
+    text = json.dumps(format2_document(trie), separators=(",", ":"))
+    with pytest.raises(FormatVersionMismatch, match="^format_version 2, supported: 3$"):
+        load(io.StringIO(text))
+
+
 def _tampered(mutate):
     doc = copy.deepcopy(insert_all(TrieMode.DAG, FIGURE_SEQUENCES).to_document())
     mutate(doc)
@@ -142,7 +152,8 @@ def _tampered(mutate):
 
 
 # the figure trie breadth-first: 1 N1, 2 N5, 3 N1/N2, 4 N1/N3, 5 N1/N4,
-# 6 N1/N2/N1, 7 N1/N2/N3; column position k holds node k + 1
+# 6 N1/N2/N1, 7 N1/N2/N3; position k of a node column holds node k + 1, of
+# a degree column node k: child_count is [2, 3, 0, 2, 0, 0, 0, 0]
 
 
 def test_corrupt_child_freq_exceeds_parent():
@@ -157,30 +168,63 @@ def test_corrupt_missing_header():
 
 
 def _child_before_parent(doc):
-    # nodes 1 (N1) and 3 (its child N2) trade places; parent indices follow
-    for key in NODE_COLUMNS:
-        doc[key][0], doc[key][2] = doc[key][2], doc[key][0]
-    doc["parent"] = [{1: 3, 3: 1}.get(p, p) for p in doc["parent"]]
+    # the root's two children counted as N1's: node 1 then has no parent before it
+    doc["child_count"][0] -= 2
+    doc["child_count"][1] += 2
 
 
 def test_corrupt_nodes_out_of_order():
     doc = _tampered(_child_before_parent)
-    assert doc["parent"][:3] == [3, 0, 0]
+    assert doc["child_count"][:2] == [0, 5]
     with pytest.raises(CorruptDocument, match="not before node 1"):
         Trie.from_document(doc)
 
 
-@pytest.mark.parametrize("node, parent", [(0, 1), (2, 3), (2, 4), (6, 7), (2, -1)])
+@pytest.mark.parametrize("node, parent", [(0, 1), (2, 3), (2, 4), (6, 7)])
 def test_corrupt_parent_not_an_earlier_node(node, parent):
-    # the node at column position ``node`` has index node + 1
-    doc = _tampered(lambda d: d["parent"].__setitem__(node, parent))
-    with pytest.raises(CorruptDocument, match="not before node"):
+    # the node at column position ``node`` has index node + 1; it, and each later node
+    # whose parent comes before ``parent``, is counted among ``parent``'s children
+    def reparent(d):
+        parents = expand_degrees(d["child_count"])
+        parents[node:] = [max(up, parent) for up in parents[node:]]
+        d["child_count"] = [parents.count(k) for k in range(len(d["child_count"]))]
+
+    doc = _tampered(reparent)
+    for loader in (Trie.from_document, ObjectTrie.from_document):
+        with pytest.raises(CorruptDocument, match=f"parent not before node {node + 1}$"):
+            loader(doc)
+
+
+# degree columns that break one shape rule each, on _dg_aba_abc (child_count
+# [1, 1, 1, 0], cycle_out [0, 0, 1, 0]): lengths, sums and the prefix rule hold
+# unless named
+DEGREE_BREAKERS = {
+    "negative-child-count": ({"child_count": [1, 2, 1, -1]}, "negative child or cycle-edge count"),
+    "negative-cycle-out": ({"cycle_out": [0, 1, 1, -1]}, "negative child or cycle-edge count"),
+    "bool-child-count": ({"child_count": [True, 1, 1, 0]}, "non-integer"),
+    "float-cycle-out": ({"cycle_out": [0, 0, 1.0, 0]}, "non-integer"),
+    "child-count-sum": ({"child_count": [1, 1, 1, 1]}, "counts do not sum"),
+    "cycle-out-sum": ({"cycle_out": [0, 0, 1, 1]}, "counts do not sum"),
+}
+
+
+def _dg_aba_abc() -> dict:
+    return insert_all(TrieMode.DG, [["a", "b", "a"], ["a", "b", "c"]]).to_document()
+
+
+@pytest.mark.parametrize("columns, message", DEGREE_BREAKERS.values(), ids=DEGREE_BREAKERS.keys())
+def test_corrupt_degree_counts(columns, message):
+    doc = {**_dg_aba_abc(), **columns}
+    with pytest.raises(CorruptDocument, match=message):
         Trie.from_document(doc)
+    with pytest.raises(CorruptDocument):
+        ObjectTrie.from_document(doc)
 
 
 def test_corrupt_dangling_parent():
-    doc = _tampered(lambda d: d["parent"].__setitem__(1, 77))
-    with pytest.raises(CorruptDocument):
+    # a child counted past the last node
+    doc = _tampered(lambda d: d["child_count"].__setitem__(7, 1))
+    with pytest.raises(CorruptDocument, match="sum"):
         Trie.from_document(doc)
 
 
@@ -196,9 +240,23 @@ def test_corrupt_columns_of_unequal_length(column, change):
         Trie.from_document(doc)
 
 
+@pytest.mark.parametrize("column", DEGREE_COLUMNS)
+@pytest.mark.parametrize("change", ["shorter", "longer"])
+def test_corrupt_degree_column_of_wrong_length(column, change):
+    # a trailing 0 keeps each sum, so only the length is wrong
+    doc = insert_all(TrieMode.DG, [["a", "b", "a"], ["a", "b", "c"]]).to_document()
+    assert doc[column][-1] == 0
+    if change == "shorter":
+        doc[column].pop()
+    else:
+        doc[column].append(0)
+    with pytest.raises(CorruptDocument, match="one count per node"):
+        Trie.from_document(doc)
+
+
 def test_corrupt_cycle_edge_in_dag_document():
     def add_edge(d):
-        d["cycle_from"].append(3)  # N1/N2 back to its parent N1
+        d["cycle_out"][3] += 1  # N1/N2 back to its parent N1
         d["cycle_to"].append(1)
         d["cycle_count"].append(1)
 
@@ -215,8 +273,8 @@ def test_corrupt_duplicate_child():
 
 def test_corrupt_duplicate_cycle_edge():
     doc = insert_all(TrieMode.DG, [["a", "b", "a"], ["a", "b", "a"]]).to_document()
-    assert (doc["cycle_from"], doc["cycle_to"], doc["cycle_count"]) == ([2], [1], [2])
-    doc.update(cycle_from=[2, 2], cycle_to=[1, 1], cycle_count=[1, 1])
+    assert (doc["cycle_out"], doc["cycle_to"], doc["cycle_count"]) == ([0, 0, 1], [1], [2])
+    doc.update(cycle_out=[0, 0, 2], cycle_to=[1, 1], cycle_count=[1, 1])
     with pytest.raises(CorruptDocument, match="duplicate cycle-edge"):
         Trie.from_document(doc)
 
@@ -224,7 +282,7 @@ def test_corrupt_duplicate_cycle_edge():
 def test_corrupt_cycle_edge_into_the_root():
     doc = insert_all(TrieMode.DG, [["a", "b"]]).to_document()
     # b's one insertion now cycles back to the root instead of ending at b
-    doc.update(terminal_count=[0, 0], cycle_from=[2], cycle_to=[0], cycle_count=[1])
+    doc.update(terminal_count=[0, 0], cycle_out=[0, 0, 1], cycle_to=[0], cycle_count=[1])
     with pytest.raises(CorruptDocument, match="into the root"):
         Trie.from_document(doc)
 
@@ -238,15 +296,15 @@ def test_corrupt_identifier_not_a_nonempty_string(rid):
 
 def test_corrupt_dg_identifier_repeats_on_the_root_path():
     doc = {
-        "format_version": 2,
+        "format_version": 3,
         "mode": "dg",
         "n": 0,
         "sequence_count": 1,
-        "parent": [0, 1],
+        "child_count": [1, 1, 0],
         "id": ["a", "a"],
         "freq": [1, 1],
         "terminal_count": [0, 1],
-        "cycle_from": [],
+        "cycle_out": [0, 0, 0],
         "cycle_to": [],
         "cycle_count": [],
     }
@@ -285,13 +343,7 @@ def test_corrupt_negative_statistics():
 
 def test_corrupt_node_without_traversals():
     # a leaf no sequence reached: conservation holds, but its freq is 0
-    def add_leaf(d):
-        d["parent"].append(7)
-        d["id"].append("N6")
-        d["freq"].append(0)
-        d["terminal_count"].append(0)
-
-    doc = _tampered(add_leaf)
+    doc = _tampered(_add_unreached_leaf)
     with pytest.raises(CorruptDocument, match="out of range"):
         Trie.from_document(doc)
 
@@ -313,7 +365,8 @@ def test_corrupt_cycle_target_not_ancestor():
 
 def _add_unreached_leaf(doc: dict) -> None:
     # a child of N1/N2/N3 with freq 0: conservation still holds
-    for key, value in zip(NODE_COLUMNS, [7, "N6", 0, 0]):
+    doc["child_count"][7] = 1
+    for key, value in zip(["child_count", "cycle_out", *NODE_COLUMNS], [0, 0, "N6", 0, 0]):
         doc[key].append(value)
 
 
@@ -346,24 +399,24 @@ def test_the_loader_checks_shape_and_leaves_the_rules_to_check_invariants(make, 
         (("n",), "0"),
         (("n",), -1),
         (("sequence_count",), 2.0),
-        (("parent", 0), True),
-        (("parent", 1), True),
+        (("child_count", 0), True),
+        (("child_count", 1), True),
         (("freq", 0), "3"),
         (("terminal_count", 0), 1.9),
         (("terminal_count", 2), True),
-        (("parent", 2), 2.0),
-        (("cycle_from", 0), -2),
+        (("child_count", 2), 2.0),
+        (("cycle_out", 2), -2),
         (("cycle_to", 0), -3),
         (("cycle_to", 0), 4),
         (("cycle_count", 0), "1"),
         (("cycle_count", 0), True),
         (("freq", 0), 3.0),
         (("sequence_count",), -1),
-        (("cycle_from", 0), 2.0),
+        (("cycle_out", 2), 2.0),
     ],
 )
 def test_corrupt_inexact_or_out_of_range_integer(where, value):
-    # nodes: root, a, a/b (cycle-edge back to a), a/b/c
+    # nodes: root, a, a/b (cycle-edge back to a), a/b/c; child_count [1, 1, 1, 0], cycle_out [0, 0, 1, 0]
     doc = insert_all(TrieMode.DG, [["a", "b", "a"], ["a", "b", "c"]]).to_document()
     Trie.from_document(copy.deepcopy(doc))
     *parents, key = where
@@ -403,7 +456,7 @@ JUNK = st.one_of(
 @given(st.data())
 def test_mutated_document_is_rejected_or_round_trips(data):
     doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_BASES)))
-    nodes = len(doc["parent"]) + 1  # the root included
+    nodes = len(doc["id"]) + 1  # the root included
     junk = st.one_of(JUNK, st.sampled_from([nodes, nodes + 1]))  # indices past the end
     version_hit = False
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
@@ -547,25 +600,48 @@ def test_save_leaves_the_process_umask_alone(tmp_path, monkeypatch):
 def test_documents_list_nodes_breadth_first_with_children_in_label_order():
     doc = insert_all(TrieMode.DAG, FIGURE_SEQUENCES).to_document()
     assert doc["id"] == ["N1", "N5", "N2", "N3", "N4", "N1", "N3"]
-    assert doc["parent"] == [0, 0, 1, 1, 1, 3, 3]
+    assert doc["child_count"] == [2, 3, 0, 2, 0, 0, 0, 0]  # parents 0, 0, 1, 1, 1, 3, 3
     doc = insert_all(TrieMode.DG, [["b", "a", "b"], ["a", "b", "a"], ["a", "c", "a"]]).to_document()
-    assert (doc["id"], doc["parent"]) == (["a", "b", "b", "c", "a"], [0, 0, 1, 1, 2])
+    assert (doc["id"], doc["child_count"]) == (["a", "b", "b", "c", "a"], [2, 2, 1, 0, 0, 0])
     # by source, then label; targets are ancestors
-    assert (doc["cycle_from"], doc["cycle_to"], doc["cycle_count"]) == ([3, 4, 5], [1, 1, 2], [1, 1, 1])
+    assert (doc["cycle_out"], doc["cycle_to"], doc["cycle_count"]) == ([0, 0, 0, 1, 1, 1], [1, 1, 2], [1, 1, 1])
 
 
-@pytest.mark.parametrize("order", ["breadth-first", "pre-order"])
+def _siblings_reversed(trie: Trie) -> dict:
+    """The trie's document in another level order: children, and each
+    node's cycle-edges, in reverse label order."""
+    order = [0]
+    for node in order:
+        order += sorted(trie.children[node].values(), key=trie.id.__getitem__, reverse=True)
+    renumber = {node: k for k, node in enumerate(order)}
+    edges = [edge for node in order for _, edge in sorted(trie.cycles[node].items(), reverse=True)]
+    return {
+        **trie.to_document(),
+        "child_count": [len(trie.children[node]) for node in order],
+        "id": [trie.id[node] for node in order[1:]],
+        "freq": [trie.freq[node] for node in order[1:]],
+        "terminal_count": [trie.terminal[node] for node in order[1:]],
+        "cycle_out": [len(trie.cycles[node]) for node in order],
+        "cycle_to": [renumber[trie.cycle_to[edge]] for edge in edges],
+        "cycle_count": [trie.cycle_count[edge] for edge in edges],
+    }
+
+
+@pytest.mark.parametrize("order", ["breadth-first", "siblings-reversed"])
 def test_loader_keeps_document_order_and_shares_no_list(order):
     trie = _dg_clique(4)
     trie.insert_dg([":r3", ":r2", ":r3", ":r0"])
-    doc = trie.to_document() if order == "breadth-first" else ObjectTrie.from_document(trie.to_document()).to_document()
+    doc = trie.to_document() if order == "breadth-first" else _siblings_reversed(trie)
+    assert doc["id"] != trie.to_document()["id"] or order == "breadth-first"
     before = copy.deepcopy(doc)
     loaded = Trie.from_document(doc)
     # node k of the document is node k of the trie
-    assert loaded.parent[1:] == doc["parent"] and loaded.id[1:] == doc["id"]
+    assert loaded.parent[1:] == expand_degrees(doc["child_count"]) and loaded.id[1:] == doc["id"]
+    assert [source for source, out in enumerate(loaded.cycles) for _ in out] == expand_degrees(doc["cycle_out"])
     assert loaded.freq[1:] == doc["freq"] and loaded.terminal[1:] == doc["terminal_count"]
     assert loaded.cycle_to == doc["cycle_to"] and loaded.cycle_count == doc["cycle_count"]
     assert [edge for out in loaded.cycles for edge in out.values()] == list(range(len(doc["cycle_to"])))
+    assert loaded.to_document() == trie.to_document()
     # later changes to the trie leave the document alone
     loaded.insert_dg([":r3", ":r2", ":r3", ":r1"])
     assert loaded.sequence_count == doc["sequence_count"] + 1

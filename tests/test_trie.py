@@ -20,6 +20,8 @@ from helpers import (
     ObjectTrie,
     all_node_freqs,
     cycle_edges,
+    expand_degrees,
+    format2_document,
     insert_all,
     insert_based_index_graph_dg,
     iter_nodes,
@@ -104,6 +106,20 @@ def test_insert_refuses_identifiers_that_load_refuses(mode, seq):
         add(seq)
     assert t.to_document() == before and t.depth_stats == stats
     t.check_invariants()
+
+
+@pytest.mark.parametrize("mode", [TrieMode.DAG, TrieMode.DG])
+@pytest.mark.parametrize("seq", ["urn:a", "abab"])
+def test_insert_refuses_one_string_for_a_sequence(mode, seq):
+    # list() of a string is its characters: five nodes u, r, n, :, a for "urn:a"
+    t = insert_all(mode, [["a", "b", "a"], ["a", "c"]])
+    before, stats = t.to_document(), copy.deepcopy(t.depth_stats)
+    add = t.insert if mode is TrieMode.DAG else t.insert_dg
+    with pytest.raises(TypeError, match="not one string"):
+        add(seq)
+    assert t.to_document() == before and t.depth_stats == stats
+    add([seq])  # the identifier itself, as a one-element sequence
+    assert t.root.children[seq].terminal_count == 1
 
 
 def test_insert_mode_checks():
@@ -487,6 +503,21 @@ def test_check_invariants_matches_arrivals_to_the_cycle_edges_into_a_node(make):
         Trie.from_document(t.to_document())
 
 
+@given(trie=recount_builds)
+@settings(max_examples=150, deadline=None)
+def test_the_degree_columns_expand_to_the_format_2_parents_and_sources(trie):
+    doc, fixture = trie.to_document(), format2_document(trie)
+    kept = fixture.keys() - {"format_version", "parent", "cycle_from"}  # format 2 held these columns too
+    assert {key: doc[key] for key in kept} == {key: fixture[key] for key in kept}
+    loaded = Trie.from_document(doc)
+    assert loaded.parent[1:] == fixture["parent"]
+    sources = [-1] * len(loaded.cycle_to)
+    for source, out in enumerate(loaded.cycles):
+        for edge in out.values():
+            sources[edge] = source
+    assert sources == fixture["cycle_from"]
+
+
 def test_trie_mode_is_the_graph_kind():
     assert TrieMode is GraphKind
     assert Trie(TrieMode("dg")).mode is GraphKind.DG
@@ -724,10 +755,10 @@ def test_one_walk_checker_agrees_with_the_walk_up_reference():
 def _tamper_document(doc: dict, how: str, rng: random.Random) -> bool:
     """Damage a document in place; False when it has nothing to damage that way.
 
-    Column position ``k`` holds node ``k + 1``.
+    Position ``k`` of a node column holds node ``k + 1``, of a degree column node ``k``.
     """
-    parents, ids, nodes = doc["parent"], doc["id"], len(doc["parent"])
-    edges = len(doc["cycle_to"])
+    ids, nodes, edges = doc["id"], len(doc["id"]), len(doc["cycle_to"])
+    parents, sources = expand_degrees(doc["child_count"]), expand_degrees(doc["cycle_out"])
     if how == "bump a freq":
         if not nodes:
             return False
@@ -739,16 +770,20 @@ def _tamper_document(doc: dict, how: str, rng: random.Random) -> bool:
         target = doc["cycle_to"][e]
         elsewhere = [k + 1 for k, rid in enumerate(ids) if rid == ids[target - 1] and k + 1 != target]
         doc["cycle_to"][e] = rng.choice(elsewhere or range(1, nodes + 1))
-    elif how == "repoint a parent":
+    elif how == "move a child to a neighbouring parent":
+        # a count moved to the next or previous node reparents one node alone: the last or first child
         if nodes < 2:
             return False
-        k = rng.randrange(1, nodes)
-        parents[k] = rng.choice([p for p in range(k + 1) if p != parents[k]])
+        child_count = doc["child_count"]
+        k = rng.choice([k for k, kids in enumerate(child_count) if kids])
+        j = k + rng.choice([d for d in (-1, 1) if 0 <= k + d <= nodes])
+        child_count[k] -= 1
+        child_count[j] += 1
     elif how == "add a cycle-edge in DAG mode":
         if doc["mode"] != "dag" or not nodes:
             return False
         k = rng.randrange(nodes)
-        doc["cycle_from"].append(k + 1)
+        doc["cycle_out"][k + 1] += 1  # a DAG document has no other cycle-edge to keep in order
         doc["cycle_to"].append(k + 1)
         doc["cycle_count"].append(1)
         doc["terminal_count"][k] -= 1
@@ -757,11 +792,11 @@ def _tamper_document(doc: dict, how: str, rng: random.Random) -> bool:
         if not edges:
             return False
         e = rng.randrange(edges)
-        doc["terminal_count"][doc["cycle_from"][e] - 1] += doc["cycle_count"][e]  # conservation still holds
+        doc["terminal_count"][sources[e] - 1] += doc["cycle_count"][e]  # conservation still holds
         doc["cycle_count"][e] = 0
     elif how == "repeat an ancestor's identifier":
         # a leaf without cycle-edges has none coming in either
-        busy = {*parents, *doc["cycle_from"], *doc["cycle_to"]}
+        busy = {*parents, *sources, *doc["cycle_to"]}
         leaves = [k for k in range(nodes) if k + 1 not in busy and parents[k]]
         if doc["mode"] != "dg" or not leaves:
             return False
@@ -782,7 +817,7 @@ def _tamper_document(doc: dict, how: str, rng: random.Random) -> bool:
 DOCUMENT_TAMPERINGS = [
     "bump a freq",
     "retarget a cycle-edge to a non-ancestor",
-    "repoint a parent",
+    "move a child to a neighbouring parent",
     "add a cycle-edge in DAG mode",
     "zero an edge count",
     "repeat an ancestor's identifier",
@@ -842,16 +877,15 @@ def _dumps(doc: dict) -> str:
 
 
 def test_documents_are_byte_identical_to_the_object_trie():
-    # the object trie writes pre-order, as format 2 documents once were; each
-    # loader takes the other's document and re-saves it in its own order
+    # two writers and two loaders, each with its own loop: every pairing re-saves the same bytes
     for mode, build in _differential_tries(random.Random(0xB17E)):
         trie, reference = Trie(TrieMode(mode)), ObjectTrie(TrieMode(mode))
         build(trie)
         build(reference)
         trie.check_invariants()
-        text, preorder = _dumps(trie.to_document()), _dumps(reference.to_document())
-        assert _dumps(Trie.from_document(json.loads(preorder)).to_document()) == text
-        assert _dumps(ObjectTrie.from_document(json.loads(text)).to_document()) == preorder
+        text = _dumps(trie.to_document())
+        assert _dumps(reference.to_document()) == text
+        assert _dumps(ObjectTrie.from_document(json.loads(text)).to_document()) == text
         assert _dumps(Trie.from_document(json.loads(text)).to_document()) == text
 
 
