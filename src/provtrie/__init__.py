@@ -1,6 +1,6 @@
 """Prefix-trie indexing and querying of workflow provenance execution paths."""
 
-from .bench import BenchRow, InsufficientData, loglog_slope, run_bench, run_bench_naive, write_csv
+from .bench import BenchRow, InsufficientData, loglog_slope, run_bench, run_bench_dp, run_bench_naive, write_csv
 from .canonical import CanonicalSequence, SubsequenceWindow, ngrams, sequence
 from .graph import (
     CyclicInput,
@@ -48,11 +48,13 @@ from .trie import (
     CorruptDocument,
     EmptySequence,
     FormatVersionMismatch,
+    FrozenTrie,
     Trie,
     TrieMode,
     TrieModeError,
     TrieNode,
     load,
+    load_frozen,
     save,
 )
 

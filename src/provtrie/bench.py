@@ -6,7 +6,9 @@ scheduler effects).  Counting is used instead of materializing matches
 so large rows stay cheap in memory; path counts are deterministic and
 identical across trials, only timings vary.  The "naive" engine runs the
 brute-force walk counter on the raw graph and serves as the slow
-baseline series.
+baseline series; the "dp" engine counts the same walks with a frontier
+DP over the graph's adjacency, the strongest simple competitor for a
+count on one graph.
 """
 from __future__ import annotations
 
@@ -114,6 +116,33 @@ def run_bench_naive(
         return count_walks(g, start, end, m + 1)
 
     return _timed_rows(query, dataset, "naive", max_wildcards, trials, warmup)
+
+
+def run_bench_dp(
+    g: ProvGraph,
+    start: str,
+    end: str,
+    max_wildcards: int,
+    trials: int = 7,
+    warmup: int = 2,
+    dataset: str = "dataset",
+) -> list[BenchRow]:
+    """Same protocol over a frontier DP on the graph's successors: for each
+    of the m + 1 edges it maps every reachable vertex to the number of walks
+    arriving there, O(m * |E|)."""
+    successors = {v: g.successors(v) for v in g.node_ids}
+
+    def query(m: int) -> int:
+        frontier = {start: 1}
+        for _ in range(m + 1):
+            reached: dict[str, int] = {}
+            for v, ways in frontier.items():
+                for w in successors[v]:
+                    reached[w] = reached.get(w, 0) + ways
+            frontier = reached
+        return frontier.get(end, 0)
+
+    return _timed_rows(query, dataset, "dp", max_wildcards, trials, warmup)
 
 
 def write_csv(rows: Sequence[BenchRow], sink: IO[str]) -> None:

@@ -17,13 +17,13 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import BenchAborted, check_protocol, run_bench, run_bench_naive, write_csv
+from .bench import BenchAborted, check_protocol, run_bench, run_bench_dp, run_bench_naive, write_csv
 from .canonical import ngrams, sequence
 from .graph import GraphError, GraphKind, ProvGraph, gen_clique
 from .ingest import IngestError, PredicateMap, TraceDocument, parse_ntriples, triples_to_graph
 from .oracle import all_pairs_clique_count, clique_walk_count, count_walks, enumerate_walks
 from .query import EmptyDepth, PathMatch, QueryPattern, check_limit, check_suggestion, count_paths, q1, q2_suggest
-from .trie import Trie, TrieError, TrieMode, load, save
+from .trie import Trie, TrieError, TrieMode, load_frozen, save
 
 PREDICATE_MAP_ENV = "PROVTRIE_PREDICATE_MAP"
 
@@ -50,11 +50,10 @@ def _load_graph(path: str, fmt: str, kind: GraphKind, pmap: PredicateMap | None 
         if parsed.skipped_literals:
             print(f"note: {path}: skipped {parsed.skipped_literals} literal statement(s)", file=sys.stderr)
         g = triples_to_graph(parsed.triples, pmap if pmap is not None else _predicate_map(), kind)
-        g.infer_roles()
         trace_id = Path(path).stem if path != "-" else "stdin"
         return g, trace_id
     doc = TraceDocument.from_json(text)
-    return doc.to_graph(kind).infer_roles(), doc.trace_id
+    return doc.to_graph(kind), doc.trace_id
 
 
 def _print_matches(matches: list[PathMatch]) -> None:
@@ -93,7 +92,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     pattern = QueryPattern((args.start,), args.wildcards, args.end)
     check_limit(args.limit)
-    trie = load(args.trie)
+    trie = load_frozen(args.trie)
     if args.count_only:
         print(count_paths(trie, pattern, strict=args.strict))
     else:
@@ -103,7 +102,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_suggest(args: argparse.Namespace) -> int:
     check_suggestion(args.prefix, args.ahead, args.top)
-    trie = load(args.trie)
+    trie = load_frozen(args.trie)
     for completion, likelihood in q2_suggest(trie, args.prefix, args.ahead, args.top):
         print(f"{','.join(completion)}\t{likelihood:.6f}")
     return 0
@@ -112,7 +111,7 @@ def cmd_suggest(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     if args.depth is not None and args.depth < 1:
         raise ValueError(f"depth must be >= 1, got {args.depth}")
-    trie = load(args.trie)
+    trie = load_frozen(args.trie)
     depths = [args.depth] if args.depth is not None else sorted(trie.depth_stats)
     for depth in depths:
         table = trie.depth_stats.get(depth, {})
@@ -161,7 +160,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    unknown = set(engines) - {"trie", "naive"}
+    unknown = set(engines) - {"trie", "naive", "dp"}
     if unknown or not engines:
         print(f"usage error: unknown engine(s): {','.join(sorted(unknown)) or '(none)'}", file=sys.stderr)
         return 2
@@ -186,6 +185,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rows.extend(
             run_bench_naive(g, args.start, args.end, naive_max, args.trials, args.warmup, dataset)
         )
+    if "dp" in engines:
+        rows.extend(run_bench_dp(g, args.start, args.end, args.max_wildcards, args.trials, args.warmup, dataset))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_csv(rows, fh)
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-wildcards", type=int, default=9)
     p.add_argument("--trials", type=int, default=7)
     p.add_argument("--warmup", type=int, default=2)
-    p.add_argument("--engines", default="trie", help="comma-separated: trie,naive")
+    p.add_argument("--engines", default="trie", help="comma-separated: trie,naive,dp")
     p.add_argument("--naive-max-wildcards", type=int, default=5)
     p.add_argument("--dataset", default=None, help="dataset label for CSV rows")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")

@@ -27,15 +27,22 @@ bit and in the same tie order.  Both step as ``_steps`` lists steps.
 ``count_paths`` is a frontier DP that never materializes a path.
 Nothing recurses, so the interpreter's recursion limit bounds no pattern
 or run length.
+
+Every query runs on a ``Trie`` or a ``FrozenTrie``, unchanged: it reads
+``children[node]`` and ``cycles[node]`` only as label -> index mappings,
+through ``get``, ``items``, ``values`` and truthiness, which the dict
+trie's maps and the frozen trie's range views both answer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, Union
 
-from .trie import Trie, TrieNode
+from .trie import FrozenTrie, Trie, TrieNode
+
+AnyTrie = Union[Trie, FrozenTrie]
 
 
 class EmptyDepth(Exception):
@@ -72,7 +79,7 @@ class PathMatch:
     likelihood: float
 
 
-def _steps(trie: Trie, node: int, want: str | None) -> list[tuple[str, int, int]]:
+def _steps(trie: AnyTrie, node: int, want: str | None) -> list[tuple[str, int, int]]:
     """Every step out of ``node`` labelled ``want`` (None: any label), child
     or cycle-edge, as (label, next node, times taken) in no particular
     order; its probability is taken / freq[node]."""
@@ -96,7 +103,7 @@ def _steps(trie: Trie, node: int, want: str | None) -> list[tuple[str, int, int]
     return []
 
 
-def _walks(trie: Trie, start: int, labels: Sequence[str | None]) -> list[tuple[int, tuple[str, ...], float]]:
+def _walks(trie: AnyTrie, start: int, labels: Sequence[str | None]) -> list[tuple[int, tuple[str, ...], float]]:
     """Every traversal from ``start`` taking one step per position of the
     nonempty ``labels``, as (end node, step labels, likelihood), unordered.
     The stack holds the untried siblings along one branch; likelihood
@@ -119,7 +126,7 @@ def _walks(trie: Trie, start: int, labels: Sequence[str | None]) -> list[tuple[i
     return out
 
 
-def _best_first(trie: Trie, start: int, labels: Sequence[str | None]) -> Iterator[tuple[int, tuple[str, ...], float]]:
+def _best_first(trie: AnyTrie, start: int, labels: Sequence[str | None]) -> Iterator[tuple[int, tuple[str, ...], float]]:
     """Every traversal ``_walks`` finds, lazily, likelihood descending with
     ties broken by step labels.  The heap holds partial traversals keyed
     (-likelihood, step labels, node): an extension never sorts before its
@@ -151,20 +158,26 @@ def _best_first(trie: Trie, start: int, labels: Sequence[str | None]) -> Iterato
                 heappush(heap, (neg * (cycle_count[edge] / freq), path + (label,), cycle_to[edge]))
 
 
-def locate(trie: Trie, labels: Sequence[str]) -> tuple[TrieNode | None, int]:
-    """Position the cursor at a fully anchored label path: (node view,
-    nodes visited), the node None when the path is absent.  One lookup per
-    symbol, so the visit count is at most len(labels)."""
+def _locate(trie: AnyTrie, labels: Sequence[str]) -> tuple[int | None, int]:
+    """``locate`` with the node as an index, on either trie."""
     node = 0
     for visited, label in enumerate(labels):
         steps = _steps(trie, node, label)
         if not steps:
             return None, visited
         node = steps[0][1]
-    return trie.node(node), len(labels)
+    return node, len(labels)
 
 
-def _check_q1(trie: Trie, strict: bool) -> None:
+def locate(trie: Trie, labels: Sequence[str]) -> tuple[TrieNode | None, int]:
+    """Position the cursor at a fully anchored label path: (node view,
+    nodes visited), the node None when the path is absent.  One lookup per
+    symbol, so the visit count is at most len(labels)."""
+    node, visited = _locate(trie, labels)
+    return (None if node is None else trie.node(node)), visited
+
+
+def _check_q1(trie: AnyTrie, strict: bool) -> None:
     if strict and trie.n != 0:
         raise ValueError("strict terminal matching applies to whole-sequence indexes only (n=0)")
 
@@ -175,7 +188,7 @@ def check_limit(limit: int) -> None:
         raise ValueError(f"match limit must be >= 0, got {limit}")
 
 
-def q1(trie: Trie, pattern: QueryPattern, strict: bool = False, limit: int = 0) -> list[PathMatch]:
+def q1(trie: AnyTrie, pattern: QueryPattern, strict: bool = False, limit: int = 0) -> list[PathMatch]:
     """All distinct root-anchored label sequences matching the pattern.
 
     The result set is exact and complete; only the pattern is
@@ -203,7 +216,7 @@ def q1(trie: Trie, pattern: QueryPattern, strict: bool = False, limit: int = 0) 
     return matches
 
 
-def count_paths(trie: Trie, pattern: QueryPattern, strict: bool = False) -> int:
+def count_paths(trie: AnyTrie, pattern: QueryPattern, strict: bool = False) -> int:
     """Number of q1 matches, computed without materializing them.
 
     A frontier DP: for each pattern position it maps every reachable node
@@ -249,7 +262,7 @@ def check_suggestion(prefix: Sequence[str], ahead: int, top: int) -> None:
 
 
 def q2_suggest(
-    trie: Trie, prefix: Sequence[str], ahead: int, top: int
+    trie: AnyTrie, prefix: Sequence[str], ahead: int, top: int
 ) -> list[tuple[tuple[str, ...], float]]:
     """Most likely length-``ahead`` continuations of ``prefix``.
 
@@ -261,14 +274,14 @@ def q2_suggest(
     absent prefix yields no suggestions.
     """
     check_suggestion(prefix, ahead, top)
-    cursor, _ = locate(trie, prefix)
+    cursor, _ = _locate(trie, prefix)
     if cursor is None:
         return []
-    ranked = _best_first(trie, cursor.index, [None] * ahead)
+    ranked = _best_first(trie, cursor, [None] * ahead)
     return [(path, likelihood) for _, path, likelihood in islice(ranked, top)]
 
 
-def most_probable_at_depth(trie: Trie, depth: int) -> tuple[str, int, float]:
+def most_probable_at_depth(trie: AnyTrie, depth: int) -> tuple[str, int, float]:
     """The dominant identifier at a depth level.
 
     Returns (identifier, cumulative frequency, share of the level total);

@@ -30,14 +30,24 @@ child) and ``cycles`` (label -> edge); edge data in
 strings and dicts.  ``Trie.root`` and ``Trie.node(i)`` give a read-only
 ``TrieNode`` view, one per index.
 
-``check_invariants`` tests ancestry as a pre-order interval: with
+Two forms share that numbering.  ``Trie`` is the builder: insertable, with
+a dict per node.  ``FrozenTrie`` is the reader: the checked columns of a
+document and the prefix sums of its degree columns, with no dict and no
+``parent`` (a static beside a dynamic tree, as in Navarro & Sadakane, ACM
+TALG 2014); its ``children[k]`` and ``cycles[k]`` are label -> index views
+over node k's ranges, which the queries read as they read the dicts.
+``FrozenTrie.from_document`` holds every rule a document must pass, and
+``Trie.from_document`` is that check plus a thaw into dicts.
+
+The checkers test ancestry as a pre-order interval: with
 pre-order positions ``pos`` and subtree sizes, ``t`` is ``s`` or an
 ancestor of ``s`` exactly when ``pos[t] <= pos[s] < pos[t] + size[t]``
 (Dietz 1982; the region encoding of Zhang et al., SIGMOD 2001).
 
-``save``/``load`` store each fact once, as parallel columns in canonical
-breadth-first order, with per-node child and cycle-edge counts in place of
-parent and source indices (LOUDS; see ``Trie.to_document``).
+``save``/``load``/``load_frozen`` store each fact once, as parallel
+columns in canonical breadth-first order, with per-node child and
+cycle-edge counts in place of parent and source indices (LOUDS; see
+``Trie.to_document``).
 
 Concurrency: single writer, many readers.  Insertion needs exclusive
 access; a trie that is not being mutated can be queried from any number
@@ -47,9 +57,12 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, lt, ne, sub
+from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
+from operator import add, ge, le, ne, sub
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import GraphKind, ProvGraph
@@ -142,6 +155,45 @@ class CycleStep(NamedTuple):
 def _first(flags: Iterable[Any], start: int = 0) -> int | None:
     """Position of the first true flag, counting from ``start``; None if there is none."""
     return next(compress(count(start), flags), None)
+
+
+def _parents(child_count: Iterable[int]) -> list[int]:
+    """Each node's parent (the root's: -1) from the child counts of nodes
+    numbered level by level: node k's children are the next child_count[k]."""
+    return [-1, *chain.from_iterable(map(repeat, count(), child_count))]
+
+
+def _repeats_on_a_root_path(ids: list[Any], order: list[int], pos: list[int], end: list[int]) -> int | None:
+    """The first node, in pre-order, whose identifier an ancestor carries:
+    subtrees nest, so it suffices to compare each node with the previous one
+    in pre-order that has its identifier.  None if no root path repeats one."""
+    last: dict[str, int] = {}  # identifier -> the latest node in pre-order carrying it
+    for node in islice(order, 1, None):
+        rid = ids[node]
+        before = last.get(rid)
+        if before is not None and pos[node] < end[before]:
+            return node
+        last[rid] = node
+    return None
+
+
+def _preorder(parent: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """Nodes in a pre-order (children in index order), each node's position
+    in it, and one past the last position of its subtree: parents precede
+    their children, so one pass up gives subtree sizes, one down positions."""
+    total = len(parent)
+    size = [1] * total
+    for node in range(total - 1, 0, -1):
+        size[parent[node]] += size[node]
+    pos, free = [0] * total, [1] * total  # free: where a node's next child goes
+    for node, up in zip(count(1), islice(parent, 1, None)):
+        pos[node] = at = free[up]
+        free[up] = at + size[node]
+        free[node] = at + 1
+    order = [0] * total
+    for node, at in enumerate(pos):
+        order[at] = node
+    return order, pos, list(map(add, pos, size))
 
 
 class Trie:
@@ -332,24 +384,6 @@ class Trie:
 
     # ---- invariants ------------------------------------------------------------
 
-    def _preorder(self) -> tuple[list[int], list[int], list[int]]:
-        """Nodes in a pre-order (children in index order), each node's position
-        in it, and one past the last position of its subtree: parents precede
-        their children, so one pass up gives subtree sizes, one down positions."""
-        parent, total = self.parent, len(self.parent)
-        size = [1] * total
-        for node in range(total - 1, 0, -1):
-            size[parent[node]] += size[node]
-        pos, free = [0] * total, [1] * total  # free: where a node's next child goes
-        for node, up in zip(count(1), islice(parent, 1, None)):
-            pos[node] = at = free[up]
-            free[up] = at + size[node]
-            free[node] = at + 1
-        order = [0] * total
-        for node, at in enumerate(pos):
-            order[at] = node
-        return order, pos, list(map(add, pos, size))
-
     def check_invariants(self) -> None:
         """Verify structure and statistics; raise ``CorruptDocument`` on failure.
 
@@ -369,9 +403,8 @@ class Trie:
         1, target an ancestor); as terminal and cycle counts are >= 0,
         conservation keeps a node's descents within its ``freq``.  DAG mode
         has no cycle-edges, so no arrivals.  In DG mode root paths repeat no
-        identifier: subtrees nest, so it suffices to compare each node with
-        the previous one in pre-order that has its identifier.  Returns the
-        per-depth table that the node pass, parents first, recounts.
+        identifier (``_repeats_on_a_root_path``).  Returns the per-depth
+        table that the node pass, parents first, recounts.
         """
         parent, ids, freq, entry = self.parent, self.id, self.freq, self.entry
         children, cycles, cycle_to, cycle_count = self.children, self.cycles, self.cycle_to, self.cycle_count
@@ -396,7 +429,7 @@ class Trie:
             raise CorruptDocument(f"cycle-edges on DAG-mode node {_first(cycles)}")
         if cycle_to and min(cycle_to) < 1:
             raise CorruptDocument(f"cycle-edge {cycle_to.index(min(cycle_to))} into the root or a negative node index")
-        order, pos, end = ([], [], []) if dag else self._preorder()  # DAG mode has no edges to test
+        order, pos, end = ([], [], []) if dag else _preorder(parent)  # DAG mode has no edges to test
         cycled, arrived = [0] * len(ids), [0] * len(ids)
         for source, out, kids in zip(count(), cycles, children):
             if not out:
@@ -425,14 +458,9 @@ class Trie:
         at = _first(map(ne, freq, map(add, map(add, self.terminal, descended), cycled)))
         if at is not None:
             raise CorruptDocument(f"conservation violated at node {at}")
-        if not dag:
-            last: dict[str, int] = {}  # identifier -> the latest node in pre-order carrying it
-            for node in islice(order, 1, None):
-                rid = ids[node]
-                before = last.get(rid)  # type: ignore[arg-type]
-                if before is not None and pos[node] < end[before]:
-                    raise CorruptDocument(f"identifier repeats on the root path at node {node}")
-                last[rid] = node  # type: ignore[index]
+        at = None if dag else _repeats_on_a_root_path(ids, order, pos, end)
+        if at is not None:
+            raise CorruptDocument(f"identifier repeats on the root path at node {at}")
         return table
 
     # ---- persistence ---------------------------------------------------------------
@@ -476,16 +504,154 @@ class Trie:
 
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "Trie":
-        """Rebuild a trie from a document.  The loader checks only the shape it
-        needs to build safely: header and column types, ``n`` >= 0, column
-        lengths (degree columns: one count per node), nonempty string
-        identifiers, counts >= 0 summing to the node and cycle-edge counts,
-        parents before children (the first j child counts sum to at least
-        j).  Node k of the document is then node k of the trie: copies of the
-        columns become the trie's, the child counts expand into parents, one
-        pass each fills the child and cycle-edge maps, and ``_check_structure``
-        checks every other rule; the per-depth table it recounts becomes the
-        trie's, which therefore passes that rule too."""
+        """Rebuild an insertable trie from a document: ``FrozenTrie.from_document``
+        checks it, then a thaw builds the dicts.  Node k of the document is
+        node k of the trie.  The thaw adopts the frozen trie's node columns,
+        ``entry`` and per-depth table, copies its cycle-edge columns (the
+        document's own), expands the child counts into parents, and fills the
+        child and cycle-edge maps in one pass each; it checks nothing again."""
+        frozen = FrozenTrie.from_document(doc)
+        trie = cls(frozen.mode, frozen.n)
+        first, efirst = frozen.first, frozen.efirst
+        trie.parent = parent = _parents(map(sub, islice(first, 1, None), first))
+        trie.id = labels = frozen.id
+        trie.freq, trie.entry, trie.terminal = frozen.freq, frozen.entry, frozen.terminal
+        trie.cycle_to = cycle_to = frozen.cycle_to.copy()
+        trie.cycle_count = frozen.cycle_count.copy()
+        trie.depth_stats = frozen.depth_stats
+        trie.children = children = [{} for _ in parent]
+        for node, up, rid in islice(zip(count(), parent, labels), 1, None):
+            children[up][rid] = node  # type: ignore[index]
+        trie.cycles = cycles = [{} for _ in parent]
+        if cycle_to:
+            out = list(map(sub, islice(efirst, 1, None), efirst))
+            # each source repeated for its edges, skipping nodes without any
+            sources = chain.from_iterable(map(repeat, compress(count(), out), filter(None, out)))
+            for edge, target, source in zip(count(), cycle_to, sources):
+                cycles[source][labels[target]] = edge  # type: ignore[index]
+        return trie
+
+
+class _Children:
+    """Label -> child of one node of a ``FrozenTrie``: the children are the
+    nodes ``lo:hi``, their labels ``id[lo:hi]`` strictly increasing.  Reads
+    as the dict trie's child map does for a query: ``get``, ``items``,
+    ``values`` and truthiness."""
+
+    __slots__ = ("_id", "_lo", "_hi")
+
+    def __init__(self, ids: list[Any], lo: int, hi: int) -> None:
+        self._id, self._lo, self._hi = ids, lo, hi
+
+    def __bool__(self) -> bool:
+        return self._lo < self._hi
+
+    def values(self) -> range:
+        return range(self._lo, self._hi)
+
+    def items(self) -> Iterator[tuple[str, int]]:
+        return zip(self._id[self._lo : self._hi], range(self._lo, self._hi))
+
+    def get(self, label: str, default: Any = None) -> Any:
+        ids, hi = self._id, self._hi
+        at = bisect_left(ids, label, self._lo, hi)
+        return at if at < hi and ids[at] == label else default
+
+
+class _CycleEdges(_Children):
+    """Label -> cycle-edge of one node of a ``FrozenTrie``: the edges ``lo:hi``,
+    edge e labelled ``id[cycle_to[e]]``, labels strictly increasing."""
+
+    __slots__ = ("_to",)
+
+    def __init__(self, ids: list[Any], to: list[int], lo: int, hi: int) -> None:
+        self._id, self._to, self._lo, self._hi = ids, to, lo, hi
+
+    def items(self) -> Iterator[tuple[str, int]]:
+        return zip(map(self._id.__getitem__, self._to[self._lo : self._hi]), range(self._lo, self._hi))
+
+    def get(self, label: str, default: Any = None) -> Any:
+        ids, to, hi = self._id, self._to, self._hi
+        at = bisect_left(to, label, self._lo, hi, key=ids.__getitem__)
+        return at if at < hi and ids[to[at]] == label else default
+
+
+class _Ranges:
+    """``ranges[k]``: ``view(first[k], first[k + 1])``, node k's range of a column."""
+
+    __slots__ = ("_view", "_first")
+
+    def __init__(self, view: Callable[[int, int], _Children], first: list[int]) -> None:
+        self._view, self._first = view, first
+
+    def __getitem__(self, node: int) -> _Children:
+        return self._view(self._first[node], self._first[node + 1])
+
+
+@dataclass(eq=False, repr=False)
+class FrozenTrie:
+    """Read-only trie over the columns of a checked format 3 document;
+    build one with ``from_document`` or ``load_frozen``.
+
+    Node k is node k of the document, the root 0; ``id`` (root: None),
+    ``freq``, ``entry`` and ``terminal`` hold one entry per node.  Node k's
+    children are the nodes ``first[k]:first[k + 1]`` and its cycle-edges the
+    edges ``efirst[k]:efirst[k + 1]``: prefix sums of the degree columns,
+    LOUDS offsets (Jacobson 1989).  ``children[k]`` and ``cycles[k]`` are
+    label -> index views over those ranges, a labelled step a ``bisect``,
+    so the queries in ``query`` run on it as on a ``Trie``.
+    """
+
+    mode: TrieMode
+    n: int
+    id: list[Any]
+    freq: list[int]
+    entry: list[int]
+    terminal: list[int]
+    first: list[int]
+    efirst: list[int]
+    cycle_to: list[int]
+    cycle_count: list[int]
+    depth_stats: dict[int, dict[str, int]]
+
+    def __post_init__(self) -> None:
+        self.children = _Ranges(partial(_Children, self.id), self.first)
+        self.cycles = _Ranges(partial(_CycleEdges, self.id, self.cycle_to), self.efirst)
+
+    @property
+    def sequence_count(self) -> int:
+        """Sequences inserted: every insertion arrives at the root once."""
+        return self.freq[0]
+
+    @classmethod
+    def from_document(cls, doc: dict[str, Any]) -> "FrozenTrie":
+        """Check a document and keep its columns: a malformed one raises
+        ``CorruptDocument`` (another format ``FormatVersionMismatch``), and
+        one that loads passes every rule of ``Trie.check_invariants``.
+
+        Shape first, as the loader always checked it: header and column
+        types, ``n`` >= 0, column lengths, exact ints, nonempty string
+        identifiers, degree counts >= 0 summing to the node and cycle-edge
+        counts, parents before children.  Then the rules, over whole
+        columns: non-root ``freq`` >= 1 and ``terminal`` >= 0; siblings in
+        strictly increasing label order; cycle-edge targets below the root
+        and counts >= 1; no cycle-edge in DAG mode.  In DG mode one Python
+        pass over the cycle-edges tests each target as an ancestor-or-self
+        of its source on ``_preorder``'s intervals, requires each source's
+        labels strictly increasing, subtracts the arrivals from ``entry``
+        and sums each source's outflow.  Then ``entry`` >= 0, conservation
+        (descents as differences of a prefix sum of ``entry`` at the child
+        offsets) and, in DG mode, no identifier repeated on a root path.
+        The per-depth table is summed level by level: if level d is
+        ``lo:hi``, level d + 1 is ``first[lo]:first[hi]``.
+
+        The format implies ``_check_structure``'s other rules: an edge's
+        label is its target's identifier by definition, ``entry`` is derived
+        from the arrivals, label order leaves no duplicate child or
+        cycle-edge, and a cycle-edge labelled like a child of its source
+        would repeat that label on the child's root path, since the edge
+        returns to an ancestor-or-self of the source.
+        """
         try:
             version = doc["format_version"]
         except (TypeError, KeyError):
@@ -521,36 +687,78 @@ class Trie:
             raise CorruptDocument("negative child or cycle-edge count")
         if sum(child_count) != len(ids) or sum(cycle_out) != len(targets):
             raise CorruptDocument("child or cycle-edge counts do not sum to the node or cycle-edge count")
-        at = _first(map(lt, accumulate(child_count), range(1, len(child_count))))
+        first = list(accumulate(child_count, initial=1))  # node k's children: first[k]:first[k + 1]
+        at = _first(map(le, islice(first, 1, len(child_count)), count(1)), 1)  # node k's parent is below k
         if at is not None:
-            raise CorruptDocument(f"parent not before node {at + 1}")
+            raise CorruptDocument(f"parent not before node {at}")
 
-        # a caller that hands the document over (load does) gets its columns freed as they are used
+        # a caller that hands the document over (load_frozen does) gets the columns it no longer needs freed
         del doc, node_columns, degree_columns, cycle_columns
-        trie = cls(mode, n)
-        trie.parent = parent = [-1, *chain.from_iterable(map(repeat, count(), child_count))]
-        trie.id = labels = [None, *ids]
-        trie.freq = [sequence_count, *freqs]
-        trie.terminal = [0, *terminal_counts]
-        trie.entry = entry = [0, *freqs]
-        del child_count, ids, freqs, terminal_counts
-        trie.cycles = cycles = [{} for _ in parent]
-        # each source repeated for its edges, skipping nodes without any; zip pulls it only
-        # after a target, so a trie without cycle-edges (every DAG trie) never reads cycle_out
-        sources = chain.from_iterable(map(repeat, compress(count(), cycle_out), filter(None, cycle_out)))
-        try:  # a negative target indexes from the end; _check_structure rejects it
-            for edge, target, taken, source in zip(count(), targets, counts, sources):
-                cycles[source][labels[target]] = edge  # type: ignore[index]
-                entry[target] -= taken
-        except IndexError:
-            raise CorruptDocument("cycle-edge target outside the trie") from None
-        trie.cycle_to, trie.cycle_count = targets.copy(), counts.copy()
-        del cycle_out, sources, targets, counts
-        trie.children = children = [{} for _ in parent]
-        for node, up, rid in islice(zip(count(), parent, labels), 1, None):
-            children[up][rid] = node  # type: ignore[index]
-        trie.depth_stats = trie._check_structure()
-        return trie
+        labels, freq, terminal = [None, *ids], [sequence_count, *freqs], [0, *terminal_counts]
+        entry = [0, *freqs]
+        del ids, freqs, terminal_counts
+        nodes, dag = len(labels), mode is TrieMode.DAG
+        if min(islice(freq, 1, None), default=1) < 1 or min(terminal) < 0:
+            raise CorruptDocument("node statistic out of range")
+        # a node j with j - 1 as its sibling starts no child range; the others must sort after j - 1
+        unsorted = compress(count(2), map(ge, islice(labels, 1, None), islice(labels, 2, None)))
+        at = next(filterfalse(set(first).__contains__, unsorted), None)
+        if at is not None:
+            up = bisect_right(first, at) - 1
+            if labels[at] == labels[at - 1]:
+                raise CorruptDocument(f"duplicate child at node {at - 1}: {labels[at]!r} under node {up}")
+            raise CorruptDocument(f"siblings out of label order at node {at}: {labels[at]!r} under node {up}")
+        if targets:
+            if dag:
+                raise CorruptDocument(f"cycle-edges on DAG-mode node {_first(cycle_out)}")
+            if min(targets) < 1:
+                raise CorruptDocument(f"cycle-edge {targets.index(min(targets))} into the root or a negative node index")
+            if min(counts) < 1:
+                raise CorruptDocument(f"cycle-edge {counts.index(min(counts))} without traversals")
+        cycled: Iterable[int] = repeat(0)  # DAG mode: no outflow
+        if not dag:
+            order, pos, end = _preorder(_parents(child_count))
+            cycled = [0] * nodes
+            edges = zip(targets, counts)
+            try:  # a target past the last node raises IndexError
+                for source, out in zip(compress(count(), cycle_out), filter(None, cycle_out)):
+                    here, before, outflow = pos[source], "", 0  # every label sorts after ""
+                    for target, taken in islice(edges, out):
+                        if not pos[target] <= here < end[target]:
+                            raise CorruptDocument(f"cycle-edge target not an ancestor at node {source}")
+                        label = labels[target]
+                        if label <= before:
+                            what = "duplicate cycle-edge" if label == before else "cycle-edges out of label order"
+                            raise CorruptDocument(f"{what} at node {source}: {label!r}")
+                        before = label
+                        entry[target] -= taken
+                        outflow += taken
+                    cycled[source] = outflow
+            except IndexError:
+                raise CorruptDocument("cycle-edge target outside the trie") from None
+        efirst = list(accumulate(cycle_out, initial=0))  # node k's cycle-edges: efirst[k]:efirst[k + 1]
+        del child_count, cycle_out
+        if min(entry) < 0:
+            raise CorruptDocument(f"entry count out of range at node {entry.index(min(entry))}")
+        below = list(map(list(accumulate(entry, initial=0)).__getitem__, first))  # entries before each child range
+        descended = map(sub, islice(below, 1, None), below)
+        at = _first(map(ne, freq, map(add, map(add, terminal, descended), cycled)))
+        if at is not None:
+            raise CorruptDocument(f"conservation violated at node {at}")
+        del below, cycled
+        if not dag:
+            at = _repeats_on_a_root_path(labels, order, pos, end)
+            if at is not None:
+                raise CorruptDocument(f"identifier repeats on the root path at node {at}")
+            del order, pos, end
+        depth_stats: dict[int, dict[str, int]] = {}
+        lo, hi = 1, first[1]
+        while lo < hi:  # the nodes lo:hi are level len(depth_stats) + 1
+            level = depth_stats[len(depth_stats) + 1] = {}
+            for rid, arrivals in zip(labels[lo:hi], freq[lo:hi]):
+                level[rid] = level.get(rid, 0) + arrivals
+            lo, hi = hi, first[hi]
+        return cls(mode, n, labels, freq, entry, terminal, first, efirst, targets, counts, depth_stats)
 
 
 def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:
@@ -600,7 +808,13 @@ def _read(source: str | os.PathLike[str] | IO[str]) -> dict[str, Any]:
     return doc
 
 
+def load_frozen(source: str | os.PathLike[str] | IO[str]) -> FrozenTrie:
+    """Read a read-only trie from a path or text stream written by ``save``."""
+    # no local keeps the text or the document: the loader frees the columns as it goes
+    return FrozenTrie.from_document(_read(source))
+
+
 def load(source: str | os.PathLike[str] | IO[str]) -> Trie:
-    """Read a trie from a path or text stream written by ``save``."""
+    """Read an insertable trie from a path or text stream written by ``save``."""
     # no local keeps the text or the document: the loader frees the columns as it goes
     return Trie.from_document(_read(source))

@@ -677,8 +677,9 @@ class ObjectTrie:
         pass over the nodes' cycle-edge counts takes each node's edges in
         turn and subtracts each edge's count from its target's
         ``entry_count``.  These passes check only what needs the structure:
-        parents before children, no duplicate child, no duplicate
-        cycle-edge.  Then ``check_invariants`` runs.
+        parents before children, and each node's children and cycle-edges
+        in strictly increasing label order (so no duplicate child or
+        cycle-edge).  Then ``check_invariants`` runs.
         """
         try:
             version = doc["format_version"]
@@ -742,6 +743,8 @@ class ObjectTrie:
             parent = nodes[parent_idx]
             if rid in parent.children:
                 raise CorruptDocument(f"duplicate child {rid!r} under node {parent_idx}")
+            if parent.children and rid < next(reversed(parent.children)):
+                raise CorruptDocument(f"siblings out of label order: {rid!r} under node {parent_idx}")
             node = ObjectNode(rid, parent.depth + 1, parent)
             parent.children[rid] = node
             node.freq = node.entry_count = freq
@@ -755,6 +758,8 @@ class ObjectTrie:
                 dst = nodes[dst_idx]
                 if dst.id in cycles:
                     raise CorruptDocument(f"duplicate cycle-edge from node {src_idx}")
+                if cycles and dst.id < next(reversed(cycles)):
+                    raise CorruptDocument(f"cycle-edges out of label order at node {src_idx}")
                 cycles[dst.id] = CycleEdge(dst, count)  # type: ignore[index]
                 dst.entry_count -= count
         trie.check_invariants()

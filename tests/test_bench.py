@@ -1,5 +1,8 @@
+import importlib.util
 import io
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +14,14 @@ from provtrie.bench import (
     InsufficientData,
     loglog_slope,
     run_bench,
+    run_bench_dp,
     run_bench_naive,
     write_csv,
 )
 from provtrie.graph import gen_clique
 from provtrie.trie import Trie, TrieMode
+
+from helpers import random_dg
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +143,38 @@ def test_loglog_slope_insufficient_data():
     # identical path counts make the regression degenerate
     with pytest.raises(InsufficientData):
         loglog_slope(_rows([(50, 10), (50, 20), (50, 30)]))
+
+
+def _perfbench_reference():
+    """The benchmark's independent references, loaded from their file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_reference", Path(__file__).parents[1] / "perfbench" / "reference.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # type: ignore[union-attr]
+    return module
+
+
+@pytest.mark.parametrize("size", range(4, 8))
+def test_dp_engine_counts_equal_the_reference_the_closed_form_and_the_trie(size):
+    g = gen_clique(size)
+    trie = Trie(TrieMode.DG)
+    trie.index_graph_dg(g)
+    frontier_dp_count = _perfbench_reference().frontier_dp_count
+    successors = {v: g.successors(v) for v in g.node_ids}
+    dp = run_bench_dp(g, ":r0", ":r1", 6, trials=1, warmup=0, dataset=f"k{size}")
+    rows = run_bench(trie, ":r0", ":r1", 6, trials=1, warmup=0)
+    assert [(r.engine, r.wildcards, r.dataset) for r in dp] == [("dp", m, f"k{size}") for m in range(1, 7)]
+    for m, row, trie_row in zip(itertools.count(1), dp, rows):
+        closed_form = ((size - 1) ** (m + 1) - (-1) ** (m + 1)) // size
+        assert row.n_paths == trie_row.n_paths == frontier_dp_count(successors, ":r0", ":r1", m + 1) == closed_form
+
+
+def test_dp_engine_counts_equal_the_naive_engine_on_random_graphs():
+    rng = random.Random(0xD9)
+    for _ in range(30):
+        g = random_dg(rng)
+        start, end = rng.choice(g.node_ids), rng.choice(g.node_ids)
+        dp = run_bench_dp(g, start, end, 4, trials=1, warmup=0)
+        naive = run_bench_naive(g, start, end, 4, trials=1, warmup=0)
+        assert [r.n_paths for r in dp] == [r.n_paths for r in naive]

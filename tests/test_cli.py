@@ -363,6 +363,22 @@ def test_k4_document_is_the_committed_golden_file(clique4_file, tmp_path, capsys
     assert out.read_bytes() == (DATA / "k4-dg.trie").read_bytes()
 
 
+GOLDEN_COMMANDS = {
+    "query": ["query", "--start", ":r0", "--end", ":r1", "--wildcards", "2"],
+    "suggest": ["suggest", "--prefix", ":r0", "--ahead", "2"],
+    "stats": ["stats"],
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_COMMANDS)
+def test_read_commands_print_the_committed_golden_output(command, capsys):
+    name, *options = GOLDEN_COMMANDS[command]
+    assert main([name, str(DATA / "k4-dg.trie"), *options]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode("utf-8") == (DATA / f"k4-dg.{command}.out").read_bytes()
+    assert captured.err == ""
+
+
 def test_suggest_deterministic_chain(linear_trace_file, tmp_path, capsys):
     out = tmp_path / "trie.json"
     main(["index", str(linear_trace_file), "--out", str(out)])
@@ -475,6 +491,17 @@ def test_bench_csv(clique4_file, tmp_path, capsys):
 def test_bench_rejects_unknown_engine(clique4_file, capsys):
     rc = main(["bench", str(clique4_file), "--start", ":r0", "--end", ":r1", "--engines", "sparql"])
     assert rc == 2
+
+
+def test_bench_dp_engine_rows(clique4_file, capsys):
+    argv = ["bench", str(clique4_file), "--start", ":r0", "--end", ":r1", "--max-wildcards", "3"]
+    assert main([*argv, "--trials", "1", "--warmup", "0", "--engines", "trie,naive,dp", "--dataset", "k4"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    counts = {(engine, int(m)): int(n) for _, engine, m, n, _, _ in rows}
+    assert [(engine, m) for engine, m in counts] == [(e, m) for e in ("trie", "naive", "dp") for m in (1, 2, 3)]
+    for m in (1, 2, 3):
+        assert counts["trie", m] == counts["naive", m] == counts["dp", m] == clique_walk_count(4, m + 1)
+    assert main([*argv, "--engines", "dp,sparql"]) == 2
 
 
 @pytest.mark.parametrize("engine", ["trie", "naive"])

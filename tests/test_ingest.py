@@ -245,17 +245,19 @@ def test_mutated_trace_document_raises_only_schema_and_graph_errors(data):
             pass
 
 
-def test_load_trace_document_fills_roles(tmp_path):
+def test_load_trace_document_leaves_roles_to_infer_roles(tmp_path):
+    # no trie, query or command output reads a role, so the CLI infers none
     path = tmp_path / "trace.json"
     path.write_text(
-        '{"trace_id": "t", "nodes": [{"id": "urn:a"}, {"id": "urn:b"}], '
+        '{"trace_id": "t", "nodes": [{"id": "urn:a"}, {"id": "urn:b", "role": "process"}], '
         '"edges": [{"from": "urn:a", "to": "urn:b"}]}',
         encoding="utf-8",
     )
     g, trace_id = _load_graph(str(path), "trace", GraphKind.DAG)
     assert trace_id == "t"
-    assert g.role_of("urn:a") is Role.INPUT
-    assert g.role_of("urn:b") is Role.OUTPUT
+    assert (g.role_of("urn:a"), g.role_of("urn:b")) == (None, Role.PROCESS)
+    g.infer_roles()
+    assert (g.role_of("urn:a"), g.role_of("urn:b")) == (Role.INPUT, Role.PROCESS)
 
 
 def test_fixture_traces_parse_and_linearize():

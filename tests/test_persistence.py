@@ -14,9 +14,12 @@ from provtrie.query import QueryPattern, count_paths
 from provtrie.trie import (
     CorruptDocument,
     FormatVersionMismatch,
+    FrozenTrie,
     Trie,
+    TrieError,
     TrieMode,
     load,
+    load_frozen,
     save,
 )
 
@@ -34,6 +37,24 @@ FIGURE_SEQUENCES = [
     ["N1", "N4"],
     ["N5"],
 ]
+
+
+def from_both(doc: dict) -> Trie:
+    """Load ``doc`` with ``FrozenTrie.from_document`` and with ``Trie.from_document``,
+    each from its own copy: both must give the same verdict and the same
+    message.  Returns the thawed trie, or raises the loaders' error."""
+    verdicts = []
+    for loader in (FrozenTrie.from_document, Trie.from_document):
+        try:
+            verdicts.append(loader(copy.deepcopy(doc)))
+        except TrieError as exc:
+            verdicts.append(exc)
+    frozen, thawed = verdicts
+    if isinstance(frozen, TrieError) or isinstance(thawed, TrieError):
+        assert (type(frozen), str(frozen)) == (type(thawed), str(thawed))
+        raise thawed
+    assert frozen.depth_stats == thawed.depth_stats and frozen.entry == thawed.entry
+    return thawed
 
 
 def roundtrip(trie: Trie) -> Trie:
@@ -114,7 +135,7 @@ def test_format_version_mismatch():
     doc = insert_all(TrieMode.DAG, [["a"]]).to_document()
     doc["format_version"] = 4
     with pytest.raises(FormatVersionMismatch):
-        Trie.from_document(doc)
+        from_both(doc)
 
 
 def test_version_1_document_is_a_version_mismatch():
@@ -132,7 +153,7 @@ def test_version_1_document_is_a_version_mismatch():
         "depth_stats": [{"depth": 1, "id": "a", "cum_freq": 1}],
     }
     with pytest.raises(FormatVersionMismatch):
-        Trie.from_document(doc)
+        from_both(doc)
     with pytest.raises(FormatVersionMismatch):
         load(io.StringIO(json.dumps(doc)))
 
@@ -159,12 +180,12 @@ def _tampered(mutate):
 def test_corrupt_child_freq_exceeds_parent():
     doc = _tampered(lambda d: d["freq"].__setitem__(2, 99))  # N1/N2
     with pytest.raises(CorruptDocument):
-        Trie.from_document(doc)
+        from_both(doc)
 
 
 def test_corrupt_missing_header():
     with pytest.raises(CorruptDocument):
-        Trie.from_document({"mode": "dag"})
+        from_both({"mode": "dag"})
 
 
 def _child_before_parent(doc):
@@ -177,7 +198,7 @@ def test_corrupt_nodes_out_of_order():
     doc = _tampered(_child_before_parent)
     assert doc["child_count"][:2] == [0, 5]
     with pytest.raises(CorruptDocument, match="not before node 1"):
-        Trie.from_document(doc)
+        from_both(doc)
 
 
 @pytest.mark.parametrize("node, parent", [(0, 1), (2, 3), (2, 4), (6, 7)])
@@ -190,7 +211,7 @@ def test_corrupt_parent_not_an_earlier_node(node, parent):
         d["child_count"] = [parents.count(k) for k in range(len(d["child_count"]))]
 
     doc = _tampered(reparent)
-    for loader in (Trie.from_document, ObjectTrie.from_document):
+    for loader in (from_both, ObjectTrie.from_document):
         with pytest.raises(CorruptDocument, match=f"parent not before node {node + 1}$"):
             loader(doc)
 
@@ -216,7 +237,7 @@ def _dg_aba_abc() -> dict:
 def test_corrupt_degree_counts(columns, message):
     doc = {**_dg_aba_abc(), **columns}
     with pytest.raises(CorruptDocument, match=message):
-        Trie.from_document(doc)
+        from_both(doc)
     with pytest.raises(CorruptDocument):
         ObjectTrie.from_document(doc)
 
@@ -225,7 +246,7 @@ def test_corrupt_dangling_parent():
     # a child counted past the last node
     doc = _tampered(lambda d: d["child_count"].__setitem__(7, 1))
     with pytest.raises(CorruptDocument, match="sum"):
-        Trie.from_document(doc)
+        from_both(doc)
 
 
 @pytest.mark.parametrize("column", NODE_COLUMNS + CYCLE_COLUMNS)
@@ -237,7 +258,7 @@ def test_corrupt_columns_of_unequal_length(column, change):
     else:
         doc[column].append(doc[column][-1])
     with pytest.raises(CorruptDocument, match="unequal length"):
-        Trie.from_document(doc)
+        from_both(doc)
 
 
 @pytest.mark.parametrize("column", DEGREE_COLUMNS)
@@ -251,7 +272,7 @@ def test_corrupt_degree_column_of_wrong_length(column, change):
     else:
         doc[column].append(0)
     with pytest.raises(CorruptDocument, match="one count per node"):
-        Trie.from_document(doc)
+        from_both(doc)
 
 
 def test_corrupt_cycle_edge_in_dag_document():
@@ -262,13 +283,35 @@ def test_corrupt_cycle_edge_in_dag_document():
 
     doc = _tampered(add_edge)
     with pytest.raises(CorruptDocument):
-        Trie.from_document(doc)
+        from_both(doc)
 
 
 def test_corrupt_duplicate_child():
     doc = _tampered(lambda d: d["id"].__setitem__(1, "N1"))  # N5 renamed to its sibling N1
     with pytest.raises(CorruptDocument, match="duplicate child"):
-        Trie.from_document(doc)
+        from_both(doc)
+
+
+def test_corrupt_siblings_out_of_label_order():
+    # a and b listed b first; every statistic balances and no label repeats
+    doc = insert_all(TrieMode.DAG, [["a"], ["b"]]).to_document()
+    assert (doc["id"], doc["freq"], doc["terminal_count"]) == (["a", "b"], [1, 1], [1, 1])
+    doc["id"] = ["b", "a"]
+    with pytest.raises(CorruptDocument, match="^siblings out of label order at node 2: 'a' under node 0$"):
+        from_both(doc)
+    with pytest.raises(CorruptDocument, match="siblings out of label order"):
+        ObjectTrie.from_document(doc)
+
+
+def test_corrupt_cycle_edges_out_of_label_order():
+    # b's cycle-edges back to a and to itself, listed b first; every statistic balances
+    doc = insert_all(TrieMode.DG, [["a", "b", "a"], ["a", "b", "b"]]).to_document()
+    assert (doc["cycle_out"], doc["cycle_to"], doc["cycle_count"]) == ([0, 0, 2], [1, 2], [1, 1])
+    doc["cycle_to"] = [2, 1]
+    with pytest.raises(CorruptDocument, match="^cycle-edges out of label order at node 2: 'a'$"):
+        from_both(doc)
+    with pytest.raises(CorruptDocument, match="cycle-edges out of label order"):
+        ObjectTrie.from_document(doc)
 
 
 def test_corrupt_duplicate_cycle_edge():
@@ -276,7 +319,7 @@ def test_corrupt_duplicate_cycle_edge():
     assert (doc["cycle_out"], doc["cycle_to"], doc["cycle_count"]) == ([0, 0, 1], [1], [2])
     doc.update(cycle_out=[0, 0, 2], cycle_to=[1, 1], cycle_count=[1, 1])
     with pytest.raises(CorruptDocument, match="duplicate cycle-edge"):
-        Trie.from_document(doc)
+        from_both(doc)
 
 
 def test_corrupt_cycle_edge_into_the_root():
@@ -284,14 +327,14 @@ def test_corrupt_cycle_edge_into_the_root():
     # b's one insertion now cycles back to the root instead of ending at b
     doc.update(terminal_count=[0, 0], cycle_out=[0, 0, 1], cycle_to=[0], cycle_count=[1])
     with pytest.raises(CorruptDocument, match="into the root"):
-        Trie.from_document(doc)
+        from_both(doc)
 
 
 @pytest.mark.parametrize("rid", ["", 1, None, ["N1"]])
 def test_corrupt_identifier_not_a_nonempty_string(rid):
     doc = _tampered(lambda d: d["id"].__setitem__(3, rid))
     with pytest.raises(CorruptDocument, match="identifier"):
-        Trie.from_document(doc)
+        from_both(doc)
 
 
 def test_corrupt_dg_identifier_repeats_on_the_root_path():
@@ -309,9 +352,9 @@ def test_corrupt_dg_identifier_repeats_on_the_root_path():
         "cycle_count": [],
     }
     with pytest.raises(CorruptDocument, match="repeats on the root path"):
-        Trie.from_document(doc)
+        from_both(doc)
     # in a DAG trie a repeated identifier is just a deeper node
-    assert node_count(Trie.from_document({**doc, "mode": "dag"})) == 2
+    assert node_count(from_both({**doc, "mode": "dag"})) == 2
 
 
 def test_dg_self_loops_round_trip():
@@ -332,20 +375,27 @@ def test_check_invariants_rejects_hand_bumped_depth_stats():
 def test_corrupt_root_freq_vs_sequence_count():
     doc = _tampered(lambda d: d.update(sequence_count=42))
     with pytest.raises(CorruptDocument):
-        Trie.from_document(doc)
+        from_both(doc)
 
 
 def test_corrupt_negative_statistics():
     doc = _tampered(lambda d: d["terminal_count"].__setitem__(2, -1))
     with pytest.raises(CorruptDocument):
-        Trie.from_document(doc)
+        from_both(doc)
 
 
 def test_corrupt_node_without_traversals():
     # a leaf no sequence reached: conservation holds, but its freq is 0
     doc = _tampered(_add_unreached_leaf)
     with pytest.raises(CorruptDocument, match="out of range"):
-        Trie.from_document(doc)
+        from_both(doc)
+
+
+def test_corrupt_arrivals_past_freq():
+    # a/b returns to a three times, but a is entered only twice
+    doc = {**_dg_aba(), "cycle_count": [3]}
+    with pytest.raises(CorruptDocument, match="^entry count out of range at node 1$"):
+        from_both(doc)
 
 
 def test_corrupt_cycle_target_not_ancestor():
@@ -360,7 +410,7 @@ def test_corrupt_cycle_target_not_ancestor():
         doc[column][was] -= 1
         doc[column][victim] += 1
     with pytest.raises(CorruptDocument, match="not an ancestor"):
-        Trie.from_document(doc)
+        from_both(doc)
 
 
 def _add_unreached_leaf(doc: dict) -> None:
@@ -385,11 +435,12 @@ RULE_BREAKERS = {
 
 
 @pytest.mark.parametrize("make, message", RULE_BREAKERS.values(), ids=RULE_BREAKERS.keys())
-def test_the_loader_checks_shape_and_leaves_the_rules_to_check_invariants(make, message, monkeypatch):
+def test_the_column_checker_rejects_each_rule_breaker(make, message):
+    # the shape is sound, so only the rules, checked on the columns, can refuse the document
     with pytest.raises(CorruptDocument, match=message):
-        Trie.from_document(make())
-    monkeypatch.setattr(Trie, "_check_structure", lambda self: None)  # every rule the loader runs
-    Trie.from_document(make())  # the shape is sound, so the loader builds it
+        FrozenTrie.from_document(make())
+    with pytest.raises(CorruptDocument, match=message):
+        from_both(make())
 
 
 # pytest names these cases by position: append new ones at the end
@@ -418,14 +469,14 @@ def test_the_loader_checks_shape_and_leaves_the_rules_to_check_invariants(make, 
 def test_corrupt_inexact_or_out_of_range_integer(where, value):
     # nodes: root, a, a/b (cycle-edge back to a), a/b/c; child_count [1, 1, 1, 0], cycle_out [0, 0, 1, 0]
     doc = insert_all(TrieMode.DG, [["a", "b", "a"], ["a", "b", "c"]]).to_document()
-    Trie.from_document(copy.deepcopy(doc))
+    from_both(copy.deepcopy(doc))
     *parents, key = where
     rec = doc
     for part in parents:
         rec = rec[part]
     rec[key] = value
     with pytest.raises(CorruptDocument):
-        Trie.from_document(doc)
+        from_both(doc)
 
 
 def _fuzz_bases() -> list[dict]:
@@ -483,14 +534,14 @@ def test_mutated_document_is_rejected_or_round_trips(data):
             else:
                 doc[key][at] = data.draw(junk)
     try:
-        trie = Trie.from_document(doc)
+        trie = from_both(doc)
     except FormatVersionMismatch:
         assert version_hit
         return
     except CorruptDocument:
         return
     again = trie.to_document()
-    assert Trie.from_document(again).to_document() == again
+    assert from_both(again).to_document() == again
 
 
 def test_load_rejects_non_json():
@@ -633,6 +684,10 @@ def test_loader_keeps_document_order_and_shares_no_list(order):
     trie.insert_dg([":r3", ":r2", ":r3", ":r0"])
     doc = trie.to_document() if order == "breadth-first" else _siblings_reversed(trie)
     assert doc["id"] != trie.to_document()["id"] or order == "breadth-first"
+    if order == "siblings-reversed":  # the loader requires canonical label order
+        with pytest.raises(CorruptDocument, match="out of label order"):
+            from_both(doc)
+        return
     before = copy.deepcopy(doc)
     loaded = Trie.from_document(doc)
     # node k of the document is node k of the trie
@@ -666,4 +721,24 @@ def test_loading_adds_few_gc_tracked_objects(tmp_path):
         if was:
             gc.enable()
     assert loaded.to_document() == trie.to_document()
+    assert added < 100, added
+
+
+def test_loading_a_frozen_trie_adds_few_gc_tracked_objects(tmp_path):
+    # columns of ints and strings, views made on demand: no object per node or per cycle-edge
+    trie = _dg_clique(6)
+    path = tmp_path / "k6.trie"
+    save(trie, path)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        frozen = load_frozen(path)
+        added = len(gc.get_objects()) - before
+    finally:
+        if was:
+            gc.enable()
+    assert (frozen.depth_stats, frozen.sequence_count) == (trie.depth_stats, trie.sequence_count)
+    pattern = QueryPattern((":r0",), 3, ":r1")
+    assert count_paths(frozen, pattern) == count_paths(trie, pattern)
     assert added < 100, added

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from provtrie.query import (
     q1,
     q2_suggest,
 )
-from provtrie.trie import Trie, TrieMode
+from provtrie.trie import FrozenTrie, Trie, TrieMode
 
 from helpers import (
     insert_all,
@@ -404,3 +405,59 @@ def test_every_step_probability_of_a_loaded_trie_is_at_most_one(trie):
     for node, freq in enumerate(loaded.freq):
         for _, _, taken in _steps(loaded, node, None):
             assert 0 < taken / freq <= 1
+
+
+# ---- the frozen trie against the thawed trie and the references ----------------
+
+
+def _dg_index(g) -> Trie:
+    trie = Trie(TrieMode.DG)
+    trie.index_graph_dg(g)
+    return trie
+
+
+def _windowed(mode: TrieMode, corpus: list[list[str]], n: int) -> Trie:
+    return insert_all(mode, [window for seq in corpus for window in (ngrams(seq, n).windows if n else [seq])], n=n)
+
+
+frozen_builds = st.one_of(
+    st.randoms(use_true_random=False).map(lambda rng: _dg_index(random_dg(rng))),
+    st.randoms(use_true_random=False).map(lambda rng: _dg_index(random_dag(rng))),
+    st.integers(2, 6).map(lambda size: _dg_index(gen_clique(size))),
+    st.builds(_windowed, st.sampled_from(list(TrieMode)), corpora, st.sampled_from([0, 0, 2, 3])),
+)
+
+
+def _dominant(trie, depth: int):
+    try:
+        return most_probable_at_depth(trie, depth)
+    except EmptyDepth:
+        return None
+
+
+@given(trie=frozen_builds, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_frozen_trie_answers_as_the_thawed_trie_and_the_references(trie, data):
+    doc = trie.to_document()
+    frozen, thawed = FrozenTrie.from_document(copy.deepcopy(doc)), Trie.from_document(doc)
+    assert frozen.depth_stats == thawed.depth_stats == {d: t for d, t in trie.depth_stats.items() if t}
+    for depth in range(1, len(frozen.depth_stats) + 2):
+        assert _dominant(frozen, depth) == _dominant(thawed, depth) == _dominant(trie, depth)
+    ids = _identifiers(trie)
+    for _ in range(3):
+        pattern = QueryPattern(
+            (data.draw(st.sampled_from(ids)),), data.draw(st.integers(0, 4)), data.draw(st.sampled_from(ids))
+        )
+        for strict in (False, True) if trie.n == 0 else (False,):
+            # PathMatch compares its likelihood with ==: equal to the bit
+            full = recursive_q1(thawed, pattern, strict=strict)
+            assert recursive_count_paths(thawed, pattern, strict=strict) == len(full)
+            for t in (frozen, thawed):
+                assert q1(t, pattern, strict=strict) == full
+                assert count_paths(t, pattern, strict=strict) == len(full)
+                for limit in (1, 2, 5, 50):
+                    assert q1(t, pattern, strict=strict, limit=limit) == full[:limit]
+        prefix = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=2))
+        ahead, top = data.draw(st.integers(1, 3)), data.draw(st.sampled_from([1, 5, 50]))
+        want = recursive_q2_suggest(thawed, prefix, ahead, top)
+        assert q2_suggest(frozen, prefix, ahead, top) == q2_suggest(thawed, prefix, ahead, top) == want
