@@ -40,7 +40,7 @@ from heapq import heappop, heappush
 from itertools import islice
 from typing import Iterator, Sequence, Union
 
-from .trie import FrozenTrie, Trie, TrieNode
+from .trie import FrozenTrie, Trie
 
 AnyTrie = Union[Trie, FrozenTrie]
 
@@ -158,8 +158,10 @@ def _best_first(trie: AnyTrie, start: int, labels: Sequence[str | None]) -> Iter
                 heappush(heap, (neg * (cycle_count[edge] / freq), path + (label,), cycle_to[edge]))
 
 
-def _locate(trie: AnyTrie, labels: Sequence[str]) -> tuple[int | None, int]:
-    """``locate`` with the node as an index, on either trie."""
+def locate(trie: AnyTrie, labels: Sequence[str]) -> tuple[int | None, int]:
+    """Position the cursor at a fully anchored label path, on either trie:
+    (node index, nodes visited), the node None when the path is absent.
+    One lookup per symbol, so the visit count is at most len(labels)."""
     node = 0
     for visited, label in enumerate(labels):
         steps = _steps(trie, node, label)
@@ -167,14 +169,6 @@ def _locate(trie: AnyTrie, labels: Sequence[str]) -> tuple[int | None, int]:
             return None, visited
         node = steps[0][1]
     return node, len(labels)
-
-
-def locate(trie: Trie, labels: Sequence[str]) -> tuple[TrieNode | None, int]:
-    """Position the cursor at a fully anchored label path: (node view,
-    nodes visited), the node None when the path is absent.  One lookup per
-    symbol, so the visit count is at most len(labels)."""
-    node, visited = _locate(trie, labels)
-    return (None if node is None else trie.node(node)), visited
 
 
 def _check_q1(trie: AnyTrie, strict: bool) -> None:
@@ -274,7 +268,7 @@ def q2_suggest(
     absent prefix yields no suggestions.
     """
     check_suggestion(prefix, ahead, top)
-    cursor, _ = _locate(trie, prefix)
+    cursor, _ = locate(trie, prefix)
     if cursor is None:
         return []
     ranked = _best_first(trie, cursor, [None] * ahead)

@@ -22,22 +22,25 @@ out)``.  A child's conditional probability is ``entry / parent freq``.
 Layout: a node is an ``int``, the root is 0; parents are numbered before
 their children (online: in creation order; loaded: in document order,
 which ``to_document`` writes breadth-first, so that siblings sit side by
-side).  Node data lives in parallel lists: ``parent`` (root: -1), ``id``
-(root: None), ``freq``, ``entry``, ``terminal``, ``children`` (label ->
-child) and ``cycles`` (label -> edge); edge data in
-``cycle_to`` and ``cycle_count``; ``sequence_count`` is the root's
-``freq``.  The cyclic garbage collector tracks none of these ints,
-strings and dicts.  ``Trie.root`` and ``Trie.node(i)`` give a read-only
-``TrieNode`` view, one per index.
+side).  Node data lives in parallel lists: ``id`` (root: None), ``freq``,
+``entry``, ``terminal``, ``children`` (label -> child) and ``cycles``
+(label -> edge); edge data in ``cycle_to`` and ``cycle_count``;
+``sequence_count`` is the root's ``freq``.  No column holds a parent: a
+node's parent is the node whose child map lists it.  The cyclic garbage
+collector tracks none of these ints, strings and dicts.  ``Trie.root`` and
+``Trie.node(i)`` give a read-only ``TrieNode`` view, one per index, with
+``id``, ``freq``, ``entry_count``, ``terminal_count``, ``children`` (label
+-> view) and ``cycles`` (label -> ``CycleStep``).
 
 Two forms share that numbering.  ``Trie`` is the builder: insertable, with
 a dict per node.  ``FrozenTrie`` is the reader: the checked columns of a
-document and the prefix sums of its degree columns, with no dict and no
-``parent`` (a static beside a dynamic tree, as in Navarro & Sadakane, ACM
-TALG 2014); its ``children[k]`` and ``cycles[k]`` are label -> index views
-over node k's ranges, which the queries read as they read the dicts.
-``FrozenTrie.from_document`` holds every rule a document must pass, and
-``Trie.from_document`` is that check plus a thaw into dicts.
+document and the prefix sums of its degree columns, with no dict (a
+static beside a dynamic tree, as in Navarro & Sadakane, ACM TALG 2014);
+its ``children[k]`` and ``cycles[k]`` are label -> index views over node
+k's ranges, which the queries read as they read the dicts.
+``FrozenTrie.from_document`` holds every rule a document must pass.
+``Trie.from_document`` is that check plus a thaw into dicts, and
+``Trie.check_invariants`` runs it on the builder's own document.
 
 The checkers test ancestry as a pre-order interval: with
 pre-order positions ``pos`` and subtree sizes, ``t`` is ``s`` or an
@@ -110,11 +113,6 @@ class TrieNode:
     freq = _column("freq", "Traversal arrivals: descents plus cycle-edge arrivals.")
     entry_count = _column("entry", "Descents from the parent.")
     terminal_count = _column("terminal", "Insertions that ended here.")
-
-    @property
-    def parent(self) -> "TrieNode | None":
-        index = self.trie.parent[self.index]
-        return None if index < 0 else self.trie.node(index)
 
     @property
     def children(self) -> Mapping[str, "TrieNode"]:
@@ -204,7 +202,7 @@ class Trie:
             raise ValueError(f"window length must be >= 0, got {n}")
         self.mode = mode
         self.n = n
-        self.parent, self.id = [-1], [None]
+        self.id = [None]
         self.freq, self.entry, self.terminal = [0], [0], [0]
         self.children: list[dict[str, int]] = [{}]
         self.cycles: list[dict[str, int]] = [{}]
@@ -229,7 +227,6 @@ class Trie:
 
     def _add_node(self, parent: int, rid: str) -> int:
         node = len(self.id)
-        self.parent.append(parent)
         self.id.append(rid)
         self.freq.append(0)
         self.entry.append(0)
@@ -387,81 +384,50 @@ class Trie:
     def check_invariants(self) -> None:
         """Verify structure and statistics; raise ``CorruptDocument`` on failure.
 
-        Owns every rule, for loaded and in-memory tries alike: the rules of
-        ``_check_structure``, then ``depth_stats`` against its recount.
+        First the wiring that ``to_document`` trusts and no document can
+        show: every non-root node sits in exactly one child map, under a node
+        numbered before it and keyed by its own identifier; every cycle-edge
+        in exactly one cycle map, keyed by the identifier of its target, a
+        node of the trie.  Then every rule a document must pass:
+        ``FrozenTrie.from_document`` on ``to_document()``.  Then the rule only
+        a builder can break, as a document stores no ``entry``: a non-root
+        node's arrivals (``freq - entry``) equal the counts of the
+        cycle-edges into it.  Last, ``depth_stats`` against the frozen
+        trie's recount.
         """
-        if {d: t for d, t in self.depth_stats.items() if t} != self._check_structure():
-            raise CorruptDocument("per-depth statistics do not match a recount")
-
-    def _check_structure(self) -> dict[int, dict[str, int]]:
-        """Every rule but the per-depth table's, in passes over whole columns:
-        non-root ``freq`` >= 1 and ``terminal`` >= 0, parent wiring (no
-        duplicate child), entry ranges, a non-root node's arrivals (``freq -
-        entry``) equal to the counts of the cycle-edges into it,
-        conservation and cycle-edges (target below the root, label equal to
-        the target's identifier and no child's, one map entry each, count >=
-        1, target an ancestor); as terminal and cycle counts are >= 0,
-        conservation keeps a node's descents within its ``freq``.  DAG mode
-        has no cycle-edges, so no arrivals.  In DG mode root paths repeat no
-        identifier (``_repeats_on_a_root_path``).  Returns the per-depth
-        table that the node pass, parents first, recounts.
-        """
-        parent, ids, freq, entry = self.parent, self.id, self.freq, self.entry
-        children, cycles, cycle_to, cycle_count = self.children, self.cycles, self.cycle_to, self.cycle_count
-        dag = self.mode is TrieMode.DAG
-        if min(islice(freq, 1, None), default=1) < 1 or min(self.terminal) < 0:
-            raise CorruptDocument("node statistic out of range")
-        descended, depth = [0] * len(ids), [0] * len(ids)
-        table: dict[int, dict[str, int]] = {}
-        for node, up, rid, arrivals, entered in islice(zip(count(), parent, ids, freq, entry), 1, None):
-            if not 0 <= up < node or children[up].get(rid) != node:  # type: ignore[arg-type]
-                what = "duplicate child" if 0 <= up < node and rid in children[up] else "broken parent link"
-                raise CorruptDocument(f"{what} at node {node}: {rid!r} under node {up}")
-            if not 0 <= entered <= arrivals:
-                raise CorruptDocument(f"entry count out of range at node {node}")
-            descended[up] += entered
-            depth[node] = d = depth[up] + 1
-            level = table.setdefault(d, {})
-            level[rid] = level.get(rid, 0) + arrivals  # type: ignore[index]
-        if sum(map(len, children)) != len(ids) - 1:
-            raise CorruptDocument("a child map lists a node that is not its child")
-        if dag and any(cycles):
-            raise CorruptDocument(f"cycle-edges on DAG-mode node {_first(cycles)}")
-        if cycle_to and min(cycle_to) < 1:
-            raise CorruptDocument(f"cycle-edge {cycle_to.index(min(cycle_to))} into the root or a negative node index")
-        order, pos, end = ([], [], []) if dag else _preorder(parent)  # DAG mode has no edges to test
-        cycled, arrived = [0] * len(ids), [0] * len(ids)
-        for source, out, kids in zip(count(), cycles, children):
-            if not out:
-                continue
-            if not kids.keys().isdisjoint(out):
-                raise CorruptDocument(f"cycle-edge label shadows a child at node {source}")
-            here, taken = pos[source], 0
+        ids, cycle_to = self.id, self.cycle_to
+        nodes, edges = len(ids), len(cycle_to)
+        placed = [0] * nodes  # child-map entries per node
+        for up, kids in enumerate(self.children):
+            for rid, node in kids.items():
+                if not up < node < nodes or ids[node] != rid:
+                    raise CorruptDocument(f"broken child link under node {up}: {rid!r}")
+                placed[node] += 1
+        at = _first(map((1).__ne__, islice(placed, 1, None)), 1)
+        if at is not None:
+            raise CorruptDocument(f"node {at} in {placed[at]} child maps, not one")
+        placed = [0] * edges  # cycle-map entries per cycle-edge
+        for source, out in enumerate(self.cycles):
             for label, edge in out.items():
+                if not 0 <= edge < edges:
+                    raise CorruptDocument(f"cycle-edge index {edge!r} outside the trie at node {source}")
                 target = cycle_to[edge]
-                if ids[target] != label:
-                    raise CorruptDocument(f"cycle-edge label mismatch at node {source}")
-                if not pos[target] <= here < end[target]:
-                    raise CorruptDocument(f"cycle-edge target not an ancestor at node {source}")
-                traversals = cycle_count[edge]
-                taken += traversals
-                arrived[target] += traversals
-            cycled[source] = taken
-        if sum(map(len, cycles)) != len(cycle_to):
-            raise CorruptDocument("duplicate cycle-edge, or a cycle-edge in no node's map")
-        if cycle_count and min(cycle_count) < 1:
-            raise CorruptDocument(f"cycle-edge {cycle_count.index(min(cycle_count))} without traversals")
-        arrived[0] = freq[0] - entry[0]  # the root's freq counts insertions, not arrivals
-        at = _first(map(ne, map(sub, freq, entry), arrived))
+                if not 0 <= target < nodes or ids[target] != label:
+                    raise CorruptDocument(f"broken cycle-edge at node {source}: {label!r}")
+                placed[edge] += 1
+        at = _first(map((1).__ne__, placed))
+        if at is not None:
+            raise CorruptDocument(f"cycle-edge {at} in {placed[at]} cycle maps, not one")
+        frozen = FrozenTrie.from_document(self.to_document())
+        arrived = [0] * nodes
+        for target, taken in zip(cycle_to, self.cycle_count):
+            arrived[target] += taken
+        arrived[0] = self.freq[0] - self.entry[0]  # the root's freq counts insertions, not arrivals
+        at = _first(map(ne, map(sub, self.freq, self.entry), arrived))
         if at is not None:
             raise CorruptDocument(f"cycle arrivals do not match the cycle-edges into node {at}")
-        at = _first(map(ne, freq, map(add, map(add, self.terminal, descended), cycled)))
-        if at is not None:
-            raise CorruptDocument(f"conservation violated at node {at}")
-        at = None if dag else _repeats_on_a_root_path(ids, order, pos, end)
-        if at is not None:
-            raise CorruptDocument(f"identifier repeats on the root path at node {at}")
-        return table
+        if {d: t for d, t in self.depth_stats.items() if t} != frozen.depth_stats:
+            raise CorruptDocument("per-depth statistics do not match a recount")
 
     # ---- persistence ---------------------------------------------------------------
 
@@ -513,7 +479,7 @@ class Trie:
         frozen = FrozenTrie.from_document(doc)
         trie = cls(frozen.mode, frozen.n)
         first, efirst = frozen.first, frozen.efirst
-        trie.parent = parent = _parents(map(sub, islice(first, 1, None), first))
+        parent = _parents(map(sub, islice(first, 1, None), first))
         trie.id = labels = frozen.id
         trie.freq, trie.entry, trie.terminal = frozen.freq, frozen.entry, frozen.terminal
         trie.cycle_to = cycle_to = frozen.cycle_to.copy()
@@ -627,7 +593,7 @@ class FrozenTrie:
     def from_document(cls, doc: dict[str, Any]) -> "FrozenTrie":
         """Check a document and keep its columns: a malformed one raises
         ``CorruptDocument`` (another format ``FormatVersionMismatch``), and
-        one that loads passes every rule of ``Trie.check_invariants``.
+        one that loads thaws into a trie that ``Trie.check_invariants`` passes.
 
         Shape first, as the loader always checked it: header and column
         types, ``n`` >= 0, column lengths, exact ints, nonempty string
@@ -645,12 +611,13 @@ class FrozenTrie:
         The per-depth table is summed level by level: if level d is
         ``lo:hi``, level d + 1 is ``first[lo]:first[hi]``.
 
-        The format implies ``_check_structure``'s other rules: an edge's
-        label is its target's identifier by definition, ``entry`` is derived
-        from the arrivals, label order leaves no duplicate child or
+        The format implies the rules a builder's dicts could still break: an
+        edge's label is its target's identifier by definition, ``entry`` is
+        derived from the arrivals, label order leaves no duplicate child or
         cycle-edge, and a cycle-edge labelled like a child of its source
         would repeat that label on the child's root path, since the edge
-        returns to an ancestor-or-self of the source.
+        returns to an ancestor-or-self of the source.  The builder's wiring
+        and its own ``entry`` are ``Trie.check_invariants``'s to check.
         """
         try:
             version = doc["format_version"]

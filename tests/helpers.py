@@ -138,17 +138,28 @@ def insert_based_index_graph_dg(trie: Trie, g: ProvGraph) -> None:
         visit([start], {start})
 
 
+def parent_column(trie: Trie) -> list[int]:
+    """Each node's parent (the root's: -1), read off the child maps: the
+    column ``Trie`` kept before its checker moved onto its document."""
+    parent = [-1] * len(trie.id)
+    for up, kids in enumerate(trie.children):
+        for child in kids.values():
+            parent[child] = up
+    return parent
+
+
 def reference_per_depth(trie: Trie) -> dict[int, dict[str, int]]:
     """The per-depth table recounted from the node columns; parents are
     numbered first, so one pass derives every depth.
 
-    ``Trie._per_depth`` kept verbatim (as a function of the trie) as the
-    reference for the recount that ``Trie._check_structure``'s node pass
-    now returns.
+    ``Trie._per_depth`` kept verbatim (as a function of the trie, the
+    parents from ``parent_column``) as the reference for the recount that
+    the column checker's level pass returns.
     """
-    depths = [0] * len(trie.parent)
+    parent = parent_column(trie)
+    depths = [0] * len(parent)
     table: dict[int, dict[str, int]] = {}
-    for node, up, rid, freq in islice(zip(count(), trie.parent, trie.id, trie.freq), 1, None):
+    for node, up, rid, freq in islice(zip(count(), parent, trie.id, trie.freq), 1, None):
         depths[node] = depth = depths[up] + 1
         level = table.setdefault(depth, {})
         level[rid] = level.get(rid, 0) + freq  # type: ignore[index]
@@ -160,11 +171,12 @@ def format2_document(trie: Trie) -> dict[str, Any]:
     columns hold a parent per node and a source per cycle-edge.
 
     ``Trie.to_document`` as it was before degree columns replaced those two,
-    kept verbatim (as a function of the trie) as the fixture for refusing
-    format 2 and as the reference for the loader's expansion of the degree
-    columns.
+    kept verbatim (as a function of the trie, the parents from
+    ``parent_column``) as the fixture for refusing format 2 and as the
+    reference for the loader's expansion of the degree columns.
     """
     self = trie
+    parent = parent_column(trie)
     children, cycles = self.children, self.cycles
     order = [0]  # nodes in canonical order: level by level, children in label order
     edges: list[int] = []  # cycle-edges in canonical order, and their sources
@@ -185,7 +197,7 @@ def format2_document(trie: Trie) -> dict[str, Any]:
         "mode": self.mode.value,
         "n": self.n,
         "sequence_count": self.sequence_count,
-        "parent": list(map(renumber.__getitem__, map(self.parent.__getitem__, nodes))),
+        "parent": list(map(renumber.__getitem__, map(parent.__getitem__, nodes))),
         "id": list(map(self.id.__getitem__, nodes)),
         "freq": list(map(self.freq.__getitem__, nodes)),
         "terminal_count": list(map(self.terminal.__getitem__, nodes)),
@@ -232,11 +244,11 @@ def find(trie: Any, labels: Sequence[str]) -> Any:
     return node
 
 
-def prob(node: Any) -> float:
-    """Conditional probability of stepping into ``node`` from its parent."""
-    if node.parent is None:
-        return 1.0
-    return node.entry_count / node.parent.freq
+def prob(node: TrieNode) -> float:
+    """Conditional probability of stepping into the viewed node from its
+    parent, the node whose child map lists it."""
+    up = parent_column(node.trie)[node.index]
+    return 1.0 if up < 0 else node.entry_count / node.trie.freq[up]
 
 
 def cycle_edges(node: Any) -> tuple[Any, ...]:

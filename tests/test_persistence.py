@@ -23,7 +23,17 @@ from provtrie.trie import (
     save,
 )
 
-from helpers import ObjectTrie, all_node_freqs, expand_degrees, find, format2_document, insert_all, node_count, prob
+from helpers import (
+    ObjectTrie,
+    all_node_freqs,
+    expand_degrees,
+    find,
+    format2_document,
+    insert_all,
+    node_count,
+    parent_column,
+    prob,
+)
 
 HEADER_KEYS = ["format_version", "mode", "n", "sequence_count"]
 NODE_COLUMNS = ["id", "freq", "terminal_count"]
@@ -691,7 +701,7 @@ def test_loader_keeps_document_order_and_shares_no_list(order):
     before = copy.deepcopy(doc)
     loaded = Trie.from_document(doc)
     # node k of the document is node k of the trie
-    assert loaded.parent[1:] == expand_degrees(doc["child_count"]) and loaded.id[1:] == doc["id"]
+    assert parent_column(loaded)[1:] == expand_degrees(doc["child_count"]) and loaded.id[1:] == doc["id"]
     assert [source for source, out in enumerate(loaded.cycles) for _ in out] == expand_degrees(doc["cycle_out"])
     assert loaded.freq[1:] == doc["freq"] and loaded.terminal[1:] == doc["terminal_count"]
     assert loaded.cycle_to == doc["cycle_to"] and loaded.cycle_count == doc["cycle_count"]

@@ -205,7 +205,7 @@ def test_most_probable_at_depth_empty():
 def test_locate_visit_budget():
     t = insert_all(TrieMode.DAG, [["a", "b", "c", "d"]])
     node, visited = locate(t, ["a", "b", "c"])
-    assert node is not None and node.id == "c"
+    assert node is not None and t.id[node] == "c"
     assert visited <= 3
     node, visited = locate(t, ["a", "x"])
     assert node is None
