@@ -27,10 +27,12 @@ side).  Node data lives in parallel lists: ``id`` (root: None), ``freq``,
 (label -> edge); edge data in ``cycle_to`` and ``cycle_count``;
 ``sequence_count`` is the root's ``freq``.  No column holds a parent: a
 node's parent is the node whose child map lists it.  The cyclic garbage
-collector tracks none of these ints, strings and dicts.  ``Trie.root`` and
-``Trie.node(i)`` give a read-only ``TrieNode`` view, one per index, with
-``id``, ``freq``, ``entry_count``, ``terminal_count``, ``children`` (label
--> view) and ``cycles`` (label -> ``CycleStep``).
+collector tracks none of these ints, strings and dicts, and no attribute
+of a trie refers to the trie, so a dropped trie is freed at once.
+``Trie.root`` is a read-only ``TrieNode`` view with ``id``, ``freq``,
+``entry_count``, ``terminal_count``, ``children`` (label -> view) and
+``cycles`` (label -> ``CycleStep``); views are made per access, so compare
+them by ``index``.
 
 Two forms share that numbering.  ``Trie`` is the builder: insertable, with
 a dict per node.  ``FrozenTrie`` is the reader: the checked columns of a
@@ -101,7 +103,9 @@ def _column(name: str, doc: str) -> property:
 
 
 class TrieNode:
-    """Read-only view of node ``index`` of ``trie``; get one from ``Trie.node``."""
+    """Read-only view of node ``index`` of ``trie``, made per access from
+    ``Trie.root`` down: two views of one node are equal in ``index``, not
+    the same object.  The trie holds no view."""
 
     __slots__ = ("trie", "index")
 
@@ -116,12 +120,14 @@ class TrieNode:
 
     @property
     def children(self) -> Mapping[str, "TrieNode"]:
-        return _Labels(self.trie.children[self.index], self.trie.node)
+        return _Labels(self.trie.children[self.index], partial(TrieNode, self.trie))
 
     @property
     def cycles(self) -> Mapping[str, "CycleStep"]:
         trie = self.trie
-        return _Labels(trie.cycles[self.index], lambda e: CycleStep(trie.node(trie.cycle_to[e]), trie.cycle_count[e]))
+        return _Labels(
+            trie.cycles[self.index], lambda e: CycleStep(TrieNode(trie, trie.cycle_to[e]), trie.cycle_count[e])
+        )
 
 
 class _Labels(Mapping):
@@ -208,20 +214,16 @@ class Trie:
         self.cycles: list[dict[str, int]] = [{}]
         self.cycle_to, self.cycle_count = [], []  # per cycle-edge: its target, times taken
         self.depth_stats: dict[int, dict[str, int]] = {}
-        self._views: dict[int, TrieNode] = {}
-        self.root = self.node(0)
+
+    @property
+    def root(self) -> TrieNode:
+        """A read-only view of the root, new on every access."""
+        return TrieNode(self, 0)
 
     @property
     def sequence_count(self) -> int:
         """Sequences inserted: every insertion arrives at the root once."""
         return self.freq[0]
-
-    def node(self, index: int) -> TrieNode:
-        """The read-only view of node ``index``: the same object on every call."""
-        view = self._views.get(index)
-        if view is None:  # setdefault: concurrent readers still share one view
-            view = self._views.setdefault(index, TrieNode(self, index))
-        return view
 
     # ---- insertion ---------------------------------------------------------
 
@@ -584,11 +586,6 @@ class FrozenTrie:
         self.children = _Ranges(partial(_Children, self.id), self.first)
         self.cycles = _Ranges(partial(_CycleEdges, self.id, self.cycle_to), self.efirst)
 
-    @property
-    def sequence_count(self) -> int:
-        """Sequences inserted: every insertion arrives at the root once."""
-        return self.freq[0]
-
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "FrozenTrie":
         """Check a document and keep its columns: a malformed one raises
@@ -761,14 +758,14 @@ def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:
 
 
 def _read(source: str | os.PathLike[str] | IO[str]) -> dict[str, Any]:
-    if hasattr(source, "read"):
-        text = source.read()  # type: ignore[union-attr]
-    else:
-        with open(source, "r", encoding="utf-8") as fh:  # type: ignore[arg-type]
-            text = fh.read()
-    try:
+    try:  # text that is not UTF-8 is no document either
+        if hasattr(source, "read"):
+            text = source.read()  # type: ignore[union-attr]
+        else:
+            with open(source, "r", encoding="utf-8") as fh:  # type: ignore[arg-type]
+                text = fh.read()
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptDocument(f"not a valid document: {exc}") from None
     if not isinstance(doc, dict):
         raise CorruptDocument("document root must be an object")

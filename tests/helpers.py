@@ -1040,7 +1040,7 @@ def recursive_count_paths(trie: Trie, pattern: QueryPattern, strict: bool = Fals
             if strict and node.terminal_count == 0:
                 return 0
             return 1
-        key = (id(node), i)
+        key = (node.index, i)
         cached = memo.get(key)
         if cached is not None:
             return cached

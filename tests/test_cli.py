@@ -328,6 +328,20 @@ def test_query_corrupt_trie_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["query", "--start", ":r0", "--end", ":r1", "--count-only"], ["suggest", "--prefix", ":r0"], ["stats"]],
+    ids=["query", "suggest", "stats"],
+)
+def test_trie_file_that_is_not_utf8_is_an_error(argv, tmp_path, capsys):
+    bad = tmp_path / "latin1.trie"
+    bad.write_bytes(b"\xff" + (DATA / "k4-dg.trie").read_bytes())
+    command, *options = argv
+    assert main([command, str(bad), *options]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: not a valid document: 'utf-8' codec")
+
+
 def test_query_version_1_trie_file_is_an_error(tmp_path, capsys):
     old = tmp_path / "v1.json"
     old.write_text(
@@ -682,7 +696,8 @@ def test_closed_stdout_ends_the_command_quietly(clique4_file):
     )
     assert proc.stdout.readline().strip() == ",".join([":r0", ":r1"] * 5)
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait() == 0
     assert err == ""
 

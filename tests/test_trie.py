@@ -1,8 +1,10 @@
 import copy
+import gc
 import io
 import json
 import random
 import sys
+import weakref
 from typing import Any, Callable, Iterator
 
 import pytest
@@ -139,7 +141,7 @@ def test_dg_insert_folds_repeat_into_cycle_edge():
     n1 = t.root.children["N1"]
     n2 = n1.children["N2"]
     assert [target.id for target in cycle_edges(n2)] == ["N1"]
-    assert n2.cycles["N1"].target is n1
+    assert n2.cycles["N1"].target.index == n1.index
     assert n1.freq == 2  # one descent, one cycle arrival
     assert n1.terminal_count == 1  # the sequence ends back on N1
     t.check_invariants()
@@ -168,7 +170,7 @@ def test_dg_self_reference():
     t.insert_dg(["a", "a", "a"])
     a = t.root.children["a"]
     assert node_count(t) == 1
-    assert a.cycles["a"].target is a
+    assert a.cycles["a"].target.index == a.index
     assert a.cycles["a"].count == 2
     t.check_invariants()
 
@@ -953,14 +955,50 @@ def test_documents_are_byte_identical_to_the_object_trie():
         assert _dumps(Trie.from_document(json.loads(text)).to_document()) == text
 
 
-def test_views_are_interned_and_read_the_columns():
+def test_views_read_the_live_columns():
     t = insert_all(TrieMode.DG, [["a", "b", "a"], ["a", "c"]])
     a = t.root.children["a"]
-    assert t.root is t.root and t.root.children["a"] is a and t.node(a.index) is a
-    assert a.children["b"].cycles["a"].target is a
+    assert t.root.index == 0 and t.root.children["a"].index == a.index == t.id.index("a")
+    assert a.children["b"].cycles["a"].target.index == a.index
     assert sorted(a.children) == ["b", "c"] and "b" in a.children and "a" not in a.children
     assert [child.id for child in a.children.values()] == ["b", "c"]
     t.insert_dg(["a", "b", "a"])  # views read the live columns
     assert a.freq == 5 and a.children["b"].cycles["a"].count == 2
     with pytest.raises(AttributeError):
         a.freq = 0
+
+
+def _saved_and_loaded(path) -> Trie:
+    save(_dg_index(gen_clique(4)), path)
+    return load(path)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda path: Trie(),
+        lambda path: insert_all(TrieMode.DAG, FIGURE_SEQUENCES),
+        lambda path: insert_all(TrieMode.DG, FIGURE_SEQUENCES),
+        lambda path: _dg_index(gen_clique(4)),
+        _saved_and_loaded,
+        lambda path: Trie.from_document(_dg_index(gen_clique(4)).to_document()),
+    ],
+    ids=["empty", "insert", "insert_dg", "index_graph_dg", "load", "from_document"],
+)
+def test_a_dropped_trie_is_freed_without_the_collector(build, tmp_path):
+    # no attribute of a trie refers to the trie and a view is not kept, so
+    # reference counting alone frees a trie once its last name goes
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        trie = build(tmp_path / "k4.trie")
+        views = list(iter_nodes(trie))
+        targets = [step.target for view in views for step in view.cycles.values()]
+        assert len(views) == len(trie.id) and all(target.trie is trie for target in targets)
+        del views, targets
+        dropped = weakref.ref(trie)
+        del trie
+        assert dropped() is None
+    finally:
+        if was:
+            gc.enable()
