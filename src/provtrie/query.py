@@ -14,17 +14,20 @@ A match is scored by the product of per-step conditional probabilities,
 each step contributing (times this step was taken) / (times the current
 node was visited).
 
-``q1`` without a limit runs ``_walks``, a depth-first enumerator with an
-explicit stack, over every match and sorts the result.  ``q2_suggest``,
-and ``q1`` with a limit, run ``_best_first``, a uniform-cost search
+Every query that lists matches runs ``_traversals``, one generator that
+takes one step per pattern position, scores each step and keeps its
+pending partial traversals in a container it is given.  ``q2_suggest``
+and ``q1`` with a limit give it a heap: it is then a uniform-cost search
 (Dijkstra 1959; A* with h = 0, Hart, Nilsson & Raphael 1968) that yields
-traversals in result order and is stopped after k.  In a trie that
+traversals in result order, and they stop it after k.  In a trie that
 passes ``check_invariants`` a step probability is at most 1, so a
 likelihood multiplied from the start outwards never rises along a path,
 in floating point too, and a path sorts before its extensions: the first
 k traversals are exactly the first k of the sorted enumeration, to the
-bit and in the same tie order.  Both step as ``_steps`` lists steps.
-``count_paths`` is a frontier DP that never materializes a path.
+bit and in the same tie order.  ``q1`` without a limit gives it a stack,
+which enumerates depth-first without the heap's cost, and sorts the
+result.  ``count_paths`` is the one frontier DP, which never
+materializes a path.
 Nothing recurses, so the interpreter's recursion limit bounds no pattern
 or run length.
 
@@ -79,83 +82,58 @@ class PathMatch:
     likelihood: float
 
 
-def _steps(trie: AnyTrie, node: int, want: str | None) -> list[tuple[str, int, int]]:
-    """Every step out of ``node`` labelled ``want`` (None: any label), child
-    or cycle-edge, as (label, next node, times taken) in no particular
-    order; its probability is taken / freq[node]."""
-    entry = trie.entry
-    if want is None:
-        steps = []
-        for label, child in trie.children[node].items():
-            steps.append((label, child, entry[child]))
-        out = trie.cycles[node]
-        if out:  # most nodes have no cycle-edge, and in DAG mode none has
-            cycle_to, cycle_count = trie.cycle_to, trie.cycle_count
-            for label, edge in out.items():
-                steps.append((label, cycle_to[edge], cycle_count[edge]))
-        return steps
-    child = trie.children[node].get(want)
+def _step(trie: AnyTrie, node: int, label: str) -> tuple[int, int] | None:
+    """The step out of ``node`` labelled ``label``, child or cycle-edge, as
+    (next node, times taken), or None when there is none; its probability
+    is taken / freq[node]."""
+    child = trie.children[node].get(label)
     if child is not None:
-        return [(want, child, entry[child])]
-    edge = trie.cycles[node].get(want)
+        return child, trie.entry[child]
+    edge = trie.cycles[node].get(label)
     if edge is not None:
-        return [(want, trie.cycle_to[edge], trie.cycle_count[edge])]
-    return []
+        return trie.cycle_to[edge], trie.cycle_count[edge]
+    return None
 
 
-def _walks(trie: AnyTrie, start: int, labels: Sequence[str | None]) -> list[tuple[int, tuple[str, ...], float]]:
+def _traversals(
+    trie: AnyTrie, start: int, labels: Sequence[str | None], push=heappush, pop=heappop
+) -> Iterator[tuple[int, tuple[str, ...], float]]:
     """Every traversal from ``start`` taking one step per position of the
-    nonempty ``labels``, as (end node, step labels, likelihood), unordered.
-    The stack holds the untried siblings along one branch; likelihood
-    multiplies the step probabilities from the start outwards."""
-    last = len(labels) - 1
-    freqs = trie.freq
-    out: list[tuple[int, tuple[str, ...], float]] = []
-    stack: list[tuple[int, int, tuple[str, ...], float]] = [(0, start, (), 1.0)]
-    while stack:
-        i, node, path, likelihood = stack.pop()
-        freq = freqs[node]
-        steps = _steps(trie, node, labels[i])
-        if i == last:
-            for label, nxt, taken in steps:
-                out.append((nxt, path + (label,), likelihood * (taken / freq)))
-        else:
-            i += 1
-            for label, nxt, taken in steps:
-                stack.append((i, nxt, path + (label,), likelihood * (taken / freq)))
-    return out
+    nonempty ``labels`` (None: any label), lazily, as (end node, step
+    labels, likelihood).  ``pending`` holds partial traversals keyed
+    (-likelihood, step labels, node); likelihood multiplies the step
+    probabilities from the start outwards.
 
-
-def _best_first(trie: AnyTrie, start: int, labels: Sequence[str | None]) -> Iterator[tuple[int, tuple[str, ...], float]]:
-    """Every traversal ``_walks`` finds, lazily, likelihood descending with
-    ties broken by step labels.  The heap holds partial traversals keyed
-    (-likelihood, step labels, node): an extension never sorts before its
-    prefix, so a complete traversal is popped only after every one that
-    sorts before it.  Lookup is label-deterministic, so one label tuple
-    names one traversal and the key never compares nodes."""
+    With the default heap the order is likelihood descending, ties broken
+    by step labels: an extension never sorts before its prefix, so a
+    complete traversal is popped only after every one that sorts before
+    it.  Lookup is label-deterministic, so one label tuple names one
+    traversal and the key never compares nodes.  With ``list.append`` and
+    ``list.pop`` the order is depth-first and unspecified."""
     last = len(labels)
     freqs, entry, children, cycles = trie.freq, trie.entry, trie.children, trie.cycles
-    heap: list[tuple[float, tuple[str, ...], int]] = [(-1.0, (), start)]
-    while heap:
-        neg, path, node = heappop(heap)
+    pending: list[tuple[float, tuple[str, ...], int]] = [(-1.0, (), start)]
+    while pending:
+        neg, path, node = pop(pending)
         i = len(path)
         if i == last:
             yield node, path, -neg
             continue
-        # (-l) * p is -(l * p) to the bit: the likelihood _walks computes
+        # (-l) * p is -(l * p) to the bit: -neg is the likelihood multiplied from the start
         freq, want = freqs[node], labels[i]
         if want is not None:
-            for label, nxt, taken in _steps(trie, node, want):
-                heappush(heap, (neg * (taken / freq), path + (label,), nxt))
+            step = _step(trie, node, want)
+            if step is not None:
+                nxt, taken = step
+                push(pending, (neg * (taken / freq), path + (want,), nxt))
             continue
-        # a wildcard, as _steps would list it: inline, since every suggestion step is one
         for label, child in children[node].items():
-            heappush(heap, (neg * (entry[child] / freq), path + (label,), child))
+            push(pending, (neg * (entry[child] / freq), path + (label,), child))
         out = cycles[node]
-        if out:
+        if out:  # most nodes have no cycle-edge, and in DAG mode none has
             cycle_to, cycle_count = trie.cycle_to, trie.cycle_count
             for label, edge in out.items():
-                heappush(heap, (neg * (cycle_count[edge] / freq), path + (label,), cycle_to[edge]))
+                push(pending, (neg * (cycle_count[edge] / freq), path + (label,), cycle_to[edge]))
 
 
 def locate(trie: AnyTrie, labels: Sequence[str]) -> tuple[int | None, int]:
@@ -164,10 +142,10 @@ def locate(trie: AnyTrie, labels: Sequence[str]) -> tuple[int | None, int]:
     One lookup per symbol, so the visit count is at most len(labels)."""
     node = 0
     for visited, label in enumerate(labels):
-        steps = _steps(trie, node, label)
-        if not steps:
+        step = _step(trie, node, label)
+        if step is None:
             return None, visited
-        node = steps[0][1]
+        node = step[0]
     return node, len(labels)
 
 
@@ -197,13 +175,14 @@ def q1(trie: AnyTrie, pattern: QueryPattern, strict: bool = False, limit: int = 
     _check_q1(trie, strict)
     freq, terminal = trie.freq, trie.terminal
     if limit:
-        ranked = _best_first(trie, 0, pattern.labels())
+        ranked = _traversals(trie, 0, pattern.labels())
         if strict:
             ranked = (walk for walk in ranked if terminal[walk[0]])
         return [PathMatch(path, freq[node], likelihood) for node, path, likelihood in islice(ranked, limit)]
+    # a stack in place of the heap: depth-first, without the heap's cost, then one sort
     matches = [
         PathMatch(path, freq[node], likelihood)
-        for node, path, likelihood in _walks(trie, 0, pattern.labels())
+        for node, path, likelihood in _traversals(trie, 0, pattern.labels(), list.append, list.pop)
         if not strict or terminal[node]
     ]
     matches.sort(key=lambda m: (-m.likelihood, m.path))
@@ -271,7 +250,7 @@ def q2_suggest(
     cursor, _ = locate(trie, prefix)
     if cursor is None:
         return []
-    ranked = _best_first(trie, cursor, [None] * ahead)
+    ranked = _traversals(trie, cursor, [None] * ahead)
     return [(path, likelihood) for _, path, likelihood in islice(ranked, top)]
 
 

@@ -379,6 +379,7 @@ def test_k4_document_is_the_committed_golden_file(clique4_file, tmp_path, capsys
 
 GOLDEN_COMMANDS = {
     "query": ["query", "--start", ":r0", "--end", ":r1", "--wildcards", "2"],
+    "query-limit": ["query", "--start", ":r0", "--end", ":r1", "--wildcards", "2", "--limit", "4"],
     "suggest": ["suggest", "--prefix", ":r0", "--ahead", "2"],
     "stats": ["stats"],
 }

@@ -11,7 +11,6 @@ from provtrie.oracle import clique_walk_count, enumerate_walks
 from provtrie.query import (
     EmptyDepth,
     QueryPattern,
-    _steps,
     count_paths,
     locate,
     most_probable_at_depth,
@@ -400,11 +399,16 @@ def test_q1_rejects_a_negative_limit():
 @given(trie=ranked_tries)
 @settings(max_examples=100, deadline=None)
 def test_every_step_probability_of_a_loaded_trie_is_at_most_one(trie):
-    # the premise of the best-first search: likelihoods never rise along a path
-    loaded = Trie.from_document(trie.to_document())
-    for node, freq in enumerate(loaded.freq):
-        for _, _, taken in _steps(loaded, node, None):
-            assert 0 < taken / freq <= 1
+    # the premise of the best-first search: likelihoods never rise along a path,
+    # on the thawed trie and on the frozen one that query --limit and suggest read
+    doc = trie.to_document()
+    for loaded in (Trie.from_document(doc), FrozenTrie.from_document(doc)):
+        entry, cycle_count = loaded.entry, loaded.cycle_count
+        for node, freq in enumerate(loaded.freq):
+            steps = [entry[child] for child in loaded.children[node].values()]
+            steps += [cycle_count[edge] for edge in loaded.cycles[node].values()]
+            for taken in steps:
+                assert 0 < taken / freq <= 1
 
 
 # ---- the frozen trie against the thawed trie and the references ----------------
