@@ -7,7 +7,9 @@ variable PROVTRIE_PREDICATE_MAP may point at a predicate map file that
 replaces the built-in edge-mapping rules for RDF input.  Commands run with
 the cyclic garbage collector paused, since what they build lives until
 the process exits; ``entry``, behind ``provtrie`` and ``python -m
-provtrie``, leaves it off until then.
+provtrie``, leaves it off until then.  A command imports the modules it
+calls when it runs, so ``query``, ``suggest`` and ``stats`` load only
+``graph``, ``trie`` and ``query``.
 """
 from __future__ import annotations
 
@@ -15,20 +17,21 @@ import argparse
 import gc
 import os
 import sys
-from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .bench import BenchAborted, check_protocol, run_bench, run_bench_dp, run_bench_naive, write_csv
-from .canonical import ngrams, sequence
 from .graph import GraphError, GraphKind, ProvGraph, gen_clique
-from .ingest import IngestError, PredicateMap, TraceDocument, parse_ntriples, triples_to_graph
-from .oracle import all_pairs_clique_count, clique_walk_count, count_walks, enumerate_walks
 from .query import EmptyDepth, PathMatch, QueryPattern, check_limit, check_suggestion, count_paths, q1, q2_suggest
 from .trie import Trie, TrieError, TrieMode, load_frozen, save
+
+if TYPE_CHECKING:
+    from .ingest import PredicateMap
 
 PREDICATE_MAP_ENV = "PROVTRIE_PREDICATE_MAP"
 
 
 def _predicate_map() -> PredicateMap:
+    from .ingest import PredicateMap
+
     override = os.environ.get(PREDICATE_MAP_ENV)
     if override:
         return PredicateMap.from_file(override)
@@ -38,12 +41,17 @@ def _predicate_map() -> PredicateMap:
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _load_graph(path: str, fmt: str, kind: GraphKind, pmap: PredicateMap | None = None) -> tuple[ProvGraph, str]:
     """Load one trace file; returns the graph and a trace identifier.  RDF
     input maps predicates with ``pmap``, read from the environment if None."""
+    from pathlib import Path
+
+    from .ingest import TraceDocument, parse_ntriples, triples_to_graph
+
     text = _read_text(path)
     if fmt == "ntriples":
         parsed = parse_ntriples(text)
@@ -62,6 +70,8 @@ def _print_matches(matches: list[PathMatch]) -> None:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
+    from .canonical import ngrams, sequence
+
     mode = TrieMode(args.mode)
     if mode is TrieMode.DG and args.ngram:
         print("usage error: --ngram applies to --mode dag only", file=sys.stderr)
@@ -121,6 +131,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_clique(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from .ingest import TraceDocument
+
     doc = TraceDocument.from_graph(gen_clique(args.size), f"clique-{args.size}")
     text = doc.to_json()
     if args.out:
@@ -131,6 +145,8 @@ def cmd_gen_clique(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import all_pairs_clique_count, clique_walk_count, count_walks, enumerate_walks
+
     if (args.clique is None) == (args.input is None):
         print("usage error: provide exactly one of --clique or --input", file=sys.stderr)
         return 2
@@ -159,6 +175,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import check_protocol, run_bench, run_bench_dp, run_bench_naive, write_csv
+
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     unknown = set(engines) - {"trie", "naive", "dp"}
     if unknown or not engines:
@@ -262,6 +280,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _data_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that report bad input or data as ``error:`` and exit
+    1.  A command imports the modules it calls, so it can raise an
+    ``IngestError`` or a ``BenchAborted`` only once that module is loaded."""
+    errors = [GraphError, TrieError, EmptyDepth, ValueError, ArithmeticError, OSError]
+    for module, name in ((".ingest", "IngestError"), (".bench", "BenchAborted")):
+        loaded = sys.modules.get(__package__ + module)
+        if loaded is not None:
+            errors.append(getattr(loaded, name))
+    return tuple(errors)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -282,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         # fd 1 at devnull so that the interpreter's final flush cannot raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (GraphError, TrieError, IngestError, BenchAborted, EmptyDepth, ValueError, ArithmeticError, OSError) as exc:
+    except _data_errors() as exc:  # evaluated only once a command has raised
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RecursionError, MemoryError) as exc:

@@ -38,10 +38,9 @@ trie's maps and the frozen trie's range views both answer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import islice
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .trie import FrozenTrie, Trie
 
@@ -52,29 +51,51 @@ class EmptyDepth(Exception):
     """No node exists at the requested depth."""
 
 
-@dataclass(frozen=True)
 class QueryPattern:
-    """Anchored prefix, a number of single-step wildcards, then a terminal."""
+    """Anchored prefix, a number of single-step wildcards, then a terminal;
+    immutable, equal and hashed by these three fields."""
 
-    prefix: tuple[str, ...]
-    wildcards: int
-    terminal: str
+    __slots__ = ("prefix", "wildcards", "terminal")  # slots: the fastest attribute reads
 
-    def __post_init__(self) -> None:
-        if not self.prefix:
+    def __init__(self, prefix: tuple[str, ...], wildcards: int, terminal: str) -> None:
+        if not prefix:
             raise ValueError("pattern prefix must be nonempty")
-        if self.wildcards < 0:
-            raise ValueError(f"wildcard count must be >= 0, got {self.wildcards}")
-        if not self.terminal:
+        if wildcards < 0:
+            raise ValueError(f"wildcard count must be >= 0, got {wildcards}")
+        if not terminal:
             raise ValueError("terminal must be a nonempty identifier")
+        for name, value in zip(self.__slots__, (prefix, wildcards, terminal)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple[tuple[str, ...], int, str]:
+        return self.prefix, self.wildcards, self.terminal
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(prefix={self.prefix!r}, wildcards={self.wildcards!r}, terminal={self.terminal!r})"
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[str, ...], int, str]]:  # copy and pickle rebuild through __init__
+        return type(self), self._fields()
 
     def labels(self) -> list[str | None]:
         """Pattern positions in order; None marks a wildcard."""
         return list(self.prefix) + [None] * self.wildcards + [self.terminal]
 
 
-@dataclass(frozen=True)
-class PathMatch:
+class PathMatch(NamedTuple):
     """One concrete matched sequence with its statistics."""
 
     path: tuple[str, ...]

@@ -40,7 +40,9 @@ document and the prefix sums of its degree columns, with no dict (a
 static beside a dynamic tree, as in Navarro & Sadakane, ACM TALG 2014);
 its ``children[k]`` and ``cycles[k]`` are label -> index views over node
 k's ranges, which the queries read as they read the dicts.
-``FrozenTrie.from_document`` holds every rule a document must pass.
+``FrozenTrie.from_document`` holds every rule a document must pass; a
+frozen trie sums its per-depth table, derived data, on the first read of
+``depth_stats``, which ``query`` and ``suggest`` never make.
 ``Trie.from_document`` is that check plus a thaw into dicts, and
 ``Trie.check_invariants`` runs it on the builder's own document.
 
@@ -64,8 +66,7 @@ import json
 import os
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
 from operator import add, ge, le, ne, sub
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -475,9 +476,10 @@ class Trie:
         """Rebuild an insertable trie from a document: ``FrozenTrie.from_document``
         checks it, then a thaw builds the dicts.  Node k of the document is
         node k of the trie.  The thaw adopts the frozen trie's node columns,
-        ``entry`` and per-depth table, copies its cycle-edge columns (the
-        document's own), expands the child counts into parents, and fills the
-        child and cycle-edge maps in one pass each; it checks nothing again."""
+        ``entry`` and per-depth table (summed by that read), copies its
+        cycle-edge columns (the document's own), expands the child counts
+        into parents, and fills the child and cycle-edge maps in one pass
+        each; it checks nothing again."""
         frozen = FrozenTrie.from_document(doc)
         trie = cls(frozen.mode, frozen.n)
         first, efirst = frozen.first, frozen.efirst
@@ -556,7 +558,6 @@ class _Ranges:
         return self._view(self._first[node], self._first[node + 1])
 
 
-@dataclass(eq=False, repr=False)
 class FrozenTrie:
     """Read-only trie over the columns of a checked format 3 document;
     build one with ``from_document`` or ``load_frozen``.
@@ -570,21 +571,40 @@ class FrozenTrie:
     so the queries in ``query`` run on it as on a ``Trie``.
     """
 
-    mode: TrieMode
-    n: int
-    id: list[Any]
-    freq: list[int]
-    entry: list[int]
-    terminal: list[int]
-    first: list[int]
-    efirst: list[int]
-    cycle_to: list[int]
-    cycle_count: list[int]
-    depth_stats: dict[int, dict[str, int]]
+    def __init__(
+        self,
+        mode: TrieMode,
+        n: int,
+        id: list[Any],
+        freq: list[int],
+        entry: list[int],
+        terminal: list[int],
+        first: list[int],
+        efirst: list[int],
+        cycle_to: list[int],
+        cycle_count: list[int],
+    ) -> None:
+        self.mode, self.n = mode, n
+        self.id, self.freq, self.entry, self.terminal = id, freq, entry, terminal
+        self.first, self.efirst, self.cycle_to, self.cycle_count = first, efirst, cycle_to, cycle_count
+        self.children = _Ranges(partial(_Children, id), first)
+        self.cycles = _Ranges(partial(_CycleEdges, id, cycle_to), efirst)
 
-    def __post_init__(self) -> None:
-        self.children = _Ranges(partial(_Children, self.id), self.first)
-        self.cycles = _Ranges(partial(_CycleEdges, self.id, self.cycle_to), self.efirst)
+    @cached_property
+    def depth_stats(self) -> dict[int, dict[str, int]]:
+        """Depth -> identifier -> cumulative ``freq``, summed level by level
+        on first access (the queries that list or count paths never read
+        it): if level d is the nodes ``lo:hi``, level d + 1 is
+        ``first[lo]:first[hi]``."""
+        labels, freq, first = self.id, self.freq, self.first
+        depth_stats: dict[int, dict[str, int]] = {}
+        lo, hi = 1, first[1]
+        while lo < hi:  # the nodes lo:hi are level len(depth_stats) + 1
+            level = depth_stats[len(depth_stats) + 1] = {}
+            for rid, arrivals in zip(labels[lo:hi], freq[lo:hi]):
+                level[rid] = level.get(rid, 0) + arrivals
+            lo, hi = hi, first[hi]
+        return depth_stats
 
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "FrozenTrie":
@@ -605,8 +625,8 @@ class FrozenTrie:
         and sums each source's outflow.  Then ``entry`` >= 0, conservation
         (descents as differences of a prefix sum of ``entry`` at the child
         offsets) and, in DG mode, no identifier repeated on a root path.
-        The per-depth table is summed level by level: if level d is
-        ``lo:hi``, level d + 1 is ``first[lo]:first[hi]``.
+        The per-depth table is derived data, not a rule: ``depth_stats``
+        sums it on first access.
 
         The format implies the rules a builder's dicts could still break: an
         edge's label is its target's identifier by definition, ``entry`` is
@@ -715,14 +735,7 @@ class FrozenTrie:
             if at is not None:
                 raise CorruptDocument(f"identifier repeats on the root path at node {at}")
             del order, pos, end
-        depth_stats: dict[int, dict[str, int]] = {}
-        lo, hi = 1, first[1]
-        while lo < hi:  # the nodes lo:hi are level len(depth_stats) + 1
-            level = depth_stats[len(depth_stats) + 1] = {}
-            for rid, arrivals in zip(labels[lo:hi], freq[lo:hi]):
-                level[rid] = level.get(rid, 0) + arrivals
-            lo, hi = hi, first[hi]
-        return cls(mode, n, labels, freq, entry, terminal, first, efirst, targets, counts, depth_stats)
+        return cls(mode, n, labels, freq, entry, terminal, first, efirst, targets, counts)
 
 
 def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:

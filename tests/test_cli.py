@@ -394,6 +394,35 @@ def test_read_commands_print_the_committed_golden_output(command, capsys):
     assert captured.err == ""
 
 
+# Modules a read command never calls.  The script runs main() on its
+# arguments in a fresh interpreter, then names on stderr those it loaded.
+READ_PATH_SKIPS = ["provtrie.bench", "provtrie.oracle", "provtrie.ingest", "provtrie.canonical", "dataclasses", "statistics"]
+LOADED_AFTER_MAIN = f"""
+import sys
+from provtrie.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(",".join(m for m in {READ_PATH_SKIPS!r} if m in sys.modules), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", [*GOLDEN_COMMANDS, "query-count-only"])
+def test_read_commands_load_only_the_modules_they_read(command):
+    if command == "query-count-only":
+        name, *options = GOLDEN_COMMANDS["query"] + ["--count-only"]
+        want = f"{len((DATA / 'k4-dg.query.out').read_text(encoding='utf-8').splitlines())}\n"
+    else:
+        name, *options = GOLDEN_COMMANDS[command]
+        want = (DATA / f"k4-dg.{command}.out").read_text(encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_MAIN, name, str(DATA / "k4-dg.trie"), *options],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "\n")
+
+
 def test_suggest_deterministic_chain(linear_trace_file, tmp_path, capsys):
     out = tmp_path / "trie.json"
     main(["index", str(linear_trace_file), "--out", str(out)])
@@ -758,7 +787,7 @@ def test_commands_run_with_the_gc_paused(monkeypatch, capsys):
         seen.append(gc.isenabled())
         return clique_walk_count(size, steps)
 
-    monkeypatch.setattr("provtrie.cli.clique_walk_count", clique_walk_count_spy)
+    monkeypatch.setattr("provtrie.oracle.clique_walk_count", clique_walk_count_spy)
     gc.enable()
     assert main(["oracle", "--clique", "4", "--steps", "2"]) == 0
     assert seen == [False]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from provtrie.graph import gen_clique
-from provtrie.query import QueryPattern, count_paths
+from provtrie.query import QueryPattern, count_paths, q1, q2_suggest
 from provtrie.trie import (
     CorruptDocument,
     FormatVersionMismatch,
@@ -759,7 +759,31 @@ def test_loading_a_frozen_trie_adds_few_gc_tracked_objects(tmp_path):
     finally:
         if was:
             gc.enable()
-    assert (frozen.depth_stats, frozen.freq[0]) == (trie.depth_stats, trie.sequence_count)
     pattern = QueryPattern((":r0",), 3, ":r1")
     assert count_paths(frozen, pattern) == count_paths(trie, pattern)
+    assert "depth_stats" not in vars(frozen)
+    assert (frozen.depth_stats, frozen.freq[0]) == (trie.depth_stats, trie.sequence_count)
     assert added < 100, added
+
+
+def _dag_skewed_runs(seed: int) -> Trie:
+    """Whole runs of 20 templates, drawn with Zipf weights (1 / rank) and each
+    cut at a random length: unevenly shared prefixes, as in a run corpus."""
+    rng = random.Random(seed)
+    templates = [[f"urn:t{t}s{rng.randint(0, 3)}" for _ in range(rng.randint(3, 12))] for t in range(20)]
+    drawn = rng.choices(templates, [1 / rank for rank in range(1, 21)], k=800)
+    return insert_all(TrieMode.DAG, [run[: rng.randint(1, len(run))] for run in drawn])
+
+
+@pytest.mark.parametrize("make", [lambda: _dg_clique(4), lambda: _dag_skewed_runs(7)], ids=["dg-k4", "dag-skewed-runs"])
+def test_a_loaded_frozen_trie_sums_its_per_depth_table_on_first_read(make, tmp_path):
+    trie = make()
+    path = tmp_path / "t.trie"
+    save(trie, path)
+    frozen = load_frozen(path)
+    first, last = min(filter(None, trie.id)), max(filter(None, trie.id))
+    pattern = QueryPattern((first,), 2, last)
+    assert q1(frozen, pattern) == q1(trie, pattern) and count_paths(frozen, pattern) == count_paths(trie, pattern)
+    assert q2_suggest(frozen, [first], 2, 5) == q2_suggest(trie, [first], 2, 5)
+    assert "depth_stats" not in vars(frozen)
+    assert frozen.depth_stats == load(path).depth_stats == trie.depth_stats

@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from provtrie.graph import gen_clique
 from provtrie.oracle import clique_walk_count, enumerate_walks
 from provtrie.query import (
     EmptyDepth,
+    PathMatch,
     QueryPattern,
     count_paths,
     locate,
@@ -121,12 +123,46 @@ def test_strict_rejected_on_windowed_index():
 
 
 def test_pattern_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pattern prefix must be nonempty$"):
         QueryPattern((), 1, "b")
-    with pytest.raises(ValueError):
-        QueryPattern(("a",), -1, "b")
-    with pytest.raises(ValueError):
-        QueryPattern(("a",), 1, "")
+    with pytest.raises(ValueError, match="^wildcard count must be >= 0, got -1$"):
+        QueryPattern(prefix=("a",), wildcards=-1, terminal="b")
+    with pytest.raises(ValueError, match="^terminal must be a nonempty identifier$"):
+        QueryPattern(("a",), 1, terminal="")
+
+
+@pytest.mark.parametrize(
+    "value, same, other, text",
+    [
+        (
+            QueryPattern(("a", "b"), 2, "c"),
+            QueryPattern(prefix=("a", "b"), wildcards=2, terminal="c"),
+            QueryPattern(("a", "b"), 3, "c"),
+            "QueryPattern(prefix=('a', 'b'), wildcards=2, terminal='c')",
+        ),
+        (
+            PathMatch(("a", "b"), 3, 0.5),
+            PathMatch(path=("a", "b"), freq=3, likelihood=0.5),
+            PathMatch(("a", "b"), 3, 0.25),
+            "PathMatch(path=('a', 'b'), freq=3, likelihood=0.5)",
+        ),
+    ],
+    ids=["QueryPattern", "PathMatch"],
+)
+def test_pattern_and_match_are_immutable_values(value, same, other, text):
+    assert value == same and hash(value) == hash(same) and len({value, same, other}) == 2
+    assert value != other
+    assert repr(value) == text
+    field = text.split("(", 1)[1].split("=", 1)[0]
+    assert getattr(value, field) == ("a", "b")
+    with pytest.raises(AttributeError):
+        setattr(value, field, ("x",))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, field) == ("a", "b")
+    assert copy.deepcopy(value) == pickle.loads(pickle.dumps(value)) == value
 
 
 def test_q2_suggest_weighted_example():
@@ -444,9 +480,7 @@ def _dominant(trie, depth: int):
 def test_the_frozen_trie_answers_as_the_thawed_trie_and_the_references(trie, data):
     doc = trie.to_document()
     frozen, thawed = FrozenTrie.from_document(copy.deepcopy(doc)), Trie.from_document(doc)
-    assert frozen.depth_stats == thawed.depth_stats == {d: t for d, t in trie.depth_stats.items() if t}
-    for depth in range(1, len(frozen.depth_stats) + 2):
-        assert _dominant(frozen, depth) == _dominant(thawed, depth) == _dominant(trie, depth)
+    assert "depth_stats" not in vars(frozen)  # summed on its first read, which no path query makes
     ids = _identifiers(trie)
     for _ in range(3):
         pattern = QueryPattern(
@@ -465,3 +499,8 @@ def test_the_frozen_trie_answers_as_the_thawed_trie_and_the_references(trie, dat
         ahead, top = data.draw(st.integers(1, 3)), data.draw(st.sampled_from([1, 5, 50]))
         want = recursive_q2_suggest(thawed, prefix, ahead, top)
         assert q2_suggest(frozen, prefix, ahead, top) == q2_suggest(thawed, prefix, ahead, top) == want
+    assert "depth_stats" not in vars(frozen)
+    assert frozen.depth_stats == thawed.depth_stats == {d: t for d, t in trie.depth_stats.items() if t}
+    assert vars(frozen)["depth_stats"] is frozen.depth_stats  # summed once
+    for depth in range(1, len(frozen.depth_stats) + 2):
+        assert _dominant(frozen, depth) == _dominant(thawed, depth) == _dominant(trie, depth)
