@@ -10,14 +10,14 @@ from typing import Any
 _EXPORTS = {  # submodule -> the names it exports here
     "bench": "BenchRow InsufficientData loglog_slope run_bench run_bench_dp run_bench_naive write_csv",
     "canonical": "CanonicalSequence SubsequenceWindow ngrams sequence",
+    "document": "CorruptDocument FormatVersionMismatch FrozenTrie TrieMode load_frozen",
     "graph": "CyclicInput GraphError GraphKind InvalidSize MissingNode ProvGraph Role RoleConflict SelfLoopInDag gen_clique",
     "ingest": "Direction IngestError NTriplesSyntaxError ParsedTriples PredicateMap SchemaError TraceDocument "
     "parse_ntriples triples_to_graph",
     "oracle": "TooLarge WalkSet all_pairs_clique_count clique_walk_count count_walks enumerate_walks "
     "iter_topological_orders",
     "query": "EmptyDepth PathMatch QueryPattern count_paths locate most_probable_at_depth q1 q2_suggest",
-    "trie": "CorruptDocument EmptySequence FormatVersionMismatch FrozenTrie Trie TrieMode TrieModeError TrieNode "
-    "load load_frozen save",
+    "trie": "EmptySequence Trie TrieModeError TrieNode load save",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -1,4 +1,4 @@
-"""Command-line interface: index, query, suggest, stats, gen-clique, oracle, bench.
+"""Command-line interface: index, query, suggest, stats, inspect, gen-clique, oracle, bench.
 
 Machine-readable line output on stdout, diagnostics on stderr.  Exit
 codes: 0 success (also when the reader closes stdout early), 1 input/data
@@ -8,8 +8,8 @@ replaces the built-in edge-mapping rules for RDF input.  Commands run with
 the cyclic garbage collector paused, since what they build lives until
 the process exits; ``entry``, behind ``provtrie`` and ``python -m
 provtrie``, leaves it off until then.  A command imports the modules it
-calls when it runs, so ``query``, ``suggest`` and ``stats`` load only
-``graph``, ``trie`` and ``query``.
+calls when it runs, so ``query``, ``suggest``, ``stats`` and ``inspect``
+load only ``graph``, ``document`` and ``query``, and never the builder.
 """
 from __future__ import annotations
 
@@ -17,11 +17,13 @@ import argparse
 import gc
 import os
 import sys
+from collections import Counter
+from itertools import islice
 from typing import TYPE_CHECKING
 
+from .document import COLUMNS, HEADER_COUNTS, FrozenTrie, TrieError, TrieMode, _read, load_frozen
 from .graph import GraphError, GraphKind, ProvGraph, gen_clique
 from .query import EmptyDepth, PathMatch, QueryPattern, check_limit, check_suggestion, count_paths, q1, q2_suggest
-from .trie import Trie, TrieError, TrieMode, load_frozen, save
 
 if TYPE_CHECKING:
     from .ingest import PredicateMap
@@ -71,6 +73,7 @@ def _print_matches(matches: list[PathMatch]) -> None:
 
 def cmd_index(args: argparse.Namespace) -> int:
     from .canonical import ngrams, sequence
+    from .trie import Trie, save
 
     mode = TrieMode(args.mode)
     if mode is TrieMode.DG and args.ngram:
@@ -130,6 +133,26 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_inspect(args: argparse.Namespace) -> int:
+    """The header and shape of a trie document, after one checked load."""
+    doc = _read(args.trie)
+    size = os.stat(args.trie).st_size
+    trie = FrozenTrie.from_document(doc)
+    for key in ("format_version", "mode", *HEADER_COUNTS):
+        print(f"{key}\t{doc[key]}")
+    print("widths\t" + ",".join(f"{name}:{width}" for name, width in zip(COLUMNS, doc["widths"])))
+    levels = [hi - lo for lo, hi in trie.levels()]
+    print(f"max_depth\t{len(levels)}")
+    for depth, nodes in enumerate(levels, 1):
+        print(f"depth\t{depth}\t{nodes}")
+    first = trie.first  # node k has first[k + 1] - first[k] children
+    for fanout, nodes in sorted(Counter(hi - lo for lo, hi in zip(first, islice(first, 1, None))).items()):
+        print(f"fanout\t{fanout}\t{nodes}")
+    print(f"labels\t{len(doc['labels'])}")
+    print(f"document_bytes\t{size}")
+    return 0
+
+
 def cmd_gen_clique(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -176,6 +199,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     from .bench import check_protocol, run_bench, run_bench_dp, run_bench_naive, write_csv
+    from .trie import Trie
 
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     unknown = set(engines) - {"trie", "naive", "dp"}
@@ -246,6 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trie", help="trie file")
     p.add_argument("--depth", type=int, default=None)
     p.set_defaults(func=cmd_stats)
+
+    p = sub.add_parser("inspect", help="header, shape and size of a trie document")
+    p.add_argument("trie", help="trie file")
+    p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("gen-clique", help="emit a complete graph as a trace document")
     p.add_argument("size", type=int)

@@ -40,11 +40,13 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import islice
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, Union
 
-from .trie import FrozenTrie, Trie
+if TYPE_CHECKING:  # a read command loads the reader, never the builder
+    from .document import FrozenTrie
+    from .trie import Trie
 
-AnyTrie = Union[Trie, FrozenTrie]
+AnyTrie = Union["Trie", "FrozenTrie"]
 
 
 class EmptyDepth(Exception):

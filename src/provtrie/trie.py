@@ -1,4 +1,4 @@
-"""The statistically enriched generalized prefix trie.
+"""The statistically enriched generalized prefix trie: the builder.
 
 Sequences of resource identifiers are indexed by sharing prefixes in a
 tree; every node carries occurrence statistics that are updated online
@@ -34,27 +34,14 @@ of a trie refers to the trie, so a dropped trie is freed at once.
 ``cycles`` (label -> ``CycleStep``); views are made per access, so compare
 them by ``index``.
 
-Two forms share that numbering.  ``Trie`` is the builder: insertable, with
-a dict per node.  ``FrozenTrie`` is the reader: the checked columns of a
-document and the prefix sums of its degree columns, with no dict (a
-static beside a dynamic tree, as in Navarro & Sadakane, ACM TALG 2014);
-its ``children[k]`` and ``cycles[k]`` are label -> index views over node
-k's ranges, which the queries read as they read the dicts.
-``FrozenTrie.from_document`` holds every rule a document must pass; a
-frozen trie sums its per-depth table, derived data, on the first read of
-``depth_stats``, which ``query`` and ``suggest`` never make.
-``Trie.from_document`` is that check plus a thaw into dicts, and
-``Trie.check_invariants`` runs it on the builder's own document.
-
-The checkers test ancestry as a pre-order interval: with
-pre-order positions ``pos`` and subtree sizes, ``t`` is ``s`` or an
-ancestor of ``s`` exactly when ``pos[t] <= pos[s] < pos[t] + size[t]``
-(Dietz 1982; the region encoding of Zhang et al., SIGMOD 2001).
-
-``save``/``load``/``load_frozen`` store each fact once, as parallel
-columns in canonical breadth-first order, with per-node child and
-cycle-edge counts in place of parent and source indices (LOUDS; see
-``Trie.to_document``).
+The reader side lives in ``document``: the format, ``FrozenTrie`` (the
+same numbering over a document's checked columns, with no dict) and
+every rule a document must pass.  This module imports it and not the
+other way round, and re-exports its names.  ``Trie.to_document`` writes a
+format 4 document through ``document.write_columns``;
+``Trie.from_document`` is ``FrozenTrie.from_document`` plus a thaw into
+dicts; ``Trie.check_invariants`` checks the builder's wiring and runs
+the column checker on its own columns, with no encoding between.
 
 Concurrency: single writer, many readers.  Insertion needs exclusive
 access; a trie that is not being mutated can be queried from any number
@@ -64,20 +51,26 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
-from functools import cached_property, partial
-from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
-from operator import add, ge, le, ne, sub
-from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from functools import partial
+from itertools import chain, compress, count, islice, repeat
+from operator import ne, sub
+from typing import IO, Any, Callable, Iterator, NamedTuple, Sequence
 
-from .graph import GraphKind, ProvGraph
-
-FORMAT_VERSION = 3
-
-
-class TrieError(Exception):
-    """Base class for trie construction and persistence failures."""
+from .document import (  # the reader's names, re-exported: provtrie.trie.FrozenTrie and the rest still import
+    FORMAT_VERSION,
+    CorruptDocument,
+    FormatVersionMismatch,
+    FrozenTrie,
+    TrieError,
+    TrieMode,
+    _first,
+    _parents,
+    _read,
+    load_frozen,
+    write_columns,
+)
+from .graph import ProvGraph
 
 
 class EmptySequence(TrieError):
@@ -86,17 +79,6 @@ class EmptySequence(TrieError):
 
 class TrieModeError(TrieError):
     """Operation invoked on a trie of the wrong mode."""
-
-
-class FormatVersionMismatch(TrieError):
-    """Persisted document written by an incompatible format version."""
-
-
-class CorruptDocument(TrieError):
-    """A structural or statistical invariant does not hold."""
-
-
-TrieMode = GraphKind  # a trie's mode is the kind of graph it indexes: one enum, two names
 
 
 def _column(name: str, doc: str) -> property:
@@ -155,50 +137,6 @@ class CycleStep(NamedTuple):
 
     target: TrieNode
     count: int
-
-
-def _first(flags: Iterable[Any], start: int = 0) -> int | None:
-    """Position of the first true flag, counting from ``start``; None if there is none."""
-    return next(compress(count(start), flags), None)
-
-
-def _parents(child_count: Iterable[int]) -> list[int]:
-    """Each node's parent (the root's: -1) from the child counts of nodes
-    numbered level by level: node k's children are the next child_count[k]."""
-    return [-1, *chain.from_iterable(map(repeat, count(), child_count))]
-
-
-def _repeats_on_a_root_path(ids: list[Any], order: list[int], pos: list[int], end: list[int]) -> int | None:
-    """The first node, in pre-order, whose identifier an ancestor carries:
-    subtrees nest, so it suffices to compare each node with the previous one
-    in pre-order that has its identifier.  None if no root path repeats one."""
-    last: dict[str, int] = {}  # identifier -> the latest node in pre-order carrying it
-    for node in islice(order, 1, None):
-        rid = ids[node]
-        before = last.get(rid)
-        if before is not None and pos[node] < end[before]:
-            return node
-        last[rid] = node
-    return None
-
-
-def _preorder(parent: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """Nodes in a pre-order (children in index order), each node's position
-    in it, and one past the last position of its subtree: parents precede
-    their children, so one pass up gives subtree sizes, one down positions."""
-    total = len(parent)
-    size = [1] * total
-    for node in range(total - 1, 0, -1):
-        size[parent[node]] += size[node]
-    pos, free = [0] * total, [1] * total  # free: where a node's next child goes
-    for node, up in zip(count(1), islice(parent, 1, None)):
-        pos[node] = at = free[up]
-        free[up] = at + size[node]
-        free[node] = at + 1
-    order = [0] * total
-    for node, at in enumerate(pos):
-        order[at] = node
-    return order, pos, list(map(add, pos, size))
 
 
 class Trie:
@@ -391,10 +329,13 @@ class Trie:
         show: every non-root node sits in exactly one child map, under a node
         numbered before it and keyed by its own identifier; every cycle-edge
         in exactly one cycle map, keyed by the identifier of its target, a
-        node of the trie.  Then every rule a document must pass:
-        ``FrozenTrie.from_document`` on ``to_document()``.  Then the rule only
-        a builder can break, as a document stores no ``entry``: a non-root
-        node's arrivals (``freq - entry``) equal the counts of the
+        node of the trie.  Then the domain of the document's columns, which
+        only a builder's lists can leave: ``terminal`` >= 0 (``freq`` and
+        the cycle-edge columns have their own rules).  Then every rule a
+        document must pass: the column checker on the columns
+        ``to_document`` would write, with no encoding between.  Then the
+        rule only a builder can break, as a document stores no ``entry``: a
+        non-root node's arrivals (``freq - entry``) equal the counts of the
         cycle-edges into it.  Last, ``depth_stats`` against the frozen
         trie's recount.
         """
@@ -421,7 +362,10 @@ class Trie:
         at = _first(map((1).__ne__, placed))
         if at is not None:
             raise CorruptDocument(f"cycle-edge {at} in {placed[at]} cycle maps, not one")
-        frozen = FrozenTrie.from_document(self.to_document())
+        if min(self.terminal) < 0:
+            raise CorruptDocument(f"node statistic out of range at node {self.terminal.index(min(self.terminal))}")
+        labels, columns = self._columns()
+        frozen = FrozenTrie._from_columns(self.mode, self.n, self.sequence_count, labels, *map(list, columns))
         arrived = [0] * nodes
         for target, taken in zip(cycle_to, self.cycle_count):
             arrived[target] += taken
@@ -434,16 +378,11 @@ class Trie:
 
     # ---- persistence ---------------------------------------------------------------
 
-    def to_document(self) -> dict[str, Any]:
-        """Columnar document tree: a header (``format_version``, ``mode``,
-        ``n``, ``sequence_count``) and parallel arrays over the nodes
-        breadth-first, children in label order, the root as node 0:
-        ``child_count`` and ``cycle_out`` per node, ``id``, ``freq`` and
-        ``terminal_count`` per non-root node, ``cycle_to`` and ``cycle_count``
-        per cycle-edge, by source, then by label.  Node k's children are the
-        next ``child_count[k]`` nodes, its cycle-edges the next ``cycle_out[k]``
-        edges: the level-order degree sequence of LOUDS (Jacobson 1989).
-        Equal documents iff structurally equal tries."""
+    def _columns(self) -> tuple[list[str], Iterator[Iterator[int]]]:
+        """The document's label table and its seven columns, in
+        ``document.COLUMNS`` order, each an iterator made when the one
+        before it has been taken: nodes breadth-first, children in label
+        order, the root as node 0; cycle-edges by source, then by label."""
         children, cycles = self.children, self.cycles
         order = [0]  # nodes in canonical order: level by level, children in label order
         edges: list[int] = []  # cycle-edges in canonical order
@@ -453,22 +392,41 @@ class Trie:
                 order += map(kids.__getitem__, sorted(kids))
             if out:
                 edges += map(out.__getitem__, sorted(out))
-        renumber = [0] * len(order)
-        for k, node in enumerate(order):
-            renumber[node] = k
-        nodes = order[1:]
+        labels = sorted(set(islice(self.id, 1, None)))
+        index = dict(zip(labels, count()))
+
+        def columns() -> Iterator[Iterator[int]]:
+            yield map(len, map(children.__getitem__, order))
+            yield map(len, map(cycles.__getitem__, order))
+            yield map(index.__getitem__, map(self.id.__getitem__, islice(order, 1, None)))
+            yield map(self.freq.__getitem__, islice(order, 1, None))
+            yield map(self.terminal.__getitem__, islice(order, 1, None))
+            renumber = [0] * len(order)
+            for k, node in enumerate(order):
+                renumber[node] = k
+            yield map(renumber.__getitem__, map(self.cycle_to.__getitem__, edges))
+            yield map(self.cycle_count.__getitem__, edges)
+
+        return labels, columns()
+
+    def to_document(self) -> dict[str, Any]:
+        """The trie as a format 4 document (see ``document``): a header
+        (``format_version``, ``mode``, ``n``, ``sequence_count``, ``nodes``,
+        ``cycle_edges``, ``widths``, ``labels``) and the seven columns as
+        one base64 string, each column narrowed to its width and compressed
+        as it is made.  Equal documents iff structurally equal tries."""
+        labels, columns = self._columns()
+        widths, text = write_columns(columns)
         return {
             "format_version": FORMAT_VERSION,
             "mode": self.mode.value,
             "n": self.n,
             "sequence_count": self.sequence_count,
-            "child_count": list(map(len, map(children.__getitem__, order))),
-            "id": list(map(self.id.__getitem__, nodes)),
-            "freq": list(map(self.freq.__getitem__, nodes)),
-            "terminal_count": list(map(self.terminal.__getitem__, nodes)),
-            "cycle_out": list(map(len, map(cycles.__getitem__, order))),
-            "cycle_to": list(map(renumber.__getitem__, map(self.cycle_to.__getitem__, edges))),
-            "cycle_count": list(map(self.cycle_count.__getitem__, edges)),
+            "nodes": len(self.id) - 1,
+            "cycle_edges": len(self.cycle_to),
+            "widths": widths,
+            "labels": labels,
+            "columns": text,
         }
 
     @classmethod
@@ -476,18 +434,17 @@ class Trie:
         """Rebuild an insertable trie from a document: ``FrozenTrie.from_document``
         checks it, then a thaw builds the dicts.  Node k of the document is
         node k of the trie.  The thaw adopts the frozen trie's node columns,
-        ``entry`` and per-depth table (summed by that read), copies its
-        cycle-edge columns (the document's own), expands the child counts
-        into parents, and fills the child and cycle-edge maps in one pass
-        each; it checks nothing again."""
+        ``entry``, per-depth table (summed by that read) and cycle-edge
+        columns, expands the child counts into parents, and fills the child
+        and cycle-edge maps in one pass each; it checks nothing again."""
         frozen = FrozenTrie.from_document(doc)
         trie = cls(frozen.mode, frozen.n)
         first, efirst = frozen.first, frozen.efirst
         parent = _parents(map(sub, islice(first, 1, None), first))
         trie.id = labels = frozen.id
         trie.freq, trie.entry, trie.terminal = frozen.freq, frozen.entry, frozen.terminal
-        trie.cycle_to = cycle_to = frozen.cycle_to.copy()
-        trie.cycle_count = frozen.cycle_count.copy()
+        trie.cycle_to = cycle_to = frozen.cycle_to
+        trie.cycle_count = frozen.cycle_count
         trie.depth_stats = frozen.depth_stats
         trie.children = children = [{} for _ in parent]
         for node, up, rid in islice(zip(count(), parent, labels), 1, None):
@@ -502,246 +459,14 @@ class Trie:
         return trie
 
 
-class _Children:
-    """Label -> child of one node of a ``FrozenTrie``: the children are the
-    nodes ``lo:hi``, their labels ``id[lo:hi]`` strictly increasing.  Reads
-    as the dict trie's child map does for a query: ``get``, ``items``,
-    ``values`` and truthiness."""
-
-    __slots__ = ("_id", "_lo", "_hi")
-
-    def __init__(self, ids: list[Any], lo: int, hi: int) -> None:
-        self._id, self._lo, self._hi = ids, lo, hi
-
-    def __bool__(self) -> bool:
-        return self._lo < self._hi
-
-    def values(self) -> range:
-        return range(self._lo, self._hi)
-
-    def items(self) -> Iterator[tuple[str, int]]:
-        return zip(self._id[self._lo : self._hi], range(self._lo, self._hi))
-
-    def get(self, label: str, default: Any = None) -> Any:
-        ids, hi = self._id, self._hi
-        at = bisect_left(ids, label, self._lo, hi)
-        return at if at < hi and ids[at] == label else default
-
-
-class _CycleEdges(_Children):
-    """Label -> cycle-edge of one node of a ``FrozenTrie``: the edges ``lo:hi``,
-    edge e labelled ``id[cycle_to[e]]``, labels strictly increasing."""
-
-    __slots__ = ("_to",)
-
-    def __init__(self, ids: list[Any], to: list[int], lo: int, hi: int) -> None:
-        self._id, self._to, self._lo, self._hi = ids, to, lo, hi
-
-    def items(self) -> Iterator[tuple[str, int]]:
-        return zip(map(self._id.__getitem__, self._to[self._lo : self._hi]), range(self._lo, self._hi))
-
-    def get(self, label: str, default: Any = None) -> Any:
-        ids, to, hi = self._id, self._to, self._hi
-        at = bisect_left(to, label, self._lo, hi, key=ids.__getitem__)
-        return at if at < hi and ids[to[at]] == label else default
-
-
-class _Ranges:
-    """``ranges[k]``: ``view(first[k], first[k + 1])``, node k's range of a column."""
-
-    __slots__ = ("_view", "_first")
-
-    def __init__(self, view: Callable[[int, int], _Children], first: list[int]) -> None:
-        self._view, self._first = view, first
-
-    def __getitem__(self, node: int) -> _Children:
-        return self._view(self._first[node], self._first[node + 1])
-
-
-class FrozenTrie:
-    """Read-only trie over the columns of a checked format 3 document;
-    build one with ``from_document`` or ``load_frozen``.
-
-    Node k is node k of the document, the root 0; ``id`` (root: None),
-    ``freq``, ``entry`` and ``terminal`` hold one entry per node.  Node k's
-    children are the nodes ``first[k]:first[k + 1]`` and its cycle-edges the
-    edges ``efirst[k]:efirst[k + 1]``: prefix sums of the degree columns,
-    LOUDS offsets (Jacobson 1989).  ``children[k]`` and ``cycles[k]`` are
-    label -> index views over those ranges, a labelled step a ``bisect``,
-    so the queries in ``query`` run on it as on a ``Trie``.
-    """
-
-    def __init__(
-        self,
-        mode: TrieMode,
-        n: int,
-        id: list[Any],
-        freq: list[int],
-        entry: list[int],
-        terminal: list[int],
-        first: list[int],
-        efirst: list[int],
-        cycle_to: list[int],
-        cycle_count: list[int],
-    ) -> None:
-        self.mode, self.n = mode, n
-        self.id, self.freq, self.entry, self.terminal = id, freq, entry, terminal
-        self.first, self.efirst, self.cycle_to, self.cycle_count = first, efirst, cycle_to, cycle_count
-        self.children = _Ranges(partial(_Children, id), first)
-        self.cycles = _Ranges(partial(_CycleEdges, id, cycle_to), efirst)
-
-    @cached_property
-    def depth_stats(self) -> dict[int, dict[str, int]]:
-        """Depth -> identifier -> cumulative ``freq``, summed level by level
-        on first access (the queries that list or count paths never read
-        it): if level d is the nodes ``lo:hi``, level d + 1 is
-        ``first[lo]:first[hi]``."""
-        labels, freq, first = self.id, self.freq, self.first
-        depth_stats: dict[int, dict[str, int]] = {}
-        lo, hi = 1, first[1]
-        while lo < hi:  # the nodes lo:hi are level len(depth_stats) + 1
-            level = depth_stats[len(depth_stats) + 1] = {}
-            for rid, arrivals in zip(labels[lo:hi], freq[lo:hi]):
-                level[rid] = level.get(rid, 0) + arrivals
-            lo, hi = hi, first[hi]
-        return depth_stats
-
-    @classmethod
-    def from_document(cls, doc: dict[str, Any]) -> "FrozenTrie":
-        """Check a document and keep its columns: a malformed one raises
-        ``CorruptDocument`` (another format ``FormatVersionMismatch``), and
-        one that loads thaws into a trie that ``Trie.check_invariants`` passes.
-
-        Shape first, as the loader always checked it: header and column
-        types, ``n`` >= 0, column lengths, exact ints, nonempty string
-        identifiers, degree counts >= 0 summing to the node and cycle-edge
-        counts, parents before children.  Then the rules, over whole
-        columns: non-root ``freq`` >= 1 and ``terminal`` >= 0; siblings in
-        strictly increasing label order; cycle-edge targets below the root
-        and counts >= 1; no cycle-edge in DAG mode.  In DG mode one Python
-        pass over the cycle-edges tests each target as an ancestor-or-self
-        of its source on ``_preorder``'s intervals, requires each source's
-        labels strictly increasing, subtracts the arrivals from ``entry``
-        and sums each source's outflow.  Then ``entry`` >= 0, conservation
-        (descents as differences of a prefix sum of ``entry`` at the child
-        offsets) and, in DG mode, no identifier repeated on a root path.
-        The per-depth table is derived data, not a rule: ``depth_stats``
-        sums it on first access.
-
-        The format implies the rules a builder's dicts could still break: an
-        edge's label is its target's identifier by definition, ``entry`` is
-        derived from the arrivals, label order leaves no duplicate child or
-        cycle-edge, and a cycle-edge labelled like a child of its source
-        would repeat that label on the child's root path, since the edge
-        returns to an ancestor-or-self of the source.  The builder's wiring
-        and its own ``entry`` are ``Trie.check_invariants``'s to check.
-        """
-        try:
-            version = doc["format_version"]
-        except (TypeError, KeyError):
-            raise CorruptDocument("missing format_version header") from None
-        if type(version) is not int or version != FORMAT_VERSION:
-            raise FormatVersionMismatch(f"format_version {version!r}, supported: {FORMAT_VERSION}")
-        try:
-            mode = TrieMode(doc["mode"])
-            n = doc["n"]
-            sequence_count = doc["sequence_count"]
-            node_columns = [doc["id"], doc["freq"], doc["terminal_count"]]
-            child_count, cycle_out = degree_columns = [doc["child_count"], doc["cycle_out"]]
-            cycle_columns = [doc["cycle_to"], doc["cycle_count"]]
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CorruptDocument(f"malformed header: {exc}") from None
-        if type(n) is not int or type(sequence_count) is not int or n < 0:
-            raise CorruptDocument("header counts must be integers, and n non-negative")
-        if any(type(column) is not list for column in node_columns + degree_columns + cycle_columns):
-            raise CorruptDocument("node and cycle-edge columns must be arrays")
-        ids, freqs, terminal_counts = node_columns
-        targets, counts = cycle_columns
-        if len({len(column) for column in node_columns}) != 1:
-            raise CorruptDocument("node columns of unequal length")
-        if len({len(column) for column in cycle_columns}) != 1:
-            raise CorruptDocument("cycle-edge columns of unequal length")
-        if len(child_count) != len(ids) + 1 or len(cycle_out) != len(ids) + 1:
-            raise CorruptDocument("degree columns need one count per node, the root included")
-        if any(set(map(type, column)) - {int} for column in (freqs, terminal_counts, *degree_columns, *cycle_columns)):
-            raise CorruptDocument("non-integer statistic, count or node index")
-        if set(map(type, ids)) - {str} or "" in ids:
-            raise CorruptDocument("identifiers must be nonempty strings")
-        if min(child_count) < 0 or min(cycle_out) < 0:
-            raise CorruptDocument("negative child or cycle-edge count")
-        if sum(child_count) != len(ids) or sum(cycle_out) != len(targets):
-            raise CorruptDocument("child or cycle-edge counts do not sum to the node or cycle-edge count")
-        first = list(accumulate(child_count, initial=1))  # node k's children: first[k]:first[k + 1]
-        at = _first(map(le, islice(first, 1, len(child_count)), count(1)), 1)  # node k's parent is below k
-        if at is not None:
-            raise CorruptDocument(f"parent not before node {at}")
-
-        # a caller that hands the document over (load_frozen does) gets the columns it no longer needs freed
-        del doc, node_columns, degree_columns, cycle_columns
-        labels, freq, terminal = [None, *ids], [sequence_count, *freqs], [0, *terminal_counts]
-        entry = [0, *freqs]
-        del ids, freqs, terminal_counts
-        nodes, dag = len(labels), mode is TrieMode.DAG
-        if min(islice(freq, 1, None), default=1) < 1 or min(terminal) < 0:
-            raise CorruptDocument("node statistic out of range")
-        # a node j with j - 1 as its sibling starts no child range; the others must sort after j - 1
-        unsorted = compress(count(2), map(ge, islice(labels, 1, None), islice(labels, 2, None)))
-        at = next(filterfalse(set(first).__contains__, unsorted), None)
-        if at is not None:
-            up = bisect_right(first, at) - 1
-            if labels[at] == labels[at - 1]:
-                raise CorruptDocument(f"duplicate child at node {at - 1}: {labels[at]!r} under node {up}")
-            raise CorruptDocument(f"siblings out of label order at node {at}: {labels[at]!r} under node {up}")
-        if targets:
-            if dag:
-                raise CorruptDocument(f"cycle-edges on DAG-mode node {_first(cycle_out)}")
-            if min(targets) < 1:
-                raise CorruptDocument(f"cycle-edge {targets.index(min(targets))} into the root or a negative node index")
-            if min(counts) < 1:
-                raise CorruptDocument(f"cycle-edge {counts.index(min(counts))} without traversals")
-        cycled: Iterable[int] = repeat(0)  # DAG mode: no outflow
-        if not dag:
-            order, pos, end = _preorder(_parents(child_count))
-            cycled = [0] * nodes
-            edges = zip(targets, counts)
-            try:  # a target past the last node raises IndexError
-                for source, out in zip(compress(count(), cycle_out), filter(None, cycle_out)):
-                    here, before, outflow = pos[source], "", 0  # every label sorts after ""
-                    for target, taken in islice(edges, out):
-                        if not pos[target] <= here < end[target]:
-                            raise CorruptDocument(f"cycle-edge target not an ancestor at node {source}")
-                        label = labels[target]
-                        if label <= before:
-                            what = "duplicate cycle-edge" if label == before else "cycle-edges out of label order"
-                            raise CorruptDocument(f"{what} at node {source}: {label!r}")
-                        before = label
-                        entry[target] -= taken
-                        outflow += taken
-                    cycled[source] = outflow
-            except IndexError:
-                raise CorruptDocument("cycle-edge target outside the trie") from None
-        efirst = list(accumulate(cycle_out, initial=0))  # node k's cycle-edges: efirst[k]:efirst[k + 1]
-        del child_count, cycle_out
-        if min(entry) < 0:
-            raise CorruptDocument(f"entry count out of range at node {entry.index(min(entry))}")
-        below = list(map(list(accumulate(entry, initial=0)).__getitem__, first))  # entries before each child range
-        descended = map(sub, islice(below, 1, None), below)
-        at = _first(map(ne, freq, map(add, map(add, terminal, descended), cycled)))
-        if at is not None:
-            raise CorruptDocument(f"conservation violated at node {at}")
-        del below, cycled
-        if not dag:
-            at = _repeats_on_a_root_path(labels, order, pos, end)
-            if at is not None:
-                raise CorruptDocument(f"identifier repeats on the root path at node {at}")
-            del order, pos, end
-        return cls(mode, n, labels, freq, entry, terminal, first, efirst, targets, counts)
-
-
 def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:
-    """Write ``trie`` to a path or text stream as a single JSON document.
+    """Write ``trie`` to a path or text stream as one format 4 document.
 
-    The text is ``json.dumps(trie.to_document(), separators=(",", ":"))``.
+    The text is ``json.dumps(trie.to_document(), separators=(",", ":"))``:
+    ``to_document`` compresses each column as it makes it, so no moment
+    holds every column, as lists or as arrays.  Byte-identical documents
+    presume one zlib build, since another may compress the same body to
+    other bytes.
     A path is written atomically: the document goes to a new temporary file
     in the target's directory (mode ``0o666`` less the umask, applied by the
     kernel as for ``open``) that replaces the target only once it is
@@ -751,7 +476,7 @@ def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:
     if hasattr(sink, "write"):
         doc = trie.to_document()
         sink.write(json.dumps(doc, separators=(",", ":")))  # type: ignore[union-attr]
-        return len(doc["id"])
+        return doc["nodes"]
     target = os.fspath(sink)
     tmp_name = os.path.join(os.path.dirname(target), f".provtrie-{os.urandom(8).hex()}")
     try:
@@ -768,27 +493,6 @@ def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:
             raise
         raise OSError(exc.errno, exc.strerror, target) from None
     return nodes
-
-
-def _read(source: str | os.PathLike[str] | IO[str]) -> dict[str, Any]:
-    try:  # text that is not UTF-8 is no document either
-        if hasattr(source, "read"):
-            text = source.read()  # type: ignore[union-attr]
-        else:
-            with open(source, "r", encoding="utf-8") as fh:  # type: ignore[arg-type]
-                text = fh.read()
-        doc = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptDocument(f"not a valid document: {exc}") from None
-    if not isinstance(doc, dict):
-        raise CorruptDocument("document root must be an object")
-    return doc
-
-
-def load_frozen(source: str | os.PathLike[str] | IO[str]) -> FrozenTrie:
-    """Read a read-only trie from a path or text stream written by ``save``."""
-    # no local keeps the text or the document: the loader frees the columns as it goes
-    return FrozenTrie.from_document(_read(source))
 
 
 def load(source: str | os.PathLike[str] | IO[str]) -> Trie:

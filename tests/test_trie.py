@@ -22,6 +22,8 @@ from helpers import (
     ObjectTrie,
     all_node_freqs,
     cycle_edges,
+    decode_document,
+    encode_document,
     expand_degrees,
     format2_document,
     insert_all,
@@ -408,7 +410,8 @@ def test_children_sharing_more_than_the_parent_freq_are_still_caught(mode, corpu
     with pytest.raises(CorruptDocument, match="conservation"):
         t.check_invariants()
     doc = t.to_document()
-    assert doc["freq"][b - 1] > doc["freq"][a - 1]  # nodes a and b are the document's first two
+    columns = decode_document(doc)
+    assert columns["freq"][b - 1] > columns["freq"][a - 1]  # nodes a and b are the document's first two
     with pytest.raises(CorruptDocument):
         load(io.StringIO(json.dumps(doc)))
 
@@ -569,10 +572,10 @@ def test_check_invariants_refuses_damage_only_a_builder_can_hold(how, message):
 @given(trie=recount_builds)
 @settings(max_examples=150, deadline=None)
 def test_the_degree_columns_expand_to_the_format_2_parents_and_sources(trie):
-    doc, fixture = trie.to_document(), format2_document(trie)
+    doc, fixture = decode_document(trie.to_document()), format2_document(trie)
     kept = fixture.keys() - {"format_version", "parent", "cycle_from"}  # format 2 held these columns too
     assert {key: doc[key] for key in kept} == {key: fixture[key] for key in kept}
-    loaded = Trie.from_document(doc)
+    loaded = Trie.from_document(trie.to_document())
     assert parent_column(loaded)[1:] == fixture["parent"]
     sources = [-1] * len(loaded.cycle_to)
     for source, out in enumerate(loaded.cycles):
@@ -786,13 +789,13 @@ def test_one_walk_checker_agrees_with_the_walk_up_reference():
     rng = random.Random(0xC3)
     outcomes = {how: set() for how in TAMPERINGS}
     for doc in _checker_documents(rng):
-        clean, reference = Trie.from_document(doc), ObjectTrie.from_document(doc)
+        clean, reference = Trie.from_document(doc), ObjectTrie.from_document(decode_document(doc))
         walk_up_check_invariants(reference)
         reference.check_invariants()
         clean.check_invariants()
         for how in TAMPERINGS:
             for _ in range(2):
-                trie, reference = Trie.from_document(doc), ObjectTrie.from_document(doc)
+                trie, reference = Trie.from_document(doc), ObjectTrie.from_document(decode_document(doc))
                 if not _tamper(trie, reference, how, rng):
                     continue
                 walk_up = _verdict(walk_up_check_invariants, reference)
@@ -819,7 +822,8 @@ def test_one_walk_checker_agrees_with_the_walk_up_reference():
 
 
 def _tamper_document(doc: dict, how: str, rng: random.Random) -> bool:
-    """Damage a document in place; False when it has nothing to damage that way.
+    """Damage a document's columns (``decode_document``'s form) in place;
+    False when it has nothing to damage that way.
 
     Position ``k`` of a node column holds node ``k + 1``, of a degree column node ``k``.
     """
@@ -896,10 +900,10 @@ def test_column_loader_agrees_with_the_object_loader_on_tampered_documents():
     for doc in _checker_documents(rng):
         for how in DOCUMENT_TAMPERINGS:
             for _ in range(2):
-                tampered = copy.deepcopy(doc)
+                tampered = decode_document(doc)
                 if not _tamper_document(tampered, how, rng):
                     continue
-                columns = _verdict(Trie.from_document, tampered)
+                columns = _verdict(Trie.from_document, encode_document(tampered))
                 assert columns == _verdict(ObjectTrie.from_document, tampered), (how, tampered)
                 outcomes[how].add(columns)
     assert all(seen - {"pass"} for seen in outcomes.values()), outcomes
@@ -950,9 +954,11 @@ def test_documents_are_byte_identical_to_the_object_trie():
         build(reference)
         trie.check_invariants()
         text = _dumps(trie.to_document())
-        assert _dumps(reference.to_document()) == text
-        assert _dumps(ObjectTrie.from_document(json.loads(text)).to_document()) == text
+        columns = decode_document(json.loads(text))
+        assert reference.to_document() == columns
+        assert ObjectTrie.from_document(columns).to_document() == columns
         assert _dumps(Trie.from_document(json.loads(text)).to_document()) == text
+        assert _dumps(encode_document(reference.to_document())) == text  # a writer written apart, byte for byte
 
 
 def test_views_read_the_live_columns():
