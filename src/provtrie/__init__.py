@@ -11,7 +11,7 @@ _EXPORTS = {  # submodule -> the names it exports here
     "bench": "BenchRow InsufficientData loglog_slope run_bench run_bench_dp run_bench_naive write_csv",
     "canonical": "CanonicalSequence SubsequenceWindow ngrams sequence",
     "document": "CorruptDocument FormatVersionMismatch FrozenTrie TrieMode load_frozen",
-    "graph": "CyclicInput GraphError GraphKind InvalidSize MissingNode ProvGraph Role RoleConflict SelfLoopInDag gen_clique",
+    "graph": "CyclicInput GraphError GraphKind InvalidSize MissingNode ProvGraph Role SelfLoopInDag gen_clique",
     "ingest": "Direction IngestError NTriplesSyntaxError ParsedTriples PredicateMap SchemaError TraceDocument "
     "parse_ntriples triples_to_graph",
     "oracle": "TooLarge WalkSet all_pairs_clique_count clique_walk_count count_walks enumerate_walks "

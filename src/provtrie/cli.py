@@ -84,11 +84,11 @@ def cmd_index(args: argparse.Namespace) -> int:
     traces = 0
     for path in args.inputs:
         g, _ = _load_graph(path, args.format, mode, pmap)
+        if not g.node_count:
+            print(f"note: {path}: empty trace, nothing to index", file=sys.stderr)
+            continue
         if mode is TrieMode.DAG:
             seq = sequence(g)
-            if not seq.items:
-                print(f"note: {path}: empty trace, nothing to index", file=sys.stderr)
-                continue
             window_len = args.ngram if args.ngram else len(seq.items)
             for window in ngrams(seq, window_len).windows:
                 trie.insert(window)

@@ -86,7 +86,8 @@ def write_columns(columns: Iterable[Iterable[int]]) -> tuple[list[int], str]:
     widths, parts = [], []
     for values in columns:
         values = list(values)  # references to ints the caller holds: no new int objects
-        width = next((width for width in WIDTHS if max(values, default=0) >> 8 * width == 0), 8)
+        top = max(values, default=0)
+        width = next((width for width in WIDTHS if top >> 8 * width == 0), 8)
         column = array(_TYPECODE[width], values)
         del values
         if sys.byteorder == "big":

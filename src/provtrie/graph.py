@@ -1,10 +1,10 @@
-"""Directed provenance graphs: resources, dependency edges, role typing.
+"""Directed provenance graphs: resources and dependency edges.
 
 A graph holds resources identified by URI strings and directed edges
-between them.  Every resource carries a role (input, output, or process);
-roles may be left unassigned during construction and filled in later by
-``infer_roles``.  Graphs come in two kinds: DAG (acyclic, self-loops
-rejected) and DG (arbitrary directed graph, cycles allowed).
+between them, and nothing else.  A resource's role (input, output, or
+process) is not stored: ``infer_roles`` derives it from the degrees.
+Graphs come in two kinds: DAG (acyclic, self-loops rejected) and DG
+(arbitrary directed graph, cycles allowed).
 
 Resource identifiers are compared with plain string ordering; that
 ordering is the single tie-breaking rule used by every deterministic
@@ -22,10 +22,6 @@ from typing import Iterator
 
 class GraphError(Exception):
     """Base class for graph construction and validation failures."""
-
-
-class RoleConflict(GraphError):
-    """A resource was re-added with a different explicit role."""
 
 
 class MissingNode(GraphError):
@@ -56,9 +52,9 @@ class GraphKind(Enum):
 
 
 class ProvGraph:
-    """Directed graph of resources with role typing.
+    """Directed graph of resources.
 
-    Stored per node: role, successor set and in-degree count.  The
+    Stored per node: successor set and in-degree count.  The
     topological order is computed on first request and kept in one slot
     that a new node or edge clears.  Construction is single-threaded; a
     built graph is read-only and safe to share across threads, since its
@@ -66,11 +62,10 @@ class ProvGraph:
     idempotent: replaying the construction calls yields an equal graph.
     """
 
-    __slots__ = ("kind", "_roles", "_succ", "_indeg", "_edge_count", "_order")
+    __slots__ = ("kind", "_succ", "_indeg", "_edge_count", "_order")
 
     def __init__(self, kind: GraphKind = GraphKind.DAG) -> None:
         self.kind = kind
-        self._roles: dict[str, Role | None] = {}
         self._succ: dict[str, set[str]] = {}
         self._indeg: dict[str, int] = {}
         self._edge_count = 0
@@ -78,33 +73,21 @@ class ProvGraph:
 
     # ---- construction ----------------------------------------------------
 
-    def add_node(self, rid: str, role: Role | None = None) -> None:
-        """Add resource ``rid``.
-
-        Re-adding with the same role (or with no role) is a no-op.  A node
-        whose role is still unassigned may be upgraded to an explicit role;
-        changing one explicit role to another raises ``RoleConflict``.
-        """
+    def add_node(self, rid: str) -> None:
+        """Add resource ``rid``; re-adding it is a no-op."""
         if not isinstance(rid, str) or not rid:
             raise ValueError("resource identifier must be a nonempty string")
-        if rid in self._roles:
-            current = self._roles[rid]
-            if role is None or role is current:
-                return
-            if current is None:
-                self._roles[rid] = role
-                return
-            raise RoleConflict(f"{rid!r} already has role {current.value}, got {role.value}")
-        self._roles[rid] = role
+        if rid in self._succ:
+            return
         self._succ[rid] = set()
         self._indeg[rid] = 0
         self._order = None
 
     def add_edge(self, src: str, dst: str) -> None:
         """Add the directed edge src -> dst (set semantics, idempotent)."""
-        if src not in self._roles:
+        if src not in self._succ:
             raise MissingNode(f"edge endpoint {src!r} is not in the graph")
-        if dst not in self._roles:
+        if dst not in self._succ:
             raise MissingNode(f"edge endpoint {dst!r} is not in the graph")
         if src == dst and self.kind is GraphKind.DAG:
             raise SelfLoopInDag(f"self-loop on {src!r} not allowed in a DAG")
@@ -114,46 +97,31 @@ class ProvGraph:
             self._edge_count += 1
             self._order = None
 
-    def infer_roles(self) -> "ProvGraph":
-        """Assign roles to untyped nodes from their degrees.
-
-        Sources (in-degree 0, including isolated nodes) become inputs,
-        sinks become outputs, everything else a process.  Explicitly
-        assigned roles are left untouched.
-        """
-        for rid, role in self._roles.items():
-            if role is not None:
-                continue
-            if not self._indeg[rid]:
-                self._roles[rid] = Role.INPUT
-            elif not self._succ[rid]:
-                self._roles[rid] = Role.OUTPUT
-            else:
-                self._roles[rid] = Role.PROCESS
-        return self
-
     # ---- inspection --------------------------------------------------------
 
+    def infer_roles(self) -> dict[str, Role]:
+        """Every resource's role, derived from its degrees: sources
+        (in-degree 0, isolated nodes included) are inputs, sinks outputs,
+        everything else a process.  The graph is not changed."""
+        indeg = self._indeg
+        source, inner, sink = Role.INPUT, Role.PROCESS, Role.OUTPUT  # one enum lookup each, not one a node
+        return {rid: source if not indeg[rid] else inner if succ else sink for rid, succ in self._succ.items()}
+
     def __contains__(self, rid: str) -> bool:
-        return rid in self._roles
+        return rid in self._succ
 
     @property
     def node_ids(self) -> tuple[str, ...]:
         """All resource identifiers, sorted."""
-        return tuple(sorted(self._roles))
+        return tuple(sorted(self._succ))
 
     @property
     def node_count(self) -> int:
-        return len(self._roles)
+        return len(self._succ)
 
     @property
     def edge_count(self) -> int:
         return self._edge_count
-
-    def role_of(self, rid: str) -> Role | None:
-        if rid not in self._roles:
-            raise MissingNode(f"{rid!r} is not in the graph")
-        return self._roles[rid]
 
     def successors(self, rid: str) -> tuple[str, ...]:
         """Successors of ``rid``, sorted."""
@@ -210,18 +178,14 @@ class ProvGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProvGraph):
             return NotImplemented
-        return (
-            self.kind is other.kind
-            and self._roles == other._roles
-            and self._succ == other._succ
-        )
+        return self.kind is other.kind and self._succ == other._succ
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ProvGraph kind={self.kind.value} nodes={self.node_count} edges={self.edge_count}>"
 
 
 def gen_clique(n: int) -> ProvGraph:
-    """Complete graph on ``n`` process resources, as symmetric directed edges.
+    """Complete graph on ``n`` resources, as symmetric directed edges.
 
     Nodes are labeled ``:r0`` .. ``:r(n-1)``.  The undirected clique is
     encoded as both directed edges of every distinct pair, so the graph
@@ -233,7 +197,7 @@ def gen_clique(n: int) -> ProvGraph:
     g = ProvGraph(GraphKind.DG)
     ids = [f":r{i}" for i in range(n)]
     for rid in ids:
-        g.add_node(rid, Role.PROCESS)
+        g.add_node(rid)
     for u in ids:
         for v in ids:
             if u != v:

@@ -147,8 +147,8 @@ def triples_to_graph(
 ) -> ProvGraph:
     """Turn triples into a graph using the predicate map.
 
-    Unmapped predicates are ignored.  Nodes are created untyped; run
-    ``infer_roles`` afterwards to assign roles from the structure.  For
+    Unmapped predicates are ignored.  A graph stores no roles;
+    ``ProvGraph.infer_roles`` derives them from the structure.  For
     DAG-kind output the edge relation is verified acyclic.
     """
     pmap = pmap if pmap is not None else PredicateMap.default()
@@ -175,7 +175,10 @@ class TraceDocument:
 
     Serialized shape: ``{"trace_id": ..., "nodes": [{"id", "role"?}],
     "edges": [{"from", "to"}]}`` with roles in {"input", "output",
-    "process"}.
+    "process"}.  Declared roles are validated and kept here, and written
+    back as read; ``to_graph`` drops them, since a graph holds only
+    resources and edges, and ``from_graph`` writes the roles that
+    ``ProvGraph.infer_roles`` derives.
     """
 
     trace_id: str
@@ -234,7 +237,8 @@ class TraceDocument:
 
     @classmethod
     def from_graph(cls, g: ProvGraph, trace_id: str) -> "TraceDocument":
-        nodes = tuple((rid, g.role_of(rid)) for rid in g.node_ids)
+        roles = g.infer_roles()
+        nodes = tuple((rid, roles[rid]) for rid in g.node_ids)
         return cls(trace_id, nodes, tuple(g.edges()))
 
     def to_json(self) -> str:
@@ -250,8 +254,8 @@ class TraceDocument:
 
     def to_graph(self, kind: GraphKind = GraphKind.DAG) -> ProvGraph:
         g = ProvGraph(kind)
-        for rid, role in self.nodes:
-            g.add_node(rid, role)
+        for rid, _ in self.nodes:
+            g.add_node(rid)
         for src, dst in self.edges:
             g.add_edge(src, dst)
         if kind is GraphKind.DAG and not g.validate_dag():

@@ -40,6 +40,16 @@ class WalkSet:
         return len(self.walks)
 
 
+def _check_walk(g: ProvGraph, start: str, end: str, m: int) -> None:
+    """The walk enumerators' argument check: both ends in ``g``, ``m >= 1``."""
+    if start not in g:
+        raise MissingNode(f"walk start {start!r} is not in the graph")
+    if end not in g:
+        raise MissingNode(f"walk end {end!r} is not in the graph")
+    if m < 1:
+        raise ValueError(f"walk length must be >= 1, got {m}")
+
+
 def enumerate_walks(g: ProvGraph, start: str, end: str, m: int) -> WalkSet:
     """Exhaustively enumerate all walks of exactly ``m`` edges start -> end.
 
@@ -47,12 +57,7 @@ def enumerate_walks(g: ProvGraph, start: str, end: str, m: int) -> WalkSet:
     explicit stack of partial walks expands successors in sorted order,
     so a walk of any length needs no recursion.
     """
-    if start not in g:
-        raise MissingNode(f"walk start {start!r} is not in the graph")
-    if end not in g:
-        raise MissingNode(f"walk end {end!r} is not in the graph")
-    if m < 1:
-        raise ValueError(f"walk length must be >= 1, got {m}")
+    _check_walk(g, start, end, m)
     walks: list[tuple[str, ...]] = []
     stack = [(start,)]
     while stack:
@@ -72,12 +77,7 @@ def count_walks(g: ProvGraph, start: str, end: str, m: int) -> int:
     (vertex, edges left) pairs and nothing is materialized, which keeps
     large counts timeable without large allocations.
     """
-    if start not in g:
-        raise MissingNode(f"walk start {start!r} is not in the graph")
-    if end not in g:
-        raise MissingNode(f"walk end {end!r} is not in the graph")
-    if m < 1:
-        raise ValueError(f"walk length must be >= 1, got {m}")
+    _check_walk(g, start, end, m)
     total = 0
     stack = [(start, m)]
     while stack:

@@ -187,7 +187,7 @@ def test_criterion_09_ingestion_smoke_with_oracle_counts():
     graphs = []
     for name in ("trace1", "trace2", "trace3"):
         parsed = parse_ntriples((DATA / f"{name}.nt").read_text(encoding="utf-8"))
-        graphs.append(triples_to_graph(parsed.triples).infer_roles())
+        graphs.append(triples_to_graph(parsed.triples))
     sequences = [sequence(g).items for g in graphs]
     trie = insert_all(TrieMode.DAG, sequences)
 

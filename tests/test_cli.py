@@ -52,6 +52,16 @@ def test_gen_clique_document(tmp_path, capsys):
     assert len(doc["edges"]) == 2
 
 
+def test_gen_clique_writes_the_committed_golden_trace(tmp_path, capsys):
+    # CI compares its installed console script's output with the same file
+    golden = (DATA / "k4.json").read_bytes()
+    out = tmp_path / "k4.json"
+    assert main(["gen-clique", "4", "--out", str(out)]) == 0
+    assert out.read_bytes() == golden
+    assert main(["gen-clique", "4"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
 def test_gen_clique_invalid_size(capsys):
     assert main(["gen-clique", "1"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -87,6 +97,19 @@ def test_index_rejects_ngram_in_dg_mode(linear_trace_file, tmp_path, capsys):
     )
     assert rc == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["dag", "dg"])
+def test_index_skips_an_empty_trace_in_either_mode(mode, linear_trace_file, tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"trace_id": "empty", "nodes": [], "edges": []}), encoding="utf-8")
+    note = f"note: {empty}: empty trace, nothing to index\n"
+    out = tmp_path / "trie.json"
+    assert main(["index", str(empty), "--mode", mode, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("traces\t0\nsequences\t0\nnodes\t0\n", note)
+    assert main(["index", str(empty), str(linear_trace_file), "--mode", mode, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out.splitlines()[0], captured.err) == ("traces\t1", note)
 
 
 def test_index_missing_input_leaves_no_file(tmp_path, capsys):

@@ -14,7 +14,6 @@ from provtrie.graph import (
     MissingNode,
     ProvGraph,
     Role,
-    RoleConflict,
     SelfLoopInDag,
     gen_clique,
 )
@@ -28,32 +27,20 @@ DATA = Path(__file__).parent / "data"
 
 def test_add_node_construction():
     g = ProvGraph()
-    g.add_node(":a", Role.PROCESS)
+    g.add_node(":a")
     assert g.node_count == 1
-    assert g.role_of(":a") is Role.PROCESS
+    assert ":a" in g and g.node_ids == (":a",)
 
 
 def test_add_node_idempotent():
     g = ProvGraph()
-    g.add_node(":a", Role.PROCESS)
-    g.add_node(":a", Role.PROCESS)
-    assert g.node_count == 1
-
-
-def test_add_node_role_conflict():
-    g = ProvGraph()
-    g.add_node(":a", Role.INPUT)
-    with pytest.raises(RoleConflict):
-        g.add_node(":a", Role.PROCESS)
-
-
-def test_add_node_untyped_then_explicit_upgrades():
-    g = ProvGraph()
     g.add_node(":a")
-    g.add_node(":a", Role.OUTPUT)
-    assert g.role_of(":a") is Role.OUTPUT
-    g.add_node(":a")  # no-op, keeps the explicit role
-    assert g.role_of(":a") is Role.OUTPUT
+    g.add_node(":b")
+    g.add_edge(":a", ":b")
+    g.add_node(":a")
+    g.add_node(":b")  # keeps the edges of both ends
+    assert g.node_count == 2
+    assert (g.successors(":a"), g.in_degree(":b")) == ((":b",), 1)
 
 
 def test_add_node_rejects_empty_id():
@@ -126,8 +113,8 @@ def test_gen_clique_completeness_scan():
     g = gen_clique(5)
     ids = g.node_ids
     assert ids == tuple(f":r{i}" for i in range(5))
+    assert g.infer_roles() == dict.fromkeys(ids, Role.PROCESS)
     for u in ids:
-        assert g.role_of(u) is Role.PROCESS
         for v in ids:
             assert g.has_edge(u, v) == (u != v)
 
@@ -143,17 +130,13 @@ def test_infer_roles_chain():
         g.add_node(rid)
     g.add_edge(":a", ":p")
     g.add_edge(":p", ":o")
-    g.infer_roles()
-    assert g.role_of(":a") is Role.INPUT
-    assert g.role_of(":p") is Role.PROCESS
-    assert g.role_of(":o") is Role.OUTPUT
+    assert g.infer_roles() == {":a": Role.INPUT, ":p": Role.PROCESS, ":o": Role.OUTPUT}
 
 
 def test_infer_roles_isolated_node_is_input():
     g = ProvGraph()
     g.add_node(":lonely")
-    g.infer_roles()
-    assert g.role_of(":lonely") is Role.INPUT
+    assert g.infer_roles() == {":lonely": Role.INPUT}
 
 
 def test_infer_roles_diamond():
@@ -162,21 +145,7 @@ def test_infer_roles_diamond():
         g.add_node(rid)
     for src, dst in ((":i", ":p1"), (":i", ":p2"), (":p1", ":o"), (":p2", ":o")):
         g.add_edge(src, dst)
-    g.infer_roles()
-    assert g.role_of(":i") is Role.INPUT
-    assert g.role_of(":p1") is Role.PROCESS
-    assert g.role_of(":p2") is Role.PROCESS
-    assert g.role_of(":o") is Role.OUTPUT
-
-
-def test_infer_roles_keeps_explicit_roles():
-    g = ProvGraph()
-    g.add_node(":src", Role.PROCESS)  # structurally a source, explicitly a process
-    g.add_node(":dst")
-    g.add_edge(":src", ":dst")
-    g.infer_roles()
-    assert g.role_of(":src") is Role.PROCESS
-    assert g.role_of(":dst") is Role.OUTPUT
+    assert g.infer_roles() == {":i": Role.INPUT, ":p1": Role.PROCESS, ":p2": Role.PROCESS, ":o": Role.OUTPUT}
 
 
 @given(seed=st.integers(0, 10_000))
@@ -252,7 +221,6 @@ def test_repeated_construction_calls_keep_the_stored_order():
     g = _chain()
     order = sequence(g).items
     g.add_node(":b")
-    g.add_node(":b", Role.PROCESS)
     g.add_edge(":a", ":b")
     assert g._order is order
 
@@ -278,7 +246,7 @@ def test_a_dag_run_is_linearized_by_one_kahn_pass(text, monkeypatch):
         return heappop(heap)
 
     monkeypatch.setattr(provtrie.graph, "heappop", counted)
-    g = triples_to_graph(parse_ntriples(text).triples).infer_roles()
+    g = triples_to_graph(parse_ntriples(text).triples)
     seq = sequence(g)
     assert g.node_count > 1
     assert len(pops) == g.node_count == len(seq)
@@ -315,7 +283,21 @@ def test_inferred_roles_match_the_roles_derived_from_edges(seed, acyclic):
     edges = list(g.edges())
     has_pred = {dst for _, dst in edges}
     has_succ = {src for src, _ in edges}
-    g.infer_roles()
+    roles = g.infer_roles()
+    assert sorted(roles) == list(g.node_ids)
     for rid in g.node_ids:
         expected = Role.INPUT if rid not in has_pred else Role.OUTPUT if rid not in has_succ else Role.PROCESS
-        assert g.role_of(rid) is expected
+        assert roles[rid] is expected
+
+
+@given(seed=st.integers(0, 10_000), acyclic=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_infer_roles_leaves_the_graph_unchanged(seed, acyclic):
+    build = random_dag if acyclic else random_dg
+    g, before = build(random.Random(seed)), build(random.Random(seed))
+    g.validate_dag()  # fills the stored order of an acyclic graph
+    order = g._order
+    g.infer_roles()
+    assert g == before
+    assert (g._indeg, g.edge_count) == (before._indeg, before.edge_count)
+    assert g._order is order

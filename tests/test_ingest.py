@@ -158,8 +158,9 @@ def test_trace_document_graph_roundtrip():
             "edges": [{"from": "urn:a", "to": "urn:b"}, {"from": "urn:b", "to": "urn:c"}],
         }
     )
-    g = doc.to_graph().infer_roles()
+    g = doc.to_graph()
     back = TraceDocument.from_graph(g, "t2")
+    assert back.nodes == (("urn:a", Role.INPUT), ("urn:b", Role.PROCESS), ("urn:c", Role.OUTPUT))
     assert back.to_graph() == g
 
 
@@ -246,7 +247,7 @@ def test_mutated_trace_document_raises_only_schema_and_graph_errors(data):
 
 
 def test_load_trace_document_leaves_roles_to_infer_roles(tmp_path):
-    # no trie, query or command output reads a role, so the CLI infers none
+    # a graph holds no role: urn:b's declared one stays in the document
     path = tmp_path / "trace.json"
     path.write_text(
         '{"trace_id": "t", "nodes": [{"id": "urn:a"}, {"id": "urn:b", "role": "process"}], '
@@ -255,9 +256,7 @@ def test_load_trace_document_leaves_roles_to_infer_roles(tmp_path):
     )
     g, trace_id = _load_graph(str(path), "trace", GraphKind.DAG)
     assert trace_id == "t"
-    assert (g.role_of("urn:a"), g.role_of("urn:b")) == (None, Role.PROCESS)
-    g.infer_roles()
-    assert (g.role_of("urn:a"), g.role_of("urn:b")) == (Role.INPUT, Role.PROCESS)
+    assert g.infer_roles() == {"urn:a": Role.INPUT, "urn:b": Role.OUTPUT}
 
 
 def test_fixture_traces_parse_and_linearize():
@@ -270,7 +269,7 @@ def test_fixture_traces_parse_and_linearize():
     for name, want in expected.items():
         result = parse_ntriples((DATA / f"{name}.nt").read_text(encoding="utf-8"))
         assert result.skipped_literals == skipped[name]
-        g = triples_to_graph(result.triples).infer_roles()
+        g = triples_to_graph(result.triples)
         assert sequence(g).items == want
 
 

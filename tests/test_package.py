@@ -20,7 +20,6 @@ EXPORTS = {
         "MissingNode",
         "ProvGraph",
         "Role",
-        "RoleConflict",
         "SelfLoopInDag",
         "gen_clique",
     ],

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from provtrie.document import _read_columns, write_columns
 from provtrie.graph import gen_clique
 from provtrie.query import QueryPattern, count_paths, q1, q2_suggest
 from provtrie.trie import (
@@ -753,6 +754,23 @@ def test_the_body_is_the_columns_compressed_in_one_stream_at_level_1():
         assert doc["columns"] == _packed(body)
         lengths = column_lengths(doc["nodes"], doc["cycle_edges"])
         assert len(body) == sum(width * length for width, length in zip(doc["widths"], lengths))
+
+
+@pytest.mark.parametrize(
+    "top, width",
+    [(255, 1), (256, 2), (65_535, 2), (65_536, 4), (2**32 - 1, 4), (2**32, 8), (2**64 - 1, 8)],
+)
+def test_a_column_takes_the_smallest_width_that_holds_its_maximum(top, width):
+    columns = [[0, top, 1], [], [top]]
+    widths, text = write_columns(columns)
+    assert widths == [width, 1, width]
+    assert _read_columns(text, widths, [3, 0, 1]) == columns
+
+
+@pytest.mark.parametrize("value", [2**64, -1])
+def test_a_column_value_past_8_bytes_or_below_0_is_an_overflow(value):
+    with pytest.raises(OverflowError):
+        write_columns([[0, value]])
 
 
 @pytest.mark.parametrize("declared", [0, 1, 2**20])
