@@ -14,6 +14,7 @@ load only ``graph``, ``document`` and ``query``, and never the builder.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
@@ -71,6 +72,23 @@ def _print_matches(matches: list[PathMatch]) -> None:
         print(f"{','.join(m.path)}\t{m.freq}\t{m.likelihood:.6f}")
 
 
+def _check_out(path: str) -> None:
+    """Raise the ``OSError`` that ``save`` would raise only after the whole
+    build, for a path it can never replace: an empty one or one in a missing
+    directory, one under a file, or an existing directory.  Creates
+    nothing; any other failure, a full disk say, still shows in ``save``."""
+    directory = os.path.dirname(path) or os.curdir
+    if not path or not os.path.exists(directory):
+        code = errno.ENOENT
+    elif not os.path.isdir(directory):
+        code = errno.ENOTDIR
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     from .canonical import ngrams, sequence
     from .trie import Trie, save
@@ -79,6 +97,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     if mode is TrieMode.DG and args.ngram:
         print("usage error: --ngram applies to --mode dag only", file=sys.stderr)
         return 2
+    _check_out(args.out)  # before the first input is read
     trie = Trie(mode, n=args.ngram)
     pmap = _predicate_map() if args.format == "ntriples" else None  # one read for all inputs
     traces = 0

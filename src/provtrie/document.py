@@ -20,9 +20,12 @@ document cannot make the reader inflate more.
 
 ``FrozenTrie`` is the reader: the checked columns of a document and the
 prefix sums of its degree columns, with no dict (a static beside a
-dynamic tree, as in Navarro & Sadakane, ACM TALG 2014); its
-``children[k]`` and ``cycles[k]`` are label -> index views over node k's
-ranges, which the queries read as they read the builder's dicts.
+dynamic tree, as in Navarro & Sadakane, ACM TALG 2014); its numeric
+columns stay fixed-width ``array``s, each of a width ``_width`` picks as
+it does for a document's columns, so no int object per value outlives
+the load.  Its ``children[k]`` and ``cycles[k]`` are label -> index views
+over node k's ranges, which the queries read as they read the builder's
+dicts.
 ``FrozenTrie.from_document`` decodes the body and runs the column
 checker, which holds every rule a document must pass; a frozen trie sums
 its per-depth table, derived data, on the first read of
@@ -42,6 +45,7 @@ import base64
 import binascii
 import json
 import os
+import struct
 import sys
 import zlib
 from array import array
@@ -76,6 +80,36 @@ class CorruptDocument(TrieError):
 TrieMode = GraphKind  # a trie's mode is the kind of graph it indexes: one enum, two names
 
 
+def _width(top: int) -> int:
+    """The narrowest unsigned width, 1, 2, 4 or 8 bytes, that holds ``top``
+    (8 past that): the one width rule, for the columns of a document and for
+    those of a ``FrozenTrie``."""
+    return next((width for width in WIDTHS if top >> 8 * width == 0), 8)
+
+
+def _array(width: int, values: list[int]) -> array:
+    """``values`` as an array of unsigned ints ``width`` bytes wide; a value
+    that does not fit raises ``OverflowError``.  ``array`` converts each
+    item of a 1- or 2-byte array through a format parser, about 3× as
+    slowly as one of a wider array; ``bytes`` and ``struct.pack`` convert
+    those widths in one C pass."""
+    try:
+        if width == 1:
+            return array("B", bytes(values))
+        if width == 2:
+            return array("H", struct.pack(f"{len(values)}H", *values))
+    except (ValueError, struct.error) as exc:  # below 0 or past the width
+        raise OverflowError(exc) from None
+    return array(_TYPECODE[width], values)
+
+
+def _packed(values: Iterable[int]) -> array:
+    """``values`` as an array of the width that holds their maximum.  A value
+    past 8 bytes or below 0 raises ``OverflowError``."""
+    values = list(values)  # references to ints the caller holds: no new int objects
+    return _array(_width(max(values, default=0)), values)
+
+
 def write_columns(columns: Iterable[Iterable[int]]) -> tuple[list[int], str]:
     """The body of a document from its seven columns in ``COLUMNS`` order,
     taken one at a time: (widths, base64 text).  Each column becomes an
@@ -85,22 +119,18 @@ def write_columns(columns: Iterable[Iterable[int]]) -> tuple[list[int], str]:
     packer = zlib.compressobj(LEVEL)
     widths, parts = [], []
     for values in columns:
-        values = list(values)  # references to ints the caller holds: no new int objects
-        top = max(values, default=0)
-        width = next((width for width in WIDTHS if top >> 8 * width == 0), 8)
-        column = array(_TYPECODE[width], values)
-        del values
+        column = _packed(values)
         if sys.byteorder == "big":
             column.byteswap()
-        widths.append(width)
+        widths.append(column.itemsize)
         parts.append(packer.compress(column))
         del column  # the next column's list is built before this name is rebound
     parts.append(packer.flush())
     return widths, base64.b64encode(b"".join(parts)).decode("ascii")
 
 
-def _read_columns(text: Any, widths: list[int], lengths: list[int]) -> list[list[int]]:
-    """The seven columns of a document body, as lists of ints.  The body
+def _read_columns(text: Any, widths: list[int], lengths: list[int]) -> list[array]:
+    """The seven columns of a document body, as arrays of their widths.  The body
     must inflate to exactly the size that ``widths`` and ``lengths``
     declare: the inflater is never asked for more than one byte past it."""
     if type(text) is not str:
@@ -131,7 +161,7 @@ def _read_columns(text: Any, widths: list[int], lengths: list[int]) -> list[list
             column.frombytes(view[at : at + width * length])
             if sys.byteorder == "big":
                 column.byteswap()
-            columns.append(column.tolist())
+            columns.append(column)
             at += width * length
     return columns
 
@@ -147,7 +177,7 @@ def _parents(child_count: Iterable[int]) -> list[int]:
     return [-1, *chain.from_iterable(map(repeat, count(), child_count))]
 
 
-def _repeats_on_a_root_path(ids: list[Any], order: list[int], pos: list[int], end: list[int]) -> int | None:
+def _repeats_on_a_root_path(ids: list[Any], order: Iterable[int], pos: list[int], end: list[int]) -> int | None:
     """The first node, in pre-order, whose identifier an ancestor carries:
     subtrees nest, so it suffices to compare each node with the previous one
     in pre-order that has its identifier.  None if no root path repeats one."""
@@ -161,7 +191,7 @@ def _repeats_on_a_root_path(ids: list[Any], order: list[int], pos: list[int], en
     return None
 
 
-def _preorder(parent: list[int]) -> tuple[list[int], list[int], list[int]]:
+def _preorder(parent: list[int]) -> tuple[array, list[int], list[int]]:
     """Nodes in a pre-order (children in index order), each node's position
     in it, and one past the last position of its subtree: parents precede
     their children, so one pass up gives subtree sizes, one down positions."""
@@ -174,7 +204,8 @@ def _preorder(parent: list[int]) -> tuple[list[int], list[int], list[int]]:
         pos[node] = at = free[up]
         free[up] = at + size[node]
         free[node] = at + 1
-    order = [0] * total
+    del parent, free  # the caller hands its parents over: freed before the order and the ends are built
+    order = array(_TYPECODE[_width(total)], [0]) * total  # read once, by the repeat rule: an array
     for node, at in enumerate(pos):
         order[at] = node
     return order, pos, list(map(add, pos, size))
@@ -212,7 +243,7 @@ class _CycleEdges(_Children):
 
     __slots__ = ("_to",)
 
-    def __init__(self, ids: list[Any], to: list[int], lo: int, hi: int) -> None:
+    def __init__(self, ids: list[Any], to: array, lo: int, hi: int) -> None:
         self._id, self._to, self._lo, self._hi = ids, to, lo, hi
 
     def items(self) -> Iterator[tuple[str, int]]:
@@ -229,7 +260,7 @@ class _Ranges:
 
     __slots__ = ("_view", "_first")
 
-    def __init__(self, view: Callable[[int, int], _Children], first: list[int]) -> None:
+    def __init__(self, view: Callable[[int, int], _Children], first: array) -> None:
         self._view, self._first = view, first
 
     def __getitem__(self, node: int) -> _Children:
@@ -242,7 +273,9 @@ class FrozenTrie:
 
     Node k is node k of the document, the root 0; ``id`` (root: None, every
     other node one of the label table's strings), ``freq``, ``entry`` and
-    ``terminal`` hold one entry per node.  Node k's children are the nodes
+    ``terminal`` hold one entry per node.  ``id`` is a list, so that
+    ``bisect`` compares strings; every other column is an unsigned
+    ``array``, read by index like a list.  Node k's children are the nodes
     ``first[k]:first[k + 1]`` and its cycle-edges the edges
     ``efirst[k]:efirst[k + 1]``: prefix sums of the degree columns, LOUDS
     offsets (Jacobson 1989).  ``children[k]`` and ``cycles[k]`` are label
@@ -255,13 +288,13 @@ class FrozenTrie:
         mode: TrieMode,
         n: int,
         id: list[Any],
-        freq: list[int],
-        entry: list[int],
-        terminal: list[int],
-        first: list[int],
-        efirst: list[int],
-        cycle_to: list[int],
-        cycle_count: list[int],
+        freq: array,
+        entry: array,
+        terminal: array,
+        first: array,
+        efirst: array,
+        cycle_to: array,
+        cycle_count: array,
     ) -> None:
         self.mode, self.n = mode, n
         self.id, self.freq, self.entry, self.terminal = id, freq, entry, terminal
@@ -301,10 +334,9 @@ class FrozenTrie:
         The header first: its counts exact ints >= 0, ``labels`` an array,
         ``widths`` seven of 1, 2, 4 or 8.  Then the body: base64, one zlib
         stream inflating to exactly the size the widths and counts declare,
-        and nothing after it.  Each column's array becomes a list, and the
-        column checker (``_from_columns``) runs on the lists; an unsigned
-        column holds no bool, float or negative number, so no check looks
-        for one.
+        and nothing after it.  The column checker (``_from_columns``) runs
+        on the decoded arrays; an unsigned column holds no bool, float or
+        negative number, so no check looks for one.
         """
         try:
             version = doc["format_version"]
@@ -336,19 +368,24 @@ class FrozenTrie:
         n: int,
         sequence_count: int,
         labels: list[Any],
-        child_count: list[int],
-        cycle_out: list[int],
-        ids: list[int],
-        freqs: list[int],
-        terminal_counts: list[int],
-        targets: list[int],
-        counts: list[int],
+        child_count: array,
+        cycle_out: array,
+        ids: array,
+        freqs: array,
+        terminal_counts: array,
+        targets: array,
+        counts: array,
     ) -> "FrozenTrie":
         """The column checker: every rule a document's columns must pass,
-        on lists of ints >= 0 of the lengths the header gives (the decoder
-        and ``Trie.check_invariants`` hand it those), ``ids`` indices into
-        ``labels``.  Keeps the lists it is given, with ``id`` mapped
-        through the table.
+        on unsigned arrays of the lengths the header gives (the decoder and
+        ``Trie.check_invariants`` hand it those), ``ids`` indices into
+        ``labels``.  Keeps the cycle-edge arrays it is given and
+        ``terminal_counts``, with the root's 0 put in front; ``id`` becomes a
+        list of the table's strings, and ``freq``, ``entry``, ``first`` and
+        ``efirst`` arrays wide enough for their values.  Only the node
+        columns that the cycle-edge pass reads per edge (``rid``, ``entry``
+        and the pre-order intervals) are lists while it runs: reading an
+        array makes an int object per read.
 
         Shape first: the table's labels nonempty strings in strictly
         increasing order, so that index order is label order; label indices
@@ -362,9 +399,11 @@ class FrozenTrie:
         increasing, subtracts the arrivals from ``entry`` and sums each
         source's outflow.  Then ``entry`` >= 0, conservation (descents as
         differences of a prefix sum of ``entry`` at the child offsets, plus
-        the outflow only where a cycle-edge exists) and, in DG mode, no
-        identifier repeated on a root path.  The per-depth table is derived
-        data, not a rule: ``depth_stats`` sums it on first access.
+        the outflow only where a cycle-edge exists), in DG mode no
+        identifier repeated on a root path, and last ``sequence_count``, the
+        root's ``freq``, within 8 bytes as every column value is.  The
+        per-depth table is derived data, not a rule: ``depth_stats`` sums it
+        on first access.
 
         The format implies the rules a builder's dicts could still break: an
         edge's label is its target's identifier by definition, ``entry`` is
@@ -379,8 +418,9 @@ class FrozenTrie:
         at = _first(map(ge, labels, islice(labels, 1, None)))
         if at is not None:
             raise CorruptDocument(f"label table not strictly increasing at label {at + 1}: {labels[at + 1]!r}")
-        if ids and max(ids) >= len(labels):
-            raise CorruptDocument(f"label index {max(ids)} outside a table of {len(labels)} labels")
+        rid = [-1, *ids]  # label indices, the root's -1; a list: the cycle-edge pass reads it per edge
+        if max(rid) >= len(labels):
+            raise CorruptDocument(f"label index {max(rid)} outside a table of {len(labels)} labels")
         if sum(child_count) != len(ids) or sum(cycle_out) != len(targets):
             raise CorruptDocument("child or cycle-edge counts do not sum to the node or cycle-edge count")
         first = list(accumulate(child_count, initial=1))  # node k's children: first[k]:first[k + 1]
@@ -388,11 +428,9 @@ class FrozenTrie:
         if at is not None:
             raise CorruptDocument(f"parent not before node {at}")
 
-        rid, freq, terminal = [-1, *ids], [sequence_count, *freqs], [0, *terminal_counts]  # rid: label index
-        entry = [0, *freqs]
-        del ids, freqs, terminal_counts
+        entry = [0, *freqs]  # a list: the cycle-edge pass decrements it per edge
         nodes, dag = len(rid), mode is TrieMode.DAG
-        if min(islice(freq, 1, None), default=1) < 1:
+        if min(freqs, default=1) < 1:
             raise CorruptDocument("node statistic out of range")
         # a node j with j - 1 as its sibling starts no child range; the others must sort after j - 1
         unsorted = compress(count(2), map(ge, islice(rid, 1, None), islice(rid, 2, None)))
@@ -433,14 +471,17 @@ class FrozenTrie:
             except IndexError:
                 raise CorruptDocument("cycle-edge target outside the trie") from None
         efirst = list(accumulate(cycle_out, initial=0))  # node k's cycle-edges: efirst[k]:efirst[k + 1]
+        efirst = _array(_width(efirst[-1]), efirst)
         del child_count, cycle_out
         if min(entry) < 0:
             raise CorruptDocument(f"entry count out of range at node {entry.index(min(entry))}")
+        entry = _array(freqs.itemsize, entry)  # entry[k] <= freq[k]; freed as a list before the prefix sum
         below = list(map(list(accumulate(entry, initial=0)).__getitem__, first))  # entries before each child range
-        outflow = map(add, terminal, map(sub, islice(below, 1, None), below))  # terminations plus descents
+        terminal_counts.insert(0, 0)  # the root's: now the stored terminal column
+        outflow = map(add, terminal_counts, map(sub, islice(below, 1, None), below))  # terminations plus descents
         if cycled is not None:
             outflow = map(add, outflow, cycled)
-        at = _first(map(ne, freq, outflow))
+        at = _first(map(ne, chain((sequence_count,), freqs), outflow))
         if at is not None:
             raise CorruptDocument(f"conservation violated at node {at}")
         del below, cycled
@@ -450,7 +491,12 @@ class FrozenTrie:
                 raise CorruptDocument(f"identifier repeats on the root path at node {at}")
             del order, pos, end
         ids = [None, *map(labels.__getitem__, islice(rid, 1, None))]  # one shared string per label
-        return cls(mode, n, ids, freq, entry, terminal, first, efirst, targets, counts)
+        if sequence_count >> 64:  # the root's freq, a column value like any other
+            raise CorruptDocument("sequence_count past 8 bytes")
+        freq = array(_TYPECODE[max(freqs.itemsize, _width(sequence_count))], freqs)  # a copy when the width holds
+        freq.insert(0, sequence_count)
+        first = _array(_width(first[-1]), first)
+        return cls(mode, n, ids, freq, entry, terminal_counts, first, efirst, targets, counts)
 
 
 def _read(source: str | os.PathLike[str] | IO[str]) -> dict[str, Any]:

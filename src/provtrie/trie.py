@@ -40,8 +40,9 @@ every rule a document must pass.  This module imports it and not the
 other way round, and re-exports its names.  ``Trie.to_document`` writes a
 format 4 document through ``document.write_columns``;
 ``Trie.from_document`` is ``FrozenTrie.from_document`` plus a thaw into
-dicts; ``Trie.check_invariants`` checks the builder's wiring and runs
-the column checker on its own columns, with no encoding between.
+lists and dicts; ``Trie.check_invariants`` checks the builder's wiring and
+runs the column checker on its own columns, packed into arrays as a load
+packs them, with no encoding between.
 
 Concurrency: single writer, many readers.  Insertion needs exclusive
 access; a trie that is not being mutated can be queried from any number
@@ -65,6 +66,7 @@ from .document import (  # the reader's names, re-exported: provtrie.trie.Frozen
     TrieError,
     TrieMode,
     _first,
+    _packed,
     _parents,
     _read,
     load_frozen,
@@ -330,10 +332,10 @@ class Trie:
         numbered before it and keyed by its own identifier; every cycle-edge
         in exactly one cycle map, keyed by the identifier of its target, a
         node of the trie.  Then the domain of the document's columns, which
-        only a builder's lists can leave: ``terminal`` >= 0 (``freq`` and
-        the cycle-edge columns have their own rules).  Then every rule a
-        document must pass: the column checker on the columns
-        ``to_document`` would write, with no encoding between.  Then the
+        only a builder's lists can leave: every count >= 0 and below 2**64.
+        Then every rule a document must pass: the column checker on the
+        columns ``to_document`` would write, as the same unsigned arrays a
+        load hands it, with no encoding between.  Then the
         rule only a builder can break, as a document stores no ``entry``: a
         non-root node's arrivals (``freq - entry``) equal the counts of the
         cycle-edges into it.  Last, ``depth_stats`` against the frozen
@@ -362,10 +364,12 @@ class Trie:
         at = _first(map((1).__ne__, placed))
         if at is not None:
             raise CorruptDocument(f"cycle-edge {at} in {placed[at]} cycle maps, not one")
-        if min(self.terminal) < 0:
-            raise CorruptDocument(f"node statistic out of range at node {self.terminal.index(min(self.terminal))}")
         labels, columns = self._columns()
-        frozen = FrozenTrie._from_columns(self.mode, self.n, self.sequence_count, labels, *map(list, columns))
+        try:  # the arrays a load hands the checker, which hold no negative count
+            columns = list(map(_packed, columns))
+        except OverflowError:
+            raise CorruptDocument("node statistic out of range: a count below 0 or past 8 bytes") from None
+        frozen = FrozenTrie._from_columns(self.mode, self.n, self.sequence_count, labels, *columns)
         arrived = [0] * nodes
         for target, taken in zip(cycle_to, self.cycle_count):
             arrived[target] += taken
@@ -433,18 +437,20 @@ class Trie:
     def from_document(cls, doc: dict[str, Any]) -> "Trie":
         """Rebuild an insertable trie from a document: ``FrozenTrie.from_document``
         checks it, then a thaw builds the dicts.  Node k of the document is
-        node k of the trie.  The thaw adopts the frozen trie's node columns,
-        ``entry``, per-depth table (summed by that read) and cycle-edge
-        columns, expands the child counts into parents, and fills the child
-        and cycle-edge maps in one pass each; it checks nothing again."""
+        node k of the trie.  The thaw adopts the frozen trie's ``id`` list
+        and per-depth table (summed by that read), turns its numeric arrays
+        into lists (an array as narrow as its largest count could not take
+        the next ``insert``'s), expands the child counts into parents, and
+        fills the child and cycle-edge maps in one pass each; it checks
+        nothing again."""
         frozen = FrozenTrie.from_document(doc)
         trie = cls(frozen.mode, frozen.n)
         first, efirst = frozen.first, frozen.efirst
         parent = _parents(map(sub, islice(first, 1, None), first))
         trie.id = labels = frozen.id
-        trie.freq, trie.entry, trie.terminal = frozen.freq, frozen.entry, frozen.terminal
-        trie.cycle_to = cycle_to = frozen.cycle_to
-        trie.cycle_count = frozen.cycle_count
+        trie.freq, trie.entry, trie.terminal = frozen.freq.tolist(), frozen.entry.tolist(), frozen.terminal.tolist()
+        trie.cycle_to = cycle_to = frozen.cycle_to.tolist()
+        trie.cycle_count = frozen.cycle_count.tolist()
         trie.depth_stats = frozen.depth_stats
         trie.children = children = [{} for _ in parent]
         for node, up, rid in islice(zip(count(), parent, labels), 1, None):

@@ -658,8 +658,37 @@ def test_a_failed_save_names_the_target_not_a_temporary_file(tmp_path, capsys, m
     monkeypatch.chdir(tmp_path)
     rc = main(["index", str(DATA / "trace1.nt"), "--format", "ntriples", "--out", "missing/x.trie"])
     assert rc == 1
-    assert capsys.readouterr().err.endswith("\nerror: [Errno 2] No such file or directory: 'missing/x.trie'\n")
+    # refused before the input is read, so no note about its literals comes first
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: 'missing/x.trie'\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        ("missing/x.trie", "[Errno 2] No such file or directory: 'missing/x.trie'"),
+        ("", "[Errno 2] No such file or directory: ''"),
+        ("a-directory", "[Errno 21] Is a directory: 'a-directory'"),
+    ],
+    ids=["missing-directory", "empty", "existing-directory"],
+)
+def test_index_refuses_an_out_it_can_never_write_before_reading_any_input(
+    out, message, linear_trace_file, tmp_path, capsys, monkeypatch
+):
+    # save would fail the same way, but only after every input had been parsed and indexed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-directory").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    read = []
+
+    def spy(path, *args):
+        read.append(path)
+        raise AssertionError(f"input {path} read")
+
+    monkeypatch.setattr("provtrie.cli._load_graph", spy)
+    rc = main(["index", str(linear_trace_file), "--out", out])
+    assert (rc, read, capsys.readouterr().err) == (1, [], f"error: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_predicate_map_override(tmp_path, capsys, monkeypatch):

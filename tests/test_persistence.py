@@ -1,3 +1,4 @@
+import array
 import base64
 import copy
 import gc
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from provtrie.document import _read_columns, write_columns
+from provtrie.document import COLUMNS, _read_columns, write_columns
 from provtrie.graph import gen_clique
 from provtrie.query import QueryPattern, count_paths, q1, q2_suggest
 from provtrie.trie import (
@@ -72,7 +73,7 @@ def from_both(doc: dict) -> Trie:
     if isinstance(frozen, TrieError) or isinstance(thawed, TrieError):
         assert (type(frozen), str(frozen)) == (type(thawed), str(thawed))
         raise thawed
-    assert frozen.depth_stats == thawed.depth_stats and frozen.entry == thawed.entry
+    assert frozen.depth_stats == thawed.depth_stats and list(frozen.entry) == thawed.entry
     return thawed
 
 
@@ -764,13 +765,22 @@ def test_a_column_takes_the_smallest_width_that_holds_its_maximum(top, width):
     columns = [[0, top, 1], [], [top]]
     widths, text = write_columns(columns)
     assert widths == [width, 1, width]
-    assert _read_columns(text, widths, [3, 0, 1]) == columns
+    decoded = _read_columns(text, widths, [3, 0, 1])
+    assert list(map(list, decoded)) == columns
+    assert [column.itemsize for column in decoded] == widths
 
 
 @pytest.mark.parametrize("value", [2**64, -1])
 def test_a_column_value_past_8_bytes_or_below_0_is_an_overflow(value):
     with pytest.raises(OverflowError):
         write_columns([[0, value]])
+
+
+@pytest.mark.parametrize("top", [255, 65_535, 2**32 - 1, 2**64 - 1])
+def test_a_value_below_0_is_an_overflow_at_every_width(top):
+    # 1- and 2-byte columns are converted through bytes and struct, which raise other errors
+    with pytest.raises(OverflowError):
+        write_columns([[top, 1, -1]])
 
 
 @pytest.mark.parametrize("declared", [0, 1, 2**20])
@@ -791,6 +801,18 @@ def test_a_body_that_inflates_past_its_declared_size_is_refused_without_inflatin
         tracemalloc.stop()
     # the declared size, about 5 MiB at most, and buffers; never the 64 MiB the stream inflates to
     assert peak < 16 << 20, peak
+
+
+def test_a_run_count_past_8_bytes_is_refused():
+    # every other rule holds: two depth-1 leaves of 2**63 runs each; the frozen trie's freq is an array
+    big = 2**63
+    columns = {"format_version": 4, "mode": "dag", "n": 0, "sequence_count": 2 * big, "child_count": [2, 0, 0]}
+    columns.update(id=["a", "b"], freq=[big, big], terminal_count=[big, big], cycle_out=[0, 0, 0])
+    columns.update(cycle_to=[], cycle_count=[])
+    with pytest.raises(CorruptDocument, match="^sequence_count past 8 bytes$"):
+        from_both(encode_document(columns))
+    columns.update(sequence_count=big + 1, terminal_count=[big, 1], freq=[big, 1])
+    assert from_both(encode_document(columns)).sequence_count == big + 1
 
 
 def test_load_rejects_non_json():
@@ -820,6 +842,52 @@ def test_document_is_deterministic():
     save(a, buf_a)
     save(b, buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
+
+
+FROZEN_ARRAYS = ("freq", "entry", "terminal", "first", "efirst", "cycle_to", "cycle_count")
+
+
+def test_a_frozen_trie_holds_its_numeric_columns_as_arrays_and_a_load_retains_little(tmp_path):
+    # as lists of ints, a K7 load retained about 43 bytes per node plus cycle-edge; as arrays, about 7
+    trie = _dg_clique(7)
+    path = tmp_path / "k7.trie"
+    save(trie, path)
+    load_frozen(path)  # anything a first load caches is not the trie's
+    tracemalloc.start()
+    try:
+        frozen = load_frozen(path)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(type(getattr(frozen, name)) is array.array for name in FROZEN_ARRAYS)
+    assert type(frozen.id) is list
+    nodes, edges = len(frozen.id), len(frozen.cycle_to)
+    assert (nodes, edges) == (13_700, 68_502)
+    assert retained < 20 * (nodes + edges), retained / (nodes + edges)
+    assert frozen.depth_stats == trie.depth_stats
+    pattern = QueryPattern((":r0",), 4, ":r1")
+    assert count_paths(frozen, pattern) == count_paths(trie, pattern)
+
+
+def test_a_loaded_trie_takes_inserts_past_a_narrow_column():
+    # a thaw that adopted the 1-byte freq and terminal arrays would overflow on the 256th insert
+    sequences = [["a", "b", "c"], ["a", "b"], ["a", "d"], ["e"]]
+    text = _saved(insert_all(TrieMode.DAG, sequences))
+    widths = dict(zip(COLUMNS, json.loads(text)["widths"]))
+    assert widths["freq"] == widths["terminal_count"] == 1
+    loaded = load(io.StringIO(text))
+    assert all(type(getattr(loaded, name)) is list for name in ("freq", "entry", "terminal", "cycle_to", "cycle_count"))
+    for _ in range(300):
+        loaded.insert(["a", "b", "c"])
+    loaded.check_invariants()
+    assert _saved(loaded) == _saved(insert_all(TrieMode.DAG, sequences + [["a", "b", "c"]] * 300))
+    assert json.loads(_saved(loaded))["widths"][COLUMNS.index("freq")] == 2
+
+
+def _saved(trie: Trie) -> str:
+    buf = io.StringIO()
+    save(trie, buf)
+    return buf.getvalue()
 
 
 def _json_dump_bytes(trie: Trie) -> str:
