@@ -20,7 +20,7 @@ from typing import IO, Sequence
 
 from .graph import ProvGraph
 from .oracle import count_walks
-from .query import QueryPattern, count_paths
+from .query import QueryPattern, count_paths, count_text
 from .trie import Trie
 
 CSV_HEADER = "dataset,engine,wildcards,n_paths,time_ns,trials"
@@ -148,7 +148,7 @@ def run_bench_dp(
 def write_csv(rows: Sequence[BenchRow], sink: IO[str]) -> None:
     sink.write(CSV_HEADER + "\n")
     for r in rows:
-        sink.write(f"{r.dataset},{r.engine},{r.wildcards},{r.n_paths},{r.time_ns},{r.trials}\n")
+        sink.write(f"{r.dataset},{r.engine},{r.wildcards},{count_text(r.n_paths)},{r.time_ns},{r.trials}\n")
 
 
 def loglog_slope(rows: Sequence[BenchRow]) -> float:

@@ -24,7 +24,17 @@ from typing import TYPE_CHECKING
 
 from .document import COLUMNS, HEADER_COUNTS, FrozenTrie, TrieError, TrieMode, _read, load_frozen
 from .graph import GraphError, GraphKind, ProvGraph, gen_clique
-from .query import EmptyDepth, PathMatch, QueryPattern, check_limit, check_suggestion, count_paths, q1, q2_suggest
+from .query import (
+    EmptyDepth,
+    PathMatch,
+    QueryPattern,
+    check_limit,
+    check_suggestion,
+    count_paths,
+    count_text,
+    q1,
+    q2_suggest,
+)
 
 if TYPE_CHECKING:
     from .ingest import PredicateMap
@@ -48,11 +58,10 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(path: str, fmt: str, kind: GraphKind, pmap: PredicateMap | None = None) -> tuple[ProvGraph, str]:
-    """Load one trace file; returns the graph and a trace identifier.  RDF
-    input maps predicates with ``pmap``, read from the environment if None."""
-    from pathlib import Path
-
+def _load_graph(path: str, fmt: str, kind: GraphKind, pmap: PredicateMap | None = None) -> tuple[ProvGraph, str | None]:
+    """Load one trace file; returns the graph and the trace document's own
+    identifier, None for N-Triples, which has none.  RDF input maps
+    predicates with ``pmap``, read from the environment if None."""
     from .ingest import TraceDocument, parse_ntriples, triples_to_graph
 
     text = _read_text(path)
@@ -60,9 +69,7 @@ def _load_graph(path: str, fmt: str, kind: GraphKind, pmap: PredicateMap | None 
         parsed = parse_ntriples(text)
         if parsed.skipped_literals:
             print(f"note: {path}: skipped {parsed.skipped_literals} literal statement(s)", file=sys.stderr)
-        g = triples_to_graph(parsed.triples, pmap if pmap is not None else _predicate_map(), kind)
-        trace_id = Path(path).stem if path != "-" else "stdin"
-        return g, trace_id
+        return triples_to_graph(parsed.triples, pmap if pmap is not None else _predicate_map(), kind), None
     doc = TraceDocument.from_json(text)
     return doc.to_graph(kind), doc.trace_id
 
@@ -126,7 +133,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     check_limit(args.limit)
     trie = load_frozen(args.trie)
     if args.count_only:
-        print(count_paths(trie, pattern, strict=args.strict))
+        print(count_text(count_paths(trie, pattern, strict=args.strict)))
     else:
         _print_matches(q1(trie, pattern, strict=args.strict, limit=args.limit))
     return 0
@@ -197,9 +204,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             print("usage error: --enumerate requires --input", file=sys.stderr)
             return 2
         if args.all_pairs:
-            print(all_pairs_clique_count(args.clique, args.steps))
+            print(count_text(all_pairs_clique_count(args.clique, args.steps)))
         else:
-            print(clique_walk_count(args.clique, args.steps))
+            print(count_text(clique_walk_count(args.clique, args.steps)))
         return 0
     if args.all_pairs:
         print("usage error: --all-pairs requires --clique", file=sys.stderr)
@@ -212,7 +219,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         for walk in enumerate_walks(g, args.start, args.end, args.steps).walks:
             print(",".join(walk))
     else:
-        print(count_walks(g, args.start, args.end, args.steps))
+        print(count_text(count_walks(g, args.start, args.end, args.steps)))
     return 0
 
 
@@ -233,6 +240,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if rid not in g:
             print(f"error: {flag} {rid!r} is not in the graph", file=sys.stderr)
             return 1
+    if not args.dataset and trace_id is None:  # N-Triples: the file's name
+        from pathlib import Path
+
+        trace_id = Path(args.input).stem if args.input != "-" else "stdin"
     dataset = args.dataset or trace_id
     rows = []
     if "trie" in engines:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 class GraphError(Exception):
@@ -96,6 +96,34 @@ class ProvGraph:
             self._indeg[dst] += 1
             self._edge_count += 1
             self._order = None
+
+    def add_edges(self, pairs: Iterable[tuple[str, str]]) -> None:
+        """Add each pair's missing endpoints and then its edge, as
+        ``add_node(src)``, ``add_node(dst)`` and ``add_edge(src, dst)`` would,
+        with the same checks in the same order, in one loop."""
+        succ, indeg = self._succ, self._indeg
+        dag = self.kind is GraphKind.DAG
+        for src, dst in pairs:
+            if not isinstance(src, str) or not src:  # before a lookup: an unhashable id is a ValueError too
+                raise ValueError("resource identifier must be a nonempty string")
+            if src not in succ:
+                succ[src] = set()
+                indeg[src] = 0
+                self._order = None
+            if not isinstance(dst, str) or not dst:
+                raise ValueError("resource identifier must be a nonempty string")
+            if dst not in succ:
+                succ[dst] = set()
+                indeg[dst] = 0
+                self._order = None
+            if src == dst and dag:
+                raise SelfLoopInDag(f"self-loop on {src!r} not allowed in a DAG")
+            out = succ[src]
+            if dst not in out:
+                out.add(dst)
+                indeg[dst] += 1
+                self._edge_count += 1
+                self._order = None
 
     # ---- inspection --------------------------------------------------------
 

@@ -107,6 +107,21 @@ _BLANK = r"(_:[^\s<>]+)"
 _LITERAL = r'("[^"\\]*(?:\\.[^"\\]*)*"(?:@[A-Za-z][A-Za-z0-9\-]*|\^\^<[^<>\s]*>)?)'
 # groups: subject IRI | blank, predicate, object IRI | blank | literal
 _LINE = re.compile(rf"\s*(?:{_IRI}|{_BLANK})\s+{_IRI}\s+(?:{_IRI}|{_BLANK}|{_LITERAL})\s*\.\s*")
+# The fast path for common statement lines: ``<s> <p> <o> .`` or
+# ``<s> <p> "literal" .``, single-spaced, printable ASCII, perhaps ending in
+# "\n".  Its classes are ASCII ranges, which compile to bitmaps, where
+# ``[^<>\s]`` tests a Unicode category per character.  Every line it accepts,
+# _LINE accepts with the same groups: ``[!-;=?-~]`` (printable ASCII but
+# space, < and >) lies inside ``[^<>\s]``; the literal's ``[ !#-\[\]-~]`` has
+# no " or \, so _LINE reads it with no escape; " ." and " .\n" match
+# ``\s*\.\s*``; and each term ends at a character its class excludes, so
+# _LINE's first, greedy attempt splits the line the same way.  Python 3.10
+# has no possessive or atomic groups, so neither pattern uses them.
+# groups: subject, predicate, object (None for a literal)
+_ASCII_IRI = r"<([!-;=?-~]*)>"
+_ASCII_STATEMENT = re.compile(
+    rf'{_ASCII_IRI} {_ASCII_IRI} (?:{_ASCII_IRI}|"[ !#-\[\]-~]*"(?:@[A-Za-z][A-Za-z0-9\-]*|\^\^<[!-;=?-~]*>)?) \.\n?'
+)
 
 
 def parse_ntriples(source: str | Iterable[str]) -> ParsedTriples:
@@ -114,14 +129,24 @@ def parse_ntriples(source: str | Iterable[str]) -> ParsedTriples:
 
     Every input line is classified as a triple, comment, blank line, or
     skipped literal statement; anything else raises
-    ``NTriplesSyntaxError`` with the line number.  A statement line takes
-    one match; only a line that fails it is stripped and classified.
+    ``NTriplesSyntaxError`` with the line number.  A common statement line
+    takes the ASCII fast path; any other line takes the exact pattern,
+    with the same result, and only a line that fails both is stripped and
+    classified.
     """
     lines = source.splitlines() if isinstance(source, str) else source
-    fullmatch = _LINE.fullmatch
+    fast, fullmatch = _ASCII_STATEMENT.fullmatch, _LINE.fullmatch
     triples: list[tuple[str, str, str]] = []
     skipped = 0
     for lineno, raw in enumerate(lines, 1):
+        match = fast(raw)
+        if match is not None:
+            triple = match.groups()
+            if triple[2] is None:
+                skipped += 1
+            else:
+                triples.append(triple)
+            continue
         match = fullmatch(raw)
         if match is None:
             stripped = raw.strip()
@@ -151,16 +176,10 @@ def triples_to_graph(
     ``ProvGraph.infer_roles`` derives them from the structure.  For
     DAG-kind output the edge relation is verified acyclic.
     """
-    pmap = pmap if pmap is not None else PredicateMap.default()
+    rules = (pmap if pmap is not None else PredicateMap.default()).rules
+    s2o = Direction.S2O
     g = ProvGraph(kind)
-    for subj, pred, obj in triples:
-        direction = pmap.rules.get(pred)
-        if direction is None:
-            continue
-        src, dst = (subj, obj) if direction is Direction.S2O else (obj, subj)
-        g.add_node(src)
-        g.add_node(dst)
-        g.add_edge(src, dst)
+    g.add_edges((s, o) if d is s2o else (o, s) for s, p, o in triples if (d := rules.get(p)) is not None)
     if kind is GraphKind.DAG and not g.validate_dag():
         raise CyclicInput("triples describe a cyclic graph; cannot build a DAG")
     return g

@@ -38,6 +38,7 @@ trie's maps and the frozen trie's range views both answer.
 """
 from __future__ import annotations
 
+import sys
 from heapq import heappop, heappush
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, Union
@@ -210,6 +211,22 @@ def q1(trie: AnyTrie, pattern: QueryPattern, strict: bool = False, limit: int = 
     ]
     matches.sort(key=lambda m: (-m.likelihood, m.path))
     return matches
+
+
+def count_text(count: int) -> str:
+    """``str(count)`` for a count of any size.  The interpreter's limit on
+    the digits of an int-to-str conversion guards the parsing of untrusted
+    text; a count is computed, so the limit is lifted for this one
+    conversion.  An interpreter without the limit converts directly."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        return str(count)
+    previous = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(count)
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def count_paths(trie: AnyTrie, pattern: QueryPattern, strict: bool = False) -> int:

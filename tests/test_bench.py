@@ -21,7 +21,7 @@ from provtrie.bench import (
 from provtrie.graph import gen_clique
 from provtrie.trie import Trie, TrieMode
 
-from helpers import random_dg
+from helpers import digits, random_dg
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +109,13 @@ def test_csv_output_exact_header(k4):
     assert lines[0] == "dataset,engine,wildcards,n_paths,time_ns,trials"
     assert lines[1].startswith("4-clique,trie,1,2,")
     assert len(lines) == 3
+
+
+def test_csv_writes_a_count_past_the_int_to_str_digit_limit_exactly():
+    count = 3**9100  # 4,342 digits, past Python's default limit of 4300
+    buf = io.StringIO()
+    write_csv([BenchRow("k4", "trie", 9100, count, 5, 1)], buf)
+    assert buf.getvalue().splitlines()[1] == f"k4,trie,9100,{digits(count)},5,1"
 
 
 def test_csv_header_constant():

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import json
@@ -7,18 +8,21 @@ import re
 import stat
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from provtrie.cli import main
+from provtrie.cli import build_parser, main
 from provtrie.graph import gen_clique
 from provtrie.ingest import PredicateMap
-from provtrie.oracle import clique_walk_count
+from provtrie.oracle import all_pairs_clique_count, clique_walk_count
 from provtrie.query import QueryPattern, count_paths, q1
 from provtrie.trie import Trie, TrieMode, load, save
 
-from helpers import decode_document, find, format2_document, node_count
+from helpers import decode_document, digits, find, format2_document, node_count
 
 DATA = Path(__file__).parent / "data"
 
@@ -428,6 +432,57 @@ def test_read_commands_print_the_committed_golden_output(command, capsys):
     captured = capsys.readouterr()
     assert captured.out.encode("utf-8") == (DATA / f"k4-dg.{command}.out").read_bytes()
     assert captured.err == ""
+
+
+NTRIPLES_GOLDEN_COMMANDS = {
+    "stats": ["stats"],
+    "query": ["query", "--start", "urn:ex:in1", "--end", "urn:ex:out2", "--wildcards", "2"],
+}
+
+
+def test_the_ntriples_fixtures_index_to_the_committed_golden_outputs(tmp_path, capsys):
+    # CI compares its installed console script's outputs with the same files
+    out = tmp_path / "traces.trie"
+    inputs = [str(DATA / f"trace{i}.nt") for i in (1, 2, 3)]
+    assert main(["index", *inputs, "--format", "ntriples", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for name, (command, *options) in NTRIPLES_GOLDEN_COMMANDS.items():
+        assert main([command, str(out), *options]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode("utf-8") == (DATA / f"traces-dag.{name}.out").read_bytes()
+        assert captured.err == ""
+
+
+def _int_digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (
+            ["query", str(DATA / "k4-dg.trie"), "--start", ":r0", "--end", ":r1", "--wildcards", "9100", "--count-only"],
+            clique_walk_count(4, 9101),
+        ),
+        (["oracle", "--clique", "4", "--steps", "9101"], clique_walk_count(4, 9101)),
+        (["oracle", "--clique", "4", "--steps", "9101", "--all-pairs"], all_pairs_clique_count(4, 9101)),
+    ],
+    ids=["query", "oracle", "oracle-all-pairs"],
+)
+def test_a_count_past_the_int_to_str_digit_limit_prints_exactly(argv, count, capsys):
+    limit = _int_digit_limit()
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (digits(count) + "\n", "")
+    assert len(captured.out) > 4301  # past Python's default limit of 4300 digits
+    assert _int_digit_limit() == limit  # lifted for that one conversion only
+
+
+def test_bench_names_an_ntriples_dataset_after_its_file(capsys):
+    argv = ["bench", str(DATA / "trace1.nt"), "--format", "ntriples", "--start", "urn:ex:in1", "--end", "urn:ex:out1"]
+    assert main([*argv, "--max-wildcards", "1", "--trials", "1", "--warmup", "0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[:4] for row in rows] == [["trace1", "trie", "1", "1"]]
 
 
 # Modules a read command never calls.  The script runs main() on its
@@ -915,3 +970,74 @@ def test_console_script_keeps_the_collector_off_after_main(tmp_path):
     scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
     module, _, name = re.search(r'^provtrie = "([^"]+)"$', scripts, re.M).group(1).partition(":")
     _full_collections_after_main(tmp_path, f"sys.exit(importlib.import_module({module!r}).{name}())")
+
+
+# The CLI contract as a property: commands, flags and values drawn from the
+# parser's own options, and files from a small pool of good and corrupt
+# inputs.  Values stay small, so that every call is quick.
+@pytest.fixture(scope="module")
+def cli_pool(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-pool")
+    trie = (DATA / "k4-dg.trie").read_bytes()
+    files = {
+        "k4.trie": trie,
+        "cut.trie": trie[: len(trie) // 2],
+        "k4.json": (DATA / "k4.json").read_bytes(),
+        "trace1.nt": (DATA / "trace1.nt").read_bytes(),
+        "cyclic.nt": b"<urn:a> <http://www.w3.org/ns/prov#used> <urn:b> .\n<urn:b> <http://www.w3.org/ns/prov#used> <urn:a> .\n",
+        "bad.nt": b"<urn:a> <urn:p> <urn:b>\n",
+        "not-json": b"{not json",
+        "not-utf8": b"\xff\xfe<\x00",
+        "empty": b"",
+    }
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+    (root / "dir").mkdir()
+    inputs = [str(root / name) for name in [*files, "dir", "missing"]]
+    outs = [str(root / "out"), str(root / "dir"), str(root / "missing" / "out"), str(root / "k4.json" / "out"), ""]
+    return inputs, outs
+
+
+CLI_VALUES = [":r0", ":r1", ":r9", "urn:ex:in1", "urn:ex:out1", "", "trie,naive,dp", "dp", "x"]
+
+
+def _draw_argument(data, action, inputs, outs):
+    """Values for one parser action, drawn to suit its type and destination."""
+    if action.choices is not None:
+        values = st.sampled_from([*action.choices, *action.choices, "bogus"])
+    elif action.type is int:
+        values = st.integers(min_value=-1, max_value=6).map(str)
+    elif action.dest in ("trie", "input", "inputs"):
+        values = st.sampled_from(inputs)
+    elif action.dest == "out":
+        values = st.sampled_from(outs)
+    else:
+        values = st.sampled_from(CLI_VALUES)
+    if action.nargs == "+":
+        return data.draw(st.lists(values, min_size=1, max_size=2))
+    return [data.draw(values)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_command_exits_0_1_or_2_and_an_exit_1_ends_in_an_error_line(cli_pool, data):
+    inputs, outs = cli_pool
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    command = data.draw(st.sampled_from(sorted(commands)))
+    argv = [command]
+    for action in commands[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        required = action.required or not action.option_strings
+        if not data.draw(st.sampled_from([True, True, True, False]) if required else st.booleans()):
+            continue
+        if action.option_strings:
+            argv.append(action.option_strings[0])
+        if action.nargs != 0:  # a flag takes no value
+            argv.extend(_draw_argument(data, action, inputs, outs))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert stderr.getvalue().splitlines()[-1].startswith("error:"), (argv, stderr.getvalue())

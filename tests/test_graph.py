@@ -225,6 +225,18 @@ def test_repeated_construction_calls_keep_the_stored_order():
     assert g._order is order
 
 
+def test_add_edges_clears_the_stored_order_only_when_it_adds():
+    g = _chain()
+    order = sequence(g).items
+    g.add_edges([(":a", ":b"), (":b", ":c")])
+    assert g._order is order
+    g.add_edges(iter([(":b", ":c"), (":c", ":0")]))
+    assert sequence(g).items == (":a", ":b", ":c", ":0")
+    g.add_edges([(":0", ":a")])
+    assert not g.validate_dag()
+    assert g.edge_count == 4
+
+
 def _random_run_ntriples(seed):
     g = random_dag(random.Random(seed), max_nodes=30, p=0.2)
     # wasDerivedFrom points from the derived resource back to its source

@@ -11,6 +11,8 @@ from provtrie.canonical import sequence
 from provtrie.cli import _load_graph
 from provtrie.graph import CyclicInput, GraphError, GraphKind, Role, SelfLoopInDag
 from provtrie.ingest import (
+    _ASCII_STATEMENT,
+    _LINE,
     Direction,
     IngestError,
     NTriplesSyntaxError,
@@ -21,7 +23,7 @@ from provtrie.ingest import (
     triples_to_graph,
 )
 
-from helpers import two_pattern_parse_ntriples
+from helpers import per_triple_triples_to_graph, two_pattern_parse_ntriples
 
 DATA = Path(__file__).parent / "data"
 PROV = "http://www.w3.org/ns/prov#"
@@ -331,12 +333,48 @@ NT_DAMAGED = st.tuples(
 NT_TOKEN = st.one_of(
     NT_SPACE, NT_NODE, NT_LITERAL, NT_BROKEN, NT_DOT, st.sampled_from(["#", "<", ">", '"', "\\", "@", "^^", "word"])
 )
+# Statement lines in the parser's ASCII fast path's shape, and near misses
+# that must leave it for the exact pattern.
+NT_ASCII_IRI = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E, exclude_characters="<>"), max_size=4).map(
+    "<{}>".format
+)
+NT_ASCII_LITERAL = st.tuples(
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'), max_size=4).map('"{}"'.format),
+    st.sampled_from(["", "@en", "@en-GB", "^^<urn:type>", "^^<>"]),
+).map("".join)
+# subject, predicate, object and end: a line is "s p o" and its end
+NT_FAST_TERMS = st.tuples(NT_ASCII_IRI, NT_ASCII_IRI, st.one_of(NT_ASCII_IRI, NT_ASCII_LITERAL), st.sampled_from([" .", " .\n"]))
+NT_FAST = NT_FAST_TERMS.map(lambda t: f"{t[0]} {t[1]} {t[2]}{t[3]}")
+NEAR_MISSES = {
+    "tab": lambda s, p, o, end: f"{s}\t{p} {o}{end}",
+    "double space": lambda s, p, o, end: f"{s} {p}  {o}{end}",
+    "leading space": lambda s, p, o, end: f" {s} {p} {o}{end}",
+    "trailing space": lambda s, p, o, end: f"{s} {p} {o} . ",
+    "tab before the dot": lambda s, p, o, end: f"{s} {p} {o}\t.",
+    "no space before the dot": lambda s, p, o, end: f"{s} {p} {o}.",
+    "carriage return": lambda s, p, o, end: f"{s} {p} {o} .\r",
+    "non-ASCII": lambda s, p, o, end: f"<\xe9{s[1:]} {p} {o}{end}",
+    "Unicode space": lambda s, p, o, end: f"{s} <\u2003{p[1:]} {o}{end}",
+    "control character": lambda s, p, o, end: f"{s} {p[:-1]}\x01> {o}{end}",
+    "DEL": lambda s, p, o, end: f"<\x7f{s[1:]} {p} {o}{end}",
+    "escaped quote": lambda s, p, o, end: f'{s} {p} "a\\"b"{end}',
+    "backslash": lambda s, p, o, end: f'{s} {p} "\\\\"@en{end}',
+    "quote": lambda s, p, o, end: f'{s} {p} "a"b"{end}',
+    "angle bracket in an IRI": lambda s, p, o, end: f"{s} <a<b> {o}{end}",
+    "angle brackets in an IRI": lambda s, p, o, end: f"{s} {p} <<>>{end}",
+    "blank subject": lambda s, p, o, end: f"_:b0 {p} {o}{end}",
+    "blank object": lambda s, p, o, end: f"{s} {p} _:b1{end}",
+    "no object": lambda s, p, o, end: f"{s} {p}{end}",
+}
+NT_NEAR_MISS = st.tuples(NT_FAST_TERMS, st.sampled_from(sorted(NEAR_MISSES))).map(lambda t: NEAR_MISSES[t[1]](*t[0]))
 NT_LINE = st.one_of(
     st.tuples(NT_HEAD, NT_NODE, NT_DOT, NT_SPACES).map("".join),
     st.tuples(NT_HEAD, NT_LITERAL, NT_DOT, NT_SPACES).map("".join),
     NT_DAMAGED,
     st.lists(NT_TOKEN, max_size=8).map("".join),
     st.sampled_from(["", "# comment", "  # indented comment", "#", " \t "]),
+    NT_FAST,
+    NT_NEAR_MISS,
 )
 # line separators of str.splitlines
 NT_LINE_BREAK = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028", "\u2029", "\x0b", "\x1e"])
@@ -370,3 +408,52 @@ def test_parser_agrees_with_the_two_pattern_reference(data):
     assert _parse_outcome(parse_ntriples, new) == _parse_outcome(two_pattern_parse_ntriples, reference)
     for line in lines:  # the first error above hides the lines after it
         assert _parse_outcome(parse_ntriples, [line]) == _parse_outcome(two_pattern_parse_ntriples, [line])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(NT_FAST.map(lambda line: (line, True)), NT_NEAR_MISS.map(lambda line: (line, False))))
+def test_the_fast_path_takes_its_lines_with_the_exact_patterns_groups(case):
+    # both branches are reached: a fast-shaped line takes the fast path and a near miss leaves it
+    line, fast_shaped = case
+    fast = _ASCII_STATEMENT.fullmatch(line)
+    assert (fast is not None) == fast_shaped
+    if fast is not None:
+        exact = _LINE.fullmatch(line)
+        subj, subj_blank, pred, obj, obj_blank, literal = exact.groups()
+        assert (subj_blank, obj_blank) == (None, None)
+        assert fast.groups() == (subj, pred, obj)
+        assert (fast.group(3) is None) == (literal is not None)
+    assert _parse_outcome(parse_ntriples, [line]) == _parse_outcome(two_pattern_parse_ntriples, [line])
+
+
+# Identifiers for the graph build's differential test: duplicates, the empty
+# string, non-strings and an unhashable list (built afresh per draw)
+GRAPH_ID = st.one_of(st.sampled_from(["urn:a", "urn:b", "urn:c", "", None, 5, b"urn:a"]), st.builds(lambda: ["urn:a"]))
+GRAPH_PREDICATE = st.sampled_from([PROV + "used", PROV + "wasGeneratedBy", "urn:feeds", "urn:unmapped"])
+GRAPH_MAPS = [None, PredicateMap({PROV + "used": Direction.O2S, "urn:feeds": Direction.S2O})]
+
+
+def _build_outcome(build, triples, pmap, kind):
+    try:
+        g = build(triples, pmap, kind)
+    except Exception as exc:  # the same type and message on both sides, whatever they are
+        return type(exc), str(exc)
+    return g, g.edge_count, {rid: g.in_degree(rid) for rid in g.node_ids}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.tuples(GRAPH_ID, GRAPH_PREDICATE, GRAPH_ID), max_size=8),
+    st.sampled_from(GRAPH_MAPS),
+    st.sampled_from(GraphKind),
+)
+def test_triples_to_graph_agrees_with_the_per_triple_reference(triples, pmap, kind):
+    assert _build_outcome(triples_to_graph, triples, pmap, kind) == _build_outcome(
+        per_triple_triples_to_graph, triples, pmap, kind
+    )
+
+
+def test_load_graph_gives_no_trace_id_for_ntriples():
+    g, trace_id = _load_graph(str(DATA / "trace2.nt"), "ntriples", GraphKind.DAG)
+    assert trace_id is None
+    assert sequence(g).items == ("urn:ex:in1", "urn:ex:in2", "urn:ex:act2", "urn:ex:out2")
