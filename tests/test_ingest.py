@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ from provtrie.canonical import sequence
 from provtrie.cli import _load_graph
 from provtrie.graph import CyclicInput, GraphError, GraphKind, Role, SelfLoopInDag
 from provtrie.ingest import (
-    _ASCII_STATEMENT,
+    _ASCII_CLASSES,
+    _ASCII_LINE,
+    _CLASSES,
     _LINE,
     Direction,
     IngestError,
@@ -333,8 +336,8 @@ NT_DAMAGED = st.tuples(
 NT_TOKEN = st.one_of(
     NT_SPACE, NT_NODE, NT_LITERAL, NT_BROKEN, NT_DOT, st.sampled_from(["#", "<", ">", '"', "\\", "@", "^^", "word"])
 )
-# Statement lines in the parser's ASCII fast path's shape, and near misses
-# that must leave it for the exact pattern.
+# Plain ASCII statement lines, and variants of them: in ASCII, which the
+# ASCII pattern matches or rejects, and not, which the Unicode one does.
 NT_ASCII_IRI = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E, exclude_characters="<>"), max_size=4).map(
     "<{}>".format
 )
@@ -342,39 +345,44 @@ NT_ASCII_LITERAL = st.tuples(
     st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'), max_size=4).map('"{}"'.format),
     st.sampled_from(["", "@en", "@en-GB", "^^<urn:type>", "^^<>"]),
 ).map("".join)
-# subject, predicate, object and end: a line is "s p o" and its end
-NT_FAST_TERMS = st.tuples(NT_ASCII_IRI, NT_ASCII_IRI, st.one_of(NT_ASCII_IRI, NT_ASCII_LITERAL), st.sampled_from([" .", " .\n"]))
-NT_FAST = NT_FAST_TERMS.map(lambda t: f"{t[0]} {t[1]} {t[2]}{t[3]}")
-NEAR_MISSES = {
-    "tab": lambda s, p, o, end: f"{s}\t{p} {o}{end}",
-    "double space": lambda s, p, o, end: f"{s} {p}  {o}{end}",
-    "leading space": lambda s, p, o, end: f" {s} {p} {o}{end}",
-    "trailing space": lambda s, p, o, end: f"{s} {p} {o} . ",
-    "tab before the dot": lambda s, p, o, end: f"{s} {p} {o}\t.",
-    "no space before the dot": lambda s, p, o, end: f"{s} {p} {o}.",
-    "carriage return": lambda s, p, o, end: f"{s} {p} {o} .\r",
-    "non-ASCII": lambda s, p, o, end: f"<\xe9{s[1:]} {p} {o}{end}",
-    "Unicode space": lambda s, p, o, end: f"{s} <\u2003{p[1:]} {o}{end}",
-    "control character": lambda s, p, o, end: f"{s} {p[:-1]}\x01> {o}{end}",
-    "DEL": lambda s, p, o, end: f"<\x7f{s[1:]} {p} {o}{end}",
-    "escaped quote": lambda s, p, o, end: f'{s} {p} "a\\"b"{end}',
-    "backslash": lambda s, p, o, end: f'{s} {p} "\\\\"@en{end}',
-    "quote": lambda s, p, o, end: f'{s} {p} "a"b"{end}',
-    "angle bracket in an IRI": lambda s, p, o, end: f"{s} <a<b> {o}{end}",
-    "angle brackets in an IRI": lambda s, p, o, end: f"{s} {p} <<>>{end}",
-    "blank subject": lambda s, p, o, end: f"_:b0 {p} {o}{end}",
-    "blank object": lambda s, p, o, end: f"{s} {p} _:b1{end}",
-    "no object": lambda s, p, o, end: f"{s} {p}{end}",
+# subject, predicate and object
+NT_PLAIN_TERMS = st.tuples(NT_ASCII_IRI, NT_ASCII_IRI, st.one_of(NT_ASCII_IRI, NT_ASCII_LITERAL))
+NT_PLAIN = NT_PLAIN_TERMS.map(lambda t: f"{t[0]} {t[1]} {t[2]} .")
+VARIANTS = {
+    "tab": lambda s, p, o: f"{s}\t{p} {o} .",
+    "double space": lambda s, p, o: f"{s} {p}  {o} .",
+    "leading space": lambda s, p, o: f" {s} {p} {o} .",
+    "trailing space": lambda s, p, o: f"{s} {p} {o} . ",
+    "tab before the dot": lambda s, p, o: f"{s} {p} {o}\t.",
+    "no space before the dot": lambda s, p, o: f"{s} {p} {o}.",
+    "carriage return": lambda s, p, o: f"{s} {p} {o} .\r",
+    "file line": lambda s, p, o: f"{s} {p} {o} .\n",
+    "unit separator": lambda s, p, o: f"{s}\x1f{p} {o} .",
+    "non-ASCII": lambda s, p, o: f"<\xe9{s[1:]} {p} {o} .",
+    "non-ASCII literal": lambda s, p, o: f'{s} {p} "\xe9tape"@fr .',
+    "Unicode space": lambda s, p, o: f"{s} <\u2003{p[1:]} {o} .",
+    "no-break space": lambda s, p, o: f"{s}\xa0{p} {o} .",
+    "control character": lambda s, p, o: f"{s} {p[:-1]}\x01> {o} .",
+    "DEL": lambda s, p, o: f"<\x7f{s[1:]} {p} {o} .",
+    "escaped quote": lambda s, p, o: f'{s} {p} "a\\"b" .',
+    "escaped tab": lambda s, p, o: f'{s} {p} "a\\\tb" .',
+    "backslash": lambda s, p, o: f'{s} {p} "\\\\"@en .',
+    "quote": lambda s, p, o: f'{s} {p} "a"b" .',
+    "angle bracket in an IRI": lambda s, p, o: f"{s} <a<b> {o} .",
+    "angle brackets in an IRI": lambda s, p, o: f"{s} {p} <<>> .",
+    "blank subject": lambda s, p, o: f"_:b0 {p} {o} .",
+    "blank object": lambda s, p, o: f"{s} {p} _:b1 .",
+    "no object": lambda s, p, o: f"{s} {p} .",
 }
-NT_NEAR_MISS = st.tuples(NT_FAST_TERMS, st.sampled_from(sorted(NEAR_MISSES))).map(lambda t: NEAR_MISSES[t[1]](*t[0]))
+NT_VARIANT = st.tuples(NT_PLAIN_TERMS, st.sampled_from(sorted(VARIANTS))).map(lambda t: VARIANTS[t[1]](*t[0]))
 NT_LINE = st.one_of(
     st.tuples(NT_HEAD, NT_NODE, NT_DOT, NT_SPACES).map("".join),
     st.tuples(NT_HEAD, NT_LITERAL, NT_DOT, NT_SPACES).map("".join),
     NT_DAMAGED,
     st.lists(NT_TOKEN, max_size=8).map("".join),
     st.sampled_from(["", "# comment", "  # indented comment", "#", " \t "]),
-    NT_FAST,
-    NT_NEAR_MISS,
+    NT_PLAIN,
+    NT_VARIANT,
 )
 # line separators of str.splitlines
 NT_LINE_BREAK = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028", "\u2029", "\x0b", "\x1e"])
@@ -410,20 +418,32 @@ def test_parser_agrees_with_the_two_pattern_reference(data):
         assert _parse_outcome(parse_ntriples, [line]) == _parse_outcome(two_pattern_parse_ntriples, [line])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(NT_FAST.map(lambda line: (line, True)), NT_NEAR_MISS.map(lambda line: (line, False))))
-def test_the_fast_path_takes_its_lines_with_the_exact_patterns_groups(case):
-    # both branches are reached: a fast-shaped line takes the fast path and a near miss leaves it
-    line, fast_shaped = case
-    fast = _ASCII_STATEMENT.fullmatch(line)
-    assert (fast is not None) == fast_shaped
-    if fast is not None:
-        exact = _LINE.fullmatch(line)
-        subj, subj_blank, pred, obj, obj_blank, literal = exact.groups()
-        assert (subj_blank, obj_blank) == (None, None)
-        assert fast.groups() == (subj, pred, obj)
-        assert (fast.group(3) is None) == (literal is not None)
+def test_each_ascii_class_accepts_the_ascii_members_of_its_unicode_class():
+    ascii_chars = [chr(code) for code in range(128)]
+    for unicode_class, ascii_class in zip(_CLASSES, _ASCII_CLASSES, strict=True):
+        assert [c for c in ascii_chars if re.fullmatch(unicode_class, c)] == [
+            c for c in ascii_chars if re.fullmatch(ascii_class, c)
+        ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(NT_LINE, st.text(st.characters(max_codepoint=0x7F), max_size=12)))
+def test_an_ascii_line_matches_the_ascii_pattern_as_it_matches_the_unicode_one(line):
+    if line.isascii():
+        ascii_match, unicode_match = _ASCII_LINE.fullmatch(line), _LINE.fullmatch(line)
+        assert (ascii_match is None) == (unicode_match is None)
+        if ascii_match is not None:
+            assert ascii_match.groups() == unicode_match.groups()
     assert _parse_outcome(parse_ntriples, [line]) == _parse_outcome(two_pattern_parse_ntriples, [line])
+
+
+def test_plain_lines_and_their_variants_reach_both_patterns():
+    lines = {name: variant("<urn:s>", "<urn:p>", "<urn:o>") for name, variant in VARIANTS.items()}
+    assert _ASCII_LINE.fullmatch("<urn:s> <urn:p> <urn:o> .") is not None
+    ascii_matched = {name for name, line in lines.items() if line.isascii() and _ASCII_LINE.fullmatch(line)}
+    assert {"tab", "trailing space", "file line", "unit separator", "escaped quote", "blank object"} <= ascii_matched
+    unicode_matched = {name for name, line in lines.items() if not line.isascii() and _LINE.fullmatch(line)}
+    assert unicode_matched == {"non-ASCII", "non-ASCII literal", "no-break space"}
 
 
 # Identifiers for the graph build's differential test: duplicates, the empty
