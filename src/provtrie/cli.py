@@ -9,7 +9,7 @@ the cyclic garbage collector paused, since what they build lives until
 the process exits; ``entry``, behind ``provtrie`` and ``python -m
 provtrie``, leaves it off until then.  A command imports the modules it
 calls when it runs, so ``query``, ``suggest``, ``stats`` and ``inspect``
-load only ``graph``, ``document`` and ``query``, and never the builder.
+load only ``kinds``, ``document`` and ``query``, and never a builder.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from itertools import islice
 from typing import TYPE_CHECKING
 
 from .document import COLUMNS, HEADER_COUNTS, FrozenTrie, TrieError, TrieMode, _read, load_frozen
-from .graph import GraphError, GraphKind, ProvGraph, gen_clique
+from .kinds import GraphError, GraphKind
 from .query import (
     EmptyDepth,
     PathMatch,
@@ -37,6 +37,7 @@ from .query import (
 )
 
 if TYPE_CHECKING:
+    from .graph import ProvGraph
     from .ingest import PredicateMap
 
 PREDICATE_MAP_ENV = "PROVTRIE_PREDICATE_MAP"
@@ -182,6 +183,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def cmd_gen_clique(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    from .graph import gen_clique
     from .ingest import TraceDocument
 
     doc = TraceDocument.from_graph(gen_clique(args.size), f"clique-{args.size}")

@@ -55,7 +55,7 @@ from itertools import accumulate, chain, compress, count, filterfalse, islice, r
 from operator import add, ge, le, mul, ne, sub
 from typing import IO, Any, Callable, Iterable, Iterator
 
-from .graph import GraphKind
+from .kinds import GraphKind
 
 FORMAT_VERSION = 4
 COLUMNS = ("child_count", "cycle_out", "id", "freq", "terminal_count", "cycle_to", "cycle_count")

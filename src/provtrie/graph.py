@@ -19,9 +19,7 @@ from enum import Enum
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
-
-class GraphError(Exception):
-    """Base class for graph construction and validation failures."""
+from .kinds import GraphError, GraphKind  # defined apart for the read path; provtrie.graph still exports both
 
 
 class MissingNode(GraphError):
@@ -44,11 +42,6 @@ class Role(Enum):
     INPUT = "input"
     OUTPUT = "output"
     PROCESS = "process"
-
-
-class GraphKind(Enum):
-    DAG = "dag"
-    DG = "dg"
 
 
 class ProvGraph:

@@ -26,7 +26,11 @@ side).  Node data lives in parallel lists: ``id`` (root: None), ``freq``,
 ``entry``, ``terminal``, ``children`` (label -> child) and ``cycles``
 (label -> edge); edge data in ``cycle_to`` and ``cycle_count``;
 ``sequence_count`` is the root's ``freq``.  No column holds a parent: a
-node's parent is the node whose child map lists it.  The cyclic garbage
+node's parent is the node whose child map lists it.  Every map iterates
+in label order except at the nodes in ``_unsorted``: a new key that
+sorts before its map's last key marks the map's node, one comparison per
+new node or cycle-edge, and ``to_document`` sorts only the marked maps (a
+load fills each map in label order and marks none).  The cyclic garbage
 collector tracks none of these ints, strings and dicts, and no attribute
 of a trie refers to the trie, so a dropped trie is freed at once.
 ``Trie.root`` is a read-only ``TrieNode`` view with ``id``, ``freq``,
@@ -155,6 +159,7 @@ class Trie:
         self.cycles: list[dict[str, int]] = [{}]
         self.cycle_to, self.cycle_count = [], []  # per cycle-edge: its target, times taken
         self.depth_stats: dict[int, dict[str, int]] = {}
+        self._unsorted: set[int] = set()  # nodes whose child or cycle-edge map may be out of label order
 
     @property
     def root(self) -> TrieNode:
@@ -169,14 +174,16 @@ class Trie:
     # ---- insertion ---------------------------------------------------------
 
     def _add_node(self, parent: int, rid: str) -> int:
-        node = len(self.id)
+        kids = self.children[parent]
+        if kids and rid < next(reversed(kids)):  # the map's last key is its largest until marked
+            self._unsorted.add(parent)
+        node = kids[rid] = len(self.id)
         self.id.append(rid)
         self.freq.append(0)
         self.entry.append(0)
         self.terminal.append(0)
         self.children.append({})
         self.cycles.append({})
-        self.children[parent][rid] = node
         return node
 
     def _take_cycle(self, source: int, label: str, target: int) -> None:
@@ -184,6 +191,8 @@ class Trie:
         edges = self.cycles[source]
         edge = edges.get(label)
         if edge is None:
+            if edges and label < next(reversed(edges)):
+                self._unsorted.add(source)
             edges[label] = len(self.cycle_to)
             self.cycle_to.append(target)
             self.cycle_count.append(1)
@@ -268,38 +277,60 @@ class Trie:
         cycle-edge at once, and a frame's insertions and cycle arrivals join
         its node's statistics when it pops; as one ``insert_dg`` per closing
         insertion would, also into a trie that already holds sequences.
+        Successors are walked in ascending order, so a node's children and
+        cycle-edges are created in label order; only a build into a
+        non-empty trie marks a map.
         """
         if self.mode is not TrieMode.DG:
             raise TrieModeError("index_graph_dg requires a DG-mode trie")
         succs_of = {v: g.successors(v) for v in g.node_ids}
-        children, ids, freq, entry, terminal = self.children, self.id, self.freq, self.entry, self.terminal
-        stats, take_cycle = self.depth_stats, self._take_cycle
+        children, cycles, ids, freq, entry, terminal = (
+            self.children, self.cycles, self.id, self.freq, self.entry, self.terminal
+        )
+        cycle_to, cycle_count, stats, unsorted = self.cycle_to, self.cycle_count, self.depth_stats, self._unsorted
         # frame: [node, successors still to enter (last first), insertions, arrivals]
         stack: list[list[Any]] = []
-        positions: dict[str, int] = {}  # vertex on the current path -> its frame's index
+        on_path: dict[str, list[Any]] = {}  # vertex on the current path -> its frame
 
         def enter(parent: int, vertex: str) -> None:
-            node = children[parent].get(vertex)
-            if node is None:
-                node = self._add_node(parent, vertex)
+            kids = children[parent]
+            node = kids.get(vertex)
+            if node is None:  # _add_node, inlined
+                if kids and vertex < next(reversed(kids)):
+                    unsorted.add(parent)
+                node = kids[vertex] = len(ids)
+                ids.append(vertex)
+                freq.append(0)
+                entry.append(0)
+                terminal.append(0)
+                children.append({})
+                cycles.append({})
             succs = succs_of[vertex]
             frame = [node, [], 0, 0]
-            positions[vertex] = len(stack)
+            on_path[vertex] = frame
             stack.append(frame)
             if not succs:
                 terminal[node] += 1
                 frame[2] = 1
                 return
-            opens = frame[1]
-            for w in reversed(succs):
-                pos = positions.get(w)
-                if pos is None:
+            opens, out = frame[1], cycles[node]
+            had = len(out)  # a node entered before (a build into a non-empty trie) may have edges
+            for w in succs:
+                target = on_path.get(w)
+                if target is None:
                     opens.append(w)
                     continue
-                target = stack[pos]
-                take_cycle(node, w, target[0])
+                if had and w in out:
+                    cycle_count[out[w]] += 1
+                else:  # _take_cycle, inlined
+                    out[w] = len(cycle_to)
+                    cycle_to.append(target[0])
+                    cycle_count.append(1)
                 target[3] += 1
-                frame[2] += 1
+            if had and len(out) > had:  # ascending successors keep a fresh node's edges in label order
+                unsorted.add(node)
+            frame[2] = len(succs) - len(opens)
+            opens.reverse()  # popped from the end: the smallest successor is entered first
 
         total = 0
         for start in g.node_ids:
@@ -310,7 +341,7 @@ class Trie:
                     enter(node, opens.pop())
                     continue
                 stack.pop()
-                del positions[ids[node]]  # type: ignore[arg-type]
+                del on_path[ids[node]]  # type: ignore[arg-type]
                 entry[node] += ins
                 freq[node] += ins + arrivals
                 terminal[node] += arrivals
@@ -386,16 +417,23 @@ class Trie:
         """The document's label table and its seven columns, in
         ``document.COLUMNS`` order, each an iterator made when the one
         before it has been taken: nodes breadth-first, children in label
-        order, the root as node 0; cycle-edges by source, then by label."""
-        children, cycles = self.children, self.cycles
+        order, the root as node 0; cycle-edges by source, then by label.
+
+        Every map already iterates in label order but a marked node's
+        (``_unsorted``), which is read through a sorted copy of its values;
+        no map is sorted in place and no other is copied."""
+        children, cycles, unsorted = self.children, self.cycles, self._unsorted
+        kids_of = {node: list(map(children[node].__getitem__, sorted(children[node]))) for node in unsorted}
         order = [0]  # nodes in canonical order: level by level, children in label order
+        level = order
+        while level:
+            kids = map(kids_of.get, level, map(dict.values, map(children.__getitem__, level)))
+            level = list(chain.from_iterable(kids))
+            order += level
         edges: list[int] = []  # cycle-edges in canonical order
-        for node in order:
-            kids, out = children[node], cycles[node]
-            if kids:
-                order += map(kids.__getitem__, sorted(kids))
-            if out:
-                edges += map(out.__getitem__, sorted(out))
+        if self.cycle_to:
+            out_of = {node: list(map(cycles[node].__getitem__, sorted(cycles[node]))) for node in unsorted}
+            edges = list(chain.from_iterable(map(out_of.get, order, map(dict.values, map(cycles.__getitem__, order)))))
         labels = sorted(set(islice(self.id, 1, None)))
         index = dict(zip(labels, count()))
 

@@ -30,6 +30,7 @@ from provtrie.trie import (
     TrieMode,
     TrieModeError,
     TrieNode,
+    write_columns,
 )
 
 
@@ -207,6 +208,56 @@ def format2_document(trie: Trie) -> dict[str, Any]:
         "cycle_from": list(map(renumber.__getitem__, sources)),
         "cycle_to": list(map(renumber.__getitem__, map(self.cycle_to.__getitem__, edges))),
         "cycle_count": list(map(self.cycle_count.__getitem__, edges)),
+    }
+
+
+def sort_per_node_columns(trie: Trie) -> tuple[list[str], Iterator[Iterator[int]]]:
+    """``Trie._columns`` as it was before the builder kept its maps in
+    label order: every child map and cycle-edge map sorted as the
+    breadth-first walk reaches it.  Kept verbatim (as a function of the
+    trie) as the reference for the marked-node bookkeeping."""
+    self = trie
+    children, cycles = self.children, self.cycles
+    order = [0]  # nodes in canonical order: level by level, children in label order
+    edges: list[int] = []  # cycle-edges in canonical order
+    for node in order:
+        kids, out = children[node], cycles[node]
+        if kids:
+            order += map(kids.__getitem__, sorted(kids))
+        if out:
+            edges += map(out.__getitem__, sorted(out))
+    labels = sorted(set(islice(self.id, 1, None)))
+    index = dict(zip(labels, count()))
+
+    def columns() -> Iterator[Iterator[int]]:
+        yield map(len, map(children.__getitem__, order))
+        yield map(len, map(cycles.__getitem__, order))
+        yield map(index.__getitem__, map(self.id.__getitem__, islice(order, 1, None)))
+        yield map(self.freq.__getitem__, islice(order, 1, None))
+        yield map(self.terminal.__getitem__, islice(order, 1, None))
+        renumber = [0] * len(order)
+        for k, node in enumerate(order):
+            renumber[node] = k
+        yield map(renumber.__getitem__, map(self.cycle_to.__getitem__, edges))
+        yield map(self.cycle_count.__getitem__, edges)
+
+    return labels, columns()
+
+
+def sort_per_node_document(trie: Trie) -> dict[str, Any]:
+    """``Trie.to_document`` over ``sort_per_node_columns``."""
+    labels, columns = sort_per_node_columns(trie)
+    widths, text = write_columns(columns)
+    return {
+        "format_version": FORMAT_VERSION,
+        "mode": trie.mode.value,
+        "n": trie.n,
+        "sequence_count": trie.sequence_count,
+        "nodes": len(trie.id) - 1,
+        "cycle_edges": len(trie.cycle_to),
+        "widths": widths,
+        "labels": labels,
+        "columns": text,
     }
 
 

@@ -35,6 +35,7 @@ from helpers import (
     random_dag,
     random_dg,
     reference_per_depth,
+    sort_per_node_document,
     walk_conservation_report,
     walk_up_check_invariants,
 )
@@ -589,6 +590,61 @@ def test_trie_mode_is_the_graph_kind():
     assert Trie(TrieMode("dg")).mode is GraphKind.DG
 
 
+# a graph's vertices and a sequence's symbols share labels, so maps gain keys out of label order
+mixed_symbols = st.sampled_from(["a", "c", "urn:n00", "urn:n01", "urn:n03", "urn:n04"])
+build_steps = st.lists(
+    st.one_of(
+        st.lists(mixed_symbols, min_size=1, max_size=6).map(lambda seq: ("insert", seq)),
+        st.randoms(use_true_random=False).map(lambda rng: ("graph", rng)),
+        st.just(("thaw", None)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _mixed_build(mode: TrieMode, steps: list[tuple[str, Any]]) -> Trie:
+    """Inserts, graphs indexed into the trie (DG mode) and thaws of its document, in the order drawn."""
+    trie = Trie(mode)
+    for kind, arg in steps:
+        if kind == "insert":
+            (trie.insert if mode is TrieMode.DAG else trie.insert_dg)(arg)
+        elif kind == "thaw":
+            trie = Trie.from_document(trie.to_document())
+        elif mode is TrieMode.DG:
+            trie.index_graph_dg(random_dg(arg, max_nodes=6))
+    return trie
+
+
+@given(mode=st.sampled_from(TrieMode), steps=build_steps)
+@settings(max_examples=200, deadline=None)
+def test_the_document_equals_the_one_that_sorts_every_map(mode, steps):
+    trie = _mixed_build(mode, steps)
+    assert trie.to_document() == sort_per_node_document(trie)
+    trie.check_invariants()
+
+
+@pytest.mark.parametrize(
+    "mode, corpus, node, message",
+    [
+        (TrieMode.DAG, [["a"], ["b"]], 0, "siblings out of label order"),
+        (TrieMode.DG, [["a", "b", "a"], ["a", "b", "b"]], 2, "cycle-edges out of label order"),
+    ],
+    ids=["children", "cycle-edges"],
+)
+def test_a_map_out_of_label_order_is_refused_unless_marked(mode, corpus, node, message):
+    assert insert_all(mode, corpus[::-1])._unsorted == {node}  # a key that sorts before the last one marks
+    trie = insert_all(mode, corpus)
+    assert not trie._unsorted
+    maps = trie.children if mode is TrieMode.DAG else trie.cycles
+    maps[node] = dict(reversed(maps[node].items()))  # edited past the builder: no mark
+    with pytest.raises(CorruptDocument, match=message):
+        trie.check_invariants()
+    trie._unsorted.add(node)
+    trie.check_invariants()
+    assert trie.to_document() == insert_all(mode, corpus).to_document()
+
+
 def _dag_walks(rng: random.Random, g: ProvGraph, count: int) -> list[list[str]]:
     walks = []
     for _ in range(count):
@@ -691,9 +747,12 @@ def _tamper(trie: Trie, reference: ObjectTrie, how: str, rng: random.Random) -> 
         level[trie.id[at[i]]] -= trie.freq[at[i]]  # type: ignore[index]
         if not level[trie.id[at[i]]]:  # type: ignore[index]
             del level[trie.id[at[i]]]  # type: ignore[arg-type]
-        del trie.children[up[at[i]]][trie.id[at[i]]]  # type: ignore[arg-type]
+        kids = trie.children[up[at[i]]]
+        del kids[trie.id[at[i]]]  # type: ignore[arg-type]
         trie.id[at[i]] = ancestor.id
-        trie.children[up[at[i]]][ancestor.id] = at[i]  # type: ignore[index]
+        kids[ancestor.id] = at[i]  # type: ignore[index]
+        # in label order again, as the builder keeps an unmarked map, so that the repeat rule is reached
+        trie.children[up[at[i]]] = dict(sorted(kids.items()))
         level = trie.depth_stats.setdefault(node.depth, {})
         level[ancestor.id] = level.get(ancestor.id, 0) + trie.freq[at[i]]  # type: ignore[index]
     elif how == "zero a leaf's freq":
