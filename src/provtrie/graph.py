@@ -82,13 +82,7 @@ class ProvGraph:
             raise MissingNode(f"edge endpoint {src!r} is not in the graph")
         if dst not in self._succ:
             raise MissingNode(f"edge endpoint {dst!r} is not in the graph")
-        if src == dst and self.kind is GraphKind.DAG:
-            raise SelfLoopInDag(f"self-loop on {src!r} not allowed in a DAG")
-        if dst not in self._succ[src]:
-            self._succ[src].add(dst)
-            self._indeg[dst] += 1
-            self._edge_count += 1
-            self._order = None
+        self.add_edges(((src, dst),))
 
     def add_edges(self, pairs: Iterable[tuple[str, str]]) -> None:
         """Add each pair's missing endpoints and then its edge, as
@@ -217,10 +211,5 @@ def gen_clique(n: int) -> ProvGraph:
         raise InvalidSize(f"clique needs at least 2 nodes, got {n}")
     g = ProvGraph(GraphKind.DG)
     ids = [f":r{i}" for i in range(n)]
-    for rid in ids:
-        g.add_node(rid)
-    for u in ids:
-        for v in ids:
-            if u != v:
-                g.add_edge(u, v)
+    g.add_edges((u, v) for u in ids for v in ids if u != v)
     return g

@@ -1026,8 +1026,10 @@ def all_node_freqs(trie: Trie) -> dict[tuple[str, ...], tuple[int, int, int]]:
 # ---- the two-pattern N-Triples parser --------------------------------------------
 #
 # ``parse_ntriples`` as it was before one pattern matched every statement
-# line, kept verbatim apart from the names as the reference for the
-# parser's differential fuzz test in ``tests/test_ingest.py``.
+# line, kept verbatim apart from the names and the line split as the
+# reference for the parser's differential fuzz test in
+# ``tests/test_ingest.py``.  It splits a string at the N-Triples line ends,
+# ``\n``, ``\r\n`` and ``\r``, where it once used ``str.splitlines``.
 
 _IRI = r"<([^<>\s]*)>"
 _BLANK = r"(_:[^\s<>]+)"
@@ -1043,7 +1045,7 @@ def two_pattern_parse_ntriples(source: str | Iterable[str]) -> ParsedTriples:
     skipped literal statement; anything else raises
     ``NTriplesSyntaxError`` with the line number.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = re.split(r"\r\n?|\n", source) if isinstance(source, str) else source
     triples: list[tuple[str, str, str]] = []
     skipped = 0
     for lineno, raw in enumerate(lines, 1):
@@ -1066,6 +1068,32 @@ def two_pattern_parse_ntriples(source: str | Iterable[str]) -> ParsedTriples:
             raise NTriplesSyntaxError(lineno, "unbalanced angle brackets")
         raise NTriplesSyntaxError(lineno, f"malformed statement: {stripped[:80]!r}")
     return ParsedTriples(tuple(triples), skipped)
+
+
+# ---- the statement pattern spelled with \s ---------------------------------------
+#
+# ``provtrie.ingest``'s statement pattern as it was built before its
+# IRI/blank-node class was spelled as code-point ranges, kept verbatim apart
+# from the names as the reference for the pattern's differential test.
+
+
+def _statement_pattern(space: str, term: str, body: str, escaped: str) -> re.Pattern[str]:
+    """A statement line spelled with the given character classes.
+
+    ``space`` is whitespace, ``term`` a character of an IRI or blank-node
+    label, ``body`` an unescaped literal character and ``escaped`` the
+    character after a backslash.  Groups: subject IRI | blank, predicate,
+    object IRI | blank | literal.
+    """
+    iri = rf"<({term}*)>"
+    blank = rf"(_:{term}+)"
+    # unrolled "(?:[^"\\]|\\.)*": the same strings, without one alternation per character
+    literal = rf'("{body}*(?:\\{escaped}{body}*)*"(?:@[A-Za-z][A-Za-z0-9\-]*|\^\^<{term}*>)?)'
+    return re.compile(rf"{space}*(?:{iri}|{blank}){space}+{iri}{space}+(?:{iri}|{blank}|{literal}){space}*\.{space}*")
+
+
+SPACE_CLASS_TERM = r"[^<>\s]"
+SPACE_CLASS_LINE = _statement_pattern(r"\s", SPACE_CLASS_TERM, r'[^"\\]', ".")
 
 
 def per_triple_triples_to_graph(

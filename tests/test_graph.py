@@ -245,9 +245,9 @@ def _random_run_ntriples(seed):
 
 @pytest.mark.parametrize(
     "text",
-    [(DATA / f"trace{i}.nt").read_text(encoding="utf-8") for i in (1, 2, 3)]
+    [(DATA / f"trace{i}.nt").read_text(encoding="utf-8") for i in (1, 2, 3, 4)]
     + [_random_run_ntriples(seed) for seed in (1, 2, 3)],
-    ids=["trace1", "trace2", "trace3", "random1", "random2", "random3"],
+    ids=["trace1", "trace2", "trace3", "trace4", "random1", "random2", "random3"],
 )
 def test_a_dag_run_is_linearized_by_one_kahn_pass(text, monkeypatch):
     pops = []

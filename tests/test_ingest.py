@@ -12,13 +12,12 @@ from provtrie.canonical import sequence
 from provtrie.cli import _load_graph
 from provtrie.graph import CyclicInput, GraphError, GraphKind, Role, SelfLoopInDag
 from provtrie.ingest import (
-    _ASCII_CLASSES,
-    _ASCII_LINE,
-    _CLASSES,
-    _LINE,
+    _TERM,
+    _line,
     Direction,
     IngestError,
     NTriplesSyntaxError,
+    ParsedTriples,
     PredicateMap,
     SchemaError,
     TraceDocument,
@@ -26,7 +25,7 @@ from provtrie.ingest import (
     triples_to_graph,
 )
 
-from helpers import per_triple_triples_to_graph, two_pattern_parse_ntriples
+from helpers import SPACE_CLASS_LINE, SPACE_CLASS_TERM, per_triple_triples_to_graph, two_pattern_parse_ntriples
 
 DATA = Path(__file__).parent / "data"
 PROV = "http://www.w3.org/ns/prov#"
@@ -86,6 +85,26 @@ def test_parse_garbage_line():
 def test_parse_accepts_line_iterables():
     lines = ["# c\n", "<urn:a> <urn:p> <urn:b> .\n"]
     assert len(parse_ntriples(lines).triples) == 1
+
+
+# characters at which str.splitlines breaks a line and N-Triples does not
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_only_lf_crlf_and_cr_end_an_ntriples_line():
+    for char in NOT_LINE_ENDS:
+        text = f'<urn:a> <http://www.w3.org/2000/01/rdf-schema#label> "x{char}y" .\n<urn:a> <urn:p> <urn:b> .\n'
+        assert parse_ntriples(text) == ParsedTriples((("urn:a", "urn:p", "urn:b"),), 1)
+    for end in ["\n", "\r\n", "\r"]:
+        text = end.join(["<urn:a> <urn:p> <urn:b> .", "# c", "", '<urn:a> <urn:p> "x" .', "<urn:a> <urn:p> <urn:c>"])
+        with pytest.raises(NTriplesSyntaxError) as err:
+            parse_ntriples(text)
+        assert err.value.line_number == 5
+        triples = (("urn:a", "urn:p", "urn:b"), ("urn:a", "urn:p", "urn:c"))
+        assert parse_ntriples(text + " ." + end) == ParsedTriples(triples, 1)
+    with pytest.raises(NTriplesSyntaxError) as err:
+        parse_ntriples("<urn:a> <urn:p> <urn:b> .\r\n\r\r\n\n<urn:a>")
+    assert err.value.line_number == 5
 
 
 def test_default_map_used_direction():
@@ -269,8 +288,9 @@ def test_fixture_traces_parse_and_linearize():
         "trace1": ("urn:ex:in1", "urn:ex:act1", "urn:ex:out1"),
         "trace2": ("urn:ex:in1", "urn:ex:in2", "urn:ex:act2", "urn:ex:out2"),
         "trace3": ("urn:ex:in1", "urn:ex:act1", "urn:ex:out3"),
+        "trace4": ("urn:ex:in1", "urn:ex:w\xf6rterbuch", "urn:ex:\xfcbersetzen", "urn:ex:out2"),
     }
-    skipped = {"trace1": 1, "trace2": 0, "trace3": 1}
+    skipped = {"trace1": 1, "trace2": 0, "trace3": 1, "trace4": 3}
     for name, want in expected.items():
         result = parse_ntriples((DATA / f"{name}.nt").read_text(encoding="utf-8"))
         assert result.skipped_literals == skipped[name]
@@ -307,16 +327,20 @@ def test_parser_totality_on_random_valid_lines():
 
 
 # Pieces of N-Triples lines, valid and not, for the differential fuzz below.
-# ASCII and Unicode whitespace; in a str source \n, \x0b, \x0c and \x1c also end a line
-NT_SPACE = st.sampled_from([" ", "\t", "\n", "\x0b", "\x0c", "\xa0", "\u2003", "\u3000", "\x1c", "  "])
+# ASCII and Unicode whitespace, among them the characters that end no N-Triples
+# line; in a str source \n also ends a line
+NT_SPACE = st.sampled_from([" ", "\t", "\n", "\xa0", "\u2003", "\u3000", "  ", *NOT_LINE_ENDS])
 NT_SPACES = st.lists(NT_SPACE, max_size=2).map("".join)
 NT_SEP = st.lists(NT_SPACE, min_size=1, max_size=2).map("".join)
 NT_GAP = st.one_of(NT_SEP, st.just(""))
 NT_IRI = st.sampled_from(["<urn:a>", "<>", "<urn:b#c>"])
 NT_NODE = st.one_of(NT_IRI, st.sampled_from(["_:b0", "_:b0."]))
 NT_LITERAL = st.tuples(
-    st.sampled_from(
-        ['"x"', '""', '"a \\"b\\" c"', '"\\\\"', '"t\\tn\\n"', '"<>"', '"two\nlines"', '"a\\\nb"', '"open', '"a\\"']
+    st.one_of(
+        st.sampled_from(
+            ['"x"', '""', '"a \\"b\\" c"', '"\\\\"', '"t\\tn\\n"', '"<>"', '"two\nlines"', '"a\\\nb"', '"open', '"a\\"']
+        ),
+        st.sampled_from(NOT_LINE_ENDS).map('"a{}b"'.format),
     ),
     st.sampled_from(["", "@en", "@en-GB", "@1a", "@", "^^<urn:type>", "^^<>", "^^urn:type"]),
 ).map("".join)
@@ -336,8 +360,7 @@ NT_DAMAGED = st.tuples(
 NT_TOKEN = st.one_of(
     NT_SPACE, NT_NODE, NT_LITERAL, NT_BROKEN, NT_DOT, st.sampled_from(["#", "<", ">", '"', "\\", "@", "^^", "word"])
 )
-# Plain ASCII statement lines, and variants of them: in ASCII, which the
-# ASCII pattern matches or rejects, and not, which the Unicode one does.
+# Plain ASCII statement lines, and variants of them, in ASCII and not
 NT_ASCII_IRI = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E, exclude_characters="<>"), max_size=4).map(
     "<{}>".format
 )
@@ -384,8 +407,8 @@ NT_LINE = st.one_of(
     NT_PLAIN,
     NT_VARIANT,
 )
-# line separators of str.splitlines
-NT_LINE_BREAK = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028", "\u2029", "\x0b", "\x1e"])
+# the N-Triples line ends
+NT_LINE_BREAK = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 def _parse_outcome(parse, source):
@@ -418,32 +441,52 @@ def test_parser_agrees_with_the_two_pattern_reference(data):
         assert _parse_outcome(parse_ntriples, [line]) == _parse_outcome(two_pattern_parse_ntriples, [line])
 
 
-def test_each_ascii_class_accepts_the_ascii_members_of_its_unicode_class():
-    ascii_chars = [chr(code) for code in range(128)]
-    for unicode_class, ascii_class in zip(_CLASSES, _ASCII_CLASSES, strict=True):
-        assert [c for c in ascii_chars if re.fullmatch(unicode_class, c)] == [
-            c for c in ascii_chars if re.fullmatch(ascii_class, c)
-        ]
+def test_the_term_class_accepts_exactly_what_the_space_class_reference_accepts():
+    every_code_point = "".join(map(chr, range(0x110000)))
+    accepted = "".join(re.findall(_TERM, every_code_point))
+    assert accepted == "".join(re.findall(SPACE_CLASS_TERM, every_code_point))
+    assert accepted == "".join(c for c in every_code_point if not c.isspace() and c not in "<>")
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(NT_LINE, st.text(st.characters(max_codepoint=0x7F), max_size=12)))
-def test_an_ascii_line_matches_the_ascii_pattern_as_it_matches_the_unicode_one(line):
-    if line.isascii():
-        ascii_match, unicode_match = _ASCII_LINE.fullmatch(line), _LINE.fullmatch(line)
-        assert (ascii_match is None) == (unicode_match is None)
-        if ascii_match is not None:
-            assert ascii_match.groups() == unicode_match.groups()
-    assert _parse_outcome(parse_ntriples, [line]) == _parse_outcome(two_pattern_parse_ntriples, [line])
+# Text around the bounds of the term class's ranges: the code points on each
+# side of every bound, in the pieces of a statement line
+NT_BOUNDS = [(0x08, 0x0E), (0x1B, 0x21), (0x3B, 0x3F), (0x84, 0x86), (0x9F, 0xA1), (0x167F, 0x1681)]
+NT_BOUNDS += [(0x1FFF, 0x200B), (0x2027, 0x202A), (0x202E, 0x2030), (0x205E, 0x2060), (0x2FFF, 0x3001)]
+NT_BOUNDS += [(0xFFFF, 0x10000), (0x10FFFF, 0x10FFFF)]  # the last range leaves the basic plane
+NT_BOUND_TEXT = st.text(st.sampled_from([chr(c) for low, high in NT_BOUNDS for c in range(low, high + 1)]), max_size=3)
+NT_BOUND_GAP = st.one_of(NT_BOUND_TEXT, NT_SEP)
+NT_BOUND_IRI = NT_BOUND_TEXT.map("<{}>".format)
+NT_BOUND_NODE = st.one_of(NT_BOUND_IRI, NT_BOUND_TEXT.map("_:{}".format))
+NT_BOUND_LITERAL = st.tuples(NT_BOUND_TEXT, st.sampled_from(["", "@en"]), NT_BOUND_TEXT).map(
+    lambda t: f'"{t[0]}"{t[1]}' if t[1] else f'"{t[0]}"^^<{t[2]}>'
+)
+NT_BOUND_LINE = st.tuples(
+    NT_BOUND_GAP,
+    NT_BOUND_NODE,
+    NT_BOUND_GAP,
+    NT_BOUND_IRI,
+    NT_BOUND_GAP,
+    st.one_of(NT_BOUND_NODE, NT_BOUND_LITERAL),
+    NT_BOUND_GAP,
+    st.just("."),
+    NT_BOUND_GAP,
+).map("".join)
 
 
-def test_plain_lines_and_their_variants_reach_both_patterns():
+def _groups(match):
+    return None if match is None else match.groups()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(NT_LINE, NT_BOUND_LINE))
+def test_the_statement_pattern_matches_as_the_space_class_reference(line):
+    assert _groups(_line().fullmatch(line)) == _groups(SPACE_CLASS_LINE.fullmatch(line))
+
+
+def test_the_statement_variants_of_a_plain_line_match():
     lines = {name: variant("<urn:s>", "<urn:p>", "<urn:o>") for name, variant in VARIANTS.items()}
-    assert _ASCII_LINE.fullmatch("<urn:s> <urn:p> <urn:o> .") is not None
-    ascii_matched = {name for name, line in lines.items() if line.isascii() and _ASCII_LINE.fullmatch(line)}
-    assert {"tab", "trailing space", "file line", "unit separator", "escaped quote", "blank object"} <= ascii_matched
-    unicode_matched = {name for name, line in lines.items() if not line.isascii() and _LINE.fullmatch(line)}
-    assert unicode_matched == {"non-ASCII", "non-ASCII literal", "no-break space"}
+    unmatched = {name for name, line in lines.items() if _line().fullmatch(line) is None}
+    assert unmatched == {"Unicode space", "quote", "angle bracket in an IRI", "angle brackets in an IRI", "no object"}
 
 
 # Identifiers for the graph build's differential test: duplicates, the empty
