@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 from .document import COLUMNS, HEADER_COUNTS, FrozenTrie, TrieError, TrieMode, _read, load_frozen
 from .kinds import GraphError, GraphKind
 from .query import (
-    EmptyDepth,
     PathMatch,
     QueryPattern,
     check_limit,
@@ -344,7 +343,7 @@ def _data_errors() -> tuple[type[Exception], ...]:
     """The exceptions that report bad input or data as ``error:`` and exit
     1.  A command imports the modules it calls, so it can raise an
     ``IngestError`` or a ``BenchAborted`` only once that module is loaded."""
-    errors = [GraphError, TrieError, EmptyDepth, ValueError, ArithmeticError, OSError]
+    errors = [GraphError, TrieError, ValueError, ArithmeticError, OSError]
     for module, name in ((".ingest", "IngestError"), (".bench", "BenchAborted")):
         loaded = sys.modules.get(__package__ + module)
         if loaded is not None:

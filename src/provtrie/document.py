@@ -29,10 +29,10 @@ dicts.
 ``FrozenTrie.from_document`` decodes the body and runs the column
 checker, which holds every rule a document must pass; a frozen trie sums
 its per-depth table, derived data, on the first read of
-``depth_stats``, which ``query`` and ``suggest`` never make.  The
-builder, ``trie.Trie``, writes documents with ``write_columns`` and
-checks itself with the same column checker; this module never imports
-it.
+``depth_stats``, which ``query`` and ``suggest`` never make.  ``encode``
+is the one writer; the builder, ``trie.Trie``, writes documents with it
+and checks itself with the same column checker.  This module never
+imports the builder.
 
 The checker tests ancestry as a pre-order interval: with pre-order
 positions ``pos`` and subtree sizes, ``t`` is ``s`` or an ancestor of
@@ -110,12 +110,20 @@ def _packed(values: Iterable[int]) -> array:
     return _array(_width(max(values, default=0)), values)
 
 
-def write_columns(columns: Iterable[Iterable[int]]) -> tuple[list[int], str]:
-    """The body of a document from its seven columns in ``COLUMNS`` order,
-    taken one at a time: (widths, base64 text).  Each column becomes an
-    array of its own width and goes straight into the compressor, so the
-    caller never holds every column at once.  A value past 8 bytes or below
-    0 raises ``OverflowError``."""
+def encode(
+    mode: TrieMode,
+    n: int,
+    sequence_count: int,
+    nodes: int,
+    cycle_edges: int,
+    labels: list[str],
+    columns: Iterable[Iterable[int]],
+) -> dict[str, Any]:
+    """The one writer of format 4: the document with this header and the
+    seven columns in ``COLUMNS`` order, each packed to its own width and
+    compressed as it is taken, so that no moment holds every column.  A load
+    checks the body against ``nodes`` and ``cycle_edges``, the writer's own
+    counts.  A value past 8 bytes or below 0 raises ``OverflowError``."""
     packer = zlib.compressobj(LEVEL)
     widths, parts = [], []
     for values in columns:
@@ -126,7 +134,14 @@ def write_columns(columns: Iterable[Iterable[int]]) -> tuple[list[int], str]:
         parts.append(packer.compress(column))
         del column  # the next column's list is built before this name is rebound
     parts.append(packer.flush())
-    return widths, base64.b64encode(b"".join(parts)).decode("ascii")
+    return {
+        "format_version": FORMAT_VERSION,
+        "mode": mode.value,
+        **dict(zip(HEADER_COUNTS, (n, sequence_count, nodes, cycle_edges))),
+        "widths": widths,
+        "labels": labels,
+        "columns": base64.b64encode(b"".join(parts)).decode("ascii"),
+    }
 
 
 def _read_columns(text: Any, widths: list[int], lengths: list[int]) -> list[array]:
@@ -443,9 +458,8 @@ class FrozenTrie:
         if targets:
             if dag:
                 raise CorruptDocument(f"cycle-edges on DAG-mode node {_first(cycle_out)}")
-            if min(targets) < 1:  # the wording predates unsigned columns; kept so that outputs stay the same
-                at = targets.index(min(targets))
-                raise CorruptDocument(f"cycle-edge {at} into the root or a negative node index")
+            if min(targets) < 1:
+                raise CorruptDocument(f"cycle-edge {targets.index(min(targets))} into the root")
             if min(counts) < 1:
                 raise CorruptDocument(f"cycle-edge {counts.index(min(counts))} without traversals")
         cycled = None  # each node's outflow along its cycle-edges, where there are any

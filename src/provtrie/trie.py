@@ -41,12 +41,12 @@ them by ``index``.
 The reader side lives in ``document``: the format, ``FrozenTrie`` (the
 same numbering over a document's checked columns, with no dict) and
 every rule a document must pass.  This module imports it and not the
-other way round, and re-exports its names.  ``Trie.to_document`` writes a
-format 4 document through ``document.write_columns``;
-``Trie.from_document`` is ``FrozenTrie.from_document`` plus a thaw into
-lists and dicts; ``Trie.check_invariants`` checks the builder's wiring and
-runs the column checker on its own columns, packed into arrays as a load
-packs them, with no encoding between.
+other way round, and re-exports the reader's names.  ``Trie.to_document``
+is ``document.encode``, the one writer, over the builder's counts and
+columns; ``Trie.from_document`` is ``FrozenTrie.from_document`` plus a
+thaw into lists and dicts; ``Trie.check_invariants`` checks the builder's
+wiring and runs the column checker on its own columns, packed into
+arrays as a load packs them, with no encoding between.
 
 Concurrency: single writer, many readers.  Insertion needs exclusive
 access; a trie that is not being mutated can be queried from any number
@@ -63,7 +63,6 @@ from operator import ne, sub
 from typing import IO, Any, Callable, Iterator, NamedTuple, Sequence
 
 from .document import (  # the reader's names, re-exported: provtrie.trie.FrozenTrie and the rest still import
-    FORMAT_VERSION,
     CorruptDocument,
     FormatVersionMismatch,
     FrozenTrie,
@@ -73,8 +72,8 @@ from .document import (  # the reader's names, re-exported: provtrie.trie.Frozen
     _packed,
     _parents,
     _read,
+    encode,
     load_frozen,
-    write_columns,
 )
 from .graph import ProvGraph
 
@@ -452,24 +451,10 @@ class Trie:
         return labels, columns()
 
     def to_document(self) -> dict[str, Any]:
-        """The trie as a format 4 document (see ``document``): a header
-        (``format_version``, ``mode``, ``n``, ``sequence_count``, ``nodes``,
-        ``cycle_edges``, ``widths``, ``labels``) and the seven columns as
-        one base64 string, each column narrowed to its width and compressed
-        as it is made.  Equal documents iff structurally equal tries."""
-        labels, columns = self._columns()
-        widths, text = write_columns(columns)
-        return {
-            "format_version": FORMAT_VERSION,
-            "mode": self.mode.value,
-            "n": self.n,
-            "sequence_count": self.sequence_count,
-            "nodes": len(self.id) - 1,
-            "cycle_edges": len(self.cycle_to),
-            "widths": widths,
-            "labels": labels,
-            "columns": text,
-        }
+        """The trie as a format 4 document: ``document.encode`` over the
+        builder's node and cycle-edge counts and ``_columns``.  Equal
+        documents iff structurally equal tries."""
+        return encode(self.mode, self.n, self.sequence_count, len(self.id) - 1, len(self.cycle_to), *self._columns())
 
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "Trie":

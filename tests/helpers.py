@@ -18,11 +18,11 @@ from itertools import count, islice, repeat
 from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence
 
+from provtrie.document import FORMAT_VERSION, encode
 from provtrie.graph import CyclicInput, GraphKind, ProvGraph
 from provtrie.ingest import Direction, NTriplesSyntaxError, ParsedTriples, PredicateMap
 from provtrie.query import PathMatch, QueryPattern
 from provtrie.trie import (
-    FORMAT_VERSION,
     CorruptDocument,
     EmptySequence,
     FormatVersionMismatch,
@@ -30,7 +30,6 @@ from provtrie.trie import (
     TrieMode,
     TrieModeError,
     TrieNode,
-    write_columns,
 )
 
 
@@ -247,18 +246,7 @@ def sort_per_node_columns(trie: Trie) -> tuple[list[str], Iterator[Iterator[int]
 def sort_per_node_document(trie: Trie) -> dict[str, Any]:
     """``Trie.to_document`` over ``sort_per_node_columns``."""
     labels, columns = sort_per_node_columns(trie)
-    widths, text = write_columns(columns)
-    return {
-        "format_version": FORMAT_VERSION,
-        "mode": trie.mode.value,
-        "n": trie.n,
-        "sequence_count": trie.sequence_count,
-        "nodes": len(trie.id) - 1,
-        "cycle_edges": len(trie.cycle_to),
-        "widths": widths,
-        "labels": labels,
-        "columns": text,
-    }
+    return encode(trie.mode, trie.n, trie.sequence_count, len(trie.id) - 1, len(trie.cycle_to), labels, columns)
 
 
 def expand_degrees(counts: Sequence[int]) -> list[int]:

@@ -462,6 +462,34 @@ def test_the_ntriples_fixtures_index_to_the_committed_golden_outputs(tmp_path, c
             assert captured.err == ""
 
 
+TRACES = [str(DATA / f"trace{i}.nt") for i in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize(
+    "inputs, options",
+    [
+        ([str(DATA / "k4.json")], ["--mode", "dg"]),
+        (TRACES, ["--format", "ntriples"]),
+        (TRACES, ["--format", "ntriples", "--ngram", "2"]),
+        (TRACES, ["--format", "ntriples", "--mode", "dg"]),
+    ],
+    ids=["k4-dg", "traces-dag", "traces-ngram2", "traces-dg"],
+)
+def test_a_document_does_not_depend_on_the_hash_seed(inputs, options, tmp_path):
+    # a set of strings iterates in an order the hash seed picks, and tier 1 runs under a random seed
+    documents = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}.trie"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-m", "provtrie", "index", *inputs, *options, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        documents.append(out.read_bytes())
+    assert documents[0] == documents[1]
+
+
 def _int_digit_limit():
     return getattr(sys, "get_int_max_str_digits", lambda: None)()
 

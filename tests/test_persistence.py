@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from provtrie.document import COLUMNS, _read_columns, write_columns
+from provtrie.document import COLUMNS, _read_columns, encode
 from provtrie.graph import gen_clique
 from provtrie.query import QueryPattern, count_paths, q1, q2_suggest
 from provtrie.trie import (
@@ -757,15 +757,21 @@ def test_the_body_is_the_columns_compressed_in_one_stream_at_level_1():
         assert len(body) == sum(width * length for width, length in zip(doc["widths"], lengths))
 
 
+def _encode(columns: list[list[int]]) -> dict:
+    """A document with an empty DAG header around ``columns``: ``encode``'s body alone."""
+    return encode(TrieMode.DAG, 0, 0, 0, 0, [], columns)
+
+
 @pytest.mark.parametrize(
     "top, width",
     [(255, 1), (256, 2), (65_535, 2), (65_536, 4), (2**32 - 1, 4), (2**32, 8), (2**64 - 1, 8)],
 )
 def test_a_column_takes_the_smallest_width_that_holds_its_maximum(top, width):
     columns = [[0, top, 1], [], [top]]
-    widths, text = write_columns(columns)
+    doc = _encode(columns)
+    widths = doc["widths"]
     assert widths == [width, 1, width]
-    decoded = _read_columns(text, widths, [3, 0, 1])
+    decoded = _read_columns(doc["columns"], widths, [3, 0, 1])
     assert list(map(list, decoded)) == columns
     assert [column.itemsize for column in decoded] == widths
 
@@ -773,14 +779,14 @@ def test_a_column_takes_the_smallest_width_that_holds_its_maximum(top, width):
 @pytest.mark.parametrize("value", [2**64, -1])
 def test_a_column_value_past_8_bytes_or_below_0_is_an_overflow(value):
     with pytest.raises(OverflowError):
-        write_columns([[0, value]])
+        _encode([[0, value]])
 
 
 @pytest.mark.parametrize("top", [255, 65_535, 2**32 - 1, 2**64 - 1])
 def test_a_value_below_0_is_an_overflow_at_every_width(top):
     # 1- and 2-byte columns are converted through bytes and struct, which raise other errors
     with pytest.raises(OverflowError):
-        write_columns([[top, 1, -1]])
+        _encode([[top, 1, -1]])
 
 
 @pytest.mark.parametrize("declared", [0, 1, 2**20])
