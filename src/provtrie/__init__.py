@@ -17,7 +17,7 @@ _EXPORTS = {  # submodule -> the names it exports here
     "oracle": "TooLarge WalkSet all_pairs_clique_count clique_walk_count count_walks enumerate_walks "
     "iter_topological_orders",
     "query": "EmptyDepth PathMatch QueryPattern count_paths locate most_probable_at_depth q1 q2_suggest",
-    "trie": "EmptySequence Trie TrieModeError TrieNode load save",
+    "trie": "EmptySequence Trie TrieNode load save",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -2,11 +2,13 @@
 
 Machine-readable line output on stdout, diagnostics on stderr.  Exit
 codes: 0 success (also when the reader closes stdout early), 1 input/data
-error, 2 usage error.  The environment
-variable PROVTRIE_PREDICATE_MAP may point at a predicate map file that
-replaces the built-in edge-mapping rules for RDF input.  Commands run with
-the cyclic garbage collector paused, since what they build lives until
-the process exits; ``entry``, behind ``provtrie`` and ``python -m
+error, 2 usage error.  The environment variable PROVTRIE_PREDICATE_MAP may
+point at a predicate map file that replaces the built-in edge-mapping
+rules for RDF input.  Every trace input, a file or ``-`` for stdin, is
+decoded as UTF-8.  ``index`` hands each trace to ``Trie.index_graph``, and
+it and ``bench`` check ``--out`` before they read a trace.  Commands run
+with the cyclic garbage collector paused, since what they build lives
+until the process exits; ``entry``, behind ``provtrie`` and ``python -m
 provtrie``, leaves it off until then.  A command imports the modules it
 calls when it runs, so ``query``, ``suggest``, ``stats`` and ``inspect``
 load only ``kinds``, ``document`` and ``query``, and never a builder.
@@ -53,7 +55,7 @@ def _predicate_map() -> PredicateMap:
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, encoding="utf-8") as fh:
         return fh.read()
 
@@ -80,10 +82,10 @@ def _print_matches(matches: list[PathMatch]) -> None:
 
 
 def _check_out(path: str) -> None:
-    """Raise the ``OSError`` that ``save`` would raise only after the whole
-    build, for a path it can never replace: an empty one or one in a missing
-    directory, one under a file, or an existing directory.  Creates
-    nothing; any other failure, a full disk say, still shows in ``save``."""
+    """Raise the ``OSError`` that writing ``path`` would raise only after the
+    whole build or timing, for a path never writable: an empty one or one in a
+    missing directory, one under a file, or an existing directory.  Creates
+    nothing; any other failure, a full disk say, still shows at the write."""
     directory = os.path.dirname(path) or os.curdir
     if not path or not os.path.exists(directory):
         code = errno.ENOENT
@@ -97,7 +99,6 @@ def _check_out(path: str) -> None:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    from .canonical import ngrams, sequence
     from .trie import Trie, save
 
     mode = TrieMode(args.mode)
@@ -113,13 +114,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         if not g.node_count:
             print(f"note: {path}: empty trace, nothing to index", file=sys.stderr)
             continue
-        if mode is TrieMode.DAG:
-            seq = sequence(g)
-            window_len = args.ngram if args.ngram else len(seq.items)
-            for window in ngrams(seq, window_len).windows:
-                trie.insert(window)
-        else:
-            trie.index_graph_dg(g)
+        trie.index_graph(g)
         traces += 1
     nodes = save(trie, args.out)
     print(f"traces\t{traces}")
@@ -236,6 +231,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     check_protocol(args.max_wildcards, args.trials, args.warmup)
     if "naive" in engines and args.naive_max_wildcards < 1:
         raise ValueError(f"naive_max_wildcards must be >= 1, got {args.naive_max_wildcards}")
+    if args.out:
+        _check_out(args.out)  # before the first timing
     g, trace_id = _load_graph(args.input, args.format, GraphKind.DG)
     for flag, rid in (("--start", args.start), ("--end", args.end)):
         if rid not in g:
@@ -249,7 +246,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     if "trie" in engines:
         trie = Trie(TrieMode.DG)
-        trie.index_graph_dg(g)
+        trie.index_graph(g)
         rows.extend(
             run_bench(trie, args.start, args.end, args.max_wildcards, args.trials, args.warmup, dataset)
         )

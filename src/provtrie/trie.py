@@ -10,7 +10,8 @@ is one node.  DG mode folds repetition back into the tree: when the next
 symbol matches a node already on the current root-to-cursor path, a
 cycle-edge from the cursor to that ancestor is recorded and the cursor
 jumps back up.  Identifiers along a DG root path are therefore unique, so
-a label from any node is one child or one cycle-edge, never both.
+a label from any node is one child or one cycle-edge, never both.  The
+mode alone decides how ``insert`` and ``index_graph`` take a trace.
 
 Per node: ``freq`` counts every traversal arrival (descents plus
 cycle-edge arrivals), ``entry`` the descents, ``terminal`` the insertions
@@ -62,6 +63,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import ne, sub
 from typing import IO, Any, Callable, Iterator, NamedTuple, Sequence
 
+from .canonical import ngrams, sequence
 from .document import (  # the reader's names, re-exported: provtrie.trie.FrozenTrie and the rest still import
     CorruptDocument,
     FormatVersionMismatch,
@@ -80,10 +82,6 @@ from .graph import ProvGraph
 
 class EmptySequence(TrieError):
     """An empty sequence cannot be inserted."""
-
-
-class TrieModeError(TrieError):
-    """Operation invoked on a trie of the wrong mode."""
 
 
 def _column(name: str, doc: str) -> property:
@@ -199,32 +197,18 @@ class Trie:
             self.cycle_count[edge] += 1
 
     def insert(self, seq: Sequence[str]) -> None:
-        """Insert one sequence (DAG mode).
+        """Insert one sequence, folding repeats into cycle-edges in DG mode.
 
         Walks down from the root consuming symbols, creating children as
         needed; bumps ``freq`` along the way and ``terminal`` at the final
-        node.  Statistics are final after the call: no rebuild pass exists
-        or is needed.
+        node.  In DG mode, when the next symbol already labels a node on
+        the current root-to-cursor path, the cursor takes (and idempotently
+        records) a cycle-edge back to that ancestor instead of creating a
+        duplicate node; the ancestor's ``freq`` absorbs the arrival and the
+        path truncates to it, so a sequence without repeats goes in as in
+        DAG mode.  Statistics are final after the call: no rebuild pass
+        exists or is needed.
         """
-        if self.mode is not TrieMode.DAG:
-            raise TrieModeError("insert requires a DAG-mode trie; use insert_dg")
-        self._insert(seq, fold=False)
-
-    def insert_dg(self, seq: Sequence[str]) -> None:
-        """Insert one sequence (DG mode), folding repeats into cycle-edges.
-
-        When the next symbol already labels a node on the current
-        root-to-cursor path, the cursor takes (and idempotently records) a
-        cycle-edge back to that ancestor instead of creating a duplicate
-        node; the ancestor's ``freq`` absorbs the arrival and the path
-        truncates to it.  Sequences without repeats behave exactly as in
-        DAG mode.
-        """
-        if self.mode is not TrieMode.DG:
-            raise TrieModeError("insert_dg requires a DG-mode trie; use insert")
-        self._insert(seq, fold=True)
-
-    def _insert(self, seq: Sequence[str], fold: bool) -> None:
         if isinstance(seq, str):  # list() would split it into one-character identifiers
             raise TypeError("insert takes a sequence of identifiers, not one string")
         symbols = list(seq)
@@ -232,6 +216,7 @@ class Trie:
             raise EmptySequence("cannot insert an empty sequence")
         if set(map(type, symbols)) - {str} or "" in symbols:  # the loader's rule, before any change
             raise ValueError("resource identifier must be a nonempty string")
+        fold = self.mode is TrieMode.DG
         children, freq, entry, stats = self.children, self.freq, self.entry, self.depth_stats
         freq[0] += 1
         path = [0]  # the root path down to the cursor
@@ -259,8 +244,11 @@ class Trie:
                 del path[pos + 1 :]
         self.terminal[path[-1]] += 1
 
-    def index_graph_dg(self, g: ProvGraph) -> None:
-        """Index every bounded walk of a directed graph (DG mode).
+    def index_graph(self, g: ProvGraph) -> None:
+        """Index one trace as the trie's mode does: DAG mode inserts the
+        windows of the graph's canonical sequence, of length ``n`` (the
+        whole sequence when ``n`` is 0); DG mode indexes every bounded walk.
+        An empty graph indexes nothing.
 
         From each node (in identifier order) a depth-first enumeration of
         simple paths runs over sorted successors.  At every point along a
@@ -274,14 +262,18 @@ class Trie:
         One explicit-stack pass of that DFS builds the trie: a path's node
         is created or reused on entry, a closing successor records its
         cycle-edge at once, and a frame's insertions and cycle arrivals join
-        its node's statistics when it pops; as one ``insert_dg`` per closing
+        its node's statistics when it pops; as one ``insert`` per closing
         insertion would, also into a trie that already holds sequences.
         Successors are walked in ascending order, so a node's children and
         cycle-edges are created in label order; only a build into a
         non-empty trie marks a map.
         """
-        if self.mode is not TrieMode.DG:
-            raise TrieModeError("index_graph_dg requires a DG-mode trie")
+        if self.mode is TrieMode.DAG:
+            items = sequence(g).items
+            if items:
+                for window in ngrams(items, self.n or len(items)).windows:
+                    self.insert(window)
+            return
         succs_of = {v: g.successors(v) for v in g.node_ids}
         children, cycles, ids, freq, entry, terminal = (
             self.children, self.cycles, self.id, self.freq, self.entry, self.terminal
@@ -351,6 +343,10 @@ class Trie:
                 else:
                     total += ins
         freq[0] += total
+
+    # the names the benchmark harness (perfbench/pipeline.py) still calls
+    insert_dg = insert
+    index_graph_dg = index_graph
 
     # ---- invariants ------------------------------------------------------------
 

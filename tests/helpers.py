@@ -27,10 +27,14 @@ from provtrie.trie import (
     EmptySequence,
     FormatVersionMismatch,
     Trie,
+    TrieError,
     TrieMode,
-    TrieModeError,
     TrieNode,
 )
+
+
+class TrieModeError(TrieError):
+    """An ``ObjectTrie`` operation invoked in the wrong mode."""
 
 
 def has_cycle_dfs(g: ProvGraph) -> bool:
@@ -105,21 +109,20 @@ def random_dg(rng: random.Random, max_nodes: int = 8, p: float | None = None) ->
 
 def insert_all(mode: TrieMode, corpus: Iterable[Sequence[str]], n: int = 0) -> Trie:
     trie = Trie(mode, n=n)
-    add = trie.insert if mode is TrieMode.DAG else trie.insert_dg
     for seq in corpus:
-        add(seq)
+        trie.insert(seq)
     return trie
 
 
 def insert_based_index_graph_dg(trie: Trie, g: ProvGraph) -> None:
-    """The original DG builder: one ``insert_dg`` per closing insertion.
+    """The original DG builder: one ``insert`` per closing insertion.
 
-    Kept verbatim (as a function of the trie) as the exactness reference
-    for ``Trie.index_graph_dg``, which builds the same trie in one pass.
+    Kept (as a function of the trie) as the exactness reference for
+    ``Trie.index_graph`` in DG mode, which builds the same trie in one pass.
     """
     if trie.mode is not TrieMode.DG:
-        raise TrieModeError("index_graph_dg requires a DG-mode trie")
-    insert = trie.insert_dg
+        raise TrieModeError("the insert-based DG builder requires a DG-mode trie")
+    insert = trie.insert
 
     def visit(path: list[str], on_path: set[str]) -> None:
         succs = g.successors(path[-1])

@@ -35,7 +35,7 @@ LARGE_SERIES = [6, 43, 300, 2101, 14706, 102943, 720600, 5044201, 35309406]  # M
 @pytest.fixture(scope="module")
 def k4_trie():
     trie = Trie(TrieMode.DG)
-    trie.index_graph_dg(gen_clique(4))
+    trie.index_graph(gen_clique(4))
     return trie
 
 
@@ -43,7 +43,7 @@ def k4_trie():
 def k8_bundle():
     graph = gen_clique(8)
     trie = Trie(TrieMode.DG)
-    trie.index_graph_dg(graph)
+    trie.index_graph(graph)
     return graph, trie
 
 
@@ -104,7 +104,7 @@ def test_criterion_04_trie_vs_oracle_set_equivalence():
     for _ in range(50):
         g = random_dg(rng, max_nodes=8)
         trie = Trie(TrieMode.DG)
-        trie.index_graph_dg(g)
+        trie.index_graph(g)
         for start in g.node_ids:
             for end in g.node_ids:
                 for wildcards in range(5):
@@ -149,9 +149,8 @@ def test_criterion_06_statistics_conservation():
         rng.shuffle(corpus)
         for mode in (TrieMode.DAG, TrieMode.DG):
             trie = Trie(mode)
-            add = trie.insert if mode is TrieMode.DAG else trie.insert_dg
             for seq in corpus:
-                add(seq)
+                trie.insert(seq)
                 assert walk_conservation_report(trie) == []
 
 

@@ -28,7 +28,7 @@ from helpers import digits, random_dg
 def k4():
     g = gen_clique(4)
     t = Trie(TrieMode.DG)
-    t.index_graph_dg(g)
+    t.index_graph(g)
     return g, t
 
 
@@ -166,7 +166,7 @@ def _perfbench_reference():
 def test_dp_engine_counts_equal_the_reference_the_closed_form_and_the_trie(size):
     g = gen_clique(size)
     trie = Trie(TrieMode.DG)
-    trie.index_graph_dg(g)
+    trie.index_graph(g)
     frontier_dp_count = _perfbench_reference().frontier_dp_count
     successors = {v: g.successors(v) for v in g.node_ids}
     dp = run_bench_dp(g, ":r0", ":r1", 6, trials=1, warmup=0, dataset=f"k{size}")

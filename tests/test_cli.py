@@ -387,7 +387,7 @@ def test_query_version_1_trie_file_is_an_error(tmp_path, capsys):
 )
 def test_format_2_trie_file_is_an_error_without_a_traceback(tmp_path, argv):
     trie = Trie(TrieMode.DG)
-    trie.index_graph_dg(gen_clique(4))
+    trie.index_graph(gen_clique(4))
     old = tmp_path / "k4-format2.trie"
     old.write_text(json.dumps(format2_document(trie), separators=(",", ":")), encoding="utf-8")
     command, *options = argv
@@ -710,12 +710,29 @@ def test_bench_rejects_out_of_range_counts_before_building(options, message, cli
     def no_build(self, g):
         raise AssertionError("the trie was built before the counts were checked")
 
-    monkeypatch.setattr(Trie, "index_graph_dg", no_build)
+    monkeypatch.setattr(Trie, "index_graph", no_build)
     rc = main(["bench", str(clique4_file), "--start", ":r0", "--end", ":r1", *options])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_bench_refuses_an_out_it_can_never_write_before_timing(clique4_file, tmp_path, capsys, monkeypatch):
+    # the CSV is opened after every timing: a K8 bench of three engines would run for seconds first
+    def no_read(*args):
+        raise AssertionError("the graph was read before --out was checked")
+
+    def no_build(self, g):
+        raise AssertionError("the trie was built before --out was checked")
+
+    monkeypatch.setattr("provtrie.cli._load_graph", no_read)
+    monkeypatch.setattr(Trie, "index_graph", no_build)
+    out = tmp_path / "missing" / "b.csv"
+    rc = main(["bench", str(clique4_file), "--start", ":r0", "--end", ":r1", "--engines", "trie,naive,dp", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+    assert list(tmp_path.iterdir()) == [clique4_file]
 
 
 def test_main_reports_an_aborted_bench(clique4_file, capsys, monkeypatch):
@@ -833,13 +850,34 @@ def test_trace_index_does_not_read_the_predicate_map(tmp_path, capsys, monkeypat
 
 
 def test_index_reads_stdin(tmp_path, capsys, monkeypatch):
-    import io
-
     out = tmp_path / "trie.json"
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(LINEAR_TRACE)))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(json.dumps(LINEAR_TRACE).encode())))
     rc = main(["index", "-", "--out", str(out)])
     assert rc == 0
     assert node_count(load(out)) == 5
+
+
+def test_stdin_is_read_as_utf8_whatever_the_stream_encoding(tmp_path):
+    # trace4.nt holds non-ASCII IRIs: latin-1 would read urn:ex:wörterbuch as urn:ex:wÃ¶rterbuch
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), "PYTHONIOENCODING": "latin-1"}
+    documents = []
+    for name, source in (("path.trie", str(DATA / "trace4.nt")), ("stdin.trie", "-")):
+        with open(DATA / "trace4.nt", "rb") as stdin:
+            proc = subprocess.run(
+                [sys.executable, "-m", "provtrie", "index", source, "--format", "ntriples", "--out", str(tmp_path / name)],
+                stdin=stdin, capture_output=True, env=env, timeout=120,
+            )
+        assert proc.returncode == 0, proc.stderr
+        documents.append((tmp_path / name).read_bytes())
+    assert documents[0] == documents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "provtrie", "index", "-", "--format", "ntriples", "--out", str(tmp_path / "bad.trie")],
+        input=b"<urn:ex:w\xf6rterbuch> <http://www.w3.org/ns/prov#used> <urn:ex:x> .\n",
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(b"error: ")
+    assert not (tmp_path / "bad.trie").exists()
 
 
 def test_persistence_transparency(clique4_file, tmp_path, capsys):
@@ -847,7 +885,7 @@ def test_persistence_transparency(clique4_file, tmp_path, capsys):
     main(["index", str(clique4_file), "--mode", "dg", "--out", str(out)])
     capsys.readouterr()
     in_memory = Trie(TrieMode.DG)
-    in_memory.index_graph_dg(gen_clique(4))
+    in_memory.index_graph(gen_clique(4))
     for wildcards in range(5):
         rc = main(
             ["query", str(out), "--start", ":r0", "--end", ":r2", "--wildcards", str(wildcards), "--count-only"]
@@ -987,7 +1025,7 @@ print(json.dumps({"code": code, "full_collections": len(after_main)}), file=sys.
 
 def _full_collections_after_main(tmp_path, launch: str) -> None:
     trie = Trie(TrieMode.DG)
-    trie.index_graph_dg(gen_clique(5))
+    trie.index_graph(gen_clique(5))
     path = tmp_path / "k5.trie"
     save(trie, path)
     argv = ["query", str(path), "--start", ":r0", "--end", ":r1", "--wildcards", "3", "--count-only"]

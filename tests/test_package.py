@@ -51,7 +51,6 @@ EXPORTS = {
         "FrozenTrie",
         "Trie",
         "TrieMode",
-        "TrieModeError",
         "TrieNode",
         "load",
         "load_frozen",

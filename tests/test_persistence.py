@@ -121,7 +121,7 @@ def test_dg_trie_roundtrip_with_cycles():
 
 def test_indexed_graph_roundtrip_preserves_counts():
     t = Trie(TrieMode.DG)
-    t.index_graph_dg(gen_clique(4))
+    t.index_graph(gen_clique(4))
     back = roundtrip(t)
     for m in range(7):
         pattern = QueryPattern((":r0",), m, ":r1")
@@ -556,7 +556,7 @@ def test_corrupt_inexact_or_out_of_range_integer(where, value):
 def _fuzz_bases() -> list[dict]:
     """Format 4 documents: decode them to edit their columns."""
     k3 = Trie(TrieMode.DG)
-    k3.index_graph_dg(gen_clique(3))
+    k3.index_graph(gen_clique(3))
     return [
         k3.to_document(),
         insert_all(TrieMode.DG, [["a", "b", "a"], ["a", "b", "c"], ["c", "a", "c", "a"]]).to_document(),
@@ -902,7 +902,7 @@ def _json_dump_bytes(trie: Trie) -> str:
 
 def _dg_clique(size: int) -> Trie:
     t = Trie(TrieMode.DG)
-    t.index_graph_dg(gen_clique(size))
+    t.index_graph(gen_clique(size))
     return t
 
 
@@ -1014,7 +1014,7 @@ def _siblings_reversed(trie: Trie) -> dict:
 @pytest.mark.parametrize("order", ["breadth-first", "siblings-reversed"])
 def test_loader_keeps_document_order_and_shares_no_list(order):
     trie = _dg_clique(4)
-    trie.insert_dg([":r3", ":r2", ":r3", ":r0"])
+    trie.insert([":r3", ":r2", ":r3", ":r0"])
     columns = decode_document(trie.to_document()) if order == "breadth-first" else _siblings_reversed(trie)
     doc = encode_document(columns)
     assert columns["id"] != decode_document(trie.to_document())["id"] or order == "breadth-first"
@@ -1032,7 +1032,7 @@ def test_loader_keeps_document_order_and_shares_no_list(order):
     assert [edge for out in loaded.cycles for edge in out.values()] == list(range(len(columns["cycle_to"])))
     assert loaded.to_document() == trie.to_document()
     # later changes to the trie leave the document alone
-    loaded.insert_dg([":r3", ":r2", ":r3", ":r1"])
+    loaded.insert([":r3", ":r2", ":r3", ":r1"])
     assert loaded.sequence_count == doc["sequence_count"] + 1
     assert doc == before
 

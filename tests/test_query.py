@@ -47,7 +47,7 @@ corpora = st.lists(sequences, min_size=1, max_size=10)
 @pytest.fixture(scope="module")
 def k4_trie():
     t = Trie(TrieMode.DG)
-    t.index_graph_dg(gen_clique(4))
+    t.index_graph(gen_clique(4))
     return t
 
 
@@ -266,7 +266,7 @@ def _criterion_04_corpora():
     for _ in range(50):
         g = random_dg(rng, max_nodes=8)
         trie = Trie(TrieMode.DG)
-        trie.index_graph_dg(g)
+        trie.index_graph(g)
         yield trie, list(g.node_ids)
 
 
@@ -334,7 +334,7 @@ def test_q1_matches_walk_oracle_on_random_dg(seed, data):
     rng = random.Random(seed)
     g = random_dg(rng, max_nodes=6)
     t = Trie(TrieMode.DG)
-    t.index_graph_dg(g)
+    t.index_graph(g)
     ids = list(g.node_ids)
     start = data.draw(st.sampled_from(ids))
     end = data.draw(st.sampled_from(ids))
@@ -382,11 +382,11 @@ def _ranked_trie(kind: str, seed: int) -> Trie:
     rng = random.Random(seed)
     if kind == "clique":
         trie = Trie(TrieMode.DG)
-        trie.index_graph_dg(gen_clique(rng.randint(3, 6)))
+        trie.index_graph(gen_clique(rng.randint(3, 6)))
         return trie
     if kind in ("random dg", "random dag"):
         trie = Trie(TrieMode.DG)
-        trie.index_graph_dg(random_dg(rng, max_nodes=6) if kind == "random dg" else random_dag(rng, max_nodes=7))
+        trie.index_graph(random_dg(rng, max_nodes=6) if kind == "random dg" else random_dag(rng, max_nodes=7))
         return trie
     alphabet = [f"urn:r{i}" for i in range(rng.randint(1, 5))]
     runs = [[rng.choice(alphabet) for _ in range(rng.randint(1, 7))] for _ in range(rng.randint(1, 25))]
@@ -452,7 +452,7 @@ def test_every_step_probability_of_a_loaded_trie_is_at_most_one(trie):
 
 def _dg_index(g) -> Trie:
     trie = Trie(TrieMode.DG)
-    trie.index_graph_dg(g)
+    trie.index_graph(g)
     return trie
 
 

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from provtrie.canonical import ngrams, sequence
 from provtrie.graph import GraphKind, ProvGraph, gen_clique
 from provtrie.oracle import enumerate_walks
 from provtrie.query import QueryPattern, count_paths
-from provtrie.trie import CorruptDocument, EmptySequence, FrozenTrie, Trie, TrieMode, TrieModeError, load, save
+from provtrie.trie import CorruptDocument, EmptySequence, FrozenTrie, Trie, TrieMode, load, save
 
 from helpers import (
     CycleEdge,
@@ -99,7 +100,7 @@ def test_insert_rejects_empty_sequence():
     with pytest.raises(EmptySequence):
         Trie(TrieMode.DAG).insert([])
     with pytest.raises(EmptySequence):
-        Trie(TrieMode.DG).insert_dg([])
+        Trie(TrieMode.DG).insert([])
 
 
 @pytest.mark.parametrize("mode", [TrieMode.DAG, TrieMode.DG])
@@ -107,9 +108,8 @@ def test_insert_rejects_empty_sequence():
 def test_insert_refuses_identifiers_that_load_refuses(mode, seq):
     t = insert_all(mode, [["a", "b", "a"], ["a", "c"]])
     before, stats = t.to_document(), copy.deepcopy(t.depth_stats)
-    add = t.insert if mode is TrieMode.DAG else t.insert_dg
     with pytest.raises(ValueError, match="resource identifier must be a nonempty string"):
-        add(seq)
+        t.insert(seq)
     assert t.to_document() == before and t.depth_stats == stats
     t.check_invariants()
 
@@ -120,26 +120,38 @@ def test_insert_refuses_one_string_for_a_sequence(mode, seq):
     # list() of a string is its characters: five nodes u, r, n, :, a for "urn:a"
     t = insert_all(mode, [["a", "b", "a"], ["a", "c"]])
     before, stats = t.to_document(), copy.deepcopy(t.depth_stats)
-    add = t.insert if mode is TrieMode.DAG else t.insert_dg
     with pytest.raises(TypeError, match="not one string"):
-        add(seq)
+        t.insert(seq)
     assert t.to_document() == before and t.depth_stats == stats
-    add([seq])  # the identifier itself, as a one-element sequence
+    t.insert([seq])  # the identifier itself, as a one-element sequence
     assert t.root.children[seq].terminal_count == 1
 
 
-def test_insert_mode_checks():
-    with pytest.raises(TrieModeError):
-        Trie(TrieMode.DG).insert(["a"])
-    with pytest.raises(TrieModeError):
-        Trie(TrieMode.DAG).insert_dg(["a"])
-    with pytest.raises(TrieModeError):
-        Trie(TrieMode.DAG).index_graph_dg(gen_clique(2))
+def test_the_mode_decides_whether_insert_folds_a_repeat():
+    dg, dag = Trie(TrieMode.DG), Trie(TrieMode.DAG)
+    dg.insert(["a", "b", "a"])
+    dag.insert(["a", "b", "a"])
+    assert len(dg.cycle_to) == 1 and dg.cycle_count == [1] and node_count(dg) == 2
+    assert not dag.cycle_to and node_count(dag) == 3
+
+
+@pytest.mark.parametrize("mode", [TrieMode.DAG, TrieMode.DG])
+def test_index_graph_of_an_empty_graph_indexes_nothing(mode):
+    for t in (Trie(mode, n=2 if mode is TrieMode.DAG else 0), insert_all(mode, FIGURE_SEQUENCES)):
+        before = t.to_document()
+        t.index_graph(ProvGraph(mode))
+        assert t.to_document() == before
+
+
+def test_the_old_method_names_are_aliases():
+    # perfbench/pipeline.py still calls these two names
+    assert Trie.insert_dg is Trie.insert
+    assert Trie.index_graph_dg is Trie.index_graph
 
 
 def test_dg_insert_folds_repeat_into_cycle_edge():
     t = Trie(TrieMode.DG)
-    t.insert_dg(["N1", "N2", "N1"])
+    t.insert(["N1", "N2", "N1"])
     assert node_count(t) == 2  # no second N1 node
     n1 = t.root.children["N1"]
     n2 = n1.children["N2"]
@@ -160,8 +172,8 @@ def test_dg_insert_without_repeats_matches_dag_shape():
 
 def test_dg_cycle_edges_recorded_once_with_counts():
     t = Trie(TrieMode.DG)
-    t.insert_dg(["a", "b", "a"])
-    t.insert_dg(["a", "b", "a"])
+    t.insert(["a", "b", "a"])
+    t.insert(["a", "b", "a"])
     b = t.root.children["a"].children["b"]
     assert len(b.cycles) == 1
     assert b.cycles["a"].count == 2
@@ -170,7 +182,7 @@ def test_dg_cycle_edges_recorded_once_with_counts():
 
 def test_dg_self_reference():
     t = Trie(TrieMode.DG)
-    t.insert_dg(["a", "a", "a"])
+    t.insert(["a", "a", "a"])
     a = t.root.children["a"]
     assert node_count(t) == 1
     assert a.cycles["a"].target.index == a.index
@@ -184,7 +196,7 @@ def test_index_graph_dg_single_edge():
     g.add_node(":b")
     g.add_edge(":a", ":b")
     t = Trie(TrieMode.DG)
-    t.index_graph_dg(g)
+    t.index_graph(g)
     assert count_paths(t, QueryPattern((":a",), 0, ":b")) == 1
     assert count_paths(t, QueryPattern((":a",), 1, ":b")) == 0
 
@@ -197,7 +209,7 @@ def test_index_graph_dg_triangle_walks_match_oracle():
     g.add_edge(":b", ":c")
     g.add_edge(":c", ":a")
     t = Trie(TrieMode.DG)
-    t.index_graph_dg(g)
+    t.index_graph(g)
     t.check_invariants()
     from provtrie.query import q1
 
@@ -211,7 +223,7 @@ def test_index_graph_dg_triangle_walks_match_oracle():
 
 def test_index_graph_dg_k4_wildcard_count():
     t = Trie(TrieMode.DG)
-    t.index_graph_dg(gen_clique(4))
+    t.index_graph(gen_clique(4))
     assert count_paths(t, QueryPattern((":r0",), 2, ":r1")) == 7
 
 
@@ -220,7 +232,7 @@ def test_index_graph_dg_edge_projection_equals_graph():
     for _ in range(10):
         g = random_dg(rng, max_nodes=6)
         t = Trie(TrieMode.DG)
-        t.index_graph_dg(g)
+        t.index_graph(g)
         projected = set()
         for node in iter_nodes(t):
             if node.id is None:
@@ -240,18 +252,62 @@ def test_one_pass_dg_builder_equals_insert_based_reference():
         prefill = [[rng.choice(names) for _ in range(rng.randint(1, 6))] for _ in range(rng.choice([0, 0, 3]))]
         built, reference = Trie(TrieMode.DG), Trie(TrieMode.DG)
         for seq in prefill:
-            built.insert_dg(seq)
-            reference.insert_dg(seq)
+            built.insert(seq)
+            reference.insert(seq)
         for g in graphs:
-            built.index_graph_dg(g)
+            built.index_graph(g)
             insert_based_index_graph_dg(reference, g)
         built.check_invariants()
         assert built.to_document() == reference.to_document(), case
     for size in range(2, 8):
         built, reference = Trie(TrieMode.DG), Trie(TrieMode.DG)
-        built.index_graph_dg(gen_clique(size))
+        built.index_graph(gen_clique(size))
         insert_based_index_graph_dg(reference, gen_clique(size))
         assert built.to_document() == reference.to_document(), size
+
+
+def _trace(kind: str, rng: random.Random) -> ProvGraph:
+    if kind == "clique":
+        return gen_clique(rng.randint(2, 5))
+    if kind == "empty":
+        return ProvGraph(GraphKind.DAG)
+    return random_dg(rng, max_nodes=6) if kind == "dg" else random_dag(rng, max_nodes=7)
+
+
+def _index_by_mode_at_the_call_site(trie: Trie, g: ProvGraph) -> None:
+    """How ``provtrie index`` indexed a trace before ``Trie.index_graph``:
+    skip an empty graph; in DAG mode, insert the canonical sequence's
+    windows; in DG mode, build with the insert-based reference."""
+    if not g.node_count:
+        return
+    if trie.mode is TrieMode.DAG:
+        seq = sequence(g)
+        for window in ngrams(seq, trie.n if trie.n else len(seq.items)).windows:
+            trie.insert(window)
+    else:
+        insert_based_index_graph_dg(trie, g)
+
+
+@given(
+    mode=st.sampled_from(TrieMode),
+    n=st.sampled_from([0, 1, 2, 3]),
+    traces=st.lists(
+        st.tuples(st.sampled_from(["dag", "dg", "clique", "empty"]), st.randoms(use_true_random=False)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_index_graph_equals_the_mode_dispatch_it_replaced(mode, n, traces):
+    n = n if mode is TrieMode.DAG else 0  # index refuses --ngram in DG mode
+    built, reference = Trie(mode, n), Trie(mode, n)
+    for kind, rng in traces:
+        # a DAG-mode trie takes acyclic runs only
+        g = _trace(kind if mode is TrieMode.DG or kind == "empty" else "dag", rng)
+        built.index_graph(g)
+        _index_by_mode_at_the_call_site(reference, g)
+    built.check_invariants()
+    assert built.to_document() == reference.to_document()
 
 
 def test_dg_builder_has_no_depth_limit():
@@ -269,7 +325,7 @@ def test_dg_builder_has_no_depth_limit():
     # lowered only: a builder that recurses once per step cannot finish
     sys.setrecursionlimit(min(limit, depth + 100))
     try:
-        t.index_graph_dg(g)
+        t.index_graph(g)
     finally:
         sys.setrecursionlimit(limit)
     assert node_count(t) == n * (n + 1) // 2 == 45_150
@@ -305,7 +361,7 @@ def test_conservation_after_every_dag_insertion(corpus):
 def test_conservation_after_every_dg_insertion(corpus):
     t = Trie(TrieMode.DG)
     for seq in corpus:
-        t.insert_dg(seq)
+        t.insert(seq)
         assert walk_conservation_report(t) == []
         t.check_invariants()
 
@@ -328,7 +384,7 @@ def test_incremental_insert_locality(corpus, extra):
     for mode in (TrieMode.DAG, TrieMode.DG):
         t = insert_all(mode, corpus)
         before = all_node_freqs(t)
-        (t.insert if mode is TrieMode.DAG else t.insert_dg)(extra)
+        t.insert(extra)
         after = all_node_freqs(t)
         changed = [
             path
@@ -353,7 +409,7 @@ def test_incremental_insert_locality(corpus, extra):
 
 def test_depth_stats_track_cycle_arrivals():
     t = Trie(TrieMode.DG)
-    t.insert_dg(["a", "b", "a"])
+    t.insert(["a", "b", "a"])
     assert t.depth_stats[1] == {"a": 2}
     assert t.depth_stats[2] == {"b": 1}
 
@@ -369,7 +425,7 @@ def test_dag_depth_totals_count_long_enough_sequences(corpus):
 
 def _dg_index(g: ProvGraph) -> Trie:
     t = Trie(TrieMode.DG)
-    t.index_graph_dg(g)
+    t.index_graph(g)
     return t
 
 
@@ -608,11 +664,11 @@ def _mixed_build(mode: TrieMode, steps: list[tuple[str, Any]]) -> Trie:
     trie = Trie(mode)
     for kind, arg in steps:
         if kind == "insert":
-            (trie.insert if mode is TrieMode.DAG else trie.insert_dg)(arg)
+            trie.insert(arg)
         elif kind == "thaw":
             trie = Trie.from_document(trie.to_document())
         elif mode is TrieMode.DG:
-            trie.index_graph_dg(random_dg(arg, max_nodes=6))
+            trie.index_graph(random_dg(arg, max_nodes=6))
     return trie
 
 
@@ -826,12 +882,12 @@ def _checker_documents(rng: random.Random) -> list[dict]:
     for _ in range(40):
         for g in (random_dg(rng), random_dag(rng)):
             t = Trie(TrieMode.DG)
-            t.index_graph_dg(g)
+            t.index_graph(g)
             documents.append(t.to_document())
         documents.append(insert_all(TrieMode.DAG, _dag_walks(rng, random_dag(rng), 12)).to_document())
     for size in range(2, 7):
         t = Trie(TrieMode.DG)
-        t.index_graph_dg(gen_clique(size))
+        t.index_graph(gen_clique(size))
         documents.append(t.to_document())
     return documents
 
@@ -969,34 +1025,35 @@ def test_column_loader_agrees_with_the_object_loader_on_tampered_documents():
     assert "repeat" in outcomes["repeat an ancestor's identifier"]
 
 
-def _differential_tries(rng: random.Random) -> Iterator[tuple[str, Callable[[Any], None]]]:
-    """Builds to run on both a ``Trie`` and an ``ObjectTrie``: (mode, build)."""
+def _differential_tries(rng: random.Random) -> Iterator[tuple[str, Callable[..., None]]]:
+    """Builds to run on both a ``Trie`` and an ``ObjectTrie``: (mode, build),
+    where ``build(insert, index_graph)`` takes the trie's two insertion calls."""
     names = [f"urn:n{i:02d}" for i in range(8)]  # the generators' identifiers
     for _ in range(40):
         g = random_dg(rng) if rng.random() < 0.7 else random_dag(rng)
-        yield "dg", lambda t, g=g: t.index_graph_dg(g)
+        yield "dg", lambda insert, index_graph, g=g: index_graph(g)
     for size in range(2, 7):
-        yield "dg", lambda t, size=size: t.index_graph_dg(gen_clique(size))
+        yield "dg", lambda insert, index_graph, size=size: index_graph(gen_clique(size))
     for _ in range(40):
         runs = [[rng.choice(names) for _ in range(rng.randint(1, 8))] for _ in range(rng.randint(1, 6))]
         g = random_dg(rng)
 
-        def mixed(t, runs=runs, g=g):
+        def mixed(insert, index_graph, runs=runs, g=g):
             for run in runs[:2]:
-                t.insert_dg(run)
-            t.index_graph_dg(g)
+                insert(run)
+            index_graph(g)
             for run in runs[2:]:
-                t.insert_dg(run)
+                insert(run)
 
         yield "dg", mixed
     for n in (0, 2, 3):
         for _ in range(20):
             walks = _dag_walks(rng, random_dag(rng), 12)
 
-            def windows(t, walks=walks, n=n):
+            def windows(insert, index_graph, walks=walks, n=n):
                 for walk in walks:
                     for start in range(max(1, len(walk) - n + 1) if n else 1):
-                        t.insert(walk[start : start + n] if n else walk)
+                        insert(walk[start : start + n] if n else walk)
 
             yield "dag", windows
 
@@ -1009,8 +1066,8 @@ def test_documents_are_byte_identical_to_the_object_trie():
     # two writers and two loaders, each with its own loop: every pairing re-saves the same bytes
     for mode, build in _differential_tries(random.Random(0xB17E)):
         trie, reference = Trie(TrieMode(mode)), ObjectTrie(TrieMode(mode))
-        build(trie)
-        build(reference)
+        build(trie.insert, trie.index_graph)
+        build(reference.insert_dg if mode == "dg" else reference.insert, reference.index_graph_dg)
         trie.check_invariants()
         text = _dumps(trie.to_document())
         columns = decode_document(json.loads(text))
@@ -1027,7 +1084,7 @@ def test_views_read_the_live_columns():
     assert a.children["b"].cycles["a"].target.index == a.index
     assert sorted(a.children) == ["b", "c"] and "b" in a.children and "a" not in a.children
     assert [child.id for child in a.children.values()] == ["b", "c"]
-    t.insert_dg(["a", "b", "a"])  # views read the live columns
+    t.insert(["a", "b", "a"])  # views read the live columns
     assert a.freq == 5 and a.children["b"].cycles["a"].count == 2
     with pytest.raises(AttributeError):
         a.freq = 0
