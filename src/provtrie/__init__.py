@@ -8,13 +8,13 @@ from importlib import import_module
 from typing import Any
 
 _EXPORTS = {  # submodule -> the names it exports here
-    "bench": "BenchRow InsufficientData loglog_slope run_bench run_bench_dp run_bench_naive write_csv",
+    "bench": "BenchRow InsufficientData dp_counter loglog_slope naive_counter run_bench trie_counter write_csv",
     "canonical": "CanonicalSequence SubsequenceWindow ngrams sequence",
     "document": "CorruptDocument FormatVersionMismatch FrozenTrie TrieMode load_frozen",
     "graph": "CyclicInput GraphError GraphKind InvalidSize MissingNode ProvGraph Role SelfLoopInDag gen_clique",
     "ingest": "Direction IngestError NTriplesSyntaxError ParsedTriples PredicateMap SchemaError TraceDocument "
     "parse_ntriples triples_to_graph",
-    "oracle": "TooLarge WalkSet all_pairs_clique_count clique_walk_count count_walks enumerate_walks "
+    "oracle": "TooLarge all_pairs_clique_count clique_walk_count count_walks enumerate_walks "
     "iter_topological_orders",
     "query": "EmptyDepth PathMatch QueryPattern count_paths locate most_probable_at_depth q1 q2_suggest",
     "trie": "EmptySequence Trie TrieNode load save",

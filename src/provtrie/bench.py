@@ -1,14 +1,16 @@
 """Timed wildcard-count queries across wildcard budgets, CSV output.
 
-Two engines share a protocol: warmup runs, then a number of timed trials
-whose MEDIAN wall-clock time is recorded (robust to one-off cache or
-scheduler effects).  Counting is used instead of materializing matches
-so large rows stay cheap in memory; path counts are deterministic and
-identical across trials, only timings vary.  The "naive" engine runs the
-brute-force walk counter on the raw graph and serves as the slow
-baseline series; the "dp" engine counts the same walks with a frontier
-DP over the graph's adjacency, the strongest simple competitor for a
-count on one graph.
+One protocol, ``run_bench``, times any engine given as a counter: a
+function from a wildcard budget m to the number of paths start, m
+wildcards, end.  Per budget it makes warmup calls, then records the
+MEDIAN wall-clock time of a number of timed trials (robust to one-off
+cache or scheduler effects).  Counting is used instead of materializing
+matches so large rows stay cheap in memory; path counts are deterministic
+and identical across trials, only timings vary.  Three counters are the
+engines: ``trie_counter`` queries the index; ``naive_counter`` runs the
+brute-force walk counter on the raw graph, the slow baseline series; and
+``dp_counter`` counts the same walks with a frontier DP over the graph's
+adjacency, the strongest simple competitor for a count on one graph.
 """
 from __future__ import annotations
 
@@ -16,8 +18,9 @@ import math
 import statistics
 import time
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
+from .document import FrozenTrie
 from .graph import ProvGraph
 from .oracle import count_walks
 from .query import QueryPattern, count_paths, count_text
@@ -58,81 +61,51 @@ def check_protocol(max_wildcards: int, trials: int, warmup: int) -> None:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
 
 
-def _timed_rows(
-    run_query,
-    dataset: str,
+def run_bench(
+    count: Callable[[int], int],
     engine: str,
     max_wildcards: int,
-    trials: int,
-    warmup: int,
+    trials: int = 7,
+    warmup: int = 2,
+    dataset: str = "dataset",
 ) -> list[BenchRow]:
+    """Time ``count(m)`` for m = 1..max_wildcards, ascending: ``warmup``
+    untimed calls, then the median of ``trials`` timed ones per row."""
     check_protocol(max_wildcards, trials, warmup)
     rows: list[BenchRow] = []
     for m in range(1, max_wildcards + 1):
         try:
             for _ in range(warmup):
-                run_query(m)
+                count(m)
             times: list[int] = []
-            count = 0
+            n_paths = 0
             for _ in range(trials):
                 t0 = time.perf_counter_ns()
-                count = run_query(m)
+                n_paths = count(m)
                 times.append(time.perf_counter_ns() - t0)
         except Exception as exc:
             raise BenchAborted(rows, f"query with {m} wildcards failed: {exc}") from exc
-        rows.append(BenchRow(dataset, engine, m, count, max(1, int(statistics.median(times))), trials))
+        rows.append(BenchRow(dataset, engine, m, n_paths, max(1, int(statistics.median(times))), trials))
     return rows
 
 
-def run_bench(
-    trie: Trie,
-    start: str,
-    end: str,
-    max_wildcards: int,
-    trials: int = 7,
-    warmup: int = 2,
-    dataset: str = "dataset",
-) -> list[BenchRow]:
-    """Time trie count queries for 1..max_wildcards, ascending."""
-
-    def query(m: int) -> int:
-        return count_paths(trie, QueryPattern((start,), m, end))
-
-    return _timed_rows(query, dataset, "trie", max_wildcards, trials, warmup)
+def trie_counter(trie: Trie | FrozenTrie, start: str, end: str) -> Callable[[int], int]:
+    """The trie engine: indexed paths start, m wildcards, end."""
+    return lambda m: count_paths(trie, QueryPattern((start,), m, end))
 
 
-def run_bench_naive(
-    g: ProvGraph,
-    start: str,
-    end: str,
-    max_wildcards: int,
-    trials: int = 7,
-    warmup: int = 2,
-    dataset: str = "dataset",
-) -> list[BenchRow]:
-    """Same protocol over the brute-force walk counter (m wildcards = m+1 edges)."""
-
-    def query(m: int) -> int:
-        return count_walks(g, start, end, m + 1)
-
-    return _timed_rows(query, dataset, "naive", max_wildcards, trials, warmup)
+def naive_counter(g: ProvGraph, start: str, end: str) -> Callable[[int], int]:
+    """The naive engine: the brute-force walk counter (m wildcards = m + 1 edges)."""
+    return lambda m: count_walks(g, start, end, m + 1)
 
 
-def run_bench_dp(
-    g: ProvGraph,
-    start: str,
-    end: str,
-    max_wildcards: int,
-    trials: int = 7,
-    warmup: int = 2,
-    dataset: str = "dataset",
-) -> list[BenchRow]:
-    """Same protocol over a frontier DP on the graph's successors: for each
-    of the m + 1 edges it maps every reachable vertex to the number of walks
-    arriving there, O(m * |E|)."""
+def dp_counter(g: ProvGraph, start: str, end: str) -> Callable[[int], int]:
+    """The dp engine: a frontier DP on the graph's successors, built once here.
+    For each of the m + 1 edges it maps every reachable vertex to the number
+    of walks arriving there, O(m * |E|)."""
     successors = {v: g.successors(v) for v in g.node_ids}
 
-    def query(m: int) -> int:
+    def count(m: int) -> int:
         frontier = {start: 1}
         for _ in range(m + 1):
             reached: dict[str, int] = {}
@@ -142,7 +115,7 @@ def run_bench_dp(
             frontier = reached
         return frontier.get(end, 0)
 
-    return _timed_rows(query, dataset, "dp", max_wildcards, trials, warmup)
+    return count
 
 
 def write_csv(rows: Sequence[BenchRow], sink: IO[str]) -> None:

@@ -212,7 +212,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return 2
     g, _ = _load_graph(args.input, args.format, GraphKind.DG)
     if args.enumerate:
-        for walk in enumerate_walks(g, args.start, args.end, args.steps).walks:
+        for walk in enumerate_walks(g, args.start, args.end, args.steps):
             print(",".join(walk))
     else:
         print(count_text(count_walks(g, args.start, args.end, args.steps)))
@@ -220,7 +220,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import check_protocol, run_bench, run_bench_dp, run_bench_naive, write_csv
+    from .bench import check_protocol, dp_counter, naive_counter, run_bench, trie_counter, write_csv
     from .trie import Trie
 
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
@@ -243,20 +243,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
         trace_id = Path(args.input).stem if args.input != "-" else "stdin"
     dataset = args.dataset or trace_id
+    protocol = (args.trials, args.warmup, dataset)
     rows = []
     if "trie" in engines:
         trie = Trie(TrieMode.DG)
         trie.index_graph(g)
-        rows.extend(
-            run_bench(trie, args.start, args.end, args.max_wildcards, args.trials, args.warmup, dataset)
-        )
+        rows += run_bench(trie_counter(trie, args.start, args.end), "trie", args.max_wildcards, *protocol)
     if "naive" in engines:
         naive_max = min(args.max_wildcards, args.naive_max_wildcards)
-        rows.extend(
-            run_bench_naive(g, args.start, args.end, naive_max, args.trials, args.warmup, dataset)
-        )
+        rows += run_bench(naive_counter(g, args.start, args.end), "naive", naive_max, *protocol)
     if "dp" in engines:
-        rows.extend(run_bench_dp(g, args.start, args.end, args.max_wildcards, args.trials, args.warmup, dataset))
+        rows += run_bench(dp_counter(g, args.start, args.end), "dp", args.max_wildcards, *protocol)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_csv(rows, fh)

@@ -346,12 +346,12 @@ class FrozenTrie:
         ``FormatVersionMismatch``), and one that loads thaws into a trie
         that ``Trie.check_invariants`` passes.
 
-        The header first: its counts exact ints >= 0, ``labels`` an array,
-        ``widths`` seven of 1, 2, 4 or 8.  Then the body: base64, one zlib
-        stream inflating to exactly the size the widths and counts declare,
-        and nothing after it.  The column checker (``_from_columns``) runs
-        on the decoded arrays; an unsigned column holds no bool, float or
-        negative number, so no check looks for one.
+        The header first: its counts exact ints >= 0, ``n`` 0 in DG mode,
+        ``labels`` an array, ``widths`` seven of 1, 2, 4 or 8.  Then the
+        body: base64, one zlib stream inflating to exactly the size the
+        widths and counts declare, and nothing after it.  The column checker
+        (``_from_columns``) runs on the decoded arrays; an unsigned column
+        holds no bool, float or negative number, so no check looks for one.
         """
         try:
             version = doc["format_version"]
@@ -367,6 +367,8 @@ class FrozenTrie:
             raise CorruptDocument(f"malformed header: {exc}") from None
         if any(type(value) is not int or value < 0 for value in header):
             raise CorruptDocument("header counts must be non-negative integers")
+        if n and mode is TrieMode.DG:
+            raise CorruptDocument(f"a DG trie has window length 0, got n {n}")
         if type(labels) is not list:
             raise CorruptDocument("labels must be an array")
         malformed = type(widths) is not list or len(widths) != len(COLUMNS)

@@ -10,7 +10,6 @@ share code with it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
@@ -25,21 +24,6 @@ class TooLarge(Exception):
     """Graph exceeds the exhaustive-enumeration size guard."""
 
 
-@dataclass(frozen=True)
-class WalkSet:
-    """All walks of a fixed edge count between two resources.
-
-    Each walk has ``length`` edges (length + 1 identifiers); vertices may
-    repeat.  Walks are listed in lexicographic order.
-    """
-
-    walks: tuple[tuple[str, ...], ...]
-    length: int
-
-    def __len__(self) -> int:
-        return len(self.walks)
-
-
 def _check_walk(g: ProvGraph, start: str, end: str, m: int) -> None:
     """The walk enumerators' argument check: both ends in ``g``, ``m >= 1``."""
     if start not in g:
@@ -50,12 +34,13 @@ def _check_walk(g: ProvGraph, start: str, end: str, m: int) -> None:
         raise ValueError(f"walk length must be >= 1, got {m}")
 
 
-def enumerate_walks(g: ProvGraph, start: str, end: str, m: int) -> WalkSet:
+def enumerate_walks(g: ProvGraph, start: str, end: str, m: int) -> tuple[tuple[str, ...], ...]:
     """Exhaustively enumerate all walks of exactly ``m`` edges start -> end.
 
-    Vertex repetition is allowed.  Output order is lexicographic: an
-    explicit stack of partial walks expands successors in sorted order,
-    so a walk of any length needs no recursion.
+    Each walk is a tuple of its ``m + 1`` identifiers; vertices may
+    repeat.  Output order is lexicographic: an explicit stack of partial
+    walks expands successors in sorted order, so a walk of any length
+    needs no recursion.
     """
     _check_walk(g, start, end, m)
     walks: list[tuple[str, ...]] = []
@@ -67,7 +52,7 @@ def enumerate_walks(g: ProvGraph, start: str, end: str, m: int) -> WalkSet:
                 walks.append(walk + (end,))
         else:
             stack.extend(walk + (w,) for w in reversed(g.successors(walk[-1])))
-    return WalkSet(tuple(walks), m)
+    return tuple(walks)
 
 
 def count_walks(g: ProvGraph, start: str, end: str, m: int) -> int:

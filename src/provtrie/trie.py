@@ -148,6 +148,8 @@ class Trie:
     def __init__(self, mode: TrieMode = TrieMode.DAG, n: int = 0) -> None:
         if n < 0:
             raise ValueError(f"window length must be >= 0, got {n}")
+        if n and mode is TrieMode.DG:
+            raise ValueError(f"a DG trie indexes whole traces: window length must be 0, got {n}")
         self.mode = mode
         self.n = n
         self.id = [None]

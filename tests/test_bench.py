@@ -13,11 +13,13 @@ from provtrie.bench import (
     CSV_HEADER,
     InsufficientData,
     loglog_slope,
+    dp_counter,
+    naive_counter,
     run_bench,
-    run_bench_dp,
-    run_bench_naive,
+    trie_counter,
     write_csv,
 )
+from provtrie.document import FrozenTrie
 from provtrie.graph import gen_clique
 from provtrie.trie import Trie, TrieMode
 
@@ -34,24 +36,31 @@ def k4():
 
 def test_run_bench_k4_path_counts(k4):
     _, trie = k4
-    rows = run_bench(trie, ":r0", ":r1", max_wildcards=2, trials=1, warmup=0, dataset="4-clique")
+    rows = run_bench(trie_counter(trie, ":r0", ":r1"), "trie", max_wildcards=2, trials=1, warmup=0, dataset="4-clique")
     assert [r.n_paths for r in rows] == [2, 7]
     assert [r.wildcards for r in rows] == [1, 2]
     assert all(r.engine == "trie" and r.dataset == "4-clique" for r in rows)
     assert all(r.time_ns > 0 for r in rows)
 
 
+def test_the_trie_counter_counts_on_a_frozen_trie_as_on_the_builder(k4):
+    _, trie = k4
+    frozen = FrozenTrie.from_document(trie.to_document())
+    assert [trie_counter(frozen, ":r0", ":r1")(m) for m in (1, 2, 3)] == [2, 7, 20]
+    assert [trie_counter(trie, ":r0", ":r1")(m) for m in (1, 2, 3)] == [2, 7, 20]
+
+
 def test_counts_independent_of_trials(k4):
     _, trie = k4
-    one = run_bench(trie, ":r0", ":r1", 3, trials=1, warmup=0)
-    five = run_bench(trie, ":r0", ":r1", 3, trials=5, warmup=1)
+    one = run_bench(trie_counter(trie, ":r0", ":r1"), "trie", 3, trials=1, warmup=0)
+    five = run_bench(trie_counter(trie, ":r0", ":r1"), "trie", 3, trials=5, warmup=1)
     assert [r.n_paths for r in one] == [r.n_paths for r in five]
 
 
 def test_naive_engine_agrees_with_trie(k4):
     g, trie = k4
-    trie_rows = run_bench(trie, ":r0", ":r1", 4, trials=1, warmup=0)
-    naive_rows = run_bench_naive(g, ":r0", ":r1", 4, trials=1, warmup=0)
+    trie_rows = run_bench(trie_counter(trie, ":r0", ":r1"), "trie", 4, trials=1, warmup=0)
+    naive_rows = run_bench(naive_counter(g, ":r0", ":r1"), "naive", 4, trials=1, warmup=0)
     assert [r.n_paths for r in trie_rows] == [r.n_paths for r in naive_rows]
     assert all(r.engine == "naive" for r in naive_rows)
 
@@ -59,11 +68,11 @@ def test_naive_engine_agrees_with_trie(k4):
 def test_run_bench_validates_arguments(k4):
     _, trie = k4
     with pytest.raises(ValueError):
-        run_bench(trie, ":r0", ":r1", 0)
+        run_bench(trie_counter(trie, ":r0", ":r1"), "trie", 0)
     with pytest.raises(ValueError):
-        run_bench(trie, ":r0", ":r1", 1, trials=0)
+        run_bench(trie_counter(trie, ":r0", ":r1"), "trie", 1, trials=0)
     with pytest.raises(ValueError):
-        run_bench(trie, ":r0", ":r1", 1, warmup=-1)
+        run_bench(trie_counter(trie, ":r0", ":r1"), "trie", 1, warmup=-1)
 
 
 def test_median_timing_resists_one_outlier(k4, monkeypatch):
@@ -81,7 +90,7 @@ def test_median_timing_resists_one_outlier(k4, monkeypatch):
         return ticks[-1]
 
     monkeypatch.setattr(bench_mod.time, "perf_counter_ns", fake_clock)
-    rows = run_bench(trie, ":r0", ":r1", 1, trials=5, warmup=0)
+    rows = run_bench(trie_counter(trie, ":r0", ":r1"), "trie", 1, trials=5, warmup=0)
     assert rows[0].time_ns == 100
 
 
@@ -96,13 +105,13 @@ def test_bench_aborts_with_partial_rows(k4, monkeypatch):
 
     monkeypatch.setattr(bench_mod, "count_paths", flaky)
     with pytest.raises(BenchAborted) as err:
-        run_bench(trie, ":r0", ":r1", 5, trials=1, warmup=0)
+        run_bench(trie_counter(trie, ":r0", ":r1"), "trie", 5, trials=1, warmup=0)
     assert [r.n_paths for r in err.value.rows] == [2, 7]
 
 
 def test_csv_output_exact_header(k4):
     _, trie = k4
-    rows = run_bench(trie, ":r0", ":r1", 2, trials=1, warmup=0, dataset="4-clique")
+    rows = run_bench(trie_counter(trie, ":r0", ":r1"), "trie", 2, trials=1, warmup=0, dataset="4-clique")
     buf = io.StringIO()
     write_csv(rows, buf)
     lines = buf.getvalue().splitlines()
@@ -169,8 +178,8 @@ def test_dp_engine_counts_equal_the_reference_the_closed_form_and_the_trie(size)
     trie.index_graph(g)
     frontier_dp_count = _perfbench_reference().frontier_dp_count
     successors = {v: g.successors(v) for v in g.node_ids}
-    dp = run_bench_dp(g, ":r0", ":r1", 6, trials=1, warmup=0, dataset=f"k{size}")
-    rows = run_bench(trie, ":r0", ":r1", 6, trials=1, warmup=0)
+    dp = run_bench(dp_counter(g, ":r0", ":r1"), "dp", 6, trials=1, warmup=0, dataset=f"k{size}")
+    rows = run_bench(trie_counter(trie, ":r0", ":r1"), "trie", 6, trials=1, warmup=0)
     assert [(r.engine, r.wildcards, r.dataset) for r in dp] == [("dp", m, f"k{size}") for m in range(1, 7)]
     for m, row, trie_row in zip(itertools.count(1), dp, rows):
         closed_form = ((size - 1) ** (m + 1) - (-1) ** (m + 1)) // size
@@ -182,6 +191,6 @@ def test_dp_engine_counts_equal_the_naive_engine_on_random_graphs():
     for _ in range(30):
         g = random_dg(rng)
         start, end = rng.choice(g.node_ids), rng.choice(g.node_ids)
-        dp = run_bench_dp(g, start, end, 4, trials=1, warmup=0)
-        naive = run_bench_naive(g, start, end, 4, trials=1, warmup=0)
+        dp = run_bench(dp_counter(g, start, end), "dp", 4, trials=1, warmup=0)
+        naive = run_bench(naive_counter(g, start, end), "naive", 4, trials=1, warmup=0)
         assert [r.n_paths for r in dp] == [r.n_paths for r in naive]

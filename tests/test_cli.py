@@ -434,6 +434,20 @@ def test_read_commands_print_the_committed_golden_output(command, capsys):
     assert captured.err == ""
 
 
+def test_the_baselines_print_the_committed_golden_output(capsys):
+    # CI diffs its installed console script's output with the same files, the bench CSV without time_ns
+    k4, ends = str(DATA / "k4.json"), ["--start", ":r0", "--end", ":r1"]
+    argv = ["bench", k4, *ends, "--engines", "trie,naive,dp", "--max-wildcards", "3", "--trials", "1", "--warmup", "0"]
+    assert main([*argv, "--dataset", "k4"]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.splitlines()]
+    untimed = "".join(",".join(row[:4] + row[5:]) + "\n" for row in rows)
+    assert (untimed, captured.err) == ((DATA / "k4.bench.out").read_text(encoding="utf-8"), "")
+    assert main(["oracle", "--input", k4, *ends, "--steps", "3", "--enumerate"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out.encode("utf-8"), captured.err) == ((DATA / "k4.oracle.out").read_bytes(), "")
+
+
 NTRIPLES_GOLDEN_COMMANDS = {
     "dag": {
         "stats": ["stats"],
@@ -733,6 +747,23 @@ def test_bench_refuses_an_out_it_can_never_write_before_timing(clique4_file, tmp
     assert rc == 1
     assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
     assert list(tmp_path.iterdir()) == [clique4_file]
+
+
+def test_bench_out_writes_the_rows_it_would_print(clique4_file, tmp_path, capsys):
+    argv = ["bench", str(clique4_file), "--start", ":r0", "--end", ":r1", "--max-wildcards", "3"]
+    argv += ["--engines", "trie,naive,dp", "--trials", "1", "--warmup", "0"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    out = tmp_path / "bench.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    written = out.read_text(encoding="utf-8").splitlines()
+
+    def untimed(lines):  # every column but time_ns, the fifth
+        return [line.split(",")[:4] + line.split(",")[5:] for line in lines]
+
+    assert untimed(written) == untimed(printed)
+    assert len(written) == 1 + 3 * 3 and written[0] == printed[0]
 
 
 def test_main_reports_an_aborted_bench(clique4_file, capsys, monkeypatch):

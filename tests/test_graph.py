@@ -63,6 +63,17 @@ def test_add_edge_missing_node():
     g.add_node(":a")
     with pytest.raises(MissingNode):
         g.add_edge(":a", ":b")
+    with pytest.raises(MissingNode, match="^edge endpoint ':b' is not in the graph$"):
+        g.add_edge(":b", ":a")  # a missing source
+    assert g.edge_count == 0
+
+
+@pytest.mark.parametrize("query", [ProvGraph.successors, ProvGraph.in_degree], ids=["successors", "in_degree"])
+def test_a_missing_node_has_no_successors_or_in_degree(query):
+    g = ProvGraph()
+    g.add_node(":a")
+    with pytest.raises(MissingNode, match="^':b' is not in the graph$"):
+        query(g, ":b")
 
 
 def test_self_loop_rejected_in_dag_allowed_in_dg():

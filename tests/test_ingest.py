@@ -199,6 +199,8 @@ def test_trace_document_schema_errors():
         TraceDocument.from_json({"trace_id": "x", "nodes": [{"id": "urn:a"}, {"id": "urn:a"}], "edges": []})
     with pytest.raises(SchemaError):
         TraceDocument.from_json("not json at all {")
+    with pytest.raises(SchemaError, match="^trace document must be an object$"):
+        TraceDocument.from_json("[]")
     # shapes that once escaped as TypeError
     for doc in [
         {"trace_id": "x", "nodes": 5, "edges": []},

@@ -29,8 +29,8 @@ def _graph(nodes, edges, kind=GraphKind.DAG):
 
 def test_enumerate_walks_k4_two_steps():
     walks = enumerate_walks(gen_clique(4), ":r0", ":r1", 2)
-    assert set(walks.walks) == {(":r0", ":r2", ":r1"), (":r0", ":r3", ":r1")}
-    assert walks.length == 2
+    assert set(walks) == {(":r0", ":r2", ":r1"), (":r0", ":r3", ":r1")}
+    assert all(len(walk) == 3 for walk in walks)  # 2 edges, 3 identifiers
 
 
 def test_enumerate_walks_k4_seven_steps_count():
@@ -39,17 +39,23 @@ def test_enumerate_walks_k4_seven_steps_count():
 
 def test_enumerate_walks_chain_with_shortcut():
     g = _graph([":a", ":b", ":c"], [(":a", ":b"), (":b", ":c"), (":a", ":c")])
-    assert enumerate_walks(g, ":a", ":c", 2).walks == ((":a", ":b", ":c"),)
+    assert enumerate_walks(g, ":a", ":c", 2) == ((":a", ":b", ":c"),)
 
 
 def test_enumerate_walks_lexicographic_order():
-    walks = enumerate_walks(gen_clique(4), ":r0", ":r1", 3).walks
+    walks = enumerate_walks(gen_clique(4), ":r0", ":r1", 3)
     assert list(walks) == sorted(walks)
 
 
 def test_enumerate_walks_missing_node():
     with pytest.raises(MissingNode):
         enumerate_walks(gen_clique(3), ":r0", ":nope", 2)
+
+
+@pytest.mark.parametrize("walker", [count_walks, enumerate_walks])
+def test_walkers_refuse_a_start_outside_the_graph(walker):
+    with pytest.raises(MissingNode, match="^walk start ':nope' is not in the graph$"):
+        walker(gen_clique(3), ":nope", ":r1", 2)
 
 
 def test_enumerate_walks_rejects_zero_length():
@@ -59,7 +65,7 @@ def test_enumerate_walks_rejects_zero_length():
 
 def test_walks_are_edge_paths():
     g = gen_clique(5)
-    for walk in enumerate_walks(g, ":r0", ":r1", 4).walks:
+    for walk in enumerate_walks(g, ":r0", ":r1", 4):
         assert len(walk) == 5
         for u, v in zip(walk, walk[1:]):
             assert g.has_edge(u, v)

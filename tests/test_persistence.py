@@ -1,6 +1,7 @@
 import array
 import base64
 import copy
+import errno
 import gc
 import io
 import json
@@ -749,6 +750,17 @@ def test_a_malformed_header_is_refused(key, value, message):
         from_both(doc)
 
 
+def test_a_dg_document_with_a_window_length_is_refused():
+    # a DG trie indexes whole traces, and a strict query on one with n > 0 would refuse to run
+    doc = _dg_clique(4).to_document()
+    doc["n"] = 3
+    with pytest.raises(CorruptDocument, match="^a DG trie has window length 0, got n 3$"):
+        from_both(doc)
+    dag = _figure_document()
+    dag["n"] = 3
+    assert from_both(dag).n == 3  # a DAG trie may record its window length
+
+
 def test_the_body_is_the_columns_compressed_in_one_stream_at_level_1():
     for doc in FUZZ_BASES:
         body = _body_of(doc)
@@ -966,6 +978,30 @@ def test_failed_save_names_the_target(tmp_path):
         save(trie, taken)
     assert raised.value.filename == str(taken)
     assert [p.name for p in tmp_path.iterdir()] == ["taken"] and not any(taken.iterdir())
+
+
+def test_a_failed_write_that_names_no_file_is_raised_unchanged(tmp_path, monkeypatch):
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))  # a full disk names no file
+    real_fdopen = os.fdopen
+
+    class FullDisk:
+        def __init__(self, fd, *args, **kwargs):
+            self.fh = real_fdopen(fd, *args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+        def write(self, text):
+            raise full
+
+    monkeypatch.setattr(os, "fdopen", FullDisk)
+    with pytest.raises(OSError) as raised:
+        save(insert_all(TrieMode.DAG, FIGURE_SEQUENCES), tmp_path / "index.trie")
+    assert raised.value is full and raised.value.filename is None
+    assert list(tmp_path.iterdir()) == []  # no .provtrie-* file is left behind
 
 
 def test_save_leaves_the_process_umask_alone(tmp_path, monkeypatch):

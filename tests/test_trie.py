@@ -103,6 +103,20 @@ def test_insert_rejects_empty_sequence():
         Trie(TrieMode.DG).insert([])
 
 
+@pytest.mark.parametrize(
+    "mode, n, message",
+    [
+        (TrieMode.DAG, -1, "^window length must be >= 0, got -1$"),
+        (TrieMode.DG, -1, "^window length must be >= 0, got -1$"),
+        (TrieMode.DG, 3, "^a DG trie indexes whole traces: window length must be 0, got 3$"),
+    ],
+    ids=["dag-negative", "dg-negative", "dg-window"],
+)
+def test_a_trie_refuses_a_window_length_its_mode_cannot_use(mode, n, message):
+    with pytest.raises(ValueError, match=message):
+        Trie(mode, n)
+
+
 @pytest.mark.parametrize("mode", [TrieMode.DAG, TrieMode.DG])
 @pytest.mark.parametrize("seq", [[""], [None], [1], ["a", ""], ["a", "b", 1]], ids=repr)
 def test_insert_refuses_identifiers_that_load_refuses(mode, seq):
@@ -217,7 +231,7 @@ def test_index_graph_dg_triangle_walks_match_oracle():
         for end in (":a", ":b", ":c"):
             for m in range(1, 7):
                 got = {match.path for match in q1(t, QueryPattern((start,), m - 1, end))}
-                want = set(enumerate_walks(g, start, end, m).walks)
+                want = set(enumerate_walks(g, start, end, m))
                 assert got == want
 
 
