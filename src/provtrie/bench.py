@@ -22,7 +22,7 @@ from typing import IO, Callable, Sequence
 
 from .document import FrozenTrie
 from .graph import ProvGraph
-from .oracle import count_walks
+from .oracle import check_ends, count_walks
 from .query import QueryPattern, count_paths, count_text
 from .trie import Trie
 
@@ -95,14 +95,18 @@ def trie_counter(trie: Trie | FrozenTrie, start: str, end: str) -> Callable[[int
 
 
 def naive_counter(g: ProvGraph, start: str, end: str) -> Callable[[int], int]:
-    """The naive engine: the brute-force walk counter (m wildcards = m + 1 edges)."""
+    """The naive engine: the brute-force walk counter (m wildcards = m + 1 edges).
+    An end outside ``g`` raises ``MissingNode`` here, before any timing."""
+    check_ends(g, start, end)
     return lambda m: count_walks(g, start, end, m + 1)
 
 
 def dp_counter(g: ProvGraph, start: str, end: str) -> Callable[[int], int]:
     """The dp engine: a frontier DP on the graph's successors, built once here.
     For each of the m + 1 edges it maps every reachable vertex to the number
-    of walks arriving there, O(m * |E|)."""
+    of walks arriving there, O(m * |E|).  An end outside ``g`` raises
+    ``MissingNode`` here, as ``naive_counter`` does."""
+    check_ends(g, start, end)
     successors = {v: g.successors(v) for v in g.node_ids}
 
     def count(m: int) -> int:

@@ -5,8 +5,10 @@ codes: 0 success (also when the reader closes stdout early), 1 input/data
 error, 2 usage error.  The environment variable PROVTRIE_PREDICATE_MAP may
 point at a predicate map file that replaces the built-in edge-mapping
 rules for RDF input.  Every trace input, a file or ``-`` for stdin, is
-decoded as UTF-8.  ``index`` hands each trace to ``Trie.index_graph``, and
-it and ``bench`` check ``--out`` before they read a trace.  Commands run
+decoded as UTF-8.  ``index`` hands each DAG run to ``Trie.index_graph``
+and every DG trace at once to ``trie.dg_document``, one pass over DFS
+states, and writes the document with ``trie.write_document``; it and
+``bench`` check ``--out`` before they read a trace.  Commands run
 with the cyclic garbage collector paused, since what they build lives
 until the process exits; ``entry``, behind ``provtrie`` and ``python -m
 provtrie``, leaves it off until then.  A command imports the modules it
@@ -99,14 +101,19 @@ def _check_out(path: str) -> None:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    from .trie import Trie, save
+    from .trie import Trie, dg_document, write_document
 
     mode = TrieMode(args.mode)
     if mode is TrieMode.DG and args.ngram:
         print("usage error: --ngram applies to --mode dag only", file=sys.stderr)
         return 2
     _check_out(args.out)  # before the first input is read
-    trie = Trie(mode, n=args.ngram)
+    if mode is TrieMode.DG:  # every trace goes into one pass over DFS states
+        graphs: list[ProvGraph] = []
+        index_graph = graphs.append
+    else:
+        trie = Trie(mode, n=args.ngram)
+        index_graph = trie.index_graph
     pmap = _predicate_map() if args.format == "ntriples" else None  # one read for all inputs
     traces = 0
     for path in args.inputs:
@@ -114,11 +121,12 @@ def cmd_index(args: argparse.Namespace) -> int:
         if not g.node_count:
             print(f"note: {path}: empty trace, nothing to index", file=sys.stderr)
             continue
-        trie.index_graph(g)
+        index_graph(g)
         traces += 1
-    nodes = save(trie, args.out)
+    doc = dg_document(graphs) if mode is TrieMode.DG else trie.to_document()
+    nodes = write_document(doc, args.out)
     print(f"traces\t{traces}")
-    print(f"sequences\t{trie.sequence_count}")
+    print(f"sequences\t{doc['sequence_count']}")
     print(f"nodes\t{nodes}")
     return 0
 

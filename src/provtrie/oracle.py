@@ -24,12 +24,18 @@ class TooLarge(Exception):
     """Graph exceeds the exhaustive-enumeration size guard."""
 
 
-def _check_walk(g: ProvGraph, start: str, end: str, m: int) -> None:
-    """The walk enumerators' argument check: both ends in ``g``, ``m >= 1``."""
+def check_ends(g: ProvGraph, start: str, end: str) -> None:
+    """Raise ``MissingNode`` unless both ends of a walk are in ``g``: the
+    one check of the walk enumerators and of the bench's graph counters."""
     if start not in g:
         raise MissingNode(f"walk start {start!r} is not in the graph")
     if end not in g:
         raise MissingNode(f"walk end {end!r} is not in the graph")
+
+
+def _check_walk(g: ProvGraph, start: str, end: str, m: int) -> None:
+    """The walk enumerators' argument check: both ends in ``g``, ``m >= 1``."""
+    check_ends(g, start, end)
     if m < 1:
         raise ValueError(f"walk length must be >= 1, got {m}")
 

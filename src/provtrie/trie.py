@@ -13,6 +13,15 @@ jumps back up.  Identifiers along a DG root path are therefore unique, so
 a label from any node is one child or one cycle-edge, never both.  The
 mode alone decides how ``insert`` and ``index_graph`` take a trace.
 
+A DG graph's trie has one node per simple path but is built over DFS
+states: the subtree under a path depends only on the vertices it visits,
+its last vertex and the traces that hold it.  ``_DFSStates`` makes one
+class per state in one memoized pass, and one breadth-first unfold of its
+classes has two consumers: ``index_graph``, which adds each node by
+get-or-create and so merges into any trie, and ``dg_document``, which
+hands ``encode`` the seven columns of the traces' document with no trie
+between (``provtrie index --mode dg`` writes that one).
+
 Per node: ``freq`` counts every traversal arrival (descents plus
 cycle-edge arrivals), ``entry`` the descents, ``terminal`` the insertions
 ending there.  Each arrival is followed by exactly one of descend / cycle
@@ -43,11 +52,12 @@ The reader side lives in ``document``: the format, ``FrozenTrie`` (the
 same numbering over a document's checked columns, with no dict) and
 every rule a document must pass.  This module imports it and not the
 other way round, and re-exports the reader's names.  ``Trie.to_document``
-is ``document.encode``, the one writer, over the builder's counts and
-columns; ``Trie.from_document`` is ``FrozenTrie.from_document`` plus a
-thaw into lists and dicts; ``Trie.check_invariants`` checks the builder's
-wiring and runs the column checker on its own columns, packed into
-arrays as a load packs them, with no encoding between.
+is ``document.encode``, the one encoder, over the builder's counts and
+columns, and ``write_document`` the one file writer, atomic for a path,
+that ``save`` calls; ``Trie.from_document`` is ``FrozenTrie.from_document``
+plus a thaw into lists and dicts; ``Trie.check_invariants`` checks the
+builder's wiring and runs the column checker on its own columns, packed
+into arrays as a load packs them, with no encoding between.
 
 Concurrency: single writer, many readers.  Insertion needs exclusive
 access; a trie that is not being mutated can be queried from any number
@@ -60,8 +70,8 @@ import os
 from collections.abc import Mapping
 from functools import partial
 from itertools import chain, compress, count, islice, repeat
-from operator import ne, sub
-from typing import IO, Any, Callable, Iterator, NamedTuple, Sequence
+from operator import add, ne, sub
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .canonical import ngrams, sequence
 from .document import (  # the reader's names, re-exported: provtrie.trie.FrozenTrie and the rest still import
@@ -252,23 +262,20 @@ class Trie:
         whole sequence when ``n`` is 0); DG mode indexes every bounded walk.
         An empty graph indexes nothing.
 
-        From each node (in identifier order) a depth-first enumeration of
-        simple paths runs over sorted successors.  At every point along a
-        path, each successor that leads back onto the path contributes one
-        closing insertion (the path plus that single revisit); a path
-        whose end has no successors at all is inserted as-is.  The
-        resulting trie accepts exactly the graph's walks: children cover
-        steps to unvisited resources, cycle-edges cover revisits, so a
-        query can follow arbitrarily long walks through bounded structure.
+        The DG trie of a graph holds one node per simple path, from every
+        vertex, over sorted successors.  At every point along a path, each
+        successor that leads back onto the path contributes one closing
+        insertion (the path plus that single revisit); a path whose end has
+        no successors at all is inserted as-is.  The trie accepts exactly
+        the graph's walks: children cover steps to unvisited resources,
+        cycle-edges cover revisits, so a query can follow arbitrarily long
+        walks through bounded structure.
 
-        One explicit-stack pass of that DFS builds the trie: a path's node
-        is created or reused on entry, a closing successor records its
-        cycle-edge at once, and a frame's insertions and cycle arrivals join
-        its node's statistics when it pops; as one ``insert`` per closing
-        insertion would, also into a trie that already holds sequences.
-        Successors are walked in ascending order, so a node's children and
-        cycle-edges are created in label order; only a build into a
-        non-empty trie marks a map.
+        ``_DFSStates`` builds it as a table of classes, one per DFS state;
+        its breadth-first unfold adds each node by get-or-create, so the
+        result equals one ``insert`` per closing insertion, also into a trie
+        that already holds sequences.  Into an empty trie every map fills in
+        label order; a build into a non-empty trie may mark some.
         """
         if self.mode is TrieMode.DAG:
             items = sequence(g).items
@@ -276,75 +283,59 @@ class Trie:
                 for window in ngrams(items, self.n or len(items)).windows:
                     self.insert(window)
             return
-        succs_of = {v: g.successors(v) for v in g.node_ids}
-        children, cycles, ids, freq, entry, terminal = (
-            self.children, self.cycles, self.id, self.freq, self.entry, self.terminal
+        states = _DFSStates([g])
+        labels, children, cycles, ids, freq, entry, terminal = (
+            states.labels, self.children, self.cycles, self.id, self.freq, self.entry, self.terminal
         )
-        cycle_to, cycle_count, stats, unsorted = self.cycle_to, self.cycle_count, self.depth_stats, self._unsorted
-        # frame: [node, successors still to enter (last first), insertions, arrivals]
-        stack: list[list[Any]] = []
-        on_path: dict[str, list[Any]] = {}  # vertex on the current path -> its frame
-
-        def enter(parent: int, vertex: str) -> None:
-            kids = children[parent]
-            node = kids.get(vertex)
-            if node is None:  # _add_node, inlined
-                if kids and vertex < next(reversed(kids)):
-                    unsorted.add(parent)
-                node = kids[vertex] = len(ids)
-                ids.append(vertex)
-                freq.append(0)
-                entry.append(0)
-                terminal.append(0)
-                children.append({})
-                cycles.append({})
-            succs = succs_of[vertex]
-            frame = [node, [], 0, 0]
-            on_path[vertex] = frame
-            stack.append(frame)
-            if not succs:
-                terminal[node] += 1
-                frame[2] = 1
-                return
-            opens, out = frame[1], cycles[node]
-            had = len(out)  # a node entered before (a build into a non-empty trie) may have edges
-            for w in succs:
-                target = on_path.get(w)
-                if target is None:
-                    opens.append(w)
-                    continue
-                if had and w in out:
-                    cycle_count[out[w]] += 1
-                else:  # _take_cycle, inlined
-                    out[w] = len(cycle_to)
-                    cycle_to.append(target[0])
-                    cycle_count.append(1)
-                target[3] += 1
-            if had and len(out) > had:  # ascending successors keep a fresh node's edges in label order
-                unsorted.add(node)
-            frame[2] = len(succs) - len(opens)
-            opens.reverse()  # popped from the end: the smallest successor is entered first
-
-        total = 0
-        for start in g.node_ids:
-            enter(0, start)
-            while stack:
-                node, opens, ins, arrivals = stack[-1]
-                if opens:
-                    enter(node, opens.pop())
-                    continue
-                stack.pop()
-                del on_path[ids[node]]  # type: ignore[arg-type]
-                entry[node] += ins
-                freq[node] += ins + arrivals
-                terminal[node] += arrivals
-                level = stats.setdefault(len(stack) + 1, {})  # the popped frame's depth
-                level[ids[node]] = level.get(ids[node], 0) + ins + arrivals  # type: ignore[index]
-                if stack:
-                    stack[-1][2] += ins
+        cycle_to, cycle_count, unsorted = self.cycle_to, self.cycle_count, self._unsorted
+        where = [0]  # the unfold's node numbers -> this trie's nodes
+        ups: Iterable[int] = repeat(0)  # the parents of a depth's nodes, as this trie's nodes
+        for depth, (classes, level, targets) in enumerate(states.unfold(), 1):
+            stats = self.depth_stats.setdefault(depth, {})
+            vertex, arrivals, descents, ends, outs, takens = (
+                classes.vertex, classes.freq, classes.entry, classes.terminal, classes.out, classes.taken
+            )
+            lo, at = len(where), 0  # at: the first target of the node's cycle-edges
+            for c, up in zip(level, ups):
+                rid, out, taken = labels[vertex[c]], outs[c], takens[c]
+                kids = children[up]
+                node = kids.get(rid)
+                if node is None:  # _add_node, inlined; a new node's edges come in label order
+                    if kids and rid < next(reversed(kids)):
+                        unsorted.add(up)
+                    node = kids[rid] = len(ids)
+                    ids.append(rid)
+                    freq.append(arrivals[c])
+                    entry.append(descents[c])
+                    terminal.append(ends[c])
+                    children.append({})
+                    where.append(node)  # before its edges: a self-loop returns to the node
+                    if out:
+                        cycles.append(dict(zip(map(labels.__getitem__, out), count(len(cycle_to)))))
+                        cycle_to += map(where.__getitem__, targets[at : at + len(out)])
+                        cycle_count += taken
+                    else:
+                        cycles.append({})
                 else:
-                    total += ins
-        freq[0] += total
+                    freq[node] += arrivals[c]
+                    entry[node] += descents[c]
+                    terminal[node] += ends[c]
+                    where.append(node)
+                    edges = cycles[node]
+                    for label, times, target in zip(map(labels.__getitem__, out), taken, targets[at : at + len(out)]):
+                        edge = edges.get(label)
+                        if edge is None:  # _take_cycle, inlined, for ``times`` traversals
+                            if edges and label < next(reversed(edges)):
+                                unsorted.add(node)
+                            edges[label] = len(cycle_to)
+                            cycle_to.append(where[target])
+                            cycle_count.append(times)
+                        else:
+                            cycle_count[edge] += times
+                at += len(out)
+                stats[rid] = stats.get(rid, 0) + arrivals[c]
+            ups = chain.from_iterable(map(repeat, where[lo:], map(len, map(classes.kids.__getitem__, level))))
+        self.freq[0] += states.sequence_count
 
     # the names the benchmark harness (perfbench/pipeline.py) still calls
     insert_dg = insert
@@ -486,22 +477,200 @@ class Trie:
         return trie
 
 
-def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:
-    """Write ``trie`` to a path or text stream as one format 4 document.
+class _Depth(NamedTuple):
+    """The classes of one depth of a DG trie, as index-aligned lists: each
+    class's vertex, ``entry``, ``freq`` and ``terminal``, its children (as
+    indices into the next depth's classes) and its cycle-edges (vertices and
+    counts), both in label order, and ``above``: the cycle arrivals from the
+    node's subtree at each vertex above it, empty (or None) for none."""
 
-    The text is ``json.dumps(trie.to_document(), separators=(",", ":"))``:
-    ``to_document`` compresses each column as it makes it, so no moment
-    holds every column, as lists or as arrays.  Byte-identical documents
-    presume one zlib build, since another may compress the same body to
-    other bytes.
+    vertex: list[int]
+    entry: list[int]
+    freq: list[int]
+    terminal: list[int]
+    kids: list[list[int]]
+    out: list[list[int]]
+    taken: list[list[int]]
+    above: list[dict[int, int] | None]
+
+
+_NO_PATH: dict[int, int] = {}  # the root path of a node whose subtree has no cycle-edge onto it
+
+
+def _arrivals(above: list[dict[int, int] | None], out: list[int], taken: list[int], kids: list[int]) -> dict[int, int]:
+    """The cycle arrivals from a node's subtree at each vertex on its root
+    path: its own cycle-edges' counts plus its children's ``above``."""
+    arrivals = dict(zip(out, taken))
+    for below in map(above.__getitem__, kids):
+        if below:
+            for u, n in below.items():
+                arrivals[u] = arrivals.get(u, 0) + n
+    return arrivals
+
+
+class _DFSStates:
+    """The DG trie of some traces as a table of classes, one per DFS state.
+
+    The node of a simple path heads a subtree that depends only on the
+    path's state: the vertices it visits (an int with one bit per vertex),
+    its last vertex, and the traces whose graphs hold the path (an int with
+    one bit per trace).  Its children are the unvisited successors and its
+    cycle-edges the visited ones, both summed over those traces: these are
+    the states of Held and Karp's DP (J. SIAM 1962), and K8's 109,600 nodes
+    fall into 1,024 of them.  A state's depth is the size of its visited
+    set, so the pass goes depth by depth with a memo per depth, with no
+    stack: forward, each state's successors give its children and
+    cycle-edges; backward, from the deepest depth up, each class sums its
+    insertions and cycle arrivals over its subtree.  ``depths[d - 1]`` holds
+    depth d's classes; depth 1's are the vertices, numbered in label order,
+    and ``labels`` is the document's label table.
+    """
+
+    __slots__ = ("labels", "depths", "sequence_count")
+
+    def __init__(self, graphs: Sequence[ProvGraph]) -> None:
+        self.labels = labels = sorted(set().union(*(g.node_ids for g in graphs)))
+        index = dict(zip(labels, count()))
+        holds, ends = [0] * len(labels), [0] * len(labels)  # per vertex: traces that hold it, those where it ends
+        arcs: list[dict[int, int]] = [{} for _ in labels]  # per vertex: successor -> traces with that edge
+        for trace, g in enumerate(graphs):
+            bit = 1 << trace
+            for v in g.node_ids:
+                i = index[v]
+                holds[i] |= bit
+                succs = g.successors(v)
+                if not succs:
+                    ends[i] |= bit
+                out = arcs[i]
+                for w in map(index.__getitem__, succs):
+                    out[w] = out.get(w, 0) | bit
+        steps = [[(w, 1 << w, traces) for w, traces in sorted(out.items())] for out in arcs]
+        forward = []  # per depth: its classes' vertices, ends, children and cycle-edges
+        level = [(1 << v, v, live) for v, live in enumerate(holds)]  # depth 1: each vertex alone
+        while level:
+            memo: dict[tuple[int, int, int], int] = {}  # state -> its index in the next depth
+            deeper: list[tuple[int, int, int]] = []
+            kids, outs, takens = [], [], []
+            for seen, v, live in level:
+                below, out, taken = [], [], []
+                for w, bit, traces in steps[v]:
+                    both = live & traces
+                    if both:
+                        if seen & bit:
+                            out.append(w)
+                            taken.append(both.bit_count())
+                        else:
+                            state = (seen | bit, w, both)
+                            k = memo.get(state)
+                            if k is None:
+                                k = memo[state] = len(deeper)
+                                deeper.append(state)
+                            below.append(k)
+                kids.append(below)
+                outs.append(out)
+                takens.append(taken)
+            vertex = [v for _, v, _ in level]
+            ended = [(live & ends[v]).bit_count() for _, v, live in level]  # traces whose path ends here
+            forward.append((vertex, ended, kids, outs, takens))
+            level = deeper  # the visited sets of this depth are freed
+        self.depths: list[_Depth] = []
+        entry: list[int] = []
+        above: list[dict[int, int] | None] = []
+        while forward:
+            vertex, ended, kids, outs, takens = forward.pop()
+            entry = [e + sum(t) + sum(map(entry.__getitem__, k)) for e, t, k in zip(ended, takens, kids)]
+            if any(outs) or any(above):
+                above = list(map(partial(_arrivals, above), outs, takens, kids))
+                here = list(map(dict.pop, above, vertex, repeat(0)))  # arrivals at the node itself
+                freq, terminal = list(map(add, entry, here)), list(map(add, ended, here))
+            else:  # no cycle-edge below this depth
+                above, freq, terminal = [None] * len(vertex), entry, ended
+            self.depths.append(_Depth(vertex, entry, freq, terminal, kids, outs, takens, above))
+        self.depths.reverse()
+        self.sequence_count = sum(entry)  # every insertion descends into one of depth 1's nodes
+
+    def unfold(self) -> Iterator[tuple[_Depth, Sequence[int], list[int]]]:
+        """The trie breadth-first, from depth 1 down: per depth, its classes,
+        the class of each of its nodes in document order (children in label
+        order), and the targets of those nodes' cycle-edges, by source and
+        then label, as node numbers (the root 0, then one per node in this
+        order).  A node maps the vertices on its root path that its subtree's
+        cycle-edges return to onto their nodes, in a map it shares with its
+        children unless a cycle-edge returns to the node itself."""
+        level: Sequence[int] = range(len(self.labels))
+        paths: Iterable[dict[int, int]] = repeat(_NO_PATH)
+        first = 1  # the number of the depth's first node
+        for classes in self.depths:
+            vertex, entry, freq, kids, outs, above = (
+                classes.vertex, classes.entry, classes.freq, classes.kids, classes.out, classes.above
+            )
+            targets: list[int] = []
+            kept: list[dict[int, int]] = []  # each node's map, for its children
+            for number, c, path in zip(count(first), level, paths):
+                if freq[c] != entry[c]:  # a cycle-edge of the subtree returns here
+                    path = path.copy()
+                    path[vertex[c]] = number
+                elif not above[c]:
+                    path = _NO_PATH
+                if outs[c]:
+                    targets += map(path.__getitem__, outs[c])
+                kept.append(path)
+            yield classes, level, targets
+            first += len(level)
+            paths = chain.from_iterable(map(repeat, kept, map(len, map(kids.__getitem__, level))))
+            level = list(chain.from_iterable(map(kids.__getitem__, level)))
+
+
+def dg_document(graphs: Sequence[ProvGraph]) -> dict[str, Any]:
+    """The DG trie of ``graphs`` as a format 4 document: the one that
+    ``to_document`` writes after ``index_graph`` of each graph into an empty
+    DG trie.  One ``_DFSStates`` pass takes every graph at once, and its
+    unfold gives ``encode`` the seven columns with no trie between."""
+    states = _DFSStates(graphs)
+    levels: list[tuple[_Depth, Sequence[int]]] = []  # per depth: its classes, and its nodes' classes
+    cycle_to: list[int] = []
+    for classes, level, targets in states.unfold():
+        levels.append((classes, level))
+        cycle_to += targets
+
+    def column(field: str) -> Iterator[Any]:  # a field of each non-root node's class, in document order
+        return chain.from_iterable(map(getattr(classes, field).__getitem__, level) for classes, level in levels)
+
+    def columns() -> Iterator[Iterable[int]]:
+        yield chain((len(states.labels),), map(len, column("kids")))
+        yield chain((0,), map(len, column("out")))
+        yield column("vertex")
+        yield column("freq")
+        yield column("terminal")
+        yield cycle_to
+        yield chain.from_iterable(column("taken"))
+
+    nodes = sum(len(level) for _, level in levels)
+    return encode(TrieMode.DG, 0, states.sequence_count, nodes, len(cycle_to), states.labels, columns())
+
+
+def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:
+    """Write ``trie`` to a path or text stream as one format 4 document,
+    ``write_document(trie.to_document(), sink)``: ``to_document``
+    compresses each column as it makes it, so no moment holds every column,
+    as lists or as arrays.  Returns the number of non-root nodes written."""
+    return write_document(trie.to_document(), sink)
+
+
+def write_document(doc: dict[str, Any], sink: str | os.PathLike[str] | IO[str]) -> int:
+    """Write a trie document to a path or text stream, the one writer of
+    ``save`` and ``provtrie index``.
+
+    The text is ``json.dumps(doc, separators=(",", ":"))``.  Byte-identical
+    documents presume one zlib build, since another may compress the same
+    body to other bytes.
     A path is written atomically: the document goes to a new temporary file
     in the target's directory (mode ``0o666`` less the umask, applied by the
     kernel as for ``open``) that replaces the target only once it is
-    complete, so a failed save leaves an existing file as it was.  Returns
-    the number of non-root nodes written.
+    complete, so a failed write leaves an existing file as it was.  Returns
+    the document's count of non-root nodes.
     """
     if hasattr(sink, "write"):
-        doc = trie.to_document()
         sink.write(json.dumps(doc, separators=(",", ":")))  # type: ignore[union-attr]
         return doc["nodes"]
     target = os.fspath(sink)
@@ -510,7 +679,7 @@ def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:
         fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                nodes = save(trie, fh)
+                nodes = write_document(doc, fh)
             os.replace(tmp_name, target)
         except BaseException:
             os.unlink(tmp_name)

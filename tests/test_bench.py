@@ -20,7 +20,7 @@ from provtrie.bench import (
     write_csv,
 )
 from provtrie.document import FrozenTrie
-from provtrie.graph import gen_clique
+from provtrie.graph import MissingNode, gen_clique
 from provtrie.trie import Trie, TrieMode
 
 from helpers import digits, random_dg
@@ -194,3 +194,14 @@ def test_dp_engine_counts_equal_the_naive_engine_on_random_graphs():
         dp = run_bench(dp_counter(g, start, end), "dp", 4, trials=1, warmup=0)
         naive = run_bench(naive_counter(g, start, end), "naive", 4, trials=1, warmup=0)
         assert [r.n_paths for r in dp] == [r.n_paths for r in naive]
+
+
+@pytest.mark.parametrize("side", ["start", "end"])
+@pytest.mark.parametrize("counter", [naive_counter, dp_counter], ids=["naive", "dp"])
+def test_graph_counters_refuse_an_end_outside_the_graph_when_made(counter, side, k4):
+    g, trie = k4
+    ends = {"start": ":r0", "end": ":r1", side: ":nope"}
+    with pytest.raises(MissingNode) as raised:
+        counter(g, ends["start"], ends["end"])  # before any timing: run_bench is never reached
+    assert str(raised.value) == f"walk {side} ':nope' is not in the graph"
+    assert trie_counter(trie, ends["start"], ends["end"])(2) == 0  # the index holds no such path

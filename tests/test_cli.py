@@ -111,6 +111,9 @@ def test_index_skips_an_empty_trace_in_either_mode(mode, linear_trace_file, tmp_
     out = tmp_path / "trie.json"
     assert main(["index", str(empty), "--mode", mode, "--out", str(out)]) == 0
     assert capsys.readouterr() == ("traces\t0\nsequences\t0\nnodes\t0\n", note)
+    # the empty trie's document, byte for byte: the DG writer unfolds no state into the same columns
+    header = f'{{"format_version":4,"mode":"{mode}","n":0,"sequence_count":0,"nodes":0,"cycle_edges":0,'
+    assert out.read_text(encoding="utf-8") == header + '"widths":[1,1,1,1,1,1,1],"labels":[],"columns":"eAFjYAAAAAIAAQ=="}'
     assert main(["index", str(empty), str(linear_trace_file), "--mode", mode, "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert (captured.out.splitlines()[0], captured.err) == ("traces\t1", note)
@@ -414,6 +417,16 @@ def test_k4_document_is_the_committed_golden_file(clique4_file, tmp_path, capsys
     out = tmp_path / "k4.trie"
     assert main(["index", str(clique4_file), "--mode", "dg", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "k4-dg.trie").read_bytes()
+
+
+def test_multi_trace_dg_document_is_the_committed_golden_file(tmp_path, capsys):
+    # four N-Triples traces in one DG index, whose root gains children out of label order from
+    # trace to trace: the file pins how the traces merge.  The body is zlib's, as for k4-dg.trie
+    out = tmp_path / "traces-dg.trie"
+    traces = [str(DATA / f"trace{i}.nt") for i in (1, 2, 3, 4)]
+    assert main(["index", *traces, "--format", "ntriples", "--mode", "dg", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "traces\t4\nsequences\t15\nnodes\t25\n"
+    assert out.read_bytes() == (DATA / "traces-dg.trie").read_bytes()
 
 
 GOLDEN_COMMANDS = {

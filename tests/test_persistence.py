@@ -9,11 +9,13 @@ import os
 import random
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from provtrie.cli import main
 from provtrie.document import COLUMNS, _read_columns, encode
 from provtrie.graph import gen_clique
 from provtrie.query import QueryPattern, count_paths, q1, q2_suggest
@@ -980,7 +982,7 @@ def test_failed_save_names_the_target(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["taken"] and not any(taken.iterdir())
 
 
-def test_a_failed_write_that_names_no_file_is_raised_unchanged(tmp_path, monkeypatch):
+def test_a_failed_write_that_names_no_file_is_raised_unchanged(tmp_path, monkeypatch, capsys):
     full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))  # a full disk names no file
     real_fdopen = os.fdopen
 
@@ -1002,6 +1004,13 @@ def test_a_failed_write_that_names_no_file_is_raised_unchanged(tmp_path, monkeyp
         save(insert_all(TrieMode.DAG, FIGURE_SEQUENCES), tmp_path / "index.trie")
     assert raised.value is full and raised.value.filename is None
     assert list(tmp_path.iterdir()) == []  # no .provtrie-* file is left behind
+    # the DG document writer of ``index`` goes through the same writer: an existing --out stays as it was
+    out = tmp_path / "k4.trie"
+    out.write_bytes(b"an earlier index")
+    k4 = Path(__file__).parent / "data" / "k4.json"
+    assert main(["index", str(k4), "--mode", "dg", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {full}\n")
+    assert list(tmp_path.iterdir()) == [out] and out.read_bytes() == b"an earlier index"
 
 
 def test_save_leaves_the_process_umask_alone(tmp_path, monkeypatch):

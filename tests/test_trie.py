@@ -15,7 +15,7 @@ from provtrie.canonical import ngrams, sequence
 from provtrie.graph import GraphKind, ProvGraph, gen_clique
 from provtrie.oracle import enumerate_walks
 from provtrie.query import QueryPattern, count_paths
-from provtrie.trie import CorruptDocument, EmptySequence, FrozenTrie, Trie, TrieMode, load, save
+from provtrie.trie import CorruptDocument, EmptySequence, FrozenTrie, Trie, TrieMode, dg_document, load, save
 
 from helpers import (
     CycleEdge,
@@ -273,11 +273,38 @@ def test_one_pass_dg_builder_equals_insert_based_reference():
             insert_based_index_graph_dg(reference, g)
         built.check_invariants()
         assert built.to_document() == reference.to_document(), case
-    for size in range(2, 8):
+        if not prefill:  # the document writer takes every trace in one pass
+            assert dg_document(graphs) == reference.to_document(), case
+    cases = [[gen_clique(size)] for size in range(2, 8)] + [_lone_vertex(), _lone_self_loop(), _shared_vertices()]
+    for graphs in cases:
         built, reference = Trie(TrieMode.DG), Trie(TrieMode.DG)
-        built.index_graph(gen_clique(size))
-        insert_based_index_graph_dg(reference, gen_clique(size))
-        assert built.to_document() == reference.to_document(), size
+        for g in graphs:
+            built.index_graph(g)
+            insert_based_index_graph_dg(reference, g)
+        built.check_invariants()
+        assert built.to_document() == reference.to_document() == dg_document(graphs), graphs
+
+
+def _dg(*edges: tuple[str, str], nodes: tuple[str, ...] = ()) -> ProvGraph:
+    g = ProvGraph(GraphKind.DG)
+    for name in nodes:
+        g.add_node(name)
+    g.add_edges(edges)
+    return g
+
+
+def _lone_vertex() -> list[ProvGraph]:
+    return [_dg(nodes=("urn:a",))]
+
+
+def _lone_self_loop() -> list[ProvGraph]:
+    return [_dg(("urn:a", "urn:a"), nodes=("urn:a",))]
+
+
+def _shared_vertices() -> list[ProvGraph]:
+    """Two traces on the same three vertices with no edge in common."""
+    names = ("urn:a", "urn:b", "urn:c")
+    return [_dg(("urn:a", "urn:b"), ("urn:b", "urn:c"), nodes=names), _dg(("urn:c", "urn:b"), ("urn:b", "urn:a"), nodes=names)]
 
 
 def _trace(kind: str, rng: random.Random) -> ProvGraph:
@@ -315,13 +342,17 @@ def _index_by_mode_at_the_call_site(trie: Trie, g: ProvGraph) -> None:
 def test_index_graph_equals_the_mode_dispatch_it_replaced(mode, n, traces):
     n = n if mode is TrieMode.DAG else 0  # index refuses --ngram in DG mode
     built, reference = Trie(mode, n), Trie(mode, n)
+    graphs = []
     for kind, rng in traces:
         # a DAG-mode trie takes acyclic runs only
         g = _trace(kind if mode is TrieMode.DG or kind == "empty" else "dag", rng)
+        graphs.append(g)
         built.index_graph(g)
         _index_by_mode_at_the_call_site(reference, g)
     built.check_invariants()
     assert built.to_document() == reference.to_document()
+    if mode is TrieMode.DG:  # the document writer, over the same traces in one pass
+        assert dg_document(graphs) == reference.to_document()
 
 
 def test_dg_builder_has_no_depth_limit():
@@ -340,9 +371,11 @@ def test_dg_builder_has_no_depth_limit():
     sys.setrecursionlimit(min(limit, depth + 100))
     try:
         t.index_graph(g)
+        doc = dg_document([g])
     finally:
         sys.setrecursionlimit(limit)
     assert node_count(t) == n * (n + 1) // 2 == 45_150
+    assert doc == t.to_document() and doc["nodes"] == 45_150
     assert t.sequence_count == n
     t.check_invariants()
 
