@@ -1,43 +1,56 @@
-"""The trie document, format 4: its encoding, its reader and every rule a
-document must pass.
+"""The trie document, format 5: its encoding, its reader, the class table
+every trie is written as, and every rule a document must pass.
 
-A document is one JSON object.  Its header holds ``format_version`` (4),
+A trie repeats itself: on K8 its 109,600 nodes head only 1,025 distinct
+subtrees, one per Held-Karp DFS state plus the root.  A document stores
+each distinct subtree once, as a *class*: the trie's minimal class table,
+the minimal automaton's sharing of identical subtrees (Daciuk, Mihov,
+Watson & Watson, Computational Linguistics 26(1), 2000) applied to the
+statistically enriched trie.  A class has a label, ``freq``, a terminal
+count, its child classes in label order and its cycle-edges, by label and
+in label order, each with its count.  In DG mode a cycle-edge returns to
+the one ancestor-or-self that carries its label, so a class means the same
+at every place it occurs; ``entry`` is derived, as ``freq`` less the
+arrivals that the class's own subtree sends back to it.
+
+A document is one JSON object.  Its header holds ``format_version`` (5),
 ``mode``, ``n``, ``sequence_count``, ``nodes`` and ``cycle_edges`` (the
-non-root node and cycle-edge counts), ``widths`` and ``labels``, the
-sorted, distinct, nonempty identifiers.  ``columns`` is the body: the
-seven columns of ``COLUMNS`` in that order, each as little-endian
-unsigned integers of its width (1, 2, 4 or 8 bytes, the narrowest that
-holds its largest value), one zlib stream at level ``LEVEL``, in base64.
-``child_count`` and ``cycle_out`` hold one entry per node, the root
-included; ``id``, ``freq`` and ``terminal_count`` one per non-root node,
-``id`` as an index into ``labels``; ``cycle_to`` and ``cycle_count`` one
-per cycle-edge.  Nodes are numbered breadth-first, children in label
-order, the root 0; node k's children are the next ``child_count[k]``
-nodes and its cycle-edges the next ``cycle_out[k]`` edges, by source and
-then by label: the level-order degree sequence of LOUDS (Jacobson 1989).
-The body must inflate to exactly the bytes its header declares, so a
-document cannot make the reader inflate more.
+unfolded trie's non-root nodes and cycle-edges), ``classes`` (the root's
+included), ``class_edges`` (child references) and ``class_cycle_edges``,
+``widths`` and ``labels``, the sorted, distinct, nonempty identifiers.
+``columns`` is the body: the eight columns of ``COLUMNS`` in that order,
+each as little-endian unsigned integers of its width (1, 2, 4 or 8 bytes,
+the narrowest that holds its largest value), one zlib stream at level
+``LEVEL``, in base64.  ``child_count`` and ``cycle_out`` hold one entry
+per class, the root's first; ``id``, ``freq`` and ``terminal_count`` one
+per class after the root, ``id`` as an index into ``labels``; ``child``
+one per child reference; ``cycle_label`` (an index into ``labels``) and
+``cycle_count`` one per cycle-edge of a class.  Class k's child
+references are the next ``child_count[k]`` and its cycle-edges the next
+``cycle_out[k]``.  Classes are numbered breadth-first from the root, 0,
+each when it is first referenced: a ``child`` of 0 is the next class not
+yet numbered, and k >= 1 is class k, numbered before, so a tree's child
+references cost no bytes and equal tries give equal documents.  The body
+must inflate to exactly the bytes its header declares, so a document
+cannot make the reader inflate more; like any decompressor's input,
+though, a small table may unfold into a large trie.
 
-``FrozenTrie`` is the reader: the checked columns of a document and the
-prefix sums of its degree columns, with no dict (a static beside a
-dynamic tree, as in Navarro & Sadakane, ACM TALG 2014); its numeric
-columns stay fixed-width ``array``s, each of a width ``_width`` picks as
-it does for a document's columns, so no int object per value outlives
-the load.  Its ``children[k]`` and ``cycles[k]`` are label -> index views
-over node k's ranges, which the queries read as they read the builder's
-dicts.
-``FrozenTrie.from_document`` decodes the body and runs the column
-checker, which holds every rule a document must pass; a frozen trie sums
-its per-depth table, derived data, on the first read of
-``depth_stats``, which ``query`` and ``suggest`` never make.  ``encode``
-is the one writer; the builder, ``trie.Trie``, writes documents with it
-and checks itself with the same column checker.  This module never
-imports the builder.
-
-The checker tests ancestry as a pre-order interval: with pre-order
-positions ``pos`` and subtree sizes, ``t`` is ``s`` or an ancestor of
-``s`` exactly when ``pos[t] <= pos[s] < pos[t] + size[t]`` (Dietz 1982;
-the region encoding of Zhang et al., SIGMOD 2001).
+``_check`` is the class checker: every rule a table must pass, over the
+classes and never over the nodes, with ``entry`` derived from each
+subtree's arrivals per label.  ``_unfold`` is the one unfold of a table
+into the trie's nodes, breadth-first; ``FrozenTrie.from_document`` and
+``trie.Trie.index_graph`` both consume it.  ``minimize`` is the one
+writer of tables, a bottom-up hash-cons, and ``encode`` the one encoder.
+``FrozenTrie`` is the reader: the unfolded columns and the prefix sums of
+its degree columns, with no dict (a static beside a dynamic tree, as in
+Navarro & Sadakane, ACM TALG 2014); its numeric columns stay fixed-width
+``array``s, each of a width ``_width`` picks as it does for a document's
+columns, so no int object per value outlives the load.  Its
+``children[k]`` and ``cycles[k]`` are label -> index views over node k's
+ranges, which the queries read as they read the builder's dicts.  A
+frozen trie sums its per-depth table, derived data, on the first read of
+``depth_stats``, which ``query`` and ``suggest`` never make.  This module
+never imports the builder.
 """
 from __future__ import annotations
 
@@ -52,16 +65,16 @@ from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
-from operator import add, ge, le, mul, ne, sub
-from typing import IO, Any, Callable, Iterable, Iterator
+from operator import add, ge, gt, itemgetter, le, lt, mul, ne, not_, sub
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .kinds import GraphKind
 
-FORMAT_VERSION = 4
-COLUMNS = ("child_count", "cycle_out", "id", "freq", "terminal_count", "cycle_to", "cycle_count")
-HEADER_COUNTS = ("n", "sequence_count", "nodes", "cycle_edges")
+FORMAT_VERSION = 5
+COLUMNS = ("child_count", "cycle_out", "id", "freq", "terminal_count", "child", "cycle_label", "cycle_count")
+HEADER_COUNTS = ("n", "sequence_count", "nodes", "cycle_edges", "classes", "class_edges", "class_cycle_edges")
 WIDTHS = (1, 2, 4, 8)
-LEVEL = 1  # zlib's fastest level: K8's body shrinks about 9×, and a level above it buys little more
+LEVEL = 1  # zlib's fastest level: a class table is small, and a level above it buys little more
 _TYPECODE = {array(code).itemsize: code for code in "BHILQ"}  # width -> an unsigned typecode of that size
 
 
@@ -110,6 +123,92 @@ def _packed(values: Iterable[int]) -> array:
     return _array(_width(max(values, default=0)), values)
 
 
+class Table(NamedTuple):
+    """A class table, the root 0: per class its label (an index into the
+    label table; the root's -1), ``freq`` (the root's: the sequence count),
+    ``entry`` (the root's: 0) and ``terminal``; its children are the classes
+    ``kid[first[k]:first[k + 1]]`` and its cycle-edges the labels and counts
+    at ``efirst[k]:efirst[k + 1]`` of ``cycle_label`` and ``cycle_count``,
+    each in label order.  The checker derives ``entry``; the unfold reads
+    it."""
+
+    label: list[int]
+    freq: list[int]
+    entry: list[int]
+    terminal: list[int]
+    first: list[int]
+    kid: Sequence[int]
+    efirst: list[int]
+    cycle_label: Sequence[int]
+    cycle_count: Sequence[int]
+
+
+def minimize(
+    rows: Iterable[tuple[int, Any, int, int, Iterable[int], Iterable[Any], Iterable[int]]],
+    size: int,
+    index: Callable[[Any], int] | None = None,
+) -> tuple[list[list[int]], int, int, list[int]]:
+    """The one minimizer: a trie's minimal class table, by a bottom-up
+    hash-cons, as the eight columns of ``COLUMNS``.
+
+    ``rows`` are the trie's nodes, children before parents and the root
+    last, each ``(node, label, freq, terminal, children, cycle labels,
+    cycle counts)``: ``node`` below ``size``, its children as nodes, its
+    children and cycle-edges in label order.  A node's class is its label,
+    ``freq``, terminal count, its children's classes and its cycle labels
+    and counts, so nodes with identical subtrees share one.  ``index`` maps a label to its place in the
+    label table (None: labels are those places).  Classes are then numbered
+    breadth-first from the root, each when first referenced, which makes
+    the table canonical.  Returns the columns, the unfolded node and
+    cycle-edge counts, and each node's class number (0 for a node not in
+    ``rows``)."""
+    keys: dict[tuple, int] = {}  # a class's key -> its number in bottom-up order
+    made: list[tuple] = []  # bottom-up number -> key
+    cls = [0] * size
+    node = 0
+    for node, label, freq, terminal, kids, cycles, taken in rows:
+        key = (label, freq, terminal, tuple(map(cls.__getitem__, kids)), tuple(cycles), tuple(taken))
+        at = keys.get(key)
+        if at is None:
+            at = keys[key] = len(made)
+            made.append(key)
+        cls[node] = at
+    del keys
+    root = cls[node]
+    # subtree sizes, bottom up: a class's children are made before it
+    nodes, edges = [], []
+    for _, _, _, kids, cycles, _ in made:
+        nodes.append(1 + sum(map(nodes.__getitem__, kids)))
+        edges.append(len(cycles) + sum(map(edges.__getitem__, kids)))
+    number = [-1] * len(made)  # bottom-up number -> canonical number
+    number[root] = 0
+    order, child = [root], []  # classes in canonical order, and each child reference
+    for at in order:
+        for kid in made[at][3]:
+            if number[kid] < 0:
+                number[kid] = len(order)
+                order.append(kid)
+                child.append(0)
+            else:
+                child.append(number[kid])
+    classes = list(map(made.__getitem__, order))
+    labels = [key[0] for key in islice(classes, 1, None)]
+    cycle_labels = list(chain.from_iterable(key[4] for key in classes))
+    if index is not None:
+        labels, cycle_labels = list(map(index, labels)), list(map(index, cycle_labels))
+    columns = [
+        [len(key[3]) for key in classes],
+        [len(key[4]) for key in classes],
+        labels,
+        [key[1] for key in islice(classes, 1, None)],
+        [key[2] for key in islice(classes, 1, None)],
+        child,
+        cycle_labels,
+        list(chain.from_iterable(key[5] for key in classes)),
+    ]
+    return columns, nodes[root] - 1, edges[root], list(map(number.__getitem__, cls))
+
+
 def encode(
     mode: TrieMode,
     n: int,
@@ -119,25 +218,28 @@ def encode(
     labels: list[str],
     columns: Iterable[Iterable[int]],
 ) -> dict[str, Any]:
-    """The one writer of format 4: the document with this header and the
-    seven columns in ``COLUMNS`` order, each packed to its own width and
-    compressed as it is taken, so that no moment holds every column.  A load
-    checks the body against ``nodes`` and ``cycle_edges``, the writer's own
-    counts.  A value past 8 bytes or below 0 raises ``OverflowError``."""
+    """The one writer of format 5: the document with this header and the
+    eight columns in ``COLUMNS`` order (``minimize``'s), each packed to its
+    own width and compressed as it is taken.  ``classes``, ``class_edges``
+    and ``class_cycle_edges`` are the lengths of ``child_count``, ``child``
+    and ``cycle_label``.  A load checks the table against ``nodes`` and
+    ``cycle_edges``, the writer's own counts.  A value past 8 bytes or below
+    0 raises ``OverflowError``."""
     packer = zlib.compressobj(LEVEL)
-    widths, parts = [], []
+    widths, lengths, parts = [], [], []
     for values in columns:
         column = _packed(values)
         if sys.byteorder == "big":
             column.byteswap()
         widths.append(column.itemsize)
+        lengths.append(len(column))
         parts.append(packer.compress(column))
         del column  # the next column's list is built before this name is rebound
     parts.append(packer.flush())
     return {
         "format_version": FORMAT_VERSION,
         "mode": mode.value,
-        **dict(zip(HEADER_COUNTS, (n, sequence_count, nodes, cycle_edges))),
+        **dict(zip(HEADER_COUNTS, (n, sequence_count, nodes, cycle_edges, lengths[0], lengths[5], lengths[6]))),
         "widths": widths,
         "labels": labels,
         "columns": base64.b64encode(b"".join(parts)).decode("ascii"),
@@ -145,7 +247,7 @@ def encode(
 
 
 def _read_columns(text: Any, widths: list[int], lengths: list[int]) -> list[array]:
-    """The seven columns of a document body, as arrays of their widths.  The body
+    """The columns of a document body, as arrays of their widths.  The body
     must inflate to exactly the size that ``widths`` and ``lengths``
     declare: the inflater is never asked for more than one byte past it."""
     if type(text) is not str:
@@ -192,38 +294,275 @@ def _parents(child_count: Iterable[int]) -> list[int]:
     return [-1, *chain.from_iterable(map(repeat, count(), child_count))]
 
 
-def _repeats_on_a_root_path(ids: list[Any], order: Iterable[int], pos: list[int], end: list[int]) -> int | None:
-    """The first node, in pre-order, whose identifier an ancestor carries:
-    subtrees nest, so it suffices to compare each node with the previous one
-    in pre-order that has its identifier.  None if no root path repeats one."""
-    last: dict[Any, int] = {}  # identifier -> the latest node in pre-order carrying it
-    for node in islice(order, 1, None):
-        rid = ids[node]
-        before = last.get(rid)
-        if before is not None and pos[node] < end[before]:
-            return node
-        last[rid] = node
-    return None
+def _ranges(values: Sequence[int], first: list[int]) -> list[Sequence[int]]:
+    """``values[first[k]:first[k + 1]]`` for each k: a flat column cut per class."""
+    return list(map(values.__getitem__, map(slice, first, islice(first, 1, None))))
 
 
-def _preorder(parent: list[int]) -> tuple[array, list[int], list[int]]:
-    """Nodes in a pre-order (children in index order), each node's position
-    in it, and one past the last position of its subtree: parents precede
-    their children, so one pass up gives subtree sizes, one down positions."""
-    total = len(parent)
-    size = [1] * total
-    for node in range(total - 1, 0, -1):
-        size[parent[node]] += size[node]
-    pos, free = [0] * total, [1] * total  # free: where a node's next child goes
-    for node, up in zip(count(1), islice(parent, 1, None)):
-        pos[node] = at = free[up]
-        free[up] = at + size[node]
-        free[node] = at + 1
-    del parent, free  # the caller hands its parents over: freed before the order and the ends are built
-    order = array(_TYPECODE[_width(total)], [0]) * total  # read once, by the repeat rule: an array
-    for node, at in enumerate(pos):
-        order[at] = node
-    return order, pos, list(map(add, pos, size))
+def _out_of_order(labels: list[int], first: list[int]) -> int | None:
+    """The first position of ``labels`` whose label is not above the one
+    before it in the same range (ranges start at the positions in ``first``)."""
+    unsorted = compress(count(1), map(ge, labels, islice(labels, 1, None)))
+    return next(filterfalse(set(first).__contains__, unsorted), None)
+
+
+def _check(
+    mode: TrieMode,
+    sequence_count: int,
+    labels: list[Any],
+    child_count: array,
+    cycle_out: array,
+    ids: array,
+    freqs: array,
+    terminals: array,
+    child: array,
+    cycle_label: array,
+    cycle_count: array,
+) -> tuple[Table, int, int]:
+    """The class checker: every rule a class table must pass, on unsigned
+    arrays of the lengths the header gives (the decoder and
+    ``Trie.check_invariants`` hand it those).  Returns the checked table,
+    with ``entry`` and ``above`` derived, and the node and cycle-edge counts
+    it unfolds to.  Only the DG rules and the acyclicity check of a table
+    that shares a class loop over classes in Python; the rest, and a DAG
+    tree's whole check, runs over whole columns.
+
+    Shape first: the label table's labels nonempty strings in strictly
+    increasing order; label indices inside it; degree counts summing to the
+    column lengths; child references that number every class after the root
+    exactly once, each class numbered by the references of classes before
+    it, and refer back only to classes already numbered; the class graph
+    acyclic.  Then the rules: non-root ``freq`` >= 1; children and
+    cycle-edges in strictly increasing label order; cycle counts >= 1; no
+    cycle-edge in DAG mode.  In DG mode, over the classes in topological
+    order: a class's cycle labels on every root path of every place it
+    occurs (the intersection over its parents' paths), and then, from the
+    leaves up, ``entry`` as ``freq`` less the arrivals its subtree sends to
+    its own label.  Then ``entry`` >= 0, conservation (``freq`` equals
+    terminations plus the children's ``entry`` plus the cycle counts; the
+    root's ``freq`` is ``sequence_count``), in DG mode no class's label on
+    any root path above it (the union over its parents' paths),
+    ``sequence_count`` within 8 bytes as every column value is, and last
+    the unfolded sizes.
+
+    The format implies the rules a builder's dicts could still break: an
+    edge's label is its target's identifier by definition, label order
+    leaves no duplicate child or cycle-edge, and a cycle-edge labelled like
+    a child of its class would repeat that label on the child's root path.
+    """
+    classes = len(child_count)
+    if not classes:
+        raise CorruptDocument("a class table holds at least the root's class")
+    if set(map(type, labels)) - {str} or "" in labels:
+        raise CorruptDocument("identifiers must be nonempty strings")
+    at = _first(map(ge, labels, islice(labels, 1, None)))
+    if at is not None:
+        raise CorruptDocument(f"label table not strictly increasing at label {at + 1}: {labels[at + 1]!r}")
+    top = max(max(ids, default=-1), max(cycle_label, default=-1))
+    if top >= len(labels):
+        raise CorruptDocument(f"label index {top} outside a table of {len(labels)} labels")
+    if sum(child_count) != len(child) or sum(cycle_out) != len(cycle_label):
+        raise CorruptDocument("child or cycle-edge counts do not sum to the class-edge or class cycle-edge count")
+    first = list(accumulate(child_count, initial=0))  # class k's child references: first[k]:first[k + 1]
+    tree = not any(child)  # every reference numbers the next class: node k is class k
+    if tree:
+        fresh: Sequence[int] = range(len(child) + 1)
+        kid: Sequence[int] = range(1, len(child) + 1)
+    else:
+        fresh = list(accumulate(map(not_, child), initial=0))  # classes numbered by the references before each
+        kid = [ref or number for ref, number in zip(child, islice(fresh, 1, None))]  # each reference's class
+        at = _first(map(gt, kid, islice(fresh, 1, None)))
+        if at is not None:
+            up = bisect_right(first, at) - 1
+            raise CorruptDocument(f"child reference {kid[at]} past the {fresh[at] + 1} classes numbered, under class {up}")
+    if fresh[-1] != classes - 1:
+        if fresh[-1] > classes - 1:
+            raise CorruptDocument(f"child references past the table of {classes} classes")
+        raise CorruptDocument(f"class {fresh[-1] + 1} is no class's child")
+    at = _first(map(lt, islice(first, 1, classes) if tree else map(fresh.__getitem__, islice(first, 1, classes)), count(1)), 1)
+    if at is not None:
+        raise CorruptDocument(f"parent not before class {at}")
+    del fresh
+    kids: list[Sequence[int]] = []  # per class, its children: cut when a pass over classes needs them
+    order: Sequence[int] = range(classes)  # a topological order: the numbering unless a reference points back
+    if not tree and any(map(le, kid, chain.from_iterable(map(repeat, count(), child_count)))):
+        kids = _ranges(kid, first)
+        waiting = [0] * classes
+        for k in kid:
+            waiting[k] += 1
+        order = [0]
+        for up in order:
+            for k in kids[up]:
+                waiting[k] -= 1
+                if not waiting[k]:
+                    order.append(k)
+        if len(order) < classes:
+            raise CorruptDocument(f"class table has a cycle through or above class {_first(waiting)}")
+
+    dag = mode is TrieMode.DAG
+    if min(freqs, default=1) < 1:
+        raise CorruptDocument("class statistic out of range")
+    label = [-1, *ids]
+    kid_labels = label[1:] if tree else list(map(label.__getitem__, kid))
+    at = _out_of_order(kid_labels, first)
+    if at is not None:
+        up = bisect_right(first, at) - 1
+        what = "duplicate child" if kid_labels[at] == kid_labels[at - 1] else "siblings out of label order"
+        raise CorruptDocument(f"{what} under class {up}: {labels[kid_labels[at]]!r}")
+    del kid_labels
+    # class k's cycle-edges: efirst[k]:efirst[k + 1]
+    efirst = list(accumulate(cycle_out, initial=0)) if cycle_label else [0] * (classes + 1)
+    if cycle_label:
+        if dag:
+            raise CorruptDocument(f"cycle-edges on DAG-mode class {_first(cycle_out)}")
+        if min(cycle_count) < 1:
+            raise CorruptDocument(f"cycle-edge {cycle_count.index(min(cycle_count))} without traversals")
+        at = _out_of_order(list(cycle_label), efirst)
+        if at is not None:
+            up = bisect_right(efirst, at) - 1
+            what = "duplicate cycle-edge" if cycle_label[at] == cycle_label[at - 1] else "cycle-edges out of label order"
+            raise CorruptDocument(f"{what} at class {up}: {labels[cycle_label[at]]!r}")
+    freq = [sequence_count, *freqs]
+    terminal = [0, *terminals]
+    entry = freq.copy()
+    repeated = None  # the first class, in topological order, whose label repeats on a root path
+    if not dag:
+        kids = kids or _ranges(kid, first)
+        cycles, taken = _ranges(cycle_label, efirst), _ranges(cycle_count, efirst)
+        always = [-1] * classes  # per class: the labels on every root path above it, as bits
+        ever = [0] * classes  # and the labels on any
+        for up in order:
+            rid = label[up]
+            bit = 1 << rid if up else 0
+            if ever[up] & bit and repeated is None:
+                repeated = up
+            must, may = (always[up] | bit, ever[up] | bit) if up else (0, 0)
+            for rid in cycles[up]:
+                if not must >> rid & 1:
+                    raise CorruptDocument(f"cycle-edge label {labels[rid]!r} not on every root path of class {up}")
+            for k in kids[up]:
+                always[k] &= must
+                ever[k] |= may
+        del always, ever
+        above: list[dict[int, int] | None] = [None] * classes  # per class: its subtree's arrivals above it, per label
+        for up in reversed(order):  # from the leaves up
+            arrivals = dict(zip(cycles[up], taken[up]))
+            for below in map(above.__getitem__, kids[up]):
+                if below:
+                    for rid, times in below.items():
+                        arrivals[rid] = arrivals.get(rid, 0) + times
+            entry[up] -= arrivals.pop(label[up], 0)
+            above[up] = arrivals or None
+        del above, cycles, taken
+        if min(entry) < 0:
+            raise CorruptDocument(f"entry count out of range at class {entry.index(min(entry))}")
+    below = list(accumulate(islice(entry, 1, None) if tree else map(entry.__getitem__, kid), initial=0))  # entries before each reference
+    descents = map(sub, map(below.__getitem__, islice(first, 1, None)), map(below.__getitem__, first))
+    outflow = map(add, terminal, descents)  # terminations plus descents
+    if cycle_label:
+        cycled = list(accumulate(cycle_count, initial=0))
+        outflow = map(add, outflow, map(sub, map(cycled.__getitem__, islice(efirst, 1, None)), map(cycled.__getitem__, efirst)))
+    at = _first(map(ne, freq, outflow))
+    if at is not None:
+        raise CorruptDocument(f"conservation violated at class {at}")
+    del below
+    if repeated is not None:
+        raise CorruptDocument(f"identifier {labels[label[repeated]]!r} repeats on the root path of class {repeated}")
+    if sequence_count >> 64:  # the root's freq, a column value like any other
+        raise CorruptDocument("sequence_count past 8 bytes")
+    if tree:  # one node per class
+        nodes, edges = classes - 1, len(cycle_label)
+    else:
+        kids = kids or _ranges(kid, first)
+        times = [0] * classes  # the places each class occurs
+        times[0] = 1
+        for up in order:
+            if times[up]:
+                for k in kids[up]:
+                    times[k] += times[up]
+        nodes, edges = sum(times) - 1, sum(map(mul, times, cycle_out))
+    entry[0] = 0  # the root is never descended into
+    return Table(label, freq, entry, terminal, first, kid, efirst, cycle_label, cycle_count), nodes, edges
+
+
+def _unfold(table: Table) -> tuple[Sequence[int], array, array, array]:
+    """The one unfold of a class table into its trie, nodes numbered
+    breadth-first, children in label order, the root 0: each node's class,
+    the offsets of each node's children (node k's are the nodes
+    ``first[k]:first[k + 1]``) and cycle-edges, and each cycle-edge's target
+    node, by source and then label, the last three as arrays.
+
+    The classes of a depth's nodes are their parents' children, in order, so
+    the node order and both offset columns come level by level with no
+    per-node step.  The targets come from one depth-first walk over the
+    nodes with one map, label -> the last node entered that carries it: in
+    DG mode a label is on a root path at most once, so the node a cycle-edge
+    returns to is the one its label maps to when the edge's source is
+    entered; a node is entered in the map only when a cycle-edge of its
+    subtree returns to it.  Each node's targets are packed into their array
+    as they are found, so no int object per cycle-edge is made.  A tree is
+    its own unfold, node k class k."""
+    label, first, kid, efirst = table.label, table.first, table.kid, table.efirst
+    classes = len(label)
+    if type(kid) is range and kid == range(1, classes):  # a tree: node k is class k
+        order: Sequence[int] = range(classes)
+        nodes = _array(_width(classes), list(map((1).__add__, first)))
+        edges = _array(_width(efirst[-1]), efirst)
+    else:
+        degree = list(map(sub, islice(first, 1, None), first))
+        kids = _ranges(kid, first)
+        order, level = [0], list(kids[0])
+        while level:
+            order += level
+            level = list(chain.from_iterable(map(kids.__getitem__, level)))
+        nodes = _packed(accumulate(map(degree.__getitem__, order), initial=1))
+        out = list(map(sub, islice(efirst, 1, None), efirst))
+        edges = _packed(accumulate(map(out.__getitem__, order), initial=0))
+    width = _width(len(order) - 1)  # a target is a node's number
+    targets = array(_TYPECODE[width], bytes(width * edges[-1]))
+    if not targets:
+        return order, nodes, edges, targets
+    degree = list(map(sub, islice(first, 1, None), first))
+    here = list(map(ne, table.freq, table.entry))  # per class: a cycle-edge of its subtree returns to it
+    cycles = _ranges(table.cycle_label, efirst)
+    # per class: its cycle-edges' targets read off the map (a tuple, or for one edge its label), and their packer
+    many = [itemgetter(*labels) if len(labels) > 1 else None for labels in cycles]
+    one = [labels[0] if len(labels) == 1 else None for labels in cycles]
+    pack = [struct.Struct(f"={len(labels)}{targets.typecode}").pack_into if labels else None for labels in cycles]
+    at: dict[int, int] = {}
+    walk = [iter(range(nodes[0], nodes[1]))]  # per depth on the walk, the rest of its siblings
+    while walk:
+        for node in walk[-1]:
+            c = order[node]
+            if here[c]:
+                at[label[c]] = node
+            if many[c] is not None:
+                pack[c](targets, width * edges[node], *many[c](at))
+            elif one[c] is not None:
+                targets[edges[node]] = at[one[c]]
+            if degree[c]:
+                walk.append(iter(range(nodes[node], nodes[node + 1])))
+                break
+        else:
+            walk.pop()
+    return order, nodes, edges, targets
+
+
+def _gathered(order: Sequence[int], values: Sequence[int], first: list[int] | None = None) -> array:
+    """Each node's value of a per-class column, in node order (``order``
+    holds each node's class), as an array of the width the classes' values
+    need: each class's bytes made once and joined per node.  With
+    ``first``, class k holds the values ``values[first[k]:first[k + 1]]``
+    and a node takes all of them.  A tree's nodes are its classes."""
+    column = array(_TYPECODE[_width(max(values, default=0))])
+    if type(order) is range:  # node k is class k
+        return _array(column.itemsize, values if type(values) is list else list(values))
+    if first is None:
+        blobs = list(map(partial(int.to_bytes, length=column.itemsize, byteorder=sys.byteorder), values))
+    else:
+        blobs = [array(column.typecode, each).tobytes() for each in _ranges(values, first)]
+    column.frombytes(b"".join(map(blobs.__getitem__, order)))
+    return column
 
 
 class _Children:
@@ -283,10 +622,11 @@ class _Ranges:
 
 
 class FrozenTrie:
-    """Read-only trie over the columns of a checked format 4 document;
-    build one with ``from_document`` or ``load_frozen``.
+    """Read-only trie over the unfolded columns of a checked format 5
+    document; build one with ``from_document`` or ``load_frozen``.
 
-    Node k is node k of the document, the root 0; ``id`` (root: None, every
+    Nodes are numbered breadth-first, children in label order, the root 0,
+    as the unfold numbers them; ``id`` (root: None, every
     other node one of the label table's strings), ``freq``, ``entry`` and
     ``terminal`` hold one entry per node.  ``id`` is a list, so that
     ``bisect`` compares strings; every other column is an unsigned
@@ -341,17 +681,20 @@ class FrozenTrie:
 
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "FrozenTrie":
-        """Decode a format 4 document and check it: a malformed one raises
-        ``CorruptDocument`` (another format, format 3 included,
-        ``FormatVersionMismatch``), and one that loads thaws into a trie
-        that ``Trie.check_invariants`` passes.
+        """Decode a format 5 document, check its class table and unfold it:
+        a malformed one raises ``CorruptDocument`` (another format, format 4
+        included, ``FormatVersionMismatch``), and one that loads thaws into a
+        trie that ``Trie.check_invariants`` passes.
 
         The header first: its counts exact ints >= 0, ``n`` 0 in DG mode,
-        ``labels`` an array, ``widths`` seven of 1, 2, 4 or 8.  Then the
+        ``labels`` an array, ``widths`` eight of 1, 2, 4 or 8.  Then the
         body: base64, one zlib stream inflating to exactly the size the
-        widths and counts declare, and nothing after it.  The column checker
-        (``_from_columns``) runs on the decoded arrays; an unsigned column
-        holds no bool, float or negative number, so no check looks for one.
+        widths and counts declare, and nothing after it.  The class checker
+        (``_check``) runs on the decoded arrays; an unsigned column holds no
+        bool, float or negative number, so no check looks for one.  The
+        header's ``nodes`` and ``cycle_edges`` must be the sizes the table
+        unfolds to, checked before anything of a node's length is made; then
+        the one unfold gives the node columns.
         """
         try:
             version = doc["format_version"]
@@ -361,7 +704,9 @@ class FrozenTrie:
             raise FormatVersionMismatch(f"format_version {version!r}, supported: {FORMAT_VERSION}")
         try:
             mode = TrieMode(doc["mode"])
-            header = n, sequence_count, nodes, edges = [doc[key] for key in HEADER_COUNTS]
+            header = n, sequence_count, nodes, edges, classes, class_edges, class_cycles = [
+                doc[key] for key in HEADER_COUNTS
+            ]
             labels, widths, text = doc["labels"], doc["widths"], doc["columns"]
         except (KeyError, ValueError, TypeError) as exc:
             raise CorruptDocument(f"malformed header: {exc}") from None
@@ -374,145 +719,28 @@ class FrozenTrie:
         malformed = type(widths) is not list or len(widths) != len(COLUMNS)
         if malformed or any(type(width) is not int or width not in WIDTHS for width in widths):
             raise CorruptDocument(f"widths must be {len(COLUMNS)} column widths of 1, 2, 4 or 8 bytes")
-        columns = _read_columns(text, widths, [nodes + 1, nodes + 1, nodes, nodes, nodes, edges, edges])
+        lengths = [classes, classes, classes - 1, classes - 1, classes - 1, class_edges, class_cycles, class_cycles]
+        columns = _read_columns(text, widths, [max(length, 0) for length in lengths])
         del doc, text  # a caller that hands the document over (load_frozen does) gets its text freed
-        return cls._from_columns(mode, n, sequence_count, labels, *columns)
+        table, unfolded, cycle_edges = _check(mode, sequence_count, labels, *columns)
+        del columns
+        if (unfolded, cycle_edges) != (nodes, edges):
+            raise CorruptDocument(
+                f"header declares {nodes} nodes and {edges} cycle-edges, the table unfolds to {unfolded} and {cycle_edges}"
+            )
+        return cls._unfolded(mode, n, labels, table)
 
     @classmethod
-    def _from_columns(
-        cls,
-        mode: TrieMode,
-        n: int,
-        sequence_count: int,
-        labels: list[Any],
-        child_count: array,
-        cycle_out: array,
-        ids: array,
-        freqs: array,
-        terminal_counts: array,
-        targets: array,
-        counts: array,
-    ) -> "FrozenTrie":
-        """The column checker: every rule a document's columns must pass,
-        on unsigned arrays of the lengths the header gives (the decoder and
-        ``Trie.check_invariants`` hand it those), ``ids`` indices into
-        ``labels``.  Keeps the cycle-edge arrays it is given and
-        ``terminal_counts``, with the root's 0 put in front; ``id`` becomes a
-        list of the table's strings, and ``freq``, ``entry``, ``first`` and
-        ``efirst`` arrays wide enough for their values.  Only the node
-        columns that the cycle-edge pass reads per edge (``rid``, ``entry``
-        and the pre-order intervals) are lists while it runs: reading an
-        array makes an int object per read.
-
-        Shape first: the table's labels nonempty strings in strictly
-        increasing order, so that index order is label order; label indices
-        inside the table; degree counts summing to the node and cycle-edge
-        counts; parents before children.  Then the rules, over whole
-        columns: non-root ``freq`` >= 1; siblings in strictly increasing
-        label order; cycle-edge targets below the root and counts >= 1; no
-        cycle-edge in DAG mode.  In DG mode one Python pass over the
-        cycle-edges tests each target as an ancestor-or-self of its source on
-        ``_preorder``'s intervals, requires each source's labels strictly
-        increasing, subtracts the arrivals from ``entry`` and sums each
-        source's outflow.  Then ``entry`` >= 0, conservation (descents as
-        differences of a prefix sum of ``entry`` at the child offsets, plus
-        the outflow only where a cycle-edge exists), in DG mode no
-        identifier repeated on a root path, and last ``sequence_count``, the
-        root's ``freq``, within 8 bytes as every column value is.  The
-        per-depth table is derived data, not a rule: ``depth_stats`` sums it
-        on first access.
-
-        The format implies the rules a builder's dicts could still break: an
-        edge's label is its target's identifier by definition, ``entry`` is
-        derived from the arrivals, label order leaves no duplicate child or
-        cycle-edge, and a cycle-edge labelled like a child of its source
-        would repeat that label on the child's root path, since the edge
-        returns to an ancestor-or-self of the source.  The builder's wiring
-        and its own ``entry`` are ``Trie.check_invariants``'s to check.
-        """
-        if set(map(type, labels)) - {str} or "" in labels:
-            raise CorruptDocument("identifiers must be nonempty strings")
-        at = _first(map(ge, labels, islice(labels, 1, None)))
-        if at is not None:
-            raise CorruptDocument(f"label table not strictly increasing at label {at + 1}: {labels[at + 1]!r}")
-        rid = [-1, *ids]  # label indices, the root's -1; a list: the cycle-edge pass reads it per edge
-        if max(rid) >= len(labels):
-            raise CorruptDocument(f"label index {max(rid)} outside a table of {len(labels)} labels")
-        if sum(child_count) != len(ids) or sum(cycle_out) != len(targets):
-            raise CorruptDocument("child or cycle-edge counts do not sum to the node or cycle-edge count")
-        first = list(accumulate(child_count, initial=1))  # node k's children: first[k]:first[k + 1]
-        at = _first(map(le, islice(first, 1, len(child_count)), count(1)), 1)  # node k's parent is below k
-        if at is not None:
-            raise CorruptDocument(f"parent not before node {at}")
-
-        entry = [0, *freqs]  # a list: the cycle-edge pass decrements it per edge
-        nodes, dag = len(rid), mode is TrieMode.DAG
-        if min(freqs, default=1) < 1:
-            raise CorruptDocument("node statistic out of range")
-        # a node j with j - 1 as its sibling starts no child range; the others must sort after j - 1
-        unsorted = compress(count(2), map(ge, islice(rid, 1, None), islice(rid, 2, None)))
-        at = next(filterfalse(set(first).__contains__, unsorted), None)
-        if at is not None:
-            up = bisect_right(first, at) - 1
-            if rid[at] == rid[at - 1]:
-                raise CorruptDocument(f"duplicate child at node {at - 1}: {labels[rid[at]]!r} under node {up}")
-            raise CorruptDocument(f"siblings out of label order at node {at}: {labels[rid[at]]!r} under node {up}")
-        if targets:
-            if dag:
-                raise CorruptDocument(f"cycle-edges on DAG-mode node {_first(cycle_out)}")
-            if min(targets) < 1:
-                raise CorruptDocument(f"cycle-edge {targets.index(min(targets))} into the root")
-            if min(counts) < 1:
-                raise CorruptDocument(f"cycle-edge {counts.index(min(counts))} without traversals")
-        cycled = None  # each node's outflow along its cycle-edges, where there are any
-        if not dag:
-            order, pos, end = _preorder(_parents(child_count))
-        if targets:
-            cycled = [0] * nodes
-            edges = zip(targets, counts)
-            try:  # a target past the last node raises IndexError
-                for source, out in zip(compress(count(), cycle_out), filter(None, cycle_out)):
-                    here, before, outflow = pos[source], -1, 0  # every label index is above -1
-                    for target, taken in islice(edges, out):
-                        if not pos[target] <= here < end[target]:
-                            raise CorruptDocument(f"cycle-edge target not an ancestor at node {source}")
-                        label = rid[target]
-                        if label <= before:
-                            what = "duplicate cycle-edge" if label == before else "cycle-edges out of label order"
-                            raise CorruptDocument(f"{what} at node {source}: {labels[label]!r}")
-                        before = label
-                        entry[target] -= taken
-                        outflow += taken
-                    cycled[source] = outflow
-            except IndexError:
-                raise CorruptDocument("cycle-edge target outside the trie") from None
-        efirst = list(accumulate(cycle_out, initial=0))  # node k's cycle-edges: efirst[k]:efirst[k + 1]
-        efirst = _array(_width(efirst[-1]), efirst)
-        del child_count, cycle_out
-        if min(entry) < 0:
-            raise CorruptDocument(f"entry count out of range at node {entry.index(min(entry))}")
-        entry = _array(freqs.itemsize, entry)  # entry[k] <= freq[k]; freed as a list before the prefix sum
-        below = list(map(list(accumulate(entry, initial=0)).__getitem__, first))  # entries before each child range
-        terminal_counts.insert(0, 0)  # the root's: now the stored terminal column
-        outflow = map(add, terminal_counts, map(sub, islice(below, 1, None), below))  # terminations plus descents
-        if cycled is not None:
-            outflow = map(add, outflow, cycled)
-        at = _first(map(ne, chain((sequence_count,), freqs), outflow))
-        if at is not None:
-            raise CorruptDocument(f"conservation violated at node {at}")
-        del below, cycled
-        if not dag:
-            at = _repeats_on_a_root_path(rid, order, pos, end)
-            if at is not None:
-                raise CorruptDocument(f"identifier repeats on the root path at node {at}")
-            del order, pos, end
-        ids = [None, *map(labels.__getitem__, islice(rid, 1, None))]  # one shared string per label
-        if sequence_count >> 64:  # the root's freq, a column value like any other
-            raise CorruptDocument("sequence_count past 8 bytes")
-        freq = array(_TYPECODE[max(freqs.itemsize, _width(sequence_count))], freqs)  # a copy when the width holds
-        freq.insert(0, sequence_count)
-        first = _array(_width(first[-1]), first)
-        return cls(mode, n, ids, freq, entry, terminal_counts, first, efirst, targets, counts)
+    def _unfolded(cls, mode: TrieMode, n: int, labels: list[str], table: Table) -> "FrozenTrie":
+        """The frozen trie of a checked table: ``_unfold`` gives each node's
+        class, and every node column is its class's value, in node order."""
+        order, first, efirst, cycle_to = _unfold(table)
+        ids = [None, *map(labels.__getitem__, islice(table.label, 1, None))]  # one shared string per label
+        if type(order) is not range:  # node k is class k in a tree
+            ids = list(map(ids.__getitem__, order))
+        freq, entry, terminal = (_gathered(order, column) for column in (table.freq, table.entry, table.terminal))
+        cycle_count = _gathered(order, table.cycle_count, table.efirst)
+        return cls(mode, n, ids, freq, entry, terminal, first, efirst, cycle_to, cycle_count)
 
 
 def _read(source: str | os.PathLike[str] | IO[str]) -> dict[str, Any]:

@@ -15,12 +15,13 @@ mode alone decides how ``insert`` and ``index_graph`` take a trace.
 
 A DG graph's trie has one node per simple path but is built over DFS
 states: the subtree under a path depends only on the vertices it visits,
-its last vertex and the traces that hold it.  ``_DFSStates`` makes one
-class per state in one memoized pass, and one breadth-first unfold of its
-classes has two consumers: ``index_graph``, which adds each node by
-get-or-create and so merges into any trie, and ``dg_document``, which
-hands ``encode`` the seven columns of the traces' document with no trie
-between (``provtrie index --mode dg`` writes that one).
+its last vertex and the traces that hold it.  ``_DFSStates`` makes a
+class table, one class per state, in one memoized pass.  ``dg_document``
+hands its classes to ``document.minimize`` and the minimal table to
+``encode``, with no node made between (``provtrie index --mode dg``
+writes that document); ``index_graph`` takes the document module's one
+unfold of the table and adds each node by get-or-create, so it merges
+into any trie.
 
 Per node: ``freq`` counts every traversal arrival (descents plus
 cycle-edge arrivals), ``entry`` the descents, ``terminal`` the insertions
@@ -48,16 +49,18 @@ of a trie refers to the trie, so a dropped trie is freed at once.
 ``cycles`` (label -> ``CycleStep``); views are made per access, so compare
 them by ``index``.
 
-The reader side lives in ``document``: the format, ``FrozenTrie`` (the
-same numbering over a document's checked columns, with no dict) and
-every rule a document must pass.  This module imports it and not the
-other way round, and re-exports the reader's names.  ``Trie.to_document``
-is ``document.encode``, the one encoder, over the builder's counts and
-columns, and ``write_document`` the one file writer, atomic for a path,
-that ``save`` calls; ``Trie.from_document`` is ``FrozenTrie.from_document``
-plus a thaw into lists and dicts; ``Trie.check_invariants`` checks the
-builder's wiring and runs the column checker on its own columns, packed
-into arrays as a load packs them, with no encoding between.
+The reader side lives in ``document``: the format, the class table's
+minimizer, checker and unfold, ``FrozenTrie`` (the same numbering over a
+document's unfolded columns, with no dict) and every rule a document must
+pass.  This module imports it and not the other way round, and
+re-exports the reader's names.  ``Trie.to_document`` is
+``document.encode``, the one encoder, over the builder's class table (a
+DG trie's minimized, a DAG trie's one class per node), and
+``write_document`` the one file writer, atomic for a path, that ``save``
+calls; ``Trie.from_document`` is ``FrozenTrie.from_document`` plus a thaw
+into lists and dicts; ``Trie.check_invariants`` checks the builder's
+wiring and runs the class checker on its own table, packed into arrays as
+a load packs them, with no encoding between.
 
 Concurrency: single writer, many readers.  Insertion needs exclusive
 access; a trie that is not being mutated can be queried from any number
@@ -69,8 +72,8 @@ import json
 import os
 from collections.abc import Mapping
 from functools import partial
-from itertools import chain, compress, count, islice, repeat
-from operator import add, ne, sub
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, itemgetter, ne, sub
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .canonical import ngrams, sequence
@@ -79,13 +82,18 @@ from .document import (  # the reader's names, re-exported: provtrie.trie.Frozen
     FormatVersionMismatch,
     FrozenTrie,
     TrieError,
+    Table,
     TrieMode,
+    _check,
     _first,
     _packed,
     _parents,
+    _ranges,
     _read,
+    _unfold,
     encode,
     load_frozen,
+    minimize,
 )
 from .graph import ProvGraph
 
@@ -272,9 +280,9 @@ class Trie:
         walks through bounded structure.
 
         ``_DFSStates`` builds it as a table of classes, one per DFS state;
-        its breadth-first unfold adds each node by get-or-create, so the
-        result equals one ``insert`` per closing insertion, also into a trie
-        that already holds sequences.  Into an empty trie every map fills in
+        ``document._unfold`` unfolds it into nodes, which this adds breadth
+        first by get-or-create, so the result equals one ``insert`` per
+        closing insertion, also into a trie that already holds sequences.  Into an empty trie every map fills in
         label order; a build into a non-empty trie may mark some.
         """
         if self.mode is TrieMode.DAG:
@@ -284,58 +292,61 @@ class Trie:
                     self.insert(window)
             return
         states = _DFSStates([g])
-        labels, children, cycles, ids, freq, entry, terminal = (
-            states.labels, self.children, self.cycles, self.id, self.freq, self.entry, self.terminal
+        table, labels = states.table(), states.labels
+        order, first, efirst, targets = _unfold(table)
+        vertex, arrivals, descents, ends = table.label, table.freq, table.entry, table.terminal
+        outs, takens = _ranges(table.cycle_label, table.efirst), _ranges(table.cycle_count, table.efirst)
+        children, cycles, ids, freq, entry, terminal = (
+            self.children, self.cycles, self.id, self.freq, self.entry, self.terminal
         )
         cycle_to, cycle_count, unsorted = self.cycle_to, self.cycle_count, self._unsorted
-        where = [0]  # the unfold's node numbers -> this trie's nodes
-        ups: Iterable[int] = repeat(0)  # the parents of a depth's nodes, as this trie's nodes
-        for depth, (classes, level, targets) in enumerate(states.unfold(), 1):
+        where = [0] * len(order)  # the unfold's nodes -> this trie's nodes
+        level = range(1)  # the root
+        for depth in count(1):
+            if first[level.start] == first[level.stop]:
+                break
             stats = self.depth_stats.setdefault(depth, {})
-            vertex, arrivals, descents, ends, outs, takens = (
-                classes.vertex, classes.freq, classes.entry, classes.terminal, classes.out, classes.taken
-            )
-            lo, at = len(where), 0  # at: the first target of the node's cycle-edges
-            for c, up in zip(level, ups):
-                rid, out, taken = labels[vertex[c]], outs[c], takens[c]
-                kids = children[up]
-                node = kids.get(rid)
-                if node is None:  # _add_node, inlined; a new node's edges come in label order
-                    if kids and rid < next(reversed(kids)):
-                        unsorted.add(up)
-                    node = kids[rid] = len(ids)
-                    ids.append(rid)
-                    freq.append(arrivals[c])
-                    entry.append(descents[c])
-                    terminal.append(ends[c])
-                    children.append({})
-                    where.append(node)  # before its edges: a self-loop returns to the node
-                    if out:
-                        cycles.append(dict(zip(map(labels.__getitem__, out), count(len(cycle_to)))))
-                        cycle_to += map(where.__getitem__, targets[at : at + len(out)])
-                        cycle_count += taken
-                    else:
-                        cycles.append({})
-                else:
-                    freq[node] += arrivals[c]
-                    entry[node] += descents[c]
-                    terminal[node] += ends[c]
-                    where.append(node)
-                    edges = cycles[node]
-                    for label, times, target in zip(map(labels.__getitem__, out), taken, targets[at : at + len(out)]):
-                        edge = edges.get(label)
-                        if edge is None:  # _take_cycle, inlined, for ``times`` traversals
-                            if edges and label < next(reversed(edges)):
-                                unsorted.add(node)
-                            edges[label] = len(cycle_to)
-                            cycle_to.append(where[target])
-                            cycle_count.append(times)
+            for parent in level:
+                kids = children[where[parent]]
+                for k in range(first[parent], first[parent + 1]):
+                    c = order[k]
+                    rid, out, taken = labels[vertex[c]], outs[c], takens[c]
+                    node = kids.get(rid)
+                    if node is None:  # _add_node, inlined; a new node's edges come in label order
+                        if kids and rid < next(reversed(kids)):
+                            unsorted.add(where[parent])
+                        node = kids[rid] = len(ids)
+                        ids.append(rid)
+                        freq.append(arrivals[c])
+                        entry.append(descents[c])
+                        terminal.append(ends[c])
+                        children.append({})
+                        where[k] = node  # before its edges: a self-loop returns to the node
+                        if out:
+                            cycles.append(dict(zip(map(labels.__getitem__, out), count(len(cycle_to)))))
+                            cycle_to += map(where.__getitem__, targets[efirst[k] : efirst[k + 1]])
+                            cycle_count += taken
                         else:
-                            cycle_count[edge] += times
-                at += len(out)
-                stats[rid] = stats.get(rid, 0) + arrivals[c]
-            ups = chain.from_iterable(map(repeat, where[lo:], map(len, map(classes.kids.__getitem__, level))))
-        self.freq[0] += states.sequence_count
+                            cycles.append({})
+                    else:
+                        freq[node] += arrivals[c]
+                        entry[node] += descents[c]
+                        terminal[node] += ends[c]
+                        where[k] = node
+                        edges = cycles[node]
+                        for label, times, target in zip(map(labels.__getitem__, out), taken, targets[efirst[k] : efirst[k + 1]]):
+                            edge = edges.get(label)
+                            if edge is None:  # _take_cycle, inlined, for ``times`` traversals
+                                if edges and label < next(reversed(edges)):
+                                    unsorted.add(node)
+                                edges[label] = len(cycle_to)
+                                cycle_to.append(where[target])
+                                cycle_count.append(times)
+                            else:
+                                cycle_count[edge] += times
+                    stats[rid] = stats.get(rid, 0) + arrivals[c]
+            level = range(first[level.start], first[level.stop])
+        self.freq[0] += arrivals[0]
 
     # the names the benchmark harness (perfbench/pipeline.py) still calls
     insert_dg = insert
@@ -350,15 +361,16 @@ class Trie:
         show: every non-root node sits in exactly one child map, under a node
         numbered before it and keyed by its own identifier; every cycle-edge
         in exactly one cycle map, keyed by the identifier of its target, a
-        node of the trie.  Then the domain of the document's columns, which
-        only a builder's lists can leave: every count >= 0 and below 2**64.
-        Then every rule a document must pass: the column checker on the
-        columns ``to_document`` would write, as the same unsigned arrays a
-        load hands it, with no encoding between.  Then the
-        rule only a builder can break, as a document stores no ``entry``: a
-        non-root node's arrivals (``freq - entry``) equal the counts of the
-        cycle-edges into it.  Last, ``depth_stats`` against the frozen
-        trie's recount.
+        node of the trie below the root.  Then the domain of the document's
+        columns, which only a builder's lists can leave: every count >= 0 and
+        below 2**64.  Then every rule a document must pass: the class checker
+        on the table ``to_document`` would write, as the same unsigned arrays
+        a load hands it, with no encoding between.  Then the rules only a
+        builder can break, as a document stores no ``entry``: a non-root
+        node's arrivals (``freq - entry``) equal the counts of the cycle-edges
+        into it, and its ``entry`` is the one its class derives.  Last,
+        ``depth_stats`` against a recount over the classes, each weighed by
+        the places it occurs at each depth.
         """
         ids, cycle_to = self.id, self.cycle_to
         nodes, edges = len(ids), len(cycle_to)
@@ -379,16 +391,18 @@ class Trie:
                 target = cycle_to[edge]
                 if not 0 <= target < nodes or ids[target] != label:
                     raise CorruptDocument(f"broken cycle-edge at node {source}: {label!r}")
+                if not target:
+                    raise CorruptDocument(f"cycle-edge into the root at node {source}")
                 placed[edge] += 1
         at = _first(map((1).__ne__, placed))
         if at is not None:
             raise CorruptDocument(f"cycle-edge {at} in {placed[at]} cycle maps, not one")
-        labels, columns = self._columns()
+        labels, columns, _, _, classes = self._table()
         try:  # the arrays a load hands the checker, which hold no negative count
             columns = list(map(_packed, columns))
         except OverflowError:
             raise CorruptDocument("node statistic out of range: a count below 0 or past 8 bytes") from None
-        frozen = FrozenTrie._from_columns(self.mode, self.n, self.sequence_count, labels, *columns)
+        table, _, _ = _check(self.mode, self.sequence_count, labels, *columns)
         arrived = [0] * nodes
         for target, taken in zip(cycle_to, self.cycle_count):
             arrived[target] += taken
@@ -396,54 +410,83 @@ class Trie:
         at = _first(map(ne, map(sub, self.freq, self.entry), arrived))
         if at is not None:
             raise CorruptDocument(f"cycle arrivals do not match the cycle-edges into node {at}")
-        if {d: t for d, t in self.depth_stats.items() if t} != frozen.depth_stats:
+        at = _first(map(ne, islice(self.entry, 1, None), map(table.entry.__getitem__, islice(classes, 1, None))), 1)
+        if at is not None:
+            raise CorruptDocument(f"entry of node {at} is not the one its class derives")
+        recount: dict[int, dict[str, int]] = {}
+        level = {0: 1}  # the classes of a depth, each with the places it occurs there
+        for depth in count(1):
+            deeper: dict[int, int] = {}
+            for up, times in level.items():
+                for kid in table.kid[table.first[up] : table.first[up + 1]]:
+                    deeper[kid] = deeper.get(kid, 0) + times
+            if not deeper:
+                break
+            stats = recount[depth] = {}
+            for kid, times in deeper.items():
+                rid = labels[table.label[kid]]
+                stats[rid] = stats.get(rid, 0) + times * table.freq[kid]
+            level = deeper
+        if {d: t for d, t in self.depth_stats.items() if t} != recount:
             raise CorruptDocument("per-depth statistics do not match a recount")
 
     # ---- persistence ---------------------------------------------------------------
 
-    def _columns(self) -> tuple[list[str], Iterator[Iterator[int]]]:
-        """The document's label table and its seven columns, in
-        ``document.COLUMNS`` order, each an iterator made when the one
-        before it has been taken: nodes breadth-first, children in label
-        order, the root as node 0; cycle-edges by source, then by label.
+    def _table(self) -> tuple[list[str], Iterable[Iterable[int]], int, int, list[int]]:
+        """The document's label table, the eight columns of its class table,
+        the node and cycle-edge counts, and each node's class.
 
-        Every map already iterates in label order but a marked node's
-        (``_unsorted``), which is read through a sorted copy of its values;
-        no map is sorted in place and no other is copied."""
+        A DG trie's table is ``minimize`` over its nodes, children before
+        parents (parents are numbered first).  A DAG trie keeps one class per
+        node, numbered breadth-first, so that its table is its tree and a
+        load unfolds nothing: its columns are iterators, each made when the
+        one before it has been taken.  Every map already iterates in label
+        order but a marked node's (``_unsorted``), which is read through a
+        sorted copy; no map is sorted in place and no other is copied."""
+        ids, freq, terminal, counts = self.id, self.freq, self.terminal, self.cycle_count
         children, cycles, unsorted = self.children, self.cycles, self._unsorted
-        kids_of = {node: list(map(children[node].__getitem__, sorted(children[node]))) for node in unsorted}
-        order = [0]  # nodes in canonical order: level by level, children in label order
+        labels = sorted(set(islice(ids, 1, None)))
+        index = dict(zip(labels, count())).__getitem__
+        kids_of = {node: dict(sorted(children[node].items())) for node in unsorted}
+        out_of = {node: dict(sorted(cycles[node].items())) for node in unsorted}
+        if self.mode is TrieMode.DG:
+            rows = (
+                (node, ids[node], freq[node], terminal[node], kids.values(), out, map(counts.__getitem__, out.values()))
+                for node, kids, out in zip(
+                    range(len(ids) - 1, -1, -1),
+                    map(kids_of.get, count(len(ids) - 1, -1), reversed(children)),
+                    map(out_of.get, count(len(ids) - 1, -1), reversed(cycles)),
+                )
+            )
+            columns, nodes, edges, classes = minimize(rows, len(ids), index)
+            return labels, columns, nodes, edges, classes
+        order = [0]  # nodes breadth-first, children in label order: node k is class k
         level = order
         while level:
-            kids = map(kids_of.get, level, map(dict.values, map(children.__getitem__, level)))
-            level = list(chain.from_iterable(kids))
+            level = list(chain.from_iterable(map(dict.values, map(kids_of.get, level, map(children.__getitem__, level)))))
             order += level
-        edges: list[int] = []  # cycle-edges in canonical order
-        if self.cycle_to:
-            out_of = {node: list(map(cycles[node].__getitem__, sorted(cycles[node]))) for node in unsorted}
-            edges = list(chain.from_iterable(map(out_of.get, order, map(dict.values, map(cycles.__getitem__, order)))))
-        labels = sorted(set(islice(self.id, 1, None)))
-        index = dict(zip(labels, count()))
+        classes = [0] * len(order)
+        for k, node in enumerate(order):
+            classes[node] = k
+        edges = list(chain.from_iterable(map(dict.values, map(out_of.get, order, map(cycles.__getitem__, order)))))
 
-        def columns() -> Iterator[Iterator[int]]:
+        def columns() -> Iterator[Iterable[int]]:
             yield map(len, map(children.__getitem__, order))
             yield map(len, map(cycles.__getitem__, order))
-            yield map(index.__getitem__, map(self.id.__getitem__, islice(order, 1, None)))
-            yield map(self.freq.__getitem__, islice(order, 1, None))
-            yield map(self.terminal.__getitem__, islice(order, 1, None))
-            renumber = [0] * len(order)
-            for k, node in enumerate(order):
-                renumber[node] = k
-            yield map(renumber.__getitem__, map(self.cycle_to.__getitem__, edges))
-            yield map(self.cycle_count.__getitem__, edges)
+            yield map(index, map(ids.__getitem__, islice(order, 1, None)))
+            yield map(freq.__getitem__, islice(order, 1, None))
+            yield map(terminal.__getitem__, islice(order, 1, None))
+            yield repeat(0, len(order) - 1)  # every child reference numbers the next class
+            yield map(index, map(ids.__getitem__, map(self.cycle_to.__getitem__, edges)))
+            yield map(counts.__getitem__, edges)
 
-        return labels, columns()
+        return labels, columns(), len(order) - 1, len(edges), classes
 
     def to_document(self) -> dict[str, Any]:
-        """The trie as a format 4 document: ``document.encode`` over the
-        builder's node and cycle-edge counts and ``_columns``.  Equal
-        documents iff structurally equal tries."""
-        return encode(self.mode, self.n, self.sequence_count, len(self.id) - 1, len(self.cycle_to), *self._columns())
+        """The trie as a format 5 document: ``document.encode`` over
+        ``_table``.  Equal documents iff structurally equal tries."""
+        labels, columns, nodes, edges, _ = self._table()
+        return encode(self.mode, self.n, self.sequence_count, nodes, edges, labels, columns)
 
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "Trie":
@@ -477,26 +520,6 @@ class Trie:
         return trie
 
 
-class _Depth(NamedTuple):
-    """The classes of one depth of a DG trie, as index-aligned lists: each
-    class's vertex, ``entry``, ``freq`` and ``terminal``, its children (as
-    indices into the next depth's classes) and its cycle-edges (vertices and
-    counts), both in label order, and ``above``: the cycle arrivals from the
-    node's subtree at each vertex above it, empty (or None) for none."""
-
-    vertex: list[int]
-    entry: list[int]
-    freq: list[int]
-    terminal: list[int]
-    kids: list[list[int]]
-    out: list[list[int]]
-    taken: list[list[int]]
-    above: list[dict[int, int] | None]
-
-
-_NO_PATH: dict[int, int] = {}  # the root path of a node whose subtree has no cycle-edge onto it
-
-
 def _arrivals(above: list[dict[int, int] | None], out: list[int], taken: list[int], kids: list[int]) -> dict[int, int]:
     """The cycle arrivals from a node's subtree at each vertex on its root
     path: its own cycle-edges' counts plus its children's ``above``."""
@@ -509,7 +532,7 @@ def _arrivals(above: list[dict[int, int] | None], out: list[int], taken: list[in
 
 
 class _DFSStates:
-    """The DG trie of some traces as a table of classes, one per DFS state.
+    """The DG trie of some traces as a class table, one class per DFS state.
 
     The node of a simple path heads a subtree that depends only on the
     path's state: the vertices it visits (an int with one bit per vertex),
@@ -521,12 +544,13 @@ class _DFSStates:
     set, so the pass goes depth by depth with a memo per depth, with no
     stack: forward, each state's successors give its children and
     cycle-edges; backward, from the deepest depth up, each class sums its
-    insertions and cycle arrivals over its subtree.  ``depths[d - 1]`` holds
-    depth d's classes; depth 1's are the vertices, numbered in label order,
-    and ``labels`` is the document's label table.
+    insertions and cycle arrivals over its subtree.  ``table`` numbers the
+    root 0 and then the classes depth by depth, so children come after
+    their parents; depth 1's are the vertices, in label order, a class's
+    label is its vertex, and ``labels`` is the document's label table.
     """
 
-    __slots__ = ("labels", "depths", "sequence_count")
+    __slots__ = ("labels", "depths", "starts", "sequence_count")
 
     def __init__(self, graphs: Sequence[ProvGraph]) -> None:
         self.labels = labels = sorted(set().union(*(g.node_ids for g in graphs)))
@@ -573,7 +597,7 @@ class _DFSStates:
             ended = [(live & ends[v]).bit_count() for _, v, live in level]  # traces whose path ends here
             forward.append((vertex, ended, kids, outs, takens))
             level = deeper  # the visited sets of this depth are freed
-        self.depths: list[_Depth] = []
+        depths = []
         entry: list[int] = []
         above: list[dict[int, int] | None] = []
         while forward:
@@ -585,72 +609,53 @@ class _DFSStates:
                 freq, terminal = list(map(add, entry, here)), list(map(add, ended, here))
             else:  # no cycle-edge below this depth
                 above, freq, terminal = [None] * len(vertex), entry, ended
-            self.depths.append(_Depth(vertex, entry, freq, terminal, kids, outs, takens, above))
-        self.depths.reverse()
+            depths.append((vertex, entry, freq, terminal, kids, outs, takens))
         self.sequence_count = sum(entry)  # every insertion descends into one of depth 1's nodes
+        depths.reverse()
+        self.depths = depths
+        self.starts = list(accumulate(map(len, map(itemgetter(0), depths)), initial=1))  # each depth's first class
 
-    def unfold(self) -> Iterator[tuple[_Depth, Sequence[int], list[int]]]:
-        """The trie breadth-first, from depth 1 down: per depth, its classes,
-        the class of each of its nodes in document order (children in label
-        order), and the targets of those nodes' cycle-edges, by source and
-        then label, as node numbers (the root 0, then one per node in this
-        order).  A node maps the vertices on its root path that its subtree's
-        cycle-edges return to onto their nodes, in a map it shares with its
-        children unless a cycle-edge returns to the node itself."""
-        level: Sequence[int] = range(len(self.labels))
-        paths: Iterable[dict[int, int]] = repeat(_NO_PATH)
-        first = 1  # the number of the depth's first node
-        for classes in self.depths:
-            vertex, entry, freq, kids, outs, above = (
-                classes.vertex, classes.entry, classes.freq, classes.kids, classes.out, classes.above
-            )
-            targets: list[int] = []
-            kept: list[dict[int, int]] = []  # each node's map, for its children
-            for number, c, path in zip(count(first), level, paths):
-                if freq[c] != entry[c]:  # a cycle-edge of the subtree returns here
-                    path = path.copy()
-                    path[vertex[c]] = number
-                elif not above[c]:
-                    path = _NO_PATH
-                if outs[c]:
-                    targets += map(path.__getitem__, outs[c])
-                kept.append(path)
-            yield classes, level, targets
-            first += len(level)
-            paths = chain.from_iterable(map(repeat, kept, map(len, map(kids.__getitem__, level))))
-            level = list(chain.from_iterable(map(kids.__getitem__, level)))
+    def rows(self) -> Iterator[tuple[int, int, int, int, Iterable[int], list[int], list[int]]]:
+        """The classes as ``minimize`` takes them: numbered as in ``table``,
+        the deepest depth first and the root last."""
+        for (vertex, _, freq, terminal, kids, outs, takens), start, below in zip(
+            reversed(self.depths), reversed(self.starts[:-1]), reversed(self.starts[1:])
+        ):
+            yield from zip(count(start), vertex, freq, terminal, map(partial(map, below.__add__), kids), outs, takens)
+        yield 0, -1, self.sequence_count, 0, range(1, len(self.labels) + 1), [], []
+
+    def table(self) -> Table:
+        """The classes as a ``document.Table``: the root 0, then depth by
+        depth, so children come after their parents."""
+        label, freq, entry, terminal = [-1], [self.sequence_count], [0], [0]
+        first, kid = [0, len(self.labels)], list(range(1, len(self.labels) + 1))
+        efirst, cycle_label, cycle_count = [0, 0], [], []
+        for (vertex, entries, arrivals, ended, kids, outs, takens), below in zip(self.depths, self.starts[1:]):
+            label += vertex
+            freq += arrivals
+            entry += entries
+            terminal += ended
+            kid += map(below.__add__, chain.from_iterable(kids))
+            first += islice(accumulate(map(len, kids), initial=first[-1]), 1, None)
+            cycle_label += chain.from_iterable(outs)
+            cycle_count += chain.from_iterable(takens)
+            efirst += islice(accumulate(map(len, outs), initial=efirst[-1]), 1, None)
+        return Table(label, freq, entry, terminal, first, kid, efirst, cycle_label, cycle_count)
 
 
 def dg_document(graphs: Sequence[ProvGraph]) -> dict[str, Any]:
-    """The DG trie of ``graphs`` as a format 4 document: the one that
+    """The DG trie of ``graphs`` as a format 5 document: the one that
     ``to_document`` writes after ``index_graph`` of each graph into an empty
-    DG trie.  One ``_DFSStates`` pass takes every graph at once, and its
-    unfold gives ``encode`` the seven columns with no trie between."""
+    DG trie.  One ``_DFSStates`` pass takes every graph at once, and
+    ``minimize`` takes its classes as they are, the deepest first, with no
+    node made between."""
     states = _DFSStates(graphs)
-    levels: list[tuple[_Depth, Sequence[int]]] = []  # per depth: its classes, and its nodes' classes
-    cycle_to: list[int] = []
-    for classes, level, targets in states.unfold():
-        levels.append((classes, level))
-        cycle_to += targets
-
-    def column(field: str) -> Iterator[Any]:  # a field of each non-root node's class, in document order
-        return chain.from_iterable(map(getattr(classes, field).__getitem__, level) for classes, level in levels)
-
-    def columns() -> Iterator[Iterable[int]]:
-        yield chain((len(states.labels),), map(len, column("kids")))
-        yield chain((0,), map(len, column("out")))
-        yield column("vertex")
-        yield column("freq")
-        yield column("terminal")
-        yield cycle_to
-        yield chain.from_iterable(column("taken"))
-
-    nodes = sum(len(level) for _, level in levels)
-    return encode(TrieMode.DG, 0, states.sequence_count, nodes, len(cycle_to), states.labels, columns())
+    columns, nodes, edges, _ = minimize(states.rows(), states.starts[-1])
+    return encode(TrieMode.DG, 0, states.sequence_count, nodes, edges, states.labels, columns)
 
 
 def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:
-    """Write ``trie`` to a path or text stream as one format 4 document,
+    """Write ``trie`` to a path or text stream as one format 5 document,
     ``write_document(trie.to_document(), sink)``: ``to_document``
     compresses each column as it makes it, so no moment holds every column,
     as lists or as arrays.  Returns the number of non-root nodes written."""

@@ -8,17 +8,22 @@ comparison.
 from __future__ import annotations
 
 import base64
+import binascii
 import heapq
 import operator
 import random
 import re
+import struct
+import sys
 import zlib
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import count, islice, repeat
-from operator import attrgetter
+from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
+from operator import add, attrgetter, ge, le, mul, ne, sub
 from typing import Any, Iterable, Iterator, Sequence
 
-from provtrie.document import FORMAT_VERSION, encode
+from provtrie.document import FORMAT_VERSION, FrozenTrie
 from provtrie.graph import CyclicInput, GraphKind, ProvGraph
 from provtrie.ingest import Direction, NTriplesSyntaxError, ParsedTriples, PredicateMap
 from provtrie.query import PathMatch, QueryPattern
@@ -247,9 +252,14 @@ def sort_per_node_columns(trie: Trie) -> tuple[list[str], Iterator[Iterator[int]
 
 
 def sort_per_node_document(trie: Trie) -> dict[str, Any]:
-    """``Trie.to_document`` over ``sort_per_node_columns``."""
+    """The document of ``sort_per_node_columns``' trie, its minimal table
+    written by ``encode_document``."""
     labels, columns = sort_per_node_columns(trie)
-    return encode(trie.mode, trie.n, trie.sequence_count, len(trie.id) - 1, len(trie.cycle_to), labels, columns)
+    child_count, cycle_out, ids, freq, terminal, cycle_to, cycle_count = map(list, columns)
+    header = [FORMAT_VERSION, trie.mode.value, trie.n, trie.sequence_count]
+    decoded = dict(zip(HEADER_KEYS, header), child_count=child_count, id=[labels[k] for k in ids], freq=freq)
+    decoded.update(terminal_count=terminal, cycle_out=cycle_out, cycle_to=cycle_to, cycle_count=cycle_count)
+    return encode_document(decoded, minimal=True)
 
 
 def expand_degrees(counts: Sequence[int]) -> list[int]:
@@ -259,73 +269,583 @@ def expand_degrees(counts: Sequence[int]) -> list[int]:
     return [k for k, times in enumerate(counts) for _ in range(times)]
 
 
-# ---- format 4, by hand -----------------------------------------------------------
+# ---- format 5, by hand -----------------------------------------------------------
 #
-# A reader and a writer of format 4 written apart from the package's (no
-# ``array``, byte by byte), so that tests edit a document's columns as
-# lists and compare decoded columns, not text.
+# A reader and a writer of format 5 written apart from the package's (no
+# ``array``, byte by byte, one dict per node for the unfold), so that tests
+# edit a document's trie as node columns (format 3's, which the object
+# trie reads and writes) and compare decoded columns, not text.
 
 BODY_ORDER = ["child_count", "cycle_out", "id", "freq", "terminal_count", "cycle_to", "cycle_count"]
 HEADER_KEYS = ["format_version", "mode", "n", "sequence_count"]
 # the decoded form keeps format 3's key order
 DECODED_KEYS = [*HEADER_KEYS, "child_count", "id", "freq", "terminal_count", "cycle_out", "cycle_to", "cycle_count"]
+TABLE_ORDER = ["child_count", "cycle_out", "id", "freq", "terminal_count", "child", "cycle_label", "cycle_count"]
+# the table column a decoded column is written into, one class per node
+WRITTEN_AS = dict(zip(BODY_ORDER, ["child_count", "cycle_out", "id", "freq", "terminal_count", "cycle_label", "cycle_count"]))
 
 
-def column_lengths(nodes: int, edges: int) -> list[int]:
-    """Entries per column, in ``BODY_ORDER``, of a trie of ``nodes`` non-root nodes and ``edges`` cycle-edges."""
-    return [nodes + 1, nodes + 1, nodes, nodes, nodes, edges, edges]
+def table_lengths(classes: int, class_edges: int, class_cycle_edges: int) -> list[int]:
+    """Entries per column, in ``TABLE_ORDER``, of a class table of that many classes, references and cycle-edges."""
+    return [classes, classes, classes - 1, classes - 1, classes - 1, class_edges, class_cycle_edges, class_cycle_edges]
 
 
-def decode_document(doc: dict[str, Any]) -> dict[str, Any]:
-    """A format 4 document as the columns it holds: the header's
-    ``format_version``, ``mode``, ``n`` and ``sequence_count``, then the
-    seven columns as lists of ints, ``id`` mapped through the label table
-    to its strings.  Checks nothing the package checks; an undecodable
-    document raises whatever the decoding raises."""
+def decode_table(doc: dict[str, Any]) -> dict[str, list[int]]:
+    """A format 5 document's eight columns as lists of ints, by ``TABLE_ORDER``
+    name.  Checks nothing the package checks."""
     body = zlib.decompress(base64.b64decode(doc["columns"]))
+    lengths = table_lengths(doc["classes"], doc["class_edges"], doc["class_cycle_edges"])
     columns, at = {}, 0
-    for name, width, length in zip(BODY_ORDER, doc["widths"], column_lengths(doc["nodes"], doc["cycle_edges"])):
+    for name, width, length in zip(TABLE_ORDER, doc["widths"], lengths):
         columns[name] = [int.from_bytes(body[k : k + width], "little") for k in range(at, at + width * length, width)]
         at += width * length
     if at != len(body):
         raise ValueError(f"body of {len(body)} bytes, columns of {at}")
-    columns["id"] = [doc["labels"][k] for k in columns["id"]]
+    return columns
+
+
+def decode_document(doc: dict[str, Any]) -> dict[str, Any]:
+    """A format 5 document as the trie it holds: the header's
+    ``format_version``, ``mode``, ``n`` and ``sequence_count``, then the
+    unfolded trie's seven node columns as lists of ints, ``id`` as strings.
+    Child references are resolved as they are read (0: the next class), and
+    the trie unfolds breadth-first with a dict per node from each label on
+    its root path to that node, where a cycle-edge looks up its target.
+    Checks nothing the package checks; an undecodable document raises
+    whatever the decoding raises."""
+    table, labels = decode_table(doc), doc["labels"]
+    kids, cycles, numbered, at, edge = [], [], 1, 0, 0
+    for classes, out in zip(table["child_count"], table["cycle_out"]):
+        row = []
+        for ref in table["child"][at : at + classes]:
+            if ref == 0:
+                ref, numbered = numbered, numbered + 1
+            row.append(ref)
+        kids.append(row)
+        cycles.append(list(zip(table["cycle_label"][edge : edge + out], table["cycle_count"][edge : edge + out])))
+        at, edge = at + classes, edge + out
+    label = [None, *table["id"]]
+    freq, terminal = [None, *table["freq"]], [None, *table["terminal_count"]]
     decoded = {key: doc[key] for key in HEADER_KEYS}
-    return {**decoded, **{key: columns[key] for key in DECODED_KEYS[len(HEADER_KEYS) :]}}
+    columns: dict[str, list] = {key: [] for key in DECODED_KEYS[len(HEADER_KEYS) :]}
+    queue = [(0, {})]  # (class, label -> node on the root path), in node order
+    for node, (c, path) in enumerate(queue):
+        columns["child_count"].append(len(kids[c]))
+        columns["cycle_out"].append(len(cycles[c]))
+        if node:
+            columns["id"].append(labels[label[c]])
+            columns["freq"].append(freq[c])
+            columns["terminal_count"].append(terminal[c])
+        for rid, taken in cycles[c]:
+            columns["cycle_to"].append(path[rid])
+            columns["cycle_count"].append(taken)
+        for kid in kids[c]:
+            queue.append((kid, {**path, label[kid]: len(queue)}))
+    return {**decoded, **columns}
 
 
-def encode_document(columns: dict[str, Any]) -> dict[str, Any]:
-    """The decoded form as a format 4 document, written as a writer that
-    checks nothing would write it: ``nodes`` and ``cycle_edges`` are the
-    lengths of ``id`` and ``cycle_to``, the label table is the distinct
-    values of ``id`` in order (strings first), each column is as wide as
-    its largest value needs, and a value is stored modulo its width, so a
+def _label_table(ids: list[Any]) -> list[Any]:
+    """The distinct values of ``ids`` in order, strings first."""
+    if all(type(rid) is str for rid in ids):
+        return sorted(set(ids))
+    labels: list[Any] = []
+    for rid in sorted(ids, key=lambda rid: (0, rid) if type(rid) is str else (1, repr(rid))):
+        if rid not in labels:
+            labels.append(rid)
+    return labels
+
+
+def _minimal_table(columns: dict[str, Any], index: dict[str, int]) -> dict[str, list[int]]:
+    """The minimal class table of a decoded trie: each node's subtree as a
+    key (label, freq, terminal count, children's classes, cycle labels and
+    counts), the last node first, then the classes numbered breadth-first
+    from the root, each when first referenced."""
+    ids, nodes = columns["id"], len(columns["id"]) + 1
+    kids = [[] for _ in range(nodes)]
+    for child, up in enumerate(expand_degrees(columns["child_count"]), 1):
+        kids[up].append(child)
+    out = [[] for _ in range(nodes)]
+    for edge, source in enumerate(expand_degrees(columns["cycle_out"])):
+        out[source].append((index[ids[columns["cycle_to"][edge] - 1]], columns["cycle_count"][edge]))
+    key_of, classes, keys = [None] * nodes, {}, []
+    for node in range(nodes - 1, -1, -1):
+        key = (
+            index[ids[node - 1]] if node else -1,
+            columns["freq"][node - 1] if node else columns["sequence_count"],
+            columns["terminal_count"][node - 1] if node else 0,
+            tuple(key_of[kid] for kid in kids[node]),
+            tuple(out[node]),
+        )
+        if key not in classes:
+            classes[key] = len(keys)
+            keys.append(key)
+        key_of[node] = classes[key]
+    number, order, child = {key_of[0]: 0}, [key_of[0]], []
+    for c in order:
+        for kid in keys[c][3]:
+            if kid in number:
+                child.append(number[kid])
+            else:
+                number[kid] = len(order)
+                order.append(kid)
+                child.append(0)
+    rows = [keys[c] for c in order]
+    return {
+        "child_count": [len(row[3]) for row in rows],
+        "cycle_out": [len(row[4]) for row in rows],
+        "id": [row[0] for row in rows[1:]],
+        "freq": [row[1] for row in rows[1:]],
+        "terminal_count": [row[2] for row in rows[1:]],
+        "child": child,
+        "cycle_label": [rid for row in rows for rid, _ in row[4]],
+        "cycle_count": [taken for row in rows for _, taken in row[4]],
+    }
+
+
+def encode_document(columns: dict[str, Any], minimal: bool = False) -> dict[str, Any]:
+    """The decoded form as a format 5 document, written as a writer that
+    checks nothing would write it: one class per node (every child
+    reference 0, so class k is node k), or with ``minimal`` in DG mode the
+    trie's minimal table, which the package writes; ``nodes``, ``classes``
+    and ``class_edges`` follow the length of ``id``, and ``cycle_edges``
+    and ``class_cycle_edges`` that of ``cycle_to``.  The label table is the
+    distinct values of ``id`` in order (strings first); a cycle-edge is
+    written as its target's label, and a target that is no node after the
+    root as an index past the label table.  Each column is as wide as its
+    largest value needs, and a value is stored modulo its width, so a
     negative one becomes one of the width's largest.  A float or a string
     in a column raises ``TypeError``."""
     ids = columns["id"]
-    if all(type(rid) is str for rid in ids):
-        labels = sorted(set(ids))
-    else:
-        labels = []
-        for rid in sorted(ids, key=lambda rid: (0, rid) if type(rid) is str else (1, repr(rid))):
-            if rid not in labels:
-                labels.append(rid)
+    labels = _label_table(ids)
     index = {label: k for k, label in enumerate(labels) if type(label) is str}
+
+    def label_of(rid: Any) -> int:
+        return index[rid] if type(rid) is str else labels.index(rid)
+
+    if minimal and columns["mode"] == "dg":
+        table = _minimal_table(columns, index)
+    else:
+        targets = columns["cycle_to"]
+        table = {
+            **{name: columns[name] for name in ("child_count", "cycle_out", "freq", "terminal_count", "cycle_count")},
+            "id": list(map(label_of, ids)),
+            "child": [0] * len(ids),
+            "cycle_label": [
+                label_of(ids[to - 1]) if type(to) is int and 1 <= to <= len(ids) else len(labels) + abs(to)
+                for to in targets
+            ],
+        }
+    header = {key: columns[key] for key in HEADER_KEYS}
+    return table_document(header, len(ids), len(columns["cycle_to"]), labels, table)
+
+
+def table_document(header: dict[str, Any], nodes: int, cycle_edges: int, labels: list[Any], table: dict) -> dict[str, Any]:
+    """A format 5 document around a class table given as its eight columns
+    (``TABLE_ORDER`` names), written as a writer that checks nothing would:
+    ``header`` gives ``format_version``, ``mode``, ``n`` and
+    ``sequence_count``; ``classes``, ``class_edges`` and
+    ``class_cycle_edges`` follow the lengths of ``id``, ``child`` and
+    ``cycle_label``; each column is as wide as its largest value needs, a
+    value stored modulo its width."""
     body, widths = [], []
-    for name in BODY_ORDER:
-        values = [index[rid] if type(rid) is str else labels.index(rid) for rid in ids] if name == "id" else columns[name]
-        values = list(map(operator.index, values))
+    for name in TABLE_ORDER:
+        values = list(map(operator.index, table[name]))
         width = next((width for width in (1, 2, 4, 8) if max(values, default=0) < 1 << 8 * width), 8)
         body += [(value % (1 << 8 * width)).to_bytes(width, "little") for value in values]
         widths.append(width)
     return {
-        **{key: columns[key] for key in HEADER_KEYS},
-        "nodes": len(ids),
-        "cycle_edges": len(columns["cycle_to"]),
+        **header,
+        "nodes": nodes,
+        "cycle_edges": cycle_edges,
+        "classes": len(table["id"]) + 1,
+        "class_edges": len(table["child"]),
+        "class_cycle_edges": len(table["cycle_label"]),
         "widths": widths,
         "labels": labels,
         "columns": base64.b64encode(zlib.compress(b"".join(body), 1)).decode("ascii"),
     }
+
+
+# ---- format 4, the reference ---------------------------------------------------------
+#
+# Format 4's writer and reader as the package held them before format 5, moved
+# verbatim apart from their names (``format4_``) and ``self``/``cls``: one
+# column per node field, the trie unfolded in the document, and the column
+# checker over nodes.  The reference for format 5's reader: a frozen trie
+# read from format 5 must hold the columns this reader gives.
+
+FORMAT4_COLUMNS = ("child_count", "cycle_out", "id", "freq", "terminal_count", "cycle_to", "cycle_count")
+FORMAT4_HEADER_COUNTS = ("n", "sequence_count", "nodes", "cycle_edges")
+FORMAT4_WIDTHS = (1, 2, 4, 8)
+FORMAT4_LEVEL = 1
+FORMAT4_TYPECODE = {array(code).itemsize: code for code in "BHILQ"}
+
+def format4_width(top: int) -> int:
+    """The narrowest unsigned width, 1, 2, 4 or 8 bytes, that holds ``top``
+    (8 past that): the one width rule, for the columns of a document and for
+    those of a ``FrozenTrie``."""
+    return next((width for width in FORMAT4_WIDTHS if top >> 8 * width == 0), 8)
+
+
+def format4_array(width: int, values: list[int]) -> array:
+    """``values`` as an array of unsigned ints ``width`` bytes wide; a value
+    that does not fit raises ``OverflowError``.  ``array`` converts each
+    item of a 1- or 2-byte array through a format parser, about 3× as
+    slowly as one of a wider array; ``bytes`` and ``struct.pack`` convert
+    those widths in one C pass."""
+    try:
+        if width == 1:
+            return array("B", bytes(values))
+        if width == 2:
+            return array("H", struct.pack(f"{len(values)}H", *values))
+    except (ValueError, struct.error) as exc:  # below 0 or past the width
+        raise OverflowError(exc) from None
+    return array(FORMAT4_TYPECODE[width], values)
+
+
+def format4_packed(values: Iterable[int]) -> array:
+    """``values`` as an array of the width that holds their maximum.  A value
+    past 8 bytes or below 0 raises ``OverflowError``."""
+    values = list(values)  # references to ints the caller holds: no new int objects
+    return format4_array(format4_width(max(values, default=0)), values)
+
+
+
+def format4_encode(
+    mode: TrieMode,
+    n: int,
+    sequence_count: int,
+    nodes: int,
+    cycle_edges: int,
+    labels: list[str],
+    columns: Iterable[Iterable[int]],
+) -> dict[str, Any]:
+    """The one writer of format 4: the document with this header and the
+    seven columns in ``FORMAT4_COLUMNS`` order, each packed to its own width and
+    compressed as it is taken, so that no moment holds every column.  A load
+    checks the body against ``nodes`` and ``cycle_edges``, the writer's own
+    counts.  A value past 8 bytes or below 0 raises ``OverflowError``."""
+    packer = zlib.compressobj(FORMAT4_LEVEL)
+    widths, parts = [], []
+    for values in columns:
+        column = format4_packed(values)
+        if sys.byteorder == "big":
+            column.byteswap()
+        widths.append(column.itemsize)
+        parts.append(packer.compress(column))
+        del column  # the next column's list is built before this name is rebound
+    parts.append(packer.flush())
+    return {
+        "format_version": 4,
+        "mode": mode.value,
+        **dict(zip(FORMAT4_HEADER_COUNTS, (n, sequence_count, nodes, cycle_edges))),
+        "widths": widths,
+        "labels": labels,
+        "columns": base64.b64encode(b"".join(parts)).decode("ascii"),
+    }
+
+
+
+def format4_read_columns(text: Any, widths: list[int], lengths: list[int]) -> list[array]:
+    """The seven columns of a document body, as arrays of their widths.  The body
+    must inflate to exactly the size that ``widths`` and ``lengths``
+    declare: the inflater is never asked for more than one byte past it."""
+    if type(text) is not str:
+        raise CorruptDocument("columns must be a base64 string")
+    try:
+        packed = base64.b64decode(text, validate=True)
+    except (binascii.Error, ValueError) as exc:  # ValueError: a character outside ASCII
+        raise CorruptDocument(f"columns are not base64: {exc}") from None
+    size = sum(map(mul, widths, lengths))
+    inflater = zlib.decompressobj()
+    try:
+        body = inflater.decompress(packed, size + 1)
+    except (zlib.error, OverflowError) as exc:  # OverflowError: a size no buffer can have
+        raise CorruptDocument(f"columns are not a zlib stream: {exc}") from None
+    del packed
+    if len(body) > size:
+        raise CorruptDocument(f"column body longer than the {size} bytes its header declares")
+    if not inflater.eof:
+        raise CorruptDocument("column stream cut short")
+    if len(body) < size:
+        raise CorruptDocument(f"column body shorter than the {size} bytes its header declares")
+    if inflater.unused_data:
+        raise CorruptDocument("data after the column stream")
+    columns, at = [], 0
+    with memoryview(body) as view:
+        for width, length in zip(widths, lengths):
+            column = array(FORMAT4_TYPECODE[width])
+            column.frombytes(view[at : at + width * length])
+            if sys.byteorder == "big":
+                column.byteswap()
+            columns.append(column)
+            at += width * length
+    return columns
+
+
+def format4_first(flags: Iterable[Any], start: int = 0) -> int | None:
+    """Position of the first true flag, counting from ``start``; None if there is none."""
+    return next(compress(count(start), flags), None)
+
+
+def format4_parents(child_count: Iterable[int]) -> list[int]:
+    """Each node's parent (the root's: -1) from the child counts of nodes
+    numbered level by level: node k's children are the next child_count[k]."""
+    return [-1, *chain.from_iterable(map(repeat, count(), child_count))]
+
+
+def format4_repeats_on_a_root_path(ids: list[Any], order: Iterable[int], pos: list[int], end: list[int]) -> int | None:
+    """The first node, in pre-order, whose identifier an ancestor carries:
+    subtrees nest, so it suffices to compare each node with the previous one
+    in pre-order that has its identifier.  None if no root path repeats one."""
+    last: dict[Any, int] = {}  # identifier -> the latest node in pre-order carrying it
+    for node in islice(order, 1, None):
+        rid = ids[node]
+        before = last.get(rid)
+        if before is not None and pos[node] < end[before]:
+            return node
+        last[rid] = node
+    return None
+
+
+def format4_preorder(parent: list[int]) -> tuple[array, list[int], list[int]]:
+    """Nodes in a pre-order (children in index order), each node's position
+    in it, and one past the last position of its subtree: parents precede
+    their children, so one pass up gives subtree sizes, one down positions."""
+    total = len(parent)
+    size = [1] * total
+    for node in range(total - 1, 0, -1):
+        size[parent[node]] += size[node]
+    pos, free = [0] * total, [1] * total  # free: where a node's next child goes
+    for node, up in zip(count(1), islice(parent, 1, None)):
+        pos[node] = at = free[up]
+        free[up] = at + size[node]
+        free[node] = at + 1
+    del parent, free  # the caller hands its parents over: freed before the order and the ends are built
+    order = array(FORMAT4_TYPECODE[format4_width(total)], [0]) * total  # read once, by the repeat rule: an array
+    for node, at in enumerate(pos):
+        order[at] = node
+    return order, pos, list(map(add, pos, size))
+
+
+
+def format4_columns(self: Trie) -> tuple[list[str], Iterator[Iterator[int]]]:
+    """The document's label table and its seven columns, in
+    ``document.FORMAT4_COLUMNS`` order, each an iterator made when the one
+    before it has been taken: nodes breadth-first, children in label
+    order, the root as node 0; cycle-edges by source, then by label.
+
+    Every map already iterates in label order but a marked node's
+    (``_unsorted``), which is read through a sorted copy of its values;
+    no map is sorted in place and no other is copied."""
+    children, cycles, unsorted = self.children, self.cycles, self._unsorted
+    kids_of = {node: list(map(children[node].__getitem__, sorted(children[node]))) for node in unsorted}
+    order = [0]  # nodes in canonical order: level by level, children in label order
+    level = order
+    while level:
+        kids = map(kids_of.get, level, map(dict.values, map(children.__getitem__, level)))
+        level = list(chain.from_iterable(kids))
+        order += level
+    edges: list[int] = []  # cycle-edges in canonical order
+    if self.cycle_to:
+        out_of = {node: list(map(cycles[node].__getitem__, sorted(cycles[node]))) for node in unsorted}
+        edges = list(chain.from_iterable(map(out_of.get, order, map(dict.values, map(cycles.__getitem__, order)))))
+    labels = sorted(set(islice(self.id, 1, None)))
+    index = dict(zip(labels, count()))
+
+    def columns() -> Iterator[Iterator[int]]:
+        yield map(len, map(children.__getitem__, order))
+        yield map(len, map(cycles.__getitem__, order))
+        yield map(index.__getitem__, map(self.id.__getitem__, islice(order, 1, None)))
+        yield map(self.freq.__getitem__, islice(order, 1, None))
+        yield map(self.terminal.__getitem__, islice(order, 1, None))
+        renumber = [0] * len(order)
+        for k, node in enumerate(order):
+            renumber[node] = k
+        yield map(renumber.__getitem__, map(self.cycle_to.__getitem__, edges))
+        yield map(self.cycle_count.__getitem__, edges)
+
+    return labels, columns()
+
+
+def format4_document(trie: Trie) -> dict[str, Any]:
+    """``Trie.to_document`` as format 4 wrote it."""
+    return format4_encode(trie.mode, trie.n, trie.sequence_count, len(trie.id) - 1, len(trie.cycle_to), *format4_columns(trie))
+
+
+def format4_from_document(doc: dict[str, Any]) -> FrozenTrie:
+    """Decode a format 4 document and check it: a malformed one raises
+    ``CorruptDocument`` (another format, format 3 included,
+    ``FormatVersionMismatch``), and one that loads thaws into a trie
+    that ``Trie.check_invariants`` passes.
+
+    The header first: its counts exact ints >= 0, ``n`` 0 in DG mode,
+    ``labels`` an array, ``widths`` seven of 1, 2, 4 or 8.  Then the
+    body: base64, one zlib stream inflating to exactly the size the
+    widths and counts declare, and nothing after it.  The column checker
+    (``_from_columns``) runs on the decoded arrays; an unsigned column
+    holds no bool, float or negative number, so no check looks for one.
+    """
+    try:
+        version = doc["format_version"]
+    except (TypeError, KeyError):
+        raise CorruptDocument("missing format_version header") from None
+    if type(version) is not int or version != 4:
+        raise FormatVersionMismatch(f"format_version {version!r}, supported: 4")
+    try:
+        mode = TrieMode(doc["mode"])
+        header = n, sequence_count, nodes, edges = [doc[key] for key in FORMAT4_HEADER_COUNTS]
+        labels, widths, text = doc["labels"], doc["widths"], doc["columns"]
+    except (KeyError, ValueError, TypeError) as exc:
+        raise CorruptDocument(f"malformed header: {exc}") from None
+    if any(type(value) is not int or value < 0 for value in header):
+        raise CorruptDocument("header counts must be non-negative integers")
+    if n and mode is TrieMode.DG:
+        raise CorruptDocument(f"a DG trie has window length 0, got n {n}")
+    if type(labels) is not list:
+        raise CorruptDocument("labels must be an array")
+    malformed = type(widths) is not list or len(widths) != len(FORMAT4_COLUMNS)
+    if malformed or any(type(width) is not int or width not in FORMAT4_WIDTHS for width in widths):
+        raise CorruptDocument(f"widths must be {len(FORMAT4_COLUMNS)} column widths of 1, 2, 4 or 8 bytes")
+    columns = format4_read_columns(text, widths, [nodes + 1, nodes + 1, nodes, nodes, nodes, edges, edges])
+    del doc, text  # a caller that hands the document over (load_frozen does) gets its text freed
+    return format4_from_columns(mode, n, sequence_count, labels, *columns)
+
+def format4_from_columns(
+    mode: TrieMode,
+    n: int,
+    sequence_count: int,
+    labels: list[Any],
+    child_count: array,
+    cycle_out: array,
+    ids: array,
+    freqs: array,
+    terminal_counts: array,
+    targets: array,
+    counts: array,
+) -> FrozenTrie:
+    """The column checker: every rule a document's columns must pass,
+    on unsigned arrays of the lengths the header gives (the decoder and
+    ``Trie.check_invariants`` hand it those), ``ids`` indices into
+    ``labels``.  Keeps the cycle-edge arrays it is given and
+    ``terminal_counts``, with the root's 0 put in front; ``id`` becomes a
+    list of the table's strings, and ``freq``, ``entry``, ``first`` and
+    ``efirst`` arrays wide enough for their values.  Only the node
+    columns that the cycle-edge pass reads per edge (``rid``, ``entry``
+    and the pre-order intervals) are lists while it runs: reading an
+    array makes an int object per read.
+
+    Shape first: the table's labels nonempty strings in strictly
+    increasing order, so that index order is label order; label indices
+    inside the table; degree counts summing to the node and cycle-edge
+    counts; parents before children.  Then the rules, over whole
+    columns: non-root ``freq`` >= 1; siblings in strictly increasing
+    label order; cycle-edge targets below the root and counts >= 1; no
+    cycle-edge in DAG mode.  In DG mode one Python pass over the
+    cycle-edges tests each target as an ancestor-or-self of its source on
+    ``_preorder``'s intervals, requires each source's labels strictly
+    increasing, subtracts the arrivals from ``entry`` and sums each
+    source's outflow.  Then ``entry`` >= 0, conservation (descents as
+    differences of a prefix sum of ``entry`` at the child offsets, plus
+    the outflow only where a cycle-edge exists), in DG mode no
+    identifier repeated on a root path, and last ``sequence_count``, the
+    root's ``freq``, within 8 bytes as every column value is.  The
+    per-depth table is derived data, not a rule: ``depth_stats`` sums it
+    on first access.
+
+    The format implies the rules a builder's dicts could still break: an
+    edge's label is its target's identifier by definition, ``entry`` is
+    derived from the arrivals, label order leaves no duplicate child or
+    cycle-edge, and a cycle-edge labelled like a child of its source
+    would repeat that label on the child's root path, since the edge
+    returns to an ancestor-or-self of the source.  The builder's wiring
+    and its own ``entry`` are ``Trie.check_invariants``'s to check.
+    """
+    if set(map(type, labels)) - {str} or "" in labels:
+        raise CorruptDocument("identifiers must be nonempty strings")
+    at = format4_first(map(ge, labels, islice(labels, 1, None)))
+    if at is not None:
+        raise CorruptDocument(f"label table not strictly increasing at label {at + 1}: {labels[at + 1]!r}")
+    rid = [-1, *ids]  # label indices, the root's -1; a list: the cycle-edge pass reads it per edge
+    if max(rid) >= len(labels):
+        raise CorruptDocument(f"label index {max(rid)} outside a table of {len(labels)} labels")
+    if sum(child_count) != len(ids) or sum(cycle_out) != len(targets):
+        raise CorruptDocument("child or cycle-edge counts do not sum to the node or cycle-edge count")
+    first = list(accumulate(child_count, initial=1))  # node k's children: first[k]:first[k + 1]
+    at = format4_first(map(le, islice(first, 1, len(child_count)), count(1)), 1)  # node k's parent is below k
+    if at is not None:
+        raise CorruptDocument(f"parent not before node {at}")
+
+    entry = [0, *freqs]  # a list: the cycle-edge pass decrements it per edge
+    nodes, dag = len(rid), mode is TrieMode.DAG
+    if min(freqs, default=1) < 1:
+        raise CorruptDocument("node statistic out of range")
+    # a node j with j - 1 as its sibling starts no child range; the others must sort after j - 1
+    unsorted = compress(count(2), map(ge, islice(rid, 1, None), islice(rid, 2, None)))
+    at = next(filterfalse(set(first).__contains__, unsorted), None)
+    if at is not None:
+        up = bisect_right(first, at) - 1
+        if rid[at] == rid[at - 1]:
+            raise CorruptDocument(f"duplicate child at node {at - 1}: {labels[rid[at]]!r} under node {up}")
+        raise CorruptDocument(f"siblings out of label order at node {at}: {labels[rid[at]]!r} under node {up}")
+    if targets:
+        if dag:
+            raise CorruptDocument(f"cycle-edges on DAG-mode node {format4_first(cycle_out)}")
+        if min(targets) < 1:
+            raise CorruptDocument(f"cycle-edge {targets.index(min(targets))} into the root")
+        if min(counts) < 1:
+            raise CorruptDocument(f"cycle-edge {counts.index(min(counts))} without traversals")
+    cycled = None  # each node's outflow along its cycle-edges, where there are any
+    if not dag:
+        order, pos, end = format4_preorder(format4_parents(child_count))
+    if targets:
+        cycled = [0] * nodes
+        edges = zip(targets, counts)
+        try:  # a target past the last node raises IndexError
+            for source, out in zip(compress(count(), cycle_out), filter(None, cycle_out)):
+                here, before, outflow = pos[source], -1, 0  # every label index is above -1
+                for target, taken in islice(edges, out):
+                    if not pos[target] <= here < end[target]:
+                        raise CorruptDocument(f"cycle-edge target not an ancestor at node {source}")
+                    label = rid[target]
+                    if label <= before:
+                        what = "duplicate cycle-edge" if label == before else "cycle-edges out of label order"
+                        raise CorruptDocument(f"{what} at node {source}: {labels[label]!r}")
+                    before = label
+                    entry[target] -= taken
+                    outflow += taken
+                cycled[source] = outflow
+        except IndexError:
+            raise CorruptDocument("cycle-edge target outside the trie") from None
+    efirst = list(accumulate(cycle_out, initial=0))  # node k's cycle-edges: efirst[k]:efirst[k + 1]
+    efirst = format4_array(format4_width(efirst[-1]), efirst)
+    del child_count, cycle_out
+    if min(entry) < 0:
+        raise CorruptDocument(f"entry count out of range at node {entry.index(min(entry))}")
+    entry = format4_array(freqs.itemsize, entry)  # entry[k] <= freq[k]; freed as a list before the prefix sum
+    below = list(map(list(accumulate(entry, initial=0)).__getitem__, first))  # entries before each child range
+    terminal_counts.insert(0, 0)  # the root's: now the stored terminal column
+    outflow = map(add, terminal_counts, map(sub, islice(below, 1, None), below))  # terminations plus descents
+    if cycled is not None:
+        outflow = map(add, outflow, cycled)
+    at = format4_first(map(ne, chain((sequence_count,), freqs), outflow))
+    if at is not None:
+        raise CorruptDocument(f"conservation violated at node {at}")
+    del below, cycled
+    if not dag:
+        at = format4_repeats_on_a_root_path(rid, order, pos, end)
+        if at is not None:
+            raise CorruptDocument(f"identifier repeats on the root path at node {at}")
+        del order, pos, end
+    ids = [None, *map(labels.__getitem__, islice(rid, 1, None))]  # one shared string per label
+    if sequence_count >> 64:  # the root's freq, a column value like any other
+        raise CorruptDocument("sequence_count past 8 bytes")
+    freq = array(FORMAT4_TYPECODE[max(freqs.itemsize, format4_width(sequence_count))], freqs)  # a copy when the width holds
+    freq.insert(0, sequence_count)
+    first = format4_array(format4_width(first[-1]), first)
+    return FrozenTrie(mode, n, ids, freq, entry, terminal_counts, first, efirst, targets, counts)
+
+
 
 
 # ---- node accessors ------------------------------------------------------------

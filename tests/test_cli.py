@@ -20,7 +20,7 @@ from provtrie.graph import gen_clique
 from provtrie.ingest import PredicateMap
 from provtrie.oracle import all_pairs_clique_count, clique_walk_count
 from provtrie.query import QueryPattern, count_paths, q1
-from provtrie.trie import Trie, TrieMode, load, save
+from provtrie.trie import FormatVersionMismatch, Trie, TrieMode, load, load_frozen, save
 
 from helpers import decode_document, digits, find, format2_document, node_count
 
@@ -111,9 +111,10 @@ def test_index_skips_an_empty_trace_in_either_mode(mode, linear_trace_file, tmp_
     out = tmp_path / "trie.json"
     assert main(["index", str(empty), "--mode", mode, "--out", str(out)]) == 0
     assert capsys.readouterr() == ("traces\t0\nsequences\t0\nnodes\t0\n", note)
-    # the empty trie's document, byte for byte: the DG writer unfolds no state into the same columns
-    header = f'{{"format_version":4,"mode":"{mode}","n":0,"sequence_count":0,"nodes":0,"cycle_edges":0,'
-    assert out.read_text(encoding="utf-8") == header + '"widths":[1,1,1,1,1,1,1],"labels":[],"columns":"eAFjYAAAAAIAAQ=="}'
+    # the empty trie's document, byte for byte: the DG writer minimizes no state into the same table, the root's class
+    header = f'{{"format_version":5,"mode":"{mode}","n":0,"sequence_count":0,"nodes":0,"cycle_edges":0,'
+    header += '"classes":1,"class_edges":0,"class_cycle_edges":0,'
+    assert out.read_text(encoding="utf-8") == header + '"widths":[1,1,1,1,1,1,1,1],"labels":[],"columns":"eAFjYAAAAAIAAQ=="}'
     assert main(["index", str(empty), str(linear_trace_file), "--mode", mode, "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert (captured.out.splitlines()[0], captured.err) == ("traces\t1", note)
@@ -380,7 +381,7 @@ def test_query_version_1_trie_file_is_an_error(tmp_path, capsys):
     )
     rc = main(["query", str(old), "--start", "a", "--end", "b", "--count-only"])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: format_version 1, supported: 4")
+    assert capsys.readouterr().err.startswith("error: format_version 1, supported: 5")
 
 
 @pytest.mark.parametrize(
@@ -397,7 +398,7 @@ def test_format_2_trie_file_is_an_error_without_a_traceback(tmp_path, argv):
     proc = subprocess.run(
         [sys.executable, "-m", "provtrie", command, str(old), *options], capture_output=True, text=True, timeout=120
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: format_version 2, supported: 4\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: format_version 2, supported: 5\n")
 
 
 @pytest.mark.parametrize("command", ["query", "inspect"])
@@ -408,7 +409,25 @@ def test_format_3_trie_file_is_an_error(tmp_path, command, capsys):
     old.write_text(json.dumps({**columns, "format_version": 3}), encoding="utf-8")
     options = ["--start", ":r0", "--end", ":r1"] if command == "query" else []
     assert main([command, str(old), *options]) == 1
-    assert capsys.readouterr() == ("", "error: format_version 3, supported: 4\n")
+    assert capsys.readouterr() == ("", "error: format_version 3, supported: 5\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["query", "--start", ":r0", "--end", ":r1", "--count-only"], ["suggest", "--prefix", ":r0"], ["stats"], ["inspect"]],
+    ids=["query", "suggest", "stats", "inspect"],
+)
+def test_format_4_trie_file_is_an_error_without_a_traceback(argv):
+    # tests/data/k4-dg.v4.trie is k4-dg.trie as format 4 wrote it: one column per node field
+    v4 = DATA / "k4-dg.v4.trie"
+    with pytest.raises(FormatVersionMismatch, match="^format_version 4, supported: 5$"):
+        load_frozen(v4)
+    command, *options = argv
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "provtrie", command, str(v4), *options], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: format_version 4, supported: 5\n")
 
 
 def test_k4_document_is_the_committed_golden_file(clique4_file, tmp_path, capsys):

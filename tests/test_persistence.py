@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from provtrie.cli import main
-from provtrie.document import COLUMNS, _read_columns, encode
+from provtrie.document import COLUMNS, HEADER_COUNTS, _read_columns, encode
 from provtrie.graph import gen_clique
 from provtrie.query import QueryPattern, count_paths, q1, q2_suggest
 from provtrie.trie import (
@@ -35,9 +35,10 @@ from helpers import (
     BODY_ORDER,
     DECODED_KEYS,
     HEADER_KEYS,
+    TABLE_ORDER,
+    WRITTEN_AS,
     ObjectTrie,
     all_node_freqs,
-    column_lengths,
     decode_document,
     encode_document,
     expand_degrees,
@@ -47,6 +48,7 @@ from helpers import (
     node_count,
     parent_column,
     prob,
+    table_lengths,
 )
 
 NODE_COLUMNS = ["id", "freq", "terminal_count"]
@@ -141,13 +143,15 @@ def test_roundtrip_through_file(tmp_path):
 def test_header_fields_present():
     t = insert_all(TrieMode.DAG, [["a", "b"]], n=2)
     doc = t.to_document()
-    assert list(doc) == [*HEADER_KEYS, "nodes", "cycle_edges", "widths", "labels", "columns"]
-    assert doc["format_version"] == 4
+    assert list(doc) == [*HEADER_KEYS, *HEADER_COUNTS[2:], "widths", "labels", "columns"]
+    assert HEADER_COUNTS[2:] == ("nodes", "cycle_edges", "classes", "class_edges", "class_cycle_edges")
+    assert doc["format_version"] == 5
     assert doc["mode"] == "dag"
     assert doc["n"] == 2
     assert doc["sequence_count"] == 1
     assert (doc["nodes"], doc["cycle_edges"], doc["labels"]) == (2, 0, ["a", "b"])
-    assert doc["widths"] == [1] * len(BODY_ORDER)  # every value below 256
+    assert (doc["classes"], doc["class_edges"], doc["class_cycle_edges"]) == (3, 2, 0)  # a DAG trie: one class per node
+    assert doc["widths"] == [1] * len(TABLE_ORDER)  # every value below 256
     doc = decode_document(doc)
     assert list(doc) == DECODED_KEYS == [*HEADER_KEYS, "child_count", *NODE_COLUMNS, "cycle_out", *CYCLE_COLUMNS]
     # one degree entry per node, the root (index 0) included; one statistic per non-root node
@@ -161,7 +165,7 @@ def test_header_fields_present():
 
 def test_format_version_mismatch():
     doc = insert_all(TrieMode.DAG, [["a"]]).to_document()
-    doc["format_version"] = 5
+    doc["format_version"] = 6
     with pytest.raises(FormatVersionMismatch):
         from_both(doc)
 
@@ -190,7 +194,7 @@ def test_format_2_document_is_a_version_mismatch():
     # format 2: a parent per non-root node and a source per cycle-edge, in place of the degree columns
     trie = insert_all(TrieMode.DG, [["a", "b", "a"], ["a", "b", "c"]])
     text = json.dumps(format2_document(trie), separators=(",", ":"))
-    with pytest.raises(FormatVersionMismatch, match="^format_version 2, supported: 4$"):
+    with pytest.raises(FormatVersionMismatch, match="^format_version 2, supported: 5$"):
         load(io.StringIO(text))
 
 
@@ -199,7 +203,7 @@ def test_format_3_document_is_a_version_mismatch(loader):
     # format 3: the seven columns as JSON arrays of ints and identifier strings, beside the header
     trie = insert_all(TrieMode.DG, [["a", "b", "a"], ["a", "b", "c"]])
     text = json.dumps({**decode_document(trie.to_document()), "format_version": 3}, separators=(",", ":"))
-    with pytest.raises(FormatVersionMismatch, match="^format_version 3, supported: 4$"):
+    with pytest.raises(FormatVersionMismatch, match="^format_version 3, supported: 5$"):
         loader(io.StringIO(text))
 
 
@@ -235,7 +239,7 @@ def _child_before_parent(doc):
 def test_corrupt_nodes_out_of_order():
     doc = _tampered(_child_before_parent)
     assert doc["child_count"][:2] == [0, 5]
-    with pytest.raises(CorruptDocument, match="not before node 1"):
+    with pytest.raises(CorruptDocument, match="not before class 1"):  # one class per node: class 1 is node 1
         from_both(encode_document(doc))
 
 
@@ -249,8 +253,8 @@ def test_corrupt_parent_not_an_earlier_node(node, parent):
         d["child_count"] = [parents.count(k) for k in range(len(d["child_count"]))]
 
     doc = _tampered(reparent)
-    for loader in (lambda d: from_both(encode_document(d)), ObjectTrie.from_document):
-        with pytest.raises(CorruptDocument, match=f"parent not before node {node + 1}$"):
+    for loader, unit in ((lambda d: from_both(encode_document(d)), "class"), (ObjectTrie.from_document, "node")):
+        with pytest.raises(CorruptDocument, match=f"parent not before {unit} {node + 1}$"):
             loader(doc)
 
 
@@ -275,13 +279,14 @@ def _dg_aba_abc() -> dict:
 
 
 def _written(columns: dict) -> dict:
-    """``columns`` as a format 4 document; a value that no unsigned column
-    holds (a bool, a float, a string) takes the place of its column's width
-    instead, the column written as it was without it."""
+    """``columns`` as a format 5 document, one class per node; a value that
+    no unsigned column holds (a bool, a float, a string) takes the place of
+    the width of the column it is written into instead, the column written
+    as it was without it."""
     odd = {name: value for name in BODY_ORDER if name != "id" for value in columns[name] if type(value) is not int}
     doc = encode_document({**columns, **{name: [v if type(v) is int else 0 for v in columns[name]] for name in odd}})
     for name, value in odd.items():
-        doc["widths"][BODY_ORDER.index(name)] = value
+        doc["widths"][TABLE_ORDER.index(WRITTEN_AS[name])] = value
     return doc
 
 
@@ -351,7 +356,7 @@ def test_corrupt_siblings_out_of_label_order():
     doc = decode_document(insert_all(TrieMode.DAG, [["a"], ["b"]]).to_document())
     assert (doc["id"], doc["freq"], doc["terminal_count"]) == (["a", "b"], [1, 1], [1, 1])
     doc["id"] = ["b", "a"]
-    with pytest.raises(CorruptDocument, match="^siblings out of label order at node 2: 'a' under node 0$"):
+    with pytest.raises(CorruptDocument, match="^siblings out of label order under class 0: 'a'$"):
         from_both(encode_document(doc))
     with pytest.raises(CorruptDocument, match="siblings out of label order"):
         ObjectTrie.from_document(doc)
@@ -362,7 +367,7 @@ def test_corrupt_cycle_edges_out_of_label_order():
     doc = decode_document(insert_all(TrieMode.DG, [["a", "b", "a"], ["a", "b", "b"]]).to_document())
     assert (doc["cycle_out"], doc["cycle_to"], doc["cycle_count"]) == ([0, 0, 2], [1, 2], [1, 1])
     doc["cycle_to"] = [2, 1]
-    with pytest.raises(CorruptDocument, match="^cycle-edges out of label order at node 2: 'a'$"):
+    with pytest.raises(CorruptDocument, match="^cycle-edges out of label order at class 2: 'a'$"):
         from_both(encode_document(doc))
     with pytest.raises(CorruptDocument, match="cycle-edges out of label order"):
         ObjectTrie.from_document(doc)
@@ -378,9 +383,10 @@ def test_corrupt_duplicate_cycle_edge():
 
 def test_corrupt_cycle_edge_into_the_root():
     doc = decode_document(insert_all(TrieMode.DG, [["a", "b"]]).to_document())
-    # b's one insertion now cycles back to the root instead of ending at b
+    # b's one insertion now cycles back to the root instead of ending at b; a cycle-edge names its
+    # target by label and the root has none, so the writer names a label past the table
     doc.update(terminal_count=[0, 0], cycle_out=[0, 0, 1], cycle_to=[0], cycle_count=[1])
-    with pytest.raises(CorruptDocument, match="into the root"):
+    with pytest.raises(CorruptDocument, match="^label index 2 outside a table of 2 labels$"):
         from_both(encode_document(doc))
 
 
@@ -395,7 +401,7 @@ def test_corrupt_identifier_not_a_nonempty_string(rid):
 
 def test_corrupt_dg_identifier_repeats_on_the_root_path():
     doc = {
-        "format_version": 4,
+        "format_version": 5,
         "mode": "dg",
         "n": 0,
         "sequence_count": 1,
@@ -452,7 +458,7 @@ def test_corrupt_node_without_traversals():
 def test_corrupt_arrivals_past_freq():
     # a/b returns to a three times, but a is entered only twice
     doc = {**_dg_aba(), "cycle_count": [3]}
-    with pytest.raises(CorruptDocument, match="^entry count out of range at node 1$"):
+    with pytest.raises(CorruptDocument, match="^entry count out of range at class 1$"):
         from_both(encode_document(doc))
 
 
@@ -463,11 +469,12 @@ def test_corrupt_cycle_target_not_ancestor():
     was, victim = doc["cycle_to"][0] - 1, doc["id"].index("c")
     doc["cycle_to"][0] = victim + 1
     # move the arrival and the insertion that ended there along with it, so
-    # that every statistic balances and only the ancestor check can fail
+    # that every statistic balances and only the ancestor check can fail: the
+    # edge, written by its target's label, names a label off its root path
     for column in ("freq", "terminal_count"):
         doc[column][was] -= 1
         doc[column][victim] += 1
-    with pytest.raises(CorruptDocument, match="not an ancestor"):
+    with pytest.raises(CorruptDocument, match="^cycle-edge label 'c' not on every root path of class 3$"):
         from_both(encode_document(doc))
 
 
@@ -485,15 +492,16 @@ def _dg_aba() -> dict:
 
 # documents of a valid shape that break one rule each.  No unsigned column
 # holds a negative number: a written -1 is 255 at width 1, a terminal count
-# that conservation refuses and a target past the last node
+# that conservation refuses; a cycle-edge is written by its target's label,
+# and a target that is no node after the root as a label past the table
 RULE_BREAKERS = {
     "leaf-without-traversals": (lambda: _tampered(_add_unreached_leaf), "out of range"),
     "negative-terminal": (
         lambda: {**_dg_aba(), "terminal_count": [1, -1], "cycle_count": [2]},
-        "^conservation violated at node 0$",  # a's arrivals now take all its freq, none is a descent
+        "^conservation violated at class 0$",  # a's arrivals now take all its freq, none is a descent
     ),
-    "cycle-edge-into-the-root": (lambda: {**_dg_aba(), "cycle_to": [0]}, "into the root"),
-    "negative-cycle-target": (lambda: {**_dg_aba(), "cycle_to": [-1]}, "^cycle-edge target outside the trie$"),
+    "cycle-edge-into-the-root": (lambda: {**_dg_aba(), "cycle_to": [0]}, "^label index 2 outside a table of 2 labels$"),
+    "negative-cycle-target": (lambda: {**_dg_aba(), "cycle_to": [-1]}, "^label index 3 outside a table of 2 labels$"),
 }
 
 
@@ -557,7 +565,7 @@ def test_corrupt_inexact_or_out_of_range_integer(where, value):
 
 
 def _fuzz_bases() -> list[dict]:
-    """Format 4 documents: decode them to edit their columns."""
+    """Format 5 documents: decode them to edit their trie's columns."""
     k3 = Trie(TrieMode.DG)
     k3.index_graph(gen_clique(3))
     return [
@@ -621,7 +629,7 @@ def test_mutated_document_is_rejected_or_round_trips(data):
             del doc[key]
         else:
             _edit(data, doc[key], st.one_of(JUNK, past))
-    version_hit = doc.get("format_version", 4) != 4 or type(doc.get("format_version", 4)) is not int
+    version_hit = doc.get("format_version", 5) != 5 or type(doc.get("format_version", 5)) is not int
     try:
         trie = from_both(doc)
     except FormatVersionMismatch:
@@ -643,7 +651,7 @@ def _packed(body: bytes) -> str:
 
 BYTE_EDITS = [
     "flip a bit", "cut the body", "extend the body", "corrupt the base64", "edit a width", "edit nodes",
-    "edit cycle_edges", "swap two labels", "repeat a label", "add an empty label", "add a label that is no string",
+    "edit cycle_edges", "edit classes", "edit class_edges", "edit class_cycle_edges", "swap two labels", "repeat a label", "add an empty label", "add a label that is no string",
     "edit format_version",
 ]
 
@@ -666,8 +674,8 @@ def test_byte_level_mutations_are_rejected_or_round_trip(data):
         elif how == "corrupt the base64":
             text_edits.append(data.draw(st.tuples(st.integers(min_value=0), st.sampled_from(["", "=", "!", "é", "\n", "A"]))))
         elif how == "edit a width":
-            doc["widths"][data.draw(st.integers(0, 6))] = data.draw(st.sampled_from([0, 1, 2, 3, 4, 8, 16, -1, True, 2.0, None]))
-        elif how in ("edit nodes", "edit cycle_edges"):
+            doc["widths"][data.draw(st.integers(0, 7))] = data.draw(st.sampled_from([0, 1, 2, 3, 4, 8, 16, -1, True, 2.0, None]))
+        elif how.startswith("edit ") and how.split()[1] in doc:
             key = how.split()[1]
             doc[key] = data.draw(st.one_of(st.integers(min_value=-1, max_value=70), st.sampled_from([2**70, 1.0, "1"])))
         elif how == "swap two labels" and len(labels) > 1:
@@ -681,7 +689,7 @@ def test_byte_level_mutations_are_rejected_or_round_trip(data):
         elif how == "add a label that is no string":
             labels.insert(data.draw(st.integers(0, len(labels))), data.draw(st.sampled_from([1, None, ["a"], 2.0])))
         elif how == "edit format_version":
-            doc["format_version"] = data.draw(st.sampled_from([3, 5, "4", 4.0, True, None]))
+            doc["format_version"] = data.draw(st.sampled_from([4, 6, "5", 5.0, True, None]))
     text = _packed(body)
     for at, char in text_edits:  # replace one character, or delete it ("")
         at %= len(text)
@@ -690,7 +698,7 @@ def test_byte_level_mutations_are_rejected_or_round_trip(data):
     try:
         trie = from_both(doc)
     except FormatVersionMismatch:
-        assert doc["format_version"] != 4 or type(doc["format_version"]) is not int
+        assert doc["format_version"] != 5 or type(doc["format_version"]) is not int
         return
     except CorruptDocument:
         return
@@ -737,11 +745,12 @@ def test_a_malformed_body_is_refused(make, message):
         ("labels", ["N2", "N1", "N3", "N4", "N5"], "^label table not strictly increasing at label 1: 'N1'$"),
         ("labels", ["N1", "N2", "N3", "N4"], "^label index 4 outside a table of 4 labels$"),
         ("labels", ["", "N1", "N2", "N3", "N4"], "^identifiers must be nonempty strings$"),
-        ("widths", [1, 1, 1, 1, 1, 1], "^widths must be 7 column widths of 1, 2, 4 or 8 bytes$"),
-        ("widths", [1, 1, 1, 1, 1, 1, 1.0], "^widths must be 7"),
+        ("widths", [1, 1, 1, 1, 1, 1, 1], "^widths must be 8 column widths of 1, 2, 4 or 8 bytes$"),
+        ("widths", [1, 1, 1, 1, 1, 1, 1, 1.0], "^widths must be 8"),
         ("nodes", 7.0, "^header counts must be non-negative integers$"),
         ("cycle_edges", -1, "^header counts must be non-negative integers$"),
-        ("nodes", 2**70, "^columns are not a zlib stream"),  # a size no buffer can hold
+        ("classes", 2**70, "^columns are not a zlib stream"),  # a size no buffer can hold
+        ("nodes", 2**70, "^header declares 1180591620717411303424 nodes and 0 cycle-edges, the table unfolds to 7 and 0$"),
     ],
 )
 def test_a_malformed_header_is_refused(key, value, message):
@@ -767,13 +776,14 @@ def test_the_body_is_the_columns_compressed_in_one_stream_at_level_1():
     for doc in FUZZ_BASES:
         body = _body_of(doc)
         assert doc["columns"] == _packed(body)
-        lengths = column_lengths(doc["nodes"], doc["cycle_edges"])
+        lengths = table_lengths(doc["classes"], doc["class_edges"], doc["class_cycle_edges"])
         assert len(body) == sum(width * length for width, length in zip(doc["widths"], lengths))
 
 
 def _encode(columns: list[list[int]]) -> dict:
-    """A document with an empty DAG header around ``columns``: ``encode``'s body alone."""
-    return encode(TrieMode.DAG, 0, 0, 0, 0, [], columns)
+    """A document with an empty DAG header around ``columns`` and five empty
+    columns after them: ``encode``'s body alone."""
+    return encode(TrieMode.DAG, 0, 0, 0, 0, [], columns + [[]] * (len(TABLE_ORDER) - len(columns)))
 
 
 @pytest.mark.parametrize(
@@ -784,9 +794,9 @@ def test_a_column_takes_the_smallest_width_that_holds_its_maximum(top, width):
     columns = [[0, top, 1], [], [top]]
     doc = _encode(columns)
     widths = doc["widths"]
-    assert widths == [width, 1, width]
-    decoded = _read_columns(doc["columns"], widths, [3, 0, 1])
-    assert list(map(list, decoded)) == columns
+    assert widths == [width, 1, width, 1, 1, 1, 1, 1]
+    decoded = _read_columns(doc["columns"], widths, [3, 0, 1, 0, 0, 0, 0, 0])
+    assert list(map(list, decoded)) == columns + [[]] * 5
     assert [column.itemsize for column in decoded] == widths
 
 
@@ -805,9 +815,9 @@ def test_a_value_below_0_is_an_overflow_at_every_width(top):
 
 @pytest.mark.parametrize("declared", [0, 1, 2**20])
 def test_a_body_that_inflates_past_its_declared_size_is_refused_without_inflating_it(declared):
-    # 64 MiB of zeros compress to about 64 KiB; the header declares at most 7 MiB of columns
+    # 64 MiB of zeros compress to about 64 KiB; the header declares at most 5 MiB of columns
     doc = insert_all(TrieMode.DAG, [["a"]]).to_document()
-    doc.update(nodes=declared, widths=[1] * 7)
+    doc.update(classes=declared, widths=[1] * 8)
     packer = zlib.compressobj(9)
     bomb = b"".join([*(packer.compress(bytes(1 << 20)) for _ in range(64)), packer.flush()])
     doc["columns"] = base64.b64encode(bomb).decode("ascii")
@@ -826,7 +836,7 @@ def test_a_body_that_inflates_past_its_declared_size_is_refused_without_inflatin
 def test_a_run_count_past_8_bytes_is_refused():
     # every other rule holds: two depth-1 leaves of 2**63 runs each; the frozen trie's freq is an array
     big = 2**63
-    columns = {"format_version": 4, "mode": "dag", "n": 0, "sequence_count": 2 * big, "child_count": [2, 0, 0]}
+    columns = {"format_version": 5, "mode": "dag", "n": 0, "sequence_count": 2 * big, "child_count": [2, 0, 0]}
     columns.update(id=["a", "b"], freq=[big, big], terminal_count=[big, big], cycle_out=[0, 0, 0])
     columns.update(cycle_to=[], cycle_count=[])
     with pytest.raises(CorruptDocument, match="^sequence_count past 8 bytes$"):
