@@ -147,7 +147,7 @@ def minimize(
     rows: Iterable[tuple[int, Any, int, int, Iterable[int], Iterable[Any], Iterable[int]]],
     size: int,
     index: Callable[[Any], int] | None = None,
-) -> tuple[list[list[int]], int, int, list[int]]:
+) -> tuple[list[list[int]], int, int]:
     """The one minimizer: a trie's minimal class table, by a bottom-up
     hash-cons, as the eight columns of ``COLUMNS``.
 
@@ -156,25 +156,24 @@ def minimize(
     cycle counts)``: ``node`` below ``size``, its children as nodes, its
     children and cycle-edges in label order.  A node's class is its label,
     ``freq``, terminal count, its children's classes and its cycle labels
-    and counts, so nodes with identical subtrees share one.  ``index`` maps a label to its place in the
-    label table (None: labels are those places).  Classes are then numbered
-    breadth-first from the root, each when first referenced, which makes
-    the table canonical.  Returns the columns, the unfolded node and
-    cycle-edge counts, and each node's class number (0 for a node not in
-    ``rows``)."""
+    and counts, so nodes with identical subtrees share one.  ``index`` maps
+    a label to its place in the label table (None: labels are those
+    places).  Classes are then numbered breadth-first from the root, each
+    when first referenced, which makes the table canonical.  Returns the
+    columns and the unfolded node and cycle-edge counts."""
     keys: dict[tuple, int] = {}  # a class's key -> its number in bottom-up order
     made: list[tuple] = []  # bottom-up number -> key
-    cls = [0] * size
+    class_of = [0] * size  # each node's class, by its number in bottom-up order
     node = 0
     for node, label, freq, terminal, kids, cycles, taken in rows:
-        key = (label, freq, terminal, tuple(map(cls.__getitem__, kids)), tuple(cycles), tuple(taken))
+        key = (label, freq, terminal, tuple(map(class_of.__getitem__, kids)), tuple(cycles), tuple(taken))
         at = keys.get(key)
         if at is None:
             at = keys[key] = len(made)
             made.append(key)
-        cls[node] = at
+        class_of[node] = at
     del keys
-    root = cls[node]
+    root = class_of[node]
     # subtree sizes, bottom up: a class's children are made before it
     nodes, edges = [], []
     for _, _, _, kids, cycles, _ in made:
@@ -206,7 +205,7 @@ def minimize(
         cycle_labels,
         list(chain.from_iterable(key[5] for key in classes)),
     ]
-    return columns, nodes[root] - 1, edges[root], list(map(number.__getitem__, cls))
+    return columns, nodes[root] - 1, edges[root]
 
 
 def encode(
@@ -322,7 +321,7 @@ def _check(
     """The class checker: every rule a class table must pass, on unsigned
     arrays of the lengths the header gives (the decoder and
     ``Trie.check_invariants`` hand it those).  Returns the checked table,
-    with ``entry`` and ``above`` derived, and the node and cycle-edge counts
+    with ``entry`` derived, and the node and cycle-edge counts
     it unfolds to.  Only the DG rules and the acyclicity check of a table
     that shares a class loop over classes in Python; the rest, and a DAG
     tree's whole check, runs over whole columns.

@@ -366,11 +366,12 @@ class Trie:
         below 2**64.  Then every rule a document must pass: the class checker
         on the table ``to_document`` would write, as the same unsigned arrays
         a load hands it, with no encoding between.  Then the rules only a
-        builder can break, as a document stores no ``entry``: a non-root
-        node's arrivals (``freq - entry``) equal the counts of the cycle-edges
-        into it, and its ``entry`` is the one its class derives.  Last,
-        ``depth_stats`` against a recount over the classes, each weighed by
-        the places it occurs at each depth.
+        builder can break, as a document names a cycle-edge's target by its
+        label and stores no ``entry``: each cycle-edge returns to the
+        ancestor-or-self that carries its label (one walk down the trie), and
+        a non-root node's arrivals (``freq - entry``) equal the counts of the
+        cycle-edges into it.  Last, ``depth_stats`` against a recount over the
+        classes, each weighed by the places it occurs at each depth.
         """
         ids, cycle_to = self.id, self.cycle_to
         nodes, edges = len(ids), len(cycle_to)
@@ -397,7 +398,7 @@ class Trie:
         at = _first(map((1).__ne__, placed))
         if at is not None:
             raise CorruptDocument(f"cycle-edge {at} in {placed[at]} cycle maps, not one")
-        labels, columns, _, _, classes = self._table()
+        labels, columns, _, _ = self._table()
         try:  # the arrays a load hands the checker, which hold no negative count
             columns = list(map(_packed, columns))
         except OverflowError:
@@ -410,9 +411,19 @@ class Trie:
         at = _first(map(ne, map(sub, self.freq, self.entry), arrived))
         if at is not None:
             raise CorruptDocument(f"cycle arrivals do not match the cycle-edges into node {at}")
-        at = _first(map(ne, islice(self.entry, 1, None), map(table.entry.__getitem__, islice(classes, 1, None))), 1)
-        if at is not None:
-            raise CorruptDocument(f"entry of node {at} is not the one its class derives")
+        last: dict[str, int] = {}  # label -> the last node entered that carries it: on a root path, its node there
+        walk = [iter(self.children[0].values())]
+        while walk:
+            for node in walk[-1]:
+                last[ids[node]] = node  # type: ignore[index]
+                out = self.cycles[node]
+                if out and list(map(last.__getitem__, out)) != list(map(cycle_to.__getitem__, out.values())):
+                    raise CorruptDocument(f"cycle-edge at node {node} not into the ancestor that carries its label")
+                if self.children[node]:
+                    walk.append(iter(self.children[node].values()))
+                    break
+            else:
+                walk.pop()
         recount: dict[int, dict[str, int]] = {}
         level = {0: 1}  # the classes of a depth, each with the places it occurs there
         for depth in count(1):
@@ -432,9 +443,9 @@ class Trie:
 
     # ---- persistence ---------------------------------------------------------------
 
-    def _table(self) -> tuple[list[str], Iterable[Iterable[int]], int, int, list[int]]:
+    def _table(self) -> tuple[list[str], Iterable[Iterable[int]], int, int]:
         """The document's label table, the eight columns of its class table,
-        the node and cycle-edge counts, and each node's class.
+        and the node and cycle-edge counts.
 
         A DG trie's table is ``minimize`` over its nodes, children before
         parents (parents are numbered first).  A DAG trie keeps one class per
@@ -458,16 +469,12 @@ class Trie:
                     map(out_of.get, count(len(ids) - 1, -1), reversed(cycles)),
                 )
             )
-            columns, nodes, edges, classes = minimize(rows, len(ids), index)
-            return labels, columns, nodes, edges, classes
+            return labels, *minimize(rows, len(ids), index)
         order = [0]  # nodes breadth-first, children in label order: node k is class k
         level = order
         while level:
             level = list(chain.from_iterable(map(dict.values, map(kids_of.get, level, map(children.__getitem__, level)))))
             order += level
-        classes = [0] * len(order)
-        for k, node in enumerate(order):
-            classes[node] = k
         edges = list(chain.from_iterable(map(dict.values, map(out_of.get, order, map(cycles.__getitem__, order)))))
 
         def columns() -> Iterator[Iterable[int]]:
@@ -480,19 +487,19 @@ class Trie:
             yield map(index, map(ids.__getitem__, map(self.cycle_to.__getitem__, edges)))
             yield map(counts.__getitem__, edges)
 
-        return labels, columns(), len(order) - 1, len(edges), classes
+        return labels, columns(), len(order) - 1, len(edges)
 
     def to_document(self) -> dict[str, Any]:
         """The trie as a format 5 document: ``document.encode`` over
         ``_table``.  Equal documents iff structurally equal tries."""
-        labels, columns, nodes, edges, _ = self._table()
+        labels, columns, nodes, edges = self._table()
         return encode(self.mode, self.n, self.sequence_count, nodes, edges, labels, columns)
 
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "Trie":
         """Rebuild an insertable trie from a document: ``FrozenTrie.from_document``
-        checks it, then a thaw builds the dicts.  Node k of the document is
-        node k of the trie.  The thaw adopts the frozen trie's ``id`` list
+        checks and unfolds it, then a thaw builds the dicts.  Node k of the
+        unfolded document is node k of the trie.  The thaw adopts the frozen trie's ``id`` list
         and per-depth table (summed by that read), turns its numeric arrays
         into lists (an array as narrow as its largest count could not take
         the next ``insert``'s), expands the child counts into parents, and
@@ -650,15 +657,16 @@ def dg_document(graphs: Sequence[ProvGraph]) -> dict[str, Any]:
     ``minimize`` takes its classes as they are, the deepest first, with no
     node made between."""
     states = _DFSStates(graphs)
-    columns, nodes, edges, _ = minimize(states.rows(), states.starts[-1])
+    columns, nodes, edges = minimize(states.rows(), states.starts[-1])
     return encode(TrieMode.DG, 0, states.sequence_count, nodes, edges, states.labels, columns)
 
 
 def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:
     """Write ``trie`` to a path or text stream as one format 5 document,
     ``write_document(trie.to_document(), sink)``: ``to_document``
-    compresses each column as it makes it, so no moment holds every column,
-    as lists or as arrays.  Returns the number of non-root nodes written."""
+    compresses each column as it takes it, and a DAG trie's columns are
+    made one at a time, so no moment holds every node column, as lists or
+    as arrays.  Returns the number of non-root nodes written."""
     return write_document(trie.to_document(), sink)
 
 

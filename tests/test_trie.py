@@ -673,6 +673,19 @@ def test_check_invariants_refuses_damage_only_a_builder_can_hold(how, message):
         _builder_damage(how).check_invariants()
 
 
+def test_check_invariants_refuses_a_cycle_edge_into_a_same_labelled_non_ancestor():
+    # a/b returns to a, c/a/b to c/a: swapped, each edge still names a by label, every node keeps its
+    # arrivals and the document is unchanged, but each edge now leaves the root path of its source
+    t = insert_all(TrieMode.DG, [["a", "b", "a"], ["c", "a", "b", "a"]])
+    first, second = (t.cycles[node]["a"] for node in range(len(t.id)) if "a" in t.cycles[node])
+    t.check_invariants()
+    document = t.to_document()
+    t.cycle_to[first], t.cycle_to[second] = t.cycle_to[second], t.cycle_to[first]
+    assert t.to_document() == document
+    with pytest.raises(CorruptDocument, match="^cycle-edge at node [0-9]+ not into the ancestor that carries its label$"):
+        t.check_invariants()
+
+
 @given(trie=recount_builds)
 @settings(max_examples=150, deadline=None)
 def test_the_degree_columns_expand_to_the_format_2_parents_and_sources(trie):
