@@ -127,10 +127,11 @@ class Table(NamedTuple):
     """A class table, the root 0: per class its label (an index into the
     label table; the root's -1), ``freq`` (the root's: the sequence count),
     ``entry`` (the root's: 0) and ``terminal``; its children are the classes
-    ``kid[first[k]:first[k + 1]]`` and its cycle-edges the labels and counts
-    at ``efirst[k]:efirst[k + 1]`` of ``cycle_label`` and ``cycle_count``,
-    each in label order.  The checker derives ``entry``; the unfold reads
-    it."""
+    ``kid[first[k]:first[k + 1]]`` (``kid[0]`` is the root, so the offsets
+    start at 1 as a tree's node offsets do, and a tree's ``kid`` is
+    ``range(classes)``) and its cycle-edges the labels and counts at
+    ``efirst[k]:efirst[k + 1]`` of ``cycle_label`` and ``cycle_count``, each
+    in label order.  The checker derives ``entry``; the unfold reads it."""
 
     label: list[int]
     freq: list[int]
@@ -321,10 +322,10 @@ def _check(
     """The class checker: every rule a class table must pass, on unsigned
     arrays of the lengths the header gives (the decoder and
     ``Trie.check_invariants`` hand it those).  Returns the checked table,
-    with ``entry`` derived, and the node and cycle-edge counts
-    it unfolds to.  Only the DG rules and the acyclicity check of a table
-    that shares a class loop over classes in Python; the rest, and a DAG
-    tree's whole check, runs over whole columns.
+    with ``entry`` derived, and the node and cycle-edge counts it unfolds
+    to.  Only the DG rules and the acyclicity check of a table that shares
+    a class loop over classes in Python; the rest, and a DAG tree's whole
+    check, runs over whole columns.
 
     Shape first: the label table's labels nonempty strings in strictly
     increasing order; label indices inside it; degree counts summing to the
@@ -362,32 +363,35 @@ def _check(
         raise CorruptDocument(f"label index {top} outside a table of {len(labels)} labels")
     if sum(child_count) != len(child) or sum(cycle_out) != len(cycle_label):
         raise CorruptDocument("child or cycle-edge counts do not sum to the class-edge or class cycle-edge count")
-    first = list(accumulate(child_count, initial=0))  # class k's child references: first[k]:first[k + 1]
+    # kid[e] is the class of reference e, from 1; kid[0] is the root, referred to from above the table
+    first = list(accumulate(child_count, initial=1))  # class k's children: kid[first[k]:first[k + 1]]
     tree = not any(child)  # every reference numbers the next class: node k is class k
     if tree:
-        fresh: Sequence[int] = range(len(child) + 1)
-        kid: Sequence[int] = range(1, len(child) + 1)
+        numbered: Sequence[int] = range(1, len(child) + 2)
+        kid: Sequence[int] = range(len(child) + 1)
     else:
-        fresh = list(accumulate(map(not_, child), initial=0))  # classes numbered by the references before each
-        kid = [ref or number for ref, number in zip(child, islice(fresh, 1, None))]  # each reference's class
-        at = _first(map(gt, kid, islice(fresh, 1, None)))
+        numbered = list(accumulate(map(not_, child), initial=1))  # classes numbered up to each reference
+        kid = [0, *(ref or number - 1 for ref, number in zip(child, islice(numbered, 1, None)))]
+        at = _first(map(ge, islice(kid, 1, None), islice(numbered, 1, None)), 1)
         if at is not None:
             up = bisect_right(first, at) - 1
-            raise CorruptDocument(f"child reference {kid[at]} past the {fresh[at] + 1} classes numbered, under class {up}")
-    if fresh[-1] != classes - 1:
-        if fresh[-1] > classes - 1:
+            raise CorruptDocument(f"child reference {kid[at]} past the {numbered[at]} classes numbered, under class {up}")
+    if numbered[-1] != classes:
+        if numbered[-1] > classes:
             raise CorruptDocument(f"child references past the table of {classes} classes")
-        raise CorruptDocument(f"class {fresh[-1] + 1} is no class's child")
-    at = _first(map(lt, islice(first, 1, classes) if tree else map(fresh.__getitem__, islice(first, 1, classes)), count(1)), 1)
+        raise CorruptDocument(f"class {numbered[-1]} is no class's child")
+    # class k is numbered by a reference of a class before it: by one of the first first[k] - 1
+    before = islice(first, 1, classes) if tree else map(numbered.__getitem__, map((-1).__add__, islice(first, 1, classes)))
+    at = _first(map(le, before, count(1)), 1)
     if at is not None:
         raise CorruptDocument(f"parent not before class {at}")
-    del fresh
+    del numbered
     kids: list[Sequence[int]] = []  # per class, its children: cut when a pass over classes needs them
     order: Sequence[int] = range(classes)  # a topological order: the numbering unless a reference points back
-    if not tree and any(map(le, kid, chain.from_iterable(map(repeat, count(), child_count)))):
+    if not tree and any(map(le, islice(kid, 1, None), chain.from_iterable(map(repeat, count(), child_count)))):
         kids = _ranges(kid, first)
         waiting = [0] * classes
-        for k in kid:
+        for k in islice(kid, 1, None):
             waiting[k] += 1
         order = [0]
         for up in order:
@@ -402,7 +406,7 @@ def _check(
     if min(freqs, default=1) < 1:
         raise CorruptDocument("class statistic out of range")
     label = [-1, *ids]
-    kid_labels = label[1:] if tree else list(map(label.__getitem__, kid))
+    kid_labels = label if tree else list(map(label.__getitem__, kid))
     at = _out_of_order(kid_labels, first)
     if at is not None:
         up = bisect_right(first, at) - 1
@@ -455,7 +459,7 @@ def _check(
         del above, cycles, taken
         if min(entry) < 0:
             raise CorruptDocument(f"entry count out of range at class {entry.index(min(entry))}")
-    below = list(accumulate(islice(entry, 1, None) if tree else map(entry.__getitem__, kid), initial=0))  # entries before each reference
+    below = list(accumulate(entry if tree else map(entry.__getitem__, kid), initial=0))  # entries before each reference
     descents = map(sub, map(below.__getitem__, islice(first, 1, None)), map(below.__getitem__, first))
     outflow = map(add, terminal, descents)  # terminations plus descents
     if cycle_label:
@@ -503,9 +507,9 @@ def _unfold(table: Table) -> tuple[Sequence[int], array, array, array]:
     its own unfold, node k class k."""
     label, first, kid, efirst = table.label, table.first, table.kid, table.efirst
     classes = len(label)
-    if type(kid) is range and kid == range(1, classes):  # a tree: node k is class k
+    if type(kid) is range:  # a tree: node k is class k
         order: Sequence[int] = range(classes)
-        nodes = _array(_width(classes), list(map((1).__add__, first)))
+        nodes = _array(_width(first[-1]), first)
         edges = _array(_width(efirst[-1]), efirst)
     else:
         degree = list(map(sub, islice(first, 1, None), first))
@@ -547,13 +551,14 @@ def _unfold(table: Table) -> tuple[Sequence[int], array, array, array]:
     return order, nodes, edges, targets
 
 
-def _gathered(order: Sequence[int], values: Sequence[int], first: list[int] | None = None) -> array:
+def _gathered(order: Sequence[int], values: Sequence[int], first: list[int] | None = None, top: int | None = None) -> array:
     """Each node's value of a per-class column, in node order (``order``
-    holds each node's class), as an array of the width the classes' values
-    need: each class's bytes made once and joined per node.  With
-    ``first``, class k holds the values ``values[first[k]:first[k + 1]]``
-    and a node takes all of them.  A tree's nodes are its classes."""
-    column = array(_TYPECODE[_width(max(values, default=0))])
+    holds each node's class), as an array of the width that ``top`` (by
+    default the classes' largest value) needs: each class's bytes made once
+    and joined per node.  With ``first``, class k holds the values
+    ``values[first[k]:first[k + 1]]`` and a node takes all of them.  A
+    tree's nodes are its classes."""
+    column = array(_TYPECODE[_width(max(values, default=0) if top is None else top)])
     if type(order) is range:  # node k is class k
         return _array(column.itemsize, values if type(values) is list else list(values))
     if first is None:
@@ -737,7 +742,8 @@ class FrozenTrie:
         ids = [None, *map(labels.__getitem__, islice(table.label, 1, None))]  # one shared string per label
         if type(order) is not range:  # node k is class k in a tree
             ids = list(map(ids.__getitem__, order))
-        freq, entry, terminal = (_gathered(order, column) for column in (table.freq, table.entry, table.terminal))
+        top = max(table.freq)  # entry and the terminal count never pass freq
+        freq, entry, terminal = (_gathered(order, column, top=top) for column in (table.freq, table.entry, table.terminal))
         cycle_count = _gathered(order, table.cycle_count, table.efirst)
         return cls(mode, n, ids, freq, entry, terminal, first, efirst, cycle_to, cycle_count)
 

@@ -635,7 +635,7 @@ class _DFSStates:
         """The classes as a ``document.Table``: the root 0, then depth by
         depth, so children come after their parents."""
         label, freq, entry, terminal = [-1], [self.sequence_count], [0], [0]
-        first, kid = [0, len(self.labels)], list(range(1, len(self.labels) + 1))
+        first, kid = [1, len(self.labels) + 1], list(range(len(self.labels) + 1))
         efirst, cycle_label, cycle_count = [0, 0], [], []
         for (vertex, entries, arrivals, ended, kids, outs, takens), below in zip(self.depths, self.starts[1:]):
             label += vertex
