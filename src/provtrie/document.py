@@ -39,8 +39,10 @@ though, a small table may unfold into a large trie.
 classes and never over the nodes, with ``entry`` derived from each
 subtree's arrivals per label.  ``_unfold`` is the one unfold of a table
 into the trie's nodes, breadth-first; ``FrozenTrie.from_document`` and
-``trie.Trie.index_graph`` both consume it.  ``minimize`` is the one
-writer of tables, a bottom-up hash-cons, and ``encode`` the one encoder.
+``trie.Trie.index_graph`` both consume it.  ``encode`` is the one
+encoder; the one minimizer that makes the tables it encodes,
+``trie.minimize``, lives with the writers, so that a read command, which
+compiles this module, never compiles it.
 ``FrozenTrie`` is the reader: the unfolded columns and the prefix sums of
 its degree columns, with no dict (a static beside a dynamic tree, as in
 Navarro & Sadakane, ACM TALG 2014); its numeric columns stay fixed-width
@@ -65,8 +67,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
-from operator import add, ge, gt, itemgetter, le, lt, mul, ne, not_, sub
-from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from operator import add, ge, itemgetter, le, mul, ne, not_, sub
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 from .kinds import GraphKind
 
@@ -123,7 +125,7 @@ def _packed(values: Iterable[int]) -> array:
     return _array(_width(max(values, default=0)), values)
 
 
-class Table(NamedTuple):
+class Table:
     """A class table, the root 0: per class its label (an index into the
     label table; the root's -1), ``freq`` (the root's: the sequence count),
     ``entry`` (the root's: 0) and ``terminal``; its children are the classes
@@ -131,82 +133,25 @@ class Table(NamedTuple):
     start at 1 as a tree's node offsets do, and a tree's ``kid`` is
     ``range(classes)``) and its cycle-edges the labels and counts at
     ``efirst[k]:efirst[k + 1]`` of ``cycle_label`` and ``cycle_count``, each
-    in label order.  The checker derives ``entry``; the unfold reads it."""
+    in label order.  The checker derives ``entry``; the unfold reads it.  A
+    plain class: a ``NamedTuple`` would double this module's import time."""
 
-    label: list[int]
-    freq: list[int]
-    entry: list[int]
-    terminal: list[int]
-    first: list[int]
-    kid: Sequence[int]
-    efirst: list[int]
-    cycle_label: Sequence[int]
-    cycle_count: Sequence[int]
+    __slots__ = ("label", "freq", "entry", "terminal", "first", "kid", "efirst", "cycle_label", "cycle_count")
 
-
-def minimize(
-    rows: Iterable[tuple[int, Any, int, int, Iterable[int], Iterable[Any], Iterable[int]]],
-    size: int,
-    index: Callable[[Any], int] | None = None,
-) -> tuple[list[list[int]], int, int]:
-    """The one minimizer: a trie's minimal class table, by a bottom-up
-    hash-cons, as the eight columns of ``COLUMNS``.
-
-    ``rows`` are the trie's nodes, children before parents and the root
-    last, each ``(node, label, freq, terminal, children, cycle labels,
-    cycle counts)``: ``node`` below ``size``, its children as nodes, its
-    children and cycle-edges in label order.  A node's class is its label,
-    ``freq``, terminal count, its children's classes and its cycle labels
-    and counts, so nodes with identical subtrees share one.  ``index`` maps
-    a label to its place in the label table (None: labels are those
-    places).  Classes are then numbered breadth-first from the root, each
-    when first referenced, which makes the table canonical.  Returns the
-    columns and the unfolded node and cycle-edge counts."""
-    keys: dict[tuple, int] = {}  # a class's key -> its number in bottom-up order
-    made: list[tuple] = []  # bottom-up number -> key
-    class_of = [0] * size  # each node's class, by its number in bottom-up order
-    node = 0
-    for node, label, freq, terminal, kids, cycles, taken in rows:
-        key = (label, freq, terminal, tuple(map(class_of.__getitem__, kids)), tuple(cycles), tuple(taken))
-        at = keys.get(key)
-        if at is None:
-            at = keys[key] = len(made)
-            made.append(key)
-        class_of[node] = at
-    del keys
-    root = class_of[node]
-    # subtree sizes, bottom up: a class's children are made before it
-    nodes, edges = [], []
-    for _, _, _, kids, cycles, _ in made:
-        nodes.append(1 + sum(map(nodes.__getitem__, kids)))
-        edges.append(len(cycles) + sum(map(edges.__getitem__, kids)))
-    number = [-1] * len(made)  # bottom-up number -> canonical number
-    number[root] = 0
-    order, child = [root], []  # classes in canonical order, and each child reference
-    for at in order:
-        for kid in made[at][3]:
-            if number[kid] < 0:
-                number[kid] = len(order)
-                order.append(kid)
-                child.append(0)
-            else:
-                child.append(number[kid])
-    classes = list(map(made.__getitem__, order))
-    labels = [key[0] for key in islice(classes, 1, None)]
-    cycle_labels = list(chain.from_iterable(key[4] for key in classes))
-    if index is not None:
-        labels, cycle_labels = list(map(index, labels)), list(map(index, cycle_labels))
-    columns = [
-        [len(key[3]) for key in classes],
-        [len(key[4]) for key in classes],
-        labels,
-        [key[1] for key in islice(classes, 1, None)],
-        [key[2] for key in islice(classes, 1, None)],
-        child,
-        cycle_labels,
-        list(chain.from_iterable(key[5] for key in classes)),
-    ]
-    return columns, nodes[root] - 1, edges[root]
+    def __init__(
+        self,
+        label: list[int],
+        freq: list[int],
+        entry: list[int],
+        terminal: list[int],
+        first: list[int],
+        kid: Sequence[int],
+        efirst: list[int],
+        cycle_label: Sequence[int],
+        cycle_count: Sequence[int],
+    ) -> None:
+        self.label, self.freq, self.entry, self.terminal = label, freq, entry, terminal
+        self.first, self.kid, self.efirst, self.cycle_label, self.cycle_count = first, kid, efirst, cycle_label, cycle_count
 
 
 def encode(
@@ -219,8 +164,8 @@ def encode(
     columns: Iterable[Iterable[int]],
 ) -> dict[str, Any]:
     """The one writer of format 5: the document with this header and the
-    eight columns in ``COLUMNS`` order (``minimize``'s), each packed to its
-    own width and compressed as it is taken.  ``classes``, ``class_edges``
+    eight columns in ``COLUMNS`` order (``trie.minimize``'s), each packed to
+    its own width and compressed as it is taken.  ``classes``, ``class_edges``
     and ``class_cycle_edges`` are the lengths of ``child_count``, ``child``
     and ``cycle_label``.  A load checks the table against ``nodes`` and
     ``cycle_edges``, the writer's own counts.  A value past 8 bytes or below

@@ -17,11 +17,11 @@ A DG graph's trie has one node per simple path but is built over DFS
 states: the subtree under a path depends only on the vertices it visits,
 its last vertex and the traces that hold it.  ``_DFSStates`` makes a
 class table, one class per state, in one memoized pass.  ``dg_document``
-hands its classes to ``document.minimize`` and the minimal table to
-``encode``, with no node made between (``provtrie index --mode dg``
-writes that document); ``index_graph`` takes the document module's one
-unfold of the table and adds each node by get-or-create, so it merges
-into any trie.
+hands its classes to ``minimize``, the one minimizer (a bottom-up
+hash-cons), and the minimal table to ``encode``, with no node made
+between (``provtrie index --mode dg`` writes that document);
+``index_graph`` takes the document module's one unfold of the table and
+adds each node by get-or-create, so it merges into any trie.
 
 Per node: ``freq`` counts every traversal arrival (descents plus
 cycle-edge arrivals), ``entry`` the descents, ``terminal`` the insertions
@@ -50,7 +50,7 @@ of a trie refers to the trie, so a dropped trie is freed at once.
 them by ``index``.
 
 The reader side lives in ``document``: the format, the class table's
-minimizer, checker and unfold, ``FrozenTrie`` (the same numbering over a
+checker and unfold, ``FrozenTrie`` (the same numbering over a
 document's unfolded columns, with no dict) and every rule a document must
 pass.  This module imports it and not the other way round, and
 re-exports the reader's names.  ``Trie.to_document`` is
@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from collections.abc import Mapping
 from functools import partial
 from itertools import accumulate, chain, compress, count, islice, repeat
@@ -93,7 +94,6 @@ from .document import (  # the reader's names, re-exported: provtrie.trie.Frozen
     _unfold,
     encode,
     load_frozen,
-    minimize,
 )
 from .graph import ProvGraph
 
@@ -293,9 +293,13 @@ class Trie:
             return
         states = _DFSStates([g])
         table, labels = states.table(), states.labels
-        order, first, efirst, targets = _unfold(table)
+        order, first, efirst, targets = (column.tolist() if type(column) is array else column for column in _unfold(table))
         vertex, arrivals, descents, ends = table.label, table.freq, table.entry, table.terminal
-        outs, takens = _ranges(table.cycle_label, table.efirst), _ranges(table.cycle_count, table.efirst)
+        outs, takens = (
+            (_ranges(table.cycle_label, table.efirst), _ranges(table.cycle_count, table.efirst))
+            if table.cycle_label
+            else ([()] * len(vertex),) * 2
+        )
         children, cycles, ids, freq, entry, terminal = (
             self.children, self.cycles, self.id, self.freq, self.entry, self.terminal
         )
@@ -525,6 +529,71 @@ class Trie:
             for edge, target, source in zip(count(), cycle_to, sources):
                 cycles[source][labels[target]] = edge  # type: ignore[index]
         return trie
+
+
+def minimize(
+    rows: Iterable[tuple[int, Any, int, int, Iterable[int], Iterable[Any], Iterable[int]]],
+    size: int,
+    index: Callable[[Any], int] | None = None,
+) -> tuple[list[list[int]], int, int]:
+    """The one minimizer: a trie's minimal class table, by a bottom-up
+    hash-cons, as the eight columns of ``COLUMNS``.
+
+    ``rows`` are the trie's nodes, children before parents and the root
+    last, each ``(node, label, freq, terminal, children, cycle labels,
+    cycle counts)``: ``node`` below ``size``, its children as nodes, its
+    children and cycle-edges in label order.  A node's class is its label,
+    ``freq``, terminal count, its children's classes and its cycle labels
+    and counts, so nodes with identical subtrees share one.  ``index`` maps
+    a label to its place in the label table (None: labels are those
+    places).  Classes are then numbered breadth-first from the root, each
+    when first referenced, which makes the table canonical.  Returns the
+    columns and the unfolded node and cycle-edge counts."""
+    keys: dict[tuple, int] = {}  # a class's key -> its number in bottom-up order
+    made: list[tuple] = []  # bottom-up number -> key
+    class_of = [0] * size  # each node's class, by its number in bottom-up order
+    node = 0
+    for node, label, freq, terminal, kids, cycles, taken in rows:
+        key = (label, freq, terminal, tuple(map(class_of.__getitem__, kids)), tuple(cycles), tuple(taken))
+        at = keys.get(key)
+        if at is None:
+            at = keys[key] = len(made)
+            made.append(key)
+        class_of[node] = at
+    del keys
+    root = class_of[node]
+    # subtree sizes, bottom up: a class's children are made before it
+    nodes, edges = [], []
+    for _, _, _, kids, cycles, _ in made:
+        nodes.append(1 + sum(map(nodes.__getitem__, kids)))
+        edges.append(len(cycles) + sum(map(edges.__getitem__, kids)))
+    number = [-1] * len(made)  # bottom-up number -> canonical number
+    number[root] = 0
+    order, child = [root], []  # classes in canonical order, and each child reference
+    for at in order:
+        for kid in made[at][3]:
+            if number[kid] < 0:
+                number[kid] = len(order)
+                order.append(kid)
+                child.append(0)
+            else:
+                child.append(number[kid])
+    classes = list(map(made.__getitem__, order))
+    labels = [key[0] for key in islice(classes, 1, None)]
+    cycle_labels = list(chain.from_iterable(key[4] for key in classes))
+    if index is not None:
+        labels, cycle_labels = list(map(index, labels)), list(map(index, cycle_labels))
+    columns = [
+        [len(key[3]) for key in classes],
+        [len(key[4]) for key in classes],
+        labels,
+        [key[1] for key in islice(classes, 1, None)],
+        [key[2] for key in islice(classes, 1, None)],
+        child,
+        cycle_labels,
+        list(chain.from_iterable(key[5] for key in classes)),
+    ]
+    return columns, nodes[root] - 1, edges[root]
 
 
 def _arrivals(above: list[dict[int, int] | None], out: list[int], taken: list[int], kids: list[int]) -> dict[int, int]:
