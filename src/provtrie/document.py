@@ -151,7 +151,8 @@ class Table:
         cycle_count: Sequence[int],
     ) -> None:
         self.label, self.freq, self.entry, self.terminal = label, freq, entry, terminal
-        self.first, self.kid, self.efirst, self.cycle_label, self.cycle_count = first, kid, efirst, cycle_label, cycle_count
+        self.first, self.kid, self.efirst = first, kid, efirst
+        self.cycle_label, self.cycle_count = cycle_label, cycle_count
 
 
 def encode(
@@ -320,13 +321,15 @@ def _check(
         at = _first(map(ge, islice(kid, 1, None), islice(numbered, 1, None)), 1)
         if at is not None:
             up = bisect_right(first, at) - 1
-            raise CorruptDocument(f"child reference {kid[at]} past the {numbered[at]} classes numbered, under class {up}")
+            past = f"past the {numbered[at]} classes numbered, under class {up}"
+            raise CorruptDocument(f"child reference {kid[at]} {past}")
     if numbered[-1] != classes:
         if numbered[-1] > classes:
             raise CorruptDocument(f"child references past the table of {classes} classes")
         raise CorruptDocument(f"class {numbered[-1]} is no class's child")
     # class k is numbered by a reference of a class before it: by one of the first first[k] - 1
-    before = islice(first, 1, classes) if tree else map(numbered.__getitem__, map((-1).__add__, islice(first, 1, classes)))
+    starts = islice(first, 1, classes)
+    before = starts if tree else map(numbered.__getitem__, map((-1).__add__, starts))
     at = _first(map(le, before, count(1)), 1)
     if at is not None:
         raise CorruptDocument(f"parent not before class {at}")
@@ -368,7 +371,8 @@ def _check(
         at = _out_of_order(list(cycle_label), efirst)
         if at is not None:
             up = bisect_right(efirst, at) - 1
-            what = "duplicate cycle-edge" if cycle_label[at] == cycle_label[at - 1] else "cycle-edges out of label order"
+            same = cycle_label[at] == cycle_label[at - 1]
+            what = "duplicate cycle-edge" if same else "cycle-edges out of label order"
             raise CorruptDocument(f"{what} at class {up}: {labels[cycle_label[at]]!r}")
     freq = [sequence_count, *freqs]
     terminal = [0, *terminals]
@@ -409,7 +413,8 @@ def _check(
     outflow = map(add, terminal, descents)  # terminations plus descents
     if cycle_label:
         cycled = list(accumulate(cycle_count, initial=0))
-        outflow = map(add, outflow, map(sub, map(cycled.__getitem__, islice(efirst, 1, None)), map(cycled.__getitem__, efirst)))
+        taken = map(sub, map(cycled.__getitem__, islice(efirst, 1, None)), map(cycled.__getitem__, efirst))
+        outflow = map(add, outflow, taken)
     at = _first(map(ne, freq, outflow))
     if at is not None:
         raise CorruptDocument(f"conservation violated at class {at}")
@@ -496,7 +501,9 @@ def _unfold(table: Table) -> tuple[Sequence[int], array, array, array]:
     return order, nodes, edges, targets
 
 
-def _gathered(order: Sequence[int], values: Sequence[int], first: list[int] | None = None, top: int | None = None) -> array:
+def _gathered(
+    order: Sequence[int], values: Sequence[int], first: list[int] | None = None, top: int | None = None
+) -> array:
     """Each node's value of a per-class column, in node order (``order``
     holds each node's class), as an array of the width that ``top`` (by
     default the classes' largest value) needs: each class's bytes made once
@@ -675,7 +682,8 @@ class FrozenTrie:
         del columns
         if (unfolded, cycle_edges) != (nodes, edges):
             raise CorruptDocument(
-                f"header declares {nodes} nodes and {edges} cycle-edges, the table unfolds to {unfolded} and {cycle_edges}"
+                f"header declares {nodes} nodes and {edges} cycle-edges, "
+                f"the table unfolds to {unfolded} and {cycle_edges}"
             )
         return cls._unfolded(mode, n, labels, table)
 
@@ -688,7 +696,8 @@ class FrozenTrie:
         if type(order) is not range:  # node k is class k in a tree
             ids = list(map(ids.__getitem__, order))
         top = max(table.freq)  # entry and the terminal count never pass freq
-        freq, entry, terminal = (_gathered(order, column, top=top) for column in (table.freq, table.entry, table.terminal))
+        columns = (table.freq, table.entry, table.terminal)
+        freq, entry, terminal = (_gathered(order, column, top=top) for column in columns)
         cycle_count = _gathered(order, table.cycle_count, table.efirst)
         return cls(mode, n, ids, freq, entry, terminal, first, efirst, cycle_to, cycle_count)
 

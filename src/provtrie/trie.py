@@ -282,8 +282,9 @@ class Trie:
         ``_DFSStates`` builds it as a table of classes, one per DFS state;
         ``document._unfold`` unfolds it into nodes, which this adds breadth
         first by get-or-create, so the result equals one ``insert`` per
-        closing insertion, also into a trie that already holds sequences.  Into an empty trie every map fills in
-        label order; a build into a non-empty trie may mark some.
+        closing insertion, also into a trie that already holds sequences.
+        Into an empty trie every map fills in label order; a build into a
+        non-empty trie may mark some.
         """
         if self.mode is TrieMode.DAG:
             items = sequence(g).items
@@ -293,7 +294,8 @@ class Trie:
             return
         states = _DFSStates([g])
         table, labels = states.table(), states.labels
-        order, first, efirst, targets = (column.tolist() if type(column) is array else column for column in _unfold(table))
+        # lists, not arrays: the merge reads each offset and target once per node
+        order, first, efirst, targets = (c.tolist() if type(c) is array else c for c in _unfold(table))
         vertex, arrivals, descents, ends = table.label, table.freq, table.entry, table.terminal
         outs, takens = (
             (_ranges(table.cycle_label, table.efirst), _ranges(table.cycle_count, table.efirst))
@@ -338,7 +340,8 @@ class Trie:
                         terminal[node] += ends[c]
                         where[k] = node
                         edges = cycles[node]
-                        for label, times, target in zip(map(labels.__getitem__, out), taken, targets[efirst[k] : efirst[k + 1]]):
+                        here = targets[efirst[k] : efirst[k + 1]]
+                        for label, times, target in zip(map(labels.__getitem__, out), taken, here):
                             edge = edges.get(label)
                             if edge is None:  # _take_cycle, inlined, for ``times`` traversals
                                 if edges and label < next(reversed(edges)):
@@ -477,7 +480,8 @@ class Trie:
         order = [0]  # nodes breadth-first, children in label order: node k is class k
         level = order
         while level:
-            level = list(chain.from_iterable(map(dict.values, map(kids_of.get, level, map(children.__getitem__, level)))))
+            kids = map(kids_of.get, level, map(children.__getitem__, level))
+            level = list(chain.from_iterable(map(dict.values, kids)))
             order += level
         edges = list(chain.from_iterable(map(dict.values, map(out_of.get, order, map(cycles.__getitem__, order)))))
 
@@ -503,12 +507,12 @@ class Trie:
     def from_document(cls, doc: dict[str, Any]) -> "Trie":
         """Rebuild an insertable trie from a document: ``FrozenTrie.from_document``
         checks and unfolds it, then a thaw builds the dicts.  Node k of the
-        unfolded document is node k of the trie.  The thaw adopts the frozen trie's ``id`` list
-        and per-depth table (summed by that read), turns its numeric arrays
-        into lists (an array as narrow as its largest count could not take
-        the next ``insert``'s), expands the child counts into parents, and
-        fills the child and cycle-edge maps in one pass each; it checks
-        nothing again."""
+        unfolded document is node k of the trie.  The thaw adopts the frozen
+        trie's ``id`` list and per-depth table (summed by that read), turns
+        its numeric arrays into lists (an array as narrow as its largest
+        count could not take the next ``insert``'s), expands the child
+        counts into parents, and fills the child and cycle-edge maps in one
+        pass each; it checks nothing again."""
         frozen = FrozenTrie.from_document(doc)
         trie = cls(frozen.mode, frozen.n)
         first, efirst = frozen.first, frozen.efirst

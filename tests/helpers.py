@@ -898,7 +898,7 @@ def cycle_edges(node: Any) -> tuple[Any, ...]:
 # one-walk checker.  The writer and loader moved to format 3 with their own
 # per-node loops, a queue and a running parent, so that the column
 # loader's expansion of the degree columns has an independent reference;
-# under format 4 they write and read format 3's columns, which
+# under format 5 they write and read format 3's columns, which
 # ``decode_document`` and ``encode_document`` turn into documents.
 # ``tests/test_trie.py`` requires equal decoded columns and equal checker
 # verdicts from both.

@@ -431,7 +431,7 @@ def test_format_4_trie_file_is_an_error_without_a_traceback(argv):
 
 
 def test_k4_document_is_the_committed_golden_file(clique4_file, tmp_path, capsys):
-    # the bytes of a format 4 document, pinned: CI also compares its installed console script's output.
+    # the bytes of a format 5 document, pinned: CI also compares its installed console script's output.
     # The body is zlib's: another zlib build may compress it to other bytes that decode the same
     out = tmp_path / "k4.trie"
     assert main(["index", str(clique4_file), "--mode", "dg", "--out", str(out)]) == 0
