@@ -23,10 +23,9 @@ import gc
 import os
 import sys
 from collections import Counter
-from itertools import islice
 from typing import TYPE_CHECKING
 
-from .document import COLUMNS, HEADER_COUNTS, FrozenTrie, TrieError, TrieMode, _read, load_frozen
+from .document import COLUMNS, HEADER_COUNTS, FrozenTrie, TrieError, TrieMode, _levels, _read, load_frozen
 from .kinds import GraphError, GraphKind
 from .query import (
     PathMatch,
@@ -170,12 +169,19 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     for key in ("format_version", "mode", *HEADER_COUNTS):
         print(f"{key}\t{doc[key]}")
     print("widths\t" + ",".join(f"{name}:{width}" for name, width in zip(COLUMNS, doc["widths"])))
-    levels = [hi - lo for lo, hi in trie.levels()]
+    first = trie.table.first  # class k has first[k + 1] - first[k] children
+    fanouts = Counter({first[1] - first[0]: 1})  # the root's
+    levels = []  # nodes per depth: each class counted at each of its places
+    for classes, places in _levels(trie.table):
+        nodes = 0
+        for k, times in zip(classes, places):
+            fanouts[first[k + 1] - first[k]] += times
+            nodes += times
+        levels.append(nodes)
     print(f"max_depth\t{len(levels)}")
     for depth, nodes in enumerate(levels, 1):
         print(f"depth\t{depth}\t{nodes}")
-    first = trie.first  # node k has first[k + 1] - first[k] children
-    for fanout, nodes in sorted(Counter(hi - lo for lo, hi in zip(first, islice(first, 1, None))).items()):
+    for fanout, nodes in sorted(fanouts.items()):
         print(f"fanout\t{fanout}\t{nodes}")
     print(f"labels\t{len(doc['labels'])}")
     print(f"document_bytes\t{size}")

@@ -37,22 +37,18 @@ though, a small table may unfold into a large trie.
 
 ``_check`` is the class checker: every rule a table must pass, over the
 classes and never over the nodes, with ``entry`` derived from each
-subtree's arrivals per label.  ``_unfold`` is the one unfold of a table
-into the trie's nodes, breadth-first; ``FrozenTrie.from_document`` and
-``trie.Trie.index_graph`` both consume it.  ``encode`` is the one
-encoder; the one minimizer that makes the tables it encodes,
-``trie.minimize``, lives with the writers, so that a read command, which
-compiles this module, never compiles it.
-``FrozenTrie`` is the reader: the unfolded columns and the prefix sums of
-its degree columns, with no dict (a static beside a dynamic tree, as in
-Navarro & Sadakane, ACM TALG 2014); its numeric columns stay fixed-width
-``array``s, each of a width ``_width`` picks as it does for a document's
-columns, so no int object per value outlives the load.  Its
-``children[k]`` and ``cycles[k]`` are label -> index views over node k's
-ranges, which the queries read as they read the builder's dicts.  A
-frozen trie sums its per-depth table, derived data, on the first read of
-``depth_stats``, which ``query`` and ``suggest`` never make.  This module
-never imports the builder.
+subtree's arrivals per label; ``_checked`` runs it, after the header and
+body checks, for both loaders.  ``encode`` is the one encoder; the one
+minimizer that makes the tables it encodes, ``trie.minimize``, and the
+one unfold of a table into every node, ``trie._unfold``, live with the
+builder, so that a read command, which compiles this module, never
+compiles them.  ``FrozenTrie`` is the reader: the checked table and the
+nodes a query has reached, each node's child and cycle-edge maps made
+from its class on first read, as an automaton is read by following the
+transitions a query takes.  ``_levels`` is the one pass over the classes
+per depth, each weighted by the places it occurs there, which sums the
+per-depth table of either trie and ``provtrie inspect``'s histograms
+with no node made.  This module never imports the builder.
 """
 from __future__ import annotations
 
@@ -64,11 +60,11 @@ import struct
 import sys
 import zlib
 from array import array
-from bisect import bisect_left, bisect_right
-from functools import cached_property, partial
+from bisect import bisect_right
+from functools import cached_property
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
-from operator import add, ge, itemgetter, le, mul, ne, not_, sub
-from typing import IO, Any, Callable, Iterable, Iterator, Sequence
+from operator import add, ge, le, mul, ne, not_, sub
+from typing import IO, Any, Iterable, Iterator, Sequence
 
 from .kinds import GraphKind
 
@@ -95,19 +91,16 @@ class CorruptDocument(TrieError):
 TrieMode = GraphKind  # a trie's mode is the kind of graph it indexes: one enum, two names
 
 
-def _width(top: int) -> int:
-    """The narrowest unsigned width, 1, 2, 4 or 8 bytes, that holds ``top``
-    (8 past that): the one width rule, for the columns of a document and for
-    those of a ``FrozenTrie``."""
-    return next((width for width in WIDTHS if top >> 8 * width == 0), 8)
-
-
-def _array(width: int, values: list[int]) -> array:
-    """``values`` as an array of unsigned ints ``width`` bytes wide; a value
-    that does not fit raises ``OverflowError``.  ``array`` converts each
-    item of a 1- or 2-byte array through a format parser, about 3× as
-    slowly as one of a wider array; ``bytes`` and ``struct.pack`` convert
-    those widths in one C pass."""
+def _packed(values: Iterable[int]) -> array:
+    """``values`` as an array of unsigned ints of the narrowest width, 1, 2,
+    4 or 8 bytes, that holds their maximum: the one width rule, for the
+    columns of a document.  A value past 8 bytes or below 0 raises
+    ``OverflowError``.  ``array`` converts each item of a 1- or 2-byte array
+    through a format parser, about 3× as slowly as one of a wider array;
+    ``bytes`` and ``struct.pack`` convert those widths in one C pass."""
+    values = list(values)  # references to ints the caller holds: no new int objects
+    top = max(values, default=0)
+    width = next((width for width in WIDTHS if top >> 8 * width == 0), 8)
     try:
         if width == 1:
             return array("B", bytes(values))
@@ -116,13 +109,6 @@ def _array(width: int, values: list[int]) -> array:
     except (ValueError, struct.error) as exc:  # below 0 or past the width
         raise OverflowError(exc) from None
     return array(_TYPECODE[width], values)
-
-
-def _packed(values: Iterable[int]) -> array:
-    """``values`` as an array of the width that holds their maximum.  A value
-    past 8 bytes or below 0 raises ``OverflowError``."""
-    values = list(values)  # references to ints the caller holds: no new int objects
-    return _array(_width(max(values, default=0)), values)
 
 
 class Table:
@@ -232,12 +218,6 @@ def _read_columns(text: Any, widths: list[int], lengths: list[int]) -> list[arra
 def _first(flags: Iterable[Any], start: int = 0) -> int | None:
     """Position of the first true flag, counting from ``start``; None if there is none."""
     return next(compress(count(start), flags), None)
-
-
-def _parents(child_count: Iterable[int]) -> list[int]:
-    """Each node's parent (the root's: -1) from the child counts of nodes
-    numbered level by level: node k's children are the next child_count[k]."""
-    return [-1, *chain.from_iterable(map(repeat, count(), child_count))]
 
 
 def _ranges(values: Sequence[int], first: list[int]) -> list[Sequence[int]]:
@@ -438,268 +418,196 @@ def _check(
     return Table(label, freq, entry, terminal, first, kid, efirst, cycle_label, cycle_count), nodes, edges
 
 
-def _unfold(table: Table) -> tuple[Sequence[int], array, array, array]:
-    """The one unfold of a class table into its trie, nodes numbered
-    breadth-first, children in label order, the root 0: each node's class,
-    the offsets of each node's children (node k's are the nodes
-    ``first[k]:first[k + 1]``) and cycle-edges, and each cycle-edge's target
-    node, by source and then label, the last three as arrays.
+def _checked(doc: Any) -> tuple[TrieMode, int, list[str], Table]:
+    """Decode a format 5 document and check its class table: the mode, the
+    window length, the label table and the checked table, or
+    ``CorruptDocument`` for a malformed document (another format, format 4
+    included, ``FormatVersionMismatch``).  Both loaders, ``FrozenTrie`` and
+    ``Trie.from_document``, run it before they make any node.
 
-    The classes of a depth's nodes are their parents' children, in order, so
-    the node order and both offset columns come level by level with no
-    per-node step.  The targets come from one depth-first walk over the
-    nodes with one map, label -> the last node entered that carries it: in
-    DG mode a label is on a root path at most once, so the node a cycle-edge
-    returns to is the one its label maps to when the edge's source is
-    entered; a node is entered in the map only when a cycle-edge of its
-    subtree returns to it.  Each node's targets are packed into their array
-    as they are found, so no int object per cycle-edge is made.  A tree is
-    its own unfold, node k class k."""
-    label, first, kid, efirst = table.label, table.first, table.kid, table.efirst
-    classes = len(label)
-    if type(kid) is range:  # a tree: node k is class k
-        order: Sequence[int] = range(classes)
-        nodes = _array(_width(first[-1]), first)
-        edges = _array(_width(efirst[-1]), efirst)
-    else:
-        degree = list(map(sub, islice(first, 1, None), first))
-        kids = _ranges(kid, first)
-        order, level = [0], list(kids[0])
-        while level:
-            order += level
-            level = list(chain.from_iterable(map(kids.__getitem__, level)))
-        nodes = _packed(accumulate(map(degree.__getitem__, order), initial=1))
-        out = list(map(sub, islice(efirst, 1, None), efirst))
-        edges = _packed(accumulate(map(out.__getitem__, order), initial=0))
-    width = _width(len(order) - 1)  # a target is a node's number
-    targets = array(_TYPECODE[width], bytes(width * edges[-1]))
-    if not targets:
-        return order, nodes, edges, targets
-    degree = list(map(sub, islice(first, 1, None), first))
-    here = list(map(ne, table.freq, table.entry))  # per class: a cycle-edge of its subtree returns to it
-    cycles = _ranges(table.cycle_label, efirst)
-    # per class: its cycle-edges' targets read off the map (a tuple, or for one edge its label), and their packer
-    many = [itemgetter(*labels) if len(labels) > 1 else None for labels in cycles]
-    one = [labels[0] if len(labels) == 1 else None for labels in cycles]
-    pack = [struct.Struct(f"={len(labels)}{targets.typecode}").pack_into if labels else None for labels in cycles]
-    at: dict[int, int] = {}
-    walk = [iter(range(nodes[0], nodes[1]))]  # per depth on the walk, the rest of its siblings
-    while walk:
-        for node in walk[-1]:
-            c = order[node]
-            if here[c]:
-                at[label[c]] = node
-            if many[c] is not None:
-                pack[c](targets, width * edges[node], *many[c](at))
-            elif one[c] is not None:
-                targets[edges[node]] = at[one[c]]
-            if degree[c]:
-                walk.append(iter(range(nodes[node], nodes[node + 1])))
-                break
-        else:
-            walk.pop()
-    return order, nodes, edges, targets
+    The header first: its counts exact ints >= 0, ``n`` 0 in DG mode,
+    ``labels`` an array, ``widths`` eight of 1, 2, 4 or 8.  Then the body:
+    base64, one zlib stream inflating to exactly the size the widths and
+    counts declare, and nothing after it.  The class checker (``_check``)
+    runs on the decoded arrays; an unsigned column holds no bool, float or
+    negative number, so no check looks for one.  Last, the header's
+    ``nodes`` and ``cycle_edges`` must be the sizes the table unfolds to.
+    """
+    try:
+        version = doc["format_version"]
+    except (TypeError, KeyError):
+        raise CorruptDocument("missing format_version header") from None
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatVersionMismatch(f"format_version {version!r}, supported: {FORMAT_VERSION}")
+    try:
+        mode = TrieMode(doc["mode"])
+        header = n, sequence_count, nodes, edges, classes, class_edges, class_cycles = [
+            doc[key] for key in HEADER_COUNTS
+        ]
+        labels, widths, text = doc["labels"], doc["widths"], doc["columns"]
+    except (KeyError, ValueError, TypeError) as exc:
+        raise CorruptDocument(f"malformed header: {exc}") from None
+    if any(type(value) is not int or value < 0 for value in header):
+        raise CorruptDocument("header counts must be non-negative integers")
+    if n and mode is TrieMode.DG:
+        raise CorruptDocument(f"a DG trie has window length 0, got n {n}")
+    if type(labels) is not list:
+        raise CorruptDocument("labels must be an array")
+    malformed = type(widths) is not list or len(widths) != len(COLUMNS)
+    if malformed or any(type(width) is not int or width not in WIDTHS for width in widths):
+        raise CorruptDocument(f"widths must be {len(COLUMNS)} column widths of 1, 2, 4 or 8 bytes")
+    lengths = [classes, classes, classes - 1, classes - 1, classes - 1, class_edges, class_cycles, class_cycles]
+    columns = _read_columns(text, widths, [max(length, 0) for length in lengths])
+    table, unfolded, cycle_edges = _check(mode, sequence_count, labels, *columns)
+    if (unfolded, cycle_edges) != (nodes, edges):
+        raise CorruptDocument(
+            f"header declares {nodes} nodes and {edges} cycle-edges, "
+            f"the table unfolds to {unfolded} and {cycle_edges}"
+        )
+    return mode, n, labels, table
 
 
-def _gathered(
-    order: Sequence[int], values: Sequence[int], first: list[int] | None = None, top: int | None = None
-) -> array:
-    """Each node's value of a per-class column, in node order (``order``
-    holds each node's class), as an array of the width that ``top`` (by
-    default the classes' largest value) needs: each class's bytes made once
-    and joined per node.  With ``first``, class k holds the values
-    ``values[first[k]:first[k + 1]]`` and a node takes all of them.  A
-    tree's nodes are its classes."""
-    column = array(_TYPECODE[_width(max(values, default=0) if top is None else top)])
-    if type(order) is range:  # node k is class k
-        return _array(column.itemsize, values if type(values) is list else list(values))
-    if first is None:
-        blobs = list(map(partial(int.to_bytes, length=column.itemsize, byteorder=sys.byteorder), values))
-    else:
-        blobs = [array(column.typecode, each).tobytes() for each in _ranges(values, first)]
-    column.frombytes(b"".join(map(blobs.__getitem__, order)))
-    return column
+def _names(labels: list[str], table: Table) -> list[Any]:
+    """Each class's identifier, one shared string per label (the root's None)."""
+    return [None, *map(labels.__getitem__, islice(table.label, 1, None))]
 
 
-class _Children:
-    """Label -> child of one node of a ``FrozenTrie``: the children are the
-    nodes ``lo:hi``, their labels ``id[lo:hi]`` strictly increasing.  Reads
-    as the dict trie's child map does for a query: ``get``, ``items``,
-    ``values`` and truthiness."""
-
-    __slots__ = ("_id", "_lo", "_hi")
-
-    def __init__(self, ids: list[Any], lo: int, hi: int) -> None:
-        self._id, self._lo, self._hi = ids, lo, hi
-
-    def __bool__(self) -> bool:
-        return self._lo < self._hi
-
-    def values(self) -> range:
-        return range(self._lo, self._hi)
-
-    def items(self) -> Iterator[tuple[str, int]]:
-        return zip(self._id[self._lo : self._hi], range(self._lo, self._hi))
-
-    def get(self, label: str, default: Any = None) -> Any:
-        ids, hi = self._id, self._hi
-        at = bisect_left(ids, label, self._lo, hi)
-        return at if at < hi and ids[at] == label else default
+def _levels(table: Table) -> Iterator[tuple[Iterable[int], Iterable[int]]]:
+    """Per depth, from 1 down, the classes that occur there and the number
+    of places each occurs there: one pass over the classes, with no node
+    made.  A tree's depth d + 1 is the classes ``first[lo]:first[hi]`` if
+    depth d is ``lo:hi``, each at one place."""
+    first, kid = table.first, table.kid
+    if type(kid) is range:
+        lo, hi = 1, first[1]
+        while lo < hi:
+            yield range(lo, hi), repeat(1, hi - lo)
+            lo, hi = hi, first[hi]
+        return
+    level = {0: 1}
+    while True:
+        deeper: dict[int, int] = {}
+        for up, times in level.items():
+            for k in kid[first[up] : first[up + 1]]:
+                deeper[k] = deeper.get(k, 0) + times
+        if not deeper:
+            return
+        yield deeper.keys(), deeper.values()
+        level = deeper
 
 
-class _CycleEdges(_Children):
-    """Label -> cycle-edge of one node of a ``FrozenTrie``: the edges ``lo:hi``,
-    edge e labelled ``id[cycle_to[e]]``, labels strictly increasing."""
-
-    __slots__ = ("_to",)
-
-    def __init__(self, ids: list[Any], to: array, lo: int, hi: int) -> None:
-        self._id, self._to, self._lo, self._hi = ids, to, lo, hi
-
-    def items(self) -> Iterator[tuple[str, int]]:
-        return zip(map(self._id.__getitem__, self._to[self._lo : self._hi]), range(self._lo, self._hi))
-
-    def get(self, label: str, default: Any = None) -> Any:
-        ids, to, hi = self._id, self._to, self._hi
-        at = bisect_left(to, label, self._lo, hi, key=ids.__getitem__)
-        return at if at < hi and ids[to[at]] == label else default
+def _per_depth(table: Table, names: list[Any]) -> dict[int, dict[str, int]]:
+    """Depth -> identifier -> cumulative ``freq``: each class's ``freq``
+    times the places it occurs at each depth, ``names`` its identifiers."""
+    freq = table.freq
+    depth_stats: dict[int, dict[str, int]] = {}
+    for depth, (classes, places) in enumerate(_levels(table), 1):
+        level = depth_stats[depth] = {}
+        classes = list(classes)
+        for rid, arrivals in zip(map(names.__getitem__, classes), map(mul, places, map(freq.__getitem__, classes))):
+            level[rid] = level.get(rid, 0) + arrivals
+    return depth_stats
 
 
-class _Ranges:
-    """``ranges[k]``: ``view(first[k], first[k + 1])``, node k's range of a column."""
+class _ChildMaps(dict):
+    """Node -> its child map, label -> child, made on the first read of the
+    node: its children take the next node numbers, and each appends its
+    class's identifier, statistics, class and parent to the node columns."""
 
-    __slots__ = ("_view", "_first")
+    __slots__ = ("table", "names", "id", "freq", "entry", "terminal", "cls", "parent")
 
-    def __init__(self, view: Callable[[int, int], _Children], first: array) -> None:
-        self._view, self._first = view, first
+    def __missing__(self, node: int) -> dict[str, int]:
+        table, cls = self.table, self.cls
+        c = cls[node]
+        kids = table.kid[table.first[c] : table.first[c + 1]]
+        at = len(cls)
+        names = list(map(self.names.__getitem__, kids))
+        self.id += names
+        self.freq += map(table.freq.__getitem__, kids)
+        self.entry += map(table.entry.__getitem__, kids)
+        self.terminal += map(table.terminal.__getitem__, kids)
+        self.parent += repeat(node, len(kids))
+        cls += kids
+        made = self[node] = dict(zip(names, range(at, at + len(kids))))
+        return made
 
-    def __getitem__(self, node: int) -> _Children:
-        return self._view(self._first[node], self._first[node + 1])
+
+class _CycleMaps(dict):
+    """Node -> its cycle-edge map, label -> edge, made on the first read of
+    the node: its edges take the next edge numbers, each with its count and
+    its target, the ancestor-or-self that carries its label, found by a walk
+    up the parents (in DG mode a label is on a root path at most once)."""
+
+    __slots__ = ("table", "labels", "cls", "parent", "cycle_to", "cycle_count")
+
+    def __missing__(self, node: int) -> dict[str, int]:
+        table, cls, parent = self.table, self.cls, self.parent
+        c = cls[node]
+        lo, hi = table.efirst[c], table.efirst[c + 1]
+        if lo == hi:
+            made = self[node] = {}
+            return made
+        label, wanted = table.label, table.cycle_label[lo:hi]
+        on_path: dict[int, int] = {}  # each wanted label -> its node on the root path
+        need, up = hi - lo, node
+        while need and up:  # the checker puts every cycle label on every root path of its class
+            rid = label[cls[up]]
+            if rid in wanted:
+                on_path[rid] = up
+                need -= 1
+            up = parent[up]
+        at = len(self.cycle_to)
+        self.cycle_to += map(on_path.__getitem__, wanted)
+        self.cycle_count += table.cycle_count[lo:hi]
+        made = self[node] = dict(zip(map(self.labels.__getitem__, wanted), range(at, at + hi - lo)))
+        return made
 
 
 class FrozenTrie:
-    """Read-only trie over the unfolded columns of a checked format 5
-    document; build one with ``from_document`` or ``load_frozen``.
+    """Read-only trie over the checked class table of a format 5 document;
+    build one with ``from_document`` or ``load_frozen``.
 
-    Nodes are numbered breadth-first, children in label order, the root 0,
-    as the unfold numbers them; ``id`` (root: None, every
-    other node one of the label table's strings), ``freq``, ``entry`` and
-    ``terminal`` hold one entry per node.  ``id`` is a list, so that
-    ``bisect`` compares strings; every other column is an unsigned
-    ``array``, read by index like a list.  Node k's children are the nodes
-    ``first[k]:first[k + 1]`` and its cycle-edges the edges
-    ``efirst[k]:efirst[k + 1]``: prefix sums of the degree columns, LOUDS
-    offsets (Jacobson 1989).  ``children[k]`` and ``cycles[k]`` are label
-    -> index views over those ranges, a labelled step a ``bisect``, so the
-    queries in ``query`` run on it as on a ``Trie``.
+    A load makes the root alone.  ``children[k]`` and ``cycles[k]`` are
+    node k's label -> index maps, plain dicts, each made from node k's
+    class on its first read (``__missing__``) and a dict hit after that,
+    so the queries in ``query`` run on it as on a ``Trie``.  Nodes are
+    numbered in the order the maps reach them, the root 0: a node's
+    children take the next numbers, in label order.  Reading
+    ``children[k]`` for k = 0, 1, 2, ... in turn numbers them breadth-first
+    as a ``Trie`` loaded from the same document does.  ``id`` (root: None),
+    ``freq``, ``entry`` and ``terminal`` hold one entry per node made, and
+    ``cycle_to`` and ``cycle_count`` one per cycle-edge made.
+    ``depth_stats`` is summed over the classes on its first read, which
+    ``query`` and ``suggest`` never make, and makes no node.  A read can
+    make nodes, so one thread at a time reads a frozen trie.
     """
 
-    def __init__(
-        self,
-        mode: TrieMode,
-        n: int,
-        id: list[Any],
-        freq: array,
-        entry: array,
-        terminal: array,
-        first: array,
-        efirst: array,
-        cycle_to: array,
-        cycle_count: array,
-    ) -> None:
-        self.mode, self.n = mode, n
-        self.id, self.freq, self.entry, self.terminal = id, freq, entry, terminal
-        self.first, self.efirst, self.cycle_to, self.cycle_count = first, efirst, cycle_to, cycle_count
-        self.children = _Ranges(partial(_Children, id), first)
-        self.cycles = _Ranges(partial(_CycleEdges, id, cycle_to), efirst)
-
-    def levels(self) -> Iterator[tuple[int, int]]:
-        """The nodes of each depth, from depth 1 down, as ranges ``lo, hi``:
-        if depth d is the nodes ``lo:hi``, depth d + 1 is ``first[lo]:first[hi]``."""
-        first = self.first
-        lo, hi = 1, first[1]
-        while lo < hi:
-            yield lo, hi
-            lo, hi = hi, first[hi]
+    def __init__(self, mode: TrieMode, n: int, labels: list[str], table: Table) -> None:
+        self.mode, self.n, self.table = mode, n, table
+        self.id: list[Any] = [None]
+        self.freq, self.entry, self.terminal = [table.freq[0]], [0], [0]
+        self.cycle_to: list[int] = []
+        self.cycle_count: list[int] = []
+        cls, parent = [0], [-1]  # per node: its class, its parent
+        self.children = children = _ChildMaps()
+        children.table, children.names, children.cls, children.parent = table, _names(labels, table), cls, parent
+        children.id, children.freq, children.entry, children.terminal = self.id, self.freq, self.entry, self.terminal
+        self.cycles = cycles = _CycleMaps()
+        cycles.table, cycles.labels, cycles.cls, cycles.parent = table, labels, cls, parent
+        cycles.cycle_to, cycles.cycle_count = self.cycle_to, self.cycle_count
 
     @cached_property
     def depth_stats(self) -> dict[int, dict[str, int]]:
-        """Depth -> identifier -> cumulative ``freq``, summed level by level
-        on first access (the queries that list or count paths never read
-        it)."""
-        labels, freq = self.id, self.freq
-        depth_stats: dict[int, dict[str, int]] = {}
-        for depth, (lo, hi) in enumerate(self.levels(), 1):
-            level = depth_stats[depth] = {}
-            for rid, arrivals in zip(labels[lo:hi], freq[lo:hi]):
-                level[rid] = level.get(rid, 0) + arrivals
-        return depth_stats
+        """Depth -> identifier -> cumulative ``freq``, summed over the
+        classes on first access."""
+        return _per_depth(self.table, self.children.names)
 
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "FrozenTrie":
-        """Decode a format 5 document, check its class table and unfold it:
-        a malformed one raises ``CorruptDocument`` (another format, format 4
-        included, ``FormatVersionMismatch``), and one that loads thaws into a
-        trie that ``Trie.check_invariants`` passes.
-
-        The header first: its counts exact ints >= 0, ``n`` 0 in DG mode,
-        ``labels`` an array, ``widths`` eight of 1, 2, 4 or 8.  Then the
-        body: base64, one zlib stream inflating to exactly the size the
-        widths and counts declare, and nothing after it.  The class checker
-        (``_check``) runs on the decoded arrays; an unsigned column holds no
-        bool, float or negative number, so no check looks for one.  The
-        header's ``nodes`` and ``cycle_edges`` must be the sizes the table
-        unfolds to, checked before anything of a node's length is made; then
-        the one unfold gives the node columns.
-        """
-        try:
-            version = doc["format_version"]
-        except (TypeError, KeyError):
-            raise CorruptDocument("missing format_version header") from None
-        if type(version) is not int or version != FORMAT_VERSION:
-            raise FormatVersionMismatch(f"format_version {version!r}, supported: {FORMAT_VERSION}")
-        try:
-            mode = TrieMode(doc["mode"])
-            header = n, sequence_count, nodes, edges, classes, class_edges, class_cycles = [
-                doc[key] for key in HEADER_COUNTS
-            ]
-            labels, widths, text = doc["labels"], doc["widths"], doc["columns"]
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CorruptDocument(f"malformed header: {exc}") from None
-        if any(type(value) is not int or value < 0 for value in header):
-            raise CorruptDocument("header counts must be non-negative integers")
-        if n and mode is TrieMode.DG:
-            raise CorruptDocument(f"a DG trie has window length 0, got n {n}")
-        if type(labels) is not list:
-            raise CorruptDocument("labels must be an array")
-        malformed = type(widths) is not list or len(widths) != len(COLUMNS)
-        if malformed or any(type(width) is not int or width not in WIDTHS for width in widths):
-            raise CorruptDocument(f"widths must be {len(COLUMNS)} column widths of 1, 2, 4 or 8 bytes")
-        lengths = [classes, classes, classes - 1, classes - 1, classes - 1, class_edges, class_cycles, class_cycles]
-        columns = _read_columns(text, widths, [max(length, 0) for length in lengths])
-        del doc, text  # a caller that hands the document over (load_frozen does) gets its text freed
-        table, unfolded, cycle_edges = _check(mode, sequence_count, labels, *columns)
-        del columns
-        if (unfolded, cycle_edges) != (nodes, edges):
-            raise CorruptDocument(
-                f"header declares {nodes} nodes and {edges} cycle-edges, "
-                f"the table unfolds to {unfolded} and {cycle_edges}"
-            )
-        return cls._unfolded(mode, n, labels, table)
-
-    @classmethod
-    def _unfolded(cls, mode: TrieMode, n: int, labels: list[str], table: Table) -> "FrozenTrie":
-        """The frozen trie of a checked table: ``_unfold`` gives each node's
-        class, and every node column is its class's value, in node order."""
-        order, first, efirst, cycle_to = _unfold(table)
-        ids = [None, *map(labels.__getitem__, islice(table.label, 1, None))]  # one shared string per label
-        if type(order) is not range:  # node k is class k in a tree
-            ids = list(map(ids.__getitem__, order))
-        top = max(table.freq)  # entry and the terminal count never pass freq
-        columns = (table.freq, table.entry, table.terminal)
-        freq, entry, terminal = (_gathered(order, column, top=top) for column in columns)
-        cycle_count = _gathered(order, table.cycle_count, table.efirst)
-        return cls(mode, n, ids, freq, entry, terminal, first, efirst, cycle_to, cycle_count)
+        """Decode and check a format 5 document (``_checked``): a malformed
+        one raises ``CorruptDocument``, and one that loads thaws into a trie
+        that ``Trie.check_invariants`` passes."""
+        return cls(*_checked(doc))
 
 
 def _read(source: str | os.PathLike[str] | IO[str]) -> dict[str, Any]:

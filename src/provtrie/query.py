@@ -33,8 +33,8 @@ or run length.
 
 Every query runs on a ``Trie`` or a ``FrozenTrie``, unchanged: it reads
 ``children[node]`` and ``cycles[node]`` only as label -> index mappings,
-through ``get``, ``items``, ``values`` and truthiness, which the dict
-trie's maps and the frozen trie's range views both answer.
+through ``get``, ``items``, ``values`` and truthiness: dicts on both,
+the frozen trie's each made on its node's first read.
 """
 from __future__ import annotations
 

@@ -20,8 +20,8 @@ class table, one class per state, in one memoized pass.  ``dg_document``
 hands its classes to ``minimize``, the one minimizer (a bottom-up
 hash-cons), and the minimal table to ``encode``, with no node made
 between (``provtrie index --mode dg`` writes that document);
-``index_graph`` takes the document module's one unfold of the table and
-adds each node by get-or-create, so it merges into any trie.
+``index_graph`` takes the one unfold of the table, ``_unfold``, and adds
+each node by get-or-create, so it merges into any trie.
 
 Per node: ``freq`` counts every traversal arrival (descents plus
 cycle-edge arrivals), ``entry`` the descents, ``terminal`` the insertions
@@ -50,17 +50,18 @@ of a trie refers to the trie, so a dropped trie is freed at once.
 them by ``index``.
 
 The reader side lives in ``document``: the format, the class table's
-checker and unfold, ``FrozenTrie`` (the same numbering over a
-document's unfolded columns, with no dict) and every rule a document must
-pass.  This module imports it and not the other way round, and
-re-exports the reader's names.  ``Trie.to_document`` is
-``document.encode``, the one encoder, over the builder's class table (a
-DG trie's minimized, a DAG trie's one class per node), and
-``write_document`` the one file writer, atomic for a path, that ``save``
-calls; ``Trie.from_document`` is ``FrozenTrie.from_document`` plus a thaw
-into lists and dicts; ``Trie.check_invariants`` checks the builder's
-wiring and runs the class checker on its own table, packed into arrays as
-a load packs them, with no encoding between.
+checker, ``FrozenTrie`` (a read-only trie that makes only the nodes its
+queries reach) and every rule a document must pass.  This module imports
+it and not the other way round, and re-exports the reader's names.
+``Trie.to_document`` is ``document.encode``, the one encoder, over the
+builder's class table (a DG trie's minimized, a DAG trie's one class per
+node), and ``write_document`` the one file writer, atomic for a path,
+that ``save`` calls; ``Trie.from_document`` runs the reader's checks,
+then ``_unfold``, the one unfold of a table into every node, which no
+read command runs, and a thaw into lists and dicts;
+``Trie.check_invariants`` checks the builder's wiring and runs the class
+checker on its own table, packed into arrays as a load packs them, with
+no encoding between.
 
 Concurrency: single writer, many readers.  Insertion needs exclusive
 access; a trie that is not being mutated can be queried from any number
@@ -70,7 +71,6 @@ from __future__ import annotations
 
 import json
 import os
-from array import array
 from collections.abc import Mapping
 from functools import partial
 from itertools import accumulate, chain, compress, count, islice, repeat
@@ -86,12 +86,13 @@ from .document import (  # the reader's names, re-exported: provtrie.trie.Frozen
     Table,
     TrieMode,
     _check,
+    _checked,
     _first,
+    _names,
     _packed,
-    _parents,
+    _per_depth,
     _ranges,
     _read,
-    _unfold,
     encode,
     load_frozen,
 )
@@ -280,7 +281,7 @@ class Trie:
         walks through bounded structure.
 
         ``_DFSStates`` builds it as a table of classes, one per DFS state;
-        ``document._unfold`` unfolds it into nodes, which this adds breadth
+        ``_unfold`` unfolds it into nodes, which this adds breadth
         first by get-or-create, so the result equals one ``insert`` per
         closing insertion, also into a trie that already holds sequences.
         Into an empty trie every map fills in label order; a build into a
@@ -294,8 +295,7 @@ class Trie:
             return
         states = _DFSStates([g])
         table, labels = states.table(), states.labels
-        # lists, not arrays: the merge reads each offset and target once per node
-        order, first, efirst, targets = (c.tolist() if type(c) is array else c for c in _unfold(table))
+        order, first, efirst, targets = _unfold(table)
         vertex, arrivals, descents, ends = table.label, table.freq, table.entry, table.terminal
         outs, takens = (
             (_ranges(table.cycle_label, table.efirst), _ranges(table.cycle_count, table.efirst))
@@ -431,21 +431,7 @@ class Trie:
                     break
             else:
                 walk.pop()
-        recount: dict[int, dict[str, int]] = {}
-        level = {0: 1}  # the classes of a depth, each with the places it occurs there
-        for depth in count(1):
-            deeper: dict[int, int] = {}
-            for up, times in level.items():
-                for kid in table.kid[table.first[up] : table.first[up + 1]]:
-                    deeper[kid] = deeper.get(kid, 0) + times
-            if not deeper:
-                break
-            stats = recount[depth] = {}
-            for kid, times in deeper.items():
-                rid = labels[table.label[kid]]
-                stats[rid] = stats.get(rid, 0) + times * table.freq[kid]
-            level = deeper
-        if {d: t for d, t in self.depth_stats.items() if t} != recount:
+        if {d: t for d, t in self.depth_stats.items() if t} != _per_depth(table, _names(labels, table)):
             raise CorruptDocument("per-depth statistics do not match a recount")
 
     # ---- persistence ---------------------------------------------------------------
@@ -505,23 +491,30 @@ class Trie:
 
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "Trie":
-        """Rebuild an insertable trie from a document: ``FrozenTrie.from_document``
-        checks and unfolds it, then a thaw builds the dicts.  Node k of the
-        unfolded document is node k of the trie.  The thaw adopts the frozen
-        trie's ``id`` list and per-depth table (summed by that read), turns
-        its numeric arrays into lists (an array as narrow as its largest
-        count could not take the next ``insert``'s), expands the child
-        counts into parents, and fills the child and cycle-edge maps in one
-        pass each; it checks nothing again."""
-        frozen = FrozenTrie.from_document(doc)
-        trie = cls(frozen.mode, frozen.n)
-        first, efirst = frozen.first, frozen.efirst
+        """Rebuild an insertable trie from a document: ``document._checked``
+        decodes and checks it, as ``FrozenTrie.from_document`` does, and
+        ``_unfold`` makes every node, numbered breadth-first.  The thaw takes
+        each node's values from its class into lists, expands the child
+        counts into parents, fills the child and cycle-edge maps in one pass
+        each and sums the per-depth table over the classes; it checks
+        nothing again."""
+        mode, n, labels, table = _checked(doc)
+        trie = cls(mode, n)
+        order, first, efirst, cycle_to = _unfold(table)
+        names = _names(labels, table)
+        if type(order) is range:  # a tree: node k is class k, and the table's lists are the node columns
+            trie.id, trie.freq, trie.entry, trie.terminal = names, table.freq, table.entry, table.terminal
+            trie.cycle_count = list(table.cycle_count)
+        else:
+            trie.id, trie.freq, trie.entry, trie.terminal = (
+                list(map(column.__getitem__, order)) for column in (names, table.freq, table.entry, table.terminal)
+            )
+            counts = _ranges(table.cycle_count, table.efirst)
+            trie.cycle_count = list(chain.from_iterable(map(counts.__getitem__, order)))
+        trie.cycle_to = cycle_to
+        trie.depth_stats = _per_depth(table, names)
         parent = _parents(map(sub, islice(first, 1, None), first))
-        trie.id = labels = frozen.id
-        trie.freq, trie.entry, trie.terminal = frozen.freq.tolist(), frozen.entry.tolist(), frozen.terminal.tolist()
-        trie.cycle_to = cycle_to = frozen.cycle_to.tolist()
-        trie.cycle_count = frozen.cycle_count.tolist()
-        trie.depth_stats = frozen.depth_stats
+        labels = trie.id
         trie.children = children = [{} for _ in parent]
         for node, up, rid in islice(zip(count(), parent, labels), 1, None):
             children[up][rid] = node  # type: ignore[index]
@@ -609,6 +602,72 @@ def _arrivals(above: list[dict[int, int] | None], out: list[int], taken: list[in
             for u, n in below.items():
                 arrivals[u] = arrivals.get(u, 0) + n
     return arrivals
+
+
+def _parents(child_count: Iterable[int]) -> list[int]:
+    """Each node's parent (the root's: -1) from the child counts of nodes
+    numbered level by level: node k's children are the next child_count[k]."""
+    return [-1, *chain.from_iterable(map(repeat, count(), child_count))]
+
+
+def _unfold(table: Table) -> tuple[Sequence[int], list[int], list[int], list[int]]:
+    """The one unfold of a class table into every node of its trie, nodes
+    numbered breadth-first, children in label order, the root 0: each
+    node's class, the offsets of each node's children (node k's are the
+    nodes ``first[k]:first[k + 1]``) and cycle-edges, and each cycle-edge's
+    target node, by source and then label.  ``Trie.from_document`` and
+    ``Trie.index_graph`` consume it; a read command's ``FrozenTrie`` makes
+    only the nodes its query reaches.
+
+    The classes of a depth's nodes are their parents' children, in order, so
+    the node order and both offset columns come level by level with no
+    per-node step.  The targets come from one depth-first walk over the
+    nodes with one map, label -> the last node entered that carries it: in
+    DG mode a label is on a root path at most once, so the node a cycle-edge
+    returns to is the one its label maps to when the edge's source is
+    entered; a node is entered in the map only when a cycle-edge of its
+    subtree returns to it.  A tree is its own unfold, node k class k."""
+    label, first, kid, efirst = table.label, table.first, table.kid, table.efirst
+    classes = len(label)
+    degree = list(map(sub, islice(first, 1, None), first))
+    out = list(map(sub, islice(efirst, 1, None), efirst))
+    if type(kid) is range:  # a tree: node k is class k
+        order: Sequence[int] = range(classes)
+        nodes, edges = first, efirst
+    else:
+        kids = _ranges(kid, first)
+        order, level = [0], list(kids[0])
+        while level:
+            order += level
+            level = list(chain.from_iterable(map(kids.__getitem__, level)))
+        nodes = list(accumulate(map(degree.__getitem__, order), initial=1))
+        edges = list(accumulate(map(out.__getitem__, order), initial=0))
+    targets = [0] * edges[-1]
+    if not targets:
+        return order, nodes, edges, targets
+    here = list(map(ne, table.freq, table.entry))  # per class: a cycle-edge of its subtree returns to it
+    cycles = _ranges(table.cycle_label, efirst)
+    # per class: its cycle-edges' targets read off the map (a tuple, or for one edge its label)
+    many = [itemgetter(*labels) if len(labels) > 1 else None for labels in cycles]
+    one = [labels[0] if len(labels) == 1 else None for labels in cycles]
+    at: dict[int, int] = {}
+    walk = [iter(range(nodes[0], nodes[1]))]  # per depth on the walk, the rest of its siblings
+    while walk:
+        for node in walk[-1]:
+            c = order[node]
+            if here[c]:
+                at[label[c]] = node
+            if many[c] is not None:
+                e = edges[node]
+                targets[e : e + out[c]] = many[c](at)
+            elif one[c] is not None:
+                targets[edges[node]] = at[one[c]]
+            if degree[c]:
+                walk.append(iter(range(nodes[node], nodes[node + 1])))
+                break
+        else:
+            walk.pop()
+    return order, nodes, edges, targets
 
 
 class _DFSStates:

@@ -19,11 +19,12 @@ import zlib
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
 from operator import add, attrgetter, ge, le, mul, ne, sub
 from typing import Any, Iterable, Iterator, Sequence
 
-from provtrie.document import FORMAT_VERSION, FrozenTrie
+from provtrie.document import FORMAT_VERSION
 from provtrie.graph import CyclicInput, GraphKind, ProvGraph
 from provtrie.ingest import Direction, NTriplesSyntaxError, ParsedTriples, PredicateMap
 from provtrie.query import PathMatch, QueryPattern
@@ -673,7 +674,7 @@ def format4_document(trie: Trie) -> dict[str, Any]:
     return format4_encode(trie.mode, trie.n, trie.sequence_count, len(trie.id) - 1, len(trie.cycle_to), *format4_columns(trie))
 
 
-def format4_from_document(doc: dict[str, Any]) -> FrozenTrie:
+def format4_from_document(doc: dict[str, Any]) -> SimpleNamespace:
     """Decode a format 4 document and check it: a malformed one raises
     ``CorruptDocument`` (another format, format 3 included,
     ``FormatVersionMismatch``), and one that loads thaws into a trie
@@ -723,11 +724,13 @@ def format4_from_columns(
     terminal_counts: array,
     targets: array,
     counts: array,
-) -> FrozenTrie:
+) -> SimpleNamespace:
     """The column checker: every rule a document's columns must pass,
     on unsigned arrays of the lengths the header gives (the decoder and
     ``Trie.check_invariants`` hand it those), ``ids`` indices into
-    ``labels``.  Keeps the cycle-edge arrays it is given and
+    ``labels``.  Returns a plain holder of the node columns, with the
+    attribute names a frozen trie had in format 4.  Keeps the cycle-edge
+    arrays it is given and
     ``terminal_counts``, with the root's 0 put in front; ``id`` becomes a
     list of the table's strings, and ``freq``, ``entry``, ``first`` and
     ``efirst`` arrays wide enough for their values.  Only the node
@@ -843,9 +846,42 @@ def format4_from_columns(
     freq = array(FORMAT4_TYPECODE[max(freqs.itemsize, format4_width(sequence_count))], freqs)  # a copy when the width holds
     freq.insert(0, sequence_count)
     first = format4_array(format4_width(first[-1]), first)
-    return FrozenTrie(mode, n, ids, freq, entry, terminal_counts, first, efirst, targets, counts)
+    return SimpleNamespace(
+        mode=mode, n=n, id=ids, freq=freq, entry=entry, terminal=terminal_counts,
+        first=first, efirst=efirst, cycle_to=targets, cycle_count=counts,
+    )
 
 
+
+
+# ---- every node of a trie, in node order ------------------------------------------
+
+
+def touch_every_node(trie: Any) -> None:
+    """Read node k's child and cycle-edge maps for k = 0, 1, 2, ... until
+    every node has been read.  A ``FrozenTrie`` makes a node's children on
+    the first read of its map and numbers them next, so on one this makes
+    every node, numbered breadth-first as a loaded ``Trie`` numbers them; on
+    a ``Trie`` it only reads."""
+    node = 0
+    while node < len(trie.id):
+        trie.children[node]
+        trie.cycles[node]
+        node += 1
+
+
+def node_columns(trie: Any) -> dict[str, list]:
+    """Every node column of ``trie``, a ``Trie`` or a ``FrozenTrie``, after
+    ``touch_every_node``, as lists: ``id``, ``freq``, ``entry``,
+    ``terminal``, ``cycle_to`` and ``cycle_count``, and the offsets of each
+    node's children and cycle-edges, ``first`` (from 1) and ``efirst``
+    (from 0), as format 4's reader held them."""
+    touch_every_node(trie)
+    nodes = range(len(trie.id))
+    columns = {name: list(getattr(trie, name)) for name in ("id", "freq", "entry", "terminal", "cycle_to", "cycle_count")}
+    columns["first"] = list(accumulate((len(trie.children[k]) for k in nodes), initial=1))
+    columns["efirst"] = list(accumulate((len(trie.cycles[k]) for k in nodes), initial=0))
+    return columns
 
 
 # ---- node accessors ------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import provtrie.document as document
+import provtrie.trie as trie_module
 from provtrie.document import _check, _read_columns
 from provtrie.graph import ProvGraph, gen_clique
 from provtrie.ingest import PredicateMap, parse_ntriples, triples_to_graph
@@ -23,10 +23,12 @@ from helpers import (
     format4_from_document,
     insert_all,
     insert_based_index_graph_dg,
+    node_columns,
     random_dag,
     random_dg,
     table_document,
     table_lengths,
+    touch_every_node,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -36,11 +38,14 @@ FROZEN_COLUMNS = ("id", "freq", "entry", "terminal", "first", "efirst", "cycle_t
 def _reads_as_format_4(trie: Trie, doc: dict | None = None) -> FrozenTrie:
     """The frozen trie read from ``doc`` (``trie``'s own document if None),
     after checking that it holds every column of format 4's reader, given
-    ``trie`` as format 4 wrote it."""
+    ``trie`` as format 4 wrote it, once every node is made; and that the
+    trie ``Trie.from_document`` thaws from ``doc`` holds them too."""
     reference = format4_from_document(json.loads(json.dumps(format4_document(trie))))
-    frozen = FrozenTrie.from_document(json.loads(json.dumps(doc or trie.to_document())))
-    for name in FROZEN_COLUMNS:
-        assert list(getattr(frozen, name)) == list(getattr(reference, name)), name
+    doc = json.loads(json.dumps(doc or trie.to_document()))
+    frozen = FrozenTrie.from_document(copy.deepcopy(doc))
+    for loaded in (node_columns(frozen), node_columns(Trie.from_document(doc))):
+        for name in FROZEN_COLUMNS:
+            assert loaded[name] == list(getattr(reference, name)), name
     return frozen
 
 
@@ -197,6 +202,7 @@ def test_a_shared_class_whose_cycle_label_is_off_one_parents_path_is_refused():
         _verdict(doc)
     # returning to c itself holds at both places: the same shape loads
     frozen = _verdict(_shared_tail("dg", [(2, 1)], 1))
+    touch_every_node(frozen)
     assert (len(frozen.id), list(frozen.cycle_to)) == (5, [3, 4])
 
 
@@ -207,6 +213,7 @@ def test_a_label_repeated_on_one_occurrences_root_path_is_refused():
         _verdict(_table("dg", 2, ["a", "b"], rows, 4))
     # a DAG trie may repeat an identifier down a path
     frozen = _verdict(_table("dag", 2, ["a", "b"], rows, 4))
+    touch_every_node(frozen)
     assert frozen.id == [None, "a", "b", "b", "b"]
 
 
@@ -247,7 +254,7 @@ def test_a_header_whose_node_count_is_not_the_unfold_is_refused_before_the_unfol
     doc["nodes"] += delta
     message = f"^header declares {1956 + delta} nodes and 7830 cycle-edges, the table unfolds to 1956 and 7830$"
     unfolds = []
-    monkeypatch.setattr(document, "_unfold", lambda table: unfolds.append(table) or iter(()))
+    monkeypatch.setattr(trie_module, "_unfold", lambda table: unfolds.append(table) or iter(()))
     with pytest.raises(CorruptDocument, match=message):
         _verdict(doc)
     assert not unfolds  # no column of a node's length was begun
@@ -260,14 +267,15 @@ def test_a_header_whose_node_count_is_not_the_unfold_is_refused_before_the_unfol
 
 def test_a_refused_header_allocates_nothing_of_the_tries_size():
     # K8's table is 1,025 classes; its trie, 109,600 nodes and 657,608 cycle-edges
+    # Trie.from_document makes every node; a FrozenTrie makes none at load, refused or not
     doc = _k(8)
-    FrozenTrie.from_document(copy.deepcopy(doc))  # anything a first load caches is not the trie's
+    Trie.from_document(copy.deepcopy(doc))  # anything a first load caches is not the trie's
     peaks = []
     for nodes in (doc["nodes"], doc["nodes"] - 1):
         tracemalloc.start()
         try:
             try:
-                FrozenTrie.from_document({**doc, "nodes": nodes})
+                Trie.from_document({**doc, "nodes": nodes})
             except CorruptDocument:
                 assert nodes != doc["nodes"]
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -342,5 +350,8 @@ def test_a_mutated_class_table_is_refused_or_round_trips(data):
     except CorruptDocument:
         return
     again = Trie.from_document(copy.deepcopy(doc)).to_document()
-    assert FrozenTrie.from_document(copy.deepcopy(again)).id == frozen.id
+    reread = FrozenTrie.from_document(copy.deepcopy(again))
+    touch_every_node(reread)
+    touch_every_node(frozen)
+    assert reread.id == frozen.id
     assert Trie.from_document(again).to_document() == again

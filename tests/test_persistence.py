@@ -1,4 +1,3 @@
-import array
 import base64
 import copy
 import errno
@@ -49,6 +48,7 @@ from helpers import (
     parent_column,
     prob,
     table_lengths,
+    touch_every_node,
 )
 
 NODE_COLUMNS = ["id", "freq", "terminal_count"]
@@ -78,7 +78,9 @@ def from_both(doc: dict) -> Trie:
     if isinstance(frozen, TrieError) or isinstance(thawed, TrieError):
         assert (type(frozen), str(frozen)) == (type(thawed), str(thawed))
         raise thawed
-    assert frozen.depth_stats == thawed.depth_stats and list(frozen.entry) == thawed.entry
+    assert frozen.depth_stats == thawed.depth_stats
+    touch_every_node(frozen)
+    assert list(frozen.entry) == thawed.entry
     return thawed
 
 
@@ -834,7 +836,7 @@ def test_a_body_that_inflates_past_its_declared_size_is_refused_without_inflatin
 
 
 def test_a_run_count_past_8_bytes_is_refused():
-    # every other rule holds: two depth-1 leaves of 2**63 runs each; the frozen trie's freq is an array
+    # every other rule holds: two depth-1 leaves of 2**63 runs each; sequence_count is a column value too
     big = 2**63
     columns = {"format_version": 5, "mode": "dag", "n": 0, "sequence_count": 2 * big, "child_count": [2, 0, 0]}
     columns.update(id=["a", "b"], freq=[big, big], terminal_count=[big, big], cycle_out=[0, 0, 0])
@@ -874,11 +876,9 @@ def test_document_is_deterministic():
     assert buf_a.getvalue() == buf_b.getvalue()
 
 
-FROZEN_ARRAYS = ("freq", "entry", "terminal", "first", "efirst", "cycle_to", "cycle_count")
-
-
-def test_a_frozen_trie_holds_its_numeric_columns_as_arrays_and_a_load_retains_little(tmp_path):
-    # as lists of ints, a K7 load retained about 43 bytes per node plus cycle-edge; as arrays, about 7
+def test_a_frozen_trie_load_retains_only_its_class_table(tmp_path):
+    # a load keeps the checked class table and the root, and makes a node when a query reaches it:
+    # format 4's arrays retained about 7 bytes per node plus cycle-edge, some 1,280 per K7 class
     trie = _dg_clique(7)
     path = tmp_path / "k7.trie"
     save(trie, path)
@@ -889,12 +889,14 @@ def test_a_frozen_trie_holds_its_numeric_columns_as_arrays_and_a_load_retains_li
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert all(type(getattr(frozen, name)) is array.array for name in FROZEN_ARRAYS)
+    classes = len(frozen.table.label)
+    assert (classes, len(frozen.id), len(frozen.cycle_to)) == (449, 1, 0)
+    assert retained < 400 * classes, retained / classes
     assert type(frozen.id) is list
+    assert frozen.depth_stats == trie.depth_stats
+    touch_every_node(frozen)
     nodes, edges = len(frozen.id), len(frozen.cycle_to)
     assert (nodes, edges) == (13_700, 68_502)
-    assert retained < 20 * (nodes + edges), retained / (nodes + edges)
-    assert frozen.depth_stats == trie.depth_stats
     pattern = QueryPattern((":r0",), 4, ":r1")
     assert count_paths(frozen, pattern) == count_paths(trie, pattern)
 

@@ -505,3 +505,68 @@ def test_the_frozen_trie_answers_as_the_thawed_trie_and_the_references(trie, dat
     assert vars(frozen)["depth_stats"] is frozen.depth_stats  # summed once
     for depth in range(1, len(frozen.depth_stats) + 2):
         assert _dominant(frozen, depth) == _dominant(thawed, depth) == _dominant(trie, depth)
+
+
+# ---- a frozen trie makes only the nodes its queries reach ------------------------
+
+
+@pytest.fixture(scope="module")
+def k8_document():
+    return _dg_index(gen_clique(8)).to_document()
+
+
+def test_a_count_with_one_wildcard_makes_a_few_nodes_of_k8(k8_document):
+    # K8 has 109,600 nodes; :r0, one wildcard, :r1 reaches the root's 8 children, :r0's 7
+    # and their 42, and the cycle-edges of those 7
+    frozen = FrozenTrie.from_document(k8_document)
+    assert len(frozen.id) == 1  # a load makes the root alone
+    assert count_paths(frozen, QueryPattern((":r0",), 1, ":r1")) == clique_walk_count(8, 2) == 6
+    assert len(frozen.id) <= 1 + 8 + 7 + 42 < 100, len(frozen.id)
+    assert len(frozen.cycle_to) <= 7 * 2, len(frozen.cycle_to)
+
+
+@pytest.mark.parametrize("size", [4, 8])
+def test_the_per_depth_table_makes_no_node_past_the_root(size):
+    trie = _dg_index(gen_clique(size))
+    frozen = FrozenTrie.from_document(trie.to_document())
+    assert frozen.depth_stats == trie.depth_stats
+    assert (len(frozen.id), len(frozen.cycle_to)) == (1, 0)
+
+
+def _queries(trie, ids, data) -> list[tuple]:
+    """Some count, q1 and suggest queries over ``ids``, each as (kind, arguments)."""
+    queries = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        start, end = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
+        wildcards, strict = data.draw(st.integers(0, 3)), trie.n == 0 and data.draw(st.booleans())
+        pattern = QueryPattern((start,), wildcards, end)
+        queries += [("count", pattern, strict), ("q1", pattern, strict)]
+        prefix = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=2))
+        queries.append(("suggest", prefix, data.draw(st.integers(1, 3)), data.draw(st.sampled_from([1, 5]))))
+    return queries
+
+
+def _answer(trie, query: tuple):
+    kind, *args = query
+    if kind == "count":
+        pattern, strict = args
+        return count_paths(trie, pattern, strict=strict)
+    if kind == "q1":
+        pattern, strict = args
+        return q1(trie, pattern, strict=strict)
+    return q2_suggest(trie, *args)
+
+
+@given(trie=frozen_builds, data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_answers_do_not_depend_on_the_order_queries_touch_a_frozen_trie(trie, data):
+    # two fresh loads reach their nodes in two orders, and so number them differently
+    doc = trie.to_document()
+    queries = _queries(trie, _identifiers(trie), data)
+    order = data.draw(st.permutations(range(len(queries))))
+    one, other = FrozenTrie.from_document(copy.deepcopy(doc)), FrozenTrie.from_document(copy.deepcopy(doc))
+    answers = [_answer(one, query) for query in queries]
+    reordered = {k: _answer(other, queries[k]) for k in order}
+    assert answers == [reordered[k] for k in range(len(queries))]
+    thawed = Trie.from_document(doc)
+    assert answers == [_answer(thawed, query) for query in queries]
