@@ -232,6 +232,20 @@ def _out_of_order(labels: list[int], first: list[int]) -> int | None:
     return next(filterfalse(set(first).__contains__, unsorted), None)
 
 
+def _arrivals(
+    above: list[dict[int, int] | None], out: Iterable[int], taken: Iterable[int], kids: Iterable[int]
+) -> dict[int, int]:
+    """The cycle arrivals from a class's subtree at each label on its root
+    path: its own cycle-edges' counts plus its children's ``above``.  The
+    class checker and ``trie._DFSStates`` both sum them from the leaves up."""
+    arrivals = dict(zip(out, taken))
+    for below in map(above.__getitem__, kids):
+        if below:
+            for u, n in below.items():
+                arrivals[u] = arrivals.get(u, 0) + n
+    return arrivals
+
+
 def _check(
     mode: TrieMode,
     sequence_count: int,
@@ -378,11 +392,7 @@ def _check(
         del always, ever
         above: list[dict[int, int] | None] = [None] * classes  # per class: its subtree's arrivals above it, per label
         for up in reversed(order):  # from the leaves up
-            arrivals = dict(zip(cycles[up], taken[up]))
-            for below in map(above.__getitem__, kids[up]):
-                if below:
-                    for rid, times in below.items():
-                        arrivals[rid] = arrivals.get(rid, 0) + times
+            arrivals = _arrivals(above, cycles[up], taken[up], kids[up])
             entry[up] -= arrivals.pop(label[up], 0)
             above[up] = arrivals or None
         del above, cycles, taken

@@ -16,12 +16,13 @@ mode alone decides how ``insert`` and ``index_graph`` take a trace.
 A DG graph's trie has one node per simple path but is built over DFS
 states: the subtree under a path depends only on the vertices it visits,
 its last vertex and the traces that hold it.  ``_DFSStates`` makes a
-class table, one class per state, in one memoized pass.  ``dg_document``
-hands its classes to ``minimize``, the one minimizer (a bottom-up
-hash-cons), and the minimal table to ``encode``, with no node made
-between (``provtrie index --mode dg`` writes that document);
-``index_graph`` takes the one unfold of the table, ``_unfold``, and adds
-each node by get-or-create, so it merges into any trie.
+class table, one class per state, in one memoized pass, and ``minimize``,
+the one minimizer (a bottom-up hash-cons), makes it minimal.
+``dg_document`` hands that table to ``encode``, with no node made between
+(``provtrie index --mode dg`` writes that document); ``index_graph``
+checks it and thaws it as ``load`` does, into the trie itself if that
+holds only the root, or else into a new trie that ``_union`` adds node by
+node, through ``_add_node`` and ``_take_cycle`` as ``insert`` does.
 
 Per node: ``freq`` counts every traversal arrival (descents plus
 cycle-edge arrivals), ``entry`` the descents, ``terminal`` the insertions
@@ -57,8 +58,8 @@ it and not the other way round, and re-exports the reader's names.
 builder's class table (a DG trie's minimized, a DAG trie's one class per
 node), and ``write_document`` the one file writer, atomic for a path,
 that ``save`` calls; ``Trie.from_document`` runs the reader's checks,
-then ``_unfold``, the one unfold of a table into every node, which no
-read command runs, and a thaw into lists and dicts;
+then ``_thaw``: ``_unfold``, the one unfold of a table into every node,
+which no read command runs, and a thaw into lists and dicts;
 ``Trie.check_invariants`` checks the builder's wiring and runs the class
 checker on its own table, packed into arrays as a load packs them, with
 no encoding between.
@@ -85,6 +86,7 @@ from .document import (  # the reader's names, re-exported: provtrie.trie.Frozen
     TrieError,
     Table,
     TrieMode,
+    _arrivals,
     _check,
     _checked,
     _first,
@@ -204,8 +206,8 @@ class Trie:
         self.cycles.append({})
         return node
 
-    def _take_cycle(self, source: int, label: str, target: int) -> None:
-        """Count one traversal of a cycle-edge, recording the edge the first time."""
+    def _take_cycle(self, source: int, label: str, target: int, times: int) -> None:
+        """Count ``times`` traversals of a cycle-edge, recording the edge the first time."""
         edges = self.cycles[source]
         edge = edges.get(label)
         if edge is None:
@@ -213,9 +215,9 @@ class Trie:
                 self._unsorted.add(source)
             edges[label] = len(self.cycle_to)
             self.cycle_to.append(target)
-            self.cycle_count.append(1)
+            self.cycle_count.append(times)
         else:
-            self.cycle_count[edge] += 1
+            self.cycle_count[edge] += times
 
     def insert(self, seq: Sequence[str]) -> None:
         """Insert one sequence, folding repeats into cycle-edges in DG mode.
@@ -256,7 +258,7 @@ class Trie:
                     positions[sym] = len(path)
                 path.append(child)
             else:
-                self._take_cycle(path[-1], sym, path[pos])
+                self._take_cycle(path[-1], sym, path[pos], 1)
                 freq[path[pos]] += 1
                 level = stats.setdefault(pos, {})
                 level[sym] = level.get(sym, 0) + 1
@@ -280,12 +282,13 @@ class Trie:
         cycle-edges cover revisits, so a query can follow arbitrarily long
         walks through bounded structure.
 
-        ``_DFSStates`` builds it as a table of classes, one per DFS state;
-        ``_unfold`` unfolds it into nodes, which this adds breadth
-        first by get-or-create, so the result equals one ``insert`` per
-        closing insertion, also into a trie that already holds sequences.
-        Into an empty trie every map fills in label order; a build into a
-        non-empty trie may mark some.
+        ``_DFSStates`` builds it as a table of classes, one per DFS state,
+        ``minimize`` makes the table ``dg_document`` encodes, and the class
+        checker derives its ``entry``.  Into a trie that holds only the root,
+        ``_thaw`` makes the nodes as ``load`` does, every map in label order.
+        Into any other trie it thaws into a new one and ``_union`` adds that
+        node by node, which may mark some maps and renumbers no node.
+        Either way the result equals one ``insert`` per closing insertion.
         """
         if self.mode is TrieMode.DAG:
             items = sequence(g).items
@@ -294,66 +297,39 @@ class Trie:
                     self.insert(window)
             return
         states = _DFSStates([g])
-        table, labels = states.table(), states.labels
-        order, first, efirst, targets = _unfold(table)
-        vertex, arrivals, descents, ends = table.label, table.freq, table.entry, table.terminal
-        outs, takens = (
-            (_ranges(table.cycle_label, table.efirst), _ranges(table.cycle_count, table.efirst))
-            if table.cycle_label
-            else ([()] * len(vertex),) * 2
-        )
-        children, cycles, ids, freq, entry, terminal = (
-            self.children, self.cycles, self.id, self.freq, self.entry, self.terminal
-        )
-        cycle_to, cycle_count, unsorted = self.cycle_to, self.cycle_count, self._unsorted
-        where = [0] * len(order)  # the unfold's nodes -> this trie's nodes
-        level = range(1)  # the root
-        for depth in count(1):
-            if first[level.start] == first[level.stop]:
-                break
+        columns, _, _ = minimize(states.rows(), states.starts[-1])
+        table, _, _ = _check(self.mode, states.sequence_count, states.labels, *map(_packed, columns))
+        if len(self.id) == 1:  # only the root: the graph's trie is this one
+            self._thaw(states.labels, table)
+            return
+        other = Trie(self.mode)
+        other._thaw(states.labels, table)
+        self._union(other)
+
+    def _union(self, other: "Trie") -> None:
+        """Add every sequence of ``other``, a trie of the same mode: each of
+        its nodes in index order (parents first) is found or made here by
+        ``_add_node`` and adds its counts, each of its cycle-edges is taken
+        as often as it was there, by ``_take_cycle``, and the per-depth
+        tables are summed.  It only appends: no node here is renumbered."""
+        where = [0] * len(other.id)  # other's nodes -> this trie's
+        children, freq, entry, terminal = self.children, self.freq, self.entry, self.terminal
+        for node, kids in enumerate(other.children):
+            here = where[node]
+            freq[here] += other.freq[node]
+            entry[here] += other.entry[node]
+            terminal[here] += other.terminal[node]
+            mine = children[here]
+            for rid, kid in kids.items():
+                found = mine.get(rid)
+                where[kid] = self._add_node(here, rid) if found is None else found
+        for source, out in zip(where, other.cycles):
+            for label, edge in out.items():
+                self._take_cycle(source, label, where[other.cycle_to[edge]], other.cycle_count[edge])
+        for depth, level in other.depth_stats.items():
             stats = self.depth_stats.setdefault(depth, {})
-            for parent in level:
-                kids = children[where[parent]]
-                for k in range(first[parent], first[parent + 1]):
-                    c = order[k]
-                    rid, out, taken = labels[vertex[c]], outs[c], takens[c]
-                    node = kids.get(rid)
-                    if node is None:  # _add_node, inlined; a new node's edges come in label order
-                        if kids and rid < next(reversed(kids)):
-                            unsorted.add(where[parent])
-                        node = kids[rid] = len(ids)
-                        ids.append(rid)
-                        freq.append(arrivals[c])
-                        entry.append(descents[c])
-                        terminal.append(ends[c])
-                        children.append({})
-                        where[k] = node  # before its edges: a self-loop returns to the node
-                        if out:
-                            cycles.append(dict(zip(map(labels.__getitem__, out), count(len(cycle_to)))))
-                            cycle_to += map(where.__getitem__, targets[efirst[k] : efirst[k + 1]])
-                            cycle_count += taken
-                        else:
-                            cycles.append({})
-                    else:
-                        freq[node] += arrivals[c]
-                        entry[node] += descents[c]
-                        terminal[node] += ends[c]
-                        where[k] = node
-                        edges = cycles[node]
-                        here = targets[efirst[k] : efirst[k + 1]]
-                        for label, times, target in zip(map(labels.__getitem__, out), taken, here):
-                            edge = edges.get(label)
-                            if edge is None:  # _take_cycle, inlined, for ``times`` traversals
-                                if edges and label < next(reversed(edges)):
-                                    unsorted.add(node)
-                                edges[label] = len(cycle_to)
-                                cycle_to.append(where[target])
-                                cycle_count.append(times)
-                            else:
-                                cycle_count[edge] += times
-                    stats[rid] = stats.get(rid, 0) + arrivals[c]
-            level = range(first[level.start], first[level.stop])
-        self.freq[0] += arrivals[0]
+            for rid, arrivals in level.items():
+                stats[rid] = stats.get(rid, 0) + arrivals
 
     # the names the benchmark harness (perfbench/pipeline.py) still calls
     insert_dg = insert
@@ -493,39 +469,45 @@ class Trie:
     def from_document(cls, doc: dict[str, Any]) -> "Trie":
         """Rebuild an insertable trie from a document: ``document._checked``
         decodes and checks it, as ``FrozenTrie.from_document`` does, and
-        ``_unfold`` makes every node, numbered breadth-first.  The thaw takes
-        each node's values from its class into lists, expands the child
-        counts into parents, fills the child and cycle-edge maps in one pass
-        each and sums the per-depth table over the classes; it checks
-        nothing again."""
+        ``_thaw`` makes every node."""
         mode, n, labels, table = _checked(doc)
         trie = cls(mode, n)
+        trie._thaw(labels, table)
+        return trie
+
+    def _thaw(self, labels: list[str], table: Table) -> None:
+        """Make this trie, which holds only the root, the trie of a checked
+        class table, as ``load`` and a DG ``index_graph`` do: ``_unfold``
+        makes every node, numbered breadth-first; the thaw takes each node's
+        values from its class into lists, expands the child counts into
+        parents, fills the child and cycle-edge maps in one pass each, in
+        label order, and sums the per-depth table over the classes.  It
+        checks nothing again."""
         order, first, efirst, cycle_to = _unfold(table)
         names = _names(labels, table)
         if type(order) is range:  # a tree: node k is class k, and the table's lists are the node columns
-            trie.id, trie.freq, trie.entry, trie.terminal = names, table.freq, table.entry, table.terminal
-            trie.cycle_count = list(table.cycle_count)
+            self.id, self.freq, self.entry, self.terminal = names, table.freq, table.entry, table.terminal
+            self.cycle_count = list(table.cycle_count)
         else:
-            trie.id, trie.freq, trie.entry, trie.terminal = (
+            self.id, self.freq, self.entry, self.terminal = (
                 list(map(column.__getitem__, order)) for column in (names, table.freq, table.entry, table.terminal)
             )
             counts = _ranges(table.cycle_count, table.efirst)
-            trie.cycle_count = list(chain.from_iterable(map(counts.__getitem__, order)))
-        trie.cycle_to = cycle_to
-        trie.depth_stats = _per_depth(table, names)
+            self.cycle_count = list(chain.from_iterable(map(counts.__getitem__, order)))
+        self.cycle_to = cycle_to
+        self.depth_stats = _per_depth(table, names)
         parent = _parents(map(sub, islice(first, 1, None), first))
-        labels = trie.id
-        trie.children = children = [{} for _ in parent]
+        labels = self.id
+        self.children = children = [{} for _ in parent]
         for node, up, rid in islice(zip(count(), parent, labels), 1, None):
             children[up][rid] = node  # type: ignore[index]
-        trie.cycles = cycles = [{} for _ in parent]
+        self.cycles = cycles = [{} for _ in parent]
         if cycle_to:
             out = list(map(sub, islice(efirst, 1, None), efirst))
             # each source repeated for its edges, skipping nodes without any
             sources = chain.from_iterable(map(repeat, compress(count(), out), filter(None, out)))
             for edge, target, source in zip(count(), cycle_to, sources):
                 cycles[source][labels[target]] = edge  # type: ignore[index]
-        return trie
 
 
 def minimize(
@@ -593,17 +575,6 @@ def minimize(
     return columns, nodes[root] - 1, edges[root]
 
 
-def _arrivals(above: list[dict[int, int] | None], out: list[int], taken: list[int], kids: list[int]) -> dict[int, int]:
-    """The cycle arrivals from a node's subtree at each vertex on its root
-    path: its own cycle-edges' counts plus its children's ``above``."""
-    arrivals = dict(zip(out, taken))
-    for below in map(above.__getitem__, kids):
-        if below:
-            for u, n in below.items():
-                arrivals[u] = arrivals.get(u, 0) + n
-    return arrivals
-
-
 def _parents(child_count: Iterable[int]) -> list[int]:
     """Each node's parent (the root's: -1) from the child counts of nodes
     numbered level by level: node k's children are the next child_count[k]."""
@@ -615,9 +586,9 @@ def _unfold(table: Table) -> tuple[Sequence[int], list[int], list[int], list[int
     numbered breadth-first, children in label order, the root 0: each
     node's class, the offsets of each node's children (node k's are the
     nodes ``first[k]:first[k + 1]``) and cycle-edges, and each cycle-edge's
-    target node, by source and then label.  ``Trie.from_document`` and
-    ``Trie.index_graph`` consume it; a read command's ``FrozenTrie`` makes
-    only the nodes its query reaches.
+    target node, by source and then label.  ``Trie._thaw`` is its one
+    consumer, for ``load`` and a DG ``index_graph``; a read command's
+    ``FrozenTrie`` makes only the nodes its query reaches.
 
     The classes of a depth's nodes are their parents' children, in order, so
     the node order and both offset columns come level by level with no
@@ -683,10 +654,11 @@ class _DFSStates:
     set, so the pass goes depth by depth with a memo per depth, with no
     stack: forward, each state's successors give its children and
     cycle-edges; backward, from the deepest depth up, each class sums its
-    insertions and cycle arrivals over its subtree.  ``table`` numbers the
-    root 0 and then the classes depth by depth, so children come after
-    their parents; depth 1's are the vertices, in label order, a class's
-    label is its vertex, and ``labels`` is the document's label table.
+    insertions and cycle arrivals over its subtree (``document._arrivals``,
+    as the class checker sums them).  ``rows`` numbers the root 0 and then
+    the classes depth by depth, so children come after their parents;
+    depth 1's are the vertices, in label order, a class's label is its
+    vertex, and ``labels`` is the document's label table.
     """
 
     __slots__ = ("labels", "depths", "starts", "sequence_count")
@@ -755,31 +727,13 @@ class _DFSStates:
         self.starts = list(accumulate(map(len, map(itemgetter(0), depths)), initial=1))  # each depth's first class
 
     def rows(self) -> Iterator[tuple[int, int, int, int, Iterable[int], list[int], list[int]]]:
-        """The classes as ``minimize`` takes them: numbered as in ``table``,
-        the deepest depth first and the root last."""
+        """The classes as ``minimize`` takes them: the root 0, then depth by
+        depth from 1, handed over the deepest depth first and the root last."""
         for (vertex, _, freq, terminal, kids, outs, takens), start, below in zip(
             reversed(self.depths), reversed(self.starts[:-1]), reversed(self.starts[1:])
         ):
             yield from zip(count(start), vertex, freq, terminal, map(partial(map, below.__add__), kids), outs, takens)
         yield 0, -1, self.sequence_count, 0, range(1, len(self.labels) + 1), [], []
-
-    def table(self) -> Table:
-        """The classes as a ``document.Table``: the root 0, then depth by
-        depth, so children come after their parents."""
-        label, freq, entry, terminal = [-1], [self.sequence_count], [0], [0]
-        first, kid = [1, len(self.labels) + 1], list(range(len(self.labels) + 1))
-        efirst, cycle_label, cycle_count = [0, 0], [], []
-        for (vertex, entries, arrivals, ended, kids, outs, takens), below in zip(self.depths, self.starts[1:]):
-            label += vertex
-            freq += arrivals
-            entry += entries
-            terminal += ended
-            kid += map(below.__add__, chain.from_iterable(kids))
-            first += islice(accumulate(map(len, kids), initial=first[-1]), 1, None)
-            cycle_label += chain.from_iterable(outs)
-            cycle_count += chain.from_iterable(takens)
-            efirst += islice(accumulate(map(len, outs), initial=efirst[-1]), 1, None)
-        return Table(label, freq, entry, terminal, first, kid, efirst, cycle_label, cycle_count)
 
 
 def dg_document(graphs: Sequence[ProvGraph]) -> dict[str, Any]:

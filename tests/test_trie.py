@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from provtrie.canonical import ngrams, sequence
 from provtrie.graph import GraphKind, ProvGraph, gen_clique
 from provtrie.oracle import enumerate_walks
-from provtrie.query import QueryPattern, count_paths
+from provtrie.query import QueryPattern, count_paths, locate
 from provtrie.trie import CorruptDocument, EmptySequence, FrozenTrie, Trie, TrieMode, dg_document, load, save
 
 from helpers import (
@@ -305,6 +305,41 @@ def _shared_vertices() -> list[ProvGraph]:
     """Two traces on the same three vertices with no edge in common."""
     names = ("urn:a", "urn:b", "urn:c")
     return [_dg(("urn:a", "urn:b"), ("urn:b", "urn:c"), nodes=names), _dg(("urn:c", "urn:b"), ("urn:b", "urn:a"), nodes=names)]
+
+
+THAWED_FIELDS = ("id", "freq", "entry", "terminal", "cycle_to", "cycle_count", "depth_stats")
+
+
+def _assert_thawed_as_loaded(g: ProvGraph) -> None:
+    """DG ``index_graph`` into an empty trie is the load of ``dg_document``, field for field: the
+    same node and cycle-edge numbers, every map the same items in the same order, none marked."""
+    built, loaded = Trie(TrieMode.DG), Trie.from_document(dg_document([g]))
+    built.index_graph(g)
+    for name in THAWED_FIELDS:
+        assert getattr(built, name) == getattr(loaded, name), name
+    for name in ("children", "cycles"):
+        assert [list(m.items()) for m in getattr(built, name)] == [list(m.items()) for m in getattr(loaded, name)], name
+    assert not built._unsorted
+
+
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_dg_index_graph_into_an_empty_trie_is_the_load_of_its_document(rng):
+    _assert_thawed_as_loaded(random_dg(rng))
+
+
+def _chain(n: int) -> ProvGraph:
+    names = [f"urn:c{i:03d}" for i in range(n)]
+    return _dg(*zip(names, names[1:]), nodes=tuple(names))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [ProvGraph(GraphKind.DG), *map(gen_clique, range(2, 7)), _chain(400)],
+    ids=["empty", *(f"k{size}" for size in range(2, 7)), "chain-400"],
+)
+def test_dg_index_graph_of_fixed_graphs_is_the_load_of_its_document(g):
+    _assert_thawed_as_loaded(g)
 
 
 def _trace(kind: str, rng: random.Random) -> ProvGraph:
@@ -719,8 +754,18 @@ build_steps = st.lists(
 )
 
 
+def _root_paths(trie: Trie) -> list[list[str]]:
+    """Each node's labels from the root, by node index (parents are numbered before their children)."""
+    paths: list[list[str]] = [[]] * len(trie.id)
+    for node, kids in enumerate(trie.children):
+        for rid, kid in kids.items():
+            paths[kid] = [*paths[node], rid]
+    return paths
+
+
 def _mixed_build(mode: TrieMode, steps: list[tuple[str, Any]]) -> Trie:
-    """Inserts, graphs indexed into the trie (DG mode) and thaws of its document, in the order drawn."""
+    """Inserts, graphs indexed into the trie (DG mode) and thaws of its document, in the order
+    drawn.  Every node index held across a graph's indexing still locates the same path."""
     trie = Trie(mode)
     for kind, arg in steps:
         if kind == "insert":
@@ -728,8 +773,22 @@ def _mixed_build(mode: TrieMode, steps: list[tuple[str, Any]]) -> Trie:
         elif kind == "thaw":
             trie = Trie.from_document(trie.to_document())
         elif mode is TrieMode.DG:
+            held = _root_paths(trie)
             trie.index_graph(random_dg(arg, max_nodes=6))
+            assert [locate(trie, path)[0] for path in held] == list(range(len(held)))
     return trie
+
+
+@given(mode=st.sampled_from(TrieMode), first=corpora, second=corpora)
+@settings(max_examples=100, deadline=None)
+def test_a_union_is_the_trie_of_both_corpora_and_renumbers_no_node(mode, first, second):
+    trie = insert_all(mode, first)
+    held = _root_paths(trie)
+    trie._union(insert_all(mode, second))  # repeated sequences give cycle-edges taken more than once
+    both = insert_all(mode, first + second)
+    assert trie.to_document() == both.to_document() and trie.depth_stats == both.depth_stats
+    assert [locate(trie, path)[0] for path in held] == list(range(len(held)))
+    trie.check_invariants()
 
 
 @given(mode=st.sampled_from(TrieMode), steps=build_steps)
