@@ -5,15 +5,17 @@ codes: 0 success (also when the reader closes stdout early), 1 input/data
 error, 2 usage error.  The environment variable PROVTRIE_PREDICATE_MAP may
 point at a predicate map file that replaces the built-in edge-mapping
 rules for RDF input.  Every trace input, a file or ``-`` for stdin, is
-decoded as UTF-8.  ``index`` hands each DAG run to ``Trie.index_graph``
-and every DG trace at once to ``trie.dg_document``, one pass over DFS
-states, and writes the document with ``trie.write_document``; it and
-``bench`` check ``--out`` before they read a trace.  Commands run
-with the cyclic garbage collector paused, since what they build lives
-until the process exits; ``entry``, behind ``provtrie`` and ``python -m
-provtrie``, leaves it off until then.  A command imports the modules it
-calls when it runs, so ``query``, ``suggest``, ``stats`` and ``inspect``
-load only ``kinds``, ``document`` and ``query``, and never a builder.
+decoded as UTF-8.  ``index`` builds no ``Trie``: it hands the DAG runs,
+one at a time as it reads them, to ``trie.dag_document``, which counts
+their windows and reads the class table off the sorted windows, or every
+DG trace at once to ``trie.dg_document``, one pass over DFS states, and
+writes the document with ``trie.write_document``; it and ``bench`` check
+``--out`` before they read a trace.  Commands run with the cyclic garbage
+collector paused, since what they build lives until the process exits;
+``entry``, behind ``provtrie`` and ``python -m provtrie``, leaves it off
+until then.  A command imports the modules it calls when it runs, so
+``query``, ``suggest``, ``stats`` and ``inspect`` load only ``kinds``,
+``document`` and ``query``, and never a builder.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import gc
 import os
 import sys
 from collections import Counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .document import COLUMNS, HEADER_COUNTS, FrozenTrie, TrieError, TrieMode, _levels, _read, load_frozen
 from .kinds import GraphError, GraphKind
@@ -100,29 +102,31 @@ def _check_out(path: str) -> None:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    from .trie import Trie, dg_document, write_document
+    from .trie import dag_document, dg_document, write_document
 
     mode = TrieMode(args.mode)
     if mode is TrieMode.DG and args.ngram:
         print("usage error: --ngram applies to --mode dag only", file=sys.stderr)
         return 2
     _check_out(args.out)  # before the first input is read
-    if mode is TrieMode.DG:  # every trace goes into one pass over DFS states
-        graphs: list[ProvGraph] = []
-        index_graph = graphs.append
-    else:
-        trie = Trie(mode, n=args.ngram)
-        index_graph = trie.index_graph
-    pmap = _predicate_map() if args.format == "ntriples" else None  # one read for all inputs
     traces = 0
-    for path in args.inputs:
-        g, _ = _load_graph(path, args.format, mode, pmap)
-        if not g.node_count:
-            print(f"note: {path}: empty trace, nothing to index", file=sys.stderr)
-            continue
-        index_graph(g)
-        traces += 1
-    doc = dg_document(graphs) if mode is TrieMode.DG else trie.to_document()
+
+    def graphs() -> Iterator[ProvGraph]:
+        """Each input's graph but an empty one's, which gets a note, read
+        when taken and counted in ``traces``."""
+        nonlocal traces
+        pmap = _predicate_map() if args.format == "ntriples" else None  # one read for all inputs
+        for path in args.inputs:
+            g, _ = _load_graph(path, args.format, mode, pmap)
+            if not g.node_count:
+                print(f"note: {path}: empty trace, nothing to index", file=sys.stderr)
+                continue
+            traces += 1
+            yield g
+
+    # every DG trace goes into one pass over DFS states; dag_document refuses a
+    # negative --ngram before it takes the first run, then counts each run's windows
+    doc = dg_document(list(graphs())) if mode is TrieMode.DG else dag_document(graphs(), args.ngram)
     nodes = write_document(doc, args.out)
     print(f"traces\t{traces}")
     print(f"sequences\t{doc['sequence_count']}")

@@ -23,6 +23,12 @@ the one minimizer (a bottom-up hash-cons), makes it minimal.
 checks it and thaws it as ``load`` does, into the trie itself if that
 holds only the root, or else into a new trie that ``_union`` adds node by
 node, through ``_add_node`` and ``_take_cycle`` as ``insert`` does.
+``dag_document`` is DAG mode's writer (``provtrie index --mode dag``):
+it counts the runs' windows, as ``_windows`` defines them for both it and
+``index_graph``, and reads the breadth-first table off the sorted
+distinct windows, one range of them per node, with no node made.
+``insert`` stays the online builder, and with ``to_document`` the
+reference both writers are tested against.
 
 Per node: ``freq`` counts every traversal arrival (descents plus
 cycle-edge arrivals), ``entry`` the descents, ``terminal`` the insertions
@@ -34,9 +40,11 @@ out)``.  A child's conditional probability is ``entry / parent freq``.
 Layout: a node is an ``int``, the root is 0; parents are numbered before
 their children (online: in creation order; loaded: in document order,
 which ``to_document`` writes breadth-first, so that siblings sit side by
-side).  Node data lives in parallel lists: ``id`` (root: None), ``freq``,
-``entry``, ``terminal``, ``children`` (label -> child) and ``cycles``
-(label -> edge); edge data in ``cycle_to`` and ``cycle_count``;
+side).  Node data lives in parallel lists: ``id`` (root: None;
+``_add_node`` interns each label, so equal labels inserted from many
+strings keep one), ``freq``, ``entry``, ``terminal``, ``children`` (label
+-> child) and ``cycles`` (label -> edge); edge data in ``cycle_to`` and
+``cycle_count``;
 ``sequence_count`` is the root's ``freq``.  No column holds a parent: a
 node's parent is the node whose child map lists it.  Every map iterates
 in label order except at the nodes in ``_unsorted``: a new key that
@@ -72,10 +80,13 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+from bisect import bisect_left
+from collections import Counter
 from collections.abc import Mapping
 from functools import partial
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, itemgetter, ne, sub
+from itertools import accumulate, chain, compress, count, islice, pairwise, repeat
+from operator import add, itemgetter, lt, ne, sub
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .canonical import ngrams, sequence
@@ -167,8 +178,7 @@ class Trie:
     """Prefix-trie index over identifier sequences, with online statistics."""
 
     def __init__(self, mode: TrieMode = TrieMode.DAG, n: int = 0) -> None:
-        if n < 0:
-            raise ValueError(f"window length must be >= 0, got {n}")
+        _check_window(n)
         if n and mode is TrieMode.DG:
             raise ValueError(f"a DG trie indexes whole traces: window length must be 0, got {n}")
         self.mode = mode
@@ -194,6 +204,7 @@ class Trie:
     # ---- insertion ---------------------------------------------------------
 
     def _add_node(self, parent: int, rid: str) -> int:
+        rid = sys.intern(rid)  # one string per label, however many equal strings the inputs held
         kids = self.children[parent]
         if kids and rid < next(reversed(kids)):  # the map's last key is its largest until marked
             self._unsorted.add(parent)
@@ -291,10 +302,8 @@ class Trie:
         Either way the result equals one ``insert`` per closing insertion.
         """
         if self.mode is TrieMode.DAG:
-            items = sequence(g).items
-            if items:
-                for window in ngrams(items, self.n or len(items)).windows:
-                    self.insert(window)
+            for window in _windows(g, self.n):
+                self.insert(window)
             return
         states = _DFSStates([g])
         columns, _, _ = minimize(states.rows(), states.starts[-1])
@@ -745,6 +754,82 @@ def dg_document(graphs: Sequence[ProvGraph]) -> dict[str, Any]:
     states = _DFSStates(graphs)
     columns, nodes, edges = minimize(states.rows(), states.starts[-1])
     return encode(TrieMode.DG, 0, states.sequence_count, nodes, edges, states.labels, columns)
+
+
+def _check_window(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"window length must be >= 0, got {n}")
+
+
+def _windows(g: ProvGraph, n: int) -> tuple[tuple[str, ...], ...]:
+    """A DAG run's windows, as ``index_graph`` inserts them and
+    ``dag_document`` counts them: the length-``n`` windows of the graph's
+    canonical sequence, or the whole sequence when ``n`` is 0 or above its
+    length, with every label interned, so that runs which share a label
+    share one string.  An empty graph has none."""
+    items = tuple(map(sys.intern, sequence(g).items))
+    return ngrams(items, n or len(items)).windows if items else ()
+
+
+def dag_document(graphs: Iterable[ProvGraph], n: int = 0) -> dict[str, Any]:
+    """The DAG trie of ``graphs`` as a format 5 document: the one that
+    ``to_document`` writes after ``index_graph`` of each graph into an empty
+    DAG trie of window length ``n``.  A negative ``n`` is refused before the
+    first graph is taken; then the graphs are taken one at a time, and only
+    a count of each distinct window is kept.
+
+    A tree's breadth-first table is read off its sorted keys, with no node
+    made.  Sorted, the windows under one node sit side by side, and the one
+    equal to the node's path, if any, first; so each node is a range of the
+    sorted distinct windows, and the nodes of depth d, in the order the
+    table numbers them, are the sorted distinct length-d prefixes.  A node's
+    ``freq`` is the count of its range (a difference of prefix sums), its
+    terminal count its first window's count if that window ends there.  Its
+    children start at its first window, unless that one ends there, and at
+    each window that shares exactly d labels with the one before it; each
+    child's range ends where the next one starts, or where its parent's
+    does.  One pass goes depth by depth, with no recursion.  (The
+    breadth-first layout is LOUDS's, Jacobson, FOCS 1989; building from
+    sorted keys, Daciuk et al., Computational Linguistics 26(1), 2000.)"""
+    _check_window(n)
+    runs: Counter[tuple[str, ...]] = Counter()
+    for g in graphs:
+        runs.update(_windows(g, n))
+    windows = sorted(runs)
+    times = list(map(runs.__getitem__, windows))
+    del runs
+    size = len(windows)
+    before = list(accumulate(times, initial=0))  # windows sorting before each, counted
+    length = [*map(len, windows), 0]  # the 0: no window under the root of an empty table
+    cuts: dict[int, list[int]] = {}  # d -> each window that shares exactly d labels with the one before
+    for i, (a, b) in enumerate(pairwise(windows), 1):
+        cuts.setdefault(next(compress(count(), map(ne, a, b)), len(a)), []).append(i)
+    child_count: list[int] = []
+    ids: list[str] = []
+    freq: list[int] = []
+    terminal: list[int] = []
+    starts, ends = [0], [size]  # this depth's nodes as ranges of windows: the root's
+    for depth in count():
+        # the next depth's nodes, by their first windows: a node's own, unless it ends here, and each cut here
+        deeper = compress(starts, map(lt, repeat(depth), map(length.__getitem__, starts)))
+        kids = sorted([*deeper, *cuts.pop(depth, ())])
+        first = [*map(bisect_left, repeat(kids), starts), len(kids)]  # each node's first child among kids
+        counts = list(map(sub, islice(first, 1, None), first))
+        child_count += counts
+        if not kids:
+            break
+        below = [*islice(kids, 1, None), size]  # where each child's range ends: the next child's start...
+        for after, end in zip(compress(islice(first, 1, None), counts), compress(ends, counts)):
+            below[after - 1] = end  # ...but a last child's ends where its parent's does
+        starts, ends = kids, below
+        ids += map(itemgetter(depth), map(windows.__getitem__, starts))
+        freq += map(sub, map(before.__getitem__, ends), map(before.__getitem__, starts))
+        terminal += [times[s] if length[s] == depth + 1 else 0 for s in starts]
+    labels = sorted(set(ids))
+    index = dict(zip(labels, count())).__getitem__
+    nodes = len(ids)
+    columns = (child_count, repeat(0, nodes + 1), map(index, ids), freq, terminal, repeat(0, nodes), (), ())
+    return encode(TrieMode.DAG, n, before[-1], nodes, 0, labels, columns)
 
 
 def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:

@@ -864,6 +864,45 @@ def test_index_refuses_an_out_it_can_never_write_before_reading_any_input(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_index_refuses_a_negative_window_length_before_reading_any_input(
+    linear_trace_file, tmp_path, capsys, monkeypatch
+):
+    read = []
+
+    def spy(path, *args):
+        read.append(path)
+        raise AssertionError(f"input {path} read")
+
+    monkeypatch.setattr("provtrie.cli._load_graph", spy)
+    out = tmp_path / "trie.json"
+    rc = main(["index", str(linear_trace_file), "--ngram", "-1", "--out", str(out)])
+    assert (rc, read, capsys.readouterr()) == (1, [], ("", "error: window length must be >= 0, got -1\n"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ngram", [0, 2])
+def test_dag_index_writes_the_insert_built_trie_and_calls_no_insert(ngram, tmp_path, capsys, monkeypatch):
+    from provtrie.canonical import ngrams, sequence
+    from provtrie.ingest import parse_ntriples, triples_to_graph
+
+    reference = Trie(TrieMode.DAG, ngram)
+    for name in TRACES:
+        g = triples_to_graph(parse_ntriples(Path(name).read_text(encoding="utf-8")).triples, PredicateMap.default())
+        items = sequence(g).items
+        for window in ngrams(items, ngram or len(items)).windows:
+            reference.insert(window)
+    save(reference, tmp_path / "reference.trie")
+
+    def no_insert(*args):
+        raise AssertionError("index --mode dag called Trie.insert")
+
+    monkeypatch.setattr(Trie, "insert", no_insert)
+    out = tmp_path / "index.trie"
+    assert main(["index", *TRACES, "--format", "ntriples", "--ngram", str(ngram), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["traces\t4", f"sequences\t{reference.sequence_count}"]
+    assert out.read_bytes() == (tmp_path / "reference.trie").read_bytes()
+
+
 def test_predicate_map_override(tmp_path, capsys, monkeypatch):
     nt = tmp_path / "custom.nt"
     nt.write_text("<urn:x> <urn:vocab:feeds> <urn:y> .\n", encoding="utf-8")

@@ -8,14 +8,24 @@ import weakref
 from typing import Any, Callable, Iterator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from provtrie.canonical import ngrams, sequence
 from provtrie.graph import GraphKind, ProvGraph, gen_clique
 from provtrie.oracle import enumerate_walks
 from provtrie.query import QueryPattern, count_paths, locate
-from provtrie.trie import CorruptDocument, EmptySequence, FrozenTrie, Trie, TrieMode, dg_document, load, save
+from provtrie.trie import (
+    CorruptDocument,
+    EmptySequence,
+    FrozenTrie,
+    Trie,
+    TrieMode,
+    dag_document,
+    dg_document,
+    load,
+    save,
+)
 
 from helpers import (
     CycleEdge,
@@ -413,6 +423,103 @@ def test_dg_builder_has_no_depth_limit():
     assert doc == t.to_document() and doc["nodes"] == 45_150
     assert t.sequence_count == n
     t.check_invariants()
+
+
+def _runs(*runs: list[str]) -> list[ProvGraph]:
+    """One DAG graph per run: a chain in the run's order, a lone vertex for a one-symbol run."""
+    graphs = []
+    for run in runs:
+        g = ProvGraph(GraphKind.DAG)
+        for rid in run:
+            g.add_node(rid)
+        g.add_edges(zip(run, run[1:]))
+        graphs.append(g)
+    return graphs
+
+
+def _insert_built_dag_document(graphs: list[ProvGraph], n: int) -> dict:
+    """The reference: each run's windows inserted one by one, then ``to_document``."""
+    trie = Trie(TrieMode.DAG, n)
+    for g in graphs:
+        items = sequence(g).items
+        for window in ngrams(items, n or len(items)).windows if items else ():
+            trie.insert(window)
+    return trie.to_document()
+
+
+dag_runs = st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6, unique=True), max_size=8)
+
+
+@given(dag_runs, st.integers(0, 7))
+@example([], 0)  # no input
+@example([], 2)
+@example([["a", "b"], ["a", "b"], ["a", "b", "c"]], 0)  # repeats, and a window that is a prefix of another
+@example([["a"], ["b"], ["a"]], 0)  # one-symbol runs
+@example([["a"], ["c", "b", "a"]], 2)  # a run shorter than n is its own window
+@example([["a", "b", "c", "d"], ["b", "c", "d"]], 3)  # n below the run length
+@example([["a", "b", "c"]], 5)  # n above it
+@settings(max_examples=200, deadline=None)
+def test_dag_document_is_the_insert_built_document(runs, n):
+    graphs = _runs(*runs)
+    want = json.dumps(_insert_built_dag_document(graphs, n), separators=(",", ":"))
+    assert json.dumps(dag_document(graphs, n), separators=(",", ":")) == want
+
+
+def test_dag_document_of_random_dags_is_the_insert_built_document():
+    rng = random.Random(0xDA6)
+    for _ in range(40):
+        graphs = [random_dag(rng) for _ in range(rng.randint(1, 5))]
+        for n in (0, 1, 2, 3):
+            assert dag_document(graphs, n) == _insert_built_dag_document(graphs, n)
+
+
+def test_dag_document_takes_a_generator_one_graph_at_a_time():
+    graphs = _runs(["a", "b", "c"], ["a", "c"], [], ["b"])
+    taken = []
+
+    def one_by_one():
+        for g in graphs:
+            taken.append(g)
+            yield g
+
+    assert dag_document(one_by_one(), 2) == _insert_built_dag_document(graphs, 2)
+    assert taken == graphs
+
+
+def test_dag_document_refuses_a_negative_window_length_before_taking_a_graph():
+    def untouched():
+        raise AssertionError("a graph was taken")
+        yield
+
+    with pytest.raises(ValueError, match="window length must be >= 0, got -1"):
+        dag_document(untouched(), -1)
+
+
+def test_dag_document_has_no_depth_limit():
+    names = [f"urn:c{i:04d}" for i in range(5001)]  # a 5,000-step chain
+    graphs = _runs(names)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(min(limit, depth + 100))  # lowered only: one frame per level cannot finish
+    try:
+        whole, windows = dag_document(graphs), dag_document(graphs, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (whole["nodes"], whole["sequence_count"]) == (5001, 1)
+    assert whole == _insert_built_dag_document(graphs, 0)
+    assert windows == _insert_built_dag_document(graphs, 3)
+
+
+def test_a_label_is_one_string_however_many_objects_inserted_it():
+    first, second = "".join(["la", "bel"]), "".join(["la", "bel"])
+    assert first == second and first is not second
+    trie = Trie(TrieMode.DAG)
+    trie.insert(["x", first])
+    trie.insert(["y", second])
+    i, j = trie.children[trie.children[0]["x"]]["label"], trie.children[trie.children[0]["y"]]["label"]
+    assert i != j and trie.id[i] is trie.id[j]
 
 
 def test_reinserting_known_sequence_adds_no_nodes():
