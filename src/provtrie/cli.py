@@ -124,9 +124,9 @@ def cmd_index(args: argparse.Namespace) -> int:
             traces += 1
             yield g
 
-    # every DG trace goes into one pass over DFS states; dag_document refuses a
-    # negative --ngram before it takes the first run, then counts each run's windows
-    doc = dg_document(list(graphs())) if mode is TrieMode.DG else dag_document(graphs(), args.ngram)
+    # dg_document takes each trace into one pass over DFS states; dag_document refuses
+    # a negative --ngram before it takes the first run, then counts each run's windows
+    doc = dg_document(graphs()) if mode is TrieMode.DG else dag_document(graphs(), args.ngram)
     nodes = write_document(doc, args.out)
     print(f"traces\t{traces}")
     print(f"sequences\t{doc['sequence_count']}")

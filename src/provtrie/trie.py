@@ -19,14 +19,15 @@ its last vertex and the traces that hold it.  ``_DFSStates`` makes a
 class table, one class per state, in one memoized pass, and ``minimize``,
 the one minimizer (a bottom-up hash-cons), makes it minimal.
 ``dg_document`` hands that table to ``encode``, with no node made between
-(``provtrie index --mode dg`` writes that document); ``index_graph``
-checks it and thaws it as ``load`` does, into the trie itself if that
-holds only the root, or else into a new trie that ``_union`` adds node by
-node, through ``_add_node`` and ``_take_cycle`` as ``insert`` does.
+(``provtrie index --mode dg`` writes that document, reading each trace
+once, when taken); ``index_graph`` checks it and ``_thaw`` adds it to the
+trie: as ``load`` does if that holds only the root, else node by node,
+through ``_add_node`` and ``_take_cycle`` as ``insert`` does.
 ``dag_document`` is DAG mode's writer (``provtrie index --mode dag``):
 it counts the runs' windows, as ``_windows`` defines them for both it and
 ``index_graph``, and reads the breadth-first table off the sorted
-distinct windows, one range of them per node, with no node made.
+distinct windows in one pass that keeps the current window's path on a
+stack, with no node made.
 ``insert`` stays the online builder, and with ``to_document`` the
 reference both writers are tested against.
 
@@ -81,12 +82,11 @@ from __future__ import annotations
 import json
 import os
 import sys
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
 from functools import partial
-from itertools import accumulate, chain, compress, count, islice, pairwise, repeat
-from operator import add, itemgetter, lt, ne, sub
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, itemgetter, ne, sub
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .canonical import ngrams, sequence
@@ -294,12 +294,12 @@ class Trie:
         walks through bounded structure.
 
         ``_DFSStates`` builds it as a table of classes, one per DFS state,
-        ``minimize`` makes the table ``dg_document`` encodes, and the class
-        checker derives its ``entry``.  Into a trie that holds only the root,
-        ``_thaw`` makes the nodes as ``load`` does, every map in label order.
-        Into any other trie it thaws into a new one and ``_union`` adds that
-        node by node, which may mark some maps and renumbers no node.
-        Either way the result equals one ``insert`` per closing insertion.
+        ``minimize`` makes the table ``dg_document`` encodes, the class
+        checker derives its ``entry``, and ``_thaw`` adds it to this trie:
+        as ``load`` does, every map in label order, into a trie that holds
+        only the root; node by node into any other, which may mark some
+        maps and renumbers no node.  Either way the result equals one
+        ``insert`` per closing insertion.
         """
         if self.mode is TrieMode.DAG:
             for window in _windows(g, self.n):
@@ -308,37 +308,7 @@ class Trie:
         states = _DFSStates([g])
         columns, _, _ = minimize(states.rows(), states.starts[-1])
         table, _, _ = _check(self.mode, states.sequence_count, states.labels, *map(_packed, columns))
-        if len(self.id) == 1:  # only the root: the graph's trie is this one
-            self._thaw(states.labels, table)
-            return
-        other = Trie(self.mode)
-        other._thaw(states.labels, table)
-        self._union(other)
-
-    def _union(self, other: "Trie") -> None:
-        """Add every sequence of ``other``, a trie of the same mode: each of
-        its nodes in index order (parents first) is found or made here by
-        ``_add_node`` and adds its counts, each of its cycle-edges is taken
-        as often as it was there, by ``_take_cycle``, and the per-depth
-        tables are summed.  It only appends: no node here is renumbered."""
-        where = [0] * len(other.id)  # other's nodes -> this trie's
-        children, freq, entry, terminal = self.children, self.freq, self.entry, self.terminal
-        for node, kids in enumerate(other.children):
-            here = where[node]
-            freq[here] += other.freq[node]
-            entry[here] += other.entry[node]
-            terminal[here] += other.terminal[node]
-            mine = children[here]
-            for rid, kid in kids.items():
-                found = mine.get(rid)
-                where[kid] = self._add_node(here, rid) if found is None else found
-        for source, out in zip(where, other.cycles):
-            for label, edge in out.items():
-                self._take_cycle(source, label, where[other.cycle_to[edge]], other.cycle_count[edge])
-        for depth, level in other.depth_stats.items():
-            stats = self.depth_stats.setdefault(depth, {})
-            for rid, arrivals in level.items():
-                stats[rid] = stats.get(rid, 0) + arrivals
+        self._thaw(states.labels, table)
 
     # the names the benchmark harness (perfbench/pipeline.py) still calls
     insert_dg = insert
@@ -485,38 +455,60 @@ class Trie:
         return trie
 
     def _thaw(self, labels: list[str], table: Table) -> None:
-        """Make this trie, which holds only the root, the trie of a checked
-        class table, as ``load`` and a DG ``index_graph`` do: ``_unfold``
-        makes every node, numbered breadth-first; the thaw takes each node's
-        values from its class into lists, expands the child counts into
-        parents, fills the child and cycle-edge maps in one pass each, in
-        label order, and sums the per-depth table over the classes.  It
-        checks nothing again."""
+        """Add the sequences of a checked class table to this trie, as
+        ``load`` and a DG ``index_graph`` do.  ``_unfold`` makes every node,
+        numbered breadth-first; the thaw takes each node's values from its
+        class into lists, expands the child counts into parents and the
+        cycle-edge counts into sources, and sums the per-depth table over
+        the classes.  Into a trie that holds only the root, those lists are
+        its columns, and the child and cycle-edge maps are filled in one
+        pass each, in label order.  Into any other, each node in turn
+        (parents first) is found or made by ``_add_node`` and adds its
+        counts, and each cycle-edge is taken as often as the table says by
+        ``_take_cycle``, as ``insert`` takes one: this only appends, so no
+        node is renumbered and no second trie is made.  It checks nothing
+        again."""
         order, first, efirst, cycle_to = _unfold(table)
         names = _names(labels, table)
+        for depth, level in _per_depth(table, names).items():
+            stats = self.depth_stats.setdefault(depth, {})
+            for rid, arrivals in level.items():
+                stats[rid] = stats.get(rid, 0) + arrivals
         if type(order) is range:  # a tree: node k is class k, and the table's lists are the node columns
-            self.id, self.freq, self.entry, self.terminal = names, table.freq, table.entry, table.terminal
-            self.cycle_count = list(table.cycle_count)
+            ids, freq, entry, terminal = names, table.freq, table.entry, table.terminal
+            counts = list(table.cycle_count)
         else:
-            self.id, self.freq, self.entry, self.terminal = (
+            ids, freq, entry, terminal = (
                 list(map(column.__getitem__, order)) for column in (names, table.freq, table.entry, table.terminal)
             )
-            counts = _ranges(table.cycle_count, table.efirst)
-            self.cycle_count = list(chain.from_iterable(map(counts.__getitem__, order)))
-        self.cycle_to = cycle_to
-        self.depth_stats = _per_depth(table, names)
+            per_class = _ranges(table.cycle_count, table.efirst)
+            counts = list(chain.from_iterable(map(per_class.__getitem__, order)))
         parent = _parents(map(sub, islice(first, 1, None), first))
-        labels = self.id
-        self.children = children = [{} for _ in parent]
-        for node, up, rid in islice(zip(count(), parent, labels), 1, None):
-            children[up][rid] = node  # type: ignore[index]
-        self.cycles = cycles = [{} for _ in parent]
-        if cycle_to:
-            out = list(map(sub, islice(efirst, 1, None), efirst))
-            # each source repeated for its edges, skipping nodes without any
-            sources = chain.from_iterable(map(repeat, compress(count(), out), filter(None, out)))
+        out = list(map(sub, islice(efirst, 1, None), efirst))
+        # each cycle-edge's source: each node repeated for its edges, skipping nodes without any
+        sources = chain.from_iterable(map(repeat, compress(count(), out), filter(None, out)))
+        if len(self.id) == 1:  # only the root: the table's trie is this one
+            self.id, self.freq, self.entry, self.terminal = ids, freq, entry, terminal
+            self.cycle_to, self.cycle_count = cycle_to, counts
+            self.children = children = [{} for _ in parent]
+            for node, up, rid in islice(zip(count(), parent, ids), 1, None):
+                children[up][rid] = node  # type: ignore[index]
+            self.cycles = cycles = [{} for _ in parent]
             for edge, target, source in zip(count(), cycle_to, sources):
-                cycles[source][labels[target]] = edge  # type: ignore[index]
+                cycles[source][ids[target]] = edge  # type: ignore[index]
+            return
+        where = [0]  # the table's nodes -> this trie's
+        children = self.children
+        for up, rid in islice(zip(parent, ids), 1, None):
+            up = where[up]
+            found = children[up].get(rid)
+            where.append(self._add_node(up, rid) if found is None else found)  # type: ignore[arg-type]
+        for here, f, e, t in zip(where, freq, entry, terminal):
+            self.freq[here] += f
+            self.entry[here] += e
+            self.terminal[here] += t
+        for source, target, times in zip(sources, map(where.__getitem__, cycle_to), counts):
+            self._take_cycle(where[source], self.id[target], target, times)  # type: ignore[arg-type]
 
 
 def minimize(
@@ -659,12 +651,16 @@ class _DFSStates:
     one bit per trace).  Its children are the unvisited successors and its
     cycle-edges the visited ones, both summed over those traces: these are
     the states of Held and Karp's DP (J. SIAM 1962), and K8's 109,600 nodes
-    fall into 1,024 of them.  A state's depth is the size of its visited
-    set, so the pass goes depth by depth with a memo per depth, with no
-    stack: forward, each state's successors give its children and
-    cycle-edges; backward, from the deepest depth up, each class sums its
-    insertions and cycle arrivals over its subtree (``document._arrivals``,
-    as the class checker sums them).  ``rows`` numbers the root 0 and then
+    fall into 1,024 of them.  The traces are taken one at a time and each
+    read once, into trace sets keyed by label (per vertex, the traces that
+    hold it and those where it ends; per edge, those that hold it); the
+    label table, sorted after the last trace, then numbers the vertices.  A
+    state's depth is the size of its visited set, so the pass goes depth by
+    depth with a memo per depth, with no stack: forward, each state's
+    successors give its children and cycle-edges; backward, from the
+    deepest depth up, each class sums its insertions and cycle arrivals
+    over its subtree (``document._arrivals``, as the class checker sums
+    them).  ``rows`` numbers the root 0 and then
     the classes depth by depth, so children come after their parents;
     depth 1's are the vertices, in label order, a class's label is its
     vertex, and ``labels`` is the document's label table.
@@ -672,25 +668,26 @@ class _DFSStates:
 
     __slots__ = ("labels", "depths", "starts", "sequence_count")
 
-    def __init__(self, graphs: Sequence[ProvGraph]) -> None:
-        self.labels = labels = sorted(set().union(*(g.node_ids for g in graphs)))
-        index = dict(zip(labels, count()))
-        holds, ends = [0] * len(labels), [0] * len(labels)  # per vertex: traces that hold it, those where it ends
-        arcs: list[dict[int, int]] = [{} for _ in labels]  # per vertex: successor -> traces with that edge
-        for trace, g in enumerate(graphs):
+    def __init__(self, graphs: Iterable[ProvGraph]) -> None:
+        holds: dict[str, int] = {}  # per vertex: the traces that hold it
+        stops: dict[str, int] = {}  # ...those where it has no successor
+        arcs: dict[str, dict[str, int]] = {}  # per vertex: successor -> traces with that edge
+        for trace, g in enumerate(graphs):  # each graph is read once, when taken
             bit = 1 << trace
             for v in g.node_ids:
-                i = index[v]
-                holds[i] |= bit
+                holds[v] = holds.get(v, 0) | bit
                 succs = g.successors(v)
                 if not succs:
-                    ends[i] |= bit
-                out = arcs[i]
-                for w in map(index.__getitem__, succs):
+                    stops[v] = stops.get(v, 0) | bit
+                out = arcs.setdefault(v, {})
+                for w in succs:
                     out[w] = out.get(w, 0) | bit
-        steps = [[(w, 1 << w, traces) for w, traces in sorted(out.items())] for out in arcs]
+        self.labels = labels = sorted(holds)
+        index = dict(zip(labels, count()))
+        ends = [stops.get(v, 0) for v in labels]
+        steps = [[(index[w], 1 << index[w], traces) for w, traces in sorted(arcs[v].items())] for v in labels]
         forward = []  # per depth: its classes' vertices, ends, children and cycle-edges
-        level = [(1 << v, v, live) for v, live in enumerate(holds)]  # depth 1: each vertex alone
+        level = [(1 << v, v, holds[label]) for v, label in enumerate(labels)]  # depth 1: each vertex alone
         while level:
             memo: dict[tuple[int, int, int], int] = {}  # state -> its index in the next depth
             deeper: list[tuple[int, int, int]] = []
@@ -745,12 +742,13 @@ class _DFSStates:
         yield 0, -1, self.sequence_count, 0, range(1, len(self.labels) + 1), [], []
 
 
-def dg_document(graphs: Sequence[ProvGraph]) -> dict[str, Any]:
+def dg_document(graphs: Iterable[ProvGraph]) -> dict[str, Any]:
     """The DG trie of ``graphs`` as a format 5 document: the one that
     ``to_document`` writes after ``index_graph`` of each graph into an empty
-    DG trie.  One ``_DFSStates`` pass takes every graph at once, and
-    ``minimize`` takes its classes as they are, the deepest first, with no
-    node made between."""
+    DG trie.  One ``_DFSStates`` pass takes the graphs one at a time and
+    keeps only their vertices' and edges' trace sets, and ``minimize``
+    takes its classes as they are, the deepest first, with no node made
+    between."""
     states = _DFSStates(graphs)
     columns, nodes, edges = minimize(states.rows(), states.starts[-1])
     return encode(TrieMode.DG, 0, states.sequence_count, nodes, edges, states.labels, columns)
@@ -778,58 +776,53 @@ def dag_document(graphs: Iterable[ProvGraph], n: int = 0) -> dict[str, Any]:
     first graph is taken; then the graphs are taken one at a time, and only
     a count of each distinct window is kept.
 
-    A tree's breadth-first table is read off its sorted keys, with no node
-    made.  Sorted, the windows under one node sit side by side, and the one
-    equal to the node's path, if any, first; so each node is a range of the
-    sorted distinct windows, and the nodes of depth d, in the order the
-    table numbers them, are the sorted distinct length-d prefixes.  A node's
-    ``freq`` is the count of its range (a difference of prefix sums), its
-    terminal count its first window's count if that window ends there.  Its
-    children start at its first window, unless that one ends there, and at
-    each window that shares exactly d labels with the one before it; each
-    child's range ends where the next one starts, or where its parent's
-    does.  One pass goes depth by depth, with no recursion.  (The
-    breadth-first layout is LOUDS's, Jacobson, FOCS 1989; building from
-    sorted keys, Daciuk et al., Computational Linguistics 26(1), 2000.)"""
+    A tree's breadth-first table is read off its sorted keys in one pass,
+    with no node made and no recursion: the current window's nodes are kept
+    on a stack, its path.  A window that shares d labels with the one before
+    keeps the first d nodes of that path and appends one node per further
+    label to the columns of that label's depth; each window is new and is
+    no prefix of a later one, so it appends one at least, and its count goes
+    to ``freq`` along the path and to the last node's terminal count.  Taken
+    in sorted order, a depth's nodes are its sorted distinct prefixes, the
+    order the table numbers them in, so the columns of each depth, one
+    after the other, are the table's.  (Building from sorted keys with the
+    open path on a stack: Daciuk et al., Computational Linguistics 26(1),
+    2000.)"""
     _check_window(n)
     runs: Counter[tuple[str, ...]] = Counter()
     for g in graphs:
         runs.update(_windows(g, n))
-    windows = sorted(runs)
-    times = list(map(runs.__getitem__, windows))
+    # per depth, the root's 0 first: each node's label, freq, terminal count and child count
+    ids, freq, terminal, kids = [[None]], [[0]], [[0]], [[0]]
+    path = [0]  # the last window's nodes, as places in their depths' columns: the root, then one per label
+    last: tuple[str, ...] = ()
+    for window in sorted(runs):
+        shared = next(compress(count(), map(ne, last, window)), len(last))  # labels in common with the last window
+        del path[shared + 1 :]
+        for depth in range(shared + 1, len(window) + 1):
+            kids[depth - 1][path[-1]] += 1
+            if depth == len(ids):
+                for column in ids, freq, terminal, kids:
+                    column.append([])
+            path.append(len(ids[depth]))
+            ids[depth].append(window[depth - 1])
+            freq[depth].append(0)
+            terminal[depth].append(0)
+            kids[depth].append(0)
+        times = runs[window]
+        for column, node in zip(freq, path):
+            column[node] += times
+        terminal[len(window)][path[-1]] = times
+        last = window
     del runs
-    size = len(windows)
-    before = list(accumulate(times, initial=0))  # windows sorting before each, counted
-    length = [*map(len, windows), 0]  # the 0: no window under the root of an empty table
-    cuts: dict[int, list[int]] = {}  # d -> each window that shares exactly d labels with the one before
-    for i, (a, b) in enumerate(pairwise(windows), 1):
-        cuts.setdefault(next(compress(count(), map(ne, a, b)), len(a)), []).append(i)
-    child_count: list[int] = []
-    ids: list[str] = []
-    freq: list[int] = []
-    terminal: list[int] = []
-    starts, ends = [0], [size]  # this depth's nodes as ranges of windows: the root's
-    for depth in count():
-        # the next depth's nodes, by their first windows: a node's own, unless it ends here, and each cut here
-        deeper = compress(starts, map(lt, repeat(depth), map(length.__getitem__, starts)))
-        kids = sorted([*deeper, *cuts.pop(depth, ())])
-        first = [*map(bisect_left, repeat(kids), starts), len(kids)]  # each node's first child among kids
-        counts = list(map(sub, islice(first, 1, None), first))
-        child_count += counts
-        if not kids:
-            break
-        below = [*islice(kids, 1, None), size]  # where each child's range ends: the next child's start...
-        for after, end in zip(compress(islice(first, 1, None), counts), compress(ends, counts)):
-            below[after - 1] = end  # ...but a last child's ends where its parent's does
-        starts, ends = kids, below
-        ids += map(itemgetter(depth), map(windows.__getitem__, starts))
-        freq += map(sub, map(before.__getitem__, ends), map(before.__getitem__, starts))
-        terminal += [times[s] if length[s] == depth + 1 else 0 for s in starts]
+    sequence_count = freq[0][0]
+    ids, freq, terminal = (list(chain.from_iterable(islice(column, 1, None))) for column in (ids, freq, terminal))
     labels = sorted(set(ids))
     index = dict(zip(labels, count())).__getitem__
     nodes = len(ids)
+    child_count = chain.from_iterable(kids)  # the root's too
     columns = (child_count, repeat(0, nodes + 1), map(index, ids), freq, terminal, repeat(0, nodes), (), ())
-    return encode(TrieMode.DAG, n, before[-1], nodes, 0, labels, columns)
+    return encode(TrieMode.DAG, n, sequence_count, nodes, 0, labels, columns)
 
 
 def save(trie: Trie, sink: str | os.PathLike[str] | IO[str]) -> int:

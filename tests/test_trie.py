@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from provtrie.canonical import ngrams, sequence
+from provtrie.document import _checked
 from provtrie.graph import GraphKind, ProvGraph, gen_clique
 from provtrie.oracle import enumerate_walks
 from provtrie.query import QueryPattern, count_paths, locate
@@ -486,6 +487,22 @@ def test_dag_document_takes_a_generator_one_graph_at_a_time():
     assert taken == graphs
 
 
+def test_dg_document_takes_a_generator_one_graph_at_a_time():
+    graphs = [*_shared_vertices(), gen_clique(3), *_lone_self_loop()]
+    taken = []
+
+    def one_by_one():
+        for g in graphs:
+            taken.append(g)
+            yield g
+
+    reference = Trie(TrieMode.DG)
+    for g in graphs:
+        insert_based_index_graph_dg(reference, g)
+    assert dg_document(one_by_one()) == reference.to_document()
+    assert taken == graphs
+
+
 def test_dag_document_refuses_a_negative_window_length_before_taking_a_graph():
     def untouched():
         raise AssertionError("a graph was taken")
@@ -891,11 +908,29 @@ def _mixed_build(mode: TrieMode, steps: list[tuple[str, Any]]) -> Trie:
 def test_a_union_is_the_trie_of_both_corpora_and_renumbers_no_node(mode, first, second):
     trie = insert_all(mode, first)
     held = _root_paths(trie)
-    trie._union(insert_all(mode, second))  # repeated sequences give cycle-edges taken more than once
+    _, _, labels, table = _checked(insert_all(mode, second).to_document())
+    trie._thaw(labels, table)  # repeated sequences give cycle-edges taken more than once
     both = insert_all(mode, first + second)
     assert trie.to_document() == both.to_document() and trie.depth_stats == both.depth_stats
     assert [locate(trie, path)[0] for path in held] == list(range(len(held)))
     trie.check_invariants()
+
+
+def test_dg_index_graph_into_a_non_empty_trie_makes_no_second_trie(monkeypatch):
+    corpus = [[":r0", ":r1"], [":r2"]]
+    trie, reference = insert_all(TrieMode.DG, corpus), insert_all(TrieMode.DG, corpus)
+    insert_based_index_graph_dg(reference, gen_clique(4))
+    made = []
+    init = Trie.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Trie, "__init__", counted)
+    trie.index_graph(gen_clique(4))
+    assert made == []
+    assert trie.to_document() == reference.to_document()
 
 
 @given(mode=st.sampled_from(TrieMode), steps=build_steps)
